@@ -41,8 +41,7 @@ func main() {
 	threshold := flag.Float64("load-threshold", 0, "QoS load threshold (0 = disabled)")
 	repoPath := flag.String("repo", "", "site repository file: loaded at startup if present, saved on shutdown")
 	schedWorkers := flag.Int("sched-workers", 0, "scheduling concurrency: site fan-out and batch workers (0 = GOMAXPROCS, 1 = serial)")
-	availAware := flag.Bool("avail-aware", false, "deprecated alias for -policy eft")
-	policy := flag.String("policy", "", fmt.Sprintf("default scheduling policy (one of: %s; empty = faithful, or eft with -avail-aware)", strings.Join(scheduler.Policies(), ", ")))
+	policy := flag.String("policy", "", fmt.Sprintf("default scheduling policy (one of: %s; empty = faithful)", strings.Join(scheduler.Policies(), ", ")))
 	flag.Parse()
 
 	if *policy != "" {
@@ -56,7 +55,6 @@ func main() {
 		UseSockets:           *sockets,
 		LoadThreshold:        *threshold,
 		SchedulerConcurrency: *schedWorkers,
-		AvailabilityAware:    *availAware,
 		Policy:               *policy,
 	})
 	if err != nil {

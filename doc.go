@@ -11,7 +11,11 @@
 // implements scheduler.Policy (Name + Schedule(ctx, *Request)) and
 // registers by name, so algorithms are selected as data end to end — the
 // Site.ScheduleBatch RPC, vdce-server -policy, vdce-submit -policy, and
-// the experiments harness all take a policy name. Registered policies:
+// the experiments harness all take a policy name. Policy.Schedule is the
+// only way to run an algorithm and the registered name the only selector of
+// which one runs: a Request (NewRequest plus With* options) describes the
+// environment, and scheduler.Batch{Policy, Env} runs one policy over many
+// graphs against one such environment. Registered policies:
 // the paper-faithful Site Scheduler ("faithful"), its earliest-finish-time
 // variants ("eft", "ledger" — the latter with a shared cross-application
 // load ledger), the HEFT and CPOP list-scheduling heuristics of Topcuoglu

@@ -51,8 +51,6 @@ type Options struct {
 	SpeedSpread float64
 	// Seed makes host generation deterministic (default 1).
 	Seed int64
-	// K is the Site Scheduler's neighbour fan-out (0 = all sites).
-	K int
 }
 
 // Environment is a running multi-site VDCE.
@@ -155,28 +153,10 @@ func (e *Environment) ResolveHost(name string) *resource.Host {
 	return nil
 }
 
-// Scheduler builds the distributed Site Scheduler as seen from localSite:
-// the local selector plus every other site as a remote selector (the
-// in-process equivalent of the AFG multicast; cmd/vdce-server wires the
-// same thing over RPC).
-func (e *Environment) Scheduler(localSite string) (*scheduler.SiteScheduler, error) {
-	local, err := e.Site(localSite)
-	if err != nil {
-		return nil, err
-	}
-	var remotes []scheduler.HostSelector
-	for _, name := range e.order {
-		if name != localSite {
-			remotes = append(remotes, e.sites[name].Selector)
-		}
-	}
-	return scheduler.NewSiteScheduler(local.Selector, remotes, e.net, e.opts.K), nil
-}
-
-// Submit runs the full cycle for an application arriving at localSite:
-// distributed scheduling, then execution across the chosen hosts with the
-// local site's QoS/fault policies.
-func (e *Environment) Submit(ctx context.Context, localSite string, g *afg.Graph) (*runtime.Result, *scheduler.AllocationTable, error) {
+// localAndRemotes resolves localSite and lists every other site's selector
+// as a remote (the in-process equivalent of the AFG multicast;
+// cmd/vdce-server wires the same thing over RPC).
+func (e *Environment) localAndRemotes(localSite string) (*site.Manager, []scheduler.HostSelector, error) {
 	local, err := e.Site(localSite)
 	if err != nil {
 		return nil, nil, err
@@ -186,6 +166,28 @@ func (e *Environment) Submit(ctx context.Context, localSite string, g *afg.Graph
 		if name != localSite {
 			remotes = append(remotes, e.sites[name].Selector)
 		}
+	}
+	return local, remotes, nil
+}
+
+// Schedule maps an application arriving at localSite onto the whole
+// environment under the named policy (empty = the site's default) without
+// executing it.
+func (e *Environment) Schedule(ctx context.Context, localSite, policy string, g *afg.Graph) (*scheduler.AllocationTable, error) {
+	local, remotes, err := e.localAndRemotes(localSite)
+	if err != nil {
+		return nil, err
+	}
+	return local.SchedulePolicy(ctx, policy, g, remotes)
+}
+
+// Submit runs the full cycle for an application arriving at localSite:
+// distributed scheduling, then execution across the chosen hosts with the
+// local site's QoS/fault policies.
+func (e *Environment) Submit(ctx context.Context, localSite string, g *afg.Graph) (*runtime.Result, *scheduler.AllocationTable, error) {
+	local, remotes, err := e.localAndRemotes(localSite)
+	if err != nil {
+		return nil, nil, err
 	}
 	return local.ExecuteLocal(ctx, g, remotes, e.ResolveHost)
 }

@@ -98,16 +98,15 @@ func TestSubmitUnknownSite(t *testing.T) {
 	if _, _, err := env.Submit(context.Background(), "mars", g); !errors.Is(err, ErrUnknownSite) {
 		t.Fatalf("err = %v", err)
 	}
+	if _, err := env.Schedule(context.Background(), "mars", "", g); !errors.Is(err, ErrUnknownSite) {
+		t.Fatalf("schedule err = %v", err)
+	}
 }
 
 func TestSchedulerConstruction(t *testing.T) {
 	env := newEnv(t, "syracuse", "rome")
-	s, err := env.Scheduler("syracuse")
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := workload.Pipeline(5, 0.1, 1024)
-	table, err := s.Schedule(g)
+	table, err := env.Schedule(context.Background(), "syracuse", "faithful", g)
 	if err != nil {
 		t.Fatal(err)
 	}

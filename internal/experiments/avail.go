@@ -81,39 +81,33 @@ func mergeTables(graphs []*afg.Graph, items []scheduler.BatchItem) (*scheduler.A
 	return table, nil
 }
 
-// ledgerConfig is one placement configuration of the LEDGER experiment.
-type ledgerConfig struct {
-	name   string
-	avail  bool
-	ledger bool
-}
-
-// runLedgerConfig schedules graphs under one configuration against fresh
+// runLedgerPolicy schedules graphs under one site policy against fresh
 // (seed-identical) site repositories and returns the combined simulated
 // makespan plus the scheduling wall time.
-func runLedgerConfig(seed int64, cfg ledgerConfig, graphs []*afg.Graph) (mk, wall float64, err error) {
-	sched, _, repos := scaleScheduler(seed, true, 1)
-	sched.AvailabilityAware = cfg.avail
-	// Serial batch for every configuration: the ledger path needs it for
+func runLedgerPolicy(seed int64, policy string, graphs []*afg.Graph) (mk, wall float64, err error) {
+	p, err := scheduler.Lookup(policy)
+	if err != nil {
+		return 0, 0, err
+	}
+	env, _, repos := scaleEnv(seed, true, 1)
+	// Serial batch for every policy: the ledger path needs it for
 	// determinism (each graph sees exactly the reservations of the graphs
 	// before it; with concurrent workers the spreading still happens, but
 	// the tables depend on completion order), and the others match so the
-	// per-config wall times compare placement modes, not worker counts.
-	b := &scheduler.Batch{Scheduler: sched, Workers: 1}
-	if cfg.ledger {
-		b.Ledger = scheduler.NewLoadLedger()
-	}
+	// per-policy wall times compare placement modes, not worker counts.
+	// The batch itself supplies the "ledger" policy's shared ledger.
+	b := &scheduler.Batch{Policy: p, Env: env, Workers: 1}
 	t0 := time.Now()
 	items := b.Schedule(graphs)
 	wall = time.Since(t0).Seconds()
 
 	merged, table, err := mergeForSimulation(graphs, items)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", cfg.name, err)
+		return 0, 0, fmt.Errorf("%s: %w", policy, err)
 	}
 	mk, err = scheduler.Simulate(merged, table, truthFromRepos(repos), nil)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: simulate: %w", cfg.name, err)
+		return 0, 0, fmt.Errorf("%s: simulate: %w", policy, err)
 	}
 	return mk, wall, nil
 }
@@ -121,17 +115,17 @@ func runLedgerConfig(seed int64, cfg ledgerConfig, graphs []*afg.Graph) (mk, wal
 // AvailabilityScheduling (the ROADMAP's scale direction, round two): the
 // SCALE workload — 6×1000-task graphs batched against 32 sites × 4 hosts —
 // scored on combined simulated makespan (all applications replayed against
-// the same host pool at once) instead of dispatch wall time, across three
-// placement configurations:
+// the same host pool at once) instead of dispatch wall time, across the
+// three site policies:
 //
-//  1. paper-faithful — predicted + transfer, every graph scheduled blind
-//     to the others (the ledger-free concurrent batch of PR 1);
-//  2. availability-aware (EFT) — earliest-finish-time placement, but each
-//     graph still walks its own private host timeline, so the batch's
-//     graphs queue behind each other on the same attractive hosts;
-//  3. shared ledger — earliest-finish-time with one cross-application
-//     load ledger threaded through the batch, so each graph spreads
-//     around the busy seconds the others already promised.
+//  1. "faithful" — predicted + transfer, every graph scheduled blind to
+//     the others (the ledger-free concurrent batch of PR 1);
+//  2. "eft" — earliest-finish-time placement, but each graph still walks
+//     its own private host timeline, so the batch's graphs queue behind
+//     each other on the same attractive hosts;
+//  3. "ledger" — earliest-finish-time with one cross-application load
+//     ledger threaded through the batch, so each graph spreads around the
+//     busy seconds the others already promised.
 //
 // The claim: EFT recovers most of the intra-application queueing cost the
 // faithful objective cannot see (an order of magnitude here), and the
@@ -145,19 +139,14 @@ func AvailabilityScheduling(seed int64) (*Result, error) {
 		XLabel:  "config", // 1 = faithful, 2 = EFT no ledger, 3 = EFT shared ledger
 		YLabels: []string{"combined_makespan_s", "sched_wall_s"},
 	}
-	configs := []ledgerConfig{
-		{"faithful", false, false},
-		{"eft", true, false},
-		{"ledger", true, true},
-	}
 	graphs := scaleGraphSet(seed)
-	for ci, cfg := range configs {
-		mk, wall, err := runLedgerConfig(seed, cfg, graphs)
+	for pi, policy := range []string{"faithful", "eft", "ledger"} {
+		mk, wall, err := runLedgerPolicy(seed, policy, graphs)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: %w", err)
 		}
-		res.Series.Rows = append(res.Series.Rows, []float64{float64(ci + 1), mk, wall})
-		res.Metrics["makespan_"+cfg.name] = mk
+		res.Series.Rows = append(res.Series.Rows, []float64{float64(pi + 1), mk, wall})
+		res.Metrics["makespan_"+policy] = mk
 	}
 	res.Metrics["ledger_over_faithful"] =
 		res.Metrics["makespan_faithful"] / res.Metrics["makespan_ledger"]

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/afg"
 	"repro/internal/dagen"
-	"repro/internal/netsim"
 	"repro/internal/scheduler"
 	"repro/internal/vis"
 )
@@ -154,12 +151,18 @@ func churnHostRefs(hosts []string) []scheduler.HostRef {
 	return refs
 }
 
+// churnEnv is one CHURN worker's state: the ranking environment plus its
+// dense candidate pool.
+type churnEnv struct {
+	gridEnv
+	refs []scheduler.HostRef
+}
+
 // churnCell scores one grid cell: schedule the seeded graph once with the
 // baseline policy, replay it fault-free for the denominator, then run the
 // churn executor once per re-planner on the same seeded trace.
-func churnCell(cfg ChurnConfig, r rankingRun, names []string, policy scheduler.Policy,
-	env scheduler.Request, net *netsim.Network, hosts []string,
-	refs []scheduler.HostRef, truth scheduler.TimeModel) (ChurnCell, error) {
+func churnCell(cfg ChurnConfig, r rankingRun, names []string, policy scheduler.Policy, env churnEnv) (ChurnCell, error) {
+	net, hosts, refs, truth := env.req.Net, env.hosts, env.refs, env.truth
 	cellSeed := cfg.Seed + int64(r.size)*1_000_003 + int64(r.gi)*7919 + int64(r.ccr*1000)
 	g := dagen.Random(dagen.Params{
 		Tasks: r.size, CCR: r.ccr, Alpha: cfg.Alpha,
@@ -167,7 +170,7 @@ func churnCell(cfg ChurnConfig, r rankingRun, names []string, policy scheduler.P
 		CommBandwidth: policyWANBand,
 		Seed:          cellSeed,
 	})
-	items := (&scheduler.Batch{Scheduler: scheduler.Bind(policy, env), Workers: 1}).
+	items := (&scheduler.Batch{Policy: policy, Env: env.req, Workers: 1}).
 		Schedule([]*afg.Graph{g})
 	if items[0].Err != nil {
 		return ChurnCell{}, fmt.Errorf("churn: %s on v=%d ccr=%g: %w", cfg.Policy, r.size, r.ccr, items[0].Err)
@@ -198,10 +201,9 @@ func churnCell(cfg ChurnConfig, r rankingRun, names []string, policy scheduler.P
 }
 
 // ChurnCells runs the sweep and returns the per-run scores plus the
-// resolved re-planner order. The worker-pool contract matches
-// RankingCells: each worker owns a seeded environment, each cell writes
-// only its own index, and the result is byte-identical to a serial run for
-// any worker count.
+// resolved re-planner order. Cells run under runGrid's contract, like
+// RankingCells: the result is byte-identical to a serial run for any
+// worker count.
 func ChurnCells(cfg ChurnConfig) ([]ChurnCell, []string, error) {
 	cfg = cfg.withDefaults()
 	names := cfg.Replanners
@@ -227,54 +229,16 @@ func ChurnCells(cfg ChurnConfig) ([]ChurnCell, []string, error) {
 		GraphsPerCell: cfg.GraphsPerCell, Sites: cfg.Sites,
 		HostsPerSite: cfg.HostsPerSite, Seed: cfg.Seed,
 	}
-	runs := rankingGrid(rcfg)
-	cells := make([]ChurnCell, len(runs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-
-	if workers <= 1 {
-		env, repos, net, hosts := rankingEnv(rcfg)
-		truth := truthFromRepos(repos)
-		refs := churnHostRefs(hosts)
-		for i, r := range runs {
-			cell, err := churnCell(cfg, r, names, policy, env, net, hosts, refs, truth)
-			if err != nil {
-				return nil, nil, err
-			}
-			cells[i] = cell
-		}
-		return cells, names, nil
-	}
-
-	errs := make([]error, len(runs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env, repos, net, hosts := rankingEnv(rcfg)
-			truth := truthFromRepos(repos)
-			refs := churnHostRefs(hosts)
-			for i := range idx {
-				cells[i], errs[i] = churnCell(cfg, runs[i], names, policy, env, net, hosts, refs, truth)
-			}
-		}()
-	}
-	for i := range runs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	cells, err := runGrid(rankingGrid(rcfg), cfg.Workers,
+		func() churnEnv {
+			env := rankingEnv(rcfg)
+			return churnEnv{env, churnHostRefs(env.hosts)}
+		},
+		func(env churnEnv, r rankingRun) (ChurnCell, error) {
+			return churnCell(cfg, r, names, policy, env)
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return cells, names, nil
 }

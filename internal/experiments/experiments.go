@@ -52,11 +52,7 @@ func Fig1MultiSite(seed int64) (*Result, error) {
 			}
 		}
 		g := workload.ForkJoin(24, 0.5, 1<<10)
-		sched, err := env.Scheduler("site0")
-		if err != nil {
-			return nil, err
-		}
-		table, err := sched.Schedule(g)
+		table, err := env.Schedule(context.Background(), "site0", "faithful", g)
 		if err != nil {
 			return nil, err
 		}
@@ -103,12 +99,8 @@ func Fig2Pipeline(seed int64) (*Result, error) {
 	}
 	editorMS := float64(time.Since(t0).Microseconds()) / 1000
 
-	sched, err := env.Scheduler("syracuse")
-	if err != nil {
-		return nil, err
-	}
 	t1 := time.Now()
-	table, err := sched.Schedule(g)
+	table, err := env.Schedule(context.Background(), "syracuse", "faithful", g)
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +199,10 @@ func Fig4SiteScheduler(seed int64) (*Result, error) {
 		truth := truthFromRepos(map[string]*repository.Repository{"syr": syr, "rome": rome})
 		var mks, comms [2]float64
 		for i, aware := range []bool{true, false} {
-			s := scheduler.NewSiteScheduler(
+			table, err := schedule("faithful", scheduler.NewRequest(g,
 				&scheduler.LocalSelector{Site: "syr", Repo: syr},
 				[]scheduler.HostSelector{&scheduler.LocalSelector{Site: "rome", Repo: rome}},
-				net, 0)
-			s.TransferAware = aware
-			table, err := s.Schedule(g)
+				net, scheduler.WithTransferAware(aware)))
 			if err != nil {
 				return nil, err
 			}
@@ -250,17 +240,11 @@ func Fig5HostSelection(seed int64) (*Result, error) {
 		g := independentTasks(30, 2.0, seed)
 		truth := truthFromRepos(sites)
 
-		vdce := scheduler.NewSiteScheduler(&scheduler.LocalSelector{Site: "syr", Repo: repo}, nil, net, 0)
-		schedulers := []scheduler.Scheduler{
-			vdce,
-			&scheduler.RandomScheduler{Sites: sites, Seed: seed},
-			&scheduler.RoundRobinScheduler{Sites: sites},
-			&scheduler.MinLoadScheduler{Sites: sites},
-			&scheduler.FastestHostScheduler{Sites: sites},
-		}
+		req := scheduler.NewRequest(g, &scheduler.LocalSelector{Site: "syr", Repo: repo}, nil, net,
+			scheduler.WithSeed(seed))
 		row := []float64{float64(hosts)}
-		for _, s := range schedulers {
-			table, err := s.Schedule(g)
+		for _, policy := range []string{"faithful", "random", "roundrobin", "minload", "fastest"} {
+			table, err := schedule(policy, req)
 			if err != nil {
 				return nil, err
 			}
@@ -415,15 +399,20 @@ func ScheduleQuality(seed int64) (*Result, error) {
 				lb = v
 			}
 		}
-		level := scheduler.NewSiteScheduler(&scheduler.LocalSelector{Site: "syr", Repo: repo}, nil, net, 0)
+		sel := &scheduler.LocalSelector{Site: "syr", Repo: repo}
 		fifoSel := &scheduler.LocalSelector{Site: "syr", Repo: repo, Priority: scheduler.FIFOPriority}
-		fifo := scheduler.NewSiteScheduler(fifoSel, nil, net, 0)
-		fifo.Priority = scheduler.FIFOPriority
-		rnd := &scheduler.RandomScheduler{Sites: sites, Seed: seed}
+		runs := []struct {
+			policy string
+			req    *scheduler.Request
+		}{
+			{"faithful", scheduler.NewRequest(g, sel, nil, net)},
+			{"faithful", scheduler.NewRequest(g, fifoSel, nil, net, scheduler.WithPriority(scheduler.FIFOPriority))},
+			{"random", scheduler.NewRequest(g, sel, nil, net, scheduler.WithSeed(seed))},
+		}
 
 		row := []float64{float64(g.Len())}
-		for _, s := range []scheduler.Scheduler{level, fifo, rnd} {
-			table, err := s.Schedule(g)
+		for _, r := range runs {
+			table, err := schedule(r.policy, r.req)
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/afg"
@@ -12,6 +15,68 @@ import (
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 )
+
+// schedule runs the named registered policy on req.
+func schedule(policy string, req *scheduler.Request) (*scheduler.AllocationTable, error) {
+	p, err := scheduler.Lookup(policy)
+	if err != nil {
+		return nil, err
+	}
+	return p.Schedule(context.Background(), req)
+}
+
+// runGrid evaluates cell over every run of a seeded grid on a bounded
+// worker pool and returns the results in serial cell order. Each worker
+// owns the state newWorker builds (a seeded environment), each cell writes
+// only its own index, and every input is a pure function of the sweep
+// config and the cell — so the slice is byte-identical to a serial run for
+// any worker count; on failure the first error in serial cell order is
+// returned, also independent of goroutine scheduling. workers = 1 runs in
+// the calling goroutine; 0 or negative uses GOMAXPROCS.
+func runGrid[W, C any](runs []rankingRun, workers int, newWorker func() W, cell func(W, rankingRun) (C, error)) ([]C, error) {
+	cells := make([]C, len(runs))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(runs) {
+		workers = len(runs)
+	}
+	if workers <= 1 {
+		w := newWorker()
+		for i, r := range runs {
+			c, err := cell(w, r)
+			if err != nil {
+				return nil, err
+			}
+			cells[i] = c
+		}
+		return cells, nil
+	}
+	errs := make([]error, len(runs))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for n := 0; n < workers; n++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := newWorker()
+			for i := range idx {
+				cells[i], errs[i] = cell(w, runs[i])
+			}
+		}()
+	}
+	for i := range runs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
+}
 
 // repoSite builds a repository for a homogeneous-speed site with uniform
 // random loads in [0, loadMax).

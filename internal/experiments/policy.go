@@ -90,10 +90,9 @@ func PolicyComparisonFor(seed int64, names []string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A Bind-wrapped "ledger" policy gets its batch-wide shared ledger
-		// from Batch.Schedule itself — cross-application awareness is its
-		// point.
-		b := &scheduler.Batch{Scheduler: scheduler.Bind(p, env), Workers: 1}
+		// The "ledger" policy gets its batch-wide shared ledger from
+		// Batch.Schedule itself — cross-application awareness is its point.
+		b := &scheduler.Batch{Policy: p, Env: env, Workers: 1}
 		t0 := time.Now()
 		items := b.Schedule(graphs)
 		wall := time.Since(t0).Seconds()

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/afg"
@@ -117,11 +115,19 @@ type RankingCell struct {
 	Speedup  []float64 `json:"speedup"`
 }
 
+// gridEnv is one grid worker's seeded environment: the Request template
+// policies run against (its Net is the sweep's WAN), every host name, and
+// the ground-truth time model.
+type gridEnv struct {
+	req   scheduler.Request
+	hosts []string
+	truth scheduler.TimeModel
+}
+
 // rankingEnv builds the sweep's scheduling environment: cfg.Sites sites of
-// cfg.HostsPerSite idle hosts whose speed factors come from the β knob, a
-// star WAN at the generator's reference bandwidth, and the Request template
-// policies are bound to.
-func rankingEnv(cfg RankingConfig) (scheduler.Request, map[string]*repository.Repository, *netsim.Network, []string) {
+// cfg.HostsPerSite idle hosts whose speed factors come from the β knob and
+// a star WAN at the generator's reference bandwidth.
+func rankingEnv(cfg RankingConfig) gridEnv {
 	repos := make(map[string]*repository.Repository, cfg.Sites)
 	siteNames := make([]string, cfg.Sites)
 	var hosts []string
@@ -147,9 +153,9 @@ func rankingEnv(cfg RankingConfig) (scheduler.Request, map[string]*repository.Re
 	for _, name := range siteNames[1:] {
 		remotes = append(remotes, &scheduler.LocalSelector{Site: name, Repo: repos[name]})
 	}
-	env := scheduler.Request{Local: local, Remotes: remotes, Net: net, Sites: repos,
+	req := scheduler.Request{Local: local, Remotes: remotes, Net: net, Sites: repos,
 		Config: scheduler.NewConfig(scheduler.WithSeed(cfg.Seed))}
-	return env, repos, net, hosts
+	return gridEnv{req: req, hosts: hosts, truth: truthFromRepos(repos)}
 }
 
 // rankingRun names one grid cell: a (size, CCR, graph-index) triple.
@@ -179,8 +185,8 @@ func rankingGrid(cfg RankingConfig) []rankingRun {
 // then schedule, simulate, and validate every policy. policies carries the
 // pre-resolved implementations in names order — resolution is hoisted out
 // of the grid entirely.
-func rankingCell(cfg RankingConfig, r rankingRun, names []string, policies []scheduler.Policy,
-	env scheduler.Request, net *netsim.Network, hosts []string, truth scheduler.TimeModel) (RankingCell, error) {
+func rankingCell(cfg RankingConfig, r rankingRun, names []string, policies []scheduler.Policy, env gridEnv) (RankingCell, error) {
+	net, hosts, truth := env.req.Net, env.hosts, env.truth
 	g := dagen.Random(dagen.Params{
 		Tasks: r.size, CCR: r.ccr, Alpha: cfg.Alpha,
 		OutDegree: cfg.OutDegree, Beta: cfg.Beta,
@@ -199,7 +205,7 @@ func rankingCell(cfg RankingConfig, r rankingRun, names []string, policies []sch
 	for pi, name := range names {
 		// One-graph serial batch, like POLICY: the batch path supplies
 		// the ledger policy's shared ledger.
-		items := (&scheduler.Batch{Scheduler: scheduler.Bind(policies[pi], env), Workers: 1}).
+		items := (&scheduler.Batch{Policy: policies[pi], Env: env.req, Workers: 1}).
 			Schedule([]*afg.Graph{g})
 		if items[0].Err != nil {
 			return RankingCell{}, fmt.Errorf("ranking: %s on v=%d ccr=%g: %w", name, r.size, r.ccr, items[0].Err)
@@ -229,12 +235,9 @@ func rankingCell(cfg RankingConfig, r rankingRun, names []string, policies []sch
 // and the validator's makespan is cross-checked against the simulator —
 // a disagreement is an error, not a data point.
 //
-// Cells run on cfg.Workers goroutines. Each worker builds its own seeded
-// environment, ledger, and scratch, each cell writes only its own index,
-// and every input is a pure function of (cfg, cell), so the returned slice
-// is byte-identical to a serial run regardless of the worker count; on
-// failure the first error in serial cell order is returned, also
-// independent of scheduling.
+// Cells run on cfg.Workers goroutines under runGrid's contract: the
+// returned slice is byte-identical to a serial run regardless of the
+// worker count.
 func RankingCells(cfg RankingConfig) ([]RankingCell, []string, error) {
 	cfg = cfg.withDefaults()
 	names := cfg.Policies
@@ -255,52 +258,13 @@ func RankingCells(cfg RankingConfig) ([]RankingCell, []string, error) {
 		policies[i] = p
 	}
 
-	runs := rankingGrid(cfg)
-	cells := make([]RankingCell, len(runs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-
-	if workers <= 1 {
-		env, repos, net, hosts := rankingEnv(cfg)
-		truth := truthFromRepos(repos)
-		for i, r := range runs {
-			cell, err := rankingCell(cfg, r, names, policies, env, net, hosts, truth)
-			if err != nil {
-				return nil, nil, err
-			}
-			cells[i] = cell
-		}
-		return cells, names, nil
-	}
-
-	errs := make([]error, len(runs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env, repos, net, hosts := rankingEnv(cfg)
-			truth := truthFromRepos(repos)
-			for i := range idx {
-				cells[i], errs[i] = rankingCell(cfg, runs[i], names, policies, env, net, hosts, truth)
-			}
-		}()
-	}
-	for i := range runs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	cells, err := runGrid(rankingGrid(cfg), cfg.Workers,
+		func() gridEnv { return rankingEnv(cfg) },
+		func(env gridEnv, r rankingRun) (RankingCell, error) {
+			return rankingCell(cfg, r, names, policies, env)
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return cells, names, nil
 }

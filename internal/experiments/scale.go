@@ -69,14 +69,12 @@ func scaleSelectors(seed int64, cached bool) (local *scheduler.LocalSelector, re
 	return local, remotes, caches, repos
 }
 
-// scaleScheduler assembles the multi-site Site Scheduler over the
-// scaleSelectors environment; concurrency is the fan-out worker bound
-// (1 = the serial path).
-func scaleScheduler(seed int64, cached bool, concurrency int) (*scheduler.SiteScheduler, []*predict.Cache, map[string]*repository.Repository) {
+// scaleEnv assembles the batch environment over the scaleSelectors sites;
+// concurrency is the fan-out worker bound (1 = the serial path).
+func scaleEnv(seed int64, cached bool, concurrency int) (scheduler.Request, []*predict.Cache, map[string]*repository.Repository) {
 	local, remotes, caches, repos := scaleSelectors(seed, cached)
-	s := scheduler.NewSiteScheduler(local, remotes, nil, 0)
-	s.Concurrency = concurrency
-	return s, caches, repos
+	env := scheduler.NewRequest(nil, local, remotes, nil, scheduler.WithConcurrency(concurrency))
+	return *env, caches, repos
 }
 
 func scaleGraphSet(seed int64) []*afg.Graph {
@@ -134,17 +132,22 @@ func ScaleScheduling(seed int64) (*Result, error) {
 		totalTasks += g.Len()
 	}
 
+	faithful, err := scheduler.Lookup("faithful")
+	if err != nil {
+		return nil, err
+	}
+
 	// Serial path: no cache, fan-out bound 1, one graph at a time.
-	serial, _, _ := scaleScheduler(seed, false, 1)
+	serial, _, _ := scaleEnv(seed, false, 1)
 	t0 := time.Now()
-	serialItems := scheduler.ScheduleBatch(serial, graphs, 1)
+	serialItems := (&scheduler.Batch{Policy: faithful, Env: serial, Workers: 1}).Schedule(graphs)
 	serialSec := time.Since(t0).Seconds()
 
 	// Concurrent path: prediction caches, GOMAXPROCS fan-out and batch
 	// workers, all graphs in flight against shared site state.
-	conc, caches, _ := scaleScheduler(seed, true, 0)
+	conc, caches, _ := scaleEnv(seed, true, 0)
 	t1 := time.Now()
-	concItems := (&scheduler.Batch{Scheduler: conc}).Schedule(graphs)
+	concItems := (&scheduler.Batch{Policy: faithful, Env: conc}).Schedule(graphs)
 	concSec := time.Since(t1).Seconds()
 
 	for i := range graphs {

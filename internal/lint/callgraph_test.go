@@ -108,8 +108,9 @@ func interfaceSite(t *testing.T, fi *FuncInfo, method string) *CallSite {
 }
 
 // TestCallGraphGolden resolves the repo's own interface-heavy dispatch
-// points — the Policy registry, the HostSelector multicast, the HostCoster
-// extension — against the production packages and pins the callee sets.
+// points — the Policy registry and the HostSelector multicasts of the site
+// walk and the cost-matrix gather — against the production packages and
+// pins the callee sets.
 // A new Policy or selector implementation must show up here.
 func TestCallGraphGolden(t *testing.T) {
 	if testing.Short() {
@@ -127,7 +128,7 @@ func TestCallGraphGolden(t *testing.T) {
 	}{
 		// The name→Policy registry dispatch: every scheduling heuristic in
 		// the module.
-		{"boundPolicy).Schedule", "Schedule", []string{
+		{"Batch).Schedule", "Schedule", []string{
 			"(repro/internal/scheduler.baselinePolicy).Schedule",
 			"(repro/internal/scheduler.cpopPolicy).Schedule",
 			"(repro/internal/scheduler.heftPolicy).Schedule",
@@ -135,14 +136,16 @@ func TestCallGraphGolden(t *testing.T) {
 		}},
 		// The Site Scheduler's multicast: the in-process selector and the
 		// RPC stub.
-		{"SiteScheduler).collectSelections", "SelectHosts", []string{
+		{"siteScheduler).collectSelections", "SelectHosts", []string{
 			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
 			"(*repro/internal/site.RemoteSelector).SelectHosts",
 		}},
-		// The HEFT/CPOP per-host cost extension: local sites only (RPC
-		// remotes degrade to the single best offer).
-		{"scheduler.gatherCostMatrix", "HostCosts", []string{
-			"(*repro/internal/scheduler.LocalSelector).HostCosts",
+		// The HEFT/CPOP cost gather's best-offer fallback for selectors
+		// that are not in-process (per-host costs come from LocalSelector
+		// by concrete type, not through an interface).
+		{"scheduler.gatherCostMatrix", "SelectHosts", []string{
+			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
+			"(*repro/internal/site.RemoteSelector).SelectHosts",
 		}},
 	}
 	for _, c := range cases {

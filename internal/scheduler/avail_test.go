@@ -33,7 +33,7 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 	g := wideGraph(12, 5)
 
 	faithful, _, _, net := twoSiteSetup(t, time.Millisecond)
-	ft, err := faithful.Schedule(g)
+	ft, err := runPolicy("faithful", faithful, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,7 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 	}
 
 	eft, _, _, net2 := twoSiteSetup(t, time.Millisecond)
-	eft.AvailabilityAware = true
-	et, err := eft.Schedule(g)
+	et, err := runPolicy("eft", eft, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +74,11 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 // transfer-aware faithful mode.
 func TestAvailabilityAwareChargesTransferWait(t *testing.T) {
 	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
-	s.AvailabilityAware = true
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 0.1})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy("eft", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,38 +93,41 @@ func TestAvailabilityAwareChargesTransferWait(t *testing.T) {
 // ledger, every application's walk deterministically picks the same
 // (tie-broken) site; with one, later applications see the reserved busy
 // seconds and divert.
-func ledgerSetup(t *testing.T) *SiteScheduler {
+func ledgerSetup(t *testing.T) *Request {
 	t.Helper()
 	a := makeRepo(t, "sa", map[string][2]float64{"sa-1": {1, 0}})
 	b := makeRepo(t, "sb", map[string][2]float64{"sb-1": {1, 0}})
-	s := NewSiteScheduler(
+	return NewRequest(nil,
 		&LocalSelector{Site: "sa", Repo: a},
 		[]HostSelector{&LocalSelector{Site: "sb", Repo: b}},
-		nil, 0)
-	s.AvailabilityAware = true
-	return s
+		nil)
 }
 
 func TestBatchLedgerSpreadsApplications(t *testing.T) {
 	graphs := []*afg.Graph{wideGraph(1, 4), wideGraph(1, 4)}
 
 	s := ledgerSetup(t)
-	plain := (&Batch{Scheduler: s, Workers: 1}).Schedule(graphs)
+	plain := runBatch(t, "eft", s, 1, graphs)
 	pa, _ := plain[0].Table.Get("a")
 	pb, _ := plain[1].Table.Get("a")
 	if pa.Host != pb.Host {
 		t.Fatalf("ledger-free batch should dog-pile deterministically: %q vs %q", pa.Host, pb.Host)
 	}
 
-	s = ledgerSetup(t)
-	led := (&Batch{Scheduler: s, Workers: 1, Ledger: NewLoadLedger()}).Schedule(graphs)
-	if led[0].Err != nil || led[1].Err != nil {
-		t.Fatalf("ledger batch errored: %v / %v", led[0].Err, led[1].Err)
-	}
-	la, _ := led[0].Table.Get("a")
-	lb, _ := led[1].Table.Get("a")
-	if la.Host == lb.Host {
-		t.Fatalf("shared ledger failed to spread the batch: both on %q", la.Host)
+	// A ledger implies the availability-aware walk whichever site policy
+	// is named: reservations only mean something on a host timeline.
+	for _, policy := range []string{"eft", "faithful"} {
+		s = ledgerSetup(t)
+		s.Config.Ledger = NewLoadLedger()
+		led := runBatch(t, policy, s, 1, graphs)
+		if led[0].Err != nil || led[1].Err != nil {
+			t.Fatalf("%s: ledger batch errored: %v / %v", policy, led[0].Err, led[1].Err)
+		}
+		la, _ := led[0].Table.Get("a")
+		lb, _ := led[1].Table.Get("a")
+		if la.Host == lb.Host {
+			t.Fatalf("%s: shared ledger failed to spread the batch: both on %q", policy, la.Host)
+		}
 	}
 }
 
@@ -135,11 +136,11 @@ func TestBatchLedgerSpreadsApplications(t *testing.T) {
 func TestLedgerErrorPathReleasesReservations(t *testing.T) {
 	s := ledgerSetup(t)
 	ledger := NewLoadLedger()
-	s.Ledger = ledger
+	s.Config.Ledger = ledger
 	g := afg.New("half")
 	g.AddTask(&afg.Task{ID: "ok", Function: "f", ComputeCost: 3})
 	g.AddTask(&afg.Task{ID: "bad", Function: "f", ComputeCost: 3, MachineType: "cray"})
-	if _, err := s.Schedule(g); err == nil {
+	if _, err := runPolicy("eft", s, g); err == nil {
 		t.Fatal("unschedulable graph accepted")
 	}
 	for _, h := range []string{"sa-1", "sb-1"} {
@@ -184,8 +185,8 @@ func TestLocalSelectorAvailabilityAware(t *testing.T) {
 	repo := makeRepo(t, "syr", map[string][2]float64{
 		"fast": {4, 0}, "slow": {1, 0},
 	})
-	sel := &LocalSelector{Site: "syr", Repo: repo, AvailabilityAware: true}
-	choices, err := sel.SelectHosts(wideGraph(5, 4))
+	sel := &LocalSelector{Site: "syr", Repo: repo}
+	choices, err := sel.selectHosts(wideGraph(5, 4), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +208,9 @@ func TestLocalSelectorAvailabilityAware(t *testing.T) {
 // completeness is asserted.
 func TestConcurrentLedgerBatchIsComplete(t *testing.T) {
 	s, _ := multiSiteScheduler(t, 6, true)
-	s.AvailabilityAware = true
+	s.Config.Ledger = NewLoadLedger()
 	graphs := randomGraphs(12, 30, 17)
-	items := (&Batch{Scheduler: s, Workers: 6, Ledger: NewLoadLedger()}).Schedule(graphs)
+	items := runBatch(t, "eft", s, 6, graphs)
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("graph %d: %v", i, it.Err)

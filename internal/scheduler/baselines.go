@@ -5,23 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/afg"
 	"repro/internal/repository"
 )
 
-// Baseline schedulers for the evaluation benchmarks. Each implements the
-// same contract as the Site Scheduler — an AFG in, an allocation table out —
-// but replaces the prediction-driven placement with a naive policy, which is
-// what the paper's scheduling claims are measured against.
+// Baseline policies for the evaluation benchmarks. Each honours the same
+// contract as the Site Scheduler — an AFG in, an allocation table out — but
+// replaces the prediction-driven placement with a naive rule, which is what
+// the paper's scheduling claims are measured against.
 
-// Scheduler is anything that can map an AFG to resources.
-type Scheduler interface {
-	Schedule(g *afg.Graph) (*AllocationTable, error)
-}
-
-// hostList flattens repositories into (site, host) pairs with static data.
+// hostEntry is one (site, host) pair with its repository record.
 type hostEntry struct {
 	site string
 	host string
@@ -46,130 +40,8 @@ func collectHosts(sites map[string]*repository.Repository) []hostEntry {
 	return out
 }
 
-// RandomScheduler assigns every task to a uniformly random up host.
-type RandomScheduler struct {
-	Sites map[string]*repository.Repository
-	Seed  int64
-}
-
-// Schedule implements Scheduler.
-func (r *RandomScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(r.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		h := hosts[rng.Intn(len(hosts))]
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// RoundRobinScheduler cycles through hosts in name order. The cursor is
-// mutex-guarded so concurrent batch scheduling stays race-free (though the
-// offset each graph starts at then depends on completion order).
-type RoundRobinScheduler struct {
-	Sites map[string]*repository.Repository
-
-	mu   sync.Mutex
-	next int
-}
-
-// Schedule implements Scheduler.
-func (r *RoundRobinScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(r.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range order {
-		h := hosts[r.next%len(hosts)]
-		r.next++
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// MinLoadScheduler greedily places each task on the host with the lowest
-// recorded load, ignoring heterogeneity (speed/weights) and transfers. It
-// tracks its own placements so it does not dog-pile one idle host.
-type MinLoadScheduler struct {
-	Sites map[string]*repository.Repository
-}
-
-// Schedule implements Scheduler.
-func (m *MinLoadScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(m.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	load := make([]float64, len(hosts))
-	for i, h := range hosts {
-		load[i] = h.rec.Dynamic.Load
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		best := 0
-		for i := range hosts {
-			if load[i] < load[best] {
-				best = i
-			}
-		}
-		load[best]++ // a placed task adds one load unit
-		h := hosts[best]
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// FastestHostScheduler puts every task on the host with the highest static
-// speed factor — the "prediction-blind" policy that ignores load entirely.
-type FastestHostScheduler struct {
-	Sites map[string]*repository.Repository
-}
-
-// Schedule implements Scheduler.
-func (f *FastestHostScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(f.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	best := 0
-	for i, h := range hosts {
-		if h.rec.Static.SpeedFactor > hosts[best].rec.Static.SpeedFactor {
-			best = i
-		}
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	h := hosts[best]
-	for _, id := range order {
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
 // FIFOPriority is the level-priority ablation: ready tasks in plain id
-// order, ignoring levels. Install it as SiteScheduler.Priority to measure
+// order, ignoring levels. Install it with WithPriority to measure
 // what the paper's level rule buys.
 func FIFOPriority(ids []afg.TaskID, _ map[afg.TaskID]float64) []afg.TaskID {
 	out := append([]afg.TaskID(nil), ids...)
@@ -177,12 +49,22 @@ func FIFOPriority(ids []afg.TaskID, _ map[afg.TaskID]float64) []afg.TaskID {
 	return out
 }
 
-// baselinePolicy exposes the naive schedulers through the policy registry.
+// baselinePolicy is the four naive placement rules behind the policy
+// registry, walking the tasks in topological order:
+//
+//   - "random": a uniformly random up host per task, a pure function of
+//     Config.Seed;
+//   - "roundrobin": hosts cycled in (site, host) name order, restarting
+//     with every application;
+//   - "minload": the host with the lowest recorded load, ignoring
+//     heterogeneity (speed/weights) and transfers; each placement adds one
+//     load unit so it does not dog-pile one idle host;
+//   - "fastest": every task on the host with the highest static speed
+//     factor — the "prediction-blind" rule that ignores load entirely.
+//
 // Host inventories come from the request's site repositories (the explicit
 // Sites map, or any in-process LocalSelector); remote-only deployments see
-// just the hosts their RPC peers expose locally. Each Schedule call builds
-// a fresh scheduler, so the round-robin cursor restarts per application and
-// the random policy is a pure function of Config.Seed.
+// just the hosts their RPC peers expose locally.
 type baselinePolicy struct {
 	kind string
 }
@@ -199,18 +81,52 @@ func (b baselinePolicy) Schedule(ctx context.Context, req *Request) (*Allocation
 	if len(sites) == 0 {
 		return nil, ErrNoSites
 	}
-	var s Scheduler
+	hosts := collectHosts(sites)
+	if len(hosts) == 0 {
+		return nil, ErrNoEligibleHost
+	}
+	// pick returns the host index for the i-th task of the walk.
+	var pick func(i int) int
 	switch b.kind {
 	case "random":
-		s = &RandomScheduler{Sites: sites, Seed: req.Config.Seed}
+		rng := rand.New(rand.NewSource(req.Config.Seed))
+		pick = func(int) int { return rng.Intn(len(hosts)) }
 	case "roundrobin":
-		s = &RoundRobinScheduler{Sites: sites}
+		pick = func(i int) int { return i % len(hosts) }
 	case "minload":
-		s = &MinLoadScheduler{Sites: sites}
+		load := make([]float64, len(hosts))
+		for i, h := range hosts {
+			load[i] = h.rec.Dynamic.Load
+		}
+		pick = func(int) int {
+			best := 0
+			for i := range load {
+				if load[i] < load[best] {
+					best = i
+				}
+			}
+			load[best]++ // a placed task adds one load unit
+			return best
+		}
 	case "fastest":
-		s = &FastestHostScheduler{Sites: sites}
+		best := 0
+		for i, h := range hosts {
+			if h.rec.Static.SpeedFactor > hosts[best].rec.Static.SpeedFactor {
+				best = i
+			}
+		}
+		pick = func(int) int { return best }
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownPolicy, b.kind)
 	}
-	return s.Schedule(req.Graph)
+	order, err := req.Graph.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	table := NewAllocationTable(req.Graph.Name)
+	for i, id := range order {
+		h := hosts[pick(i)]
+		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
+	}
+	return table, nil
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
@@ -17,67 +18,56 @@ type BatchItem struct {
 }
 
 // Batch schedules many application flow graphs concurrently against shared
-// site state. The underlying Scheduler is invoked from multiple goroutines
-// at once, which is safe for SiteScheduler/LocalSelector (their per-run
-// state is local; the repositories, network model, and prediction cache are
-// all concurrency-safe) and for the baseline schedulers.
+// site state. The policy is invoked from multiple goroutines at once, which
+// is safe for every registered policy: their per-run state is local, and
+// the repositories, network model, prediction cache and load ledger are all
+// concurrency-safe.
 //
-// Results come back in input order regardless of completion order. For
-// stateless schedulers (SiteScheduler and every baseline except round-
-// robin) the tables are also independent of the worker count; round-robin
-// keeps a cursor across calls, so its per-graph starting offset follows
-// completion order.
+// Results come back in input order regardless of completion order, and —
+// without a shared ledger — the tables are independent of the worker count
+// too (every policy, round-robin included, starts each graph from scratch).
 type Batch struct {
-	// Scheduler maps one AFG to resources; it must tolerate concurrent
-	// Schedule calls.
-	Scheduler Scheduler
+	// Policy maps one AFG to resources.
+	Policy Policy
+	// Env is the environment every graph is scheduled against: selectors,
+	// network, Config. Its Graph field is ignored. A non-nil
+	// Env.Config.Ledger is the shared cross-application load ledger
+	// threaded through every Schedule call (forcing availability-aware
+	// placement for the site policies; HEFT/CPOP seed their host timelines
+	// with it): each graph's walk sees the predicted busy time the batch's
+	// other graphs have already placed per host, so the batch spreads
+	// instead of every graph dog-piling the same machines. The resulting
+	// tables then depend on completion order when Workers > 1 —
+	// cross-application awareness trades away the ledger-free mode's
+	// worker-count invariance.
+	Env Request
 	// Workers bounds concurrent Schedule calls (0 = GOMAXPROCS, 1 =
 	// serial — the baseline the scale benchmark compares against).
 	Workers int
-	// Ledger, when non-nil and the Scheduler is a *SiteScheduler or a
-	// Bind-wrapped policy, is the shared cross-application load ledger
-	// threaded through every Schedule call (forcing availability-aware
-	// placement for the site policies; HEFT/CPOP seed their host
-	// timelines with it): each graph's walk sees the predicted busy time
-	// the batch's other graphs have already placed per host, so the
-	// batch spreads instead of every graph dog-piling the same machines.
-	// Note the resulting tables then depend on completion order when
-	// Workers > 1 — cross-application awareness trades away the
-	// ledger-free mode's worker-count invariance.
-	Ledger *LoadLedger
 }
 
 // Schedule maps every graph and returns one item per input, in input order.
 func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 	items := make([]BatchItem, len(graphs))
-	for i, g := range graphs {
-		items[i].Graph = g
-	}
-	sched := b.Scheduler
-	ledger := b.Ledger
-	if ledger == nil {
-		// The "ledger" policy exists to share placements ACROSS a batch;
-		// without a caller-supplied ledger it would mint a private one per
-		// graph and degenerate to plain EFT, so the batch supplies the
-		// shared one itself.
-		if bp, ok := sched.(*boundPolicy); ok && bp.policy.Name() == "ledger" && bp.env.Config.Ledger == nil {
-			ledger = NewLoadLedger()
-		}
-	}
-	if ledger != nil {
-		switch s := sched.(type) {
-		case *SiteScheduler:
-			sched = s.WithLedger(ledger)
-		case *boundPolicy:
-			sched = s.withLedger(ledger)
-		}
+	env := b.Env
+	// The "ledger" policy exists to share placements ACROSS a batch;
+	// without a caller-supplied ledger it would mint a private one per
+	// graph and degenerate to plain EFT, so the batch supplies the shared
+	// one itself.
+	if env.Config.Ledger == nil && b.Policy.Name() == "ledger" {
+		env.Config.Ledger = NewLoadLedger()
 	}
 	// One cost-matrix cache per batch: a policy scheduling the same graph
-	// twice (or several bound policies sharing a Config-supplied cache)
-	// gathers per-(task, host) costs once. Harmless for policies that
-	// never read it.
-	if bp, ok := sched.(*boundPolicy); ok && bp.env.Config.Costs == nil {
-		sched = bp.withCosts(NewCostCache())
+	// twice gathers per-(task, host) costs once. Harmless for policies
+	// that never read it.
+	if env.Config.Costs == nil {
+		env.Config.Costs = NewCostCache()
+	}
+	schedule := func(i int) {
+		req := env
+		req.Graph = graphs[i]
+		items[i].Graph = graphs[i]
+		items[i].Table, items[i].Err = b.Policy.Schedule(context.Background(), &req)
 	}
 	workers := b.Workers
 	if workers <= 0 {
@@ -87,8 +77,8 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 		workers = len(graphs)
 	}
 	if workers <= 1 {
-		for i, g := range graphs {
-			items[i].Table, items[i].Err = sched.Schedule(g)
+		for i := range graphs {
+			schedule(i)
 		}
 		return items
 	}
@@ -99,7 +89,7 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				items[i].Table, items[i].Err = sched.Schedule(graphs[i])
+				schedule(i)
 			}
 		}()
 	}
@@ -109,10 +99,4 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 	close(next)
 	wg.Wait()
 	return items
-}
-
-// ScheduleBatch is the convenience form: schedule graphs with s across
-// `workers` goroutines and return the items in input order.
-func ScheduleBatch(s Scheduler, graphs []*afg.Graph, workers int) []BatchItem {
-	return (&Batch{Scheduler: s, Workers: workers}).Schedule(graphs)
 }

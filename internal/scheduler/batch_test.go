@@ -13,9 +13,9 @@ import (
 	"repro/internal/repository"
 )
 
-// multiSiteScheduler builds an n-site scheduler over fresh repositories;
-// cached attaches a prediction cache to every selector.
-func multiSiteScheduler(t testing.TB, n int, cached bool) (*SiteScheduler, []*LocalSelector) {
+// multiSiteScheduler builds an n-site scheduling environment over fresh
+// repositories; cached attaches a prediction cache to every selector.
+func multiSiteScheduler(t testing.TB, n int, cached bool) (*Request, []*LocalSelector) {
 	t.Helper()
 	var sels []*LocalSelector
 	mk := func(i int) *LocalSelector {
@@ -37,7 +37,7 @@ func multiSiteScheduler(t testing.TB, n int, cached bool) (*SiteScheduler, []*Lo
 	for i := 1; i < n; i++ {
 		remotes = append(remotes, mk(i))
 	}
-	return NewSiteScheduler(local, remotes, nil, 0), sels
+	return NewRequest(nil, local, remotes, nil), sels
 }
 
 func randomGraphs(n, tasks int, seed int64) []*afg.Graph {
@@ -87,15 +87,15 @@ func assertSameTable(t *testing.T, want, got *AllocationTable) {
 func TestConcurrentFanOutMatchesSerial(t *testing.T) {
 	graphs := randomGraphs(4, 40, 7)
 	serial, _ := multiSiteScheduler(t, 8, false)
-	serial.Concurrency = 1
+	serial.Config.Concurrency = 1
 	conc, _ := multiSiteScheduler(t, 8, true)
-	conc.Concurrency = 4
+	conc.Config.Concurrency = 4
 	for i, g := range graphs {
-		want, err := serial.Schedule(g)
+		want, err := runPolicy("faithful", serial, g)
 		if err != nil {
 			t.Fatalf("serial graph %d: %v", i, err)
 		}
-		got, err := conc.Schedule(g)
+		got, err := runPolicy("faithful", conc, g)
 		if err != nil {
 			t.Fatalf("concurrent graph %d: %v", i, err)
 		}
@@ -211,8 +211,8 @@ func TestCacheDoesNotBakeInForecast(t *testing.T) {
 func TestBatchSchedulesInInputOrder(t *testing.T) {
 	graphs := randomGraphs(9, 25, 3)
 	s, _ := multiSiteScheduler(t, 4, true)
-	serialItems := ScheduleBatch(s, graphs, 1)
-	concItems := ScheduleBatch(s, graphs, 8)
+	serialItems := runBatch(t, "faithful", s, 1, graphs)
+	concItems := runBatch(t, "faithful", s, 8, graphs)
 	if len(serialItems) != len(graphs) || len(concItems) != len(graphs) {
 		t.Fatalf("item counts %d/%d, want %d", len(serialItems), len(concItems), len(graphs))
 	}
@@ -234,7 +234,7 @@ func TestBatchReportsPerItemErrors(t *testing.T) {
 	bad.AddTask(&afg.Task{ID: "x", Function: "f", MachineType: "cray", ComputeCost: 1})
 	graphs[1] = bad
 	s, _ := multiSiteScheduler(t, 2, false)
-	items := ScheduleBatch(s, graphs, 4)
+	items := runBatch(t, "faithful", s, 4, graphs)
 	if items[0].Err != nil || items[2].Err != nil {
 		t.Fatalf("good graphs errored: %v / %v", items[0].Err, items[2].Err)
 	}
@@ -248,7 +248,7 @@ func TestBatchReportsPerItemErrors(t *testing.T) {
 // invalidations — the -race exercise for the whole concurrent subsystem.
 func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
 	s, sels := multiSiteScheduler(t, 6, true)
-	s.Concurrency = 4
+	s.Config.Concurrency = 4
 	graphs := randomGraphs(8, 30, 13)
 
 	stop := make(chan struct{})
@@ -273,7 +273,7 @@ func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
 		}
 	}()
 
-	items := ScheduleBatch(s, graphs, 4)
+	items := runBatch(t, "faithful", s, 4, graphs)
 	close(stop)
 	wg.Wait()
 	for i, it := range items {

@@ -45,7 +45,7 @@ func BenchmarkSiteSchedule64Tasks2Sites(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(g); err != nil {
+		if _, err := runPolicy("faithful", s, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkSiteSchedule64Tasks2Sites(b *testing.B) {
 func BenchmarkSimulate64Tasks(b *testing.B) {
 	s, _, _, net := twoSiteSetup(b, 10*time.Millisecond)
 	g := benchGraph(64)
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,9 +30,9 @@ type HostRef struct {
 // exactly the deterministic merge order of the map-keyed gather, so walks
 // that iterate columns in order reproduce the map path's tie-breaks.
 //
-// Sites whose selector offers no per-host costs (RPC remotes without the
-// HostCoster extension) contribute no columns; their single best offer per
-// task sits in the site block's fallback slice instead.
+// Sites whose selector offers no per-host costs (anything but an in-process
+// LocalSelector — RPC remotes) contribute no columns; their single best
+// offer per task sits in the site block's fallback slice instead.
 type CostMatrix struct {
 	ix    *afg.Index
 	hosts []HostRef
@@ -209,8 +209,8 @@ func noSitesErr(transient []SiteError) error {
 // batched gather per (graph, environment) instead of one per policy per
 // graph. Keys are graph identities, so a cache must not outlive its
 // environment — a repository or network change invalidates every entry.
-// Batch installs one automatically for Bind-wrapped policies; comparison
-// harnesses share one across policies explicitly (WithCostCache).
+// Batch installs one automatically; comparison harnesses share one across
+// policies explicitly (WithCostCache).
 type CostCache struct {
 	mu sync.Mutex
 	m  map[*afg.Graph]*CostMatrix
@@ -265,7 +265,7 @@ func (r *Request) PrewarmCosts() error {
 
 // gatherCostMatrix is the dense successor of the map-keyed candidate
 // gather: every site's per-task host offers — full per-host cost vectors
-// from HostCosters, the single best choice from plain selectors — fanned
+// from in-process selectors, the single best choice from any other — fanned
 // out across Config.Concurrency workers and merged deterministically in
 // site-name order into one contiguous matrix. A site that cannot host some
 // task is dropped, mirroring the Site Scheduler's multicast semantics; a
@@ -283,25 +283,16 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	// One gathered block per selector; merged in site-name order below.
 	type gathered struct {
 		name     string
-		hosts    []string  // per-host sites: column host names, ascending
+		hosts    []string  // in-process sites: column host names, ascending
 		pred     []float64 // V×len(hosts), NaN = ineligible
-		fallback []Choice  // plain sites: idx-addressed best offers
+		fallback []Choice  // other sites: idx-addressed best offers
 		err      error
 	}
 	per := make([]gathered, len(selectors))
 	gather := func(i int, sel HostSelector) {
 		per[i].name = sel.SiteName()
-		if dc, ok := sel.(denseCoster); ok {
-			per[i].hosts, per[i].pred, per[i].err = dc.denseHostCosts(ix)
-			return
-		}
-		if hc, ok := sel.(HostCoster); ok {
-			m, err := hc.HostCosts(req.Graph)
-			if err != nil {
-				per[i].err = err
-				return
-			}
-			per[i].hosts, per[i].pred = denseFromCostMap(ix, m)
+		if ls, ok := sel.(*LocalSelector); ok {
+			per[i].hosts, per[i].pred, per[i].err = ls.denseHostCosts(ix)
 			return
 		}
 		m, err := sel.SelectHosts(req.Graph)
@@ -398,50 +389,4 @@ func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice) []Choice {
 		}
 	}
 	return out
-}
-
-// denseFromCostMap flattens a HostCosts map into a per-site dense block:
-// the column set is the union of offered hosts (ascending), predictions
-// fill in per task, NaN where a host was not offered.
-//
-//vdce:ignore allocflow flattening a remote site's HostCosts map runs once per (site, gather): the host union is O(H) and every map probe interns into the dense block
-func denseFromCostMap(ix *afg.Index, m map[afg.TaskID][]Choice) (hosts []string, pred []float64) {
-	seen := map[string]int{}
-	for _, cs := range m {
-		for _, c := range cs {
-			if _, ok := seen[c.Host]; !ok {
-				seen[c.Host] = 0
-				hosts = append(hosts, c.Host)
-			}
-		}
-	}
-	sort.Strings(hosts)
-	for k, h := range hosts {
-		seen[h] = k
-	}
-	v := ix.Len()
-	pred = make([]float64, v*len(hosts))
-	for i := range pred {
-		pred[i] = math.NaN()
-	}
-	//vdce:ignore maporder,detflow ix.Of is injective and host columns are fixed: each (task, host) cell is written once
-	for id, cs := range m {
-		t := ix.Of(id)
-		if t < 0 {
-			continue
-		}
-		for _, c := range cs {
-			pred[t*len(hosts)+seen[c.Host]] = c.Predicted
-		}
-	}
-	return hosts, pred
-}
-
-// denseCoster is the batched twin of HostCoster: per-task predictions for
-// every eligible host at the site, written straight into a dense block
-// (hosts ascending by name; V×H prediction slab, NaN = ineligible) with no
-// per-task map or slice allocation. LocalSelector implements it; the
-// gather falls back to HostCosts / SelectHosts for everything else.
-type denseCoster interface {
-	denseHostCosts(ix *afg.Index) (hosts []string, pred []float64, err error)
 }

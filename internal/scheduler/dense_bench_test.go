@@ -11,13 +11,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/internal/dagen"
 )
 
 func rankBenchSetup(b testing.TB) *CostMatrix {
 	b.Helper()
 	req, _, _ := equivEnv(b, 1)
-	req.Graph = workload.Scale(1000, 25, 12, 42)
+	req.Graph = dagen.Scale(1000, 25, 12, 42)
 	ix, err := req.Graph.Index()
 	if err != nil {
 		b.Fatal(err)
@@ -77,7 +77,7 @@ func BenchmarkTimelineInsertion(b *testing.B) {
 // POLICY experiment's graph shape against a 4-site environment.
 func BenchmarkCostMatrixBuild(b *testing.B) {
 	req, _, _ := equivEnv(b, 1)
-	req.Graph = workload.Scale(1000, 25, 12, 42)
+	req.Graph = dagen.Scale(1000, 25, 12, 42)
 	ix, err := req.Graph.Index()
 	if err != nil {
 		b.Fatal(err)

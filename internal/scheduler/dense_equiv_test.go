@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 	"repro/internal/repository"
-	"repro/internal/workload"
 )
 
 // equivEnv builds a 4-site heterogeneous environment with per-host speed
@@ -51,7 +51,7 @@ func equivEnv(t testing.TB, seed int64) (*Request, map[string]*repository.Reposi
 // parallel-mode tasks so the machine-set placement path is exercised.
 func equivGraph(t testing.TB, tasks, width int, seed int64) *afg.Graph {
 	t.Helper()
-	g := workload.Scale(tasks, width, 6, seed)
+	g := dagen.Scale(tasks, width, 6, seed)
 	rng := rand.New(rand.NewSource(seed * 31))
 	for _, id := range g.TaskIDs() {
 		if rng.Intn(12) == 0 {
@@ -195,19 +195,21 @@ func TestDenseSiteWalksMatchOracle(t *testing.T) {
 		if avail {
 			name = "eft"
 		}
+		p, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for seed := int64(1); seed <= 6; seed++ {
 			req, repos, net := equivEnv(t, seed)
 			g := equivGraph(t, 120, 8, seed)
+			req.Graph = g
+			req.Config.Concurrency = 1
 
-			s := &SiteScheduler{
-				Local: req.Local, Remotes: req.Remotes, Net: net,
-				TransferAware: true, AvailabilityAware: avail, Concurrency: 1,
-			}
-			dense, err := s.run(g)
+			dense, err := p.Schedule(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%s seed %d: dense: %v", name, seed, err)
 			}
-			want, err := oracleSiteRun(s, g)
+			want, err := oracleSiteRun(&siteScheduler{req: req, avail: avail})
 			if err != nil {
 				t.Fatalf("%s seed %d: oracle: %v", name, seed, err)
 			}
@@ -221,24 +223,22 @@ func TestDenseSiteWalksMatchOracle(t *testing.T) {
 // one shared ledger must place identically under the dense walk (bulk
 // per-task view refresh) and the oracle (live per-candidate probes).
 func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
+	p, err := Lookup("ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
 	denseLedger, oracleLedger := NewLoadLedger(), NewLoadLedger()
-	req, _, net := equivEnv(t, 3)
+	req, _, _ := equivEnv(t, 3)
+	req.Config.Concurrency = 1
 	for seed := int64(1); seed <= 4; seed++ {
-		g := equivGraph(t, 80, 10, seed)
+		req.Graph = equivGraph(t, 80, 10, seed)
 
-		ds := &SiteScheduler{
-			Local: req.Local, Remotes: req.Remotes, Net: net,
-			TransferAware: true, AvailabilityAware: true, Ledger: denseLedger, Concurrency: 1,
-		}
-		dense, err := ds.run(g)
+		req.Config.Ledger = denseLedger
+		dense, err := p.Schedule(context.Background(), req)
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		os := &SiteScheduler{
-			Local: req.Local, Remotes: req.Remotes, Net: net,
-			TransferAware: true, AvailabilityAware: true, Ledger: oracleLedger, Concurrency: 1,
-		}
-		want, err := oracleSiteRun(os, g)
+		want, err := oracleSiteRun(&siteScheduler{req: req, avail: true, ledger: oracleLedger})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -304,13 +304,11 @@ func TestSelectHostsDenseMatchesMap(t *testing.T) {
 				t.Fatal(err)
 			}
 			sel := req.Local.(*LocalSelector)
-			c := *sel
-			c.AvailabilityAware = avail
-			denseOut, err := c.selectHostsDense(g)
+			denseOut, err := sel.selectHostsDense(g, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mapOut, err := c.SelectHosts(g)
+			mapOut, err := sel.selectHosts(g, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

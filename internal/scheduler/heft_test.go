@@ -304,71 +304,3 @@ func TestHEFTSharedLedgerSpreadsApplications(t *testing.T) {
 		t.Fatalf("shared ledger did not spread identical apps: %v", hosts)
 	}
 }
-
-// The deprecated SiteScheduler.Schedule entry point must produce the same
-// table as the policy it now delegates to.
-func TestDeprecatedScheduleMatchesPolicyAPI(t *testing.T) {
-	for _, eft := range []bool{false, true} {
-		req, _, net := heftEnv(t)
-		req.Graph = layeredDAG(t, 4, 6, 7)
-		name := "faithful"
-		if eft {
-			name = "eft"
-			req.Config.EFT = true
-		}
-		p, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaPolicy, err := p.Schedule(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := NewSiteScheduler(req.Local, req.Remotes, net, 0)
-		old.AvailabilityAware = eft
-		viaOld, err := old.Schedule(req.Graph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(viaOld.Entries) != len(viaPolicy.Entries) {
-			t.Fatalf("%s: legacy table has %d entries, policy %d", name, len(viaOld.Entries), len(viaPolicy.Entries))
-		}
-		for id, a := range viaOld.Entries {
-			b := viaPolicy.Entries[id]
-			if a.Site != b.Site || a.Host != b.Host || a.Predicted != b.Predicted {
-				t.Fatalf("%s: task %q diverges: legacy %+v vs policy %+v", name, id, a, b)
-			}
-		}
-	}
-}
-
-// Legacy semantics: a ledger installed on a SiteScheduler WITHOUT the
-// AvailabilityAware flag stays ignored (the faithful walk), exactly as the
-// pre-policy engine behaved — and nothing is reserved into it.
-func TestDeprecatedScheduleIgnoresLedgerWhenNotAvailabilityAware(t *testing.T) {
-	req, _, net := heftEnv(t)
-	g := layeredDAG(t, 4, 6, 11)
-
-	plain := NewSiteScheduler(req.Local, req.Remotes, net, 0)
-	want, err := plain.Schedule(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ledger := NewLoadLedger()
-	withLedger := NewSiteScheduler(req.Local, req.Remotes, net, 0)
-	withLedger.Ledger = ledger // AvailabilityAware deliberately left false
-	got, err := withLedger.Schedule(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, a := range want.Entries {
-		b := got.Entries[id]
-		if a.Host != b.Host || a.Predicted != b.Predicted {
-			t.Fatalf("ledger-without-flag changed faithful placement at %q: %+v vs %+v", id, a, b)
-		}
-	}
-	if snap := ledger.Snapshot(); len(snap) != 0 {
-		t.Fatalf("faithful walk reserved into the ignored ledger: %v", snap)
-	}
-}

@@ -27,8 +27,8 @@ func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choic
 
 	perSite := make([]map[afg.TaskID][]Choice, len(selectors))
 	for i, sel := range selectors {
-		if hc, ok := sel.(HostCoster); ok {
-			if m, err := hc.HostCosts(g); err == nil {
+		if ls, ok := sel.(*LocalSelector); ok {
+			if m, err := oracleHostCosts(ls, g); err == nil {
 				perSite[i] = m
 			}
 			continue
@@ -61,6 +61,38 @@ func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choic
 		for id, cs := range s.cs {
 			out[id] = append(out[id], cs...)
 		}
+	}
+	return out, nil
+}
+
+// oracleHostCosts is the original map-keyed LocalSelector.HostCosts: for
+// every task, the pure predicted execution seconds on every eligible host
+// at the site, sorted by host name, with no queueing model.
+func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, error) {
+	var gens map[string]uint64
+	if s.Cache != nil {
+		gens = s.Cache.Generations()
+	}
+	resources := s.Repo.Resources.List()
+	out := make(map[afg.TaskID][]Choice, g.Len())
+	for _, id := range g.TaskIDs() {
+		task := g.Task(id)
+		var choices []Choice
+		for _, r := range resources {
+			if !s.eligible(task, r) {
+				continue
+			}
+			choices = append(choices, Choice{
+				Site:      s.Site,
+				Host:      r.Static.HostName,
+				Predicted: s.predictOn(task, r, 0, gens),
+			})
+		}
+		if len(choices) == 0 {
+			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)
+		}
+		sort.Slice(choices, func(i, j int) bool { return choices[i].Host < choices[j].Host })
+		out[id] = choices
 	}
 	return out, nil
 }
@@ -504,38 +536,61 @@ func oracleCriticalHost(cands map[afg.TaskID][]Choice, cp map[afg.TaskID]bool) m
 	return map[string]bool{bestHost: true}
 }
 
-// oracleSiteRun is the original SiteScheduler engine: map-keyed site
+// isEntryLike reports whether the task "is an entry task or does not
+// require any input file from its parent node tasks" (Fig 4, step 7).
+func isEntryLike(g *afg.Graph, id afg.TaskID) bool {
+	for _, l := range g.Parents(id) {
+		if transferBytes(g, l) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// transferCost sums transfer_time(Sparent, Sj) over the task's already
+// scheduled parents.
+func transferCost(net *netsim.Network, g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
+	if net == nil {
+		return 0
+	}
+	var total float64
+	for _, l := range g.Parents(id) {
+		parent, ok := table.Get(l.From)
+		if !ok {
+			continue // parent unscheduled (possible only for cross runs)
+		}
+		bytes := transferBytes(g, l)
+		total += net.TransferTime(parent.Site, site, bytes).Seconds()
+	}
+	return total
+}
+
+// oracleSiteRun is the original Site Scheduler engine: map-keyed site
 // results, Tracker ready sets re-sorted per step, and (in availability
-// mode) a live per-candidate ledger probe.
-func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
-	if s.Local == nil {
+// mode) a live per-candidate ledger probe. It reads the same engine
+// configuration the dense walk runs from.
+func oracleSiteRun(s *siteScheduler) (*AllocationTable, error) {
+	g, cfg := s.req.Graph, s.req.Config
+	if s.req.Local == nil {
 		return nil, ErrNoSites
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 
-	selectors := []HostSelector{s.Local}
-	selectors = append(selectors, s.nearestRemotes()...)
-	if s.AvailabilityAware {
-		propagated := make([]HostSelector, len(selectors))
-		for i, sel := range selectors {
-			if ls, ok := sel.(*LocalSelector); ok {
-				c := *ls
-				c.AvailabilityAware = true
-				if c.Ledger == nil {
-					c.Ledger = s.Ledger
-				}
-				propagated[i] = &c
-			} else {
-				propagated[i] = sel
-			}
-		}
-		selectors = propagated
-	}
+	selectors := append([]HostSelector{s.req.Local},
+		nearestSelectors(s.req.Local, s.req.Remotes, s.req.Net, cfg.K)...)
 	var results []oracleSiteResult
 	for _, sel := range selectors {
-		if choices, err := sel.SelectHosts(g); err == nil {
+		var choices map[afg.TaskID]Choice
+		var err error
+		if ls, ok := sel.(*LocalSelector); ok {
+			// The walk's mode propagates into in-process selectors.
+			choices, err = ls.selectHosts(g, s.avail, s.ledger)
+		} else {
+			choices, err = sel.SelectHosts(g)
+		}
+		if err == nil {
 			results = append(results, oracleSiteResult{sel.SiteName(), choices})
 		}
 	}
@@ -549,12 +604,12 @@ func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
 		return nil, err
 	}
 
-	if s.AvailabilityAware {
+	if s.avail {
 		return oracleAvailabilityAware(s, g, results, levels)
 	}
 
 	table := NewAllocationTable(g.Name)
-	prio := s.Priority
+	prio := cfg.Priority
 	if prio == nil {
 		prio = ByLevel
 	}
@@ -575,8 +630,8 @@ func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
 				continue
 			}
 			total := choice.Predicted
-			if s.TransferAware && !isEntryLike(g, id) {
-				total += s.transferCost(g, id, sr.name, table)
+			if cfg.TransferAware && !isEntryLike(g, id) {
+				total += transferCost(s.req.Net, g, id, sr.name, table)
 			}
 			if total < bestTotal || (total == bestTotal && sr.name < best.Site) {
 				best, bestTotal, found = choice, total, true
@@ -604,9 +659,9 @@ type oracleSiteResult struct {
 
 // oracleAvailabilityAware is the original EFT walk with live per-candidate
 // ledger probes.
-func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64) (*AllocationTable, error) {
+func oracleAvailabilityAware(s *siteScheduler, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
-	prio := s.Priority
+	prio := s.req.Config.Priority
 	if prio == nil {
 		prio = ByLevel
 	}
@@ -615,19 +670,19 @@ func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSit
 	own := map[string]float64{}
 	freeAt := func(h string) float64 {
 		f := hostFree[h]
-		if s.Ledger != nil {
-			if other := s.Ledger.Busy(h) - own[h]; other > f {
+		if s.ledger != nil {
+			if other := s.ledger.Busy(h) - own[h]; other > f {
 				f = other
 			}
 		}
 		return f
 	}
 	releaseOwn := func() {
-		if s.Ledger == nil {
+		if s.ledger == nil {
 			return
 		}
 		for h, sec := range own {
-			s.Ledger.Release(h, sec)
+			s.ledger.Release(h, sec)
 		}
 	}
 
@@ -653,10 +708,10 @@ func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSit
 			start := 0.0
 			for _, l := range g.Parents(id) {
 				arrive := estFinish[l.From]
-				if s.Net != nil {
+				if s.req.Net != nil {
 					if p, ok := table.Get(l.From); ok {
 						if bytes := transferBytes(g, l); bytes > 0 && !sharesHost(effectiveHosts(p), hosts) {
-							arrive += s.Net.TransferTime(p.Site, sr.name, bytes).Seconds()
+							arrive += s.req.Net.TransferTime(p.Site, sr.name, bytes).Seconds()
 						}
 					}
 				}
@@ -684,8 +739,8 @@ func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSit
 		estFinish[id] = bestFinish
 		for _, h := range bestHosts {
 			hostFree[h] = bestFinish
-			if s.Ledger != nil {
-				s.Ledger.Reserve(h, best.Predicted)
+			if s.ledger != nil {
+				s.ledger.Reserve(h, best.Predicted)
 				own[h] += best.Predicted
 			}
 		}

@@ -35,7 +35,8 @@ type Request struct {
 
 	// Local is the local site's Host Selection service (the predictor the
 	// paper's Fig 5 algorithm runs against). Policies that want per-host
-	// costs use the HostCoster extension when the selector offers it.
+	// costs (HEFT/CPOP) read them from in-process LocalSelectors; any
+	// other selector contributes its single best offer per task.
 	Local HostSelector
 
 	// Remotes are the other known sites; Config.K bounds the fan-out.
@@ -94,16 +95,11 @@ func (r *Request) siteRepos() map[string]*repository.Repository {
 	return out
 }
 
-// Config is the one knob block shared by every policy, replacing the
-// scattered booleans and builder methods of the pre-policy API. The zero
+// Config is the one knob block shared by every policy. Which algorithm
+// runs is never a knob — that is the registered policy's name. The zero
 // value is NOT the default — use NewConfig so defaults (transfer-aware
 // placement) apply.
 type Config struct {
-	// EFT switches site policies from the paper-faithful objective
-	// (predicted + transfer) to earliest-finish-time placement over
-	// estimated host-free timelines.
-	EFT bool
-
 	// Ledger is the shared cross-application load ledger; non-nil implies
 	// availability-aware placement for the site policies and seeds the
 	// HEFT/CPOP host timelines with other applications' reservations.
@@ -145,19 +141,9 @@ func NewConfig(opts ...Option) Config {
 	return c
 }
 
-// WithEFT selects earliest-finish-time placement (availability-aware).
-func WithEFT() Option { return func(c *Config) { c.EFT = true } }
-
 // WithLedger threads the shared cross-application load ledger through the
 // run (implying availability-aware placement for the site policies).
-func WithLedger(l *LoadLedger) Option {
-	return func(c *Config) {
-		c.Ledger = l
-		if l != nil {
-			c.EFT = true
-		}
-	}
-}
+func WithLedger(l *LoadLedger) Option { return func(c *Config) { c.Ledger = l } }
 
 // WithConcurrency bounds the per-site fan-out workers (0 = GOMAXPROCS).
 func WithConcurrency(n int) Option { return func(c *Config) { c.Concurrency = n } }
@@ -178,40 +164,3 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // this config (one batched candidate gather per graph, however many
 // policies schedule it).
 func WithCostCache(cc *CostCache) Option { return func(c *Config) { c.Costs = cc } }
-
-// Bind fixes a policy to an environment, yielding the legacy Scheduler
-// interface: each Schedule(g) call copies env, installs g, and runs the
-// policy. The env's Graph field is ignored. This is how scheduler.Batch and
-// site.Manager run policies selected by name.
-func Bind(p Policy, env Request) Scheduler {
-	return &boundPolicy{policy: p, env: env}
-}
-
-// boundPolicy adapts (Policy, environment) to the Scheduler interface.
-type boundPolicy struct {
-	policy Policy
-	env    Request
-}
-
-// Schedule implements Scheduler.
-func (b *boundPolicy) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	req := b.env
-	req.Graph = g
-	return b.policy.Schedule(context.Background(), &req)
-}
-
-// withLedger returns a copy whose runs share the given ledger (and, for the
-// site policies, availability-aware placement — the ledger requires it).
-func (b *boundPolicy) withLedger(l *LoadLedger) *boundPolicy {
-	c := *b
-	c.env.Config.Ledger = l
-	c.env.Config.EFT = true
-	return &c
-}
-
-// withCosts returns a copy whose runs share the given cost-matrix cache.
-func (b *boundPolicy) withCosts(cc *CostCache) *boundPolicy {
-	c := *b
-	c.env.Config.Costs = cc
-	return &c
-}

@@ -152,21 +152,6 @@ type LocalSelector struct {
 	// cache lookup, so stateful forecasters always see fresh calls.
 	Forecast func(host string, recorded float64) float64
 
-	// AvailabilityAware switches the Fig 5 walk from queued-load bumps to
-	// an estimated host-free timeline: each task takes the host(s)
-	// minimising earliest finish time (free time + predicted execution),
-	// and its finish pushes those hosts' free times out. Off by default —
-	// the paper-faithful mode is the ablation baseline.
-	AvailabilityAware bool
-
-	// Ledger, when non-nil and AvailabilityAware is set, seeds each
-	// walk's host timeline with the cross-application busy seconds other
-	// schedules have reserved, so even a single-site batch offers later
-	// applications different hosts. Installed by SiteScheduler's
-	// availability propagation; reservations themselves are made by the
-	// site-level walk, never here.
-	Ledger *LoadLedger
-
 	// Priority orders the task queue for the Fig 5 walk; nil uses the
 	// paper's level rule (ByLevel). Because each assignment bumps its
 	// host's queued load, the walk order decides which tasks get the
@@ -174,26 +159,29 @@ type LocalSelector struct {
 	Priority PriorityFunc
 }
 
-// HostCoster is an optional HostSelector extension: per-task pure predicted
-// execution seconds for EVERY eligible host at the site, not just the
-// minimiser SelectHosts reports. The HEFT/CPOP policies use it for their
-// rank computations and per-host placement; selectors without it (RPC
-// remotes) degrade to the single best offer per site.
-type HostCoster interface {
-	HostCosts(g *afg.Graph) (map[afg.TaskID][]Choice, error)
-}
-
 // SiteName implements HostSelector.
 func (s *LocalSelector) SiteName() string { return s.Site }
 
-// SelectHosts implements HostSelector (the paper's Fig 5 loop). The task
-// queue is walked in level-priority order and each assignment updates the
-// selector's own view of its chosen host(s) — one queued-load unit in the
-// paper-faithful mode, an estimated host-free time in availability-aware
-// mode — so a wide application does not dog-pile the single best machine.
+// SelectHosts implements HostSelector (the paper's Fig 5 loop) in the
+// paper-faithful mode: each assignment adds one queued-load unit to its
+// chosen host(s), so a wide application does not dog-pile the single best
+// machine.
+func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
+	return s.selectHosts(g, false, nil)
+}
+
+// selectHosts is the Fig 5 walk behind SelectHosts. The task queue is
+// walked in level-priority order and each assignment updates the walk's own
+// view of its chosen host(s): one queued-load unit in the paper-faithful
+// mode, or — when avail is set, by the availability-aware site policies —
+// an estimated host-free timeline, where each task takes the host(s)
+// minimising earliest finish time (free time + predicted execution) and its
+// finish pushes those hosts' free times out. A non-nil ledger seeds that
+// timeline with the busy seconds other applications have reserved;
+// reservations themselves are made by the site-level walk, never here.
 //
 //vdce:ignore allocflow generic HostSelector form, invoked once per (site, schedule): walk state is host-keyed (sites hold few hosts) and the id-keyed output map is the interface contract — selectHostsDense is the allocation-policed twin
-func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
+func (s *LocalSelector) selectHosts(g *afg.Graph, avail bool, ledger *LoadLedger) (map[afg.TaskID]Choice, error) {
 	// Generation snapshot BEFORE the repository read: a monitor update
 	// landing between List() and a Store() bumps the generation past the
 	// snapshot, so stale inputs are never cached as current.
@@ -212,8 +200,8 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 	}
 	queued := make(map[string]float64) // paper mode: placed tasks per host
 	freeAt := make(map[string]float64) // availability mode: est host-free times
-	if s.AvailabilityAware && s.Ledger != nil {
-		freeAt = s.Ledger.Snapshot()
+	if ledger != nil {
+		freeAt = ledger.Snapshot()
 	}
 	out := make(map[afg.TaskID]Choice, g.Len())
 	var buf []scored
@@ -224,12 +212,12 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 		task := g.Task(id)
 		var choice Choice
 		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, gens, buf, slab)
+		choice, finish, buf, slab, err = s.selectFor(task, resources, avail, queued, freeAt, gens, buf, slab)
 		if err != nil {
 			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
 		}
 		for _, h := range choice.Hosts {
-			if s.AvailabilityAware {
+			if avail {
 				freeAt[h] = finish
 			} else {
 				queued[h]++
@@ -257,7 +245,7 @@ type scored struct {
 // caller-owned host-name arena for the committed sets, both returned
 // (maybe consumed or grown) for reuse across the walk: the steady-state
 // sequential walk step allocates nothing at all.
-func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, queued, freeAt map[string]float64, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
+func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, avail bool, queued, freeAt map[string]float64, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
 	cands := buf[:0]
 	for _, r := range resources {
 		if !s.eligible(task, r) {
@@ -267,7 +255,7 @@ func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.Resourc
 		//vdce:ignore allocflow queued and freeAt are host-keyed walk state (a site's hosts are few); the probes allocate nothing
 		pred := s.predictOn(task, r, queued[host], gens)
 		key := pred
-		if s.AvailabilityAware {
+		if avail {
 			//vdce:ignore allocflow host-keyed walk state, one probe per candidate
 			key = freeAt[host] + pred
 		}
@@ -339,48 +327,15 @@ func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bo
 	return s.Repo.Constraints.CanRun(task.Function, r.Static.HostName)
 }
 
-// HostCosts implements HostCoster: for every task, the pure predicted
-// execution seconds on every eligible host at this site, sorted by host
-// name. Unlike SelectHosts it models no queueing — no queued-load bumps, no
-// free-time timeline — because the caller (HEFT/CPOP placement) prices
-// contention itself; the Forecast hook and prediction cache apply as usual.
-//
-//vdce:ignore allocflow map-keyed HostCoster compatibility form (the RPC selector contract), once per (site, schedule); the local hot path is denseHostCosts's contiguous slab
-func (s *LocalSelector) HostCosts(g *afg.Graph) (map[afg.TaskID][]Choice, error) {
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	resources := s.Repo.Resources.List()
-	out := make(map[afg.TaskID][]Choice, g.Len())
-	for _, id := range g.TaskIDs() {
-		task := g.Task(id)
-		var choices []Choice
-		for _, r := range resources {
-			if !s.eligible(task, r) {
-				continue
-			}
-			choices = append(choices, Choice{
-				Site:      s.Site,
-				Host:      r.Static.HostName,
-				Predicted: s.predictOn(task, r, 0, gens),
-			})
-		}
-		if len(choices) == 0 {
-			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)
-		}
-		sort.Slice(choices, func(i, j int) bool { return choices[i].Host < choices[j].Host })
-		out[id] = choices
-	}
-	return out, nil
-}
-
-// denseHostCosts implements denseCoster: the batched form of HostCosts.
-// One pass over (task × resource) fills a contiguous prediction slab —
-// columns are the site's hosts ascending by name (the repository's List
-// order), NaN marks ineligible pairs — with no per-task map or slice
-// allocation. A task no host can run fails the whole site, exactly like
-// HostCosts.
+// denseHostCosts is the batched per-host cost gather behind the HEFT/CPOP
+// cost matrix: for every task, the pure predicted execution seconds on
+// every eligible host at this site. One pass over (task × resource) fills a
+// contiguous prediction slab — columns are the site's hosts ascending by
+// name (the repository's List order), NaN marks ineligible pairs — with no
+// per-task map or slice allocation. Unlike SelectHosts it models no
+// queueing, because the caller prices contention itself; the Forecast hook
+// and prediction cache apply as usual. A task no host can run fails the
+// whole site.
 func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, error) {
 	var gens map[string]uint64
 	if s.Cache != nil {
@@ -414,18 +369,18 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 	return hosts, pred, nil
 }
 
-// selectHostsDense is the slice-indexed form of SelectHosts: the same
+// selectHostsDense is the slice-indexed form of selectHosts: the same
 // Fig 5 walk, but the priority order comes from dense levels sorted by
 // integer index and the result is addressed by dense task index — no
 // level map, no id sort, no output map. A selector carrying its own
 // Priority rule falls back to the generic walk.
-func (s *LocalSelector) selectHostsDense(g *afg.Graph) ([]Choice, error) {
+func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadLedger) ([]Choice, error) {
 	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
 	if s.Priority != nil {
-		m, err := s.SelectHosts(g)
+		m, err := s.selectHosts(g, avail, ledger)
 		if err != nil {
 			return nil, err
 		}
@@ -438,8 +393,8 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph) ([]Choice, error) {
 	resources := s.Repo.Resources.List()
 	queued := make(map[string]float64)
 	freeAt := make(map[string]float64)
-	if s.AvailabilityAware && s.Ledger != nil {
-		freeAt = s.Ledger.Snapshot()
+	if ledger != nil {
+		freeAt = ledger.Snapshot()
 	}
 	sc := getScratch()
 	defer sc.release()
@@ -453,13 +408,13 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph) ([]Choice, error) {
 		task := ix.Task(int(t))
 		var choice Choice
 		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, gens, buf, slab)
+		choice, finish, buf, slab, err = s.selectFor(task, resources, avail, queued, freeAt, gens, buf, slab)
 		if err != nil {
 			sc.scored = buf
 			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
 		}
 		for _, h := range choice.Hosts {
-			if s.AvailabilityAware {
+			if avail {
 				freeAt[h] = finish
 			} else {
 				queued[h]++

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -29,6 +30,29 @@ func makeRepo(t testing.TB, site string, hosts map[string][2]float64) *repositor
 		}
 	}
 	return repo
+}
+
+// runPolicy schedules g under the named registered policy against env, a
+// Request template whose Graph is replaced.
+func runPolicy(name string, env *Request, g *afg.Graph) (*AllocationTable, error) {
+	p, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	req := *env
+	req.Graph = g
+	return p.Schedule(context.Background(), &req)
+}
+
+// runBatch schedules graphs under the named registered policy against env
+// across workers goroutines.
+func runBatch(t testing.TB, name string, env *Request, workers int, graphs []*afg.Graph) []BatchItem {
+	t.Helper()
+	p, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&Batch{Policy: p, Env: *env, Workers: workers}).Schedule(graphs)
 }
 
 func chainGraph(t testing.TB, costs []float64, bytes int64) *afg.Graph {
@@ -208,23 +232,23 @@ func TestLocalSelectorForecastHook(t *testing.T) {
 
 // twoSiteSetup builds local site "syr" (slow hosts) and remote "rome"
 // (fast hosts) connected by a configurable-latency WAN.
-func twoSiteSetup(t testing.TB, wanLatency time.Duration) (*SiteScheduler, *repository.Repository, *repository.Repository, *netsim.Network) {
+func twoSiteSetup(t testing.TB, wanLatency time.Duration) (*Request, *repository.Repository, *repository.Repository, *netsim.Network) {
 	t.Helper()
 	syr := makeRepo(t, "syr", map[string][2]float64{"syr-1": {1, 0}, "syr-2": {1, 0}})
 	rome := makeRepo(t, "rome", map[string][2]float64{"rome-1": {4, 0}, "rome-2": {4, 0}})
 	net := netsim.New(netsim.DefaultLAN, 1)
 	net.Connect("syr", "rome", netsim.PathSpec{Latency: wanLatency, Bandwidth: 1e6})
-	s := NewSiteScheduler(
+	s := NewRequest(nil,
 		&LocalSelector{Site: "syr", Repo: syr},
 		[]HostSelector{&LocalSelector{Site: "rome", Repo: rome}},
-		net, 0)
+		net)
 	return s, syr, rome, net
 }
 
 func TestSiteSchedulerEntryTaskGoesToFastestSite(t *testing.T) {
 	s, _, _, _ := twoSiteSetup(t, 5*time.Millisecond)
 	g := chainGraph(t, []float64{10}, 0)
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +266,7 @@ func TestSiteSchedulerCoLocatesHeavyCommunication(t *testing.T) {
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 0.1})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +281,12 @@ func TestSiteSchedulerTransferAblation(t *testing.T) {
 	// Same setup, but with TransferAware off the child chases the faster
 	// remote host, ignoring the transfer.
 	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
-	s.TransferAware = false
+	s.Config.TransferAware = false
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 8})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +304,7 @@ func TestSiteSchedulerZeroByteLinksAreEntryLike(t *testing.T) {
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 1})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 10})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 0})
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +321,13 @@ func TestSiteSchedulerKNearestLimitsFanOut(t *testing.T) {
 	net := netsim.New(netsim.DefaultLAN, 1)
 	net.Connect("syr", "near", netsim.PathSpec{Latency: time.Millisecond, Bandwidth: 1e9})
 	net.Connect("syr", "far", netsim.PathSpec{Latency: time.Second, Bandwidth: 1e9})
-	s := NewSiteScheduler(
+	s := NewRequest(nil,
 		&LocalSelector{Site: "syr", Repo: syr},
 		[]HostSelector{
 			&LocalSelector{Site: "far", Repo: far},
 			&LocalSelector{Site: "near", Repo: near},
-		}, net, 1)
-	table, err := s.Schedule(chainGraph(t, []float64{10}, 0))
+		}, net, WithK(1))
+	table, err := runPolicy("faithful", s, chainGraph(t, []float64{10}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,23 +341,22 @@ func TestSiteSchedulerKNearestLimitsFanOut(t *testing.T) {
 
 func TestSiteSchedulerValidatesGraph(t *testing.T) {
 	s, _, _, _ := twoSiteSetup(t, time.Millisecond)
-	if _, err := s.Schedule(afg.New("empty")); err == nil {
+	if _, err := runPolicy("faithful", s, afg.New("empty")); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestSiteSchedulerNoSites(t *testing.T) {
-	s := &SiteScheduler{}
-	if _, err := s.Schedule(chainGraph(t, []float64{1}, 0)); !errors.Is(err, ErrNoSites) {
+	if _, err := runPolicy("faithful", &Request{}, chainGraph(t, []float64{1}, 0)); !errors.Is(err, ErrNoSites) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSiteSchedulerFIFOPriority(t *testing.T) {
 	s, _, _, _ := twoSiteSetup(t, time.Millisecond)
-	s.Priority = FIFOPriority
+	s.Config.Priority = FIFOPriority
 	g := chainGraph(t, []float64{1, 2, 3}, 10)
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,13 +401,9 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 	rome := makeRepo(t, "rome", map[string][2]float64{"r1": {4, 2}})
 	sites := map[string]*repository.Repository{"syr": syr, "rome": rome}
 	g := chainGraph(t, []float64{1, 2, 3, 4}, 10)
-	for name, s := range map[string]Scheduler{
-		"random":     &RandomScheduler{Sites: sites, Seed: 1},
-		"roundrobin": &RoundRobinScheduler{Sites: sites},
-		"minload":    &MinLoadScheduler{Sites: sites},
-		"fastest":    &FastestHostScheduler{Sites: sites},
-	} {
-		table, err := s.Schedule(g)
+	env := &Request{Sites: sites, Config: NewConfig(WithSeed(1))}
+	for _, name := range []string{"random", "roundrobin", "minload", "fastest"} {
+		table, err := runPolicy(name, env, g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -396,8 +415,8 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 
 func TestFastestHostSchedulerSerialises(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {9, 0}})
-	f := &FastestHostScheduler{Sites: map[string]*repository.Repository{"syr": syr}}
-	table, err := f.Schedule(chainGraph(t, []float64{1, 1}, 0))
+	env := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
+	table, err := runPolicy("fastest", env, chainGraph(t, []float64{1, 1}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +429,12 @@ func TestFastestHostSchedulerSerialises(t *testing.T) {
 
 func TestMinLoadSpreadsTasks(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {1, 0}})
-	m := &MinLoadScheduler{Sites: map[string]*repository.Repository{"syr": syr}}
+	env := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
 	g := afg.New("wide")
 	for i := 0; i < 4; i++ {
 		g.AddTask(&afg.Task{ID: afg.TaskID(rune('a' + i)), Function: "f", ComputeCost: 1})
 	}
-	table, err := m.Schedule(g)
+	table, err := runPolicy("minload", env, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +449,15 @@ func TestMinLoadSpreadsTasks(t *testing.T) {
 
 func TestBaselinesEmptySites(t *testing.T) {
 	g := chainGraph(t, []float64{1}, 0)
-	empty := map[string]*repository.Repository{}
-	if _, err := (&RandomScheduler{Sites: empty}).Schedule(g); !errors.Is(err, ErrNoEligibleHost) {
-		t.Fatalf("err = %v", err)
+	// A site with no up hosts offers nothing to place on.
+	empty := &Request{Sites: map[string]*repository.Repository{"syr": repository.New()}}
+	for _, name := range []string{"random", "minload"} {
+		if _, err := runPolicy(name, empty, g); !errors.Is(err, ErrNoEligibleHost) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
 	}
-	if _, err := (&MinLoadScheduler{Sites: empty}).Schedule(g); !errors.Is(err, ErrNoEligibleHost) {
+	// No site repositories at all is the environment error.
+	if _, err := runPolicy("random", &Request{}, g); !errors.Is(err, ErrNoSites) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -572,7 +595,7 @@ func TestPropertySiteSchedulerComplete(t *testing.T) {
 			}
 			prev = cur
 		}
-		table, err := s.Schedule(g)
+		table, err := runPolicy("faithful", s, g)
 		if err != nil {
 			return false
 		}
@@ -604,8 +627,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 	}
 	repo := makeRepo(t, "syr", hosts)
 	net := netsim.New(netsim.DefaultLAN, 1)
-	vdce := NewSiteScheduler(&LocalSelector{Site: "syr", Repo: repo}, nil, net, 0)
-	sites := map[string]*repository.Repository{"syr": repo}
+	env := NewRequest(nil, &LocalSelector{Site: "syr", Repo: repo}, nil, net, WithSeed(42))
 
 	g := afg.New("load")
 	for i := 0; i < 30; i++ {
@@ -615,7 +637,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 		h := hosts[host]
 		return task.ComputeCost / h[0] * (1 + h[1])
 	}
-	vdceTable, err := vdce.Schedule(g)
+	vdceTable, err := runPolicy("faithful", env, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +645,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	randTable, err := (&RandomScheduler{Sites: sites, Seed: 42}).Schedule(g)
+	randTable, err := runPolicy("random", env, g)
 	if err != nil {
 		t.Fatal(err)
 	}

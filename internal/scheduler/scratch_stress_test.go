@@ -51,7 +51,7 @@ func TestScratchPoolStressEquivalence(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 					return
 				}
-				items := (&Batch{Scheduler: Bind(p, *req), Workers: w}).Schedule(graphs)
+				items := (&Batch{Policy: p, Env: *req, Workers: w}).Schedule(graphs)
 				tables := make([]*AllocationTable, len(items))
 				for i, it := range items {
 					if it.Err != nil {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
-	"repro/internal/workload"
 )
 
 // referenceSimulate is the pre-incremental simulator — the full ready-set
@@ -162,7 +162,7 @@ func equivNet() *netsim.Network {
 	return net
 }
 
-// TestSimulateMatchesReference replays randomized workload.Scale graphs
+// TestSimulateMatchesReference replays randomized dagen.Scale graphs
 // under randomized (multi-host, multi-site) allocation tables through the
 // incremental simulator and the quadratic reference; makespans must be
 // identical, not merely close — both compute the same maxima and sums.
@@ -175,7 +175,7 @@ func TestSimulateMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 977))
 		tasks := 40 + rng.Intn(160)
 		width := 1 + rng.Intn(12)
-		g := workload.Scale(tasks, width, 6, seed)
+		g := dagen.Scale(tasks, width, 6, seed)
 		table := randomTable(g, 4, 6, rng)
 		want, err := referenceSimulate(g, table, model, net)
 		if err != nil {
@@ -197,8 +197,8 @@ func TestSimulateMatchesReference(t *testing.T) {
 func TestSimulateMatchesReferenceScheduledTables(t *testing.T) {
 	s, _, _, net := twoSiteSetup(t, 10*time.Millisecond)
 	for seed := int64(1); seed <= 4; seed++ {
-		g := workload.Scale(120, 8, 5, seed)
-		table, err := s.Schedule(g)
+		g := dagen.Scale(120, 8, 5, seed)
+		table, err := runPolicy("faithful", s, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestSimulateCoHostedParallelLinkIsFree(t *testing.T) {
 
 func simBenchSetup(b *testing.B) (*afg.Graph, *AllocationTable, *netsim.Network) {
 	b.Helper()
-	g := workload.Scale(1000, 25, 12, 42)
+	g := dagen.Scale(1000, 25, 12, 42)
 	rng := rand.New(rand.NewSource(42))
 	return g, randomTable(g, 4, 8, rng), equivNet()
 }

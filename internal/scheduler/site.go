@@ -13,8 +13,9 @@ import (
 	"repro/internal/netsim"
 )
 
-// SiteScheduler implements the Site Scheduler Algorithm (paper Fig 4) at
-// the local site — the site where the execution request arrived.
+// siteScheduler is the Site Scheduler Algorithm (paper Fig 4) at the local
+// site — the site where the execution request arrived — assembled per run by
+// the registered site policies ("faithful", "eft", "ledger").
 //
 // Steps (numbering follows the figure):
 //  1. receive the AFG,
@@ -26,92 +27,24 @@ import (
 //  7. walk the ready set in level-priority order, assigning each task to
 //     the site minimising predicted time (entry tasks) or
 //     transfer time from the parents' sites + predicted time (others).
-type SiteScheduler struct {
-	Local   HostSelector
-	Remotes []HostSelector  // all known remote sites (k nearest selected per run)
-	Net     *netsim.Network // supplies transfer_time(Sparent, Sj)
-	K       int             // neighbour fan-out (0 = all remotes)
+type siteScheduler struct {
+	// req is the scheduling problem: graph, selectors, network, Config.
+	req *Request
 
-	// TransferAware toggles the transfer-time term in step 7; disabling
-	// it is the Fig 4 ablation (site choice by prediction only).
-	TransferAware bool
-
-	// AvailabilityAware replaces step 7's predicted+transfer objective
-	// with earliest finish time: the walk tracks an estimated free-time
-	// timeline for every host across all sites and places each task on
-	// the site/host set minimising
+	// avail replaces step 7's predicted+transfer objective with earliest
+	// finish time: the walk tracks an estimated free-time timeline for
+	// every host across all sites and places each task on the site/host
+	// set minimising
 	//
 	//	max(parent finishes + transfer, host free, ledger wait) + predicted.
-	//
-	// Off by default — the paper-faithful Fig 4 walk is the ablation
-	// baseline the evaluation compares against.
-	//
-	// Deprecated: select the "eft" policy (Lookup("eft"), or WithEFT on a
-	// Request) instead of toggling this boolean.
-	AvailabilityAware bool
+	avail bool
 
-	// Ledger, when non-nil, is the shared cross-application load ledger
-	// consulted and updated by the availability-aware walk: placements
-	// from concurrent Schedule calls (scheduler.Batch) reserve predicted
-	// busy seconds per host, so applications scheduled in the same batch
-	// spread around each other instead of dog-piling the fastest
-	// machines. Ignored when AvailabilityAware is off.
-	Ledger *LoadLedger
-
-	// Priority orders the ready set each step; nil means the paper's
-	// level rule (ByLevel). FIFOPriority is the ablation alternative.
-	Priority PriorityFunc
-
-	// Concurrency bounds the worker pool fanning Host Selection out
-	// across sites (steps 3–5): 0 uses GOMAXPROCS workers, 1 keeps the
-	// fully serial walk (the baseline the scale benchmark measures
-	// against), and any n > 1 runs at most n selections at once. The
-	// merge is deterministic — results are ordered by site name before
-	// the ready-set walk — so the allocation table does not depend on
-	// goroutine scheduling.
-	Concurrency int
-
-	// Diag, when non-nil, receives per-site gather diagnostics (dropped
-	// sites classified as capacity refusals vs transient failures).
-	// Installed from Request.Diag by the registered site policies.
-	Diag *Diagnostics
-}
-
-// NewSiteScheduler builds a transfer-aware scheduler with fan-out k.
-func NewSiteScheduler(local HostSelector, remotes []HostSelector, net *netsim.Network, k int) *SiteScheduler {
-	return &SiteScheduler{Local: local, Remotes: remotes, Net: net, K: k, TransferAware: true}
-}
-
-// Schedule produces a resource allocation table for g.
-//
-// Deprecated: Schedule delegates to the policy API — Lookup("faithful") or
-// Lookup("eft") with a Request built by NewRequest expresses the same run
-// and composes with the registry; this method remains for existing callers.
-func (s *SiteScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	// Mode follows the AvailabilityAware flag alone, exactly as the old
-	// engine did: a ledger installed without the flag stays ignored.
-	name := "faithful"
-	if s.AvailabilityAware {
-		name = "eft"
-	}
-	p, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return p.Schedule(context.Background(), &Request{
-		Graph:   g,
-		Local:   s.Local,
-		Remotes: s.Remotes,
-		Net:     s.Net,
-		Config: Config{
-			EFT:           s.AvailabilityAware,
-			Ledger:        s.Ledger,
-			Concurrency:   s.Concurrency,
-			Priority:      s.Priority,
-			TransferAware: s.TransferAware,
-			K:             s.K,
-		},
-	})
+	// ledger, when non-nil, is the cross-application load ledger consulted
+	// and updated by the availability-aware walk: placements from
+	// concurrent schedules (scheduler.Batch) reserve predicted busy seconds
+	// per host, so applications scheduled in the same batch spread around
+	// each other instead of dog-piling the fastest machines.
+	ledger *LoadLedger
 }
 
 // sitePolicy wraps the Site Scheduler engine as a registered Policy:
@@ -128,40 +61,29 @@ type sitePolicy struct {
 func (p sitePolicy) Name() string { return p.name }
 
 // Schedule implements Policy by assembling the engine from the request.
+// The walk is availability-aware iff the policy is "eft"/"ledger" or the
+// request carries a ledger (reservations only mean something on a host
+// timeline).
 func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := req.Config
-	// Availability mode comes from the policy name or an explicit WithEFT;
-	// WithLedger sets EFT itself, so a bare Config.Ledger (the deprecated
-	// Schedule shim passing legacy fields through) does not force it.
-	s := &SiteScheduler{
-		Local:             req.Local,
-		Remotes:           req.Remotes,
-		Net:               req.Net,
-		K:                 cfg.K,
-		TransferAware:     cfg.TransferAware,
-		AvailabilityAware: p.eft || cfg.EFT,
-		Ledger:            cfg.Ledger,
-		Priority:          cfg.Priority,
-		Concurrency:       cfg.Concurrency,
-		Diag:              req.Diag,
+	s := &siteScheduler{req: req, ledger: req.Config.Ledger}
+	if p.ledger && s.ledger == nil {
+		s.ledger = NewLoadLedger()
 	}
-	if p.ledger && s.Ledger == nil {
-		s.Ledger = NewLoadLedger()
-	}
-	return s.run(req.Graph)
+	s.avail = p.eft || s.ledger != nil
+	return s.run()
 }
 
-// run is the Site Scheduler engine (the former Schedule body); both the
-// deprecated method and the registered site policies funnel through it.
-// The walk is slice-indexed end to end: site results address tasks by
-// dense index, the ready set is a priority heap over dense levels, and
-// the transfer term reads CSR parent arcs. The original map-keyed walk is
-// retained in oracle_test.go; equivalence tests pin the tables.
-func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
-	if s.Local == nil {
+// run is the Site Scheduler engine. The walk is slice-indexed end to end:
+// site results address tasks by dense index, the ready set is a priority
+// heap over dense levels, and the transfer term reads CSR parent arcs. The
+// original map-keyed walk is retained in oracle_test.go; equivalence tests
+// pin the tables.
+func (s *siteScheduler) run() (*AllocationTable, error) {
+	g, cfg := s.req.Graph, &s.req.Config
+	if s.req.Local == nil {
 		return nil, ErrNoSites
 	}
 	if g.Len() == 0 {
@@ -173,8 +95,8 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 	}
 
 	// Steps 2–3: pick the k nearest neighbours and "multicast" the AFG.
-	selectors := []HostSelector{s.Local}
-	selectors = append(selectors, s.nearestRemotes()...)
+	selectors := append([]HostSelector{s.req.Local},
+		nearestSelectors(s.req.Local, s.req.Remotes, s.req.Net, cfg.K)...)
 
 	// Steps 4–5: gather host selections per site, fanning out across the
 	// worker pool. A site that cannot host some task (constraints) is
@@ -186,14 +108,14 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 		return nil, noSitesErr(transient)
 	}
 
-	if s.AvailabilityAware {
+	if s.avail {
 		return s.scheduleAvailabilityAware(ix, g, results)
 	}
 
 	table := NewAllocationTable(g.Name)
 
 	// Steps 6–7: ready-set walk in level-priority order.
-	walk, err := newReadyWalk(ix, g, s.Priority)
+	walk, err := newReadyWalk(ix, g, cfg.Priority)
 	if err != nil {
 		return nil, err
 	}
@@ -216,8 +138,8 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 				continue
 			}
 			total := choice.Predicted
-			if s.TransferAware && !entryLike {
-				total += s.transferCostDense(ix, t, sr.name, site)
+			if cfg.TransferAware && !entryLike {
+				total += transferCostDense(s.req.Net, ix, t, sr.name, site)
 			}
 			if total < bestTotal || (total == bestTotal && sr.name < best.Site) {
 				best, bestTotal, found = choice, total, true
@@ -248,8 +170,9 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 // plus predicted execution — is smallest.
 //
 //vdce:hot
-func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
+func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
+	net := s.req.Net
 	n := ix.Len()
 	estFinish := make([]float64, n)
 	site := make([]string, n)        // assigned site per task; "" = unplaced
@@ -261,7 +184,7 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 	// snapshot revalidation instead of a ledger lock per candidate — so a
 	// placement made by a concurrent Schedule goroutine moves this walk
 	// off the host it just claimed from the next task onward.
-	view := s.Ledger.View()
+	view := s.ledger.View()
 	freeAt := func(h string) float64 {
 		f := hostFree[h]
 		if view != nil {
@@ -272,16 +195,16 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 		return f
 	}
 	releaseOwn := func() {
-		if s.Ledger == nil {
+		if s.ledger == nil {
 			return
 		}
 		//vdce:ignore maporder one Release per distinct host key: updates touch disjoint ledger entries, so order commutes
 		for h, sec := range own {
-			s.Ledger.Release(h, sec)
+			s.ledger.Release(h, sec)
 		}
 	}
 
-	walk, err := newReadyWalk(ix, g, s.Priority)
+	walk, err := newReadyWalk(ix, g, s.req.Config.Priority)
 	if err != nil {
 		return nil, err
 	}
@@ -309,9 +232,9 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 			start := 0.0
 			for _, a := range ix.Parents(t) {
 				arrive := estFinish[a.Peer]
-				if s.Net != nil && site[a.Peer] != "" {
+				if net != nil && site[a.Peer] != "" {
 					if a.Bytes > 0 && !sharesHost(phosts[a.Peer], hosts) {
-						arrive += s.Net.TransferTime(site[a.Peer], sr.name, a.Bytes).Seconds()
+						arrive += net.TransferTime(site[a.Peer], sr.name, a.Bytes).Seconds()
 					}
 				}
 				start = math.Max(start, arrive)
@@ -430,8 +353,9 @@ func (w *readyWalk) complete(t int) {
 	w.tracker.Complete(w.ix.ID(t))
 }
 
-// isEntryLikeDense is isEntryLike over CSR arcs: the task has no parents
-// or none of its input links moves data.
+// isEntryLikeDense reports whether the task "is an entry task or does not
+// require any input file from its parent node tasks" (Fig 4, step 7): it
+// has no parents or none of its input links moves data.
 func isEntryLikeDense(ix *afg.Index, t int) bool {
 	for _, a := range ix.Parents(t) {
 		if a.Bytes > 0 {
@@ -443,8 +367,11 @@ func isEntryLikeDense(ix *afg.Index, t int) bool {
 
 // transferCostDense sums transfer_time(Sparent, Sj) over the task's
 // already scheduled parents, reading CSR arcs and the dense site table.
-func (s *SiteScheduler) transferCostDense(ix *afg.Index, t int, siteName string, site []string) float64 {
-	if s.Net == nil {
+// (The paper's formula names a single parent site; with several parents
+// each contributes its own transfer, so we sum — a co-located parent
+// contributes its cheap LAN term.)
+func transferCostDense(net *netsim.Network, ix *afg.Index, t int, siteName string, site []string) float64 {
+	if net == nil {
 		return 0
 	}
 	var total float64
@@ -452,23 +379,9 @@ func (s *SiteScheduler) transferCostDense(ix *afg.Index, t int, siteName string,
 		if site[a.Peer] == "" {
 			continue // parent unscheduled (possible only for cross runs)
 		}
-		total += s.Net.TransferTime(site[a.Peer], siteName, a.Bytes).Seconds()
+		total += net.TransferTime(site[a.Peer], siteName, a.Bytes).Seconds()
 	}
 	return total
-}
-
-// WithLedger returns a copy of the scheduler wired to the shared
-// cross-application ledger (and availability-aware placement, which the
-// ledger requires). scheduler.Batch uses it to thread one ledger through
-// every concurrent Schedule call.
-//
-// Deprecated: use the WithLedger Option on a Request (or Batch.Ledger with
-// a Bind-wrapped policy); this builder remains for existing callers.
-func (s *SiteScheduler) WithLedger(l *LoadLedger) *SiteScheduler {
-	c := *s
-	c.Ledger = l
-	c.AvailabilityAware = true
-	return &c
 }
 
 // siteResult is one site's contribution to steps 4–5: the site's offer per
@@ -491,30 +404,14 @@ type siteResult struct {
 // the EFT walk prices queueing itself, so the per-site walks must report
 // pure predictions (a queued-load-bumped prediction would double-count the
 // wait). Remote sites decide their own mode — the RPC selector cannot see
-// this scheduler's flag — which only perturbs which host a remote site
-// offers, not the EFT accounting.
-func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors []HostSelector) ([]siteResult, []SiteError) {
-	if s.AvailabilityAware {
-		propagated := make([]HostSelector, len(selectors))
-		for i, sel := range selectors {
-			if ls, ok := sel.(*LocalSelector); ok {
-				c := *ls
-				c.AvailabilityAware = true
-				if c.Ledger == nil {
-					c.Ledger = s.Ledger
-				}
-				propagated[i] = &c
-			} else {
-				propagated[i] = sel
-			}
-		}
-		selectors = propagated
-	}
+// this walk's mode — which only perturbs which host a remote site offers,
+// not the EFT accounting.
+func (s *siteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors []HostSelector) ([]siteResult, []SiteError) {
 	gathered := make([]siteResult, len(selectors))
 	gather := func(i int, sel HostSelector) {
 		name := sel.SiteName()
 		if ls, ok := sel.(*LocalSelector); ok {
-			cs, err := ls.selectHostsDense(g)
+			cs, err := ls.selectHostsDense(g, s.avail, s.ledger)
 			gathered[i] = siteResult{name: name, choices: cs, err: err}
 			return
 		}
@@ -525,12 +422,12 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 		}
 		gathered[i] = siteResult{name: name, choices: denseChoices(ix, m)}
 	}
-	if s.Concurrency == 1 || len(selectors) == 1 {
+	if s.req.Config.Concurrency == 1 || len(selectors) == 1 {
 		for i, sel := range selectors {
 			gather(i, sel)
 		}
 	} else {
-		workers := s.Concurrency
+		workers := s.req.Config.Concurrency
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
@@ -554,7 +451,7 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 	var transient []SiteError
 	for _, r := range gathered {
 		if r.err != nil {
-			s.Diag.record(r.name, r.err)
+			s.req.Diag.record(r.name, r.err)
 			if !errors.Is(r.err, ErrNoEligibleHost) {
 				transient = append(transient, SiteError{Site: r.name, Err: r.err})
 			}
@@ -566,12 +463,6 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].name < results[j].name })
 	return results, transient
-}
-
-// nearestRemotes returns the k nearest remote selectors by network latency
-// from the local site (all remotes when no network or K <= 0).
-func (s *SiteScheduler) nearestRemotes() []HostSelector {
-	return nearestSelectors(s.Local, s.Remotes, s.Net, s.K)
 }
 
 // nearestSelectors is the neighbour-selection step shared by the site
@@ -622,17 +513,6 @@ func nearestSelectors(local HostSelector, remotes []HostSelector, net *netsim.Ne
 	return out
 }
 
-// isEntryLike reports whether the task "is an entry task or does not
-// require any input file from its parent node tasks" (Fig 4, step 7).
-func isEntryLike(g *afg.Graph, id afg.TaskID) bool {
-	for _, l := range g.Parents(id) {
-		if transferBytes(g, l) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // transferBytes returns the data volume of one link: the link's explicit
 // size, or the parent's declared output volume ("the input size of the
 // application can be used for the transfer size parameter").
@@ -644,24 +524,4 @@ func transferBytes(g *afg.Graph, l afg.Link) int64 {
 		return p.OutputBytes
 	}
 	return 0
-}
-
-// transferCost sums transfer_time(Sparent, Sj) over the task's already
-// scheduled parents. (The paper's formula names a single parent site; with
-// several parents each contributes its own transfer, so we sum — a
-// co-located parent contributes its cheap LAN term.)
-func (s *SiteScheduler) transferCost(g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
-	if s.Net == nil {
-		return 0
-	}
-	var total float64
-	for _, l := range g.Parents(id) {
-		parent, ok := table.Get(l.From)
-		if !ok {
-			continue // parent unscheduled (possible only for cross runs)
-		}
-		bytes := transferBytes(g, l)
-		total += s.Net.TransferTime(parent.Site, site, bytes).Seconds()
-	}
-	return total
 }

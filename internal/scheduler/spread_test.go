@@ -107,7 +107,7 @@ func TestSiteSchedulerBurstPlacement(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		g.AddTask(&afg.Task{ID: afg.TaskID(rune('a' + i)), Function: "f", ComputeCost: 5})
 	}
-	table, err := s.Schedule(g)
+	table, err := runPolicy("faithful", s, g)
 	if err != nil {
 		t.Fatal(err)
 	}

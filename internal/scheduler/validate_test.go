@@ -41,11 +41,7 @@ func dagenEnv(t testing.TB, beta float64, seed int64) (Request, map[string]*repo
 func TestValidateScheduleAcceptsFaithfulSchedule(t *testing.T) {
 	env, repos, net := dagenEnv(t, 1, 1)
 	g := dagen.Random(dagen.Params{Tasks: 25, CCR: 1, Seed: 3})
-	p, err := Lookup("faithful")
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := Bind(p, env).Schedule(g)
+	table, err := runPolicy("faithful", &env, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +63,7 @@ func TestValidateScheduleAcceptsFaithfulSchedule(t *testing.T) {
 func TestValidateScheduleRejectsMalformedTables(t *testing.T) {
 	env, repos, net := dagenEnv(t, 1, 1)
 	g := dagen.Random(dagen.Params{Tasks: 10, CCR: 1, Seed: 5})
-	p, _ := Lookup("faithful")
-	table, err := Bind(p, env).Schedule(g)
+	table, err := runPolicy("faithful", &env, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +209,7 @@ func TestEveryPolicyPassesValidatorOnDagenGrid(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						items := (&Batch{Scheduler: Bind(p, env), Workers: 1}).Schedule([]*afg.Graph{g})
+						items := (&Batch{Policy: p, Env: env, Workers: 1}).Schedule([]*afg.Graph{g})
 						if items[0].Err != nil {
 							t.Fatalf("%s on v=%d ccr=%g α=%g β=%g: %v", name, tasks, ccr, alpha, beta, items[0].Err)
 						}
@@ -264,7 +259,7 @@ func TestEveryPolicyPassesValidatorOnStructuredGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			items := (&Batch{Scheduler: Bind(p, env), Workers: 1}).Schedule([]*afg.Graph{g})
+			items := (&Batch{Policy: p, Env: env, Workers: 1}).Schedule([]*afg.Graph{g})
 			if items[0].Err != nil {
 				t.Fatalf("%s on %s: %v", name, g.Name, items[0].Err)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
@@ -31,7 +32,7 @@ func TestScheduleBatchOverRPC(t *testing.T) {
 	defer client.Close()
 
 	graphs := []interface{ Encode() ([]byte, error) }{
-		workload.Scale(50, 5, 4, 1),
+		dagen.Scale(50, 5, 4, 1),
 		workload.Pipeline(8, 0.1, 1<<10),
 		workload.ForkJoin(6, 0.2, 1<<10),
 	}
@@ -162,7 +163,7 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 	}
 	defer client.Close()
 
-	args := BatchArgs{AvailabilityAware: true, SharedLedger: true}
+	args := BatchArgs{Policy: "eft", SharedLedger: true}
 	for i := 0; i < 4; i++ {
 		g := afg.New(fmt.Sprintf("single%d", i))
 		g.AddTask(&afg.Task{ID: "t", Function: "synthetic.noop", ComputeCost: 5})
@@ -193,15 +194,16 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 }
 
 // An explicitly named "faithful" policy must run paper-faithful placement
-// even on a site configured availability-aware: the deprecated site flag is
-// a default, not an override of the caller's explicit choice.
+// even on a site whose default policy is availability-aware ("eft"): the
+// site's Policy is a default, not an override of the caller's explicit
+// choice.
 func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
-	graphs := []*afg.Graph{workload.Scale(60, 6, 4, 5)}
+	graphs := []*afg.Graph{dagen.Scale(60, 6, 4, 5)}
 	tables := make([]*scheduler.AllocationTable, 2)
-	for i, avail := range []bool{false, true} {
+	for i, siteDefault := range []string{"", "eft"} {
 		pool := resource.GenerateSite("syracuse", 4, 4, 31)
 		m, err := NewManager("syracuse", pool, netsim.NYNET(0.0001), nil,
-			Config{GroupSize: 3, AvailabilityAware: avail, SchedulerConcurrency: 1})
+			Config{GroupSize: 3, Policy: siteDefault, SchedulerConcurrency: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +221,7 @@ func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
 		b, ok := tables[1].Get(id)
 		//vdce:ignore floateq explicit-vs-implicit policy equivalence: tables must match bit for bit
 		if !ok || a.Host != b.Host || a.Predicted != b.Predicted {
-			t.Fatalf("explicit faithful diverges on avail-aware site at %q: %+v vs %+v", id, a, b)
+			t.Fatalf("explicit faithful diverges on an eft-default site at %q: %+v vs %+v", id, a, b)
 		}
 	}
 }

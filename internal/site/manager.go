@@ -40,17 +40,10 @@ type Config struct {
 	// pool and the batch endpoint's per-application workers
 	// (0 = GOMAXPROCS, 1 = serial).
 	SchedulerConcurrency int
-	// AvailabilityAware makes this site's schedulers place by earliest
-	// finish time (predicted + transfer + host wait) instead of the
-	// paper-faithful predicted + transfer objective.
-	//
-	// Deprecated: set Policy to "eft" instead; the flag remains as the
-	// default-policy fallback for existing configurations.
-	AvailabilityAware bool
 
 	// Policy names the scheduling policy this site runs by default
 	// (scheduler.Lookup name: "faithful", "eft", "heft", "cpop", ...).
-	// Empty selects "eft" when AvailabilityAware is set, else "faithful".
+	// Empty selects "faithful".
 	Policy string
 
 	// Replanner names the frontier re-planner this site's executions run
@@ -66,10 +59,6 @@ type BatchOptions struct {
 	// Policy selects the scheduling policy by registry name for this
 	// batch; empty follows the site default (Config.Policy).
 	Policy string
-	// AvailabilityAware forces earliest-finish-time placement for this
-	// batch even if the site default is paper-faithful. Ignored when a
-	// Policy is named explicitly.
-	AvailabilityAware bool
 	// SharedLedger threads one cross-application load ledger through the
 	// batch (implies availability-aware placement for the site policies):
 	// the batch's graphs see each other's in-flight placements and
@@ -401,43 +390,22 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 	}
 }
 
-// SiteScheduler builds this site's distributed Site Scheduler over the given
-// remote selectors, with the configured fan-out concurrency and placement
-// mode.
-//
-// Deprecated: use Policy (or SchedulePolicy) — the struct remains for
-// callers tuning engine fields directly.
-func (m *Manager) SiteScheduler(remotes []scheduler.HostSelector) *scheduler.SiteScheduler {
-	sched := scheduler.NewSiteScheduler(m.Selector, remotes, m.Net, 0)
-	sched.Concurrency = m.cfg.SchedulerConcurrency
-	sched.AvailabilityAware = m.cfg.AvailabilityAware
-	return sched
-}
-
 // Policy resolves the scheduling policy one call should run: the explicit
-// override, else the site's configured default, else the mode implied by
-// the deprecated AvailabilityAware flag.
+// override, else the site's configured default, else "faithful".
 func (m *Manager) Policy(override string) (scheduler.Policy, error) {
 	name := override
 	if name == "" {
 		name = m.cfg.Policy
 	}
 	if name == "" {
-		if m.cfg.AvailabilityAware {
-			name = "eft"
-		} else {
-			name = "faithful"
-		}
+		name = "faithful"
 	}
 	return scheduler.Lookup(name)
 }
 
 // policyRequest assembles the policy environment for this site: the local
 // Host Selection service, the given remotes, the network model, and the
-// fan-out concurrency. The deprecated AvailabilityAware site flag is NOT
-// folded in here — it acts only through the default-policy fallback in
-// Policy(), so an explicitly named policy (e.g. "faithful" as the ablation
-// baseline) always runs exactly what its name says.
+// fan-out concurrency.
 func (m *Manager) policyRequest(g *afg.Graph, remotes []scheduler.HostSelector, concurrency int, seed int64) *scheduler.Request {
 	return scheduler.NewRequest(g, m.Selector, remotes, m.Net,
 		scheduler.WithConcurrency(concurrency), scheduler.WithSeed(seed))
@@ -453,27 +421,17 @@ func (m *Manager) SchedulePolicy(ctx context.Context, policy string, g *afg.Grap
 	return p.Schedule(ctx, m.policyRequest(g, remotes, m.cfg.SchedulerConcurrency, 0))
 }
 
-// ScheduleBatch schedules many applications concurrently against this site
-// (plus the given remote selectors), sharing the repository and prediction
-// cache across all of them, with the site's default batch options. Results
-// come back in input order.
-func (m *Manager) ScheduleBatch(graphs []*afg.Graph, remotes []scheduler.HostSelector) ([]scheduler.BatchItem, error) {
-	return m.ScheduleBatchOpts(graphs, remotes, BatchOptions{})
-}
-
-// ScheduleBatchOpts is ScheduleBatch with per-call options (the
-// Site.ScheduleBatch RPC surfaces them to clients). It fails fast on an
-// unknown policy name; per-graph failures report through the items.
+// ScheduleBatchOpts schedules many applications concurrently against this
+// site (plus the given remote selectors), sharing the repository and
+// prediction cache across all of them; results come back in input order.
+// The Site.ScheduleBatch RPC surfaces the options to clients. It fails fast
+// on an unknown policy name; per-graph failures report through the items.
 // SchedulerConcurrency is one budget, not two: with several graphs in
 // flight it bounds the batch workers and each schedule fans out serially;
 // a single graph gets the whole budget as fan-out instead. Without this,
 // the effective parallelism would be the square of the configured bound.
 func (m *Manager) ScheduleBatchOpts(graphs []*afg.Graph, remotes []scheduler.HostSelector, opts BatchOptions) ([]scheduler.BatchItem, error) {
-	policyName := opts.Policy
-	if policyName == "" && opts.AvailabilityAware {
-		policyName = "eft"
-	}
-	p, err := m.Policy(policyName)
+	p, err := m.Policy(opts.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +440,10 @@ func (m *Manager) ScheduleBatchOpts(graphs []*afg.Graph, remotes []scheduler.Hos
 		concurrency = 1
 	}
 	env := m.policyRequest(nil, remotes, concurrency, opts.Seed)
-	b := &scheduler.Batch{Scheduler: scheduler.Bind(p, *env), Workers: m.cfg.SchedulerConcurrency}
 	if opts.SharedLedger {
-		b.Ledger = scheduler.NewLoadLedger()
+		env.Config.Ledger = scheduler.NewLoadLedger()
 	}
+	b := &scheduler.Batch{Policy: p, Env: *env, Workers: m.cfg.SchedulerConcurrency}
 	return b.Schedule(graphs), nil
 }
 

@@ -55,16 +55,14 @@ func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
 // BatchArgs carries many JSON-encoded application flow graphs for
 // concurrent scheduling against this site and its configured peers.
 // Policy selects the scheduling policy by registry name ("" = the site's
-// configured default); AvailabilityAware requests earliest-finish-time
-// placement (a false value defers to the site's configured default);
-// SharedLedger threads a cross-application load ledger through the batch
-// so its graphs spread around each other's in-flight placements.
+// configured default); SharedLedger threads a cross-application load ledger
+// through the batch so its graphs spread around each other's in-flight
+// placements.
 type BatchArgs struct {
-	AFGs              [][]byte
-	Policy            string
-	AvailabilityAware bool
-	SharedLedger      bool
-	Seed              int64 // feeds the randomized policies ("random")
+	AFGs         [][]byte
+	Policy       string
+	SharedLedger bool
+	Seed         int64 // feeds the randomized policies ("random")
 }
 
 // BatchReply returns one allocation table (or error string) per input AFG,
@@ -105,13 +103,11 @@ func (s *Service) ScheduleBatch(args BatchArgs, reply *BatchReply) error {
 	for _, p := range s.peers {
 		remotes = append(remotes, p)
 	}
-	opts := BatchOptions{
-		Policy:            args.Policy,
-		AvailabilityAware: args.AvailabilityAware,
-		SharedLedger:      args.SharedLedger,
-		Seed:              args.Seed,
-	}
-	items, err := s.m.ScheduleBatchOpts(graphs, remotes, opts)
+	items, err := s.m.ScheduleBatchOpts(graphs, remotes, BatchOptions{
+		Policy:       args.Policy,
+		SharedLedger: args.SharedLedger,
+		Seed:         args.Seed,
+	})
 	if err != nil {
 		return err
 	}

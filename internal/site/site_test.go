@@ -208,8 +208,7 @@ func TestRPCDistributedScheduling(t *testing.T) {
 	rsel := NewRemoteSelector("rome", addr)
 	defer rsel.Close()
 
-	sched := scheduler.NewSiteScheduler(local.Selector, []scheduler.HostSelector{rsel}, local.Net, 0)
-	table, err := sched.Schedule(solverGraph(t))
+	table, err := local.SchedulePolicy(context.Background(), "faithful", solverGraph(t), []scheduler.HostSelector{rsel})
 	if err != nil {
 		t.Fatal(err)
 	}

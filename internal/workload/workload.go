@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"repro/internal/afg"
-	"repro/internal/dagen"
 	"repro/internal/tasklib"
 )
 
@@ -250,14 +249,4 @@ func LayeredRandom(cfg LayeredConfig) *afg.Graph {
 		prev = cur
 	}
 	return g
-}
-
-// Scale builds the task-library-shaped layered DAG the scale benchmarks
-// use.
-//
-// Deprecated: the construction moved to the seeded-generator package — call
-// dagen.Scale directly. This wrapper delegates (graphs are bit-identical)
-// and remains for callers that only know the workload families.
-func Scale(tasks, width, kinds int, seed int64) *afg.Graph {
-	return dagen.Scale(tasks, width, kinds, seed)
 }
