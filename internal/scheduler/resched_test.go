@@ -1,11 +1,15 @@
+//vdce:ignore-file floateq re-planner certification file: repaired tables, predictions and makespans must agree bit for bit across the replay paths
 package scheduler
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 )
 
@@ -328,7 +332,7 @@ func TestReplanCertifiedBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: certify: %v", name, seed, err)
 			}
-			if audit.Makespan != mk { //vdce:ignore floateq bit-identity between the two replay paths is the certification contract
+			if audit.Makespan != mk {
 				t.Fatalf("%s seed %d: validator %v != simulator %v", name, seed, audit.Makespan, mk)
 			}
 		}
@@ -352,5 +356,171 @@ func TestReplanNoEligibleHost(t *testing.T) {
 	})
 	if !errors.Is(err, ErrNoEligibleHost) {
 		t.Fatalf("err = %v, want ErrNoEligibleHost", err)
+	}
+}
+
+// parallelDiamond is diamondGraph with C a two-processor parallel task, A
+// done on a-0 and C committed on {a-1, b-0}.
+func parallelDiamond(t testing.TB, model TimeModel) (*afg.Graph, *AllocationTable) {
+	t.Helper()
+	g := diamondGraph(t)
+	c := g.Task("C")
+	c.Mode, c.Processors = afg.Parallel, 2
+	tbl := tableOn(g, model, "alpha", "a-0")
+	tbl.Set(Assignment{Task: "C", Site: "alpha", Host: "a-1",
+		Hosts: []string{"a-1", "b-0"}, Predicted: model(c, "a-1") / 2})
+	return g, tbl
+}
+
+// A multi-host frontier assignment survives verbatim while every member is
+// up, and is re-placed on ONE eligible host once a member is down — under
+// every re-planner.
+func TestReplanParallelFrontierTask(t *testing.T) {
+	hosts, model, net := reschedEnv()
+	for _, name := range Replanners() {
+		t.Run(name, func(t *testing.T) {
+			rp, _ := LookupReplanner(name)
+			g, tbl := parallelDiamond(t, model)
+			was, _ := tbl.Get("C")
+			pl, err := rp.Replan(&ReplanRequest{
+				Graph: g, Table: tbl,
+				Done:  map[afg.TaskID]float64{"A": 2},
+				Down:  map[string]bool{"b-1": true},
+				Event: Deviation{Kind: DeviationHostDown, Host: "b-1", At: 2},
+				Costs: model, Hosts: hosts, Net: net,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if is, _ := pl.Table.Get("C"); !reflect.DeepEqual(is, was) {
+				t.Fatalf("intact parallel task changed: %+v -> %+v", was, is)
+			}
+			if _, err := CertifyReplan(g, pl.Table, model, net); err != nil {
+				t.Fatal(err)
+			}
+
+			pl, err = rp.Replan(&ReplanRequest{
+				Graph: g, Table: tbl,
+				Done:  map[afg.TaskID]float64{"A": 2},
+				Down:  map[string]bool{"b-0": true},
+				Event: Deviation{Kind: DeviationHostDown, Host: "b-0", At: 2},
+				Costs: model, Hosts: hosts, Net: net,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			is, _ := pl.Table.Get("C")
+			if len(is.Hosts) != 1 || is.Hosts[0] != is.Host || is.Host == "b-0" {
+				t.Fatalf("broken parallel task not re-placed on one live host: %+v", is)
+			}
+			if is.Predicted != model(g.Task("C"), is.Host) {
+				t.Fatalf("re-placed parallel task predicted %v, want the unsplit model value", is.Predicted)
+			}
+			if _, err := CertifyReplan(g, pl.Table, model, net); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// The two start rules: B (waiting on A's data until t≈10) reserves the fast
+// host a-1 late, leaving an idle gap before it. heft slides C into the gap
+// (insertion); eft starts C after the line's end (append) and so prefers
+// another machine.
+func TestReplanInsertionVersusAppend(t *testing.T) {
+	hosts, model, net := reschedEnv()
+	g := afg.New("gap")
+	for id, cost := range map[string]float64{"A": 5, "B": 4, "C": 2} {
+		if err := g.AddTask(&afg.Task{ID: afg.TaskID(id), Function: "synthetic.noop",
+			ComputeCost: cost, OutputBytes: 1 << 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.AddLink(afg.Link{From: "A", To: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	assign := func(id afg.TaskID, site, host string) Assignment {
+		return Assignment{Task: id, Site: site, Host: host, Hosts: []string{host},
+			Predicted: model(g.Task(id), host)}
+	}
+	tbl := NewAllocationTable(g.Name)
+	tbl.Set(assign("A", "beta", "b-1")) // done at 5/0.5 = 10
+	tbl.Set(assign("B", "alpha", "a-1"))
+	tbl.Set(assign("C", "alpha", "a-0")) // the host that fails
+	for name, wantC := range map[string]string{"heft": "a-1", "eft": "b-0"} {
+		rp, _ := LookupReplanner(name)
+		pl, err := rp.Replan(&ReplanRequest{
+			Graph: g, Table: tbl,
+			Done:  map[afg.TaskID]float64{"A": 10},
+			Down:  map[string]bool{"a-0": true},
+			Event: Deviation{Kind: DeviationHostDown, Host: "a-0", At: 10},
+			Costs: model, Hosts: hosts, Net: net,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b, _ := pl.Table.Get("B"); b.Host != "a-1" {
+			t.Fatalf("%s: B on %s, want a-1 (the scenario needs the late reservation there)", name, b.Host)
+		}
+		if c, _ := pl.Table.Get("C"); c.Host != wantC {
+			t.Fatalf("%s: C on %s, want %s", name, c.Host, wantC)
+		}
+		audit, err := CertifyReplan(g, pl.Table, model, net)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Either way C runs beside the critical chain A → B, so the
+		// certified makespan is B's finish on a-1.
+		if b, _ := audit.Span("B"); audit.Makespan != b.End {
+			t.Fatalf("%s: makespan %v, want B's finish %v", name, audit.Makespan, b.End)
+		}
+	}
+}
+
+// Initial scheduling is a re-plan with an empty settled set: heft
+// re-planning an unstarted application over the policy's own cost matrix
+// returns exactly the heft policy's table.
+func TestHEFTReplanOfNothingSettledIsHEFTPolicy(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		env, _, net := equivEnv(t, seed)
+		req := *env
+		req.Graph = dagen.Scale(120, 8, 6, seed)
+		req.Config.Costs = NewCostCache()
+		if err := req.PrewarmCosts(); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := req.Graph.Index()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := req.costMatrix(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := map[string]int{}
+		for c, h := range cm.Hosts() {
+			col[h.Host] = c
+		}
+		want, err := runPolicy("heft", &req, req.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, _ := LookupReplanner("heft")
+		pl, err := rp.Replan(&ReplanRequest{
+			Graph: req.Graph,
+			Table: NewAllocationTable(req.Graph.Name),
+			Costs: func(task *afg.Task, host string) float64 {
+				return cm.Pred(ix.Of(task.ID), col[host])
+			},
+			Hosts: cm.Hosts(),
+			Net:   net,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, fmt.Sprintf("seed %d", seed), pl.Table, want)
+		if pl.Moved != req.Graph.Len() {
+			t.Fatalf("seed %d: Moved = %d, want every task (%d)", seed, pl.Moved, req.Graph.Len())
+		}
 	}
 }
