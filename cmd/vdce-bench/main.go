@@ -22,11 +22,8 @@
 //	vdce-bench -exp CHURN -churn-sizes 20,40 -churn-ccrs 0.5,2 -churn-graphs 2
 //	vdce-bench -exp CHURN -churn-replanners eft,dup -churn-threshold 2 -churn-workers 8
 //
-// For the performance trajectory, -bench-out writes one BENCH_<ID>.json
-// per selected experiment ({bench, ns_per_op, allocs_per_op, commit, date};
-// commit from GITHUB_SHA, date from BENCH_DATE when CI sets them):
-//
-//	vdce-bench -exp RANKING -bench-out bench/
+// Timings per commit are the job of benchmark/ (see its README), not of
+// this command.
 package main
 
 import (
@@ -34,12 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -87,7 +82,6 @@ func run() int {
 	churnWorkers := flag.Int("churn-workers", 0, "CHURN worker-pool size; results are bit-identical for any value (0 = GOMAXPROCS, 1 = serial)")
 	churnReplanners := flag.String("churn-replanners", "", "restrict the CHURN experiment to these comma-separated re-planners (empty = all registered)")
 	churnThreshold := flag.Float64("churn-threshold", 0, "CHURN overrun threshold as a multiple of the predicted duration (0 = default)")
-	benchOut := flag.String("bench-out", "", "directory for per-experiment BENCH_<ID>.json trajectory files (wall ns + allocs per run)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -216,24 +210,11 @@ func run() int {
 	failed := false
 	var jsonResults []resultJSON
 	for _, id := range ids {
-		var m0 runtime.MemStats
-		if *benchOut != "" {
-			runtime.ReadMemStats(&m0)
-		}
-		t0 := time.Now()
 		r, err := experimentFuncs[id](*seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			failed = true
 			continue
-		}
-		if *benchOut != "" {
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			if err := writeBenchRecord(*benchOut, id, time.Since(t0).Nanoseconds(), m1.Mallocs-m0.Mallocs); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: bench-out: %v\n", id, err)
-				failed = true
-			}
 		}
 		if *jsonOut {
 			jsonResults = append(jsonResults, resultJSON{
@@ -266,42 +247,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// benchRecord is one point of the performance trajectory: the wall time
-// and allocation count of a single experiment run, stamped with the commit
-// and date so the committed BENCH_*.json files graph across history.
-type benchRecord struct {
-	Bench       string `json:"bench"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	Commit      string `json:"commit"`
-	Date        string `json:"date"`
-}
-
-// writeBenchRecord writes dir/BENCH_<id>.json. The commit comes from
-// GITHUB_SHA and the date from BENCH_DATE — both set by the CI workflow —
-// with a local-clock fallback so ad-hoc runs still produce usable points.
-func writeBenchRecord(dir, id string, ns int64, allocs uint64) error {
-	date := os.Getenv("BENCH_DATE")
-	if date == "" {
-		date = time.Now().UTC().Format(time.RFC3339)
-	}
-	rec := benchRecord{
-		Bench:       id,
-		NsPerOp:     ns,
-		AllocsPerOp: allocs,
-		Commit:      os.Getenv("GITHUB_SHA"),
-		Date:        date,
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+id+".json"), append(data, '\n'), 0o644)
 }
 
 // resultJSON is one experiment's machine-readable form: the series columns

@@ -82,12 +82,13 @@
 //
 // Executions recover from host churn on two levels. Mid-flight, a dead
 // host triggers one whole-frontier re-plan: the runtime hands the
-// unstarted tasks to a scheduler.Replanner — a registry mirroring the
-// policy API with a full HEFT rescan of the frontier ("heft"), cheap EFT
-// patching of only the suspect tasks ("eft"), and EFT patching plus
-// duplication of critical tasks onto idle hosts ("dup") — which repairs
-// the committed table against the settled work's timelines; every repaired
-// table is certified by ValidateSchedule before adoption
+// unstarted tasks to a scheduler.Replanner, selected by name like a
+// policy. The three built-ins are strategies over the kernel the heft and
+// cpop policies place with, started from the settled set: "heft" runs the
+// heft policy's own pass over the whole frontier (with nothing settled it
+// IS the heft policy), "eft" re-places, append-only, just the tasks
+// touching a suspect host, and "dup" adds duplicates of those on idle
+// hosts; every repaired table is certified by ValidateSchedule before adoption
 // (scheduler.CertifyReplan), and the per-task §2.3.1 rescheduling request
 // remains the fallback. Between executions, the monitoring plane catches
 // up: a Group Manager round marks dead hosts down in the repository,

@@ -102,7 +102,7 @@ func TestHotAllocBudgets(t *testing.T) {
 		c := commModel{latency: 5e-3, perByte: 1e-7}
 		buf := make([]float64, cm.ix.Len()) // warm scratch, as a pooled holder provides
 		got := testing.AllocsPerRun(10, func() {
-			if r := upwardRanks(cm, c, buf); len(r) != cm.ix.Len() {
+			if r := upwardRanks(cm, c, nil, buf); len(r) != cm.ix.Len() {
 				t.Fatal("short rank vector")
 			}
 		})

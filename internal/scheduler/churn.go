@@ -199,14 +199,6 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 		}
 		return m
 	}
-	runningIDs := func() []afg.TaskID {
-		rs := make([]afg.TaskID, 0, len(running))
-		for id := range running {
-			rs = append(rs, id)
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		return rs
-	}
 
 	replan := func(ev Deviation) error {
 		if cfg.MaxReplans > 0 && out.Replans >= cfg.MaxReplans {
@@ -226,7 +218,7 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 			Hosts:   hosts,
 			Net:     net,
 		}
-		for _, id := range runningIDs() {
+		for _, id := range sortedIDs(running) {
 			f := running[id].predFin
 			if now > f {
 				f = now
@@ -234,11 +226,14 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 			req.Running[id] = f
 		}
 		pl, err := rp.Replan(req)
-		if err != nil {
+		if errors.Is(err, ErrNoEligibleHost) {
 			// An unrepairable moment (e.g. every eligible host down) is
 			// not fatal: execution continues on the stale plan and a
 			// later recovery or deviation may retry.
 			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("churn replan (%s, %s): %w", cfg.Replanner, ev.Kind, err)
 		}
 		if _, err := CertifyReplan(g, pl.Table, predicted, net); err != nil {
 			return fmt.Errorf("churn replan (%s, %s): %w", cfg.Replanner, ev.Kind, err)
@@ -338,7 +333,7 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 
 		finAt, finID := none, afg.TaskID("")
 		detAt, detID := none, afg.TaskID("")
-		for _, id := range runningIDs() {
+		for _, id := range sortedIDs(running) {
 			r := running[id]
 			if r.actualFin < finAt {
 				finAt, finID = r.actualFin, id
@@ -385,7 +380,7 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 			}
 			down[ev.Host] = true
 			hostFree[ev.Host] = now
-			for _, id := range runningIDs() {
+			for _, id := range sortedIDs(running) {
 				r := running[id]
 				if !hostIn(r.hosts, ev.Host) {
 					continue

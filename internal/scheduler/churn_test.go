@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/afg"
@@ -175,5 +177,51 @@ func TestGenerateChurnTrace(t *testing.T) {
 	}
 	if len(failed) >= len(names) {
 		t.Fatalf("no survivor: %d of %d hosts fail", len(failed), len(names))
+	}
+}
+
+// failingReplanner fails every re-plan with an error that is NOT "no
+// eligible host right now".
+type failingReplanner struct{}
+
+var errReplannerBroken = errors.New("replanner broken")
+
+func (failingReplanner) Name() string                           { return "test-failing" }
+func (failingReplanner) Replan(*ReplanRequest) (*Replan, error) { return nil, errReplannerBroken }
+
+// Only ErrNoEligibleHost is a survivable re-plan failure: anything else —
+// a malformed request, a kernel bug — must fail the run, named, instead of
+// degrading into a plausible outcome with fewer re-plans.
+func TestChurnSurfacesReplannerErrors(t *testing.T) {
+	// Registered for this test only: the other tests walk Replanners().
+	RegisterReplanner(failingReplanner{})
+	t.Cleanup(func() {
+		replanners.mu.Lock()
+		defer replanners.mu.Unlock()
+		delete(replanners.m, failingReplanner{}.Name())
+	})
+	hosts, model, net := reschedEnv()
+	g := diamondGraph(t)
+	tbl := tableOn(g, model, "alpha", "a-0")
+	trace := ChurnTrace{Events: []ChurnEvent{{At: 1, Host: "a-0", Down: true}}}
+	_, err := RunChurn(g, tbl, model, net, hosts, trace, ChurnConfig{Replanner: "test-failing"})
+	if !errors.Is(err, errReplannerBroken) {
+		t.Fatalf("err = %v, want the re-planner's own error", err)
+	}
+	for _, want := range []string{"test-failing", DeviationHostDown.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+
+	// Every host down at once: no eligible host is the documented
+	// non-fatal case, and the run proceeds to "stuck", not to a re-plan error.
+	var all []ChurnEvent
+	for _, h := range hosts {
+		all = append(all, ChurnEvent{At: 1, Host: h.Host, Down: true})
+	}
+	_, err = RunChurn(g, tbl, model, net, hosts, ChurnTrace{Events: all}, ChurnConfig{Replanner: "eft"})
+	if err == nil || errors.Is(err, ErrNoEligibleHost) {
+		t.Fatalf("err = %v, want the executor's stuck error, not a re-plan failure", err)
 	}
 }

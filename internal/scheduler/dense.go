@@ -41,6 +41,12 @@ type CostMatrix struct {
 	pred   []float64   // V×H row-major; NaN = ineligible
 	blocks []siteBlock // participating sites, ascending name
 	sites  []string    // participating site names, ascending
+
+	// A re-plan's matrix is lazy: model prices a task's row the first time
+	// row asks for it, so a patch strategy pays only for the tasks it
+	// re-places. Gathered matrices leave model nil and are always full.
+	model  TimeModel
+	filled []bool
 }
 
 // siteBlock is one site's contribution to the matrix: a column range for
@@ -60,13 +66,58 @@ func (cm *CostMatrix) Sites() []string { return cm.sites }
 // Pred returns the predicted seconds for task index t on column c (NaN
 // when ineligible).
 func (cm *CostMatrix) Pred(t, c int) float64 {
-	return cm.pred[t*len(cm.hosts)+c]
+	return cm.row(t)[c]
 }
 
 // row returns task t's prediction row.
 func (cm *CostMatrix) row(t int) []float64 {
 	h := len(cm.hosts)
-	return cm.pred[t*h : (t+1)*h]
+	row := cm.pred[t*h : (t+1)*h]
+	if cm.model != nil && !cm.filled[t] {
+		cm.fill(t, row)
+	}
+	return row
+}
+
+// fill prices task t on every column from the lazy matrix's model; a cost
+// the model cannot vouch for (NaN, infinite, negative) marks the host
+// ineligible.
+func (cm *CostMatrix) fill(t int, row []float64) {
+	task := cm.ix.Task(t)
+	for c, h := range cm.hosts {
+		row[c] = cm.model(task, h.Host)
+		if !validCost(row[c]) {
+			row[c] = math.NaN()
+		}
+	}
+	cm.filled[t] = true
+}
+
+func validCost(c float64) bool {
+	return !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0
+}
+
+// modelCostMatrix is the lazy matrix of a re-plan: one column per host, in
+// the given order — which must be site-then-host ascending, the gather's
+// column order — and no row priced until it is read.
+func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel) *CostMatrix {
+	cm := &CostMatrix{
+		ix:     ix,
+		hosts:  hosts,
+		col:    make(map[string]int32, len(hosts)),
+		pred:   make([]float64, ix.Len()*len(hosts)),
+		model:  model,
+		filled: make([]bool, ix.Len()),
+	}
+	for c, h := range hosts {
+		cm.col[h.Host] = int32(c)
+		if n := len(cm.blocks); n == 0 || cm.blocks[n-1].name != h.Site {
+			cm.sites = append(cm.sites, h.Site)
+			cm.blocks = append(cm.blocks, siteBlock{name: h.Site, col0: int32(c)})
+		}
+		cm.blocks[len(cm.blocks)-1].col1 = int32(c + 1)
+	}
+	return cm
 }
 
 // meanExec is w̄(t): the prediction averaged over every candidate of task

@@ -38,7 +38,7 @@ func BenchmarkRankU(b *testing.B) {
 	b.ResetTimer()
 	var buf []float64
 	for i := 0; i < b.N; i++ {
-		buf = upwardRanks(cm, c, buf)
+		buf = upwardRanks(cm, c, nil, buf)
 		if len(buf) != cm.ix.Len() {
 			b.Fatal("short rank vector")
 		}

@@ -30,7 +30,8 @@ import (
 // graph's dense Index, and host timelines find insertion gaps by binary
 // search. The original map-keyed implementations are retained in
 // oracle_test.go; equivalence tests prove the dense paths produce
-// identical allocation tables.
+// identical allocation tables. The frontier re-planners (resched.go) are
+// strategies over the same placement state, started from a settled set.
 
 // commModel is the environment-average communication cost the rank
 // computations use (the classic HEFT "average transfer rate" treatment):
@@ -77,19 +78,27 @@ func commFromNames(net *netsim.Network, names []string) commModel {
 // upwardRanks computes rank_u(t) = w̄(t) + max over children of
 // (c̄(t, child) + rank_u(child)) — the length of the most expensive path
 // from t to an exit, in mean costs — as a dense slice over the matrix.
-// The rank vector is written into buf (grown only until its capacity
-// reaches the graph size), so a warm scratch makes the sweep
-// allocation-free; every element is overwritten before it is read.
+// front, when non-nil, restricts the sweep to the subgraph it marks (a
+// re-plan's unstarted frontier); other elements are left unwritten and must
+// not be read. The rank vector is written into buf (grown only until its
+// capacity reaches the graph size), so a warm scratch makes the sweep
+// allocation-free; every swept element is overwritten before it is read.
 //
 //vdce:hot allocs=0
-func upwardRanks(cm *CostMatrix, c commModel, buf []float64) []float64 {
+func upwardRanks(cm *CostMatrix, c commModel, front []bool, buf []float64) []float64 {
 	ix := cm.ix
 	topo := ix.Topo()
 	rank := grow(buf, ix.Len())
 	for k := len(topo) - 1; k >= 0; k-- {
 		i := topo[k]
+		if front != nil && !front[i] {
+			continue
+		}
 		var best float64
 		for _, a := range ix.Children(int(i)) {
+			if front != nil && !front[a.Peer] {
+				continue
+			}
 			if v := c.cost(a.Bytes) + rank[a.Peer]; v > best {
 				best = v
 			}
@@ -118,14 +127,17 @@ func downwardRanks(cm *CostMatrix, c commModel, buf []float64) []float64 {
 	return rank
 }
 
-// rankOrderDesc fills buf with dense task indices by descending rank,
-// index (= ascending TaskID) on ties, and returns it (grown when short).
+// rankOrderDesc fills buf with the dense indices of the tasks front marks
+// (nil = every task) by descending rank, index (= ascending TaskID) on
+// ties, and returns it (grown when short).
 //
 //vdce:ignore allocflow rank ordering runs once per schedule: the sort closure lives for the O(V log V) call and the index buffer is pooled scratch
-func rankOrderDesc(rank []float64, buf []int32) []int32 {
-	out := grow(buf, len(rank))
-	for i := range out {
-		out[i] = int32(i)
+func rankOrderDesc(rank []float64, front []bool, buf []int32) []int32 {
+	out := grow(buf, len(rank))[:0]
+	for i := range rank {
+		if front == nil || front[i] {
+			out = append(out, int32(i))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ri, rj := rank[out[i]], rank[out[j]]
@@ -188,11 +200,15 @@ func (t *timeline) add(start, end float64) {
 	t.busy[i] = span{start, end}
 }
 
-// placement is the shared HEFT/CPOP scheduling state, slice-indexed end to
-// end: per-host-column timelines (seeded from one bulk ledger snapshot),
-// per-task estimated finishes and assigned host sets by dense task index,
-// and the allocation table under construction. Hosts offered only through
-// a fallback site's opaque choices get map-keyed overflow timelines.
+// placement is the package's one earliest-finish placement state — HEFT,
+// CPOP and the frontier re-planners all place through it — slice-indexed
+// end to end: per-host-column timelines (seeded from one bulk ledger
+// snapshot, or from the settled set of a running application), per-task
+// estimated finishes and assigned host sets by dense task index, and the
+// allocation table under construction. Hosts outside the matrix — a
+// fallback site's opaque choices, the down machines a settled task still
+// sits on — get map-keyed overflow timelines. The zero strategy fields are
+// planning from scratch; only this package's re-planners set them.
 type placement struct {
 	cm    *CostMatrix
 	net   *netsim.Network
@@ -201,10 +217,15 @@ type placement struct {
 	canon []int32 // column -> canonical column for its host NAME
 	extra map[string]*timeline
 
+	placed []bool // task is settled or committed; gates finish/site/hosts
 	finish []float64
-	site   []string   // assigned site per task; "" = unplaced
+	site   []string   // assigned site per task
 	hosts  [][]string // assigned host set per task
 	table  *AllocationTable
+
+	appendOnly bool             // start after the host's last reservation instead of in the first fitting gap
+	singleHost bool             // place a parallel-mode task on one host (its machine set broke)
+	prior      *AllocationTable // the committed table under repair: where keep finds a task's current hosts
 
 	choiceBuf []Choice // scratch for the parallel placement path
 
@@ -219,16 +240,17 @@ type placement struct {
 
 // newPlacement wires the placement state onto sc's pooled buffers. The
 // timelines, columns, and per-task vectors are scratch (contract 2 in
-// scratch.go: siteOf and hostSets are reset, finish is gated by the site
-// marker); the table and hostSlab are output and allocated fresh.
+// scratch.go: placed and hostSets are reset, finish and siteOf are gated by
+// the placed marker); the table and hostSlab are output and allocated fresh.
 //
 //vdce:ignore allocflow per-schedule setup, O(V+H) once: the output slab and the seeded ledger spans are one-time, the rest is pooled scratch
 func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
 	sc.canon = grow(sc.canon, len(cm.hosts))
-	sc.finish = grow(sc.finish, n)         // gated by site == "" before reads
-	sc.siteOf = growZero(sc.siteOf, n)     // "" = unplaced marker must reset
+	sc.placed = growZero(sc.placed, n)     // false = unplaced marker must reset
+	sc.finish = grow(sc.finish, n)         // gated by placed before reads
+	sc.siteOf = grow(sc.siteOf, n)         // gated by placed before reads
 	sc.hostSets = growZero(sc.hostSets, n) // drop the prior schedule's refs
 	sc.blockReady = grow(sc.blockReady, len(cm.blocks))
 	p := &placement{
@@ -237,6 +259,7 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 		ledg:        ledger,
 		lines:       sc.lines,
 		canon:       sc.canon,
+		placed:      sc.placed,
 		finish:      sc.finish,
 		site:        sc.siteOf,
 		hosts:       sc.hostSets,
@@ -296,18 +319,20 @@ func (p *placement) line(host string) *timeline {
 // schedule output and are never returned. Call before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
 	sc.lines, sc.canon = p.lines, p.canon
-	sc.finish, sc.siteOf, sc.hostSets = p.finish, p.site, p.hosts
+	sc.placed, sc.finish, sc.siteOf, sc.hostSets = p.placed, p.finish, p.site, p.hosts
 	sc.blockReady, sc.parentHosts = p.blockReady, p.parentHosts
 	sc.choiceBuf = p.choiceBuf
 }
 
 // readyAt is the data-ready time of task t on the given host set at site:
 // every scheduled parent's estimated finish, plus the inter-site transfer
-// unless a host is shared with the parent.
+// unless a host is shared with the parent. A nil host set shares nothing:
+// the same float operations, in the same order, as for any candidate off
+// the parents' hosts, which lets prepReady memoise it per site block.
 func (p *placement) readyAt(t int, site string, hosts []string) float64 {
 	var ready float64
 	for _, a := range p.cm.ix.Parents(t) {
-		if p.site[a.Peer] == "" {
+		if !p.placed[a.Peer] {
 			continue // unplaced parent (possible only on rank ties); skip
 		}
 		arrive := p.finish[a.Peer]
@@ -315,27 +340,6 @@ func (p *placement) readyAt(t int, site string, hosts []string) float64 {
 			if a.Bytes > 0 && !sharesHost(p.hosts[a.Peer], hosts) {
 				arrive += p.net.TransferTime(p.site[a.Peer], site, a.Bytes).Seconds()
 			}
-		}
-		if arrive > ready {
-			ready = arrive
-		}
-	}
-	return ready
-}
-
-// readyAtBase is readyAt with no candidate host set: the transfer is
-// charged for every byte-carrying placed parent. Bit-identical to readyAt
-// whenever the candidate shares no host with any such parent — the same
-// float operations fold in the same order.
-func (p *placement) readyAtBase(t int, site string) float64 {
-	var ready float64
-	for _, a := range p.cm.ix.Parents(t) {
-		if p.site[a.Peer] == "" {
-			continue
-		}
-		arrive := p.finish[a.Peer]
-		if p.net != nil && a.Bytes > 0 {
-			arrive += p.net.TransferTime(p.site[a.Peer], site, a.Bytes).Seconds()
 		}
 		if arrive > ready {
 			ready = arrive
@@ -357,7 +361,7 @@ func (p *placement) readyAtBase(t int, site string) float64 {
 func (p *placement) prepReady(t int) {
 	p.parentHosts = p.parentHosts[:0]
 	for _, a := range p.cm.ix.Parents(t) {
-		if a.Bytes > 0 && p.site[a.Peer] != "" {
+		if a.Bytes > 0 && p.placed[a.Peer] {
 			//vdce:ignore allocflow appends into pooled scratch: the parent host list reaches the schedule's high-water mark and stays
 			p.parentHosts = append(p.parentHosts, p.hosts[a.Peer]...)
 		}
@@ -366,7 +370,7 @@ func (p *placement) prepReady(t int) {
 		if p.cm.blocks[bi].fallback != nil {
 			continue // single candidate per block: memoising buys nothing
 		}
-		p.blockReady[bi] = p.readyAtBase(t, p.cm.blocks[bi].name)
+		p.blockReady[bi] = p.readyAt(t, p.cm.blocks[bi].name, nil)
 	}
 }
 
@@ -380,14 +384,28 @@ func hostIn(hosts []string, h string) bool {
 	return false
 }
 
-// place schedules one task on the candidate minimising insertion-based
-// earliest finish time, walking the matrix row in deterministic site/host
-// order. restrict, when non-nil, limits the hosts considered (CPOP's
-// critical-path pinning); if it excludes every candidate, placement
-// retries unrestricted rather than failing the application.
+// startOn is the strategy's start rule on one host line: the first idle
+// gap at or after ready that fits dur (insertion), or, append-only, the
+// later of ready and the line's last reservation.
+func (p *placement) startOn(l *timeline, ready, dur float64) float64 {
+	if !p.appendOnly {
+		return l.earliest(ready, dur)
+	}
+	if e := l.end(); e > ready {
+		return e
+	}
+	return ready
+}
+
+// place schedules one task on the candidate minimising earliest finish
+// time under the strategy's start rule, walking the matrix row in
+// deterministic site/host order. restrict, when non-nil, limits the hosts
+// considered (CPOP's critical-path pinning); if it excludes every
+// candidate, placement retries unrestricted rather than failing the
+// application.
 func (p *placement) place(t int, restrict map[string]bool) error {
 	task := p.cm.ix.Task(t)
-	if task.Mode == afg.Parallel && task.Processors > 1 {
+	if task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost {
 		return p.placeParallel(t, task, restrict)
 	}
 	var best Choice
@@ -406,7 +424,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			}
 			hostBuf[0] = c.Host
 			ready := p.readyAt(t, c.Site, hostBuf[:])
-			start := p.line(c.Host).earliest(ready, c.Predicted)
+			start := p.startOn(p.line(c.Host), ready, c.Predicted)
 			p.consider(&best, &bestStart, &bestFinish, &found,
 				Choice{Site: c.Site, Host: c.Host, Predicted: c.Predicted}, start)
 			continue
@@ -427,7 +445,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 				hostBuf[0] = host
 				ready = p.readyAt(t, b.name, hostBuf[:])
 			}
-			start := p.lines[p.canon[col]].earliest(ready, pr)
+			start := p.startOn(&p.lines[p.canon[col]], ready, pr)
 			p.consider(&best, &bestStart, &bestFinish, &found,
 				Choice{Site: b.name, Host: host, Predicted: pr}, start)
 		}
@@ -539,13 +557,88 @@ func (p *placement) placeParallel(t int, task *afg.Task, restrict map[string]boo
 }
 
 func (p *placement) commit(t int, a Assignment, start, fin float64) {
-	p.table.Set(a)
-	p.finish[t] = fin
-	p.site[t] = a.Site
-	p.hosts[t] = effectiveHosts(a)
+	p.record(t, a, fin)
 	for _, h := range p.hosts[t] {
 		p.line(h).add(start, fin)
 	}
+}
+
+// record enters a's assignment in the table and makes it visible to
+// readyAt; the caller reserves the host lines.
+func (p *placement) record(t int, a Assignment, fin float64) {
+	p.table.Set(a)
+	p.placed[t] = true
+	p.finish[t] = fin
+	p.site[t] = a.Site
+	p.hosts[t] = effectiveHosts(a)
+}
+
+// settle enters a task that has already started (finished at fin, or
+// running and expected to finish then): its assignment is copied verbatim
+// and every host it occupies is held busy from 0 to the latest settled
+// finish on it — one span per line, the shape a ledger snapshot seeds.
+func (p *placement) settle(t int, a Assignment, fin float64) {
+	p.record(t, a, fin)
+	for _, h := range p.hosts[t] {
+		l := p.line(h)
+		if len(l.busy) == 0 {
+			if fin > 0 {
+				l.busy = append(l.busy, span{0, fin})
+			}
+		} else if fin > l.busy[0].end {
+			l.busy[0].end = fin
+		}
+	}
+}
+
+// keep commits a movable task on the hosts the table under repair already
+// gives it, after their last reservations, so later placements see the
+// occupancy. A single-host task is re-priced by the model; a machine set
+// keeps its committed prediction and is data-ready when its primary is.
+func (p *placement) keep(t int) {
+	a, _ := p.prior.Get(p.cm.ix.ID(t))
+	hosts := effectiveHosts(a)
+	dur := a.Predicted
+	if len(hosts) == 1 {
+		if c := p.cm.model(p.cm.ix.Task(t), a.Host); validCost(c) {
+			dur = c
+		}
+	}
+	primary := [1]string{a.Host}
+	start := p.readyAt(t, a.Site, primary[:])
+	for _, h := range hosts {
+		if e := p.line(h).end(); e > start {
+			start = e
+		}
+	}
+	p.commit(t, a, start, start+dur)
+}
+
+// placeAll walks order, keeping the tasks stay marks (nil = none) where
+// they are and placing every other one.
+func (p *placement) placeAll(ctx context.Context, order []int32, stay []bool) error {
+	for _, t := range order {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if stay != nil && stay[t] {
+			p.keep(int(t))
+		} else if err := p.place(int(t), nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// heftPass is HEFT over the movable part of an application: upward ranks
+// over the subgraph front marks (nil = every task), then rank-descending
+// earliest-finish placement of it, the tasks in stay excepted. The heft
+// policy is the pass with nothing settled; the heft re-planner runs it
+// over the unstarted frontier.
+func heftPass(ctx context.Context, p *placement, c commModel, front, stay []bool, sc *scratch) error {
+	sc.rankU = upwardRanks(p.cm, c, front, sc.rankU)
+	sc.order = rankOrderDesc(sc.rankU, front, sc.order)
+	return p.placeAll(ctx, sc.order, stay)
 }
 
 // reserveLedger records the finished schedule's predicted busy seconds in
@@ -598,17 +691,10 @@ func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	}
 	sc := getScratch()
 	defer sc.release()
-	sc.rankU = upwardRanks(cm, c, sc.rankU)
-	sc.order = rankOrderDesc(sc.rankU, sc.order)
 	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
-	for _, t := range sc.order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := p.place(int(t), nil); err != nil {
-			return nil, err
-		}
+	if err := heftPass(ctx, p, c, nil, nil, sc); err != nil {
+		return nil, err
 	}
 	p.reserveLedger()
 	return p.table, nil
@@ -633,7 +719,7 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	}
 	sc := getScratch()
 	defer sc.release()
-	sc.rankU = upwardRanks(cm, c, sc.rankU)
+	sc.rankU = upwardRanks(cm, c, nil, sc.rankU)
 	sc.rankD = downwardRanks(cm, c, sc.rankD)
 	prio := sc.rankU
 	for i := range prio {

@@ -16,50 +16,68 @@ import (
 // ErrUnknownPolicy reports a Lookup for a name nothing registered.
 var ErrUnknownPolicy = errors.New("scheduler: unknown policy")
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Policy{}
-)
+// registry is the name → implementation table behind both the policy and
+// the re-planner registries: registration at init, lookup by name, sorted
+// names for error messages and flag help.
+type registry[T interface{ Name() string }] struct {
+	kind    string // "policy" / "replanner", for panic messages
+	unknown error  // sentinel a failed lookup wraps
+	mu      sync.RWMutex
+	m       map[string]T
+}
 
-// Register installs a policy under p.Name(). It panics on an empty name or
-// a duplicate registration — both are programming errors caught at init.
-func Register(p Policy) {
-	name := p.Name()
+// register installs v under v.Name(). It panics on an empty name or a
+// duplicate registration — both are programming errors caught at init.
+func (r *registry[T]) register(v T) {
+	name := v.Name()
 	if name == "" {
-		panic("scheduler: Register with empty policy name")
+		panic(fmt.Sprintf("scheduler: %s registered with empty name", r.kind))
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("scheduler: policy %q registered twice", name))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.m[name]; dup {
+		panic(fmt.Sprintf("scheduler: %s %q registered twice", r.kind, name))
 	}
-	registry[name] = p
+	r.m[name] = v
 }
 
-// Lookup resolves a policy by name. Unknown names return an error wrapping
-// ErrUnknownPolicy that lists every registered policy.
-func Lookup(name string) (Policy, error) {
-	registryMu.RLock()
-	p, ok := registry[name]
-	registryMu.RUnlock()
+// lookup resolves name, or returns an error wrapping r.unknown that lists
+// every registered name.
+func (r *registry[T]) lookup(name string) (T, error) {
+	r.mu.RLock()
+	v, ok := r.m[name]
+	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)",
-			ErrUnknownPolicy, name, strings.Join(Policies(), ", "))
+		return v, fmt.Errorf("%w %q (available: %s)",
+			r.unknown, name, strings.Join(r.names(), ", "))
 	}
-	return p, nil
+	return v, nil
 }
 
-// Policies returns the registered policy names, sorted.
-func Policies() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
+// names returns the registered names, sorted.
+func (r *registry[T]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.m))
+	for name := range r.m {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
+
+var policies = registry[Policy]{kind: "policy", unknown: ErrUnknownPolicy, m: map[string]Policy{}}
+
+// Register installs a policy under p.Name(). It panics on an empty name or
+// a duplicate registration — both are programming errors caught at init.
+func Register(p Policy) { policies.register(p) }
+
+// Lookup resolves a policy by name. Unknown names return an error wrapping
+// ErrUnknownPolicy that lists every registered policy.
+func Lookup(name string) (Policy, error) { return policies.lookup(name) }
+
+// Policies returns the registered policy names, sorted.
+func Policies() []string { return policies.names() }
 
 // The built-in policies. The site policies (faithful/eft/ledger) wrap the
 // paper's Site Scheduler engine, heft/cpop are the headline list heuristics

@@ -1,22 +1,25 @@
 package scheduler
 
-// resched.go is the frontier rescheduler (ROADMAP item 2, paper §2.3.1):
-// when the monitoring plane reports a deviation — a host down, or a task
+// resched.go is the frontier rescheduler (paper §2.3.1): when the
+// monitoring plane reports a deviation — a host down, or a task
 // overrunning its prediction past a threshold — the *unstarted frontier*
-// of an in-flight application is re-planned against the committed ledger
-// timelines instead of re-solving the whole application. Completed and
-// running tasks keep their assignments verbatim; only tasks that have not
-// started may move.
+// of an in-flight application is re-planned around the settled work
+// instead of re-solving the whole application. Completed and running tasks
+// keep their assignments verbatim; only tasks that have not started may
+// move.
 //
-// Re-planners are pluggable behind a registry mirroring the policy
-// registry's conventions (registry.go): RegisterReplanner at init,
-// LookupReplanner by name, sorted Replanners() for error messages and
-// flag help. Three comparable built-ins ship:
+// Re-planners are pluggable behind the registry the policies use
+// (registry.go): RegisterReplanner at init, LookupReplanner by name,
+// sorted Replanners() for error messages and flag help. The three
+// built-ins are strategies over the one scheduling kernel (heft.go's
+// placement, started from the settled set — initial scheduling is the
+// re-plan with nothing settled); they differ in which frontier tasks may
+// move, the start rule, and whether hedge copies are emitted:
 //
-//	heft — full HEFT rescan of the frontier: upward ranks over the
-//	       frontier subgraph, insertion-based EFT placement
+//	heft — the heft policy's own pass over the whole frontier: upward
+//	       ranks over the frontier subgraph, insertion-based placement
 //	eft  — cheap patch: only frontier tasks touching a suspect host are
-//	       re-placed (append-based EFT); everything else stays put
+//	       re-placed (append-based), on unsuspected hosts; the rest stay
 //	dup  — the eft patch plus duplicate copies of the re-placed tasks on
 //	       idle hosts, a hedge the churn harness may promote if the
 //	       primary copy's host fails too
@@ -26,12 +29,10 @@ package scheduler
 // on the makespan.
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
@@ -93,12 +94,11 @@ type ReplanRequest struct {
 	Event Deviation
 
 	// Costs predicts execution seconds per (task, host); Hosts is the
-	// candidate pool in dense-column order (site asc, host asc). Net and
-	// Ledger mirror the initial scheduling environment; both may be nil.
-	Costs  TimeModel
-	Hosts  []HostRef
-	Net    *netsim.Network
-	Ledger *LoadLedger
+	// candidate pool in dense-column order (site asc, host asc). Net is the
+	// initial scheduling environment's network and may be nil.
+	Costs TimeModel
+	Hosts []HostRef
+	Net   *netsim.Network
 }
 
 // Replan is a re-planner's output: the complete repaired table (settled
@@ -121,89 +121,40 @@ type Replanner interface {
 // registered.
 var ErrUnknownReplanner = errors.New("scheduler: unknown replanner")
 
-var (
-	replannerMu  sync.RWMutex
-	replannerReg = map[string]Replanner{}
-)
+var replanners = registry[Replanner]{kind: "replanner", unknown: ErrUnknownReplanner, m: map[string]Replanner{}}
 
 // RegisterReplanner installs a re-planner under r.Name(). It panics on an
 // empty name or a duplicate registration — programming errors caught at
 // init, exactly like the policy registry.
-func RegisterReplanner(r Replanner) {
-	name := r.Name()
-	if name == "" {
-		panic("scheduler: RegisterReplanner with empty name")
-	}
-	replannerMu.Lock()
-	defer replannerMu.Unlock()
-	if _, dup := replannerReg[name]; dup {
-		panic(fmt.Sprintf("scheduler: replanner %q registered twice", name))
-	}
-	replannerReg[name] = r
-}
+func RegisterReplanner(r Replanner) { replanners.register(r) }
 
 // LookupReplanner resolves a re-planner by name. Unknown names return an
 // error wrapping ErrUnknownReplanner that lists every registered one.
-func LookupReplanner(name string) (Replanner, error) {
-	replannerMu.RLock()
-	r, ok := replannerReg[name]
-	replannerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)",
-			ErrUnknownReplanner, name, strings.Join(Replanners(), ", "))
-	}
-	return r, nil
-}
+func LookupReplanner(name string) (Replanner, error) { return replanners.lookup(name) }
 
 // Replanners returns the registered re-planner names, sorted.
-func Replanners() []string {
-	replannerMu.RLock()
-	defer replannerMu.RUnlock()
-	out := make([]string, 0, len(replannerReg))
-	for name := range replannerReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Replanners() []string { return replanners.names() }
 
+// The built-in re-planners: what may move and by which start rule (patch),
+// and whether hedge copies are emitted (hedge).
 func init() {
-	RegisterReplanner(heftReplanner{})
-	RegisterReplanner(eftReplanner{})
-	RegisterReplanner(dupReplanner{})
+	RegisterReplanner(frontierStrategy{name: "heft"})
+	RegisterReplanner(frontierStrategy{name: "eft", patch: true})
+	RegisterReplanner(frontierStrategy{name: "dup", patch: true, hedge: true})
 }
 
-// frontierSet returns the unstarted tasks: everything not Done and not
-// Running.
-func (req *ReplanRequest) frontierSet() map[afg.TaskID]bool {
-	front := make(map[afg.TaskID]bool, req.Graph.Len())
-	for _, id := range req.Graph.TaskIDs() {
-		if _, done := req.Done[id]; done {
-			continue
-		}
-		if _, run := req.Running[id]; run {
-			continue
-		}
-		front[id] = true
-	}
-	return front
-}
-
-// eligibleHosts filters Down hosts out of the candidate pool, sorted by
-// (site, host) — the dense-column order every re-planner iterates.
-func (req *ReplanRequest) eligibleHosts() []HostRef {
+// hostsOutside returns the candidate pool minus the hosts excluded marks,
+// sorted by (site, host) — the dense-column order every strategy iterates.
+func (req *ReplanRequest) hostsOutside(excluded map[string]bool) []HostRef {
 	out := make([]HostRef, 0, len(req.Hosts))
 	for _, h := range req.Hosts {
-		if req.Down[h.Host] {
-			continue
+		if !excluded[h.Host] {
+			out = append(out, h)
 		}
-		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
-		}
-		return out[i].Host < out[j].Host
+		a, b := out[i], out[j]
+		return a.Site < b.Site || (a.Site == b.Site && a.Host < b.Host)
 	})
 	return out
 }
@@ -236,7 +187,7 @@ func (req *ReplanRequest) validate() error {
 }
 
 // sortedIDs returns a map's task keys in ascending order.
-func sortedIDs(m map[afg.TaskID]float64) []afg.TaskID {
+func sortedIDs[V any](m map[afg.TaskID]V) []afg.TaskID {
 	out := make([]afg.TaskID, 0, len(m))
 	for id := range m {
 		out = append(out, id)
@@ -245,289 +196,98 @@ func sortedIDs(m map[afg.TaskID]float64) []afg.TaskID {
 	return out
 }
 
-// replanState is the shared placement machinery: host timelines seeded
-// from settled work and the ledger, per-task finish estimates, and the
-// repaired table under construction. All iteration that reaches the table
-// runs over sorted slices; the maps here are keyed lookups only.
-type replanState struct {
-	req    *ReplanRequest
-	lines  map[string]*timeline
-	seed   map[string]float64 // host -> settled busy horizon
-	finish map[afg.TaskID]float64
-	place  map[afg.TaskID]Assignment // settled + placed-so-far
-	table  *AllocationTable
-	moved  int
+// repair is one re-plan in flight: the scheduling kernel (heft.go's
+// placement) seeded with the settled set, over a lazy cost matrix of the
+// hosts the strategy may use, plus the two masks that say what may move.
+type repair struct {
+	req     *ReplanRequest
+	ix      *afg.Index
+	sc      *scratch
+	p       *placement
+	suspect map[string]bool // patch strategies only: hosts to route around
+	front   []bool          // the unstarted frontier: not Done, not Running
+	stay    []bool          // frontier tasks left on their current hosts
 }
 
-// newReplanState copies the settled (done + running) assignments verbatim
-// into the repaired table, records their finishes, and computes each
-// host's settled busy horizon: a host is treated as unavailable until the
-// last settled task mapped to it finishes (and, when a ledger is present,
-// until its committed cross-application seconds drain).
-func newReplanState(req *ReplanRequest) *replanState {
-	st := &replanState{
-		req:    req,
-		lines:  make(map[string]*timeline),
-		seed:   make(map[string]float64),
-		finish: make(map[afg.TaskID]float64, len(req.Done)+len(req.Running)),
-		place:  make(map[afg.TaskID]Assignment, req.Graph.Len()),
-		table:  NewAllocationTableSized(req.Table.App, req.Graph.Len()),
-	}
-	for _, id := range req.Graph.TaskIDs() {
-		f, settled := req.Done[id]
-		if !settled {
-			f, settled = req.Running[id]
-		}
-		if !settled {
-			continue
-		}
-		a, _ := req.Table.Get(id)
-		st.table.Set(a)
-		st.finish[id] = f
-		st.place[id] = a
-		for _, h := range effectiveHosts(a) {
-			if f > st.seed[h] {
-				st.seed[h] = f
-			}
-		}
-	}
-	return st
-}
-
-// line returns the host's timeline, creating it seeded with the settled
-// busy horizon and the ledger's committed seconds on first use.
-func (st *replanState) line(host string) *timeline {
-	t, ok := st.lines[host]
-	if !ok {
-		t = &timeline{}
-		busy := st.seed[host]
-		if st.req.Ledger != nil {
-			if b := st.req.Ledger.Busy(host); b > busy {
-				busy = b
-			}
-		}
-		if busy > 0 {
-			t.busy = append(t.busy, span{0, busy})
-		}
-		st.lines[host] = t
-	}
-	return t
-}
-
-// readyOn estimates when id's inputs are available on the given host:
-// the max over parents of finish plus the cross-host transfer time.
-// Parents without a finish estimate yet (possible only under zero-cost
-// rank ties) are skipped, mirroring the HEFT placement's readyAt.
-func (st *replanState) readyOn(id afg.TaskID, site, host string) float64 {
-	var ready float64
-	for _, l := range st.req.Graph.Parents(id) {
-		pf, ok := st.finish[l.From]
-		if !ok {
-			continue
-		}
-		arrive := pf
-		if st.req.Net != nil {
-			if b := transferBytes(st.req.Graph, l); b > 0 {
-				pa := st.place[l.From]
-				if !hostIn(effectiveHosts(pa), host) {
-					arrive += st.req.Net.TransferTime(pa.Site, site, b).Seconds()
-				}
-			}
-		}
-		if arrive > ready {
-			ready = arrive
-		}
-	}
-	return ready
-}
-
-// commit records a placement: table entry, finish estimate, and timeline
-// reservations on every occupied host.
-func (st *replanState) commit(a Assignment, start, fin float64, moved bool) {
-	st.table.Set(a)
-	st.finish[a.Task] = fin
-	st.place[a.Task] = a
-	for _, h := range effectiveHosts(a) {
-		st.line(h).add(start, fin)
-	}
-	if moved {
-		st.moved++
-	}
-}
-
-// keep re-commits a frontier task on its current assignment, charging its
-// timelines so later placements see the occupancy.
-func (st *replanState) keep(id afg.TaskID, a Assignment) {
-	task := st.req.Graph.Task(id)
-	hosts := effectiveHosts(a)
-	dur := a.Predicted
-	if len(hosts) == 1 {
-		if c := st.req.Costs(task, a.Host); validCost(c) {
-			dur = c
-		}
-	}
-	start := st.readyOn(id, a.Site, a.Host)
-	for _, h := range hosts {
-		if e := st.line(h).end(); e > start {
-			start = e
-		}
-	}
-	st.commit(a, start, start+dur, false)
-}
-
-func validCost(c float64) bool {
-	return !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0
-}
-
-// placeBest EFT-places one frontier task over the candidate pool:
-// insertion-based (idle-gap) start when insertion is true, append-based
-// otherwise. Tie-break matches the HEFT placement: earliest finish, then
-// site name, then host name.
-func (st *replanState) placeBest(id afg.TaskID, cands []HostRef, insertion bool) error {
-	task := st.req.Graph.Task(id)
-	old, _ := st.req.Table.Get(id)
-	var (
-		found              bool
-		best               HostRef
-		bestCost           float64
-		bestStart, bestFin float64
-	)
-	for _, c := range cands {
-		cost := st.req.Costs(task, c.Host)
-		if !validCost(cost) {
-			continue
-		}
-		ready := st.readyOn(id, c.Site, c.Host)
-		line := st.line(c.Host)
-		start := ready
-		if insertion {
-			start = line.earliest(ready, cost)
-		} else if e := line.end(); e > start {
-			start = e
-		}
-		fin := start + cost
-		better := !found || fin < bestFin
-		if found && fin == bestFin { // tie-break adjacent to the ordering above
-			better = c.Site < best.Site || (c.Site == best.Site && c.Host < best.Host)
-		}
-		if better {
-			found, best, bestCost, bestStart, bestFin = true, c, cost, start, fin
-		}
-	}
-	if !found {
-		return fmt.Errorf("scheduler: replan task %s: %w", id, ErrNoEligibleHost)
-	}
-	a := Assignment{Task: id, Site: best.Site, Host: best.Host,
-		Hosts: []string{best.Host}, Predicted: bestCost}
-	st.commit(a, bestStart, bestFin, a.Host != old.Host)
-	return nil
-}
-
-// placeFrontier places one frontier task, preserving a parallel task's
-// host set when every member is still eligible (re-placing a parallel
-// task single-host only when one of its machines went down).
-func (st *replanState) placeFrontier(id afg.TaskID, cands []HostRef, insertion bool) error {
-	old, ok := st.req.Table.Get(id)
-	if ok && len(old.Hosts) > 1 {
-		anyDown := false
-		for _, h := range old.Hosts {
-			if st.req.Down[h] {
-				anyDown = true
-				break
-			}
-		}
-		if !anyDown {
-			st.keep(id, old)
-			return nil
-		}
-	}
-	return st.placeBest(id, cands, insertion)
-}
-
-func startReplan(req *ReplanRequest) (*replanState, map[afg.TaskID]bool, []HostRef, error) {
+// newRepair validates the request and starts the kernel from its settled
+// set: done and running assignments are copied verbatim into the repaired
+// table in ascending id order, their finishes feed the frontier's
+// data-ready times, and every host they occupy — down ones included — is
+// busy until its last settled task finishes.
+//
+// The full rescan (patch false) may move the whole frontier, by insertion,
+// over every eligible host; only a parallel task whose machine set is
+// intact stays (one that lost a member is re-placed on a single host). The
+// cheap patch moves just the tasks touching a suspect host or missing from
+// the table, append-only, onto unsuspected hosts — or, when none is left
+// (the sole survivor straggles), onto the full eligible pool rather than
+// failing the repair. sc backs the kernel; the caller hands the placement's
+// buffers back (releaseScratch) when done.
+func newRepair(req *ReplanRequest, patch bool, sc *scratch) (*repair, error) {
 	if err := req.validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	cands := req.eligibleHosts()
-	if len(cands) == 0 {
-		return nil, nil, nil, fmt.Errorf("scheduler: replan: %w", ErrNoEligibleHost)
-	}
-	return newReplanState(req), req.frontierSet(), cands, nil
-}
-
-// heftReplanner is the full HEFT rescan: upward ranks over the frontier
-// subgraph (mean cost over eligible hosts, environment-average comm), then
-// rank-descending insertion-based EFT placement.
-type heftReplanner struct{}
-
-func (heftReplanner) Name() string { return "heft" }
-
-func (heftReplanner) Replan(req *ReplanRequest) (*Replan, error) {
-	st, front, cands, err := startReplan(req)
-	if err != nil {
 		return nil, err
 	}
-	var sites []string
-	seenSite := map[string]bool{}
-	for _, c := range cands {
-		if !seenSite[c.Site] {
-			seenSite[c.Site] = true
-			sites = append(sites, c.Site)
+	r := &repair{req: req, sc: sc}
+	cols := req.hostsOutside(req.Down)
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("scheduler: replan: %w", ErrNoEligibleHost)
+	}
+	if patch {
+		r.suspect = req.suspectHosts()
+		if safe := req.hostsOutside(r.suspect); len(safe) > 0 {
+			cols = safe
 		}
 	}
-	sort.Strings(sites)
-	cm := averageComm(req.Net, sites)
-
-	order, err := req.Graph.TopoOrder()
+	ix, err := req.Graph.Index()
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: replan: %w", err)
 	}
-	rank := make(map[afg.TaskID]float64, len(front))
-	ids := make([]afg.TaskID, 0, len(front))
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		if !front[id] {
+	r.ix = ix
+	r.p = newPlacement(modelCostMatrix(ix, cols, req.Costs), req.Table.App, req.Net, nil, sc)
+	r.p.prior, r.p.singleHost, r.p.appendOnly = req.Table, true, patch
+	r.front, r.stay = make([]bool, ix.Len()), make([]bool, ix.Len())
+	for t, id := range ix.IDs() {
+		old, ok := req.Table.Get(id)
+		fin, settled := req.Done[id]
+		if !settled {
+			fin, settled = req.Running[id]
+		}
+		switch {
+		case settled:
+			r.p.settle(t, old, fin)
+		case patch:
+			r.front[t], r.stay[t] = true, ok && !anyIn(effectiveHosts(old), r.suspect)
+		default:
+			r.front[t], r.stay[t] = true, len(old.Hosts) > 1 && !anyIn(old.Hosts, req.Down)
+		}
+	}
+	return r, nil
+}
+
+// result wraps the repaired table, counting the frontier tasks whose
+// primary host changed.
+func (r *repair) result(dups []Assignment) *Replan {
+	moved := 0
+	for t, id := range r.ix.IDs() {
+		if !r.front[t] {
 			continue
 		}
-		ids = append(ids, id)
-		task := req.Graph.Task(id)
-		var w float64
-		n := 0
-		for _, c := range cands {
-			if cost := req.Costs(task, c.Host); validCost(cost) {
-				w += cost
-				n++
-			}
-		}
-		if n > 0 {
-			w /= float64(n)
-		}
-		var up float64
-		for _, l := range req.Graph.Children(id) {
-			if !front[l.To] {
-				continue
-			}
-			if v := cm.cost(transferBytes(req.Graph, l)) + rank[l.To]; v > up {
-				up = v
-			}
-		}
-		rank[id] = w + up
-	}
-	// Rank-descending order, ascending id on ties (ids currently holds
-	// reverse topological order; sort fully for the deterministic walk).
-	sort.Slice(ids, func(i, j int) bool {
-		ri, rj := rank[ids[i]], rank[ids[j]]
-		if ri != rj { // tie-break adjacent to the ordering
-			return ri > rj
-		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids {
-		if err := st.placeFrontier(id, cands, true); err != nil {
-			return nil, err
+		was, _ := r.req.Table.Get(id)
+		if is, _ := r.p.table.Get(id); is.Host != was.Host {
+			moved++
 		}
 	}
-	return &Replan{Table: st.table, Moved: st.moved}, nil
+	return &Replan{Table: r.p.table, Moved: moved, Duplicates: dups}
+}
+
+// anyIn reports whether any of hosts is marked in set.
+func anyIn(hosts []string, set map[string]bool) bool {
+	for _, h := range hosts {
+		if set[h] {
+			return true
+		}
+	}
+	return false
 }
 
 // suspectHosts is the set a patch-style re-planner routes around: every
@@ -545,126 +305,101 @@ func (req *ReplanRequest) suspectHosts() map[string]bool {
 	return suspect
 }
 
-// eftPatch is the shared cheap repair: walk the frontier in topological
-// order, keep every task whose hosts are all above suspicion, and EFT
-// re-place (append-based) only the tasks touching a suspect host. Returns
-// the state and the re-placed task ids in placement order.
-func eftPatch(req *ReplanRequest) (*replanState, []afg.TaskID, error) {
-	st, front, cands, err := startReplan(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	suspect := req.suspectHosts()
-	safe := make([]HostRef, 0, len(cands))
-	for _, c := range cands {
-		if !suspect[c.Host] {
-			safe = append(safe, c)
-		}
-	}
-	if len(safe) == 0 {
-		// Every up host is suspect (e.g. the sole survivor straggles):
-		// degrade to the full eligible pool rather than fail the repair.
-		safe = cands
-	}
-	order, err := req.Graph.TopoOrder()
-	if err != nil {
-		return nil, nil, fmt.Errorf("scheduler: replan: %w", err)
-	}
-	var moved []afg.TaskID
-	for _, id := range order {
-		if !front[id] {
-			continue
-		}
-		old, ok := req.Table.Get(id)
-		touches := !ok
-		for _, h := range effectiveHosts(old) {
-			if suspect[h] {
-				touches = true
-				break
-			}
-		}
-		if ok && !touches {
-			st.keep(id, old)
-			continue
-		}
-		if err := st.placeBest(id, safe, false); err != nil {
-			return nil, nil, err
-		}
-		moved = append(moved, id)
-	}
-	return st, moved, nil
+// frontierStrategy is a built-in re-planner. Without patch it is the full
+// HEFT rescan: the heft policy's own pass (heftPass) over the unstarted
+// frontier — upward ranks on the frontier subgraph (mean cost over eligible
+// hosts, environment-average comm), then rank-descending insertion-based
+// placement. With patch it is the cheap repair: the frontier walked in
+// topological order, tasks clear of suspicion kept, the rest re-placed
+// append-only. hedge adds duplicates of what the patch re-placed.
+type frontierStrategy struct {
+	name         string
+	patch, hedge bool
 }
 
-// eftReplanner is the cheap patch alone.
-type eftReplanner struct{}
+func (s frontierStrategy) Name() string { return s.name }
 
-func (eftReplanner) Name() string { return "eft" }
-
-func (eftReplanner) Replan(req *ReplanRequest) (*Replan, error) {
-	st, _, err := eftPatch(req)
+func (s frontierStrategy) Replan(req *ReplanRequest) (*Replan, error) {
+	sc := getScratch()
+	defer sc.release()
+	r, err := newRepair(req, s.patch, sc)
 	if err != nil {
 		return nil, err
 	}
-	return &Replan{Table: st.table, Moved: st.moved}, nil
-}
-
-// dupReplanner is the eft patch plus task duplication: each re-placed
-// frontier task (and, on an overrun, each frontier child of the straggling
-// task) gets a hedge copy on an idle host — a host running nothing and
-// hosting no frontier assignment. Each idle host carries at most one
-// duplicate. Duplicates are NOT part of the certified table; the churn
-// harness promotes one only if the primary copy's host fails.
-type dupReplanner struct{}
-
-func (dupReplanner) Name() string { return "dup" }
-
-func (dupReplanner) Replan(req *ReplanRequest) (*Replan, error) {
-	st, movedIDs, err := eftPatch(req)
-	if err != nil {
-		return nil, err
-	}
-	suspect := req.suspectHosts()
-	used := map[string]bool{}
-	for _, id := range st.table.Order() {
-		if _, done := req.Done[id]; done {
-			continue // a finished task's host is free again
-		}
-		a, _ := st.table.Get(id)
-		for _, h := range effectiveHosts(a) {
-			used[h] = true
-		}
-	}
-	var idle []HostRef
-	for _, c := range req.eligibleHosts() {
-		if !used[c.Host] && !suspect[c.Host] {
-			idle = append(idle, c)
-		}
-	}
-
-	targets := append([]afg.TaskID(nil), movedIDs...)
-	if req.Event.Kind == DeviationOverrun {
-		front := req.frontierSet()
-		kids := make([]afg.TaskID, 0, 4)
-		for _, l := range req.Graph.Children(req.Event.Task) {
-			if front[l.To] {
-				kids = append(kids, l.To)
+	defer r.p.releaseScratch(sc)
+	ctx := context.Background()
+	if s.patch {
+		sc.order = sc.order[:0]
+		for _, t := range r.ix.Topo() {
+			if r.front[t] {
+				sc.order = append(sc.order, t)
 			}
 		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		targets = append(targets, kids...)
+		err = r.p.placeAll(ctx, sc.order, r.stay)
+	} else {
+		err = heftPass(ctx, r.p, averageComm(req.Net, r.p.cm.sites), r.front, r.stay, sc)
 	}
-
-	seen := map[afg.TaskID]bool{}
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: replan: %w", err)
+	}
 	var dups []Assignment
-	for _, id := range targets {
+	if s.hedge {
+		dups = r.hedges()
+	}
+	return r.result(dups), nil
+}
+
+// hedges picks the duplicates of a finished patch: each re-placed frontier
+// task (and, on an overrun, each frontier child of the straggling task)
+// gets a hedge copy on an idle host — a host running nothing and hosting no
+// frontier assignment. Each idle host carries at most one duplicate.
+// Duplicates are NOT part of the certified table; the churn harness
+// promotes one only if the primary copy's host fails.
+func (r *repair) hedges() []Assignment {
+	req := r.req
+	// Idle = unsuspected (hence up) and carrying no running or frontier
+	// assignment; a finished task's host is free again. The patch is done
+	// with the suspect set, so it grows into the busy set in place.
+	busy := r.suspect
+	for t, id := range r.ix.IDs() {
+		if _, done := req.Done[id]; !done {
+			for _, h := range r.p.hosts[t] {
+				busy[h] = true
+			}
+		}
+	}
+	idle := req.hostsOutside(busy)
+
+	// Targets: the re-placed tasks in placement order, then the straggler's
+	// frontier children by ascending id.
+	var targets []int32
+	for _, t := range r.sc.order {
+		if !r.stay[t] {
+			targets = append(targets, t)
+		}
+	}
+	if s := r.ix.Of(req.Event.Task); req.Event.Kind == DeviationOverrun && s >= 0 {
+		n := len(targets)
+		for _, a := range r.ix.Children(s) {
+			if r.front[a.Peer] {
+				targets = append(targets, a.Peer)
+			}
+		}
+		kids := targets[n:]
+		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+	}
+
+	seen := make([]bool, r.ix.Len())
+	var dups []Assignment
+	for _, t := range targets {
 		if len(idle) == 0 {
 			break
 		}
-		if seen[id] {
+		if seen[t] {
 			continue
 		}
-		seen[id] = true
-		task := req.Graph.Task(id)
+		seen[t] = true
+		task := r.ix.Task(int(t))
 		bestIx := -1
 		var bestCost float64
 		for i, c := range idle {
@@ -681,10 +416,10 @@ func (dupReplanner) Replan(req *ReplanRequest) (*Replan, error) {
 		}
 		h := idle[bestIx]
 		idle = append(idle[:bestIx], idle[bestIx+1:]...)
-		dups = append(dups, Assignment{Task: id, Site: h.Site, Host: h.Host,
+		dups = append(dups, Assignment{Task: task.ID, Site: h.Site, Host: h.Host,
 			Hosts: []string{h.Host}, Predicted: bestCost})
 	}
-	return &Replan{Table: st.table, Moved: st.moved, Duplicates: dups}, nil
+	return dups
 }
 
 // CertifyReplan certifies a repaired table: Simulate and ValidateSchedule

@@ -399,7 +399,7 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadL
 	sc := getScratch()
 	defer sc.release()
 	out := make([]Choice, ix.Len()) // schedule output
-	sc.order = rankOrderDesc(ix.Levels(), sc.order)
+	sc.order = rankOrderDesc(ix.Levels(), nil, sc.order)
 	// One host-name slab backs every sequential task's committed host set
 	// (schedule output): one allocation per walk instead of one per task.
 	slab := make([]string, ix.Len())

@@ -17,9 +17,9 @@ package scheduler
 //     per schedule. Pool reuse of output would corrupt live tables.
 //  2. Every pooled buffer is either fully overwritten before it is read
 //     (rank vectors, dense columns, bulk heap loads: plain grow) or
-//     explicitly reset by growZero / growTimelines (site markers back to
-//     "" = unplaced, host-free and data-ready columns back to 0, span
-//     slabs back to length zero). A read-before-write buffer acquired with
+//     explicitly reset by growZero / growTimelines (placed markers back to
+//     false, host-free and data-ready columns back to 0, span slabs back to
+//     length zero). A read-before-write buffer acquired with
 //     plain grow is a correctness bug, not just a leak.
 //  3. Scratch is function-scoped: a holder Gets at entry and releases on
 //     exit. Concurrent Batch workers, gather goroutines, and parallel
@@ -45,11 +45,12 @@ type scratch struct {
 	heap    []prioItem // ready-heap backing array (CPOP)
 	cp      []bool     // critical-path membership (CPOP)
 
-	// Placement state (HEFT/CPOP earliest-finish insertion placement).
+	// Placement state (the earliest-finish kernel: HEFT, CPOP, re-planners).
 	lines       []timeline // per-host-column timelines; span slabs retained
 	canon       []int32    // column -> canonical column per host name
+	placed      []bool     // settled-or-committed marker per task (reset to false)
 	finish      []float64  // estimated finish per task
-	siteOf      []string   // assigned site per task; "" = unplaced marker
+	siteOf      []string   // assigned site per task
 	hostSets    [][]string // assigned host set per task (refs dropped on reset)
 	blockReady  []float64  // per-site-block data-ready memo
 	parentHosts []string   // hosts of the current task's byte-carrying parents
@@ -109,7 +110,7 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // growZero is grow plus an explicit clear. For buffers whose zero value is
-// load-bearing under reuse — "" as the unplaced-site marker, 0 as the
+// load-bearing under reuse — false as the unplaced marker, 0 as the
 // host-free and data-ready baseline, false for path membership — the reset
 // IS the correctness contract, and it also drops stale references (old
 // host sets, strings) a recycled scratch would otherwise pin.
