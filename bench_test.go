@@ -84,7 +84,7 @@ func BenchmarkScheduleQuality(b *testing.B) {
 
 // BenchmarkScaleScheduling — the ROADMAP's scale direction: batch dispatch
 // throughput of 6×1000-task graphs against 32 sites, serial walk vs the
-// concurrent subsystem (site fan-out + prediction cache + batch API). The
+// concurrent subsystem (site fan-out + batch API). The
 // headline metrics are speedup and tasks_per_s; the experiment itself
 // verifies that both paths produce identical allocation tables.
 func BenchmarkScaleScheduling(b *testing.B) {

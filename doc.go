@@ -81,9 +81,11 @@
 // # Fault tolerance and rescheduling
 //
 // Executions recover from host churn on two levels. Mid-flight, a dead
-// host triggers one whole-frontier re-plan: the runtime hands the
-// unstarted tasks to a scheduler.Replanner, selected by name like a
-// policy. The three built-ins are strategies over the kernel the heft and
+// host joins one execution-wide dead set and the frontier is re-planned
+// around the whole set (one re-plan at a time, at most one per newly
+// learnt host): the runtime hands the tasks still free to move to a
+// scheduler.Replanner, selected by name like a policy and priced by the
+// site's own cost model (LocalSelector.CostModel). The three built-ins are strategies over the kernel the heft and
 // cpop policies place with, started from the settled set: "heft" runs the
 // heft policy's own pass over the whole frontier (with nothing settled it
 // IS the heft policy), "eft" re-places, append-only, just the tasks
@@ -91,9 +93,9 @@
 // hosts; every repaired table is certified by ValidateSchedule before adoption
 // (scheduler.CertifyReplan), and the per-task §2.3.1 rescheduling request
 // remains the fallback. Between executions, the monitoring plane catches
-// up: a Group Manager round marks dead hosts down in the repository,
-// evicts their prediction-cache entries, resets per-host filter state on
-// recovery, and fans deviation signals out to in-flight executions
+// up: a Group Manager round marks dead hosts down in the repository (no
+// prediction outlives a walk, so the next one sees it), resets per-host
+// filter state on recovery, and fans deviation signals out to in-flight executions
 // (site.Manager.SubscribeDeviations), so subsequent schedules avoid the
 // dead hosts outright. The CHURN experiment (vdce-bench -exp CHURN, flags
 // -churn-sizes/-churn-ccrs/-churn-replanners/-churn-threshold) replays

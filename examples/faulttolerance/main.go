@@ -73,8 +73,8 @@ func main() {
 		res2.FrontierReplans, res2.Rescheduled, res2.Outputs["check"].Scalar)
 
 	// The monitoring plane catches up: after a Group Manager round the
-	// repository knows, prediction-cache entries for the dead hosts are
-	// evicted, and future schedules avoid them without any runtime retries.
+	// repository knows, and since no prediction outlives a walk, future
+	// schedules avoid the dead hosts without any runtime retries.
 	// internal/core's TestMonitorRoundExcludesDownHostsFromPlacement pins
 	// this as a regression test; the example just demonstrates it.
 	env.TickMonitors()

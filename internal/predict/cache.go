@@ -1,151 +1,38 @@
 package predict
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// CacheKey identifies one memoized prediction: the task kind (library
-// function), the task "size" (its explicit compute-cost and memory-
-// requirement overrides — zero means "take it from the task-performance
-// database"), and the resource the prediction is for. Two tasks with the
-// same key produce the same prediction against the same repository state,
-// so the scheduler can reuse the assembled Inputs instead of re-walking the
-// task- and resource-performance databases for every (task, resource) pair.
-type CacheKey struct {
-	Kind     string  // task-library function name
-	Cost     float64 // task's explicit ComputeCost (0 = from task DB)
-	MemReq   int64   // task's explicit MemReq (0 = from task DB)
-	Resource string  // host name
-}
-
-// CacheStats reports cache effectiveness.
+// CacheStats reports how a site's walks priced their predictions.
 type CacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	Entries       int
-	Invalidations uint64
+	Hits   uint64 // predictions priced from an already resolved kind row
+	Misses uint64 // (task kind, host) cells resolved from the repository
 }
 
-type cacheEntry struct {
-	in  Inputs
-	gen uint64
-}
-
-// Cache memoizes prediction inputs per (task kind, size, resource). It is
-// safe for concurrent use by many scheduling goroutines.
-//
-// Invalidation is per resource and generation-based: every monitor update
-// for a host bumps that host's generation, which makes all entries stored
-// under an older generation invisible (they are overwritten lazily on the
-// next store). Callers snapshot the generations *before* reading repository
-// state and pass the snapshot to Store, so an update that lands between the
-// repository read and the store is never cached as current — the store is
-// simply discarded.
+// Cache counts a site's pricing work. It holds no predictions: a walk
+// resolves each task kind against the repository once, prices every task of
+// that kind from the row, and drops the rows when it returns, so nothing
+// outlives the repository state it was read from. A nil *Cache counts
+// nothing.
 type Cache struct {
-	mu      sync.RWMutex
-	entries map[CacheKey]cacheEntry
-	gens    map[string]uint64 // resource -> current generation
-	byRes   map[string]map[CacheKey]struct{}
-
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	invalid atomic.Uint64
+	hits, misses atomic.Uint64
 }
 
-// NewCache returns an empty prediction cache.
-func NewCache() *Cache {
-	return &Cache{
-		entries: make(map[CacheKey]cacheEntry),
-		gens:    make(map[string]uint64),
-		byRes:   make(map[string]map[CacheKey]struct{}),
-	}
-}
+// NewCache returns zeroed counters.
+func NewCache() *Cache { return &Cache{} }
 
-// Generations returns a snapshot of every resource's current generation.
-// Resources never invalidated are at generation 0 and may be absent from
-// the map; Store treats a missing snapshot entry as 0.
-//
-//vdce:ignore allocflow generation snapshot, one host-keyed copy per site walk, amortized across every prediction the walk makes
-func (c *Cache) Generations() map[string]uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]uint64, len(c.gens))
-	for r, g := range c.gens {
-		out[r] = g
-	}
-	return out
-}
-
-// Lookup returns the memoized Inputs for k if one is stored under the
-// resource's current generation.
-func (c *Cache) Lookup(k CacheKey) (Inputs, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	valid := ok && e.gen == c.gens[k.Resource]
-	c.mu.RUnlock()
-	if !valid {
-		c.misses.Add(1)
-		return Inputs{}, false
-	}
-	c.hits.Add(1)
-	return e.in, true
-}
-
-// Store memoizes in under k, tagged with the generation the caller
-// snapshotted before assembling it. A store whose generation is stale —
-// the resource was invalidated after the snapshot — is discarded.
-func (c *Cache) Store(k CacheKey, in Inputs, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gens[k.Resource] {
+// Count adds one walk's totals.
+func (c *Cache) Count(hits, misses uint64) {
+	if c == nil {
 		return
 	}
-	c.entries[k] = cacheEntry{in: in, gen: gen}
-	keys := c.byRes[k.Resource]
-	if keys == nil {
-		keys = make(map[CacheKey]struct{})
-		c.byRes[k.Resource] = keys
-	}
-	keys[k] = struct{}{}
+	c.hits.Add(hits)
+	c.misses.Add(misses)
 }
 
-// Invalidate evicts every entry for one resource (a monitor load/memory
-// update or an up/down transition arrived for that host). Entries are
-// deleted, not just hidden — a long-running site's cache stays bounded by
-// the live (kind, size, resource) working set.
-func (c *Cache) Invalidate(resource string) {
-	c.mu.Lock()
-	c.gens[resource]++
-	for k := range c.byRes[resource] {
-		delete(c.entries, k)
-	}
-	delete(c.byRes, resource)
-	c.mu.Unlock()
-	c.invalid.Add(1)
-}
-
-// InvalidateAll evicts everything.
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	for r := range c.gens {
-		c.gens[r]++
-	}
-	c.entries = make(map[CacheKey]cacheEntry)
-	c.byRes = make(map[string]map[CacheKey]struct{})
-	c.mu.Unlock()
-	c.invalid.Add(1)
-}
+// InvalidateAll does nothing: no prediction outlives its walk.
+func (c *Cache) InvalidateAll() {}
 
 // Stats returns a point-in-time view of the counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.entries)
-	c.mu.RUnlock()
-	return CacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Entries:       n,
-		Invalidations: c.invalid.Load(),
-	}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }

@@ -90,8 +90,8 @@ func TestSocketModeWithFailureRescheduling(t *testing.T) {
 	res, err := Execute(context.Background(), g, table, Options{
 		Hosts:      resolve,
 		UseSockets: true,
-		Reschedule: func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error) {
-			return scheduler.Assignment{Task: id, Site: "syr", Host: "B"}, nil
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
 		},
 	})
 	if err != nil {

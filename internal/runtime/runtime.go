@@ -56,16 +56,18 @@ type Result struct {
 
 // Rescheduler supplies a fresh assignment when a task's host is failed or
 // overloaded — the paper's "sends a task rescheduling request to the Group
-// Manager". exclude lists hosts already tried.
-type Rescheduler func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error)
+// Manager". exclude lists the hosts this task already tried plus every host
+// the execution knows dead.
+type Rescheduler func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error)
 
-// FrontierReplan re-plans every not-yet-started task after a host failure —
-// the Group Manager's frontier rescheduling path (§2.3.1), backed by a
-// scheduler.Replanner. settled lists tasks whose placements must be
-// preserved (started or finished); the returned map carries the new
-// assignments for the unstarted frontier. An error falls back to the
-// per-task Rescheduler.
-type FrontierReplan func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error)
+// FrontierReplan re-plans every task that can still move after a host
+// failure — the Group Manager's frontier rescheduling path (§2.3.1), backed
+// by a scheduler.Replanner. settled lists tasks whose placements must be
+// preserved (finished, or started on a host not known dead); down is every
+// host the execution knows dead so far, sorted; the returned map carries
+// the new assignments for the frontier. An error falls back to the per-task
+// Rescheduler.
+type FrontierReplan func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, down []string) (map[afg.TaskID]scheduler.Assignment, error)
 
 // Options configures an execution.
 type Options struct {
@@ -90,14 +92,15 @@ type Options struct {
 	LoadThreshold float64
 	// Reschedule handles failed/overloaded placements; nil fails the task.
 	Reschedule Rescheduler
-	// FrontierReplan, if set, re-plans the whole unstarted frontier when a
-	// host fails, before the per-task Reschedule fallback patches the one
-	// failing task. At most one frontier re-plan fires per failed host.
+	// FrontierReplan, if set, re-plans the whole frontier when a host
+	// fails, before the per-task Reschedule fallback patches the one
+	// failing task. Re-plans run one at a time, each told every host known
+	// dead so far, at most one per newly learnt host.
 	FrontierReplan FrontierReplan
 	// Deviations, if set, feeds monitor-reported failed-host names into the
-	// execution: each received host triggers a frontier re-plan even before
-	// any of this application's tasks touches the dead host. The channel is
-	// drained until closed or the execution ends.
+	// execution: each received host joins the dead set and triggers a
+	// frontier re-plan even before any of this application's tasks touches
+	// it. The channel is drained until closed or the execution ends.
 	Deviations <-chan string
 	// RemoteExec runs a task whose assigned host is not locally
 	// resolvable — the cross-site execution path: the local Application
@@ -155,7 +158,7 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 					if !ok {
 						return
 					}
-					env.frontierReplan(ctx, h)
+					env.hostFailed(ctx, h)
 				case <-ctx.Done():
 					return
 				}
@@ -214,14 +217,21 @@ type execEnv struct {
 	table *scheduler.AllocationTable
 	opts  Options
 
-	// Live placement state: the current assignment per task (frontier
-	// re-plans move unstarted entries), which tasks have started (settled,
-	// not movable), and which failed hosts already triggered a re-plan.
-	mu        sync.Mutex
-	cur       map[afg.TaskID]scheduler.Assignment
-	started   map[afg.TaskID]bool
-	replanned map[string]bool
-	replans   int
+	// Live placement state: the current assignment per task (re-plans and
+	// reschedules move it), which tasks have started and which delivered,
+	// and the execution-wide dead set — every host a task found failed or
+	// the monitor reported — with the subset some re-plan was already told
+	// about. replanning is a one-slot semaphore serialising re-plans, so a
+	// second discoverer waits for the first one's assignments instead of
+	// racing past them.
+	mu         sync.Mutex
+	cur        map[afg.TaskID]scheduler.Assignment
+	started    map[afg.TaskID]bool
+	finished   map[afg.TaskID]bool
+	dead       map[string]bool
+	planned    map[string]bool
+	replans    int
+	replanning chan struct{}
 
 	// in-memory mode: one buffered channel per link.
 	mem map[afg.Link]chan tasklib.Value
@@ -233,10 +243,13 @@ type execEnv struct {
 func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*execEnv, error) {
 	env := &execEnv{
 		g: g, table: table, opts: opts,
-		cur:       make(map[afg.TaskID]scheduler.Assignment, g.Len()),
-		started:   make(map[afg.TaskID]bool, g.Len()),
-		replanned: make(map[string]bool),
+		cur:      make(map[afg.TaskID]scheduler.Assignment, g.Len()),
+		started:  make(map[afg.TaskID]bool, g.Len()),
+		finished: make(map[afg.TaskID]bool, g.Len()),
+		dead:     make(map[string]bool),
+		planned:  make(map[string]bool),
 	}
+	env.replanning = make(chan struct{}, 1)
 	for _, id := range g.TaskIDs() {
 		a, _ := table.Get(id)
 		env.cur[id] = a
@@ -287,47 +300,106 @@ func (e *execEnv) claim(id afg.TaskID) scheduler.Assignment {
 	return e.cur[id]
 }
 
-// release returns a killed task to the frontier: its result is lost, so a
-// re-plan is free to move it.
-func (e *execEnv) release(id afg.TaskID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.started, id)
+// settledLocked reports whether a re-plan must leave the task where it is:
+// it delivered, or it started on a host not known dead. A task claimed on a
+// dead host is frontier — its result is or will be lost. Caller holds mu.
+func (e *execEnv) settledLocked(id afg.TaskID) bool {
+	return e.finished[id] || (e.started[id] && !e.dead[e.cur[id].Host])
 }
 
-// frontierReplan fires at most one frontier re-plan per failed host and
-// installs the new assignments for every still-unstarted task. It reports
-// whether a re-plan (this one or an earlier one for the same host) ran, so
-// the caller knows to re-read its assignment before falling back to the
-// per-task path.
-func (e *execEnv) frontierReplan(ctx context.Context, host string) bool {
+// hostFailed adds host to the dead set and, unless an earlier re-plan was
+// already told about it, re-plans the frontier around every host known dead
+// so far, installing the new assignment of each task still free to move.
+// Re-plans run one at a time: when this returns, any re-plan that knew
+// about host has finished installing.
+func (e *execEnv) hostFailed(ctx context.Context, host string) {
+	e.mu.Lock()
+	e.dead[host] = true
+	e.mu.Unlock()
 	if e.opts.FrontierReplan == nil {
-		return false
+		return
+	}
+	select {
+	case e.replanning <- struct{}{}:
+		defer func() { <-e.replanning }()
+	case <-ctx.Done():
+		return
 	}
 	e.mu.Lock()
-	if e.replanned[host] {
+	if e.planned[host] {
 		e.mu.Unlock()
-		return true
+		return
 	}
-	e.replanned[host] = true
+	down := e.deadLocked()
+	for _, h := range down {
+		e.planned[h] = true
+	}
 	settled := make(map[afg.TaskID]bool, len(e.started))
 	for id := range e.started {
-		settled[id] = true
+		if e.settledLocked(id) {
+			settled[id] = true
+		}
 	}
 	e.mu.Unlock()
-	moved, err := e.opts.FrontierReplan(ctx, e.g, e.table, settled, host)
+	moved, err := e.opts.FrontierReplan(ctx, e.g, e.table, settled, down)
 	if err != nil || len(moved) == 0 {
-		return false
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.replans++
 	for id, a := range moved {
-		if !e.started[id] {
+		if !e.settledLocked(id) {
 			e.cur[id] = a
 		}
 	}
-	return true
+}
+
+// reassigned re-reads a failed task's assignment after hostFailed; ok is
+// false when it still names a host known dead (no re-plan moved the task,
+// or one moved it onto a host that has since died too).
+func (e *execEnv) reassigned(id afg.TaskID) (a scheduler.Assignment, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	a = e.cur[id]
+	return a, !e.dead[a.Host]
+}
+
+// deadLocked returns the dead set, sorted. Caller holds mu.
+func (e *execEnv) deadLocked() []string {
+	down := make([]string, 0, len(e.dead))
+	for h := range e.dead {
+		down = append(down, h)
+	}
+	sort.Strings(down)
+	return down
+}
+
+// reschedule is the per-task path: a fresh assignment from the Rescheduler,
+// excluding every host known dead and the hosts this task tried.
+func (e *execEnv) reschedule(ctx context.Context, task *afg.Task, tried []string) (scheduler.Assignment, error) {
+	e.mu.Lock()
+	exclude := e.deadLocked()
+	for _, h := range tried {
+		if !e.dead[h] {
+			exclude = append(exclude, h)
+		}
+	}
+	e.mu.Unlock()
+	a, err := e.opts.Reschedule(ctx, task, exclude)
+	if err == nil {
+		e.mu.Lock()
+		e.cur[task.ID] = a
+		e.mu.Unlock()
+	}
+	return a, err
+}
+
+// finish marks the task delivered: no re-plan may move it any more.
+func (e *execEnv) finish(id afg.TaskID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.finished[id] = true
 }
 
 func (e *execEnv) replanCount() int {
@@ -468,6 +540,7 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 				fail(fmt.Errorf("runtime: remote execution on %s/%s: %w", assign.Site, assign.Host, err))
 				return
 			}
+			e.finish(id)
 			res.Host = assign.Host
 			res.Site = assign.Site
 			res.Elapsed = time.Since(begin)
@@ -487,6 +560,7 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 				runErr = ErrHostFailed
 			}
 			if runErr == nil {
+				e.finish(id)
 				res.Host = assign.Host
 				res.Site = assign.Site
 				res.Elapsed = time.Since(begin)
@@ -503,27 +577,24 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 			}
 			placeErr = runErr
 		}
-		// Host unusable: request rescheduling. A dead host first gets one
-		// frontier re-plan (repairing every unstarted task in one pass);
-		// if that moved this task, retry on the new placement, otherwise
-		// fall through to the per-task path.
+		// Host unusable: request rescheduling. A dead host joins the
+		// execution's dead set and the frontier — this task included — is
+		// re-planned around the whole set; retry where that put the task
+		// unless that host is known dead too, in which case (as for an
+		// overloaded host) fall through to the per-task path.
 		tried = append(tried, assign.Host)
 		if errors.Is(placeErr, ErrHostFailed) {
-			e.release(id)
-			if e.frontierReplan(ctx, assign.Host) {
-				if na := e.claim(id); na.Host != assign.Host {
-					assign = na
-					continue
-				}
-			} else {
-				e.claim(id) // no re-plan ran: re-settle under the old slot
+			e.hostFailed(ctx, assign.Host)
+			if na, ok := e.reassigned(id); ok {
+				assign = na
+				continue
 			}
 		}
 		if e.opts.Reschedule == nil {
 			fail(fmt.Errorf("%w: host %s: %v", ErrNoReschedule, assign.Host, placeErr))
 			return
 		}
-		na, err := e.opts.Reschedule(ctx, id, tried)
+		na, err := e.reschedule(ctx, task, tried)
 		if err != nil {
 			fail(fmt.Errorf("runtime: reschedule %q: %w", id, err))
 			return

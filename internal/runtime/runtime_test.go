@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -147,11 +148,11 @@ func TestFailedHostTriggersReschedule(t *testing.T) {
 	var requests []afg.TaskID
 	res, err := Execute(context.Background(), g, table, Options{
 		Hosts: resolve,
-		Reschedule: func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error) {
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
 			mu.Lock()
-			requests = append(requests, id)
+			requests = append(requests, task.ID)
 			mu.Unlock()
-			return scheduler.Assignment{Task: id, Site: "syr", Host: "B"}, nil
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
 		},
 	})
 	if err != nil {
@@ -191,8 +192,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	_, err := Execute(context.Background(), g, table, Options{
 		Hosts:       resolve,
 		MaxAttempts: 2,
-		Reschedule: func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error) {
-			return scheduler.Assignment{Task: id, Site: "syr", Host: "B"}, nil
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
 		},
 	})
 	if !errors.Is(err, ErrTooManyRetries) {
@@ -214,8 +215,8 @@ func TestOverloadedHostTriggersReschedule(t *testing.T) {
 	res, err := Execute(context.Background(), g, table, Options{
 		Hosts:         resolve,
 		LoadThreshold: 3,
-		Reschedule: func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error) {
-			return scheduler.Assignment{Task: id, Site: "syr", Host: "B"}, nil
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
 		},
 	})
 	if err != nil {
@@ -385,12 +386,12 @@ func TestFrontierReplanMovesWholeFrontier(t *testing.T) {
 	calls := 0
 	res, err := Execute(context.Background(), g, table, Options{
 		Hosts: resolve,
-		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, down []string) (map[afg.TaskID]scheduler.Assignment, error) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
-			if failedHost != "A" {
-				t.Errorf("failedHost = %q", failedHost)
+			if len(down) != 1 || down[0] != "A" {
+				t.Errorf("down = %q, want [A]", down)
 			}
 			moved := map[afg.TaskID]scheduler.Assignment{}
 			for _, id := range g.TaskIDs() {
@@ -436,7 +437,7 @@ func TestDeviationsChannelTriggersReplan(t *testing.T) {
 			Hosts:      resolve,
 			Gate:       gate,
 			Deviations: dev,
-			FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+			FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, down []string) (map[afg.TaskID]scheduler.Assignment, error) {
 				moved := map[afg.TaskID]scheduler.Assignment{}
 				for _, id := range g.TaskIDs() {
 					if !settled[id] {
@@ -468,5 +469,79 @@ func TestDeviationsChannelTriggersReplan(t *testing.T) {
 	}
 	if hosts["B"].Completed() != 0 {
 		t.Fatalf("dead host still ran %d tasks", hosts["B"].Completed())
+	}
+}
+
+// TestConcurrentHostFailuresShareOneDeadSet: two hosts are dead and tasks
+// find one each at the same moment. The stub re-planner avoids only the
+// hosts it is told about, so recovery works only if the execution pools
+// what every task learnt: re-plans run one at a time, each told every dead
+// host any earlier one was, and the per-task fallback excludes them all —
+// no task walks onto a sibling's corpse until its retry budget is gone.
+func TestConcurrentHostFailuresShareOneDeadSet(t *testing.T) {
+	g := afg.New("quad")
+	for _, id := range []afg.TaskID{"a", "b", "c", "d"} {
+		if err := g.AddTask(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts, resolve := testCluster(3)
+	hosts["A"].SetDown(true)
+	hosts["B"].SetDown(true)
+	table := spreadTable(g, []string{"A", "B"})
+	firstNotIn := func(avoid []string) string {
+		for _, h := range []string{"A", "B", "C"} {
+			if !slices.Contains(avoid, h) {
+				return h
+			}
+		}
+		return ""
+	}
+	var mu sync.Mutex
+	var calls [][]string
+	inFlight := 0
+	res, err := Execute(context.Background(), g, table, Options{
+		Hosts:       resolve,
+		MaxAttempts: 3,
+		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, down []string) (map[afg.TaskID]scheduler.Assignment, error) {
+			mu.Lock()
+			if inFlight++; inFlight > 1 {
+				t.Error("two re-plans ran at once")
+			}
+			for _, earlier := range calls {
+				for _, h := range earlier {
+					if !slices.Contains(down, h) {
+						t.Errorf("re-plan told %v after an earlier one was told %v", down, earlier)
+					}
+				}
+			}
+			calls = append(calls, down)
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond) // the other corpse is found meanwhile
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			moved := map[afg.TaskID]scheduler.Assignment{}
+			for _, id := range g.TaskIDs() {
+				if !settled[id] {
+					moved[id] = scheduler.Assignment{Task: id, Site: "syr", Host: firstNotIn(down)}
+				}
+			}
+			return moved, nil
+		},
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: firstNotIn(exclude)}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) == 0 || len(calls) > 2 {
+		t.Fatalf("re-plan calls = %v, want one per newly learnt host at most", calls)
+	}
+	for id, tr := range res.TaskResults {
+		if tr.Host != "C" {
+			t.Fatalf("task %s ran on %s, want the one live host C", id, tr.Host)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type BatchItem struct {
 // Batch schedules many application flow graphs concurrently against shared
 // site state. The policy is invoked from multiple goroutines at once, which
 // is safe for every registered policy: their per-run state is local, and
-// the repositories, network model, prediction cache and load ledger are all
+// the repositories, network model, pricing counters and load ledger are all
 // concurrency-safe.
 //
 // Results come back in input order regardless of completion order, and —

@@ -14,7 +14,7 @@ import (
 )
 
 // multiSiteScheduler builds an n-site scheduling environment over fresh
-// repositories; cached attaches a prediction cache to every selector.
+// repositories; cached attaches pricing counters to every selector.
 func multiSiteScheduler(t testing.TB, n int, cached bool) (*Request, []*LocalSelector) {
 	t.Helper()
 	var sels []*LocalSelector
@@ -82,7 +82,7 @@ func assertSameTable(t *testing.T, want, got *AllocationTable) {
 }
 
 // TestConcurrentFanOutMatchesSerial is the determinism contract of the
-// tentpole: the parallel site fan-out (with prediction caches) must produce
+// tentpole: the parallel site fan-out (with pricing counters) must produce
 // exactly the allocation table the serial walk produces.
 func TestConcurrentFanOutMatchesSerial(t *testing.T) {
 	graphs := randomGraphs(4, 40, 7)
@@ -103,48 +103,15 @@ func TestConcurrentFanOutMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCachedSelectorMatchesUncached checks the cache is transparent: the
-// same selector with and without a cache yields bitwise-identical choices,
-// including on repeated walks (the all-hits path).
-func TestCachedSelectorMatchesUncached(t *testing.T) {
-	repo := makeRepo(t, "syr", map[string][2]float64{
-		"fast": {4, 0.2}, "slow": {1, 0}, "mid": {2, 1.5},
-	})
-	repo.Tasks.Put(repository.TaskRecord{Function: "synthetic.noop", BaseTime: 0.7, MemReq: 1 << 20})
-	repo.Tasks.SetWeight("synthetic.noop", "fast", 0.3)
-	plain := &LocalSelector{Site: "syr", Repo: repo}
-	cached := &LocalSelector{Site: "syr", Repo: repo, Cache: predict.NewCache()}
-	g := randomGraphs(1, 30, 11)[0]
-	want, err := plain.SelectHosts(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		got, err := cached.SelectHosts(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, w := range want {
-			c := got[id]
-			if c.Host != w.Host || c.Predicted != w.Predicted {
-				t.Fatalf("round %d task %q: cached %+v, uncached %+v", round, id, c, w)
-			}
-		}
-	}
-	if st := cached.Cache.Stats(); st.Hits == 0 {
-		t.Fatalf("cache never hit: %+v", st)
-	}
-}
-
-// TestCacheInvalidationChangesSelection checks the cache does NOT outlive a
-// monitor update: after a load update + invalidation the cached selector
-// must re-read the repository and move to the newly attractive host.
+// TestCacheInvalidationChangesSelection checks no prediction outlives a
+// monitor update: after a load update the next walk must re-read the
+// repository and move to the newly attractive host, with nothing told to
+// forget anything.
 func TestCacheInvalidationChangesSelection(t *testing.T) {
 	repo := makeRepo(t, "syr", map[string][2]float64{
 		"a": {2, 0}, "b": {2, 5},
 	})
-	cache := predict.NewCache()
-	sel := &LocalSelector{Site: "syr", Repo: repo, Cache: cache}
+	sel := &LocalSelector{Site: "syr", Repo: repo, Cache: predict.NewCache()}
 	g := chainGraph(t, []float64{1}, 0)
 	choices, err := sel.SelectHosts(g)
 	if err != nil {
@@ -153,27 +120,51 @@ func TestCacheInvalidationChangesSelection(t *testing.T) {
 	if choices["a"].Host != "a" {
 		t.Fatalf("expected idle host a first, got %q", choices["a"].Host)
 	}
-	// Loads flip: a gets slammed, b goes idle. Without invalidation the
-	// memoized inputs would keep sending tasks to a.
+	// Loads flip: a gets slammed, b goes idle.
 	repo.Resources.UpdateDynamic("a", 5, 1<<30, time.Now())
 	repo.Resources.UpdateDynamic("b", 0, 1<<30, time.Now())
-	cache.Invalidate("a")
-	cache.Invalidate("b")
 	choices, err = sel.SelectHosts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choices["a"].Host != "b" {
-		t.Fatalf("after invalidation expected host b, got %q", choices["a"].Host)
+		t.Fatalf("after the load update expected host b, got %q", choices["a"].Host)
 	}
 }
 
-// TestCacheDoesNotBakeInForecast pins the forecast-at-lookup contract: the
-// prediction cache stores the raw recorded load, and Forecast is applied
-// per prediction. A forecaster whose view changes between walks must steer
-// the cached selector WITHOUT any cache invalidation — the old behaviour
-// (forecast applied before Cache.Store) froze the store-time value and
-// kept routing tasks to a host the forecaster no longer favoured.
+// TestTrialWeightReachesNextWalk: a trial run is a repository write like
+// any other — the weight it records must price the very next walk. (The
+// cross-walk memo this replaced kept serving the old weight until the
+// host's next monitor update.)
+func TestTrialWeightReachesNextWalk(t *testing.T) {
+	repo := makeRepo(t, "syr", map[string][2]float64{
+		"a": {2, 0}, "b": {1, 0},
+	})
+	repo.Tasks.Put(repository.TaskRecord{Function: "synthetic.noop", BaseTime: 1})
+	sel := &LocalSelector{Site: "syr", Repo: repo, Cache: predict.NewCache()}
+	g := chainGraph(t, []float64{1}, 0)
+	choices, err := sel.SelectHosts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if choices["a"].Host != "a" {
+		t.Fatalf("expected the faster host a first, got %q", choices["a"].Host)
+	}
+	if err := repo.Tasks.SetWeight("synthetic.noop", "b", 0.1); err != nil {
+		t.Fatal(err)
+	}
+	choices, err = sel.SelectHosts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if choices["a"].Host != "b" || choices["a"].Predicted != 0.1 {
+		t.Fatalf("trial weight ignored: %+v", choices["a"])
+	}
+}
+
+// TestCacheDoesNotBakeInForecast pins the forecast-per-prediction contract:
+// a forecaster whose view changes between walks must steer the selector
+// though the repository did not move at all.
 func TestCacheDoesNotBakeInForecast(t *testing.T) {
 	repo := makeRepo(t, "syr", map[string][2]float64{
 		"a": {1, 5}, "b": {1, 5},
@@ -191,18 +182,14 @@ func TestCacheDoesNotBakeInForecast(t *testing.T) {
 	if choices["a"].Host != "a" {
 		t.Fatalf("initial forecast ignored: %+v", choices["a"])
 	}
-	// The forecaster changes its mind; the repository (and therefore the
-	// cache generation) does not move at all.
+	// The forecaster changes its mind; the repository does not move.
 	forecast["a"], forecast["b"] = 9, 0
 	choices, err = sel.SelectHosts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choices["a"].Host != "b" {
-		t.Fatalf("cached inputs baked in the old forecast: %+v", choices["a"])
-	}
-	if st := sel.Cache.Stats(); st.Hits == 0 {
-		t.Fatalf("second walk should have hit the cache: %+v", st)
+		t.Fatalf("second walk priced with the old forecast: %+v", choices["a"])
 	}
 }
 
@@ -244,8 +231,8 @@ func TestBatchReportsPerItemErrors(t *testing.T) {
 }
 
 // TestConcurrentSchedulingUnderMonitorUpdates races batch scheduling with
-// the fan-out worker pool against live repository updates and cache
-// invalidations — the -race exercise for the whole concurrent subsystem.
+// the fan-out worker pool against live repository updates — the -race
+// exercise for the whole concurrent subsystem.
 func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
 	s, sels := multiSiteScheduler(t, 6, true)
 	s.Config.Concurrency = 4
@@ -267,7 +254,6 @@ func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
 			for _, rec := range sel.Repo.Resources.List() {
 				if rng.Intn(2) == 0 {
 					sel.Repo.Resources.UpdateDynamic(rec.Static.HostName, rng.Float64()*4, 1<<30, time.Now())
-					sel.Cache.Invalidate(rec.Static.HostName)
 				}
 			}
 		}

@@ -69,24 +69,17 @@ func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choic
 // every task, the pure predicted execution seconds on every eligible host
 // at the site, sorted by host name, with no queueing model.
 func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, error) {
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
 	resources := s.Repo.Resources.List()
 	out := make(map[afg.TaskID][]Choice, g.Len())
 	for _, id := range g.TaskIDs() {
 		task := g.Task(id)
 		var choices []Choice
 		for _, r := range resources {
-			if !s.eligible(task, r) {
+			pred, ok := oraclePrice(s, task, r, 0)
+			if !ok {
 				continue
 			}
-			choices = append(choices, Choice{
-				Site:      s.Site,
-				Host:      r.Static.HostName,
-				Predicted: s.predictOn(task, r, 0, gens),
-			})
+			choices = append(choices, Choice{Site: s.Site, Host: r.Static.HostName, Predicted: pred})
 		}
 		if len(choices) == 0 {
 			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)

@@ -138,18 +138,15 @@ type LocalSelector struct {
 	Site string
 	Repo *repository.Repository
 
-	// Cache optionally memoizes assembled prediction inputs per
-	// (task kind, size, host) so repeated walks skip the task- and
-	// resource-database lookups. The owner (site.Manager) invalidates a
-	// host's entries whenever a monitor update changes its dynamic state.
-	// Cached entries hold the raw recorded load; Forecast composes freely
-	// with the cache because it is applied at lookup time, never stored.
+	// Cache optionally counts the walks' pricing work (kind-row cells
+	// resolved, predictions priced). Counters only: it never changes what
+	// a walk computes.
 	Cache *predict.Cache
 
 	// Forecast optionally maps a host's last recorded load to the load
 	// value used in predictions (workload forecasting, §2.2.1). nil uses
-	// the recorded value directly. Applied per prediction, after any
-	// cache lookup, so stateful forecasters always see fresh calls.
+	// the recorded value directly. Applied per prediction, so stateful
+	// forecasters always see fresh calls.
 	Forecast func(host string, recorded float64) float64
 
 	// Priority orders the task queue for the Fig 5 walk; nil uses the
@@ -182,14 +179,8 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 //
 //vdce:ignore allocflow generic HostSelector form, invoked once per (site, schedule): walk state is host-keyed (sites hold few hosts) and the id-keyed output map is the interface contract — selectHostsDense is the allocation-policed twin
 func (s *LocalSelector) selectHosts(g *afg.Graph, avail bool, ledger *LoadLedger) (map[afg.TaskID]Choice, error) {
-	// Generation snapshot BEFORE the repository read: a monitor update
-	// landing between List() and a Store() bumps the generation past the
-	// snapshot, so stale inputs are never cached as current.
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	resources := s.Repo.Resources.List()
+	p := s.newPricing()
+	defer p.count()
 	levels, err := g.Levels()
 	if err != nil {
 		return nil, err
@@ -212,7 +203,7 @@ func (s *LocalSelector) selectHosts(g *afg.Graph, avail bool, ledger *LoadLedger
 		task := g.Task(id)
 		var choice Choice
 		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, avail, queued, freeAt, gens, buf, slab)
+		choice, finish, buf, slab, err = p.selectFor(task, avail, queued, freeAt, buf, slab)
 		if err != nil {
 			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
 		}
@@ -245,15 +236,16 @@ type scored struct {
 // caller-owned host-name arena for the committed sets, both returned
 // (maybe consumed or grown) for reuse across the walk: the steady-state
 // sequential walk step allocates nothing at all.
-func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, avail bool, queued, freeAt map[string]float64, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
+func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[string]float64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
 	cands := buf[:0]
-	for _, r := range resources {
-		if !s.eligible(task, r) {
+	row := p.row(task.Function)
+	for k := range p.resources {
+		if !p.eligible(task, row, k) {
 			continue
 		}
-		host := r.Static.HostName
+		host := p.resources[k].Static.HostName
 		//vdce:ignore allocflow queued and freeAt are host-keyed walk state (a site's hosts are few); the probes allocate nothing
-		pred := s.predictOn(task, r, queued[host], gens)
+		pred := p.predictOn(task, row, k, queued[host])
 		key := pred
 		if avail {
 			//vdce:ignore allocflow host-keyed walk state, one probe per candidate
@@ -311,20 +303,7 @@ func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.Resourc
 	// Parallel-mode prediction: the slowest selected machine bounds each
 	// share; an ideal row split divides the work n ways.
 	pred := maxPred / float64(n)
-	return Choice{Site: s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, start + pred, cands, slab, nil
-}
-
-// eligible applies the Fig 5 resource filters: the host is up, matches the
-// task's machine-type preference, and passes the constraint database.
-func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bool {
-	if r.Dynamic.Down {
-		return false
-	}
-	if task.MachineType != "" && r.Static.Arch != task.MachineType {
-		return false
-	}
-	//vdce:ignore allocflow the constraint database is name-keyed by contract (the paper's cut-through checks); one probe per candidate, no allocation
-	return s.Repo.Constraints.CanRun(task.Function, r.Static.HostName)
+	return Choice{Site: p.s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, start + pred, cands, slab, nil
 }
 
 // denseHostCosts is the batched per-host cost gather behind the HEFT/CPOP
@@ -334,31 +313,28 @@ func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bo
 // name (the repository's List order), NaN marks ineligible pairs — with no
 // per-task map or slice allocation. Unlike SelectHosts it models no
 // queueing, because the caller prices contention itself; the Forecast hook
-// and prediction cache apply as usual. A task no host can run fails the
-// whole site.
+// applies as usual. A task no host can run fails the whole site.
 func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, error) {
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	//vdce:ignore allocflow resource-list snapshot, one repository read per site walk
-	resources := s.Repo.Resources.List() // sorted by host name
-	hosts := make([]string, len(resources))
-	for k, r := range resources {
-		hosts[k] = r.Static.HostName
+	p := s.newPricing() // resources sorted by host name
+	defer p.count()
+	h := len(p.resources)
+	hosts := make([]string, h)
+	for k := range p.resources {
+		hosts[k] = p.resources[k].Static.HostName
 	}
 	v := ix.Len()
-	pred := make([]float64, v*len(resources))
+	pred := make([]float64, v*h)
 	for t := 0; t < v; t++ {
 		task := ix.Task(t)
-		row := pred[t*len(resources) : (t+1)*len(resources)]
+		kind := p.row(task.Function)
+		row := pred[t*h : (t+1)*h]
 		eligible := 0
-		for k, r := range resources {
-			if !s.eligible(task, r) {
+		for k := range row {
+			if !p.eligible(task, kind, k) {
 				row[k] = math.NaN()
 				continue
 			}
-			row[k] = s.predictOn(task, r, 0, gens)
+			row[k] = p.predictOn(task, kind, k, 0)
 			eligible++
 		}
 		if eligible == 0 {
@@ -386,11 +362,8 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadL
 		}
 		return denseChoices(ix, m), nil
 	}
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	resources := s.Repo.Resources.List()
+	p := s.newPricing()
+	defer p.count()
 	queued := make(map[string]float64)
 	freeAt := make(map[string]float64)
 	if ledger != nil {
@@ -408,7 +381,7 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadL
 		task := ix.Task(int(t))
 		var choice Choice
 		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, avail, queued, freeAt, gens, buf, slab)
+		choice, finish, buf, slab, err = p.selectFor(task, avail, queued, freeAt, buf, slab)
 		if err != nil {
 			sc.scored = buf
 			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
@@ -426,69 +399,134 @@ func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadL
 	return out, nil
 }
 
-// predictOn evaluates the prediction function for one task on one resource;
-// queuedLoad is the load contribution of tasks this selector already placed
-// on the resource during the current SelectHosts walk. gens is the cache
-// generation snapshot taken at walk start (nil when caching is off). The
-// cache stores raw recorded loads; Forecast is applied here, per call, so
-// memoized entries never bake in a store-time forecast value.
-func (s *LocalSelector) predictOn(task *afg.Task, r repository.ResourceRecord, queuedLoad float64, gens map[string]uint64) float64 {
-	var in predict.Inputs
-	if s.Cache == nil {
-		//vdce:ignore allocflow cache-off compatibility mode pays the repository probes per prediction by design; production walks install a Cache
-		in = s.assembleInputs(task, r)
-	} else {
-		key := predict.CacheKey{
-			Kind:     task.Function,
-			Cost:     task.ComputeCost,
-			MemReq:   task.MemReq,
-			Resource: r.Static.HostName,
-		}
-		var ok bool
-		//vdce:ignore allocflow the prediction cache is the amortizing boundary: a hit is one struct-keyed probe and no allocation
-		in, ok = s.Cache.Lookup(key)
-		//vdce:ignore allocflow the miss path assembles and stores once per (task kind, host, generation); every later prediction on the pair hits the cache
-		if !ok {
-			in = s.assembleInputs(task, r)
-			s.Cache.Store(key, in, gens[key.Resource])
-		}
-	}
-	if s.Forecast != nil {
-		in.CPULoad = s.Forecast(r.Static.HostName, in.CPULoad)
-	}
-	in.CPULoad += queuedLoad
-	return predict.Seconds(in)
+// kindRow is what one walk knows about one task kind: the
+// task-performance database's base time and memory requirement and, per
+// column of the walk's resource snapshot, the computing-power weight (the
+// trial-run weight, else WeightFromSpeed) and the constraint database's
+// verdict. The task contributes its own scalars, the resource record the
+// host's dynamic state; everything else a prediction reads is here.
+type kindRow struct {
+	base   float64 // 0 when the kind is unknown to the task database
+	memReq int64
+	weight []float64
+	canRun []bool
 }
 
-// assembleInputs gathers the prediction parameters for one (task, resource)
-// pair from the task- and resource-performance databases — the per-pair
-// repository work the prediction cache memoizes. The queued-load and
-// Forecast terms are deliberately excluded: both are per-evaluation state,
-// applied by predictOn after any cache lookup.
-func (s *LocalSelector) assembleInputs(task *afg.Task, r repository.ResourceRecord) predict.Inputs {
-	base := task.ComputeCost
-	memReq := task.MemReq
-	weight, haveWeight := s.Repo.Tasks.Weight(task.Function, r.Static.HostName)
-	if rec, err := s.Repo.Tasks.Get(task.Function); err == nil {
-		if base <= 0 {
-			base = rec.BaseTime
+// pricing is one walk's view of the site: the resource snapshot it took and
+// the kind rows resolved against it so far. It lives for the walk only, so
+// nothing outlives the repository state it read and there is nothing to
+// invalidate. Not safe for concurrent use.
+type pricing struct {
+	s         *LocalSelector
+	resources []repository.ResourceRecord // sorted by host name
+	rows      map[string]*kindRow
+	priced    uint64
+}
+
+func (s *LocalSelector) newPricing() *pricing {
+	//vdce:ignore allocflow resource-list snapshot, one repository read per site walk
+	resources := s.Repo.Resources.List()
+	return &pricing{s: s, resources: resources, rows: make(map[string]*kindRow)}
+}
+
+// count adds the walk's totals to the selector's counters, if it has any.
+func (p *pricing) count() {
+	p.s.Cache.Count(p.priced, uint64(len(p.rows)*len(p.resources)))
+}
+
+// row returns the kind's row, resolving it against the repository the
+// first time the walk meets the kind: one Tasks.Get and one CanRun per
+// resource column.
+//
+//vdce:ignore allocflow once per (kind, walk): graphs carry a handful of kinds, so the resolve and its row amortize across every task of the kind; the steady state is one string-keyed probe per task
+func (p *pricing) row(kind string) *kindRow {
+	if row, ok := p.rows[kind]; ok {
+		return row
+	}
+	rec, _ := p.s.Repo.Tasks.Get(kind) // unknown kind: the zero record, no weights
+	row := &kindRow{
+		base:   rec.BaseTime,
+		memReq: rec.MemReq,
+		weight: make([]float64, len(p.resources)),
+		canRun: make([]bool, len(p.resources)),
+	}
+	for k := range p.resources {
+		st := &p.resources[k].Static
+		w, ok := rec.Weights[st.HostName]
+		if !ok {
+			w = predict.WeightFromSpeed(st.SpeedFactor)
 		}
-		if memReq <= 0 {
-			memReq = rec.MemReq
-		}
+		row.weight[k] = w
+		row.canRun[k] = p.s.Repo.Constraints.CanRun(kind, st.HostName)
+	}
+	p.rows[kind] = row
+	return row
+}
+
+// allows applies the filters that do not depend on the host being up: the
+// task's machine-type preference and the constraint database.
+func (p *pricing) allows(task *afg.Task, row *kindRow, k int) bool {
+	return (task.MachineType == "" || p.resources[k].Static.Arch == task.MachineType) && row.canRun[k]
+}
+
+// eligible applies the Fig 5 resource filters: the host is up, matches the
+// task's machine-type preference, and passes the constraint database.
+func (p *pricing) eligible(task *afg.Task, row *kindRow, k int) bool {
+	return !p.resources[k].Dynamic.Down && p.allows(task, row, k)
+}
+
+// predictOn evaluates the prediction function for one task on resource
+// column k; queuedLoad is the load contribution of tasks this walk already
+// placed on the resource. The task's own cost and memory requirement win
+// over the kind's; Forecast is applied here, per call.
+func (p *pricing) predictOn(task *afg.Task, row *kindRow, k int, queuedLoad float64) float64 {
+	r := &p.resources[k]
+	base, memReq := task.ComputeCost, task.MemReq
+	if base <= 0 {
+		base = row.base
+	}
+	if memReq <= 0 {
+		memReq = row.memReq
 	}
 	if base <= 0 {
 		base = 1e-6 // unknown task: negligible but positive cost
 	}
-	if !haveWeight {
-		weight = predict.WeightFromSpeed(r.Static.SpeedFactor)
+	load := r.Dynamic.Load
+	if p.s.Forecast != nil {
+		load = p.s.Forecast(r.Static.HostName, load)
 	}
-	return predict.Inputs{
+	p.priced++
+	return predict.Seconds(predict.Inputs{
 		BaseTime: base,
-		Weight:   weight,
+		Weight:   row.weight[k],
 		MemReq:   memReq,
 		MemAvail: r.Dynamic.AvailableMemory,
-		CPULoad:  r.Dynamic.Load, // raw recorded load; Forecast applies at lookup
+		CPULoad:  load + queuedLoad,
+	})
+}
+
+// CostModel returns the site's prediction as a TimeModel over one
+// repository snapshot taken now: NaN for a host the site does not know, a
+// machine-type mismatch or a constraint refusal. Down hosts stay priced —
+// work already settled on them must still replay under CertifyReplan — so
+// callers exclude them from the candidates themselves. The model is for one
+// goroutine and one recovery action; take a new one for the next.
+func (s *LocalSelector) CostModel() TimeModel {
+	p := s.newPricing()
+	col := make(map[string]int, len(p.resources))
+	for k := range p.resources {
+		col[p.resources[k].Static.HostName] = k
+	}
+	return func(task *afg.Task, host string) float64 {
+		k, ok := col[host]
+		if !ok {
+			return math.NaN()
+		}
+		row := p.row(task.Function)
+		if !p.allows(task, row, k) {
+			return math.NaN()
+		}
+		return p.predictOn(task, row, k, 0)
 	}
 }
 

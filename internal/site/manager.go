@@ -77,7 +77,7 @@ type Manager struct {
 	Pool     *resource.Pool
 	Groups   []*monitor.GroupManager
 	Selector *scheduler.LocalSelector
-	Cache    *predict.Cache // prediction memo shared by the site's selectors
+	Cache    *predict.Cache // pricing counters of the site's selector
 	Net      *netsim.Network
 	Registry *tasklib.Registry
 	Gate     *datamgr.Gate
@@ -164,11 +164,9 @@ func (m *Manager) seedTaskDatabase() {
 
 // UpdateWorkload stores a significantly changed measurement in the
 // resource-performance database ("the Site Manager stores/updates the
-// relevant VDCE database with the received values") and evicts the host's
-// memoized predictions, which baked in the old load.
+// relevant VDCE database with the received values"); the next walk reads it.
 func (m *Manager) UpdateWorkload(ms monitor.Measurement) {
 	m.Repo.Resources.UpdateDynamic(ms.Host, ms.Load, ms.AvailMem, ms.At)
-	m.Cache.Invalidate(ms.Host)
 }
 
 // HostDown marks the host "down" in the repository so no further tasks are
@@ -176,7 +174,6 @@ func (m *Manager) UpdateWorkload(ms monitor.Measurement) {
 // re-plan their unstarted frontier off the dead host.
 func (m *Manager) HostDown(host string, at time.Time) {
 	m.Repo.Resources.SetDown(host, true)
-	m.Cache.Invalidate(host)
 	m.subMu.Lock()
 	ids := make([]int, 0, len(m.subs))
 	for id := range m.subs {
@@ -195,7 +192,6 @@ func (m *Manager) HostDown(host string, at time.Time) {
 // HostUp clears the down mark after recovery.
 func (m *Manager) HostUp(host string, at time.Time) {
 	m.Repo.Resources.SetDown(host, false)
-	m.Cache.Invalidate(host)
 }
 
 var _ monitor.Sink = (*Manager)(nil)
@@ -226,10 +222,12 @@ func (m *Manager) Authenticate(user, password string) (repository.UserAccount, e
 func (m *Manager) Host(name string) *resource.Host { return m.Pool.Get(name) }
 
 // Rescheduler returns the site's task-rescheduling service: it re-runs host
-// selection for the single task, excluding the hosts already tried (the
-// Application Controller → Group Manager rescheduling request, §2.3.1).
+// selection for the single task under the site's own cost model — the
+// task's kind, machine-type preference and constraints count as they did
+// when it was planned — excluding the hosts already tried (the Application
+// Controller → Group Manager rescheduling request, §2.3.1).
 func (m *Manager) Rescheduler() runtime.Rescheduler {
-	return func(ctx context.Context, id afg.TaskID, exclude []string) (scheduler.Assignment, error) {
+	return func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
 		bad := make(map[string]bool, len(exclude))
 		for _, h := range exclude {
 			bad[h] = true
@@ -240,28 +238,19 @@ func (m *Manager) Rescheduler() runtime.Rescheduler {
 			// waiting for the next monitor round.
 			if ph := m.Pool.Get(h); ph != nil && ph.IsDown() {
 				m.Repo.Resources.SetDown(h, true)
-				m.Cache.Invalidate(h)
 			}
 		}
-		var best scheduler.Assignment
-		found := false
-		for _, rec := range m.Repo.Resources.List() {
-			if rec.Dynamic.Down || bad[rec.Static.HostName] {
+		costs := m.Selector.CostModel()
+		best := scheduler.Assignment{Predicted: math.Inf(1)}
+		for _, h := range m.Repo.Resources.UpHosts() {
+			if bad[h] {
 				continue
 			}
-			pred := predict.Seconds(predict.Inputs{
-				BaseTime: 1,
-				Weight:   predict.WeightFromSpeed(rec.Static.SpeedFactor),
-				CPULoad:  rec.Dynamic.Load,
-			})
-			if !found || pred < best.Predicted {
-				best = scheduler.Assignment{
-					Task: id, Site: m.Site, Host: rec.Static.HostName, Predicted: pred,
-				}
-				found = true
+			if pred := costs(task, h); pred < best.Predicted {
+				best = scheduler.Assignment{Task: task.ID, Site: m.Site, Host: h, Predicted: pred}
 			}
 		}
-		if !found {
+		if best.Host == "" {
 			return scheduler.Assignment{}, scheduler.ErrNoEligibleHost
 		}
 		return best, nil
@@ -290,12 +279,13 @@ func (m *Manager) SubscribeDeviations() (<-chan string, func()) {
 }
 
 // FrontierReplanner builds the runtime's whole-frontier rescheduling
-// callback from the site's configured re-planner: candidate hosts and the
-// cost model come from the resource-performance database (the same data the
-// original placement used), settled tasks are modelled as running to their
-// predicted finish, and the repaired table is certified by ValidateSchedule
-// before any assignment is adopted. Returns nil when Config.Replanner is
-// "off".
+// callback from the site's configured re-planner: candidate hosts come from
+// the resource-performance database minus every host the execution or the
+// repository knows down, costs from the site's own cost model (what the
+// original placement was priced with), settled tasks are modelled as
+// running to their predicted finish, and the repaired table is certified by
+// ValidateSchedule before any assignment is adopted. Returns nil when
+// Config.Replanner is "off".
 func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 	name := m.cfg.Replanner
 	if name == "off" {
@@ -305,49 +295,27 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 		name = "eft"
 	}
 	rp, lookupErr := scheduler.LookupReplanner(name)
-	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 		if lookupErr != nil {
 			return nil, lookupErr
 		}
-		down := map[string]bool{failedHost: true}
+		down := make(map[string]bool, len(dead))
+		for _, h := range dead {
+			down[h] = true
+		}
+		// The model prices down hosts too — settled work already sitting on
+		// them must still simulate — but they contribute no candidate
+		// columns. List is sorted by host name and a site is one site, so
+		// the columns are in the gather's order.
+		costs := m.Selector.CostModel()
 		var hosts []scheduler.HostRef
-		speed := make(map[string]float64)
-		load := make(map[string]float64)
 		for _, rec := range m.Repo.Resources.List() {
-			// Down hosts keep cost-model entries — settled work already
-			// sitting on them must still simulate — but contribute no
-			// candidate columns.
-			speed[rec.Static.HostName] = rec.Static.SpeedFactor
-			load[rec.Static.HostName] = rec.Dynamic.Load
 			if rec.Dynamic.Down {
 				down[rec.Static.HostName] = true
-				continue
 			}
-			hosts = append(hosts, scheduler.HostRef{Site: rec.Static.Site, Host: rec.Static.HostName})
-		}
-		sort.Slice(hosts, func(i, j int) bool {
-			if hosts[i].Site != hosts[j].Site {
-				return hosts[i].Site < hosts[j].Site
+			if !down[rec.Static.HostName] {
+				hosts = append(hosts, scheduler.HostRef{Site: rec.Static.Site, Host: rec.Static.HostName})
 			}
-			return hosts[i].Host < hosts[j].Host
-		})
-		costs := func(task *afg.Task, host string) float64 {
-			sf, ok := speed[host]
-			if !ok || sf <= 0 {
-				return math.NaN()
-			}
-			cost := task.ComputeCost
-			if cost <= 0 {
-				// Graphs built from the task registry carry no abstract
-				// compute cost; fall back to the per-task prediction the
-				// committed table was placed with.
-				if a, ok := table.Get(task.ID); ok && a.Predicted > 0 {
-					cost = a.Predicted
-				} else {
-					cost = 1
-				}
-			}
-			return cost / sf * (1 + load[host])
 		}
 		// Settled tasks keep their slots: model each as running until its
 		// predicted finish so the re-planner seeds host timelines from them
@@ -366,7 +334,7 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 			Table:   table,
 			Running: running,
 			Down:    down,
-			Event:   scheduler.Deviation{Kind: scheduler.DeviationHostDown, Host: failedHost},
+			Event:   scheduler.Deviation{Kind: scheduler.DeviationHostDown},
 			Costs:   costs,
 			Hosts:   hosts,
 			Net:     m.Net,
@@ -461,6 +429,17 @@ func (m *Manager) ExecuteLocal(ctx context.Context, g *afg.Graph, remotes []sche
 	if resolve == nil {
 		resolve = m.Host
 	}
+	res, err := m.execute(ctx, g, table, resolve, nil)
+	return res, table, err
+}
+
+// execute runs a scheduled application on this site — the one execution
+// body behind ExecuteLocal and ExecuteDistributedPolicy: it subscribes the
+// run to monitor-reported failures, wires the site's recovery services into
+// the runtime, and records measured times once the run succeeds. Hosts
+// resolve does not know go to remoteExec (nil: they are an error).
+func (m *Manager) execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, resolve func(string) *resource.Host,
+	remoteExec func(context.Context, scheduler.Assignment, *afg.Task, []tasklib.Value) (tasklib.Value, error)) (*runtime.Result, error) {
 	dev, cancelDev := m.SubscribeDeviations()
 	defer cancelDev()
 	res, err := runtime.Execute(ctx, g, table, runtime.Options{
@@ -474,12 +453,12 @@ func (m *Manager) ExecuteLocal(ctx context.Context, g *afg.Graph, remotes []sche
 		FrontierReplan: m.FrontierReplanner(),
 		Deviations:     dev,
 		MaxAttempts:    m.Pool.Len() + 1, // worst case: every other host fails first
+		RemoteExec:     remoteExec,
 	})
-	if err != nil {
-		return res, table, err
+	if err == nil {
+		m.recordExecutions(g, res)
 	}
-	m.recordExecutions(g, res)
-	return res, table, nil
+	return res, err
 }
 
 // recordExecutions feeds completed task timings into the task-performance
@@ -524,39 +503,22 @@ func (m *Manager) ExecuteDistributedPolicy(ctx context.Context, g *afg.Graph, pe
 	if err != nil {
 		return nil, nil, err
 	}
-	dev, cancelDev := m.SubscribeDeviations()
-	defer cancelDev()
-	res, err := runtime.Execute(ctx, g, table, runtime.Options{
-		Registry:       m.Registry,
-		Hosts:          m.Host, // local hosts only; remote hosts go via RemoteExec
-		Net:            m.Net,
-		Gate:           m.Gate,
-		UseSockets:     m.cfg.UseSockets,
-		LoadThreshold:  m.cfg.LoadThreshold,
-		Reschedule:     m.Rescheduler(),
-		FrontierReplan: m.FrontierReplanner(),
-		Deviations:     dev,
-		MaxAttempts:    m.Pool.Len() + 1,
-		RemoteExec: func(ctx context.Context, assign scheduler.Assignment, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
-			peer, ok := byName[assign.Site]
-			if !ok {
-				return tasklib.Value{}, fmt.Errorf("site: no peer for site %q", assign.Site)
+	// Local hosts only; remote hosts go to the owning peer's RunTask.
+	res, err := m.execute(ctx, g, table, m.Host, func(ctx context.Context, assign scheduler.Assignment, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
+		peer, ok := byName[assign.Site]
+		if !ok {
+			return tasklib.Value{}, fmt.Errorf("site: no peer for site %q", assign.Site)
+		}
+		if m.Net != nil {
+			var bytes int64
+			for _, v := range inputs {
+				bytes += v.SizeBytes()
 			}
-			if m.Net != nil {
-				var bytes int64
-				for _, v := range inputs {
-					bytes += v.SizeBytes()
-				}
-				m.Net.InjectDelay(m.Site, assign.Site, bytes)
-			}
-			return peer.RunTask(assign.Host, task, inputs)
-		},
+			m.Net.InjectDelay(m.Site, assign.Site, bytes)
+		}
+		return peer.RunTask(assign.Host, task, inputs)
 	})
-	if err != nil {
-		return res, table, err
-	}
-	m.recordExecutions(g, res)
-	return res, table, nil
+	return res, table, err
 }
 
 // RunTrialWeights performs the paper's "trial runs ... to obtain the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/afg"
 	"repro/internal/repository"
+	"repro/internal/runtime"
 	"repro/internal/scheduler"
 	"repro/internal/tasklib"
 )
@@ -248,14 +249,8 @@ func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 	reply.MakespanSec = res.Makespan.Seconds()
 	reply.Rescheduled = res.Rescheduled
 	reply.Outputs = map[afg.TaskID]string{}
-	for id, v := range res.Outputs {
-		if len(s.m.Repo.Resources.List()) >= 0 { // keep output compact: exits only
-			for _, ex := range g.Exits() {
-				if ex == id {
-					reply.Outputs[id] = renderValue(v)
-				}
-			}
-		}
+	for id, v := range runtime.ExitOutputs(g, res) { // keep the reply compact: exits only
+		reply.Outputs[id] = renderValue(v)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package site
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -141,15 +142,42 @@ func TestReschedulerExcludesHosts(t *testing.T) {
 	m.TickMonitors()
 	resched := m.Rescheduler()
 	names := m.Pool.Names()
-	a, err := resched(context.Background(), "t", names[:2])
+	task := &afg.Task{ID: "t", Function: "matrix.lu"}
+	a, err := resched(context.Background(), task, names[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Host != names[2] {
 		t.Fatalf("rescheduled to %s, want %s", a.Host, names[2])
 	}
-	if _, err := resched(context.Background(), "t", names); err == nil {
+	if _, err := resched(context.Background(), task, names); err == nil {
 		t.Fatal("all-hosts-excluded should fail")
+	}
+}
+
+// TestReschedulerPricesTheTaskLikeThePlan: the repaired task is priced by
+// the site's own cost model, so it cannot land on a host the constraint
+// database or its machine-type preference rules out, however fast.
+func TestReschedulerPricesTheTaskLikeThePlan(t *testing.T) {
+	m := newTestSite(t, "syracuse", 4, 7)
+	m.TickMonitors()
+	resched := m.Rescheduler()
+	names := m.Pool.Names()
+	only := names[3]
+	m.Repo.Resources.UpdateDynamic(only, 40, 1<<30, time.Now()) // the slowest choice by far
+	m.Repo.Constraints.SetLocation("matrix.lu", only, "/opt/vdce/lu")
+	task := &afg.Task{ID: "t", Function: "matrix.lu"}
+	a, err := resched(context.Background(), task, names[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Selector.CostModel()(task, only)
+	if a.Host != only || a.Predicted != want { //vdce:ignore floateq the rescheduler must report the cost model's own number
+		t.Fatalf("rescheduled to %+v, want %s at %v", a, only, want)
+	}
+	task.MachineType = "cray"
+	if _, err := resched(context.Background(), task, nil); !errors.Is(err, scheduler.ErrNoEligibleHost) {
+		t.Fatalf("machine-type mismatch: err = %v", err)
 	}
 }
 
