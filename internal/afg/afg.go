@@ -8,6 +8,27 @@
 // properties the editor's pop-up panel exposes — computational mode
 // (sequential/parallel), machine-type preference, and processor count — plus
 // the cost metadata the scheduler reads from the task-performance database.
+//
+// # Bulk vs incremental construction
+//
+// A graph is built one of two ways, and both end in the same state under
+// the same rules (insertTask and insertLink hold the one copy of them).
+//
+// Incremental — New, then AddTask and AddLink/AddLinkExact — is the
+// Application Editor's way: a user draws one link at a time and must be
+// told at that gesture why it is refused. Each call leaves the graph valid
+// or unchanged, and AddLink proves acyclicity with one reachability walk
+// from the link's head, O(V+E) per link. AddLink also picks the next free
+// input port when the caller names none.
+//
+// Bulk — Build — is for a caller that already holds the whole graph:
+// Decode/UnmarshalJSON, the dagen and workload generators, the experiment
+// harness's graph union. The same per-task and per-link refusals apply and
+// ports are honoured exactly as written, but acyclicity is decided once,
+// by the Kahn pass that builds the dense Index — O(V+E) for the graph, not
+// per link — and that Index stays cached on the result. Build is
+// all-or-nothing: on any refusal there is no graph. Since the cycle check
+// runs last, a cyclic input with another defect reports the other defect.
 package afg
 
 import (
@@ -112,17 +133,19 @@ var (
 	ErrCycle         = errors.New("afg: graph contains a cycle")
 	ErrEmpty         = errors.New("afg: graph has no tasks")
 	ErrPortConflict  = errors.New("afg: input port already connected")
+
+	errEmptyID     = errors.New("afg: empty task id")
+	errUnknownMode = errors.New("unknown mode") // wrapped with the task it was found on
 )
 
 // New returns an empty application flow graph.
 func New(name string) *Graph {
-	return NewSized(name, 0)
+	return newSized(name, 0)
 }
 
-// NewSized is New with a task-count capacity hint for bulk construction
-// (generators, graph merges): the id-keyed maps are sized up front, so
-// building a large graph skips the incremental rehash growth.
-func NewSized(name string, tasks int) *Graph {
+// newSized sizes the id-keyed maps up front, so building a large graph
+// skips the incremental rehash growth.
+func newSized(name string, tasks int) *Graph {
 	return &Graph{
 		Name:  name,
 		tasks: make(map[TaskID]*Task, tasks),
@@ -131,21 +154,39 @@ func NewSized(name string, tasks int) *Graph {
 	}
 }
 
+// Build constructs a graph from a complete task and link list in one pass —
+// the bulk counterpart of New + AddTask + AddLinkExact for callers that
+// already hold the whole graph (deserialisation, generators, merges). It is
+// all-or-nothing: every refusal AddTask and AddLinkExact can give comes back
+// as the same typed error and no graph, each link's Port is honoured
+// exactly, and acyclicity is decided once for the whole graph (ErrCycle) by
+// the Kahn pass that builds the dense Index, which the returned graph keeps
+// cached. The graph owns the tasks afterwards, as with AddTask. A graph of
+// no tasks builds; Validate is what refuses it.
+func Build(name string, tasks []*Task, links []Link) (*Graph, error) {
+	g := newSized(name, len(tasks))
+	for _, t := range tasks {
+		if err := g.insertTask(t); err != nil {
+			return nil, err
+		}
+	}
+	for _, l := range links {
+		if err := g.insertLink(l, false); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := g.Index(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // AddTask inserts a task node. The task's ID must be unique.
 func (g *Graph) AddTask(t *Task) error {
-	if t.ID == "" {
-		return fmt.Errorf("afg: empty task id")
+	if err := g.insertTask(t); err != nil {
+		return err
 	}
-	if _, ok := g.tasks[t.ID]; ok {
-		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
-	}
-	if t.Processors < 1 {
-		t.Processors = 1
-	}
-	g.tasks[t.ID] = t
-	g.mu.Lock()
-	g.gen++
-	g.mu.Unlock()
+	g.mutated()
 	return nil
 }
 
@@ -157,13 +198,53 @@ func (g *Graph) AddLink(l Link) error {
 	return g.addLink(l, true)
 }
 
-// AddLinkExact inserts a link honouring l.Port exactly (deserialisation and
-// editors that manage ports themselves).
+// AddLinkExact inserts a link honouring l.Port exactly (editors that manage
+// ports themselves).
 func (g *Graph) AddLinkExact(l Link) error {
 	return g.addLink(l, false)
 }
 
+// addLink is the incremental path: the graph is acyclic before the call, so
+// one reachability walk proves it stays so and the editor gets its refusal
+// at the offending link. A self link is left for insertLink to name.
 func (g *Graph) addLink(l Link, autoPort bool) error {
+	if l.From != l.To && g.reachable(l.To, l.From) {
+		return fmt.Errorf("%w: adding %s -> %s", ErrCycle, l.From, l.To)
+	}
+	if err := g.insertLink(l, autoPort); err != nil {
+		return err
+	}
+	g.mutated()
+	return nil
+}
+
+// mutated invalidates the cached Index after a structural change.
+func (g *Graph) mutated() {
+	g.mu.Lock()
+	g.gen++
+	g.mu.Unlock()
+}
+
+// insertTask is the one copy of the per-task rules, shared by AddTask and
+// Build.
+func (g *Graph) insertTask(t *Task) error {
+	if t.ID == "" {
+		return errEmptyID
+	}
+	if _, ok := g.tasks[t.ID]; ok {
+		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
+	}
+	if t.Processors < 1 {
+		t.Processors = 1
+	}
+	g.tasks[t.ID] = t
+	return nil
+}
+
+// insertLink is the one copy of the per-link rules, shared by AddLink,
+// AddLinkExact and Build: everything a link can be refused for except
+// closing a cycle, which each caller decides its own way.
+func (g *Graph) insertLink(l Link, autoPort bool) error {
 	if l.From == l.To {
 		return fmt.Errorf("%w: %q", ErrSelfLink, l.From)
 	}
@@ -173,39 +254,35 @@ func (g *Graph) addLink(l Link, autoPort bool) error {
 	if _, ok := g.tasks[l.To]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTask, l.To)
 	}
-	for _, e := range g.succ[l.From] {
+	out := g.succ[l.From]
+	for _, e := range out {
 		if e.To == l.To {
 			return fmt.Errorf("%w: %s -> %s", ErrDuplicateLink, l.From, l.To)
 		}
 	}
-	if g.reachable(l.To, l.From) {
-		return fmt.Errorf("%w: adding %s -> %s", ErrCycle, l.From, l.To)
-	}
-	if autoPort && l.Port == 0 && len(g.pred[l.To]) > 0 {
-		// Auto-assign the next free input port.
-		next := 0
-		for _, e := range g.pred[l.To] {
-			if e.Port >= next {
-				next = e.Port + 1
-			}
-		}
-		l.Port = next
-	}
-	for _, e := range g.pred[l.To] {
-		if e.Port == l.Port {
-			return fmt.Errorf("%w: port %d on %s already connected (from %s)",
-				ErrPortConflict, l.Port, l.To, e.From)
+	// Parents are kept in port order (a task's inputs arrive in it), so the
+	// last one holds the highest port and one scan back from the end finds
+	// where l belongs — at once for the usual ascending arrival.
+	in := g.pred[l.To]
+	if autoPort && l.Port == 0 && len(in) > 0 {
+		// Next free port; explicit negative ports never pull it below 0.
+		if next := in[len(in)-1].Port + 1; next > 0 {
+			l.Port = next
 		}
 	}
-	g.succ[l.From] = append(g.succ[l.From], l)
-	g.pred[l.To] = append(g.pred[l.To], l)
-	// Keep parents in port order: a task's inputs arrive in this order.
-	sort.Slice(g.pred[l.To], func(i, j int) bool {
-		return g.pred[l.To][i].Port < g.pred[l.To][j].Port
-	})
-	g.mu.Lock()
-	g.gen++
-	g.mu.Unlock()
+	at := len(in)
+	for at > 0 && in[at-1].Port > l.Port {
+		at--
+	}
+	if at > 0 && in[at-1].Port == l.Port {
+		return fmt.Errorf("%w: port %d on %s already connected (from %s)",
+			ErrPortConflict, l.Port, l.To, in[at-1].From)
+	}
+	g.succ[l.From] = append(out, l)
+	in = append(in, Link{})
+	copy(in[at+1:], in[at:])
+	in[at] = l
+	g.pred[l.To] = in
 	return nil
 }
 
@@ -294,9 +371,9 @@ func (g *Graph) Exits() []TaskID {
 	return out
 }
 
-// Validate checks structural invariants: non-empty and acyclic. AddLink
-// already prevents cycles, but Validate also covers graphs built by
-// deserialisation.
+// Validate checks structural invariants: non-empty and acyclic. Both ways
+// of constructing a graph refuse cycles already, so on a graph built through
+// this package's API only ErrEmpty can come back.
 func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return ErrEmpty

@@ -1,6 +1,9 @@
 package afg
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -148,6 +151,77 @@ func FuzzGraphIndex(f *testing.F) {
 			if dense[i] != level(tid) { //vdce:ignore floateq dense-vs-recomputed equivalence: bit identity is the property under fuzz
 				t.Fatalf("level(%q) = %v dense, %v recomputed", tid, dense[i], level(tid))
 			}
+		}
+	})
+}
+
+// typedRefusal reports whether err is one of the refusals ingest may give:
+// one of the package's sentinel errors, or encoding/json's own typed error
+// for bytes that are not a wire document at all.
+func typedRefusal(err error) bool {
+	for _, want := range []error{
+		ErrDuplicateTask, ErrUnknownTask, ErrSelfLink, ErrDuplicateLink,
+		ErrCycle, ErrEmpty, ErrPortConflict, errEmptyID, errUnknownMode,
+	} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	var syntax *json.SyntaxError
+	var mistyped *json.UnmarshalTypeError
+	return errors.As(err, &syntax) || errors.As(err, &mistyped)
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode and to the per-link path it
+// replaced (decodePerLink, kept as the oracle). The two must agree on which
+// documents are graphs; an accepted document must encode to the same bytes
+// from both and survive a further round trip unchanged; a refused one must
+// be refused with a typed error by both (which defect of several is named
+// may differ); nothing may panic. Run the smoke in CI with:
+//
+//	go test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/afg
+func FuzzDecode(f *testing.F) {
+	for _, c := range refusalDocs {
+		f.Add([]byte(c.doc))
+	}
+	f.Add([]byte(`{"name":"ok","tasks":[{"id":"a","function":"f","mode":"parallel","processors":3,"params":{"n":"4"}},
+		{"id":"b","function":"f","computeCost":1.5},{"id":"c","function":"f"}],
+		"links":[{"From":"b","To":"c","Bytes":7,"Port":1},{"From":"a","To":"c","Port":0},{"From":"a","To":"b","Port":-2}]}`))
+	f.Add([]byte(`{"tasks":[{"id":"a"},{"id":"b"}],"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"a","To":"zz"}]}`))
+	f.Add([]byte(`{"tasks":[{"id":7}]}`))
+	f.Add([]byte(`{`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Decode(data)
+		oracle, oerr := decodePerLink(data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("Decode err = %v, per-link err = %v", err, oerr)
+		}
+		if err != nil {
+			if g != nil {
+				t.Fatalf("Decode returned a graph with %v", err)
+			}
+			if !typedRefusal(err) || !typedRefusal(oerr) {
+				t.Fatalf("untyped refusal: Decode %v, per-link %v", err, oerr)
+			}
+			return
+		}
+		enc, err := g.Encode()
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if want, err := oracle.Encode(); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("bulk and per-link ingest disagree (%v):\n%s\nvs\n%s", err, enc, want)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("round trip drifted (%v):\n%s\nvs\n%s", err, again, enc)
+		}
+		if _, err := g.Index(); err != nil {
+			t.Fatalf("Index of an accepted graph: %v", err)
 		}
 	})
 }

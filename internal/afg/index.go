@@ -43,8 +43,9 @@ type Arc struct {
 }
 
 // Index returns the graph's cached dense view, rebuilding it after any
-// structural mutation. It fails only on a cyclic graph (possible via
-// deserialisation; AddLink refuses cycles).
+// structural mutation. It fails only on a cyclic graph, which only Build's
+// own call can meet: that call is how bulk construction refuses a cycle,
+// and AddLink refuses one link at a time.
 func (g *Graph) Index() (*Index, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -47,55 +47,67 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes a graph and validates it (acyclicity included).
+// task converts one wire task, refusing a mode the editor cannot have
+// written.
+func (wt wireTask) task() (*Task, error) {
+	mode := Sequential
+	switch wt.Mode {
+	case "", "sequential":
+	case "parallel":
+		mode = Parallel
+	default:
+		return nil, fmt.Errorf("afg: task %q: %w %q", wt.ID, errUnknownMode, wt.Mode)
+	}
+	return &Task{
+		ID:          wt.ID,
+		Function:    wt.Function,
+		Mode:        mode,
+		Processors:  wt.Processors,
+		MachineType: wt.MachineType,
+		ComputeCost: wt.ComputeCost,
+		MemReq:      wt.MemReq,
+		OutputBytes: wt.OutputBytes,
+		Params:      wt.Params,
+	}, nil
+}
+
+// UnmarshalJSON decodes a graph and validates it: the whole document goes
+// through Build, so a submission is refused for exactly what the editor
+// would have refused link by link, with acyclicity decided once for the
+// graph. When a document has more than one defect the error names one of
+// them, not necessarily the first in wire order: every task is checked
+// before any link, and a cycle is reported only for a document with no
+// other defect. On error g is unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var w wireGraph
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("afg: decode: %w", err)
 	}
-	fresh := New(w.Name)
-	for _, wt := range w.Tasks {
-		mode := Sequential
-		switch wt.Mode {
-		case "", "sequential":
-		case "parallel":
-			mode = Parallel
-		default:
-			return fmt.Errorf("afg: task %q: unknown mode %q", wt.ID, wt.Mode)
-		}
-		t := &Task{
-			ID:          wt.ID,
-			Function:    wt.Function,
-			Mode:        mode,
-			Processors:  wt.Processors,
-			MachineType: wt.MachineType,
-			ComputeCost: wt.ComputeCost,
-			MemReq:      wt.MemReq,
-			OutputBytes: wt.OutputBytes,
-			Params:      wt.Params,
-		}
-		if err := fresh.AddTask(t); err != nil {
+	tasks := make([]*Task, len(w.Tasks))
+	for i, wt := range w.Tasks {
+		t, err := wt.task()
+		if err != nil {
 			return err
 		}
+		tasks[i] = t
 	}
-	for _, l := range w.Links {
-		if err := fresh.AddLinkExact(l); err != nil {
-			return err
-		}
-	}
-	if err := fresh.Validate(); err != nil {
+	fresh, err := Build(w.Name, tasks, w.Links)
+	if err != nil {
 		return err
 	}
+	if fresh.Len() == 0 {
+		return ErrEmpty
+	}
 	// Move the decoded state field-by-field: copying the whole struct
-	// would copy the dense-view mutex, and g may have a cached Index to
-	// invalidate.
+	// would copy the dense-view mutex. The Index Build validated with comes
+	// along, replacing any g had cached.
 	g.mu.Lock()
 	g.Name = fresh.Name
 	g.tasks = fresh.tasks
 	g.succ = fresh.succ
 	g.pred = fresh.pred
 	g.gen++
-	g.idx = nil
+	g.idx, g.idxGen = fresh.idx, g.gen
 	g.mu.Unlock()
 	return nil
 }

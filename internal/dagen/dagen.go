@@ -80,6 +80,61 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// builder collects a generator's tasks and links for one afg.Build, naming
+// tasks by the order they were added. Each link takes its destination's next
+// input port — its running in-degree — which is what AddLink's
+// auto-assignment gives a caller that never names a port.
+type builder struct {
+	tasks []*afg.Task
+	links []afg.Link
+	in    []int // links wired into each task so far
+	out   []int // links wired out of each task so far
+}
+
+func newBuilder(tasks int) *builder {
+	return &builder{
+		tasks: make([]*afg.Task, 0, tasks),
+		in:    make([]int, 0, tasks),
+		out:   make([]int, 0, tasks),
+	}
+}
+
+// task adds t and returns its index.
+func (b *builder) task(t *afg.Task) int {
+	b.tasks = append(b.tasks, t)
+	b.in = append(b.in, 0)
+	b.out = append(b.out, 0)
+	return len(b.tasks) - 1
+}
+
+// noop adds a synthetic task of the given cost.
+func (b *builder) noop(id afg.TaskID, cost float64) int {
+	return b.task(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: cost})
+}
+
+func (b *builder) link(from, to int, bytes int64) {
+	b.links = append(b.links, afg.Link{
+		From: b.tasks[from].ID, To: b.tasks[to].ID, Bytes: bytes, Port: b.in[to],
+	})
+	b.in[to]++
+	b.out[from]++
+}
+
+func (b *builder) build(name string) (*afg.Graph, error) {
+	return afg.Build(name, b.tasks, b.links)
+}
+
+// mustBuild is build for the generators that return only a graph: their ids
+// and wiring are their own, so a refusal is a generator bug, never an input
+// error.
+func (b *builder) mustBuild(name string) *afg.Graph {
+	g, err := b.build(name)
+	if err != nil {
+		panic(fmt.Sprintf("dagen: %s: %v", name, err))
+	}
+	return g
+}
+
 // Random builds a seeded random DAG with exactly p.Tasks tasks: one entry,
 // one exit, and interior tasks spread over √v/α levels. Every interior task
 // has at least one parent in the previous level and at least one child
@@ -88,44 +143,39 @@ func (p Params) withDefaults() Params {
 func Random(p Params) *afg.Graph {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	g := afg.NewSized(fmt.Sprintf("dagen-v%d-ccr%g-a%g", p.Tasks, p.CCR, p.Alpha), p.Tasks)
+	name := fmt.Sprintf("dagen-v%d-ccr%g-a%g", p.Tasks, p.CCR, p.Alpha)
 
 	v := p.Tasks
-	ids := make([]afg.TaskID, v)
-	for i := range ids {
-		ids[i] = afg.TaskID(fmt.Sprintf("t%05d", i))
-		g.AddTask(&afg.Task{
-			ID:          ids[i],
-			Function:    "synthetic.noop",
-			ComputeCost: taskCost(rng, p.MeanCost),
-		})
+	b := newBuilder(v)
+	for i := 0; i < v; i++ {
+		b.noop(afg.TaskID(fmt.Sprintf("t%05d", i)), taskCost(rng, p.MeanCost))
 	}
 	if v == 1 {
-		return g
+		return b.mustBuild(name)
 	}
-	entry, exit := ids[0], ids[v-1]
-	interior := ids[1 : v-1]
-	if len(interior) == 0 { // v == 2: entry -> exit
-		g.AddLink(afg.Link{From: entry, To: exit, Bytes: commBytes(rng, p)})
-		return g
+	entry, exit := 0, v-1
+	interior := v - 2  // tasks 1 .. v-2
+	if interior == 0 { // v == 2: entry -> exit
+		b.link(entry, exit, commBytes(rng, p))
+		return b.mustBuild(name)
 	}
 
 	// Level layout: √(interior)/α levels, each owning ≥ 1 task; the rest of
 	// the interior tasks land on uniformly random levels.
-	levels := int(math.Round(math.Sqrt(float64(len(interior))) / p.Alpha))
+	levels := int(math.Round(math.Sqrt(float64(interior)) / p.Alpha))
 	if levels < 1 {
 		levels = 1
 	}
-	if levels > len(interior) {
-		levels = len(interior)
+	if levels > interior {
+		levels = interior
 	}
-	byLevel := make([][]afg.TaskID, levels)
-	for i, id := range interior {
+	byLevel := make([][]int, levels)
+	for i := 0; i < interior; i++ {
 		l := i % levels // every level seeded with one task first
 		if i >= levels {
 			l = rng.Intn(levels)
 		}
-		byLevel[l] = append(byLevel[l], id)
+		byLevel[l] = append(byLevel[l], 1+i)
 	}
 
 	// Random fan-out: each task wires up to OutDegree distinct children in
@@ -139,30 +189,30 @@ func Random(p Params) *afg.Graph {
 				deg = len(next)
 			}
 			for _, k := range rng.Perm(len(next))[:deg] {
-				g.AddLink(afg.Link{From: from, To: next[k], Bytes: commBytes(rng, p)})
+				b.link(from, next[k], commBytes(rng, p))
 			}
 		}
 	}
 	// Level 0 hangs off the entry task; deeper parentless tasks adopt a
 	// random parent from the previous level.
-	for _, id := range byLevel[0] {
-		g.AddLink(afg.Link{From: entry, To: id, Bytes: commBytes(rng, p)})
+	for _, t := range byLevel[0] {
+		b.link(entry, t, commBytes(rng, p))
 	}
 	for l := 1; l < levels; l++ {
 		prev := byLevel[l-1]
-		for _, id := range byLevel[l] {
-			if len(g.Parents(id)) == 0 {
-				g.AddLink(afg.Link{From: prev[rng.Intn(len(prev))], To: id, Bytes: commBytes(rng, p)})
+		for _, t := range byLevel[l] {
+			if b.in[t] == 0 {
+				b.link(prev[rng.Intn(len(prev))], t, commBytes(rng, p))
 			}
 		}
 	}
 	// Childless interior tasks feed the exit.
-	for _, id := range interior {
-		if len(g.Children(id)) == 0 {
-			g.AddLink(afg.Link{From: id, To: exit, Bytes: commBytes(rng, p)})
+	for t := 1; t <= interior; t++ {
+		if b.out[t] == 0 {
+			b.link(t, exit, commBytes(rng, p))
 		}
 	}
-	return g
+	return b.mustBuild(name)
 }
 
 // taskCost draws one computation cost: uniform on (0, 2·w̄], floored away
@@ -238,22 +288,20 @@ func Scale(tasks, width, kinds int, seed int64) *afg.Graph {
 			bytes: int64(1+rng.Intn(16)) << 10,
 		}
 	}
-	g := afg.NewSized(fmt.Sprintf("scale-%d", tasks), tasks)
-	var prev []afg.TaskID
+	b := newBuilder(tasks)
+	var prev []int
 	for made := 0; made < tasks; {
 		n := width
 		if rem := tasks - made; n > rem {
 			n = rem
 		}
-		var cur []afg.TaskID
+		var cur []int
 		for i := 0; i < n; i++ {
-			id := afg.TaskID(fmt.Sprintf("t%05d", made))
 			p := catalogue[rng.Intn(kinds)]
-			g.AddTask(&afg.Task{
-				ID: id, Function: "synthetic.noop",
+			cur = append(cur, b.task(&afg.Task{
+				ID: afg.TaskID(fmt.Sprintf("t%05d", made)), Function: "synthetic.noop",
 				ComputeCost: p.cost, MemReq: p.mem, OutputBytes: p.bytes,
-			})
-			cur = append(cur, id)
+			}))
 			made++
 		}
 		for _, c := range cur {
@@ -263,14 +311,14 @@ func Scale(tasks, width, kinds int, seed int64) *afg.Graph {
 			// Sparse rank-to-rank wiring: every task gets one parent plus a
 			// second with probability 1/4, keeping edges linear in tasks.
 			p := prev[rng.Intn(len(prev))]
-			g.AddLink(afg.Link{From: p, To: c, Bytes: g.Task(p).OutputBytes})
+			b.link(p, c, b.tasks[p].OutputBytes)
 			if rng.Intn(4) == 0 {
 				if q := prev[rng.Intn(len(prev))]; q != p {
-					g.AddLink(afg.Link{From: q, To: c, Bytes: g.Task(q).OutputBytes})
+					b.link(q, c, b.tasks[q].OutputBytes)
 				}
 			}
 		}
 		prev = cur
 	}
-	return g
+	return b.mustBuild(fmt.Sprintf("scale-%d", tasks))
 }

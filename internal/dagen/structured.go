@@ -26,26 +26,19 @@ func GaussianElimination(m int, p Params) (*afg.Graph, error) {
 	}
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	g := afg.New(fmt.Sprintf("gauss-m%d", m))
+	b := newBuilder((m*m + m - 2) / 2)
 
-	pivot := func(k int) afg.TaskID { return afg.TaskID(fmt.Sprintf("p%03d", k)) }
-	update := func(k, j int) afg.TaskID { return afg.TaskID(fmt.Sprintf("u%03d-%03d", k, j)) }
-
-	add := func(id afg.TaskID) {
-		g.AddTask(&afg.Task{
-			ID:          id,
-			Function:    "synthetic.noop",
-			ComputeCost: taskCost(rng, p.MeanCost),
-		})
-	}
-	link := func(from, to afg.TaskID) {
-		g.AddLink(afg.Link{From: from, To: to, Bytes: commBytes(rng, p)})
-	}
+	// Step k's tasks sit together: its pivot at row[k], then its updates
+	// for columns k+1 .. m.
+	row := make([]int, m)
+	pivot := func(k int) int { return row[k] }
+	update := func(k, j int) int { return row[k] + j - k }
+	link := func(from, to int) { b.link(from, to, commBytes(rng, p)) }
 
 	for k := 1; k < m; k++ {
-		add(pivot(k))
+		row[k] = b.noop(afg.TaskID(fmt.Sprintf("p%03d", k)), taskCost(rng, p.MeanCost))
 		for j := k + 1; j <= m; j++ {
-			add(update(k, j))
+			b.noop(afg.TaskID(fmt.Sprintf("u%03d-%03d", k, j)), taskCost(rng, p.MeanCost))
 		}
 	}
 	for k := 1; k < m; k++ {
@@ -59,7 +52,7 @@ func GaussianElimination(m int, p Params) (*afg.Graph, error) {
 			}
 		}
 	}
-	return g, nil
+	return b.build(fmt.Sprintf("gauss-m%d", m))
 }
 
 // FFT builds the task graph of a radix-2 fast Fourier transform on `points`
@@ -73,41 +66,34 @@ func FFT(points int, p Params) (*afg.Graph, error) {
 	}
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	g := afg.New(fmt.Sprintf("fft-n%d", points))
-
-	add := func(id afg.TaskID) {
-		g.AddTask(&afg.Task{
-			ID:          id,
-			Function:    "synthetic.noop",
-			ComputeCost: taskCost(rng, p.MeanCost),
-		})
-	}
-	link := func(from, to afg.TaskID) {
-		g.AddLink(afg.Link{From: from, To: to, Bytes: commBytes(rng, p)})
-	}
 
 	logn := 0
 	for 1<<logn < points {
 		logn++
 	}
-	// Divide phase: binary tree, level d has 2^d call tasks.
-	call := func(d, i int) afg.TaskID { return afg.TaskID(fmt.Sprintf("c%02d-%04d", d, i)) }
+	b := newBuilder(2*points - 1 + points*logn)
+	add := func(id afg.TaskID) int { return b.noop(id, taskCost(rng, p.MeanCost)) }
+	link := func(from, to int) { b.link(from, to, commBytes(rng, p)) }
+
+	// Divide phase: binary tree, level d has 2^d call tasks, added level by
+	// level from index 0.
+	call := func(d, i int) int { return 1<<d - 1 + i }
 	for d := 0; d <= logn; d++ {
 		for i := 0; i < 1<<d; i++ {
-			add(call(d, i))
+			c := add(afg.TaskID(fmt.Sprintf("c%02d-%04d", d, i)))
 			if d > 0 {
-				link(call(d-1, i/2), call(d, i))
+				link(call(d-1, i/2), c)
 			}
 		}
 	}
 	// Butterfly phase: level l combines lanes at stride 2^(l-1); every lane
 	// reads itself and its partner from the level below (the tree leaves for
-	// l = 1).
-	fly := func(l, i int) afg.TaskID { return afg.TaskID(fmt.Sprintf("b%02d-%04d", l, i)) }
+	// l = 1). The levels follow the tree, `points` tasks each.
+	fly := func(l, i int) int { return 2*points - 1 + (l-1)*points + i }
 	for l := 1; l <= logn; l++ {
 		stride := 1 << (l - 1)
 		for i := 0; i < points; i++ {
-			add(fly(l, i))
+			add(afg.TaskID(fmt.Sprintf("b%02d-%04d", l, i)))
 		}
 		for i := 0; i < points; i++ {
 			self, partner := i, i^stride
@@ -120,5 +106,5 @@ func FFT(points int, p Params) (*afg.Graph, error) {
 			}
 		}
 	}
-	return g, nil
+	return b.build(fmt.Sprintf("fft-n%d", points))
 }

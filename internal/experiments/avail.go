@@ -34,29 +34,22 @@ func mergeGraphs(graphs []*afg.Graph) (*afg.Graph, error) {
 	for _, g := range graphs {
 		total += g.Len()
 	}
-	merged := afg.NewSized("combined", total)
+	tasks := make([]*afg.Task, 0, total)
+	var links []afg.Link
 	for gi, g := range graphs {
 		prefix := fmt.Sprintf("g%02d/", gi)
 		for _, id := range g.TaskIDs() {
 			t := g.Task(id).Clone()
 			t.ID = afg.TaskID(prefix + string(id))
-			if err := merged.AddTask(t); err != nil {
-				return nil, err
-			}
+			tasks = append(tasks, t)
 		}
 		for _, l := range g.Links() {
-			err := merged.AddLinkExact(afg.Link{
-				From:  afg.TaskID(prefix + string(l.From)),
-				To:    afg.TaskID(prefix + string(l.To)),
-				Bytes: l.Bytes,
-				Port:  l.Port,
-			})
-			if err != nil {
-				return nil, err
-			}
+			l.From = afg.TaskID(prefix + string(l.From))
+			l.To = afg.TaskID(prefix + string(l.To))
+			links = append(links, l)
 		}
 	}
-	return merged, nil
+	return afg.Build("combined", tasks, links)
 }
 
 // mergeTables folds the batch's per-graph allocation tables onto the

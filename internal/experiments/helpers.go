@@ -160,13 +160,18 @@ func truthFromRepos(sites map[string]*repository.Repository) scheduler.TimeModel
 // benchmark: no precedence effects).
 func independentTasks(n int, maxCost float64, seed int64) *afg.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := afg.New(fmt.Sprintf("independent-%d", n))
-	for i := 0; i < n; i++ {
-		g.AddTask(&afg.Task{
+	name := fmt.Sprintf("independent-%d", n)
+	tasks := make([]*afg.Task, n)
+	for i := range tasks {
+		tasks[i] = &afg.Task{
 			ID:          afg.TaskID(fmt.Sprintf("t%03d", i)),
 			Function:    "synthetic.noop",
 			ComputeCost: 0.2 + rng.Float64()*maxCost,
-		})
+		}
+	}
+	g, err := afg.Build(name, tasks, nil)
+	if err != nil { // ids are the generator's own: a refusal is a bug here
+		panic(fmt.Sprintf("experiments: %s: %v", name, err))
 	}
 	return g
 }

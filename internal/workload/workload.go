@@ -25,16 +25,62 @@ func costFor(reg *tasklib.Registry, fn string, params map[string]string) (cost f
 	return spec.BaseTime * s, int64(float64(spec.MemReq) * s), int64(float64(spec.OutputBytes) * s)
 }
 
-func addTask(g *afg.Graph, reg *tasklib.Registry, id afg.TaskID, fn string, params map[string]string) error {
+// app collects one application's tasks and links for a single afg.Build.
+// A link carries its source task's OutputBytes and takes its destination's
+// next input port, as the editor's connect gesture does.
+type app struct {
+	tasks []*afg.Task
+	links []afg.Link
+	byID  map[afg.TaskID]*afg.Task
+	in    map[afg.TaskID]int // links wired into each task so far
+}
+
+func newApp() *app {
+	return &app{byID: map[afg.TaskID]*afg.Task{}, in: map[afg.TaskID]int{}}
+}
+
+func (a *app) add(t *afg.Task) *afg.Task {
+	a.tasks = append(a.tasks, t)
+	a.byID[t.ID] = t
+	return t
+}
+
+// library adds a task-library call with its registry-derived costs.
+func (a *app) library(reg *tasklib.Registry, id afg.TaskID, fn string, params map[string]string) *afg.Task {
 	cost, mem, out := costFor(reg, fn, params)
-	return g.AddTask(&afg.Task{
+	return a.add(&afg.Task{
 		ID: id, Function: fn, Params: params,
 		ComputeCost: cost, MemReq: mem, OutputBytes: out,
 	})
 }
 
-func link(g *afg.Graph, from, to afg.TaskID) error {
-	return g.AddLink(afg.Link{From: from, To: to, Bytes: g.Task(from).OutputBytes})
+// synthetic adds a no-op task of the given cost and output volume.
+func (a *app) synthetic(id afg.TaskID, cost float64, bytes int64) *afg.Task {
+	return a.add(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: cost, OutputBytes: bytes})
+}
+
+func (a *app) link(from, to afg.TaskID) {
+	l := afg.Link{From: from, To: to, Port: a.in[to]}
+	if t := a.byID[from]; t != nil { // an unknown source is Build's to refuse
+		l.Bytes = t.OutputBytes
+	}
+	a.links = append(a.links, l)
+	a.in[to]++
+}
+
+func (a *app) build(name string) (*afg.Graph, error) {
+	return afg.Build(name, a.tasks, a.links)
+}
+
+// mustBuild is build for the synthetic families, which return only a graph:
+// their ids and wiring are their own, so a refusal is a generator bug, never
+// an input error.
+func (a *app) mustBuild(name string) *afg.Graph {
+	g, err := a.build(name)
+	if err != nil {
+		panic(fmt.Sprintf("workload: %s: %v", name, err))
+	}
+	return g
 }
 
 // LinearSolver builds the paper's Fig 3 application: solve A·x = b via LU
@@ -45,26 +91,14 @@ func LinearSolver(reg *tasklib.Registry, n, seed int, parallelLU bool, procs int
 	if reg == nil {
 		reg = tasklib.Default()
 	}
-	g := afg.New(fmt.Sprintf("linear-solver-n%d", n))
+	a := newApp()
 	ns := fmt.Sprintf("%d", n)
-	steps := []struct {
-		id     afg.TaskID
-		fn     string
-		params map[string]string
-	}{
-		{"genA", "matrix.generate", map[string]string{"n": ns, "seed": fmt.Sprintf("%d", seed)}},
-		{"genB", "matrix.vector", map[string]string{"n": ns, "seed": fmt.Sprintf("%d", seed+1)}},
-		{"lu", "matrix.lu", map[string]string{"n": ns}},
-		{"solve", "matrix.solve", map[string]string{"n": ns}},
-		{"check", "matrix.residual", map[string]string{"n": ns}},
-	}
-	for _, s := range steps {
-		if err := addTask(g, reg, s.id, s.fn, s.params); err != nil {
-			return nil, err
-		}
-	}
+	a.library(reg, "genA", "matrix.generate", map[string]string{"n": ns, "seed": fmt.Sprintf("%d", seed)})
+	a.library(reg, "genB", "matrix.vector", map[string]string{"n": ns, "seed": fmt.Sprintf("%d", seed+1)})
+	lu := a.library(reg, "lu", "matrix.lu", map[string]string{"n": ns})
+	a.library(reg, "solve", "matrix.solve", map[string]string{"n": ns})
+	a.library(reg, "check", "matrix.residual", map[string]string{"n": ns})
 	if parallelLU {
-		lu := g.Task("lu")
 		lu.Mode = afg.Parallel
 		if procs < 2 {
 			procs = 2
@@ -75,11 +109,9 @@ func LinearSolver(reg *tasklib.Registry, n, seed int, parallelLU bool, procs int
 		{"genA", "lu"}, {"lu", "solve"}, {"genB", "solve"},
 		{"genA", "check"}, {"solve", "check"}, {"genB", "check"},
 	} {
-		if err := link(g, l[0], l[1]); err != nil {
-			return nil, err
-		}
+		a.link(l[0], l[1])
 	}
-	return g, nil
+	return a.build(fmt.Sprintf("linear-solver-n%d", n))
 }
 
 // C3IScenario builds a command-control-communication-information pipeline:
@@ -92,42 +124,27 @@ func C3IScenario(reg *tasklib.Registry, sensors, samples, seed int) (*afg.Graph,
 	if sensors < 2 {
 		sensors = 2
 	}
-	g := afg.New(fmt.Sprintf("c3i-%dsensors", sensors))
+	a := newApp()
 	sam := fmt.Sprintf("%d", samples)
 	// Two independent sensor clusters feed two fusion nodes.
 	for c := 0; c < 2; c++ {
 		data := afg.TaskID(fmt.Sprintf("sensors%d", c))
 		fuse := afg.TaskID(fmt.Sprintf("fusion%d", c))
-		err := addTask(g, reg, data, "c3i.sensordata", map[string]string{
+		a.library(reg, data, "c3i.sensordata", map[string]string{
 			"sensors": fmt.Sprintf("%d", sensors),
 			"samples": sam,
 			"seed":    fmt.Sprintf("%d", seed+c),
 		})
-		if err != nil {
-			return nil, err
-		}
-		if err := addTask(g, reg, fuse, "c3i.fusion", map[string]string{"samples": sam}); err != nil {
-			return nil, err
-		}
-		if err := link(g, data, fuse); err != nil {
-			return nil, err
-		}
+		a.library(reg, fuse, "c3i.fusion", map[string]string{"samples": sam})
+		a.link(data, fuse)
 	}
 	// Track correlation across the clusters, then threat assessment.
-	if err := addTask(g, reg, "correlate", "c3i.correlate", map[string]string{"samples": sam}); err != nil {
-		return nil, err
-	}
-	if err := addTask(g, reg, "threat", "c3i.threat", map[string]string{"samples": sam}); err != nil {
-		return nil, err
-	}
-	for _, l := range [][2]afg.TaskID{
-		{"fusion0", "correlate"}, {"fusion1", "correlate"}, {"fusion0", "threat"},
-	} {
-		if err := link(g, l[0], l[1]); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	a.library(reg, "correlate", "c3i.correlate", map[string]string{"samples": sam})
+	a.library(reg, "threat", "c3i.threat", map[string]string{"samples": sam})
+	a.link("fusion0", "correlate")
+	a.link("fusion1", "correlate")
+	a.link("fusion0", "threat")
+	return a.build(fmt.Sprintf("c3i-%dsensors", sensors))
 }
 
 // FourierPipeline chains signal generation → spectrum → dominant-frequency
@@ -136,26 +153,16 @@ func FourierPipeline(reg *tasklib.Registry, n, tone, seed int) (*afg.Graph, erro
 	if reg == nil {
 		reg = tasklib.Default()
 	}
-	g := afg.New(fmt.Sprintf("fourier-n%d", n))
+	a := newApp()
 	params := map[string]string{
 		"n": fmt.Sprintf("%d", n), "tone": fmt.Sprintf("%d", tone), "seed": fmt.Sprintf("%d", seed),
 	}
-	if err := addTask(g, reg, "signal", "fourier.signal", params); err != nil {
-		return nil, err
-	}
-	if err := addTask(g, reg, "spectrum", "fourier.spectrum", map[string]string{"n": params["n"]}); err != nil {
-		return nil, err
-	}
-	if err := addTask(g, reg, "dominant", "fourier.dominant", map[string]string{"n": params["n"]}); err != nil {
-		return nil, err
-	}
-	if err := link(g, "signal", "spectrum"); err != nil {
-		return nil, err
-	}
-	if err := link(g, "signal", "dominant"); err != nil {
-		return nil, err
-	}
-	return g, nil
+	a.library(reg, "signal", "fourier.signal", params)
+	a.library(reg, "spectrum", "fourier.spectrum", map[string]string{"n": params["n"]})
+	a.library(reg, "dominant", "fourier.dominant", map[string]string{"n": params["n"]})
+	a.link("signal", "spectrum")
+	a.link("signal", "dominant")
+	return a.build(fmt.Sprintf("fourier-n%d", n))
 }
 
 // Synthetic DAG families ------------------------------------------------------
@@ -163,31 +170,31 @@ func FourierPipeline(reg *tasklib.Registry, n, tone, seed int) (*afg.Graph, erro
 // Pipeline builds a depth-stage chain of synthetic tasks with the given
 // per-stage cost (seconds on the base processor) and link volume.
 func Pipeline(depth int, cost float64, bytes int64) *afg.Graph {
-	g := afg.New(fmt.Sprintf("pipeline-%d", depth))
+	a := newApp()
 	var prev afg.TaskID
 	for i := 0; i < depth; i++ {
 		id := afg.TaskID(fmt.Sprintf("s%03d", i))
-		g.AddTask(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: cost, OutputBytes: bytes})
+		a.synthetic(id, cost, bytes)
 		if i > 0 {
-			g.AddLink(afg.Link{From: prev, To: id, Bytes: bytes})
+			a.link(prev, id)
 		}
 		prev = id
 	}
-	return g
+	return a.mustBuild(fmt.Sprintf("pipeline-%d", depth))
 }
 
 // ForkJoin builds source → width parallel branches → sink.
 func ForkJoin(width int, branchCost float64, bytes int64) *afg.Graph {
-	g := afg.New(fmt.Sprintf("forkjoin-%d", width))
-	g.AddTask(&afg.Task{ID: "source", Function: "synthetic.noop", ComputeCost: branchCost / 10, OutputBytes: bytes})
-	g.AddTask(&afg.Task{ID: "sink", Function: "synthetic.noop", ComputeCost: branchCost / 10, OutputBytes: bytes})
+	a := newApp()
+	a.synthetic("source", branchCost/10, bytes)
+	a.synthetic("sink", branchCost/10, bytes)
 	for i := 0; i < width; i++ {
 		id := afg.TaskID(fmt.Sprintf("b%03d", i))
-		g.AddTask(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: branchCost, OutputBytes: bytes})
-		g.AddLink(afg.Link{From: "source", To: id, Bytes: bytes})
-		g.AddLink(afg.Link{From: id, To: "sink", Bytes: bytes})
+		a.synthetic(id, branchCost, bytes)
+		a.link("source", id)
+		a.link(id, "sink")
 	}
-	return g
+	return a.mustBuild(fmt.Sprintf("forkjoin-%d", width))
 }
 
 // LayeredConfig parameterises LayeredRandom.
@@ -215,7 +222,7 @@ func LayeredRandom(cfg LayeredConfig) *afg.Graph {
 		cfg.MaxCost = cfg.MinCost + 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := afg.New(fmt.Sprintf("layered-%dx%d", cfg.Layers, cfg.Width))
+	a := newApp()
 	var prev []afg.TaskID
 	for l := 0; l < cfg.Layers; l++ {
 		n := 1 + rng.Intn(cfg.Width)
@@ -227,26 +234,23 @@ func LayeredRandom(cfg LayeredConfig) *afg.Graph {
 			if cfg.MaxBytes > 0 {
 				bytes = rng.Int63n(cfg.MaxBytes)
 			}
-			g.AddTask(&afg.Task{ID: id, Function: "synthetic.noop", ComputeCost: cost, OutputBytes: bytes})
+			a.synthetic(id, cost, bytes)
 			cur = append(cur, id)
 		}
 		for _, c := range cur {
 			if len(prev) == 0 {
 				continue
 			}
-			linked := false
 			for _, p := range prev {
 				if rng.Float64() < cfg.Density {
-					g.AddLink(afg.Link{From: p, To: c, Bytes: g.Task(p).OutputBytes})
-					linked = true
+					a.link(p, c)
 				}
 			}
-			if !linked {
-				p := prev[rng.Intn(len(prev))]
-				g.AddLink(afg.Link{From: p, To: c, Bytes: g.Task(p).OutputBytes})
+			if a.in[c] == 0 {
+				a.link(prev[rng.Intn(len(prev))], c)
 			}
 		}
 		prev = cur
 	}
-	return g
+	return a.mustBuild(fmt.Sprintf("layered-%dx%d", cfg.Layers, cfg.Width))
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -160,4 +163,33 @@ func TestPropertyGeneratorsValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A builder whose ids collide or whose links are refused used to drop the
+// error and hand back a different graph. Now the refusal surfaces: as the
+// error from the builders that return one, as a panic from those that
+// cannot.
+func TestAppFailsLoudlyOnRefusal(t *testing.T) {
+	collide := func() *app {
+		a := newApp()
+		a.synthetic("s000", 1, 8)
+		a.synthetic("s000", 1, 8)
+		return a
+	}
+	if g, err := collide().build("collide"); g != nil || !errors.Is(err, afg.ErrDuplicateTask) {
+		t.Fatalf("build = %v, %v; want no graph and ErrDuplicateTask", g, err)
+	}
+	dangling := newApp()
+	dangling.synthetic("a", 1, 8)
+	dangling.link("ghost", "a")
+	if _, err := dangling.build("dangling"); !errors.Is(err, afg.ErrUnknownTask) {
+		t.Fatalf("err = %v, want ErrUnknownTask", err)
+	}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), afg.ErrDuplicateTask.Error()) {
+			t.Fatalf("mustBuild recovered %v, want a panic naming the duplicate id", r)
+		}
+	}()
+	collide().mustBuild("collide")
 }
