@@ -18,6 +18,11 @@ func (p stubPolicy) Schedule(context.Context, *Request) (*AllocationTable, error
 
 func TestRegisterDuplicatePanics(t *testing.T) {
 	Register(stubPolicy{name: "test-registry-dup"})
+	t.Cleanup(func() { // the registry outlives the test; -count=N registers again
+		policies.mu.Lock()
+		defer policies.mu.Unlock()
+		delete(policies.m, "test-registry-dup")
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")

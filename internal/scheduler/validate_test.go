@@ -175,65 +175,19 @@ func TestValidateCheckersCatchViolations(t *testing.T) {
 // independent validator, and the validator's makespan equals Simulate's bit
 // for bit — two implementations of the execution semantics agreeing.
 func TestEveryPolicyPassesValidatorOnDagenGrid(t *testing.T) {
-	// Registry tests register erroring "test-" stubs in this binary; the
-	// property quantifies over the real policies.
-	var names []string
-	for _, n := range Policies() {
-		if !strings.HasPrefix(n, "test-") {
-			names = append(names, n)
+	forEachDagenGridSchedule(t, func(_, label string, g *afg.Graph, table *AllocationTable, truth TimeModel, net *netsim.Network) {
+		audit, err := ValidateSchedule(g, table, truth, net)
+		if err != nil {
+			t.Fatalf("%s: validator: %v", label, err)
 		}
-	}
-	if len(names) < 9 {
-		t.Fatalf("only %d policies registered: %v", len(names), names)
-	}
-	graphs := 0
-	for _, beta := range []float64{0.25, 1.25} {
-		env, repos, net := dagenEnv(t, beta, 17)
-		truth := heftTruth(repos)
-		for _, tasks := range []int{8, 20, 40} {
-			for _, ccr := range []float64{0.1, 1, 5} {
-				for _, alpha := range []float64{0.5, 2} {
-					seed := int64(graphs)
-					g := dagen.Random(dagen.Params{
-						Tasks: tasks, CCR: ccr, Alpha: alpha, OutDegree: 3,
-						Beta: beta, Seed: seed,
-					})
-					if graphs%7 == 3 { // exercise the parallel placement paths
-						id := g.TaskIDs()[tasks/2]
-						g.Task(id).Mode = afg.Parallel
-						g.Task(id).Processors = 2
-					}
-					graphs++
-					for _, name := range names {
-						p, err := Lookup(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						items := (&Batch{Policy: p, Env: env, Workers: 1}).Schedule([]*afg.Graph{g})
-						if items[0].Err != nil {
-							t.Fatalf("%s on v=%d ccr=%g α=%g β=%g: %v", name, tasks, ccr, alpha, beta, items[0].Err)
-						}
-						table := items[0].Table
-						audit, err := ValidateSchedule(g, table, truth, net)
-						if err != nil {
-							t.Fatalf("%s on v=%d ccr=%g α=%g β=%g: validator: %v", name, tasks, ccr, alpha, beta, err)
-						}
-						mk, err := Simulate(g, table, truth, net)
-						if err != nil {
-							t.Fatalf("%s: simulate: %v", name, err)
-						}
-						if audit.Makespan != mk {
-							t.Fatalf("%s on v=%d ccr=%g α=%g β=%g: validator makespan %v != simulator %v",
-								name, tasks, ccr, alpha, beta, audit.Makespan, mk)
-						}
-					}
-				}
-			}
+		mk, err := Simulate(g, table, truth, net)
+		if err != nil {
+			t.Fatalf("%s: simulate: %v", label, err)
 		}
-	}
-	if graphs < 36 {
-		t.Fatalf("grid shrank to %d graphs", graphs)
-	}
+		if audit.Makespan != mk {
+			t.Fatalf("%s: validator makespan %v != simulator %v", label, audit.Makespan, mk)
+		}
+	})
 }
 
 // The structured application graphs go through the same gauntlet: every
