@@ -21,10 +21,12 @@
 // load ledger), the HEFT and CPOP list-scheduling heuristics of Topcuoglu
 // et al. ("heft", "cpop"), and the naive baselines ("random", "roundrobin",
 // "minload", "fastest"). experiments.PolicyComparison scores them all by
-// combined simulated makespan on one workload, and an incremental
-// event-driven simulator (near-linear in tasks and links on realistic
-// allocations) does the scoring at scale. The paper-faithful algorithm
-// remains the default policy and the evaluation baseline.
+// combined simulated makespan on one workload, and one incremental
+// event-driven executor (near-linear in tasks and links on realistic
+// allocations) does the scoring at scale: scheduler.Simulate is that
+// executor with nothing scripted, scheduler.RunChurn the same loop under a
+// fault script. The paper-faithful algorithm remains the default policy and
+// the evaluation baseline.
 //
 // # Evaluation methodology
 //
@@ -38,8 +40,9 @@
 // pairwise better/equal/worse counts; and scheduler.ValidateSchedule is an
 // independent, deliberately naive replay of the execution semantics that
 // audits every allocation table for precedence feasibility, per-host
-// mutual exclusion, and transfer-time accounting — its makespan must match
-// the simulator's bit for bit. The RANKING experiment sweeps the grid
+// mutual exclusion, and transfer-time accounting — it shares the graph's
+// dense index with the executor and no code, and its per-task intervals
+// must match the executor's bit for bit. The RANKING experiment sweeps the grid
 // (sizes × CCRs) across every registered policy (vdce-bench -exp RANKING,
 // with -ranking-sizes/-ranking-ccrs/-ranking-graphs and -json for
 // machine-readable output); a fixed-seed golden run is committed under
@@ -61,13 +64,12 @@
 // the index is built (task cost metadata is frozen during scheduling), and
 // structural graph mutations invalidate the cached index. The map-keyed
 // originals are retained as test oracles with equivalence tests pinning
-// identical allocation tables. Net effect on the POLICY experiment
-// (9 policies × 6×1000-task graphs × 32 sites): ~5× faster with ~92%
-// fewer allocations; README.md carries the before/after table.
+// identical allocation tables. What each stage costs, per workload and per
+// commit, is benchmark/README.md's to say.
 //
 // On top of the dense core, per-schedule working state — rank vectors,
 // heap backing arrays, host timelines and their span slabs, the
-// simulator's event-loop state — is recycled through a pooled scratch
+// executor's event-loop state — is recycled through a pooled scratch
 // arena (internal/scheduler/scratch.go documents the pooling contract:
 // schedule output is never pooled, every pooled buffer is overwritten or
 // explicitly reset, scratch is function-scoped). The RANKING grid
@@ -90,8 +92,9 @@
 // heft policy's own pass over the whole frontier (with nothing settled it
 // IS the heft policy), "eft" re-places, append-only, just the tasks
 // touching a suspect host, and "dup" adds duplicates of those on idle
-// hosts; every repaired table is certified by ValidateSchedule before adoption
-// (scheduler.CertifyReplan), and the per-task §2.3.1 rescheduling request
+// hosts; every repaired table is certified before adoption
+// (scheduler.CertifyReplan: the executor and ValidateSchedule must both
+// replay it and agree), and the per-task §2.3.1 rescheduling request
 // remains the fallback. Between executions, the monitoring plane catches
 // up: a Group Manager round marks dead hosts down in the repository (no
 // prediction outlives a walk, so the next one sees it), resets per-host
@@ -99,7 +102,8 @@
 // (site.Manager.SubscribeDeviations), so subsequent schedules avoid the
 // dead hosts outright. The CHURN experiment (vdce-bench -exp CHURN, flags
 // -churn-sizes/-churn-ccrs/-churn-replanners/-churn-threshold) replays
-// seeded host-failure/straggler traces over the dagen grid and scores
+// seeded host-failure/straggler traces over the dagen grid — RunChurn, the
+// executor Simulate is, with the trace and a re-planner scripted — and scores
 // every re-planner by makespan degradation against the fault-free run —
 // deterministic and bit-identical for any worker count.
 //

@@ -31,10 +31,14 @@ func TestFig2PipelineStagesCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Metrics["editor_ms"] <= 0 || r.Metrics["scheduler_ms"] <= 0 {
-		t.Fatalf("metrics = %v", r.Metrics)
+	// Every stage is timed (a stage can be faster than the clock's tick, so
+	// zero is legal; negative or missing is not) and the middleware stages
+	// must be sub-second.
+	for _, stage := range []string{"editor_ms", "scheduler_ms", "runtime_ms"} {
+		if ms, ok := r.Metrics[stage]; !ok || ms < 0 {
+			t.Fatalf("%s not timed: %v", stage, r.Metrics)
+		}
 	}
-	// Middleware stages must be sub-second.
 	if r.Metrics["editor_ms"] > 1000 || r.Metrics["scheduler_ms"] > 1000 {
 		t.Fatalf("middleware too slow: %v", r.Metrics)
 	}

@@ -1,25 +1,27 @@
 package scheduler
 
 // churn.go is the seeded fault-injection harness behind the CHURN
-// experiment: a deterministic discrete-event executor that replays a
-// committed allocation table under a scripted churn trace — hosts going
+// experiment: the script side of the one executor (sim.go). RunChurn replays
+// a committed allocation table under a scripted churn trace — hosts going
 // down (killing their running tasks), coming back, and straggler hosts
-// running slower than predicted — and drives the frontier rescheduler
-// (resched.go) on every deviation. The scheduler side only ever sees
-// predicted costs; the trace's straggle multipliers are ground truth it
-// discovers through overrun detection, exactly the information asymmetry
-// of the live monitoring plane.
+// running slower than predicted — and this file holds what the executor does
+// on a deviation: kill, promote a hedge copy, drive the frontier
+// rescheduler (resched.go), adopt the certified repair. The scheduler side
+// only ever sees predicted costs; the trace's straggle multipliers are
+// ground truth it discovers through overrun detection, exactly the
+// information asymmetry of the live monitoring plane.
 //
 // Determinism contract: for a fixed graph, table, trace, and config the
-// run is bit-identical — every set iterated here goes through sorted
-// slices, the only randomness is the caller's explicit trace seed, and
-// every adopted re-plan is certified by CertifyReplan first.
+// run is bit-identical — every ordered walk goes through dense ids or a
+// heap with an id tie-break, the only randomness is the caller's explicit
+// trace seed, and every adopted re-plan is certified by CertifyReplan first.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/afg"
@@ -119,13 +121,13 @@ type ChurnConfig struct {
 	OverrunThreshold float64
 	// Replanner names the registered frontier re-planner; default "eft".
 	Replanner string
-	// MaxReplans caps re-planning rounds; 0 = unlimited.
-	MaxReplans int
 }
+
+const defaultOverrunThreshold = 1.5
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.OverrunThreshold == 0 {
-		c.OverrunThreshold = 1.5
+		c.OverrunThreshold = defaultOverrunThreshold
 	}
 	if c.Replanner == "" {
 		c.Replanner = "eft"
@@ -145,17 +147,6 @@ type ChurnOutcome struct {
 	Killed          int     `json:"killed"`   // task executions lost to host failures
 }
 
-type churnRun struct {
-	host  string // primary host
-	hosts []string
-	start float64
-	pred  float64 // predicted duration as scheduled
-	//vdce:unit seconds
-	predFin   float64 // start + pred: the finish the scheduler expects
-	actualFin float64
-	detected  bool // overrun deviation already raised
-}
-
 // RunChurn replays table under the churn trace, re-planning the unstarted
 // frontier through the named re-planner on every deviation. predicted is
 // the scheduler-visible cost model; the trace's straggle multipliers turn
@@ -167,280 +158,154 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 	if err != nil {
 		return nil, err
 	}
-	ids := g.TaskIDs()
-	for _, id := range ids {
-		if _, ok := table.Get(id); !ok {
-			return nil, fmt.Errorf("scheduler: churn: task %s missing from table", id)
+	if cfg.OverrunThreshold <= 1 {
+		cfg.OverrunThreshold = math.Inf(1) // no finite run outlasts it: detection off
+	}
+	// A duplicate promotion writes the plan in force, so the executor gets a
+	// private copy (entries the graph does not name are not part of the run).
+	plan := NewAllocationTableSized(table.App, g.Len())
+	for _, id := range g.TaskIDs() {
+		if a, ok := table.Get(id); ok {
+			plan.Set(a)
 		}
 	}
-
-	cur := NewAllocationTableSized(table.App, len(ids))
-	for _, id := range ids {
-		a, _ := table.Get(id)
-		cur.Set(a)
+	x := executor{g: g, table: plan, model: predicted, net: net,
+		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts}
+	if err := x.run(); err != nil {
+		return nil, err
 	}
+	out := x.out
+	return &out, nil
+}
 
-	var (
-		out      ChurnOutcome
-		now      float64
-		done     = make(map[afg.TaskID]float64, len(ids))
-		running  = make(map[afg.TaskID]*churnRun)
-		down     = make(map[string]bool)
-		hostFree = make(map[string]float64)
-		dupOf    = make(map[afg.TaskID]Assignment)
-		traceIx  = 0
-	)
-	straggleOf := func(hs []string) float64 {
-		m := 1.0
-		for _, h := range hs {
-			if s, ok := trace.Straggle[h]; ok && s > m {
-				m = s
+// transition applies the next scripted availability event. A host going
+// down kills what runs on it — the work is lost and the task returns to the
+// frontier, on its hedge copy if a live one is registered — and raises a
+// host-down deviation; a host coming back is free from now.
+func (x *executor) transition() error {
+	ev := x.events[x.traceIx]
+	x.traceIx++
+	x.now = ev.At
+	c := x.colFor(ev.Host)
+	var err error
+	switch wasDown := x.isDown(c); {
+	case !ev.Down && wasDown:
+		x.hostFree[c] = x.now
+	case ev.Down && !wasDown:
+		x.hostFree[c] = math.Inf(1)
+		running := x.fin[:0]
+		for _, e := range x.fin {
+			if !slices.Contains(x.hostCols[e.i], c) {
+				running = append(running, e)
+				continue
+			}
+			x.started[e.i] = false
+			x.out.Killed++
+			if int(e.i) < len(x.dup) && x.dup[e.i].Task != "" && !x.isDown(x.colFor(x.dup[e.i].Host)) {
+				x.table.Set(x.dup[e.i])
+				x.dup[e.i] = Assignment{}
+				x.out.DupRuns++
 			}
 		}
-		return m
+		x.fin = running
+		x.fin.Init()
+		x.det = slices.DeleteFunc(x.det, func(e event) bool { return !x.started[e.i] })
+		x.det.Init()
+		err = x.replan(Deviation{Kind: DeviationHostDown, Host: ev.Host, At: x.now})
 	}
+	x.refresh()
+	return err
+}
 
-	replan := func(ev Deviation) error {
-		if cfg.MaxReplans > 0 && out.Replans >= cfg.MaxReplans {
-			return nil
+func (x *executor) isDown(c int32) bool { return math.IsInf(x.hostFree[c], 1) }
+
+// overrun raises the deviation of a running task caught past threshold ×
+// its prediction; each run is caught at most once (its detection is popped).
+func (x *executor) overrun(e event) error {
+	x.now = e.at
+	err := x.replan(Deviation{Kind: DeviationOverrun, Host: x.assigns[e.i].Host, Task: x.ix.ID(int(e.i)),
+		At: x.now, Ratio: (x.end[e.i] - x.begin[e.i]) / x.pred[e.i]})
+	x.refresh()
+	return err
+}
+
+// refresh re-reads the plan in force after a deviation — the one moment a
+// start can move earlier: unstarted tasks take their (possibly new)
+// assignments, and the candidate heap is rebuilt from the ready set.
+func (x *executor) refresh() {
+	for i, started := range x.started {
+		if !started {
+			a, _ := x.table.Get(x.ix.ID(i))
+			x.mirror(i, a)
 		}
-		req := &ReplanRequest{
-			Graph: g,
-			Table: cur,
-			Done:  done,
-			// The scheduler's view of a running task is its expected
-			// finish, floored at the present — it knows an overrunning
-			// task has not finished yet, not when it will.
-			Running: make(map[afg.TaskID]float64, len(running)),
-			Down:    down,
-			Event:   ev,
-			Costs:   predicted,
-			Hosts:   hosts,
-			Net:     net,
+	}
+	x.reseed()
+}
+
+// replan asks the re-planner to repair the frontier around the settled work
+// and adopts the certified result. The request's map-keyed progress is built
+// here, from the dense state, for this one call.
+func (x *executor) replan(ev Deviation) error {
+	req := &ReplanRequest{
+		Graph: x.g, Table: x.table, Event: ev, Costs: x.model, Hosts: x.hosts, Net: x.net,
+		Done:    make(map[afg.TaskID]float64, x.ix.Len()),
+		Running: make(map[afg.TaskID]float64, len(x.fin)),
+		Down:    map[string]bool{},
+	}
+	for _, e := range x.fin {
+		// The scheduler's view of a running task is its expected finish,
+		// floored at the present — it knows an overrunning task has not
+		// finished yet, not when it will.
+		req.Running[x.ix.ID(int(e.i))] = math.Max(x.begin[e.i]+x.pred[e.i], x.now)
+	}
+	for i, started := range x.started {
+		if _, running := req.Running[x.ix.ID(i)]; started && !running {
+			req.Done[x.ix.ID(i)] = x.end[i]
 		}
-		for _, id := range sortedIDs(running) {
-			f := running[id].predFin
-			if now > f {
-				f = now
-			}
-			req.Running[id] = f
+	}
+	for h, c := range x.hostCol {
+		if x.isDown(c) {
+			req.Down[h] = true
 		}
-		pl, err := rp.Replan(req)
-		if errors.Is(err, ErrNoEligibleHost) {
-			// An unrepairable moment (e.g. every eligible host down) is
-			// not fatal: execution continues on the stale plan and a
-			// later recovery or deviation may retry.
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("churn replan (%s, %s): %w", cfg.Replanner, ev.Kind, err)
-		}
-		if _, err := CertifyReplan(g, pl.Table, predicted, net); err != nil {
-			return fmt.Errorf("churn replan (%s, %s): %w", cfg.Replanner, ev.Kind, err)
-		}
-		// Settled assignments must survive verbatim: the frontier
-		// rescheduler may only move unstarted tasks.
-		for _, id := range ids {
-			_, isDone := done[id]
-			_, isRun := running[id]
-			if !isDone && !isRun {
-				continue
-			}
-			was, _ := cur.Get(id)
-			is, ok := pl.Table.Get(id)
-			if !ok || was.Host != is.Host || was.Site != is.Site {
-				return fmt.Errorf("churn replan (%s): settled task %s moved from %s to %s",
-					cfg.Replanner, id, was.Host, is.Host)
-			}
-		}
-		cur = pl.Table
-		out.Replans++
-		out.Moved += pl.Moved
-		switch ev.Kind {
-		case DeviationHostDown:
-			out.HostDownReplans++
-		case DeviationOverrun:
-			out.OverrunReplans++
-		}
-		for _, d := range pl.Duplicates {
-			if _, isDone := done[d.Task]; isDone {
-				continue
-			}
-			if _, isRun := running[d.Task]; isRun {
-				continue
-			}
-			dupOf[d.Task] = d
-		}
+	}
+	pl, err := x.rp.Replan(req)
+	if errors.Is(err, ErrNoEligibleHost) {
+		// An unrepairable moment (e.g. every eligible host down) is
+		// not fatal: execution continues on the stale plan and a
+		// later recovery or deviation may retry.
 		return nil
 	}
-
-	for len(done) < len(ids) {
-		// Earliest pending start: parents done, every host up, clamped to
-		// the present.
-		const none = math.MaxFloat64
-		startAt, startID := none, afg.TaskID("")
-		for _, id := range ids {
-			if _, isDone := done[id]; isDone {
-				continue
-			}
-			if _, isRun := running[id]; isRun {
-				continue
-			}
-			a, _ := cur.Get(id)
-			hs := effectiveHosts(a)
-			ok := true
-			for _, h := range hs {
-				if down[h] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			at := now
-			for _, l := range g.Parents(id) {
-				pf, isDone := done[l.From]
-				if !isDone {
-					ok = false
-					break
-				}
-				arrive := pf
-				if net != nil {
-					pa, _ := cur.Get(l.From)
-					// Simulate's transfer rule exactly: a link between
-					// tasks sharing any host moves no data.
-					if !sharesHost(effectiveHosts(pa), hs) {
-						arrive += net.TransferTime(pa.Site, a.Site, transferBytes(g, l)).Seconds()
-					}
-				}
-				if arrive > at {
-					at = arrive
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, h := range hs {
-				if f := hostFree[h]; f > at {
-					at = f
-				}
-			}
-			if at < startAt {
-				startAt, startID = at, id
-			}
-		}
-
-		finAt, finID := none, afg.TaskID("")
-		detAt, detID := none, afg.TaskID("")
-		for _, id := range sortedIDs(running) {
-			r := running[id]
-			if r.actualFin < finAt {
-				finAt, finID = r.actualFin, id
-			}
-			if cfg.OverrunThreshold > 1 && !r.detected {
-				d := r.start + cfg.OverrunThreshold*r.pred
-				if r.actualFin > d && d < detAt {
-					detAt, detID = d, id
-				}
-			}
-		}
-		traceAt := none
-		if traceIx < len(trace.Events) {
-			traceAt = trace.Events[traceIx].At
-		}
-
-		// Priority at equal times: finishes land first, then availability
-		// transitions, then overrun detections, then new starts — so a
-		// re-plan always sees the freshest settled/down state, and no task
-		// starts on a host in the same instant it goes down.
-		switch {
-		case finAt <= traceAt && finAt <= detAt && finAt <= startAt && finID != "":
-			r := running[finID]
-			now = finAt
-			done[finID] = r.actualFin
-			delete(running, finID)
-			delete(dupOf, finID)
-
-		case traceAt <= detAt && traceAt <= startAt && traceAt < none:
-			ev := trace.Events[traceIx]
-			traceIx++
-			now = ev.At
-			if !ev.Down {
-				if down[ev.Host] {
-					delete(down, ev.Host)
-					if hostFree[ev.Host] < now {
-						hostFree[ev.Host] = now
-					}
-				}
-				break
-			}
-			if down[ev.Host] {
-				break
-			}
-			down[ev.Host] = true
-			hostFree[ev.Host] = now
-			for _, id := range sortedIDs(running) {
-				r := running[id]
-				if !hostIn(r.hosts, ev.Host) {
-					continue
-				}
-				// Work lost: the task returns to the frontier. A live
-				// registered duplicate becomes its new primary placement.
-				delete(running, id)
-				out.Killed++
-				if d, ok := dupOf[id]; ok && !down[d.Host] {
-					cur.Set(d)
-					delete(dupOf, id)
-					out.DupRuns++
-				}
-			}
-			if err := replan(Deviation{Kind: DeviationHostDown, Host: ev.Host, At: now}); err != nil {
-				return nil, err
-			}
-
-		case detAt <= startAt && detID != "":
-			r := running[detID]
-			now = detAt
-			r.detected = true
-			ratio := 0.0
-			if r.pred > 0 {
-				ratio = (r.actualFin - r.start) / r.pred
-			}
-			if err := replan(Deviation{
-				Kind: DeviationOverrun, Host: r.host, Task: detID, At: now, Ratio: ratio,
-			}); err != nil {
-				return nil, err
-			}
-
-		case startID != "":
-			now = startAt
-			a, _ := cur.Get(startID)
-			hs := effectiveHosts(a)
-			task := g.Task(startID)
-			pred := predicted(task, a.Host)
-			if len(hs) > 1 {
-				pred /= float64(len(hs)) // Simulate's parallel split
-			}
-			r := &churnRun{
-				host: a.Host, hosts: hs, start: startAt, pred: pred,
-				predFin:   startAt + pred,
-				actualFin: startAt + pred*straggleOf(hs),
-			}
-			running[startID] = r
-			for _, h := range hs {
-				hostFree[h] = r.actualFin
-			}
-
-		default:
-			return nil, errors.New("scheduler: churn: execution stuck (every runnable path is down and no recovery is scripted)")
+	if err == nil {
+		_, err = CertifyReplan(x.g, pl.Table, x.model, x.net)
+	}
+	if err != nil {
+		return fmt.Errorf("churn replan (%s, %s): %w", x.rp.Name(), ev.Kind, err)
+	}
+	// Settled assignments must survive verbatim: the frontier
+	// rescheduler may only move unstarted tasks.
+	for i, was := range x.assigns {
+		id := x.ix.ID(i)
+		if is, ok := pl.Table.Get(id); x.started[i] && (!ok || was.Host != is.Host || was.Site != is.Site) {
+			return fmt.Errorf("churn replan (%s): settled task %s moved from %s to %s",
+				x.rp.Name(), id, was.Host, is.Host)
 		}
 	}
-
-	for _, id := range ids {
-		if f := done[id]; f > out.Makespan {
-			out.Makespan = f
+	x.table = pl.Table
+	x.out.Replans++
+	x.out.Moved += pl.Moved
+	switch ev.Kind {
+	case DeviationHostDown:
+		x.out.HostDownReplans++
+	case DeviationOverrun:
+		x.out.OverrunReplans++
+	}
+	for _, d := range pl.Duplicates {
+		if i := x.ix.Of(d.Task); i >= 0 && !x.started[i] {
+			if x.dup == nil {
+				x.dup = make([]Assignment, x.ix.Len())
+			}
+			x.dup[i] = d
 		}
 	}
-	return &out, nil
+	return nil
 }

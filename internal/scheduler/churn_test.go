@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,27 +10,45 @@ import (
 	"repro/internal/afg"
 )
 
-// With no faults and no stragglers the churn executor is Simulate: same
-// start rule, same transfer rule, same tie-breaks — bit-identical makespan.
-func TestChurnFaultFreeMatchesSimulate(t *testing.T) {
-	hosts, model, net := reschedEnv()
-	for seed := int64(1); seed <= 4; seed++ {
-		g := layeredDAG(t, 4, 5, seed)
-		tbl := tableRoundRobin(g, model, hosts)
-		want, err := Simulate(g, tbl, model, net)
-		if err != nil {
-			t.Fatal(err)
+// countingReplanner records how often it is consulted and repairs nothing.
+type countingReplanner struct{ calls *int }
+
+func (countingReplanner) Name() string { return "test-counting" }
+func (r countingReplanner) Replan(*ReplanRequest) (*Replan, error) {
+	*r.calls++
+	return nil, ErrNoEligibleHost
+}
+
+// One loop has one cost-model check: a NaN, negative or infinite duration is
+// refused by name, identically through both entry points, at the first start
+// — before the scripted failure at t=1 can consult the re-planner.
+func TestInvalidCostModelRefusedByBothEntryPoints(t *testing.T) {
+	calls := 0
+	RegisterReplanner(countingReplanner{&calls})
+	t.Cleanup(func() {
+		replanners.mu.Lock()
+		defer replanners.mu.Unlock()
+		delete(replanners.m, countingReplanner{}.Name())
+	})
+	hosts, _, net := reschedEnv()
+	g := diamondGraph(t)
+	tbl := tableOn(g, unitModel, "alpha", "a-0")
+	trace := ChurnTrace{Events: []ChurnEvent{{At: 1, Host: "a-0", Down: true}}}
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+		model := func(*afg.Task, string) float64 { return bad }
+		_, simErr := Simulate(g, tbl, model, net)
+		_, churnErr := RunChurn(g, tbl, model, net, hosts, trace, ChurnConfig{Replanner: "test-counting"})
+		if simErr == nil || churnErr == nil || simErr.Error() != churnErr.Error() {
+			t.Fatalf("duration %v: Simulate says %v, RunChurn says %v; want the same error", bad, simErr, churnErr)
 		}
-		out, err := RunChurn(g, tbl, model, net, hosts, ChurnTrace{}, ChurnConfig{})
-		if err != nil {
-			t.Fatal(err)
+		for _, want := range []string{"invalid duration", `for task "A"`} {
+			if !strings.Contains(churnErr.Error(), want) {
+				t.Fatalf("duration %v: error %q does not say %q", bad, churnErr, want)
+			}
 		}
-		if out.Makespan != want { //vdce:ignore floateq fault-free parity with Simulate is the executor's correctness pin
-			t.Fatalf("seed %d: churn makespan %v != simulate %v", seed, out.Makespan, want)
-		}
-		if out.Replans != 0 || out.Killed != 0 || out.DupRuns != 0 {
-			t.Fatalf("seed %d: fault-free run produced events: %+v", seed, out)
-		}
+	}
+	if calls != 0 {
+		t.Fatalf("re-planner consulted %d times on an invalid cost model", calls)
 	}
 }
 

@@ -6,6 +6,19 @@ package scheduler
 // renames and the removal of the worker fan-out (the oracle gathers
 // serially; the merge order was deterministic either way) differ from the
 // original implementations.
+//
+// Reviewed against ValidateSchedule (feasibility, not choice), the three
+// goldens (today's choices on fixed grids, blessed by the code they pin),
+// TestWalksPriceLikePerPairOracle (prices, not placements) and the replay
+// goldens (execution, not planning). None of those says which host a task
+// SHOULD get on an input nobody blessed; each oracle below is the only
+// second implementation of one decision rule, so all five stay:
+//
+//	oracleHEFT               — rank-descending order and insertion-based EFT host choice on fresh graphs, ledger-seeded timelines included: a feasible but wrong host
+//	oracleCPOP               — critical-path membership and the pin to the critical host, which no golden can tell from any other feasible table
+//	oPlacement               — the kernel under both: the per-site-block data-ready memo, one timeline per host NAME across sites, the parallel machine-set pick
+//	oracleSiteRun            — the paper's Site Scheduler walk (level order, entry-like rule, transfer-aware site choice) against selectHostsDense and the bulk ledger-view refresh
+//	oracleAvailabilityAware  — the EFT walk's host-free bookkeeping and live per-candidate ledger probes, which the faithful walk never exercises
 
 import (
 	"context"

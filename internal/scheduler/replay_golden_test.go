@@ -1,4 +1,3 @@
-//vdce:ignore-file floateq replay pin file: outcomes and audit spans are compared as float64 bit patterns
 package scheduler
 
 import (

@@ -24,9 +24,11 @@ package scheduler
 //	       idle hosts, a hedge the churn harness may promote if the
 //	       primary copy's host fails too
 //
-// Every re-planned table is certified by CertifyReplan: Simulate and
-// ValidateSchedule must replay it without violations and agree bit-for-bit
-// on the makespan.
+// Every re-planned table is certified by CertifyReplan: the two replay
+// engines — the executor (sim.go, here as Simulate) and the independent
+// validator (validate.go) — must both replay it without violations and agree
+// bit-for-bit on the makespan. The executor's deviation path (churn.go) is
+// this file's one in-package caller; the live one is site.Manager.
 
 import (
 	"context"

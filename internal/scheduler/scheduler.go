@@ -32,6 +32,30 @@ type Assignment struct {
 	Predicted float64    `json:"predicted"`       // predicted execution seconds
 }
 
+// effectiveHosts returns the hosts an assignment occupies: the parallel
+// host set when present, else the single primary host.
+func effectiveHosts(a Assignment) []string {
+	if len(a.Hosts) > 0 {
+		return a.Hosts
+	}
+	//vdce:ignore allocflow the single-host literal usually stays on the stack (non-escaping callers); dense hot paths precompute hostCols instead
+	return []string{a.Host}
+}
+
+// sharesHost reports whether two host sets intersect. Host sets are tiny
+// (the paper's parallel tasks span a few workstations), so the quadratic
+// scan beats building a map.
+func sharesHost(a, b []string) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // AllocationTable is the scheduler's output: the resource allocation table
 // the Site Manager multicasts to the Group Managers involved in execution.
 type AllocationTable struct {

@@ -41,7 +41,7 @@ type scratch struct {
 	rankU   []float64  // upward ranks / combined CPOP priority
 	rankD   []float64  // downward ranks
 	order   []int32    // rank-sorted task order
-	pending []int32    // unfinished-parent counters (CPOP walk, simulator)
+	pending []int32    // unfinished-parent counters (CPOP walk, executor)
 	heap    []prioItem // ready-heap backing array (CPOP)
 	cp      []bool     // critical-path membership (CPOP)
 
@@ -59,13 +59,19 @@ type scratch struct {
 	// Site-walk state (selectHostsDense).
 	scored []scored // candidate scratch for selectFor
 
-	// Simulator state (Simulate's event loop).
+	// Executor state (sim.go's event loop).
 	assigns   []Assignment     // dense assignment copies
-	hostCols  [][]int32        // dense host columns per task
-	colArena  []int32          // one backing array for every column entry
-	hostFree  []float64        // column -> host-free time (reset to 0)
-	dataReady []float64        // per-task data-ready time (reset to 0)
-	simHeap   []pqItem         // event-queue backing array
+	hostCols  [][]int32        // dense host columns per task (slots keep their backing arrays)
+	hostFree  []float64        // column -> host-free time (grown a zero per column)
+	slow      []float64        // column -> straggle multiplier (0 = true to prediction)
+	dataReady []float64        // per-task data-ready time
+	begin     []float64        // per-task start, once started
+	pred      []float64        // per-task predicted duration as scheduled (parallel split applied)
+	end       []float64        // per-task actual finish, once started
+	started   []bool           // running or finished (reset to false)
+	cand      pq               // ready tasks by candidate start
+	fin       pq               // running tasks by actual finish
+	det       pq               // overrun detections of running tasks
 	hostCol   map[string]int32 // host name -> dense column (cleared per use)
 }
 

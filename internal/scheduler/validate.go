@@ -10,14 +10,19 @@ import (
 )
 
 // This file is the independent schedule validator: an oracle-grade audit of
-// an AllocationTable against the simulator's execution semantics. It is
-// deliberately written against the map-keyed Graph API with a naive
-// quadratic ready-scan — no dense Index, no event heap, no shared code with
-// Simulate — so a bug in the optimized scheduling or simulation core cannot
-// hide from it. Experiments call it on every schedule they score, and the
-// policy property tests use it as their backbone: whatever a policy emits
-// must replay without precedence violations, without two tasks overlapping
-// on one host, and with every inter-site transfer accounted.
+// an AllocationTable against the executor's execution semantics. It shares
+// one structure with the code it checks — the graph's dense afg.Index, which
+// FuzzGraphIndex pins against the map-keyed Graph — and nothing else: no
+// event heap, no scratch, no placement kernel, no code of the executor
+// (sim.go). Its replay is deliberately naive: per-task parent counters feed a
+// ready list, every step recomputes the start of every ready task from
+// scratch and runs the (start, id)-minimal one — O(V·width) and obviously
+// right — so a bug in the optimized scheduling or simulation core cannot hide
+// from it. Experiments call it on every schedule they score, CertifyReplan on
+// every repair, and the policy property tests use it as their backbone:
+// whatever a policy emits must replay without precedence violations, without
+// two tasks overlapping on one host, and with every inter-site transfer
+// accounted.
 
 // ScheduledSpan is one task's realized execution interval in the audit.
 type ScheduledSpan struct {
@@ -62,15 +67,18 @@ func ValidateSchedule(g *afg.Graph, table *AllocationTable, model TimeModel, net
 	if table == nil {
 		return nil, fmt.Errorf("scheduler: validate: nil allocation table")
 	}
-	ids := g.TaskIDs()
-	if err := checkTableShape(g, table, ids); err != nil {
-		return nil, err
-	}
-	audit, err := replay(g, table, model, net, ids)
+	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPrecedence(g, net, audit); err != nil {
+	if err := checkTableShape(ix, table); err != nil {
+		return nil, err
+	}
+	audit, err := replay(ix, table, model, net)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPrecedence(ix, net, audit); err != nil {
 		return nil, err
 	}
 	if err := checkHostExclusive(audit); err != nil {
@@ -82,7 +90,7 @@ func ValidateSchedule(g *afg.Graph, table *AllocationTable, model TimeModel, net
 // checkTableShape verifies the table covers the graph exactly: every task
 // assigned once, no assignments for unknown tasks, and each assignment
 // naming a primary host that belongs to its host set.
-func checkTableShape(g *afg.Graph, table *AllocationTable, ids []afg.TaskID) error {
+func checkTableShape(ix *afg.Index, table *AllocationTable) error {
 	// Sorted entry walk: a malformed table must produce the same error
 	// every run, not whichever violation map order reaches first.
 	entryIDs := make([]afg.TaskID, 0, len(table.Entries))
@@ -92,7 +100,7 @@ func checkTableShape(g *afg.Graph, table *AllocationTable, ids []afg.TaskID) err
 	sort.Slice(entryIDs, func(i, j int) bool { return entryIDs[i] < entryIDs[j] })
 	for _, id := range entryIDs {
 		a := table.Entries[id]
-		if g.Task(id) == nil {
+		if ix.Of(id) < 0 {
 			return fmt.Errorf("scheduler: validate: assignment for unknown task %q", id)
 		}
 		if a.Task != id {
@@ -116,7 +124,7 @@ func checkTableShape(g *afg.Graph, table *AllocationTable, ids []afg.TaskID) err
 			}
 		}
 	}
-	for _, id := range ids {
+	for _, id := range ix.IDs() {
 		if _, ok := table.Get(id); !ok {
 			return fmt.Errorf("scheduler: validate: task %q missing from allocation table", id)
 		}
@@ -124,26 +132,36 @@ func checkTableShape(g *afg.Graph, table *AllocationTable, ids []afg.TaskID) err
 	return nil
 }
 
-// replay executes the table under the simulator's semantics with a naive
-// quadratic ready-scan: every iteration rescans all unfinished tasks whose
-// parents are done, computes each one's earliest start from scratch, and
-// runs the (start, id)-minimal one. Identical arithmetic to Simulate —
-// start = max(parent finish + transfer, host free) and duration split
-// across a parallel host set — so the realized times match it bit for bit.
-func replay(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network, ids []afg.TaskID) (*ScheduleAudit, error) {
-	finish := make(map[afg.TaskID]float64, len(ids))
-	done := make(map[afg.TaskID]bool, len(ids))
+// replay executes the table under the executor's semantics, naively: the
+// ready list holds every unfinished task whose parents are done (per-task
+// parent counters put it there), and each step recomputes every ready task's
+// earliest start from scratch and runs the (start, id)-minimal one. Identical
+// arithmetic to the executor — start = max(parent finish + transfer, host
+// free) and duration split across a parallel host set — so the realized times
+// match it bit for bit.
+func replay(ix *afg.Index, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
+	n := ix.Len()
+	assigned := make([]Assignment, n)
+	finish := make([]float64, n)
+	waiting := make([]int, n) // parents not yet finished
+	var ready []int           // dense ids, in no particular order
 	hostFree := map[string]float64{}
+	for i := range assigned {
+		assigned[i], _ = table.Get(ix.ID(i))
+		if waiting[i] = ix.NumParents(i); waiting[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
 
-	startOf := func(id afg.TaskID) float64 {
-		a, _ := table.Get(id)
+	startOf := func(i int) float64 {
+		a := assigned[i]
 		hosts := effectiveHosts(a)
 		var start float64
-		for _, l := range g.Parents(id) {
-			p, _ := table.Get(l.From)
-			arrive := finish[l.From]
+		for _, arc := range ix.Parents(i) {
+			p := assigned[arc.Peer]
+			arrive := finish[arc.Peer]
 			if net != nil && !sharesHost(effectiveHosts(p), hosts) {
-				arrive += net.TransferTime(p.Site, a.Site, transferBytes(g, l)).Seconds()
+				arrive += net.TransferTime(p.Site, a.Site, arc.Bytes).Seconds()
 			}
 			start = math.Max(start, arrive)
 		}
@@ -153,49 +171,42 @@ func replay(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.N
 		return start
 	}
 
-	audit := &ScheduleAudit{Spans: make([]ScheduledSpan, 0, len(ids))}
-	for completed := 0; completed < len(ids); completed++ {
-		pick := afg.TaskID("")
-		var pickStart float64
-		for _, id := range ids {
-			if done[id] {
-				continue
-			}
-			ready := true
-			for _, l := range g.Parents(id) {
-				if !done[l.From] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			s := startOf(id)
-			if pick == "" || s < pickStart {
-				pick, pickStart = id, s
+	audit := &ScheduleAudit{Spans: make([]ScheduledSpan, 0, n)}
+	for completed := 0; completed < n; completed++ {
+		if len(ready) == 0 {
+			return nil, fmt.Errorf("scheduler: validate: deadlock with %d tasks pending", n-completed)
+		}
+		at, pickStart := 0, startOf(ready[0])
+		for k := 1; k < len(ready); k++ {
+			if s := startOf(ready[k]); s < pickStart || (s == pickStart && ready[k] < ready[at]) {
+				at, pickStart = k, s
 			}
 		}
-		if pick == "" {
-			return nil, fmt.Errorf("scheduler: validate: deadlock with %d tasks pending", len(ids)-completed)
-		}
-		a, _ := table.Get(pick)
+		pick := ready[at]
+		ready[at] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+
+		a := assigned[pick]
 		hosts := effectiveHosts(a)
-		dur := model(g.Task(pick), a.Host)
+		dur := model(ix.Task(pick), a.Host)
 		if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
-			return nil, fmt.Errorf("scheduler: validate: invalid duration %v for task %q", dur, pick)
+			return nil, fmt.Errorf("scheduler: validate: invalid duration %v for task %q", dur, a.Task)
 		}
 		if len(hosts) > 1 {
 			dur /= float64(len(hosts))
 		}
 		end := pickStart + dur
 		finish[pick] = end
-		done[pick] = true
 		for _, h := range hosts {
 			hostFree[h] = end
 		}
+		for _, arc := range ix.Children(pick) {
+			if waiting[arc.Peer]--; waiting[arc.Peer] == 0 {
+				ready = append(ready, int(arc.Peer))
+			}
+		}
 		audit.Spans = append(audit.Spans, ScheduledSpan{
-			Task: pick, Site: a.Site, Hosts: hosts, Start: pickStart, End: end,
+			Task: a.Task, Site: a.Site, Hosts: hosts, Start: pickStart, End: end,
 		})
 		audit.Makespan = math.Max(audit.Makespan, end)
 	}
@@ -212,20 +223,22 @@ func replay(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.N
 // alone (the audit spans carry the sites and host sets): the child may not
 // start before the parent's finish plus the inter-site transfer (zero when
 // the two assignments share a host).
-func checkPrecedence(g *afg.Graph, net *netsim.Network, audit *ScheduleAudit) error {
-	span := make(map[afg.TaskID]ScheduledSpan, len(audit.Spans))
+func checkPrecedence(ix *afg.Index, net *netsim.Network, audit *ScheduleAudit) error {
+	span := make([]ScheduledSpan, ix.Len())
 	for _, s := range audit.Spans {
-		span[s.Task] = s
+		span[ix.Of(s.Task)] = s
 	}
-	for _, l := range g.Links() {
-		parent, child := span[l.From], span[l.To]
-		need := parent.End
-		if net != nil && !sharesHost(parent.Hosts, child.Hosts) {
-			need += net.TransferTime(parent.Site, child.Site, transferBytes(g, l)).Seconds()
-		}
-		if child.Start < need {
-			return fmt.Errorf("scheduler: validate: precedence violation %s -> %s: child starts %v before data ready %v",
-				l.From, l.To, child.Start, need)
+	for i, child := range span {
+		for _, arc := range ix.Parents(i) {
+			parent := span[arc.Peer]
+			need := parent.End
+			if net != nil && !sharesHost(parent.Hosts, child.Hosts) {
+				need += net.TransferTime(parent.Site, child.Site, arc.Bytes).Seconds()
+			}
+			if child.Start < need {
+				return fmt.Errorf("scheduler: validate: precedence violation %s -> %s: child starts %v before data ready %v",
+					parent.Task, child.Task, child.Start, need)
+			}
 		}
 	}
 	return nil

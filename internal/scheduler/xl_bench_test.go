@@ -25,18 +25,18 @@ const (
 	xlHostsPerSite = 125
 )
 
-// xlEnv builds the 1000-host environment: xlSites sites of xlHostsPerSite
-// idle hosts whose speed factors come from the dagen β knob, joined by a
-// star WAN — the RANKING environment, scaled up.
-func xlEnv(b testing.TB) *Request {
+// xlEnv builds a large environment — the benchmark's 1000 hosts are xlSites
+// sites of xlHostsPerSite: idle hosts whose speed factors come from the dagen
+// β knob, joined by a star WAN — the RANKING environment, scaled up.
+func xlEnv(b testing.TB, sites, hostsPerSite int) *Request {
 	b.Helper()
 	repos := map[string]*repository.Repository{}
-	names := make([]string, xlSites)
-	for s := 0; s < xlSites; s++ {
+	names := make([]string, sites)
+	for s := 0; s < sites; s++ {
 		name := fmt.Sprintf("site%02d", s)
 		names[s] = name
 		repo := repository.New()
-		speeds := dagen.SpeedFactors(xlHostsPerSite, 1, 1000+int64(s)*101)
+		speeds := dagen.SpeedFactors(hostsPerSite, 1, 1000+int64(s)*101)
 		for h, sp := range speeds {
 			host := fmt.Sprintf("%s-%03d", name, h)
 			err := repo.Resources.Register(repository.ResourceStatic{
@@ -68,7 +68,7 @@ func xlEnv(b testing.TB) *Request {
 // so the measured region is ranking plus insertion-based placement — the
 // part the scratch arena and the per-site-block ready memo make scale.
 func BenchmarkXLSchedule(b *testing.B) {
-	req := xlEnv(b)
+	req := xlEnv(b, xlSites, xlHostsPerSite)
 	req.Graph = dagen.Random(dagen.Params{
 		Tasks: xlTasks, CCR: 1, Alpha: 1, OutDegree: 4, Beta: 1,
 		CommBandwidth: 1e7, Seed: 42,
