@@ -10,6 +10,17 @@ import (
 	"repro/internal/afg"
 )
 
+// registerForTest installs a re-planner for one test only: the other tests
+// walk Replanners(), and -count=N registers again.
+func registerForTest(t *testing.T, r Replanner) {
+	RegisterReplanner(r)
+	t.Cleanup(func() {
+		replanners.mu.Lock()
+		defer replanners.mu.Unlock()
+		delete(replanners.m, r.Name())
+	})
+}
+
 // countingReplanner records how often it is consulted and repairs nothing.
 type countingReplanner struct{ calls *int }
 
@@ -24,12 +35,7 @@ func (r countingReplanner) Replan(*ReplanRequest) (*Replan, error) {
 // — before the scripted failure at t=1 can consult the re-planner.
 func TestInvalidCostModelRefusedByBothEntryPoints(t *testing.T) {
 	calls := 0
-	RegisterReplanner(countingReplanner{&calls})
-	t.Cleanup(func() {
-		replanners.mu.Lock()
-		defer replanners.mu.Unlock()
-		delete(replanners.m, countingReplanner{}.Name())
-	})
+	registerForTest(t, countingReplanner{&calls})
 	hosts, _, net := reschedEnv()
 	g := diamondGraph(t)
 	tbl := tableOn(g, unitModel, "alpha", "a-0")
@@ -212,13 +218,7 @@ func (failingReplanner) Replan(*ReplanRequest) (*Replan, error) { return nil, er
 // a malformed request, a kernel bug — must fail the run, named, instead of
 // degrading into a plausible outcome with fewer re-plans.
 func TestChurnSurfacesReplannerErrors(t *testing.T) {
-	// Registered for this test only: the other tests walk Replanners().
-	RegisterReplanner(failingReplanner{})
-	t.Cleanup(func() {
-		replanners.mu.Lock()
-		defer replanners.mu.Unlock()
-		delete(replanners.m, failingReplanner{}.Name())
-	})
+	registerForTest(t, failingReplanner{})
 	hosts, model, net := reschedEnv()
 	g := diamondGraph(t)
 	tbl := tableOn(g, model, "alpha", "a-0")
