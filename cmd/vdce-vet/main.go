@@ -2,9 +2,8 @@
 // mechanical enforcement of the determinism, float-exactness, lock
 // discipline, and evaluation-coverage invariants everything else in this
 // reproduction leans on — plus the interprocedural tier (detflow,
-// lockorder, unitflow) built on the call-graph engine and the
-// performance-contract tier (allocflow) over //vdce:hot cones. See
-// internal/lint for the rules and the //vdce:ignore suppression convention.
+// lockorder) built on the call-graph engine. See internal/lint for the
+// rules and the //vdce:ignore suppression convention.
 //
 // Usage:
 //
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
 	github := fs.Bool("github", false, "emit findings as GitHub ::error annotations")
 	inventory := fs.Bool("inventory", false, "list every //vdce:ignore directive instead of running analyzers")
-	escapes := fs.Bool("escapes", false, "report compiler escape analysis over the //vdce:hot cones instead of running analyzers")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: vdce-vet [flags] [packages]\n")
 		fs.PrintDefaults()
@@ -133,21 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	if *escapes {
-		rep, err := lint.Escapes("", patterns...)
-		if err != nil {
-			fmt.Fprintf(stderr, "vdce-vet: %v\n", err)
-			return exitError
-		}
-		if *asJSON {
-			return emitJSON(stdout, stderr, rep.Inventory)
-		}
-		var b strings.Builder
-		rep.WriteTo(&b)
-		fmt.Fprint(stdout, b.String())
-		return exitClean
 	}
 
 	pkgs, err := lint.Load("", patterns...)

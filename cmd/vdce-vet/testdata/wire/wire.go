@@ -17,19 +17,6 @@ func Equal(a, b float64) bool {
 	return a == b
 }
 
-// Sum allocates inside a hot loop (allocflow).
-//
-//vdce:hot
-func Sum(xs []float64) float64 {
-	var total float64
-	for _, x := range xs {
-		buf := make([]float64, 1)
-		buf[0] = x
-		total += buf[0]
-	}
-	return total
-}
-
 // Close compares floats under a reasonless waiver (suppression).
 func Close(a, b float64) bool {
 	//vdce:ignore floateq

@@ -310,16 +310,12 @@ func (g *Graph) reachable(src, dst TaskID) bool {
 }
 
 // Task returns the task with the given id, or nil if absent.
-//
-//vdce:ignore allocflow one map probe at the id-keyed boundary; per-iteration code uses Index().Task(i) and hot callers cross this boundary once per task
 func (g *Graph) Task(id TaskID) *Task { return g.tasks[id] }
 
 // Len returns the number of tasks.
 func (g *Graph) Len() int { return len(g.tasks) }
 
 // TaskIDs returns all task ids in deterministic (sorted) order.
-//
-//vdce:ignore allocflow per-graph enumeration, O(V log V) once per walk; per-iteration code ranges the cached Index IDs table instead
 func (g *Graph) TaskIDs() []TaskID {
 	ids := make([]TaskID, 0, len(g.tasks))
 	for id := range g.tasks {
@@ -339,13 +335,9 @@ func (g *Graph) Links() []Link {
 }
 
 // Parents returns the incoming links of id.
-//
-//vdce:ignore allocflow one map probe at the id-keyed boundary; per-iteration code walks the Index CSR arcs
 func (g *Graph) Parents(id TaskID) []Link { return g.pred[id] }
 
 // Children returns the outgoing links of id.
-//
-//vdce:ignore allocflow one map probe at the id-keyed boundary; per-iteration code walks the Index CSR arcs
 func (g *Graph) Children(id TaskID) []Link { return g.succ[id] }
 
 // Entries returns the tasks with no parents, in sorted order. The paper
@@ -403,8 +395,6 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 // the level of a node is the largest sum of computation costs along any path
 // from the node to an exit node, inclusive of the node's own cost. Higher
 // level ⇒ higher scheduling priority.
-//
-//vdce:ignore allocflow materialises the id-keyed view for map-keyed callers, once per walk; dense consumers read ix.Levels() directly
 func (g *Graph) Levels() (map[TaskID]float64, error) {
 	ix, err := g.Index()
 	if err != nil {

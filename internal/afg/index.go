@@ -52,7 +52,6 @@ func (g *Graph) Index() (*Index, error) {
 	if g.idx != nil && g.idxGen == g.gen {
 		return g.idx, nil
 	}
-	//vdce:ignore allocflow the index build is certified amortized: cached per graph generation, O(V+E) once, rebuilt only after a structural mutation
 	ix, err := buildIndex(g)
 	if err != nil {
 		return nil, err
@@ -143,7 +142,6 @@ func (ix *Index) IDs() []TaskID { return ix.ids }
 
 // Of returns the dense index of id, or -1 when the task is unknown.
 func (ix *Index) Of(id TaskID) int {
-	//vdce:ignore allocflow the one id-to-dense probe at the boundary: hot walks resolve ids once up front and then stay integer-indexed
 	if i, ok := ix.of[id]; ok {
 		return int(i)
 	}

@@ -1,13 +1,13 @@
 package afg
 
-//vdce:ignore-file allocflow the Tracker is the id-keyed ready-set shared with the Runtime System (paper Fig 4 steps 6-7): probes are O(1) per completion and the per-iteration schedulers drive the dense Index walk instead
-
 import "sort"
 
 // Tracker maintains the "ready tasks" set of the Site Scheduler Algorithm
 // (paper Fig 4, steps 6–7): a task is ready when it has no parents or all of
-// its parents have been scheduled/completed. The same structure drives the
-// Runtime System's execution ordering.
+// its parents have been scheduled/completed. Its one non-test caller is the
+// custom-priority branch of the scheduler's readyWalk; the default-priority
+// walks count parents on the dense Index, and the Runtime System does not
+// use it.
 type Tracker struct {
 	g       *Graph
 	pending map[TaskID]int // remaining unfinished parents

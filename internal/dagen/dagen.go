@@ -35,8 +35,7 @@ import (
 
 // Params parameterises Random. Zero fields take the documented defaults.
 type Params struct {
-	Tasks int // total task count v, entry and exit included (min 1)
-	//vdce:unit ratio
+	Tasks     int     // total task count v, entry and exit included (min 1)
 	CCR       float64 // mean communication / mean computation (0 = no data)
 	Alpha     float64 // shape: interior levels ≈ √v/α (default 1)
 	OutDegree int     // max random fan-out per task into the next level (default 3)
@@ -44,14 +43,12 @@ type Params struct {
 
 	// MeanCost is w̄, the average computation cost in seconds on the base
 	// processor; task costs are uniform on (0, 2·w̄]. Default 1.
-	//vdce:unit seconds
 	MeanCost float64
 
 	// CommBandwidth converts edge costs from seconds to bytes
 	// (bytes = seconds × bandwidth); it should match the WAN bandwidth of
 	// the network the graph is scheduled against. Default 1e7 — the star-WAN
 	// bandwidth the RANKING and POLICY experiments use.
-	//vdce:unit bytes/s
 	CommBandwidth float64
 
 	Seed int64

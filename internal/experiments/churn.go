@@ -117,12 +117,10 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 // the baseline plan and, per re-planner in the run's name order, the
 // makespan under churn, its degradation ratio, and the event counts.
 type ChurnCell struct {
-	Size  int     `json:"size"`
-	CCR   float64 `json:"ccr"`
-	Graph int     `json:"graph"`
-	//vdce:unit seconds
-	FaultFree float64 `json:"fault_free"`
-	//vdce:unit seconds
+	Size        int       `json:"size"`
+	CCR         float64   `json:"ccr"`
+	Graph       int       `json:"graph"`
+	FaultFree   float64   `json:"fault_free"`
 	Makespan    []float64 `json:"makespan"`
 	Degradation []float64 `json:"degradation"`
 	Replans     []int     `json:"replans"`

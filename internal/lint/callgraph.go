@@ -153,15 +153,6 @@ func (p *Program) fset() *token.FileSet {
 // Funcs returns every analyzed function in deterministic order.
 func (p *Program) Funcs() []*FuncInfo { return p.order }
 
-// FuncInfoOf returns the body info for a callee, nil for functions outside
-// the load (standard library, test files) or without a body.
-func (p *Program) FuncInfoOf(f *types.Func) *FuncInfo {
-	if f == nil {
-		return nil
-	}
-	return p.funcs[f.Origin()]
-}
-
 func (p *Program) collectCalls(fi *FuncInfo) []*CallSite {
 	var out []*CallSite
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
@@ -263,43 +254,6 @@ func (s *CallSite) CalleeKeys() []string {
 		out[i] = FuncKey(f)
 	}
 	return out
-}
-
-// stdFunc reports whether f is the named function or method of a standard
-// library (or otherwise out-of-load) package, e.g. stdFunc(f, "time", "Now")
-// or stdFunc(f, "math/rand", "Intn").
-func stdFunc(f *types.Func, pkgPath, name string) bool {
-	if f == nil || f.Name() != name {
-		return false
-	}
-	pkg := f.Pkg()
-	return pkg != nil && pkg.Path() == pkgPath
-}
-
-// recvTypeName returns the bare receiver type name of a method ("" for
-// plain functions): "(*scheduler.LoadLedger).Reserve" → "LoadLedger".
-func recvTypeName(f *types.Func) string {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-// packageOf returns the *Package a function body lives in, nil if outside
-// the load.
-func (p *Program) packageOf(f *types.Func) *Package {
-	if fi := p.FuncInfoOf(f); fi != nil {
-		return fi.Pkg
-	}
-	return nil
 }
 
 // moduleTypeName reports the named type's "pkgname.TypeName" label used in

@@ -158,51 +158,6 @@ func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, filepath.Join("testdata", "src", "lockorder"), LockOrder())
 }
 
-func TestUnitFlowFixture(t *testing.T) {
-	checkFixture(t, filepath.Join("testdata", "src", "unitflow"), UnitFlow())
-}
-
-func TestAllocFlowFixture(t *testing.T) {
-	checkFixture(t, filepath.Join("testdata", "src", "allocflow"), AllocFlow())
-}
-
-// TestHotDirectiveHygiene checks that malformed or misplaced //vdce:hot
-// directives are allocflow findings (stated directly: the finding lands on
-// the directive's own comment line, where a want clause cannot live).
-func TestHotDirectiveHygiene(t *testing.T) {
-	findings := runFixture(t, filepath.Join("testdata", "src", "allocflowhot"), AllocFlow())
-	expect := []string{
-		"bad allocation budget",
-		"unknown token",
-		"must sit in the doc comment",
-	}
-	var unmatched []string
-	for _, f := range findings {
-		if f.Rule != "allocflow" {
-			t.Errorf("unexpected rule %q in finding %s", f.Rule, f)
-		}
-		ok := false
-		for i, pat := range expect {
-			if pat != "" && strings.Contains(f.Msg, pat) {
-				expect[i] = ""
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			unmatched = append(unmatched, f.String())
-		}
-	}
-	for _, pat := range expect {
-		if pat != "" {
-			t.Errorf("no hot-directive finding containing %q; got %v", pat, findings)
-		}
-	}
-	if len(unmatched) > 0 {
-		t.Errorf("unexpected hot-directive findings:\n  %s", strings.Join(unmatched, "\n  "))
-	}
-}
-
 // TestSuppressionSpanFixture pins the span rule: a directive above a
 // multi-line node waives findings on every line of the node, and an
 // identical unwaived expression still reports on all of its lines.

@@ -337,9 +337,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // Analyzers returns the full suite with repo-default configuration: the
-// per-package tier (PR 6), the interprocedural tier (detflow, lockorder,
-// unitflow) built on the call-graph engine, and the performance-contract
-// tier (allocflow) over the //vdce:hot cones.
+// per-package tier (maporder, floateq, lockdiscipline, registrycheck) and
+// the interprocedural tier (detflow, lockorder) built on the call-graph
+// engine.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapOrder(),
@@ -348,8 +348,6 @@ func Analyzers() []*Analyzer {
 		RegistryCheck("", ""),
 		DetFlow(),
 		LockOrder(),
-		UnitFlow(),
-		AllocFlow(),
 	}
 }
 

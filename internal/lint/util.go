@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -116,6 +117,50 @@ func lockHolder(t types.Type, seen map[types.Type]bool) bool {
 		}
 	case *types.Array:
 		return lockHolder(u.Elem(), seen)
+	}
+	return false
+}
+
+// ignoreSpans indexes every //vdce:ignore span naming rule across the load,
+// per file, as (firstLine, lastLine) line intervals. File-wide directives
+// cover the whole file.
+func ignoreSpans(prog *Program, rule string) map[string][][2]int {
+	out := map[string][][2]int{}
+	fset := prog.fset()
+	for _, pkg := range prog.Pkgs {
+		for _, sf := range pkg.Files {
+			for _, s := range parseSuppressions(fset, sf.AST) {
+				if !hasString(s.rules, rule) {
+					continue
+				}
+				span := [2]int{s.line, s.endLine}
+				if s.fileWide {
+					span = [2]int{1, int(^uint(0) >> 1)}
+				}
+				out[s.file] = append(out[s.file], span)
+			}
+		}
+	}
+	return out
+}
+
+// coveredBySpans reports whether pos falls inside one of the indexed spans.
+func coveredBySpans(spans map[string][][2]int, fset *token.FileSet, pos token.Pos) bool {
+	p := fset.Position(pos)
+	for _, span := range spans[p.Filename] {
+		if p.Line >= span[0] && p.Line <= span[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// hasString reports whether s contains v (tiny slices; no allocation).
+func hasString(s []string, v string) bool {
+	for _, x := range s {
+		if x == v {
+			return true
+		}
 	}
 	return false
 }

@@ -26,8 +26,6 @@ var ErrNoHosts = errors.New("metrics: no hosts")
 // CPLowerBound is the denominator of the SLR: the length of the graph's
 // critical path when every task runs at its minimum cost over the host
 // pool and communication is free — no schedule on these hosts can beat it.
-//
-//vdce:unit seconds
 func CPLowerBound(g *afg.Graph, hosts []string, model CostModel) (float64, error) {
 	if len(hosts) == 0 {
 		return 0, ErrNoHosts
@@ -64,8 +62,6 @@ func CPLowerBound(g *afg.Graph, hosts []string, model CostModel) (float64, error
 
 // SLR is the Schedule Length Ratio: makespan over the critical-path lower
 // bound. 1.0 is unbeatable; lower is better among schedulers.
-//
-//vdce:unit makespan=seconds cpLowerBound=seconds result=ratio
 func SLR(makespan, cpLowerBound float64) float64 {
 	if cpLowerBound <= 0 {
 		return math.Inf(1)
@@ -75,8 +71,6 @@ func SLR(makespan, cpLowerBound float64) float64 {
 
 // BestSerial is the numerator of the speedup: the shortest time any single
 // host needs to run every task of the graph back to back.
-//
-//vdce:unit seconds
 func BestSerial(g *afg.Graph, hosts []string, model CostModel) (float64, error) {
 	if len(hosts) == 0 {
 		return 0, ErrNoHosts
@@ -97,8 +91,6 @@ func BestSerial(g *afg.Graph, hosts []string, model CostModel) (float64, error) 
 // Speedup is the serial-over-parallel ratio: best serial host time over the
 // schedule's makespan. Higher is better; values above the host count mean
 // the model is inconsistent.
-//
-//vdce:unit bestSerial=seconds makespan=seconds result=ratio
 func Speedup(bestSerial, makespan float64) float64 {
 	if makespan <= 0 {
 		return math.Inf(1)
@@ -108,8 +100,6 @@ func Speedup(bestSerial, makespan float64) float64 {
 
 // Efficiency is speedup per host: Speedup / |hosts|, in [0, 1] for
 // consistent models.
-//
-//vdce:unit speedup=ratio result=ratio
 func Efficiency(speedup float64, hosts int) float64 {
 	if hosts <= 0 {
 		return 0

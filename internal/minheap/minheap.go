@@ -21,7 +21,6 @@ func (h Heap[T]) Init() {
 
 // Push adds v, keeping the heap order.
 func (h *Heap[T]) Push(v T) {
-	//vdce:ignore allocflow amortized doubling: the backing array reaches the walk's high-water mark and stays; hot callers bulk-load with preallocated capacity before Init
 	*h = append(*h, v)
 	s := *h
 	i := len(s) - 1

@@ -79,7 +79,6 @@ func (n *Network) Path(a, b string) PathSpec {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	//vdce:ignore allocflow the path matrix is site-name-keyed by contract; sites number in the handfuls and the lookup is two probes with no allocation
 	if m, ok := n.paths[a]; ok {
 		if p, ok := m[b]; ok {
 			return p
@@ -95,8 +94,6 @@ func (n *Network) Path(a, b string) PathSpec {
 // being orders of magnitude below WAN cost (we keep the small LAN term so
 // intra-site transfers are still accounted, which is strictly more accurate
 // than the paper's simplification).
-//
-//vdce:unit bytes=bytes
 func (n *Network) TransferTime(a, b string, bytes int64) time.Duration {
 	p := n.Path(a, b)
 	if bytes < 0 {
@@ -108,8 +105,6 @@ func (n *Network) TransferTime(a, b string, bytes int64) time.Duration {
 
 // InjectDelay sleeps for the scaled modelled transfer time. The Data
 // Manager calls this around real socket writes between co-simulated sites.
-//
-//vdce:unit bytes=bytes
 func (n *Network) InjectDelay(a, b string, bytes int64) {
 	d := n.TransferTime(a, b, bytes)
 	n.mu.RLock()
@@ -150,8 +145,6 @@ func (n *Network) Sites() []string {
 // Nearest returns up to k other sites sorted by ascending latency from
 // `from`. This implements the Site Scheduler's "select k nearest VDCE
 // neighbor sites" step (Fig 4, step 2).
-//
-//vdce:ignore allocflow site selection runs once per Fig 4 walk: O(S log S) over a handful of sites, amortized across every task scheduled
 func (n *Network) Nearest(from string, k int) []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -186,8 +179,6 @@ func (n *Network) Nearest(from string, k int) []string {
 // StarTopology connects every pair of the named sites with latencies that
 // grow with index distance (site 0 is the hub region). Deterministic, used
 // by benchmarks.
-//
-//vdce:unit bandwidth=bytes/s
 func StarTopology(sites []string, baseLatency time.Duration, bandwidth float64, scale float64) *Network {
 	n := New(DefaultLAN, scale)
 	for i, a := range sites {

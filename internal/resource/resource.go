@@ -10,6 +10,7 @@
 package resource
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -115,17 +116,25 @@ func (h *Host) AvailableMemory() int64 {
 	return h.Spec.TotalMemory - h.usedMem
 }
 
+// The two ways BeginTask refuses a task. A host that is down stays unusable;
+// one out of memory is healthy and frees up as its running tasks end.
+var (
+	ErrHostDown    = errors.New("resource: host is down")
+	ErrOutOfMemory = errors.New("resource: host out of memory")
+)
+
 // BeginTask registers a running task: one load unit and mem bytes claimed.
-// It returns an error if the host is down or memory is insufficient.
+// It returns an error wrapping ErrHostDown if the host is down and one
+// wrapping ErrOutOfMemory if memory is insufficient.
 func (h *Host) BeginTask(mem int64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.down {
-		return fmt.Errorf("resource: host %s is down", h.Spec.Name)
+		return fmt.Errorf("%w: %s", ErrHostDown, h.Spec.Name)
 	}
 	if h.usedMem+mem > h.Spec.TotalMemory {
-		return fmt.Errorf("resource: host %s out of memory (%d used, %d requested, %d total)",
-			h.Spec.Name, h.usedMem, mem, h.Spec.TotalMemory)
+		return fmt.Errorf("%w: %s (%d used, %d requested, %d total)",
+			ErrOutOfMemory, h.Spec.Name, h.usedMem, mem, h.Spec.TotalMemory)
 	}
 	h.usedMem += mem
 	h.taskLoad++

@@ -28,7 +28,7 @@ import (
 var (
 	ErrUnknownHost    = errors.New("runtime: assignment names unknown host")
 	ErrHostFailed     = errors.New("runtime: host failed")
-	ErrOverloaded     = errors.New("runtime: host over QoS load threshold")
+	ErrOverloaded     = errors.New("runtime: host over its load threshold or out of memory")
 	ErrNoReschedule   = errors.New("runtime: no rescheduler available")
 	ErrTooManyRetries = errors.New("runtime: task exceeded retry budget")
 )
@@ -571,7 +571,7 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 				out <- taskOutcome{id: id, val: val, res: res}
 				return
 			}
-			if !errors.Is(runErr, ErrHostFailed) {
+			if !errors.Is(runErr, ErrHostFailed) && !errors.Is(runErr, ErrOverloaded) {
 				fail(runErr) // genuine task error: no point rescheduling
 				return
 			}
@@ -618,7 +618,12 @@ func (e *execEnv) checkPlacement(h *resource.Host) error {
 // runOn claims the host, executes the task function, and releases the host.
 func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
 	if err := h.BeginTask(task.MemReq); err != nil {
-		return tasklib.Value{}, fmt.Errorf("%w: %v", ErrHostFailed, err)
+		// A full host is not a dead host: only a host that is down joins
+		// the dead set; this task alone goes elsewhere when memory is short.
+		if errors.Is(err, resource.ErrHostDown) {
+			return tasklib.Value{}, fmt.Errorf("%w: %v", ErrHostFailed, err)
+		}
+		return tasklib.Value{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
 	}
 	defer h.EndTask(task.MemReq)
 	procs := 1

@@ -545,3 +545,60 @@ func TestConcurrentHostFailuresShareOneDeadSet(t *testing.T) {
 		}
 	}
 }
+
+// TestFullHostIsNotADeadHost: two independent tasks the table put on one
+// host whose memory holds only one of them. Each task function blocks until
+// both are running, so they must overlap: the one the host refuses is
+// rescheduled alone, and the healthy host neither joins the dead set nor
+// fires a frontier re-plan.
+func TestFullHostIsNotADeadHost(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var running sync.WaitGroup
+	running.Add(2)
+	bothRunning := make(chan struct{})
+	go func() { running.Wait(); close(bothRunning) }()
+	reg := tasklib.NewRegistry()
+	if err := reg.Register(tasklib.Spec{Name: "test.overlap", Fn: func(ctx context.Context, _ tasklib.Args) (tasklib.Value, error) {
+		running.Done()
+		select {
+		case <-bothRunning:
+			return tasklib.Value{}, nil
+		case <-ctx.Done():
+			return tasklib.Value{}, ctx.Err()
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	g := afg.New("full")
+	g.AddTask(&afg.Task{ID: "t1", Function: "test.overlap", ComputeCost: 1, MemReq: 600 << 20})
+	g.AddTask(&afg.Task{ID: "t2", Function: "test.overlap", ComputeCost: 1, MemReq: 600 << 20})
+	_, resolve := testCluster(2) // 1 GiB each
+	table := spreadTable(g, []string{"A"})
+	res, err := Execute(ctx, g, table, Options{
+		Registry: reg,
+		Hosts:    resolve,
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			if !slices.Equal(exclude, []string{"A"}) {
+				t.Errorf("exclude = %q, want the one full host [A]", exclude)
+			}
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
+		},
+		FrontierReplan: func(context.Context, *afg.Graph, *scheduler.AllocationTable, map[afg.TaskID]bool, []string) (map[afg.TaskID]scheduler.Assignment, error) {
+			t.Error("frontier re-plan fired for a host that is only full")
+			return nil, errors.New("unexpected")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FrontierReplans != 0 || res.Rescheduled != 1 {
+		t.Fatalf("FrontierReplans = %d, Rescheduled = %d, want 0 and 1", res.FrontierReplans, res.Rescheduled)
+	}
+	on := []string{res.TaskResults["t1"].Host, res.TaskResults["t2"].Host}
+	slices.Sort(on)
+	if !slices.Equal(on, []string{"A", "B"}) {
+		t.Fatalf("tasks ran on %q, want one on A and the refused one on B", on)
+	}
+}

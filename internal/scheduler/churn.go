@@ -30,7 +30,6 @@ import (
 
 // ChurnEvent is one scripted availability transition.
 type ChurnEvent struct {
-	//vdce:unit seconds
 	At   float64 `json:"at"`
 	Host string  `json:"host"`
 	Down bool    `json:"down"`
@@ -52,7 +51,6 @@ type ChurnTraceConfig struct {
 	FailFraction float64
 	// RepairAfter > 0 brings each failed host back after that many
 	// seconds; 0 means failures are permanent for the run.
-	//vdce:unit seconds
 	RepairAfter float64
 	// StraggleFraction of the remaining hosts run slow by
 	// StraggleFactor (> 1). Straggler and failed sets are disjoint.
@@ -137,7 +135,6 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 
 // ChurnOutcome summarizes one fault-injection run.
 type ChurnOutcome struct {
-	//vdce:unit seconds
 	Makespan        float64 `json:"makespan"`
 	Replans         int     `json:"replans"`
 	HostDownReplans int     `json:"host_down_replans"`

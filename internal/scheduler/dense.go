@@ -34,13 +34,12 @@ type HostRef struct {
 // LocalSelector — RPC remotes) contribute no columns; their single best
 // offer per task sits in the site block's fallback slice instead.
 type CostMatrix struct {
-	ix    *afg.Index
-	hosts []HostRef
-	col   map[string]int32 // host name -> dense column
-	//vdce:unit seconds
-	pred   []float64   // V×H row-major; NaN = ineligible
-	blocks []siteBlock // participating sites, ascending name
-	sites  []string    // participating site names, ascending
+	ix     *afg.Index
+	hosts  []HostRef
+	col    map[string]int32 // host name -> dense column
+	pred   []float64        // V×H row-major; NaN = ineligible
+	blocks []siteBlock      // participating sites, ascending name
+	sites  []string         // participating site names, ascending
 
 	// A re-plan's matrix is lazy: model prices a task's row the first time
 	// row asks for it, so a patch strategy pays only for the tasks it
@@ -152,8 +151,6 @@ func (cm *CostMatrix) meanExec(t int) float64 {
 // (the map-keyed gather's order), appending to buf. Only the parallel
 // placement path needs the slice form; the scalar walks iterate the
 // matrix directly.
-//
-//vdce:ignore allocflow appends into a caller-owned scratch buffer that amortizes across the walk; only the rare parallel path and the once-per-schedule critical-host election call it
 func (cm *CostMatrix) choices(t int, buf []Choice) []Choice {
 	row := cm.row(t)
 	for _, b := range cm.blocks {
@@ -200,8 +197,6 @@ type Diagnostics struct {
 
 // record classifies err: anything wrapping ErrNoEligibleHost is a
 // capacity refusal, everything else is transient.
-//
-//vdce:ignore allocflow cold bookkeeping: runs only when a site drops out of the gather
 func (d *Diagnostics) record(site string, err error) {
 	if d == nil {
 		return
@@ -242,8 +237,6 @@ func (d *Diagnostics) Transient() []SiteError {
 // failures joined in when capacity was lost to them. (Request.Diag may
 // span many schedules; the terminal error must only carry the current
 // gather's losses.)
-//
-//vdce:ignore allocflow terminal error construction: the gather has already failed when this runs
 func noSitesErr(transient []SiteError) error {
 	if len(transient) == 0 {
 		return ErrNoSites
@@ -323,7 +316,7 @@ func (r *Request) PrewarmCosts() error {
 // site failing for any other reason is dropped too, but recorded as a
 // transient loss on Request.Diag rather than vanishing silently.
 //
-//vdce:hot
+//vdce:hot allocs=120
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	if req.Local == nil {
 		return nil, ErrNoSites
@@ -369,7 +362,6 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 		var wg sync.WaitGroup
 		for i, sel := range selectors {
 			wg.Add(1)
-			//vdce:ignore allocflow one worker goroutine per site per gather: the fan-out cost is paid once and dwarfed by the per-site selector RPC it parallelises
 			go func(i int, sel HostSelector) {
 				defer wg.Done()
 				sem <- struct{}{}
@@ -386,12 +378,10 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 		if g.err != nil {
 			req.Diag.record(g.name, g.err)
 			if !errors.Is(g.err, ErrNoEligibleHost) {
-				//vdce:ignore allocflow cold drop path: grows only when a site fails the gather
 				transient = append(transient, SiteError{Site: g.name, Err: g.err})
 			}
 			continue
 		}
-		//vdce:ignore allocflow filters in place over per's backing array: no growth possible
 		keep = append(keep, g)
 	}
 	if len(keep) == 0 {
@@ -409,7 +399,6 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	for i := range cm.pred {
 		cm.pred[i] = math.NaN()
 	}
-	//vdce:ignore allocflow matrix assembly runs once per gather: the site and column lists grow to O(S + H) and the col map interns host names for the schedule's lifetime
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
 		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), fallback: g.fallback}

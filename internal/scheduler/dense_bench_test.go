@@ -14,10 +14,17 @@ import (
 	"repro/internal/dagen"
 )
 
-func rankBenchSetup(b testing.TB) *CostMatrix {
+// rankBenchRequest is the 1000-task scale graph on the equivEnv pool.
+func rankBenchRequest(b testing.TB) *Request {
 	b.Helper()
 	req, _, _ := equivEnv(b, 1)
 	req.Graph = dagen.Scale(1000, 25, 12, 42)
+	return req
+}
+
+func rankBenchSetup(b testing.TB) *CostMatrix {
+	b.Helper()
+	req := rankBenchRequest(b)
 	ix, err := req.Graph.Index()
 	if err != nil {
 		b.Fatal(err)

@@ -130,8 +130,6 @@ func downwardRanks(cm *CostMatrix, c commModel, buf []float64) []float64 {
 // rankOrderDesc fills buf with the dense indices of the tasks front marks
 // (nil = every task) by descending rank, index (= ascending TaskID) on
 // ties, and returns it (grown when short).
-//
-//vdce:ignore allocflow rank ordering runs once per schedule: the sort closure lives for the O(V log V) call and the index buffer is pooled scratch
 func rankOrderDesc(rank []float64, front []bool, buf []int32) []int32 {
 	out := grow(buf, len(rank))[:0]
 	for i := range rank {
@@ -167,7 +165,6 @@ type timeline struct {
 //
 //vdce:hot allocs=0
 func (t *timeline) earliest(ready, dur float64) float64 {
-	//vdce:ignore allocflow the search closure captures only stack locals and does not escape sort.Search; the allocs=0 budget is enforced by AllocsPerRun
 	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].end > ready })
 	start := ready
 	for ; i < len(t.busy); i++ {
@@ -191,8 +188,6 @@ func (t *timeline) end() float64 {
 }
 
 // add reserves [start, end), keeping the interval list sorted.
-//
-//vdce:ignore allocflow one insertion per placement commit: the search closure is non-escaping and the interval list grows to the schedule's high-water mark, amortized
 func (t *timeline) add(start, end float64) {
 	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].start >= start })
 	t.busy = append(t.busy, span{})
@@ -242,8 +237,6 @@ type placement struct {
 // timelines, columns, and per-task vectors are scratch (contract 2 in
 // scratch.go: placed and hostSets are reset, finish and siteOf are gated by
 // the placed marker); the table and hostSlab are output and allocated fresh.
-//
-//vdce:ignore allocflow per-schedule setup, O(V+H) once: the output slab and the seeded ledger spans are one-time, the rest is pooled scratch
 func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
@@ -292,8 +285,6 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 
 // line resolves a host name to its timeline: the dense column when the
 // matrix knows the host, a lazily created overflow line otherwise.
-//
-//vdce:ignore allocflow host-name interning: a dense hit is one probe, and the allocating overflow branch exists only for fallback hosts outside the matrix
 func (p *placement) line(host string) *timeline {
 	if c, ok := p.cm.col[host]; ok {
 		return &p.lines[c]
@@ -362,7 +353,6 @@ func (p *placement) prepReady(t int) {
 	p.parentHosts = p.parentHosts[:0]
 	for _, a := range p.cm.ix.Parents(t) {
 		if a.Bytes > 0 && p.placed[a.Peer] {
-			//vdce:ignore allocflow appends into pooled scratch: the parent host list reaches the schedule's high-water mark and stays
 			p.parentHosts = append(p.parentHosts, p.hosts[a.Peer]...)
 		}
 	}
@@ -418,7 +408,6 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 	for bi, b := range p.cm.blocks {
 		if b.fallback != nil {
 			c := b.fallback[t]
-			//vdce:ignore allocflow restrict is CPOP's host-name pin set (nil under HEFT): one probe per candidate, no allocation
 			if c.Host == "" || (restrict != nil && !restrict[c.Host]) {
 				continue
 			}
@@ -436,7 +425,6 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 				continue
 			}
 			host := p.cm.hosts[col].Host
-			//vdce:ignore allocflow restrict is CPOP's host-name pin set (nil under HEFT): one probe per candidate, no allocation
 			if restrict != nil && !restrict[host] {
 				continue
 			}
@@ -454,7 +442,6 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 		if restrict != nil {
 			return p.place(t, nil)
 		}
-		//vdce:ignore allocflow cold failure path: the error aborts the schedule
 		return fmt.Errorf("%w: %q", ErrNoEligibleHost, p.cm.ix.ID(t))
 	}
 	// The committed host set is carved from hostSlab (schedule output; see
@@ -491,8 +478,6 @@ func (p *placement) consider(best *Choice, bestStart, bestFinish *float64, found
 // their last reservation — gaps rarely align across a whole machine set),
 // charge the slowest member's prediction split n ways, and pick the site
 // with the earliest finish.
-//
-//vdce:ignore allocflow parallel-mode placement is the rare multi-processor path: per-site grouping is site/host-name-keyed, bounded by one candidate row, and the chosen host set is schedule output
 func (p *placement) placeParallel(t int, task *afg.Task, restrict map[string]bool) error {
 	p.choiceBuf = p.cm.choices(t, p.choiceBuf[:0])
 	cands := p.choiceBuf
@@ -683,7 +668,7 @@ func (heftPolicy) Name() string { return "heft" }
 // Schedule implements Policy: upward-rank order, insertion-based earliest
 // finish placement.
 //
-//vdce:hot
+//vdce:hot allocs=18
 func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	_, cm, c, err := densePrep(req)
 	if err != nil {
@@ -711,7 +696,7 @@ func (cpopPolicy) Name() string { return "cpop" }
 // minimising its total execution; everything else places by earliest
 // finish time in ready-set priority order.
 //
-//vdce:hot
+//vdce:hot allocs=48
 func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	ix, cm, c, err := densePrep(req)
 	if err != nil {
@@ -742,7 +727,6 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	for i := 0; i < n; i++ {
 		pending[i] = int32(ix.NumParents(i))
 		if pending[i] == 0 {
-			//vdce:ignore allocflow appends into the capacity-n backing array made above: the bulk load never grows it
 			ready = append(ready, prioItem{prio[i], int32(i)})
 		}
 	}
@@ -752,7 +736,6 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 			return nil, err
 		}
 		if len(ready) == 0 {
-			//vdce:ignore allocflow cold failure path: the error aborts the schedule
 			return nil, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", n-done)
 		}
 		t := int(ready.Pop().idx)
@@ -811,8 +794,6 @@ func criticalPath(ix *afg.Index, prio []float64, buf []bool) []bool {
 // every critical task, the one minimising the path's summed prediction
 // (most-covering, then cheapest, then name, when no host covers them all).
 // Returns a restrict set for placement, nil when there are no candidates.
-//
-//vdce:ignore allocflow critical-path host election runs once per CPOP schedule: the aggregation is host-name-keyed and bounded by (critical tasks x hosts)
 func criticalHost(cm *CostMatrix, cp []bool) map[string]bool {
 	type agg struct {
 		sum float64

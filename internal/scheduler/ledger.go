@@ -66,9 +66,6 @@ func NewLoadLedger() *LoadLedger {
 }
 
 // Reserve records `seconds` of predicted work placed on host.
-//
-//vdce:unit seconds=seconds
-//vdce:ignore allocflow the ledger is host-name-keyed by contract (host names are the cross-application identity); one probe per reservation, stripes hold few hosts
 func (l *LoadLedger) Reserve(host string, seconds float64) {
 	if seconds <= 0 {
 		return
@@ -82,9 +79,6 @@ func (l *LoadLedger) Reserve(host string, seconds float64) {
 
 // Release removes `seconds` of previously reserved work from host,
 // clamping at zero (a release may race a monitor-driven reset).
-//
-//vdce:unit seconds=seconds
-//vdce:ignore allocflow the ledger is host-name-keyed by contract; one probe per release and the delete shrinks, never grows, the stripe
 func (l *LoadLedger) Release(host string, seconds float64) {
 	if seconds <= 0 {
 		return
@@ -99,9 +93,6 @@ func (l *LoadLedger) Release(host string, seconds float64) {
 }
 
 // Busy returns the reserved busy seconds currently standing on host.
-//
-//vdce:unit seconds
-//vdce:ignore allocflow host-name-keyed ledger probe, O(1) and allocation-free; bulk hot reads go through LedgerView instead
 func (l *LoadLedger) Busy(host string) float64 {
 	s := l.shard(host)
 	s.mu.Lock()
@@ -139,7 +130,6 @@ func (l *LoadLedger) Snapshot() map[string]float64 {
 	return out
 }
 
-//vdce:ignore allocflow one pass over the host-keyed stripes into a caller-owned map; runs only when the version moved, so the warm path never reaches it
 func (l *LoadLedger) snapshotInto(dst map[string]float64) {
 	for i := range l.shards {
 		s := &l.shards[i]
@@ -206,7 +196,6 @@ func (v *LedgerView) Refresh() {
 // Busy returns the viewed busy seconds for host (as of the last Refresh).
 //
 //vdce:hot allocs=0
-//vdce:ignore allocflow the view cache is host-name-keyed like the ledger it mirrors; the read is one probe and the allocs=0 budget is enforced by AllocsPerRun
 func (v *LedgerView) Busy(host string) float64 {
 	if v == nil {
 		return 0
@@ -219,7 +208,6 @@ func (v *LedgerView) Busy(host string) float64 {
 // an uncontended walk's next Refresh is a version check, not a snapshot.
 //
 //vdce:hot allocs=0
-//vdce:ignore allocflow absorbing the write into the host-keyed local copy is one probe on a key Refresh already materialised; allocs=0 is enforced by AllocsPerRun
 func (v *LedgerView) Reserve(host string, seconds float64) {
 	if v == nil || seconds <= 0 {
 		return

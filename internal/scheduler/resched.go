@@ -67,8 +67,7 @@ type Deviation struct {
 	Kind DeviationKind
 	Host string     // the failed or straggling host
 	Task afg.TaskID // overrun only: the straggling task
-	//vdce:unit seconds
-	At float64 // detection time, seconds since schedule start
+	At   float64    // detection time, seconds since schedule start
 	// Ratio is observed/predicted execution time at detection (overrun
 	// only; ≥ the configured threshold by construction).
 	Ratio float64
@@ -83,9 +82,7 @@ type ReplanRequest struct {
 	// Done maps finished tasks to their actual finish time; Running maps
 	// started-but-unfinished tasks to their expected finish. Every other
 	// task is the unstarted frontier and may be re-placed.
-	//vdce:unit seconds
-	Done map[afg.TaskID]float64
-	//vdce:unit seconds
+	Done    map[afg.TaskID]float64
 	Running map[afg.TaskID]float64
 
 	// Down marks hosts that must receive no further mappings (§2.3.1:

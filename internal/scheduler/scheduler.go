@@ -38,7 +38,6 @@ func effectiveHosts(a Assignment) []string {
 	if len(a.Hosts) > 0 {
 		return a.Hosts
 	}
-	//vdce:ignore allocflow the single-host literal usually stays on the stack (non-escaping callers); dense hot paths precompute hostCols instead
 	return []string{a.Host}
 }
 
@@ -82,8 +81,6 @@ func NewAllocationTableSized(app string, n int) *AllocationTable {
 }
 
 // Set records an assignment.
-//
-//vdce:ignore allocflow the allocation table is the published id-keyed artifact (the JSON wire form the Site Manager multicasts); one probe plus an amortized append per placement committed
 func (t *AllocationTable) Set(a Assignment) {
 	if _, ok := t.Entries[a.Task]; !ok {
 		t.order = append(t.order, a.Task)
@@ -92,16 +89,12 @@ func (t *AllocationTable) Set(a Assignment) {
 }
 
 // Get returns the assignment for a task.
-//
-//vdce:ignore allocflow id-keyed boundary read; hot consumers (Simulate) resolve the table into dense arrays once up front
 func (t *AllocationTable) Get(id afg.TaskID) (Assignment, bool) {
 	a, ok := t.Entries[id]
 	return a, ok
 }
 
 // Order returns task ids in assignment order.
-//
-//vdce:ignore allocflow defensive copy, one allocation per call; callers take it once per table, not per task
 func (t *AllocationTable) Order() []afg.TaskID {
 	return append([]afg.TaskID(nil), t.order...)
 }
@@ -200,8 +193,6 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 // finish pushes those hosts' free times out. A non-nil ledger seeds that
 // timeline with the busy seconds other applications have reserved;
 // reservations themselves are made by the site-level walk, never here.
-//
-//vdce:ignore allocflow generic HostSelector form, invoked once per (site, schedule): walk state is host-keyed (sites hold few hosts) and the id-keyed output map is the interface contract — selectHostsDense is the allocation-policed twin
 func (s *LocalSelector) selectHosts(g *afg.Graph, avail bool, ledger *LoadLedger) (map[afg.TaskID]Choice, error) {
 	p := s.newPricing()
 	defer p.count()
@@ -268,14 +259,11 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[strin
 			continue
 		}
 		host := p.resources[k].Static.HostName
-		//vdce:ignore allocflow queued and freeAt are host-keyed walk state (a site's hosts are few); the probes allocate nothing
 		pred := p.predictOn(task, row, k, queued[host])
 		key := pred
 		if avail {
-			//vdce:ignore allocflow host-keyed walk state, one probe per candidate
 			key = freeAt[host] + pred
 		}
-		//vdce:ignore allocflow cands reuses the caller-owned scratch buf: growth amortizes across the walk and the steady state appends in place
 		cands = append(cands, scored{host, pred, key})
 	}
 	if len(cands) == 0 {
@@ -310,7 +298,6 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[strin
 		hosts = slab[:1:1]
 		slab = slab[1:]
 	} else {
-		//vdce:ignore allocflow parallel machine sets (and a drained slab) are the rare path; the set is schedule output escaping inside the Choice
 		hosts = make([]string, n)
 	}
 	var maxPred, start float64
@@ -319,7 +306,6 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[strin
 		if cands[i].pred > maxPred {
 			maxPred = cands[i].pred
 		}
-		//vdce:ignore allocflow host-keyed walk state, one probe per selected host
 		if f := freeAt[cands[i].host]; f > start {
 			start = f
 		}
@@ -362,7 +348,6 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 			eligible++
 		}
 		if eligible == 0 {
-			//vdce:ignore allocflow cold failure path: the error aborts the whole site walk
 			return nil, nil, fmt.Errorf("task %q at site %s: %w", ix.ID(t), s.Site, ErrNoEligibleHost)
 		}
 	}
@@ -448,7 +433,6 @@ type pricing struct {
 }
 
 func (s *LocalSelector) newPricing() *pricing {
-	//vdce:ignore allocflow resource-list snapshot, one repository read per site walk
 	resources := s.Repo.Resources.List()
 	return &pricing{s: s, resources: resources, rows: make(map[string]*kindRow)}
 }
@@ -461,8 +445,6 @@ func (p *pricing) count() {
 // row returns the kind's row, resolving it against the repository the
 // first time the walk meets the kind: one Tasks.Get and one CanRun per
 // resource column.
-//
-//vdce:ignore allocflow once per (kind, walk): graphs carry a handful of kinds, so the resolve and its row amortize across every task of the kind; the steady state is one string-keyed probe per task
 func (p *pricing) row(kind string) *kindRow {
 	if row, ok := p.rows[kind]; ok {
 		return row

@@ -4,10 +4,9 @@ package scheduler
 // fixed set of O(V) / O(H) allocations per Schedule or Simulate call: rank
 // vectors, priority-heap backing arrays, host timelines and their span
 // slabs, dense per-task placement columns, the simulator's event-loop
-// state. PR 4's allocflow triage certified all of them as "caller-owned
-// scratch" — nothing in them survives the call — so they now live in one
-// pooled scratch struct recycled through a sync.Pool and repeated
-// Batch.Schedule calls stop reallocating them.
+// state. Nothing in them survives the call, so they live in one pooled
+// scratch struct recycled through a sync.Pool and repeated Batch.Schedule
+// calls stop reallocating them.
 //
 // The pooling contract, in order of importance:
 //
@@ -84,8 +83,6 @@ var scratchPoolOff bool
 
 // getScratch draws a scratch from the pool (or allocates one on a miss or
 // when the pool is disabled by tests).
-//
-//vdce:ignore allocflow pool refill: one scratch struct per pool miss, amortized across every schedule thereafter
 func getScratch() *scratch {
 	if scratchPoolOff {
 		return new(scratch)
@@ -106,8 +103,6 @@ func (s *scratch) release() {
 // Contents are NOT cleared: grow is only for buffers every element of which
 // is written before it is read. Anything with read-before-write or
 // sentinel semantics must use growZero instead (contract 2 above).
-//
-//vdce:ignore allocflow pool-backed growth: the make runs only until the buffer reaches its high-water mark, after which every schedule reuses it
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
@@ -129,8 +124,6 @@ func growZero[T any](buf []T, n int) []T {
 // growTimelines returns a timeline slice of length n with every span slab
 // reset to length zero but its capacity retained: the per-host insertion
 // lists reach a schedule's high-water mark once and are reused thereafter.
-//
-//vdce:ignore allocflow pool-backed growth, same amortization as grow: one make until the host count's high-water mark
 func growTimelines(buf []timeline, n int) []timeline {
 	if cap(buf) < n {
 		next := make([]timeline, n)

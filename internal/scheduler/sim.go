@@ -33,7 +33,7 @@ type TimeModel func(task *afg.Task, host string) float64
 // straggler, so no deviation ever fires and no re-planner is consulted.
 // RunChurn (churn.go) is the same loop with a script.
 //
-//vdce:hot
+//vdce:hot allocs=0
 func Simulate(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (float64, error) {
 	x := executor{g: g, table: table, model: model, net: net, threshold: defaultOverrunThreshold}
 	if err := x.run(); err != nil {
@@ -115,7 +115,6 @@ func (x *executor) run() error {
 	x.ix = ix
 	x.scratch = getScratch()
 	defer x.release()
-	//vdce:ignore allocflow amortized: per-execution setup, the table mirrored once into pooled columns (host names resolve to columns here and nowhere in the loop); BenchmarkSimulate* hold the warm call to 0 allocs/op
 	if err := x.load(); err != nil {
 		return err
 	}
@@ -152,10 +151,8 @@ loop:
 			x.finish(x.fin.Pop())
 			left--
 		case traceAt <= detAt && traceAt <= startAt && x.traceIx < len(x.events):
-			//vdce:ignore allocflow deviation path, off the fault-free cone: a scripted transition re-plans, certifies and rebuilds the candidate heap, allocating per event by design
 			err = x.transition()
 		case detAt <= startAt && len(x.det) > 0:
-			//vdce:ignore allocflow deviation path, off the fault-free cone: an overrun re-plans, certifies and rebuilds the candidate heap, allocating per event by design
 			err = x.overrun(x.det.Pop())
 		case startAt < inf:
 			err = x.start(x.cand.Pop())
@@ -275,7 +272,6 @@ func (x *executor) start(e event) error {
 	x.now = e.at
 	dur := x.model(x.ix.Task(int(e.i)), x.assigns[e.i].Host)
 	if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
-		//vdce:ignore allocflow cold failure path: the error is built once and aborts the execution
 		return fmt.Errorf("scheduler: invalid duration %v for task %q", dur, x.ix.ID(int(e.i)))
 	}
 	cols := x.hostCols[e.i]

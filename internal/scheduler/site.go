@@ -169,7 +169,7 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 // set whose estimated finish — parents' data arrival plus queueing wait
 // plus predicted execution — is smallest.
 //
-//vdce:hot
+//vdce:hot allocs=80
 func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
 	net := s.req.Net
@@ -249,7 +249,6 @@ func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 		}
 		if !found {
 			releaseOwn()
-			//vdce:ignore allocflow cold failure path: the error aborts the walk
 			return nil, fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
 		}
 		table.Set(Assignment{
@@ -262,7 +261,6 @@ func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 		estFinish[t] = bestFinish
 		site[t] = best.Site
 		phosts[t] = bestHosts
-		//vdce:ignore allocflow hostFree and own are host-name-keyed walk state shared with the cross-application ledger: one probe per selected host, sized by the environment not the graph
 		for _, h := range bestHosts {
 			hostFree[h] = bestFinish
 			if view != nil {
@@ -306,7 +304,6 @@ func newReadyWalk(ix *afg.Index, g *afg.Graph, prio PriorityFunc) (*readyWalk, e
 		for i := 0; i < n; i++ {
 			w.pending[i] = int32(ix.NumParents(i))
 			if w.pending[i] == 0 {
-				//vdce:ignore allocflow appends into the capacity-n backing array made above: the bulk load never grows it
 				w.heap = append(w.heap, prioItem{w.dlevels[i], int32(i)})
 			}
 		}
@@ -326,14 +323,12 @@ func newReadyWalk(ix *afg.Index, g *afg.Graph, prio PriorityFunc) (*readyWalk, e
 func (w *readyWalk) next(done int) (int, error) {
 	if w.tracker == nil {
 		if len(w.heap) == 0 {
-			//vdce:ignore allocflow cold failure path: a non-empty DAG always has a ready task
 			return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.ix.Len()-done)
 		}
 		return int(w.heap.Pop().idx), nil
 	}
 	ready := w.prio(w.tracker.Ready(), w.levels)
 	if len(ready) == 0 {
-		//vdce:ignore allocflow cold failure path: a non-empty DAG always has a ready task
 		return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.tracker.Remaining())
 	}
 	return w.ix.Of(ready[0]), nil
@@ -468,8 +463,6 @@ func (s *siteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 // nearestSelectors is the neighbour-selection step shared by the site
 // policies and the HEFT/CPOP candidate collection: the k remotes nearest to
 // local by network latency (all remotes when no network or k <= 0).
-//
-//vdce:ignore allocflow neighbour selection runs once per schedule (Fig 4 step 2): the site-name interning map and result list are bounded by the remote count, a handful
 func nearestSelectors(local HostSelector, remotes []HostSelector, net *netsim.Network, k int) []HostSelector {
 	if len(remotes) == 0 {
 		return nil

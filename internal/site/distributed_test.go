@@ -2,9 +2,13 @@ package site
 
 import (
 	"context"
+	"errors"
+	"net/rpc"
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/netsim"
+	"repro/internal/resource"
 	"repro/internal/tasklib"
 )
 
@@ -128,5 +132,60 @@ func TestRunTaskRPCDirect(t *testing.T) {
 		Params: map[string]string{"n": "oops"}}
 	if _, err := peer.RunTask(host, bad, nil); err == nil {
 		t.Fatal("bad params accepted")
+	}
+}
+
+// TestRefusedCallKeepsSharedConnection: every RunTask of an execution is
+// multiplexed on one rpc.Client, so a call the server answers with an error
+// must not close it under a call still in flight.
+func TestRefusedCallKeepsSharedConnection(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	reg := tasklib.NewRegistry()
+	if err := reg.Register(tasklib.Spec{Name: "test.slow", Fn: func(ctx context.Context, _ tasklib.Args) (tasklib.Value, error) {
+		close(started)
+		<-release
+		return tasklib.ScalarValue(42), nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager("rome", resource.GenerateSite("rome", 2, 4, 24), netsim.NYNET(0.0001), reg, Config{GroupSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	peer := NewRemoteSelector("rome", addr)
+	defer peer.Close()
+
+	host := m.Pool.Names()[0]
+	slow := &afg.Task{ID: "slow", Function: "test.slow"}
+	type outcome struct {
+		val tasklib.Value
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		v, err := peer.RunTask(host, slow, nil)
+		done <- outcome{v, err}
+	}()
+	<-started
+	shared, err := peer.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var refused rpc.ServerError
+	if _, err := peer.RunTask("ghost", slow, nil); !errors.As(err, &refused) {
+		t.Fatalf("unknown host: err = %v, want the server's refusal", err)
+	}
+	close(release)
+	if got := <-done; got.err != nil || got.val.Scalar != 42 {
+		t.Fatalf("in-flight call = %+v, %v; want 42 back on the connection the refusal left open", got.val, got.err)
+	}
+	if again, err := peer.conn(); err != nil || again != shared {
+		t.Fatalf("next call would redial (%v): the refusal dropped the shared connection", err)
 	}
 }

@@ -328,7 +328,7 @@ func (r *RemoteSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Cho
 	}
 	var reply SelectReply
 	if err := client.Call("Site.SelectHosts", SelectArgs{AFG: data}, &reply); err != nil {
-		r.dropConn(client)
+		r.dropConn(client, err)
 		return nil, fmt.Errorf("site: remote %s: %w", r.Name, err)
 	}
 	return reply.Choices, nil
@@ -363,7 +363,7 @@ func (r *RemoteSelector) RunTask(host string, task *afg.Task, inputs []tasklib.V
 		Inputs:     encoded,
 	}, &reply)
 	if err != nil {
-		r.dropConn(client)
+		r.dropConn(client, err)
 		return tasklib.Value{}, fmt.Errorf("site: remote run on %s/%s: %w", r.Name, host, err)
 	}
 	return tasklib.DecodeValue(reply.Output)
@@ -383,7 +383,15 @@ func (r *RemoteSelector) conn() (*rpc.Client, error) {
 	return c, nil
 }
 
-func (r *RemoteSelector) dropConn(c *rpc.Client) {
+// dropConn closes the shared connection after a call on it failed with err,
+// unless err is the remote handler's own refusal (an rpc.ServerError): that
+// arrived over a healthy connection every concurrent call of the execution
+// is multiplexed on, and closing it would fail them all with ErrShutdown.
+func (r *RemoteSelector) dropConn(c *rpc.Client, err error) {
+	var refused rpc.ServerError
+	if errors.As(err, &refused) {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.client == c {
