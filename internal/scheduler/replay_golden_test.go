@@ -162,12 +162,11 @@ func realPolicies(t testing.TB) []string {
 	return names
 }
 
-// forEachDagenGridSchedule walks the validator property grid — ~36 dagen
-// graphs spanning size × CCR × shape × heterogeneity, every seventh with a
-// parallel-mode task — and hands fn each real policy's table for each graph.
-func forEachDagenGridSchedule(t *testing.T, fn func(policy, label string, g *afg.Graph, table *AllocationTable, truth TimeModel, net *netsim.Network)) {
+// forEachDagenGridGraph walks the validator property grid — ~36 dagen graphs
+// spanning size × CCR × shape × heterogeneity, every seventh with a
+// parallel-mode task — and hands fn each graph with its environment.
+func forEachDagenGridGraph(t *testing.T, fn func(label string, env Request, g *afg.Graph, truth TimeModel, net *netsim.Network)) {
 	t.Helper()
-	names := realPolicies(t)
 	graphs := 0
 	for _, beta := range []float64{0.25, 1.25} {
 		env, repos, net := dagenEnv(t, beta, 17)
@@ -186,18 +185,7 @@ func forEachDagenGridSchedule(t *testing.T, fn func(policy, label string, g *afg
 						g.Task(id).Processors = 2
 					}
 					graphs++
-					for _, name := range names {
-						p, err := Lookup(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("%s on v=%d ccr=%g α=%g β=%g", name, tasks, ccr, alpha, beta)
-						items := (&Batch{Policy: p, Env: env, Workers: 1}).Schedule([]*afg.Graph{g})
-						if items[0].Err != nil {
-							t.Fatalf("%s: %v", label, items[0].Err)
-						}
-						fn(name, label, g, items[0].Table, truth, net)
-					}
+					fn(fmt.Sprintf("v=%d ccr=%g α=%g β=%g", tasks, ccr, alpha, beta), env, g, truth, net)
 				}
 			}
 		}
@@ -205,6 +193,27 @@ func forEachDagenGridSchedule(t *testing.T, fn func(policy, label string, g *afg
 	if graphs < 36 {
 		t.Fatalf("grid shrank to %d graphs", graphs)
 	}
+}
+
+// forEachDagenGridSchedule hands fn each real policy's table for each graph
+// of the grid.
+func forEachDagenGridSchedule(t *testing.T, fn func(policy, label string, g *afg.Graph, table *AllocationTable, truth TimeModel, net *netsim.Network)) {
+	t.Helper()
+	names := realPolicies(t)
+	forEachDagenGridGraph(t, func(label string, env Request, g *afg.Graph, truth TimeModel, net *netsim.Network) {
+		for _, name := range names {
+			p, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := name + " on " + label
+			items := (&Batch{Policy: p, Env: env, Workers: 1}).Schedule([]*afg.Graph{g})
+			if items[0].Err != nil {
+				t.Fatalf("%s: %v", label, items[0].Err)
+			}
+			fn(name, label, g, items[0].Table, truth, net)
+		}
+	})
 }
 
 // TestValidatorAuditGolden pins ValidateSchedule's full audit — every span's
