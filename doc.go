@@ -58,7 +58,13 @@
 // batched pass and shared across policies via a CostCache, ranks and
 // ready-set walks run on slice-indexed priority heaps, host timelines
 // binary-search their insertion gaps, and the cross-application LoadLedger
-// is striped with bulk-snapshot LedgerViews instead of a global mutex.
+// is striped with bulk-snapshot LedgerViews instead of a global mutex. The
+// site policies have one of each figure: a schedule evaluates its priority
+// keys (Config.Priority, one key per task; nil is the paper's level rule,
+// FIFOPriority the constant key) and sorts them once, the Fig 4 multicast
+// hands that order to every in-process site's Fig 5 walk — the same walk
+// LocalSelector.SelectHosts serves to RPC peers as an id-keyed map — and
+// the ready heap reads the same keys.
 // Invariants: dense indices follow ascending TaskID order (index
 // tie-breaks equal id tie-breaks), arc transfer volumes are resolved when
 // the index is built (task cost metadata is frozen during scheduling), and

@@ -214,45 +214,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestTrackerDiamond(t *testing.T) {
-	g := diamond(t)
-	tr := NewTracker(g)
-	if r := tr.Ready(); len(r) != 1 || r[0] != "A" {
-		t.Fatalf("ready = %v", r)
-	}
-	newly := tr.Complete("A")
-	if len(newly) != 2 || newly[0] != "B" || newly[1] != "C" {
-		t.Fatalf("newly = %v", newly)
-	}
-	if tr.Complete("D") != nil {
-		t.Fatal("completing non-ready task should be a no-op")
-	}
-	tr.Complete("B")
-	if tr.IsReady("D") {
-		t.Fatal("D ready too early")
-	}
-	newly = tr.Complete("C")
-	if len(newly) != 1 || newly[0] != "D" {
-		t.Fatalf("newly = %v", newly)
-	}
-	tr.Complete("D")
-	if !tr.AllDone() || tr.Remaining() != 0 {
-		t.Fatal("tracker should be finished")
-	}
-}
-
-func TestTrackerDoubleComplete(t *testing.T) {
-	g := diamond(t)
-	tr := NewTracker(g)
-	tr.Complete("A")
-	if tr.Complete("A") != nil {
-		t.Fatal("double complete should return nil")
-	}
-	if tr.Remaining() != 3 {
-		t.Fatalf("remaining = %d", tr.Remaining())
-	}
-}
-
 // randomDAG builds a layered random DAG; used by property tests.
 func randomDAG(rng *rand.Rand, layers, width int) *Graph {
 	g := New("rand")
@@ -307,33 +268,6 @@ func TestPropertyTopoAndLevels(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: completing tasks in any ready-respecting order finishes the whole
-// graph exactly once per task.
-func TestPropertyTrackerCompletes(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 2+rng.Intn(4), 3)
-		tr := NewTracker(g)
-		steps := 0
-		for !tr.AllDone() {
-			ready := tr.Ready()
-			if len(ready) == 0 {
-				return false // deadlock would be a bug
-			}
-			pick := ready[rng.Intn(len(ready))]
-			tr.Complete(pick)
-			steps++
-			if steps > g.Len() {
-				return false
-			}
-		}
-		return steps == g.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,8 @@ import (
 //   - Indices are assigned by sorted TaskID, so sorting indices ascending
 //     is exactly the deterministic id tie-break the map-keyed code used.
 //   - Arc.Bytes is resolved at build time (the link's explicit size, or the
-//     parent task's OutputBytes — the transferBytes rule); task cost
+//     parent task's OutputBytes: "the input size of the application can be
+//     used for the transfer size parameter"); task cost
 //     metadata must not change between Index() and the end of scheduling.
 //   - The Index is immutable once built. Graph mutations (AddTask/AddLink)
 //     invalidate the cached Index; holding one across a mutation yields a

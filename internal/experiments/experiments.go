@@ -404,13 +404,12 @@ func ScheduleQuality(seed int64) (*Result, error) {
 			}
 		}
 		sel := &scheduler.LocalSelector{Site: "syr", Repo: repo}
-		fifoSel := &scheduler.LocalSelector{Site: "syr", Repo: repo, Priority: scheduler.FIFOPriority}
 		runs := []struct {
 			policy string
 			req    *scheduler.Request
 		}{
 			{"faithful", scheduler.NewRequest(g, sel, nil, net)},
-			{"faithful", scheduler.NewRequest(g, fifoSel, nil, net, scheduler.WithPriority(scheduler.FIFOPriority))},
+			{"faithful", scheduler.NewRequest(g, sel, nil, net, scheduler.WithPriority(scheduler.FIFOPriority))},
 			{"random", scheduler.NewRequest(g, sel, nil, net, scheduler.WithSeed(seed))},
 		}
 

@@ -108,8 +108,8 @@ func interfaceSite(t *testing.T, fi *FuncInfo, method string) *CallSite {
 }
 
 // TestCallGraphGolden resolves the repo's own interface-heavy dispatch
-// points — the Policy registry and the HostSelector multicasts of the site
-// walk and the cost-matrix gather — against the production packages and
+// points — the Policy registry and the HostSelector multicast shared by the
+// site walk and the cost-matrix gather — against the production packages and
 // pins the callee sets.
 // A new Policy or selector implementation must show up here.
 func TestCallGraphGolden(t *testing.T) {
@@ -134,16 +134,11 @@ func TestCallGraphGolden(t *testing.T) {
 			"(repro/internal/scheduler.heftPolicy).Schedule",
 			"(repro/internal/scheduler.sitePolicy).Schedule",
 		}},
-		// The Site Scheduler's multicast: the in-process selector and the
-		// RPC stub.
-		{"siteScheduler).collectSelections", "SelectHosts", []string{
-			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
-			"(*repro/internal/site.RemoteSelector).SelectHosts",
-		}},
-		// The HEFT/CPOP cost gather's best-offer fallback for selectors
-		// that are not in-process (per-host costs come from LocalSelector
-		// by concrete type, not through an interface).
-		{"scheduler.gatherCostMatrix", "SelectHosts", []string{
+		// The one multicast behind the Site Scheduler and the HEFT/CPOP cost
+		// gather: the call reaches RPC stubs only at run time (in-process
+		// selectors are taken by concrete type first), but both
+		// implementations resolve.
+		{"scheduler.multicast", "SelectHosts", []string{
 			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
 			"(*repro/internal/site.RemoteSelector).SelectHosts",
 		}},

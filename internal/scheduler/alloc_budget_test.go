@@ -124,6 +124,8 @@ func TestHotAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := ix.Levels()
+	order := rankOrderDesc(keys, nil, nil)
 	schedule := func(policy string) func(t *testing.T) float64 {
 		return func(t *testing.T) float64 {
 			p, err := Lookup(policy)
@@ -206,9 +208,22 @@ func TestHotAllocBudgets(t *testing.T) {
 		{"cpopPolicy.Schedule", []string{"cpopPolicy.Schedule"}, schedule("cpop")},
 		{"scheduleAvailabilityAware under a ledger", []string{"siteScheduler.scheduleAvailabilityAware"}, func(t *testing.T) float64 {
 			s := &siteScheduler{req: req, avail: true, ledger: NewLoadLedger()}
-			results, _ := s.collectSelections(ix, req.Graph, append([]HostSelector{req.Local}, req.Remotes...))
+			results, err := multicast(ix, req, func(ls *LocalSelector, r *siteResult) {
+				r.choices, r.err = ls.selectHostsDense(ix, order, true, s.ledger)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			return warmAllocs(func() {
-				if _, err := s.scheduleAvailabilityAware(ix, req.Graph, results); err != nil {
+				if _, err := s.scheduleAvailabilityAware(ix, keys, results); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}},
+		{"selectHostsDense", []string{"LocalSelector.selectHostsDense"}, func(t *testing.T) float64 {
+			sel := req.Local.(*LocalSelector)
+			return warmAllocs(func() {
+				if _, err := sel.selectHostsDense(ix, order, false, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

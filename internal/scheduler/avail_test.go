@@ -186,10 +186,7 @@ func TestLocalSelectorAvailabilityAware(t *testing.T) {
 		"fast": {4, 0}, "slow": {1, 0},
 	})
 	sel := &LocalSelector{Site: "syr", Repo: repo}
-	choices, err := sel.selectHosts(wideGraph(5, 4), true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, choices := fig5(t, sel, wideGraph(5, 4), nil, true, nil)
 	counts := map[string]int{}
 	for _, c := range choices {
 		counts[c.Host]++

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/afg"
 	"repro/internal/repository"
 )
 
@@ -37,15 +36,6 @@ func collectHosts(sites map[string]*repository.Repository) []hostEntry {
 			out = append(out, hostEntry{site: s, host: r.Static.HostName, rec: r})
 		}
 	}
-	return out
-}
-
-// FIFOPriority is the level-priority ablation: ready tasks in plain id
-// order, ignoring levels. Install it with WithPriority to measure
-// what the paper's level rule buys.
-func FIFOPriority(ids []afg.TaskID, _ map[afg.TaskID]float64) []afg.TaskID {
-	out := append([]afg.TaskID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/afg"
@@ -307,87 +305,19 @@ func (r *Request) PrewarmCosts() error {
 	return err
 }
 
-// gatherCostMatrix is the dense successor of the map-keyed candidate
-// gather: every site's per-task host offers — full per-host cost vectors
-// from in-process selectors, the single best choice from any other — fanned
-// out across Config.Concurrency workers and merged deterministically in
-// site-name order into one contiguous matrix. A site that cannot host some
-// task is dropped, mirroring the Site Scheduler's multicast semantics; a
-// site failing for any other reason is dropped too, but recorded as a
-// transient loss on Request.Diag rather than vanishing silently.
+// gatherCostMatrix is the HEFT/CPOP candidate gather: one multicast whose
+// in-process sites answer with full per-host cost vectors and whose other
+// sites answer with their single best choice per task, merged in site-name
+// order into one contiguous matrix.
 //
 //vdce:hot allocs=120
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
-	if req.Local == nil {
-		return nil, ErrNoSites
+	keep, err := multicast(ix, req, func(ls *LocalSelector, r *siteResult) {
+		r.hosts, r.pred, r.err = ls.denseHostCosts(ix)
+	})
+	if err != nil {
+		return nil, err
 	}
-	selectors := append([]HostSelector{req.Local},
-		nearestSelectors(req.Local, req.Remotes, req.Net, req.Config.K)...)
-
-	// One gathered block per selector; merged in site-name order below.
-	type gathered struct {
-		name     string
-		hosts    []string  // in-process sites: column host names, ascending
-		pred     []float64 // V×len(hosts), NaN = ineligible
-		fallback []Choice  // other sites: idx-addressed best offers
-		err      error
-	}
-	per := make([]gathered, len(selectors))
-	gather := func(i int, sel HostSelector) {
-		per[i].name = sel.SiteName()
-		if ls, ok := sel.(*LocalSelector); ok {
-			per[i].hosts, per[i].pred, per[i].err = ls.denseHostCosts(ix)
-			return
-		}
-		m, err := sel.SelectHosts(req.Graph)
-		if err != nil {
-			per[i].err = err
-			return
-		}
-		per[i].fallback = denseChoices(ix, m)
-	}
-	workers := req.Config.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(selectors) {
-		workers = len(selectors)
-	}
-	if workers <= 1 {
-		for i, sel := range selectors {
-			gather(i, sel)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, sel := range selectors {
-			wg.Add(1)
-			go func(i int, sel HostSelector) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				gather(i, sel)
-			}(i, sel)
-		}
-		wg.Wait()
-	}
-
-	keep := per[:0]
-	var transient []SiteError
-	for _, g := range per {
-		if g.err != nil {
-			req.Diag.record(g.name, g.err)
-			if !errors.Is(g.err, ErrNoEligibleHost) {
-				transient = append(transient, SiteError{Site: g.name, Err: g.err})
-			}
-			continue
-		}
-		keep = append(keep, g)
-	}
-	if len(keep) == 0 {
-		return nil, noSitesErr(transient)
-	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i].name < keep[j].name })
 
 	v := ix.Len()
 	cm := &CostMatrix{ix: ix, col: map[string]int32{}}
@@ -401,7 +331,7 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	}
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
-		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), fallback: g.fallback}
+		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), fallback: g.choices}
 		for _, h := range g.hosts {
 			cm.col[h] = int32(len(cm.hosts))
 			cm.hosts = append(cm.hosts, HostRef{Site: g.name, Host: h})

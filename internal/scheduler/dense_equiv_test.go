@@ -188,7 +188,8 @@ func TestDenseHEFTWithLedgerMatchesOracle(t *testing.T) {
 }
 
 // The dense site walks (faithful and EFT) against the retained map-keyed
-// engine, including the EFT walk's ledger-view read path.
+// engine under both priority rules, including the EFT walk's ledger-view
+// read path.
 func TestDenseSiteWalksMatchOracle(t *testing.T) {
 	for _, avail := range []bool{false, true} {
 		name := "faithful"
@@ -204,17 +205,23 @@ func TestDenseSiteWalksMatchOracle(t *testing.T) {
 			g := equivGraph(t, 120, 8, seed)
 			req.Graph = g
 			req.Config.Concurrency = 1
-
-			dense, err := p.Schedule(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s seed %d: dense: %v", name, seed, err)
+			for _, fifo := range []bool{false, true} {
+				label, prio := fmt.Sprintf("%s seed %d", name, seed), oraclePriority(ByLevel)
+				req.Config.Priority = nil
+				if fifo {
+					label, prio, req.Config.Priority = label+" fifo", oracleFIFO, FIFOPriority
+				}
+				dense, err := p.Schedule(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: dense: %v", label, err)
+				}
+				want, err := oracleSiteRun(&siteScheduler{req: req, avail: avail}, prio)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", label, err)
+				}
+				tablesEqual(t, label, dense, want)
+				makespansEqual(t, label, g, dense, want, repos, net)
 			}
-			want, err := oracleSiteRun(&siteScheduler{req: req, avail: avail})
-			if err != nil {
-				t.Fatalf("%s seed %d: oracle: %v", name, seed, err)
-			}
-			tablesEqual(t, fmt.Sprintf("%s seed %d", name, seed), dense, want)
-			makespansEqual(t, fmt.Sprintf("%s seed %d", name, seed), g, dense, want, repos, net)
 		}
 	}
 }
@@ -238,7 +245,7 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		want, err := oracleSiteRun(&siteScheduler{req: req, avail: true, ledger: oracleLedger})
+		want, err := oracleSiteRun(&siteScheduler{req: req, avail: true, ledger: oracleLedger}, ByLevel)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -293,32 +300,33 @@ func TestDenseHEFTSharedHostNameAcrossSites(t *testing.T) {
 	}
 }
 
-// The dense per-site selector walk against the public map walk.
+// The dense per-site selector walk against the map-keyed oracle walk, under
+// both priority rules and in both modes.
 func TestSelectHostsDenseMatchesMap(t *testing.T) {
-	for _, avail := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			req, _, _ := equivEnv(t, seed)
-			g := equivGraph(t, 100, 8, seed)
-			ix, err := g.Index()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := req.Local.(*LocalSelector)
-			denseOut, err := sel.selectHostsDense(g, avail, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapOut, err := sel.selectHosts(g, avail, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mapOut) != ix.Len() {
-				t.Fatalf("map walk covered %d of %d tasks", len(mapOut), ix.Len())
-			}
-			for id, want := range mapOut {
-				got := denseOut[ix.Of(id)]
-				if got.Site != want.Site || got.Host != want.Host || got.Predicted != want.Predicted {
-					t.Fatalf("avail=%v seed %d: task %q: dense %+v vs map %+v", avail, seed, id, got, want)
+	rules := []struct {
+		name string
+		prio Priority
+		want oraclePriority
+	}{{"level", nil, ByLevel}, {"fifo", FIFOPriority, oracleFIFO}}
+	for _, rule := range rules {
+		for _, avail := range []bool{false, true} {
+			for seed := int64(1); seed <= 4; seed++ {
+				req, _, _ := equivEnv(t, seed)
+				g := equivGraph(t, 100, 8, seed)
+				sel := req.Local.(*LocalSelector)
+				ix, denseOut := fig5(t, sel, g, rule.prio, avail, nil)
+				mapOut, err := oracleSelectHosts(sel, g, avail, nil, rule.want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(mapOut) != ix.Len() {
+					t.Fatalf("map walk covered %d of %d tasks", len(mapOut), ix.Len())
+				}
+				for id, want := range mapOut {
+					got := denseOut[ix.Of(id)]
+					if got.Site != want.Site || got.Host != want.Host || got.Predicted != want.Predicted {
+						t.Fatalf("%s avail=%v seed %d: task %q: dense %+v vs map %+v", rule.name, avail, seed, id, got, want)
+					}
 				}
 			}
 		}

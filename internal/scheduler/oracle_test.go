@@ -12,23 +12,220 @@ package scheduler
 // TestWalksPriceLikePerPairOracle (prices, not placements) and the replay
 // goldens (execution, not planning). None of those says which host a task
 // SHOULD get on an input nobody blessed; each oracle below is the only
-// second implementation of one decision rule, so all five stay:
+// second implementation of one decision rule, so all six stay:
 //
 //	oracleHEFT               — rank-descending order and insertion-based EFT host choice on fresh graphs, ledger-seeded timelines included: a feasible but wrong host
 //	oracleCPOP               — critical-path membership and the pin to the critical host, which no golden can tell from any other feasible table
 //	oPlacement               — the kernel under both: the per-site-block data-ready memo, one timeline per host NAME across sites, the parallel machine-set pick
-//	oracleSiteRun            — the paper's Site Scheduler walk (level order, entry-like rule, transfer-aware site choice) against selectHostsDense and the bulk ledger-view refresh
+//	oracleSelectHosts        — the Fig 5 walk re-stated with id-keyed levels, host-name-keyed queue/free-time maps, a full candidate sort and per-pair pricing, against selectHostsDense's shared order, per-column slices and partial selection
+//	oracleSiteRun            — the paper's Site Scheduler walk (level or FIFO order, entry-like rule, transfer-aware site choice) over oracleSelectHosts, against selectHostsDense, the shared priority order and the bulk ledger-view refresh
 //	oracleAvailabilityAware  — the EFT walk's host-free bookkeeping and live per-candidate ledger probes, which the faithful walk never exercises
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
+	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 )
+
+// transferBytes returns the data volume of one link: the link's explicit
+// size, or the parent's declared output volume ("the input size of the
+// application can be used for the transfer size parameter"). Production code
+// reads the same rule resolved once into afg.Arc.Bytes.
+func transferBytes(g *afg.Graph, l afg.Link) int64 {
+	if l.Bytes > 0 {
+		return l.Bytes
+	}
+	if p := g.Task(l.From); p != nil {
+		return p.OutputBytes
+	}
+	return 0
+}
+
+// oraclePriority is the original priority contract: order a set of task ids
+// given the graph's id-keyed level values.
+type oraclePriority func([]afg.TaskID, map[afg.TaskID]float64) []afg.TaskID
+
+// ByLevel sorts task ids by descending level (the paper's priority: "the
+// node with a higher level value will have a higher priority"), with id as
+// the deterministic tie-break.
+func ByLevel(ids []afg.TaskID, levels map[afg.TaskID]float64) []afg.TaskID {
+	out := append([]afg.TaskID(nil), ids...)
+	sort.Slice(out, func(i, j int) bool {
+		li, lj := levels[out[i]], levels[out[j]]
+		if li != lj {
+			return li > lj
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// oracleFIFO is the original FIFOPriority: plain id order, ignoring levels.
+func oracleFIFO(ids []afg.TaskID, _ map[afg.TaskID]float64) []afg.TaskID {
+	out := append([]afg.TaskID(nil), ids...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func TestByLevelOrdering(t *testing.T) {
+	levels := map[afg.TaskID]float64{"a": 1, "b": 5, "c": 5, "d": 2}
+	got := ByLevel([]afg.TaskID{"a", "c", "d", "b"}, levels)
+	want := []afg.TaskID{"b", "c", "d", "a"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v", got)
+		}
+	}
+}
+
+// tracker is the original afg.Tracker: the id-keyed "ready tasks" set of the
+// Site Scheduler Algorithm (paper Fig 4, steps 6–7) — a task is ready when it
+// has no parents or all of its parents have been scheduled. The production
+// walks count parents on the dense Index instead.
+type tracker struct {
+	g       *afg.Graph
+	pending map[afg.TaskID]int // remaining unfinished parents
+	ready   map[afg.TaskID]bool
+	done    map[afg.TaskID]bool
+}
+
+// newTracker builds a tracker with all entry tasks initially ready.
+func newTracker(g *afg.Graph) *tracker {
+	t := &tracker{
+		g:       g,
+		pending: make(map[afg.TaskID]int, g.Len()),
+		ready:   make(map[afg.TaskID]bool),
+		done:    make(map[afg.TaskID]bool),
+	}
+	for _, id := range g.TaskIDs() {
+		n := len(g.Parents(id))
+		t.pending[id] = n
+		if n == 0 {
+			t.ready[id] = true
+		}
+	}
+	return t
+}
+
+// Ready returns the current ready set in sorted order.
+func (t *tracker) Ready() []afg.TaskID {
+	out := make([]afg.TaskID, 0, len(t.ready))
+	for id := range t.ready {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Complete marks id finished and returns the tasks that became ready as a
+// result. Completing a task twice or a non-ready task returns nil.
+func (t *tracker) Complete(id afg.TaskID) []afg.TaskID {
+	if t.done[id] || !t.ready[id] {
+		return nil
+	}
+	delete(t.ready, id)
+	t.done[id] = true
+	var newly []afg.TaskID
+	for _, e := range t.g.Children(id) {
+		t.pending[e.To]--
+		if t.pending[e.To] == 0 {
+			t.ready[e.To] = true
+			newly = append(newly, e.To)
+		}
+	}
+	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
+	return newly
+}
+
+// Remaining returns the count of tasks not yet completed.
+func (t *tracker) Remaining() int { return t.g.Len() - len(t.done) }
+
+// AllDone reports whether every task has completed.
+func (t *tracker) AllDone() bool { return len(t.done) == t.g.Len() }
+
+func trackerDiamond(t *testing.T) *afg.Graph {
+	t.Helper()
+	g := afg.New("diamond")
+	for _, id := range []afg.TaskID{"A", "B", "C", "D"} {
+		if err := g.AddTask(&afg.Task{ID: id, Function: "noop", ComputeCost: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range []afg.Link{{From: "A", To: "B"}, {From: "A", To: "C"}, {From: "B", To: "D"}, {From: "C", To: "D"}} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+func TestTrackerDiamond(t *testing.T) {
+	tr := newTracker(trackerDiamond(t))
+	if r := tr.Ready(); len(r) != 1 || r[0] != "A" {
+		t.Fatalf("ready = %v", r)
+	}
+	newly := tr.Complete("A")
+	if len(newly) != 2 || newly[0] != "B" || newly[1] != "C" {
+		t.Fatalf("newly = %v", newly)
+	}
+	if tr.Complete("D") != nil {
+		t.Fatal("completing non-ready task should be a no-op")
+	}
+	tr.Complete("B")
+	if tr.ready["D"] {
+		t.Fatal("D ready too early")
+	}
+	newly = tr.Complete("C")
+	if len(newly) != 1 || newly[0] != "D" {
+		t.Fatalf("newly = %v", newly)
+	}
+	tr.Complete("D")
+	if !tr.AllDone() || tr.Remaining() != 0 {
+		t.Fatal("tracker should be finished")
+	}
+}
+
+func TestTrackerDoubleComplete(t *testing.T) {
+	tr := newTracker(trackerDiamond(t))
+	tr.Complete("A")
+	if tr.Complete("A") != nil {
+		t.Fatal("double complete should return nil")
+	}
+	if tr.Remaining() != 3 {
+		t.Fatalf("remaining = %d", tr.Remaining())
+	}
+}
+
+// Property: completing tasks in any ready-respecting order finishes the whole
+// graph exactly once per task.
+func TestPropertyTrackerCompletes(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := dagen.Random(dagen.Params{Tasks: 4 + rng.Intn(12), CCR: 1, Alpha: 1, OutDegree: 3, Beta: 1, Seed: seed})
+		tr := newTracker(g)
+		steps := 0
+		for !tr.AllDone() {
+			ready := tr.Ready()
+			if len(ready) == 0 {
+				t.Fatalf("seed %d: deadlock with %d tasks remaining", seed, tr.Remaining())
+			}
+			tr.Complete(ready[rng.Intn(len(ready))])
+			if steps++; steps > g.Len() {
+				t.Fatalf("seed %d: more steps than tasks", seed)
+			}
+		}
+		if steps != g.Len() {
+			t.Fatalf("seed %d: %d steps for %d tasks", seed, steps, g.Len())
+		}
+	}
+}
 
 // oracleCollectCandidates is the original map-keyed collectCandidates.
 func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choice, error) {
@@ -435,7 +632,7 @@ func oracleCPOP(ctx context.Context, req *Request) (*AllocationTable, error) {
 	restrict := oracleCriticalHost(cands, cp)
 
 	p := newOPlacement(g, req.Net, req.Config.Ledger)
-	tracker := afg.NewTracker(g)
+	tracker := newTracker(g)
 	for !tracker.AllDone() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -571,11 +768,84 @@ func transferCost(net *netsim.Network, g *afg.Graph, id afg.TaskID, site string,
 	return total
 }
 
+// oracleSelectHosts is the map-keyed Fig 5 walk: id-keyed levels,
+// the whole queue sorted by the map-form priority rule, the walk's view of
+// its hosts keyed by host name (seeded from one ledger snapshot), every
+// candidate priced by the per-pair oracle and the full candidate list sorted
+// by (key, host).
+func oracleSelectHosts(s *LocalSelector, g *afg.Graph, avail bool, ledger *LoadLedger, prio oraclePriority) (map[afg.TaskID]Choice, error) {
+	levels, err := g.Levels()
+	if err != nil {
+		return nil, err
+	}
+	resources := s.Repo.Resources.List()
+	queued := make(map[string]float64) // paper mode: placed tasks per host
+	freeAt := make(map[string]float64) // availability mode: est host-free times
+	if ledger != nil {
+		freeAt = ledger.Snapshot()
+	}
+	out := make(map[afg.TaskID]Choice, g.Len())
+	for _, id := range prio(g.TaskIDs(), levels) {
+		task := g.Task(id)
+		type cand struct {
+			host      string
+			pred, key float64
+		}
+		var cands []cand
+		for _, r := range resources {
+			host := r.Static.HostName
+			pred, ok := oraclePrice(s, task, r, queued[host])
+			if !ok {
+				continue
+			}
+			key := pred
+			if avail {
+				key = freeAt[host] + pred
+			}
+			cands = append(cands, cand{host, pred, key})
+		}
+		if len(cands) == 0 {
+			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].key != cands[j].key {
+				return cands[i].key < cands[j].key
+			}
+			return cands[i].host < cands[j].host
+		})
+		n := 1
+		if task.Mode == afg.Parallel {
+			n = task.Processors
+		}
+		if n > len(cands) {
+			n = len(cands)
+		}
+		hosts := make([]string, n)
+		var maxPred, start float64
+		for i, c := range cands[:n] {
+			hosts[i] = c.host
+			maxPred = math.Max(maxPred, c.pred)
+			start = math.Max(start, freeAt[c.host])
+		}
+		pred := maxPred / float64(n)
+		for _, h := range hosts {
+			if avail {
+				freeAt[h] = start + pred
+			} else {
+				queued[h]++
+			}
+		}
+		out[id] = Choice{Site: s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}
+	}
+	return out, nil
+}
+
 // oracleSiteRun is the original Site Scheduler engine: map-keyed site
 // results, Tracker ready sets re-sorted per step, and (in availability
 // mode) a live per-candidate ledger probe. It reads the same engine
-// configuration the dense walk runs from.
-func oracleSiteRun(s *siteScheduler) (*AllocationTable, error) {
+// configuration the dense walk runs from, except the priority: prio is the
+// map-form rule (ByLevel, oracleFIFO) matching the request's Config.Priority.
+func oracleSiteRun(s *siteScheduler, prio oraclePriority) (*AllocationTable, error) {
 	g, cfg := s.req.Graph, s.req.Config
 	if s.req.Local == nil {
 		return nil, ErrNoSites
@@ -592,7 +862,7 @@ func oracleSiteRun(s *siteScheduler) (*AllocationTable, error) {
 		var err error
 		if ls, ok := sel.(*LocalSelector); ok {
 			// The walk's mode propagates into in-process selectors.
-			choices, err = ls.selectHosts(g, s.avail, s.ledger)
+			choices, err = oracleSelectHosts(ls, g, s.avail, s.ledger, prio)
 		} else {
 			choices, err = sel.SelectHosts(g)
 		}
@@ -611,15 +881,11 @@ func oracleSiteRun(s *siteScheduler) (*AllocationTable, error) {
 	}
 
 	if s.avail {
-		return oracleAvailabilityAware(s, g, results, levels)
+		return oracleAvailabilityAware(s, g, results, levels, prio)
 	}
 
 	table := NewAllocationTable(g.Name)
-	prio := cfg.Priority
-	if prio == nil {
-		prio = ByLevel
-	}
-	tracker := afg.NewTracker(g)
+	tracker := newTracker(g)
 	for !tracker.AllDone() {
 		ready := prio(tracker.Ready(), levels)
 		if len(ready) == 0 {
@@ -665,12 +931,8 @@ type oracleSiteResult struct {
 
 // oracleAvailabilityAware is the original EFT walk with live per-candidate
 // ledger probes.
-func oracleAvailabilityAware(s *siteScheduler, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64) (*AllocationTable, error) {
+func oracleAvailabilityAware(s *siteScheduler, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64, prio oraclePriority) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
-	prio := s.req.Config.Priority
-	if prio == nil {
-		prio = ByLevel
-	}
 	estFinish := make(map[afg.TaskID]float64, g.Len())
 	hostFree := map[string]float64{}
 	own := map[string]float64{}
@@ -692,7 +954,7 @@ func oracleAvailabilityAware(s *siteScheduler, g *afg.Graph, results []oracleSit
 		}
 	}
 
-	tracker := afg.NewTracker(g)
+	tracker := newTracker(g)
 	for !tracker.AllDone() {
 		ready := prio(tracker.Ready(), levels)
 		if len(ready) == 0 {

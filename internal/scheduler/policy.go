@@ -22,9 +22,25 @@ type Policy interface {
 	Schedule(ctx context.Context, req *Request) (*AllocationTable, error)
 }
 
-// PriorityFunc orders a set of ready tasks given the graph's level values.
-// ByLevel is the paper's rule; FIFOPriority is the ablation.
-type PriorityFunc func([]afg.TaskID, map[afg.TaskID]float64) []afg.TaskID
+// Priority is a list scheduler's priority phase: one static key per dense
+// task index. Both figures' walks take tasks by descending key, ascending
+// index (= ascending TaskID) on ties. nil means (*afg.Index).Levels, the
+// paper's rule ("the node with a higher level value will have a higher
+// priority"); FIFOPriority holds the key constant.
+type Priority func(*afg.Index) []float64
+
+// FIFOPriority is the level-priority ablation: every key equal, so tasks go
+// in plain id order. Install it with WithPriority to measure what the
+// paper's level rule buys.
+func FIFOPriority(ix *afg.Index) []float64 { return make([]float64, ix.Len()) }
+
+// keys evaluates the priority phase for one graph.
+func (p Priority) keys(ix *afg.Index) []float64 {
+	if p == nil {
+		return ix.Levels()
+	}
+	return p(ix)
+}
 
 // Request carries one scheduling problem: the application flow graph, the
 // predictor services of the participating sites (the local Host Selection
@@ -109,8 +125,11 @@ type Config struct {
 	// (0 = GOMAXPROCS, 1 = serial).
 	Concurrency int
 
-	// Priority orders the ready set; nil uses the paper's level rule.
-	Priority PriorityFunc
+	// Priority keys the site policies' task order — the ready set of the
+	// Site Scheduler walk and the queue of every in-process site's Host
+	// Selection walk; nil uses the paper's level rule. RPC peers always
+	// walk their own queue by level.
+	Priority Priority
 
 	// TransferAware toggles the transfer-time term of the faithful
 	// objective (default true; false is the Fig 4 ablation).
@@ -148,8 +167,8 @@ func WithLedger(l *LoadLedger) Option { return func(c *Config) { c.Ledger = l } 
 // WithConcurrency bounds the per-site fan-out workers (0 = GOMAXPROCS).
 func WithConcurrency(n int) Option { return func(c *Config) { c.Concurrency = n } }
 
-// WithPriority installs a ready-set ordering rule (nil = the level rule).
-func WithPriority(p PriorityFunc) Option { return func(c *Config) { c.Priority = p } }
+// WithPriority installs a task-priority key (nil = the level rule).
+func WithPriority(p Priority) Option { return func(c *Config) { c.Priority = p } }
 
 // WithTransferAware toggles the transfer-time term (default on).
 func WithTransferAware(on bool) Option { return func(c *Config) { c.TransferAware = on } }

@@ -165,109 +165,105 @@ type LocalSelector struct {
 	// the recorded value directly. Applied per prediction, so stateful
 	// forecasters always see fresh calls.
 	Forecast func(host string, recorded float64) float64
-
-	// Priority orders the task queue for the Fig 5 walk; nil uses the
-	// paper's level rule (ByLevel). Because each assignment bumps its
-	// host's queued load, the walk order decides which tasks get the
-	// fastest machines — FIFOPriority here is the level-rule ablation.
-	Priority PriorityFunc
 }
 
 // SiteName implements HostSelector.
 func (s *LocalSelector) SiteName() string { return s.Site }
 
 // SelectHosts implements HostSelector (the paper's Fig 5 loop) in the
-// paper-faithful mode: each assignment adds one queued-load unit to its
-// chosen host(s), so a wide application does not dog-pile the single best
-// machine.
+// paper-faithful mode and level order: each assignment adds one queued-load
+// unit to its chosen host(s), so a wide application does not dog-pile the
+// single best machine. The id-keyed map is the interface's and the RPC
+// reply's form of the dense walk's answer.
 func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
-	return s.selectHosts(g, false, nil)
-}
-
-// selectHosts is the Fig 5 walk behind SelectHosts. The task queue is
-// walked in level-priority order and each assignment updates the walk's own
-// view of its chosen host(s): one queued-load unit in the paper-faithful
-// mode, or — when avail is set, by the availability-aware site policies —
-// an estimated host-free timeline, where each task takes the host(s)
-// minimising earliest finish time (free time + predicted execution) and its
-// finish pushes those hosts' free times out. A non-nil ledger seeds that
-// timeline with the busy seconds other applications have reserved;
-// reservations themselves are made by the site-level walk, never here.
-func (s *LocalSelector) selectHosts(g *afg.Graph, avail bool, ledger *LoadLedger) (map[afg.TaskID]Choice, error) {
-	p := s.newPricing()
-	defer p.count()
-	levels, err := g.Levels()
+	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
-	prio := s.Priority
-	if prio == nil {
-		prio = ByLevel
+	choices, err := s.selectHostsDense(ix, rankOrderDesc(ix.Levels(), nil, nil), false, nil)
+	if err != nil {
+		return nil, err
 	}
-	queued := make(map[string]float64) // paper mode: placed tasks per host
-	freeAt := make(map[string]float64) // availability mode: est host-free times
+	out := make(map[afg.TaskID]Choice, len(choices))
+	for t, c := range choices {
+		out[ix.ID(t)] = c
+	}
+	return out, nil
+}
+
+// selectHostsDense is the Fig 5 walk. The task queue is walked in the given
+// priority order (dense indices; the result is addressed the same way) and
+// each assignment updates the walk's own view of its chosen host(s), kept
+// per column of the pricing's resource snapshot: one queued-load unit in the
+// paper-faithful mode, or — when avail is set, by the availability-aware
+// site policies — an estimated host-free timeline, where each task takes the
+// host(s) minimising earliest finish time (free time + predicted execution)
+// and its finish pushes those hosts' free times out. A non-nil ledger seeds
+// that timeline with the busy seconds other applications have reserved;
+// reservations themselves are made by the site-level walk, never here.
+// order is only read: the Site Scheduler hands one slice to every site's walk.
+//
+//vdce:hot allocs=18
+func (s *LocalSelector) selectHostsDense(ix *afg.Index, order []int32, avail bool, ledger *LoadLedger) ([]Choice, error) {
+	p := s.newPricing()
+	defer p.count()
+	sc := getScratch()
+	defer sc.release()
+	sc.queued = growZero(sc.queued, len(p.resources))
+	sc.freeAt = growZero(sc.freeAt, len(p.resources))
 	if ledger != nil {
-		freeAt = ledger.Snapshot()
+		for k := range p.resources {
+			sc.freeAt[k] = ledger.Busy(p.resources[k].Static.HostName)
+		}
 	}
-	out := make(map[afg.TaskID]Choice, g.Len())
-	var buf []scored
+	out := make([]Choice, ix.Len()) // schedule output
 	// One host-name slab backs every sequential task's committed host set
 	// (schedule output): one allocation per walk instead of one per task.
-	slab := make([]string, g.Len())
-	for _, id := range prio(g.TaskIDs(), levels) {
-		task := g.Task(id)
-		var choice Choice
-		var finish float64
-		choice, finish, buf, slab, err = p.selectFor(task, avail, queued, freeAt, buf, slab)
+	slab := make([]string, ix.Len())
+	for _, t := range order {
+		var err error
+		out[t], sc.scored, slab, err = p.selectFor(ix.Task(int(t)), avail, sc.queued, sc.freeAt, sc.scored, slab)
 		if err != nil {
-			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
+			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
 		}
-		for _, h := range choice.Hosts {
-			if avail {
-				freeAt[h] = finish
-			} else {
-				queued[h]++
-			}
-		}
-		out[id] = choice
 	}
 	return out, nil
 }
 
 // scored is one candidate of a selectFor evaluation.
 type scored struct {
-	host string
+	col  int32   // resource column
 	pred float64 // predicted execution seconds
 	key  float64 // ranking key (finish time in availability mode)
 }
 
 // selectFor evaluates Predict(task, R) for every eligible resource and
-// returns the minimiser — of the prediction alone in the paper-faithful
+// commits the minimiser — of the prediction alone in the paper-faithful
 // mode, of the earliest finish time (host free time + prediction) in
-// availability-aware mode — plus the estimated finish of the choice.
+// availability-aware mode — to the walk's per-column view: one more queued
+// task, or the choice's estimated finish as the new free time.
 // Parallel tasks select task.Processors machines (the paper's "the host
 // selection algorithm is updated to select the number of machines required
 // within the site"). buf is a caller-owned scratch slice and slab a
 // caller-owned host-name arena for the committed sets, both returned
 // (maybe consumed or grown) for reuse across the walk: the steady-state
 // sequential walk step allocates nothing at all.
-func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[string]float64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
+func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt []float64, buf []scored, slab []string) (Choice, []scored, []string, error) {
 	cands := buf[:0]
 	row := p.row(task.Function)
 	for k := range p.resources {
 		if !p.eligible(task, row, k) {
 			continue
 		}
-		host := p.resources[k].Static.HostName
-		pred := p.predictOn(task, row, k, queued[host])
+		pred := p.predictOn(task, row, k, queued[k])
 		key := pred
 		if avail {
-			key = freeAt[host] + pred
+			key = freeAt[k] + pred
 		}
-		cands = append(cands, scored{host, pred, key})
+		cands = append(cands, scored{int32(k), pred, key})
 	}
 	if len(cands) == 0 {
-		return Choice{}, 0, cands, slab, ErrNoEligibleHost
+		return Choice{}, cands, slab, ErrNoEligibleHost
 	}
 	n := task.Processors
 	if task.Mode != afg.Parallel {
@@ -276,16 +272,16 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[strin
 	if n > len(cands) {
 		n = len(cands)
 	}
-	// Partial selection by (key, host): only the n winners matter, so each
+	// Partial selection by (key, column): only the n winners matter, so each
 	// of the n rounds swaps the minimum of the remainder into place —
-	// O(n·C) against the former full insertion sort's O(C²), and n is 1
-	// for every sequential task. The (key, host) pair is a strict total
-	// order (host names are unique), so the selected prefix and its order
+	// O(n·C) against a full sort's O(C log C), and n is 1 for every
+	// sequential task. Columns ascend by host name, so (key, column) is the
+	// strict total order (key, host) and the selected prefix and its order
 	// are identical to any comparison sort of the whole candidate list.
 	for i := 0; i < n; i++ {
 		m := i
 		for j := i + 1; j < len(cands); j++ {
-			if cands[j].key < cands[m].key || (cands[j].key == cands[m].key && cands[j].host < cands[m].host) {
+			if cands[j].key < cands[m].key || (cands[j].key == cands[m].key && cands[j].col < cands[m].col) {
 				m = j
 			}
 		}
@@ -301,19 +297,26 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt map[strin
 		hosts = make([]string, n)
 	}
 	var maxPred, start float64
-	for i := 0; i < n; i++ {
-		hosts[i] = cands[i].host
-		if cands[i].pred > maxPred {
-			maxPred = cands[i].pred
+	for i, c := range cands[:n] {
+		hosts[i] = p.resources[c.col].Static.HostName
+		if c.pred > maxPred {
+			maxPred = c.pred
 		}
-		if f := freeAt[cands[i].host]; f > start {
+		if f := freeAt[c.col]; f > start {
 			start = f
 		}
 	}
 	// Parallel-mode prediction: the slowest selected machine bounds each
 	// share; an ideal row split divides the work n ways.
 	pred := maxPred / float64(n)
-	return Choice{Site: p.s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, start + pred, cands, slab, nil
+	for _, c := range cands[:n] {
+		if avail {
+			freeAt[c.col] = start + pred
+		} else {
+			queued[c.col]++
+		}
+	}
+	return Choice{Site: p.s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, cands, slab, nil
 }
 
 // denseHostCosts is the batched per-host cost gather behind the HEFT/CPOP
@@ -352,60 +355,6 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 		}
 	}
 	return hosts, pred, nil
-}
-
-// selectHostsDense is the slice-indexed form of selectHosts: the same
-// Fig 5 walk, but the priority order comes from dense levels sorted by
-// integer index and the result is addressed by dense task index — no
-// level map, no id sort, no output map. A selector carrying its own
-// Priority rule falls back to the generic walk.
-func (s *LocalSelector) selectHostsDense(g *afg.Graph, avail bool, ledger *LoadLedger) ([]Choice, error) {
-	ix, err := g.Index()
-	if err != nil {
-		return nil, err
-	}
-	if s.Priority != nil {
-		m, err := s.selectHosts(g, avail, ledger)
-		if err != nil {
-			return nil, err
-		}
-		return denseChoices(ix, m), nil
-	}
-	p := s.newPricing()
-	defer p.count()
-	queued := make(map[string]float64)
-	freeAt := make(map[string]float64)
-	if ledger != nil {
-		freeAt = ledger.Snapshot()
-	}
-	sc := getScratch()
-	defer sc.release()
-	out := make([]Choice, ix.Len()) // schedule output
-	sc.order = rankOrderDesc(ix.Levels(), nil, sc.order)
-	// One host-name slab backs every sequential task's committed host set
-	// (schedule output): one allocation per walk instead of one per task.
-	slab := make([]string, ix.Len())
-	buf := sc.scored
-	for _, t := range sc.order {
-		task := ix.Task(int(t))
-		var choice Choice
-		var finish float64
-		choice, finish, buf, slab, err = p.selectFor(task, avail, queued, freeAt, buf, slab)
-		if err != nil {
-			sc.scored = buf
-			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
-		}
-		for _, h := range choice.Hosts {
-			if avail {
-				freeAt[h] = finish
-			} else {
-				queued[h]++
-			}
-		}
-		out[t] = choice
-	}
-	sc.scored = buf
-	return out, nil
 }
 
 // kindRow is what one walk knows about one task kind: the
@@ -534,23 +483,4 @@ func (s *LocalSelector) CostModel() TimeModel {
 		}
 		return p.predictOn(task, row, k, 0)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Priorities
-// ---------------------------------------------------------------------------
-
-// ByLevel sorts ready task ids by descending level (the paper's priority:
-// "the node with a higher level value will have a higher priority"), with
-// id as the deterministic tie-break.
-func ByLevel(ids []afg.TaskID, levels map[afg.TaskID]float64) []afg.TaskID {
-	out := append([]afg.TaskID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := levels[out[i]], levels[out[j]]
-		if li != lj {
-			return li > lj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

@@ -44,6 +44,21 @@ func runPolicy(name string, env *Request, g *afg.Graph) (*AllocationTable, error
 	return p.Schedule(context.Background(), &req)
 }
 
+// fig5 runs sel's Host Selection walk the way siteScheduler.run does: one key
+// vector, its descending order, the dense walk.
+func fig5(t testing.TB, sel *LocalSelector, g *afg.Graph, prio Priority, avail bool, ledger *LoadLedger) (*afg.Index, []Choice) {
+	t.Helper()
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices, err := sel.selectHostsDense(ix, rankOrderDesc(prio.keys(ix), nil, nil), avail, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, choices
+}
+
 // runBatch schedules graphs under the named registered policy against env
 // across workers goroutines.
 func runBatch(t testing.TB, name string, env *Request, workers int, graphs []*afg.Graph) []BatchItem {
@@ -362,17 +377,6 @@ func TestSiteSchedulerFIFOPriority(t *testing.T) {
 	}
 	if len(table.Entries) != 3 {
 		t.Fatalf("entries = %d", len(table.Entries))
-	}
-}
-
-func TestByLevelOrdering(t *testing.T) {
-	levels := map[afg.TaskID]float64{"a": 1, "b": 5, "c": 5, "d": 2}
-	got := ByLevel([]afg.TaskID{"a", "c", "d", "b"}, levels)
-	want := []afg.TaskID{"b", "c", "d", "a"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
 	}
 }
 

@@ -36,7 +36,7 @@ import "sync"
 // field (CPOP's pending counters and the simulator's, say) never coexist
 // in one holder, because a holder runs exactly one of those paths.
 type scratch struct {
-	// Rank and priority state (HEFT, CPOP, dense site walks).
+	// Rank and priority state (HEFT, CPOP).
 	rankU   []float64  // upward ranks / combined CPOP priority
 	rankD   []float64  // downward ranks
 	order   []int32    // rank-sorted task order
@@ -56,7 +56,9 @@ type scratch struct {
 	choiceBuf   []Choice   // candidate row scratch (parallel placement, CPOP pin)
 
 	// Site-walk state (selectHostsDense).
-	scored []scored // candidate scratch for selectFor
+	scored []scored  // candidate scratch for selectFor
+	queued []float64 // column -> tasks this walk placed there, paper mode (reset to 0)
+	freeAt []float64 // column -> estimated host-free time, availability mode (reset to 0)
 
 	// Executor state (sim.go's event loop).
 	assigns   []Assignment     // dense assignment copies

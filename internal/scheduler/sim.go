@@ -328,14 +328,23 @@ func sharesCol(a, b []int32) bool {
 // inter-task communication time"). A link between tasks sharing any host
 // (parallel tasks occupy several) moves no data and costs nothing.
 func CommVolume(g *afg.Graph, table *AllocationTable, net *netsim.Network) float64 {
+	ix, err := g.Index()
+	if err != nil || net == nil {
+		return 0
+	}
 	var total float64
-	for _, l := range g.Links() {
-		from, ok1 := table.Get(l.From)
-		to, ok2 := table.Get(l.To)
-		if !ok1 || !ok2 || net == nil || sharesHost(effectiveHosts(from), effectiveHosts(to)) {
+	for t := 0; t < ix.Len(); t++ {
+		from, ok := table.Get(ix.ID(t))
+		if !ok {
 			continue
 		}
-		total += net.TransferTime(from.Site, to.Site, transferBytes(g, l)).Seconds()
+		for _, a := range ix.Children(t) {
+			to, ok := table.Get(ix.ID(int(a.Peer)))
+			if !ok || sharesHost(effectiveHosts(from), effectiveHosts(to)) {
+				continue
+			}
+			total += net.TransferTime(from.Site, to.Site, a.Bytes).Seconds()
+		}
 	}
 	return total
 }

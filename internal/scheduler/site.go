@@ -78,14 +78,11 @@ func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTabl
 
 // run is the Site Scheduler engine. The walk is slice-indexed end to end:
 // site results address tasks by dense index, the ready set is a priority
-// heap over dense levels, and the transfer term reads CSR parent arcs. The
+// heap over the dense keys, and the transfer term reads CSR parent arcs. The
 // original map-keyed walk is retained in oracle_test.go; equivalence tests
 // pin the tables.
 func (s *siteScheduler) run() (*AllocationTable, error) {
 	g, cfg := s.req.Graph, &s.req.Config
-	if s.req.Local == nil {
-		return nil, ErrNoSites
-	}
 	if g.Len() == 0 {
 		return nil, afg.ErrEmpty
 	}
@@ -94,31 +91,38 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 		return nil, err
 	}
 
-	// Steps 2–3: pick the k nearest neighbours and "multicast" the AFG.
-	selectors := append([]HostSelector{s.req.Local},
-		nearestSelectors(s.req.Local, s.req.Remotes, s.req.Net, cfg.K)...)
+	// The priority phase, once per schedule: the keys feed the ready heap of
+	// steps 6–7, and their descending order is the queue every in-process
+	// site's Fig 5 walk reads (never writes) from the multicast's workers.
+	keys := cfg.Priority.keys(ix)
+	order := rankOrderDesc(keys, nil, nil)
 
-	// Steps 4–5: gather host selections per site, fanning out across the
-	// worker pool. A site that cannot host some task (constraints) is
-	// skipped for that task rather than failing the whole application:
-	// a failed site is dropped entirely (recorded on Diag when set); the
-	// local site failing is fatal only if no site can host a task.
-	results, transient := s.collectSelections(ix, g, selectors)
-	if len(results) == 0 {
-		return nil, noSitesErr(transient)
+	// Steps 2–5: pick the k nearest neighbours, "multicast" the AFG and
+	// gather host selections per site. A site that cannot host some task
+	// (constraints) is dropped entirely rather than failing the whole
+	// application; the local site failing is fatal only if no site is left.
+	//
+	// Availability-aware scheduling is propagated into in-process selectors:
+	// the EFT walk prices queueing itself, so the per-site walks must report
+	// pure predictions (a queued-load-bumped prediction would double-count
+	// the wait). Remote sites decide their own mode and priority — the RPC
+	// selector cannot see this walk's — which only perturbs which host a
+	// remote site offers, not the EFT accounting.
+	results, err := multicast(ix, s.req, func(ls *LocalSelector, r *siteResult) {
+		r.choices, r.err = ls.selectHostsDense(ix, order, s.avail, s.ledger)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if s.avail {
-		return s.scheduleAvailabilityAware(ix, g, results)
+		return s.scheduleAvailabilityAware(ix, keys, results)
 	}
 
 	table := NewAllocationTable(g.Name)
 
-	// Steps 6–7: ready-set walk in level-priority order.
-	walk, err := newReadyWalk(ix, g, cfg.Priority)
-	if err != nil {
-		return nil, err
-	}
+	// Steps 6–7: ready-set walk in priority order.
+	walk := newReadyWalk(ix, keys)
 	n := ix.Len()
 	site := make([]string, n) // assigned site per task; "" = unplaced
 	for done := 0; done < n; done++ {
@@ -169,9 +173,9 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 // set whose estimated finish — parents' data arrival plus queueing wait
 // plus predicted execution — is smallest.
 //
-//vdce:hot allocs=80
-func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
-	table := NewAllocationTable(g.Name)
+//vdce:hot allocs=77
+func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, keys []float64, results []siteResult) (*AllocationTable, error) {
+	table := NewAllocationTable(s.req.Graph.Name)
 	net := s.req.Net
 	n := ix.Len()
 	estFinish := make([]float64, n)
@@ -204,10 +208,7 @@ func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 		}
 	}
 
-	walk, err := newReadyWalk(ix, g, s.req.Config.Priority)
-	if err != nil {
-		return nil, err
-	}
+	walk := newReadyWalk(ix, keys)
 	for done := 0; done < n; done++ {
 		t, err := walk.next(done)
 		if err != nil {
@@ -273,79 +274,48 @@ func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 	return table, nil
 }
 
-// readyWalk yields dense task indices in ready-set priority order. With
-// the default level rule the ready set is a priority heap over dense
-// levels — O(V log V) for the whole walk instead of a full re-sort per
-// step. A custom PriorityFunc keeps the original Tracker-and-re-sort walk
-// (the rule sees the whole ready set, so there is nothing to incrementalise).
+// readyWalk yields dense task indices in ready-set priority order: the
+// ready set is a priority heap over the schedule's keys — O(V log V) for the
+// whole walk instead of a full re-sort per step.
 type readyWalk struct {
-	ix *afg.Index
-
-	// Dense path (nil PriorityFunc):
+	ix      *afg.Index
+	keys    []float64
 	heap    prioHeap
-	dlevels []float64
 	pending []int32
-
-	// Generic path:
-	tracker *afg.Tracker
-	prio    PriorityFunc
-	levels  map[afg.TaskID]float64
 }
 
-func newReadyWalk(ix *afg.Index, g *afg.Graph, prio PriorityFunc) (*readyWalk, error) {
-	w := &readyWalk{ix: ix}
-	if prio == nil {
-		n := ix.Len()
-		w.dlevels = ix.Levels()
-		w.pending = make([]int32, n)
-		// One entry per task ever enters the heap; capacity n keeps Push
-		// growth-free.
-		w.heap = make(prioHeap, 0, n)
-		for i := 0; i < n; i++ {
-			w.pending[i] = int32(ix.NumParents(i))
-			if w.pending[i] == 0 {
-				w.heap = append(w.heap, prioItem{w.dlevels[i], int32(i)})
-			}
+func newReadyWalk(ix *afg.Index, keys []float64) *readyWalk {
+	n := ix.Len()
+	// One entry per task ever enters the heap; capacity n keeps Push
+	// growth-free.
+	w := &readyWalk{ix: ix, keys: keys, pending: make([]int32, n), heap: make(prioHeap, 0, n)}
+	for i := 0; i < n; i++ {
+		w.pending[i] = int32(ix.NumParents(i))
+		if w.pending[i] == 0 {
+			w.heap = append(w.heap, prioItem{keys[i], int32(i)})
 		}
-		w.heap.Init()
-		return w, nil
 	}
-	levels, err := g.Levels()
-	if err != nil {
-		return nil, err
-	}
-	w.tracker, w.prio, w.levels = afg.NewTracker(g), prio, levels
-	return w, nil
+	w.heap.Init()
+	return w
 }
 
 // next returns the highest-priority ready task; done is the count of
 // completed tasks (for the empty-ready-set diagnostic).
 func (w *readyWalk) next(done int) (int, error) {
-	if w.tracker == nil {
-		if len(w.heap) == 0 {
-			return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.ix.Len()-done)
-		}
-		return int(w.heap.Pop().idx), nil
+	if len(w.heap) == 0 {
+		return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.ix.Len()-done)
 	}
-	ready := w.prio(w.tracker.Ready(), w.levels)
-	if len(ready) == 0 {
-		return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.tracker.Remaining())
-	}
-	return w.ix.Of(ready[0]), nil
+	return int(w.heap.Pop().idx), nil
 }
 
 // complete marks t scheduled, admitting children whose parents are done.
 func (w *readyWalk) complete(t int) {
-	if w.tracker == nil {
-		for _, a := range w.ix.Children(t) {
-			w.pending[a.Peer]--
-			if w.pending[a.Peer] == 0 {
-				w.heap.Push(prioItem{w.dlevels[a.Peer], a.Peer})
-			}
+	for _, a := range w.ix.Children(t) {
+		w.pending[a.Peer]--
+		if w.pending[a.Peer] == 0 {
+			w.heap.Push(prioItem{w.keys[a.Peer], a.Peer})
 		}
-		return
 	}
-	w.tracker.Complete(w.ix.ID(t))
 }
 
 // isEntryLikeDense reports whether the task "is an entry task or does not
@@ -379,85 +349,92 @@ func transferCostDense(net *netsim.Network, ix *afg.Index, t int, siteName strin
 	return total
 }
 
-// siteResult is one site's contribution to steps 4–5: the site's offer per
-// task, addressed by dense task index (an empty Host marks "no offer").
+// siteResult is one site's answer to a multicast. choices holds its best
+// offer per task, addressed by dense task index (an empty Host marks "no
+// offer"): a Fig 5 walk's, or whatever an RPC peer replied. An in-process
+// site asked for costs fills hosts (its columns, ascending by name) and pred
+// (V×len(hosts), NaN = ineligible) instead.
 type siteResult struct {
 	name    string
 	choices []Choice
+	hosts   []string
+	pred    []float64
 	err     error
 }
 
-// collectSelections runs the Host Selection Algorithm on every selector —
-// serially when Concurrency is 1, otherwise through a bounded worker pool —
-// and merges the successful results deterministically by site name.
-// In-process selectors run the dense slice-indexed walk; RPC remotes
-// answer with maps that are flattened onto the dense index once. Failed
-// sites are dropped and recorded on Diag, classified as capacity refusals
-// vs transient losses.
-//
-// Availability-aware scheduling is propagated into in-process selectors:
-// the EFT walk prices queueing itself, so the per-site walks must report
-// pure predictions (a queued-load-bumped prediction would double-count the
-// wait). Remote sites decide their own mode — the RPC selector cannot see
-// this walk's mode — which only perturbs which host a remote site offers,
-// not the EFT accounting.
-func (s *siteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors []HostSelector) ([]siteResult, []SiteError) {
-	gathered := make([]siteResult, len(selectors))
-	gather := func(i int, sel HostSelector) {
-		name := sel.SiteName()
-		if ls, ok := sel.(*LocalSelector); ok {
-			cs, err := ls.selectHostsDense(g, s.avail, s.ledger)
-			gathered[i] = siteResult{name: name, choices: cs, err: err}
-			return
-		}
-		m, err := sel.SelectHosts(g)
-		if err != nil {
-			gathered[i] = siteResult{name: name, err: err}
-			return
-		}
-		gathered[i] = siteResult{name: name, choices: denseChoices(ix, m)}
+// multicast is steps 2–5 of Fig 4, shared by the site policies and the
+// HEFT/CPOP cost gather: the local site plus its Config.K nearest
+// neighbours are each asked once — in-process selectors through local,
+// which fills its siteResult; any other selector through SelectHosts, its
+// reply flattened onto the dense index — serially or across a worker pool
+// bounded by Config.Concurrency. A site that fails is dropped and recorded
+// on Request.Diag, as a capacity refusal (it cannot host some task) or a
+// transient loss (anything else). The survivors come back in ascending
+// site-name order; if none does, the error carries this gather's transient
+// losses.
+func multicast(ix *afg.Index, req *Request, local func(*LocalSelector, *siteResult)) ([]siteResult, error) {
+	if req.Local == nil {
+		return nil, ErrNoSites
 	}
-	if s.req.Config.Concurrency == 1 || len(selectors) == 1 {
-		for i, sel := range selectors {
-			gather(i, sel)
+	selectors := append([]HostSelector{req.Local},
+		nearestSelectors(req.Local, req.Remotes, req.Net, req.Config.K)...)
+	per := make([]siteResult, len(selectors))
+	ask := func(i int) {
+		r := &per[i]
+		r.name = selectors[i].SiteName()
+		if ls, ok := selectors[i].(*LocalSelector); ok {
+			local(ls, r)
+			return
+		}
+		m, err := selectors[i].SelectHosts(req.Graph)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.choices = denseChoices(ix, m)
+	}
+	workers := req.Config.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(selectors) {
+		workers = len(selectors)
+	}
+	if workers <= 1 {
+		for i := range selectors {
+			ask(i)
 		}
 	} else {
-		workers := s.req.Config.Concurrency
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(selectors) {
-			workers = len(selectors)
-		}
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i, sel := range selectors {
+		for i := range selectors {
 			wg.Add(1)
-			go func(i int, sel HostSelector) {
+			go func(i int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				gather(i, sel)
-			}(i, sel)
+				ask(i)
+			}(i)
 		}
 		wg.Wait()
 	}
-	results := gathered[:0]
+	keep := per[:0]
 	var transient []SiteError
-	for _, r := range gathered {
+	for _, r := range per {
 		if r.err != nil {
-			s.req.Diag.record(r.name, r.err)
+			req.Diag.record(r.name, r.err)
 			if !errors.Is(r.err, ErrNoEligibleHost) {
 				transient = append(transient, SiteError{Site: r.name, Err: r.err})
 			}
 			continue
 		}
-		if r.choices != nil {
-			results = append(results, r)
-		}
+		keep = append(keep, r)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].name < results[j].name })
-	return results, transient
+	if len(keep) == 0 {
+		return nil, noSitesErr(transient)
+	}
+	sort.Slice(keep, func(i, j int) bool { return keep[i].name < keep[j].name })
+	return keep, nil
 }
 
 // nearestSelectors is the neighbour-selection step shared by the site
@@ -504,17 +481,4 @@ func nearestSelectors(local HostSelector, remotes []HostSelector, net *netsim.Ne
 		}
 	}
 	return out
-}
-
-// transferBytes returns the data volume of one link: the link's explicit
-// size, or the parent's declared output volume ("the input size of the
-// application can be used for the transfer size parameter").
-func transferBytes(g *afg.Graph, l afg.Link) int64 {
-	if l.Bytes > 0 {
-		return l.Bytes
-	}
-	if p := g.Task(l.From); p != nil {
-		return p.OutputBytes
-	}
-	return 0
 }

@@ -13,24 +13,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// fifoEnv is env under the FIFO ablation, installed on the ready walk and on
-// a copy of every in-process selector.
-func fifoEnv(env Request) Request {
-	fifo := func(sel HostSelector) HostSelector {
-		ls := *sel.(*LocalSelector)
-		ls.Priority = FIFOPriority
-		return &ls
-	}
-	env.Config.Priority = FIFOPriority
-	env.Local = fifo(env.Local)
-	remotes := make([]HostSelector, len(env.Remotes))
-	for i, r := range env.Remotes {
-		remotes[i] = fifo(r)
-	}
-	env.Remotes = remotes
-	return env
-}
-
 // TestSiteWalkGolden pins both of the Application Scheduler's figures under
 // both priority rules: one sha256 per (site policy, priority) chained over
 // every assignment — site, host, host set, Predicted bits, in table order —
@@ -50,7 +32,7 @@ func TestSiteWalkGolden(t *testing.T) {
 		for _, prio := range []string{"level", "fifo"} {
 			env := env
 			if prio == "fifo" {
-				env = fifoEnv(env)
+				env.Config.Priority = FIFOPriority
 			}
 			for _, policy := range []string{"faithful", "eft", "ledger"} {
 				env := env
@@ -68,14 +50,19 @@ func TestSiteWalkGolden(t *testing.T) {
 						strings.Join(a.Hosts, ","), math.Float64bits(a.Predicted))
 				}
 			}
-			choices, err := env.Local.SelectHosts(g)
-			if err != nil {
-				t.Fatalf("SelectHosts/%s on %s: %v", prio, label, err)
+			// The exported SelectHosts walks by level only; the FIFO cell is
+			// the same walk on the schedule's FIFO order.
+			ix, choices := fig5(t, env.Local.(*LocalSelector), g, env.Config.Priority, false, nil)
+			if prio == "level" {
+				m, err := env.Local.SelectHosts(g)
+				if err != nil {
+					t.Fatalf("SelectHosts on %s: %v", label, err)
+				}
+				choices = denseChoices(ix, m)
 			}
 			h := sum("SelectHosts/" + prio)
-			for _, id := range g.TaskIDs() {
-				c := choices[id]
-				fmt.Fprintf(h, "%s|%s|%s|%s|%016x\n", id, c.Site, c.Host,
+			for i, c := range choices {
+				fmt.Fprintf(h, "%s|%s|%s|%s|%016x\n", ix.ID(i), c.Site, c.Host,
 					strings.Join(c.Hosts, ","), math.Float64bits(c.Predicted))
 			}
 		}

@@ -78,22 +78,18 @@ func TestSelectorPriorityAblation(t *testing.T) {
 	// "aa" sorts first but is trivial; "zz" is the critical task.
 	g.AddTask(&afg.Task{ID: "aa", Function: "f", ComputeCost: 1})
 	g.AddTask(&afg.Task{ID: "zz", Function: "f", ComputeCost: 100})
-	level := &LocalSelector{Site: "syr", Repo: repo}
-	fifo := &LocalSelector{Site: "syr", Repo: repo, Priority: FIFOPriority}
+	sel := &LocalSelector{Site: "syr", Repo: repo}
 
-	lc, err := level.SelectHosts(g)
+	lc, err := sel.SelectHosts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lc["zz"].Host != "fast" {
 		t.Fatalf("level priority gave the critical task %q", lc["zz"].Host)
 	}
-	fc, err := fifo.SelectHosts(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc["aa"].Host != "fast" {
-		t.Fatalf("FIFO should hand the fast host to the first id, got %q", fc["aa"].Host)
+	ix, fc := fig5(t, sel, g, FIFOPriority, false, nil)
+	if fc[ix.Of("aa")].Host != "fast" {
+		t.Fatalf("FIFO should hand the fast host to the first id, got %q", fc[ix.Of("aa")].Host)
 	}
 }
 

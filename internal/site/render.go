@@ -1,13 +1,10 @@
 package site
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/tasklib"
 )
-
-func contextBackground() context.Context { return context.Background() }
 
 // renderValue formats a task output compactly for RPC replies and console
 // display (the I/O service's console-facing representation).

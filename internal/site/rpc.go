@@ -1,10 +1,12 @@
 package site
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 
 	"repro/internal/afg"
@@ -202,7 +204,7 @@ func (s *Service) RunTask(args RunTaskArgs, reply *RunTaskReply) error {
 		}
 		inputs[i] = v
 	}
-	out, err := s.m.Registry.Execute(contextBackground(), args.Function, tasklib.Args{
+	out, err := s.m.Registry.Execute(context.Background(), args.Function, tasklib.Args{
 		Params: args.Params, Inputs: inputs, Processors: args.Processors,
 	})
 	if err != nil {
@@ -241,7 +243,7 @@ func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 	if err != nil {
 		return err
 	}
-	res, table, err := s.m.ExecuteDistributedPolicy(contextBackground(), g, s.peers, args.Policy)
+	res, table, err := s.m.ExecuteDistributedPolicy(context.Background(), g, s.peers, args.Policy)
 	if err != nil {
 		return err
 	}
@@ -256,7 +258,8 @@ func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 }
 
 // Serve starts the site's RPC endpoint on addr ("127.0.0.1:0" for an
-// ephemeral port). It returns the bound address and a shutdown function.
+// ephemeral port). It returns the bound address and a shutdown function
+// that closes the listener and every connection accepted from it.
 func (m *Manager) Serve(addr string) (string, func(), error) {
 	return m.ServeWithPeers(addr, nil)
 }
@@ -272,28 +275,42 @@ func (m *Manager) ServeWithPeers(addr string, peers []*RemoteSelector) (string, 
 	if err != nil {
 		return "", nil, fmt.Errorf("site: listen %s: %w", addr, err)
 	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
+	var mu sync.Mutex
+	var conns []net.Conn // accepted and still served
+	stopped := false
 	go func() {
-		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			wg.Add(1)
+			mu.Lock()
+			if stopped { // accepted as stop ran
+				mu.Unlock()
+				conn.Close()
+				return
+			}
+			conns = append(conns, conn)
+			mu.Unlock()
 			go func() {
-				defer wg.Done()
 				srv.ServeConn(conn)
+				mu.Lock()
+				conns = slices.DeleteFunc(conns, func(c net.Conn) bool { return c == conn })
+				mu.Unlock()
 			}()
 		}
 	}()
+	// stop shuts the site down for clients too: an already-dialled client's
+	// next call fails instead of being served by a site that "stopped".
 	stop := func() {
-		close(done)
 		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		for _, conn := range conns {
+			conn.Close()
+		}
 	}
-	_ = done
 	return ln.Addr().String(), stop, nil
 }
 
@@ -411,6 +428,3 @@ func (r *RemoteSelector) Close() {
 }
 
 var _ scheduler.HostSelector = (*RemoteSelector)(nil)
-
-// ErrBadValue reports an unrenderable output value.
-var ErrBadValue = errors.New("site: unrenderable value")

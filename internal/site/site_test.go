@@ -3,6 +3,7 @@ package site
 import (
 	"context"
 	"errors"
+	"net/rpc"
 	"testing"
 	"time"
 
@@ -220,6 +221,38 @@ func TestRPCSelectHosts(t *testing.T) {
 		if c.Site != "rome" || c.Host == "" || c.Predicted <= 0 {
 			t.Fatalf("choice[%s] = %+v", id, c)
 		}
+	}
+}
+
+// TestStopClosesAcceptedConnections: stop shuts the site down for clients
+// that dialled earlier, not only for new ones.
+func TestStopClosesAcceptedConnections(t *testing.T) {
+	m := newTestSite(t, "rome", 2, 9)
+	addr, stop, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	var reply PoliciesReply
+	if err := client.Call("Site.Policies", PoliciesArgs{}, &reply); err != nil {
+		t.Fatalf("call before stop: %v", err)
+	}
+	stop()
+	select {
+	case call := <-client.Go("Site.Policies", PoliciesArgs{}, &reply, nil).Done:
+		if call.Error == nil {
+			t.Fatal("a stopped site served a client dialled before stop")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("call after stop neither served nor failed inside 2 s")
+	}
+	if c, err := rpc.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatal("a stopped site accepted a new connection")
 	}
 }
 
