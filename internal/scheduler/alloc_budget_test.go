@@ -106,7 +106,8 @@ func warmAllocs(f func()) float64 {
 // BenchmarkLedgerViewWalk). The whole passes run the 1000-task scale graph
 // on the equivEnv pool with the cost matrix gathered and the scratch pool
 // warm: such a pass allocates a few dozen times whatever the graph size
-// (heft 10/12/16, cpop 30/32/36 at 500/1000/2000 tasks), so a budget of
+// (heft 10/12/16, cpop 30/32/36 at 500/1000/2000 tasks; one site's Fig 5
+// walk 12, the pricing snapshot and kind rows plus its two outputs), so a budget of
 // the 1000-task reading plus half again does not flake and an allocation
 // per task (+1000) cannot hide under it.
 func TestHotAllocBudgets(t *testing.T) {
