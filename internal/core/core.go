@@ -143,10 +143,12 @@ func (e *Environment) StartMonitors(ctx context.Context, period time.Duration) {
 	}
 }
 
-// ResolveHost finds a host handle anywhere in the environment.
+// ResolveHost finds a host handle anywhere in the environment. Sites are
+// asked in creation order, so when two pools share a host name the site
+// added first answers, every time.
 func (e *Environment) ResolveHost(name string) *resource.Host {
-	for _, s := range e.sites {
-		if h := s.Pool.Get(name); h != nil {
+	for _, site := range e.order {
+		if h := e.sites[site].Pool.Get(name); h != nil {
 			return h
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resource"
 	"repro/internal/scheduler"
 	"repro/internal/tasklib"
 	"repro/internal/workload"
@@ -128,6 +129,24 @@ func TestTruthModelFallsBackForUnknownHost(t *testing.T) {
 	model := env.TruthModel()
 	if got := model(g.Task("s000"), "ghost"); got != 2.5 {
 		t.Fatalf("fallback = %v", got)
+	}
+}
+
+// A host name two pools share resolves to the site added first on every
+// call, not to whichever site map order reaches first.
+func TestResolveHostPrefersFirstSiteOnSharedName(t *testing.T) {
+	env := newEnv(t, "a", "b")
+	a, _ := env.Site("a")
+	b, _ := env.Site("b")
+	name := a.Pool.Names()[0]
+	want := a.Pool.Get(name)
+	if err := b.Pool.Add(resource.NewHost(resource.HostSpec{Name: name, Site: "b"}, resource.LoadModel{}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if got := env.ResolveHost(name); got != want {
+			t.Fatalf("call %d: ResolveHost(%q) = %p (site %s), want site a's %p", i, name, got, got.Spec.Site, want)
+		}
 	}
 }
 

@@ -149,9 +149,18 @@ type ChurnOutcome struct {
 // the scheduler-visible cost model; the trace's straggle multipliers turn
 // it into ground truth. Every adopted re-plan is certified by
 // CertifyReplan against the predicted model first.
+//
+// predicted must be a pure function of (task, host) for the duration of the
+// call — the determinism contract above already rests on it — and RunChurn
+// asks it each (task, host) pair of the run at most once: the executor, every
+// re-plan and every certification read one per-run price table (runPrices).
 func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *netsim.Network, hosts []HostRef, trace ChurnTrace, cfg ChurnConfig) (*ChurnOutcome, error) {
 	cfg = cfg.withDefaults()
 	rp, err := LookupReplanner(cfg.Replanner)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
@@ -166,13 +175,83 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 			plan.Set(a)
 		}
 	}
-	x := executor{g: g, table: plan, model: predicted, net: net,
+	x := executor{g: g, table: plan, model: newRunPrices(predicted, ix, hosts).price, net: net,
 		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts}
 	if err := x.run(); err != nil {
 		return nil, err
 	}
 	out := x.out
 	return &out, nil
+}
+
+// runPrices is one RunChurn's price table, installed as the executor's model
+// and so read by everything that prices during the run: the executor's
+// starts, every ReplanRequest.Costs (the re-planner's lazy CostMatrix, keep,
+// dup's hedges) and both replays of every CertifyReplan. Rows are the run's
+// dense task ids, columns its host names. A task or host outside them goes
+// straight to predicted; a price is stored as returned — NaN, ±Inf and
+// negatives included — so every refusal still fires where it would without
+// the table. It is no cache: nothing invalidates it, and it dies with the run.
+//
+// Until some task is asked on a second host, each task holds its one price
+// in first: all a run that never re-plans needs. The first such ask — the
+// first re-plan's cost matrix, in practice — arms the V×H table.
+type runPrices struct {
+	predicted TimeModel
+	ix        *afg.Index
+	col       map[string]int32 // host name -> column
+
+	first    []float64 // unarmed: task t's price on column firstCol[t]-1
+	firstCol []int32   // 0 = not priced yet
+	table    []float64 // armed: V×H row-major, valid where known
+	known    []bool
+}
+
+func newRunPrices(predicted TimeModel, ix *afg.Index, hosts []HostRef) *runPrices {
+	p := &runPrices{predicted: predicted, ix: ix, col: make(map[string]int32, len(hosts)),
+		first: make([]float64, ix.Len()), firstCol: make([]int32, ix.Len())}
+	for _, h := range hosts {
+		if _, ok := p.col[h.Host]; !ok {
+			p.col[h.Host] = int32(len(p.col))
+		}
+	}
+	return p
+}
+
+// price is the run's TimeModel: predicted, asked once per pair.
+func (p *runPrices) price(task *afg.Task, host string) float64 {
+	t := p.ix.Of(task.ID)
+	c, ok := p.col[host]
+	if t < 0 || !ok || p.ix.Task(t) != task {
+		return p.predicted(task, host)
+	}
+	if p.known == nil {
+		switch p.firstCol[t] {
+		case 0:
+			p.first[t], p.firstCol[t] = p.predicted(task, host), c+1
+			return p.first[t]
+		case c + 1:
+			return p.first[t]
+		}
+		p.arm()
+	}
+	k := t*len(p.col) + int(c)
+	if !p.known[k] {
+		p.table[k], p.known[k] = p.predicted(task, host), true
+	}
+	return p.table[k]
+}
+
+// arm allocates the V×H table and moves every task's first price into it.
+func (p *runPrices) arm() {
+	h := len(p.col)
+	p.table, p.known = make([]float64, p.ix.Len()*h), make([]bool, p.ix.Len()*h)
+	for t, c := range p.firstCol {
+		if c > 0 {
+			k := t*h + int(c-1)
+			p.table[k], p.known[k] = p.first[t], true
+		}
+	}
 }
 
 // transition applies the next scripted availability event. A host going

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 )
 
 // registerForTest installs a re-planner for one test only: the other tests
@@ -177,6 +178,57 @@ func TestChurnDeterminism(t *testing.T) {
 				t.Fatalf("nondeterministic churn outcome:\n%+v\n%+v", a, b)
 			}
 		})
+	}
+}
+
+// RunChurn asks its model each (task, host) pair at most once per run,
+// across the executor's starts, every re-plan and every certification; a run
+// that never deviates asks exactly once per task, as the bare executor does.
+func TestRunChurnPricesEachPairOnce(t *testing.T) {
+	env, truth, refs, hostNames := churnGoldenEnv(t)
+	type pair struct {
+		task afg.TaskID
+		host string
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		g := dagen.Random(dagen.Params{Tasks: 50, CCR: 2, Alpha: 1, OutDegree: 4, Beta: 1, Seed: 4000 + seed})
+		table, err := runPolicy("heft", &env, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fair, err := Simulate(g, table, truth, env.Net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultChurnTrace
+		cfg.RepairAfter = 0.15 * fair // repaired hosts rejoin later re-plans
+		trace := GenerateChurnTrace(hostNames, fair, cfg, 7000+seed)
+		for _, name := range []string{"eft", "heft", "dup"} {
+			for _, tr := range []ChurnTrace{trace, {}} {
+				asked := map[pair]int{}
+				counting := func(task *afg.Task, host string) float64 {
+					asked[pair{task.ID, host}]++
+					return truth(task, host)
+				}
+				out, err := RunChurn(g, table, counting, env.Net, refs, tr, ChurnConfig{Replanner: name})
+				if err != nil {
+					t.Fatalf("%s/seed%d: %v", name, seed, err)
+				}
+				calls := 0
+				for p, n := range asked {
+					calls += n
+					if n > 1 {
+						t.Fatalf("%s/seed%d (%d re-plans): %s priced on %s %d times", name, seed, out.Replans, p.task, p.host, n)
+					}
+				}
+				switch {
+				case len(tr.Events) == 0 && calls != g.Len():
+					t.Fatalf("%s/seed%d: deviation-free run asked %d prices for %d tasks", name, seed, calls, g.Len())
+				case len(tr.Events) > 0 && out.Replans < 2:
+					t.Fatalf("%s/seed%d: trace forced %d re-plans, want at least 2", name, seed, out.Replans)
+				}
+			}
+		}
 	}
 }
 

@@ -96,15 +96,17 @@ func validCost(c float64) bool {
 
 // modelCostMatrix is the lazy matrix of a re-plan: one column per host, in
 // the given order — which must be site-then-host ascending, the gather's
-// column order — and no row priced until it is read.
-func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel) *CostMatrix {
+// column order — and no row priced until it is read. Its two buffers are
+// sc's (placement.releaseScratch hands them back): pred is left dirty
+// because row reads nothing it has not filled, filled is reset.
+func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratch) *CostMatrix {
 	cm := &CostMatrix{
 		ix:     ix,
 		hosts:  hosts,
 		col:    make(map[string]int32, len(hosts)),
-		pred:   make([]float64, ix.Len()*len(hosts)),
+		pred:   grow(sc.lazyPred, ix.Len()*len(hosts)),
 		model:  model,
-		filled: make([]bool, ix.Len()),
+		filled: growZero(sc.lazyFilled, ix.Len()),
 	}
 	for c, h := range hosts {
 		cm.col[h.Host] = int32(c)

@@ -307,12 +307,17 @@ func (p *placement) line(host string) *timeline {
 
 // releaseScratch hands the placement's pooled buffers back to sc so any
 // growth is retained for the next schedule. The table and hostSlab are
-// schedule output and are never returned. Call before sc.release().
+// schedule output and are never returned, and neither is a gathered cost
+// matrix (a CostCache may share it); a re-plan's lazy one is scratch. Call
+// before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
 	sc.lines, sc.canon = p.lines, p.canon
 	sc.placed, sc.finish, sc.siteOf, sc.hostSets = p.placed, p.finish, p.site, p.hosts
 	sc.blockReady, sc.parentHosts = p.blockReady, p.parentHosts
 	sc.choiceBuf = p.choiceBuf
+	if p.cm.model != nil {
+		sc.lazyPred, sc.lazyFilled = p.cm.pred, p.cm.filled
+	}
 }
 
 // readyAt is the data-ready time of task t on the given host set at site:

@@ -242,7 +242,7 @@ func newRepair(req *ReplanRequest, patch bool, sc *scratch) (*repair, error) {
 		return nil, fmt.Errorf("scheduler: replan: %w", err)
 	}
 	r.ix = ix
-	r.p = newPlacement(modelCostMatrix(ix, cols, req.Costs), req.Table.App, req.Net, nil, sc)
+	r.p = newPlacement(modelCostMatrix(ix, cols, req.Costs, sc), req.Table.App, req.Net, nil, sc)
 	r.p.prior, r.p.singleHost, r.p.appendOnly = req.Table, true, patch
 	r.front, r.stay = make([]bool, ix.Len()), make([]bool, ix.Len())
 	for t, id := range ix.IDs() {

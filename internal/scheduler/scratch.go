@@ -54,6 +54,8 @@ type scratch struct {
 	blockReady  []float64  // per-site-block data-ready memo
 	parentHosts []string   // hosts of the current task's byte-carrying parents
 	choiceBuf   []Choice   // candidate row scratch (parallel placement, CPOP pin)
+	lazyPred    []float64  // a re-plan's lazy CostMatrix, V×H (rows gated by lazyFilled)
+	lazyFilled  []bool     // its row-priced markers (reset to false)
 
 	// Site-walk state (selectHostsDense).
 	scored []scored  // candidate scratch for selectFor

@@ -12,6 +12,10 @@ import (
 // TimeModel returns the ground-truth execution seconds of a task on a host.
 // The evaluation benchmarks use it to score allocation tables: schedulers
 // see (possibly stale) repository data, the simulator charges actual times.
+//
+// A model must be a pure function of (task, host) for as long as one call
+// that takes it runs: RunChurn prices each pair at most once per run and
+// reuses that price for every later start, re-plan and certification.
 type TimeModel func(task *afg.Task, host string) float64
 
 // Simulate replays an allocation table with the event-driven executor and

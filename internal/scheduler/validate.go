@@ -15,11 +15,14 @@ import (
 // FuzzGraphIndex pins against the map-keyed Graph — and nothing else: no
 // event heap, no scratch, no placement kernel, no code of the executor
 // (sim.go). Its replay is deliberately naive: per-task parent counters feed a
-// ready list, every step recomputes the start of every ready task from
-// scratch and runs the (start, id)-minimal one — O(V·width) and obviously
-// right — so a bug in the optimized scheduling or simulation core cannot hide
-// from it. Experiments call it on every schedule they score, CertifyReplan on
-// every repair, and the policy property tests use it as their backbone:
+// ready list, and a task's data-ready time (latest parent finish plus
+// transfer) is derived once, when its last parent finishes — it cannot move
+// after that. Every step then recomputes the start of every ready task as
+// that time against its hosts' current free times and runs the
+// (start, id)-minimal one — O(V·width) and obviously right — so a bug in the
+// optimized scheduling or simulation core cannot hide from it. Experiments
+// call it on every schedule they score, CertifyReplan on every repair, and
+// the policy property tests use it as their backbone:
 // whatever a policy emits must replay without precedence violations, without
 // two tasks overlapping on one host, and with every inter-site transfer
 // accounted.
@@ -134,8 +137,9 @@ func checkTableShape(ix *afg.Index, table *AllocationTable) error {
 
 // replay executes the table under the executor's semantics, naively: the
 // ready list holds every unfinished task whose parents are done (per-task
-// parent counters put it there), and each step recomputes every ready task's
-// earliest start from scratch and runs the (start, id)-minimal one. Identical
+// parent counters put it there, and derive its data-ready time as they do),
+// and each step recomputes every ready task's earliest start against the
+// current host-free times and runs the (start, id)-minimal one. Identical
 // arithmetic to the executor — start = max(parent finish + transfer, host
 // free) and duration split across a parallel host set — so the realized times
 // match it bit for bit.
@@ -143,8 +147,9 @@ func replay(ix *afg.Index, table *AllocationTable, model TimeModel, net *netsim.
 	n := ix.Len()
 	assigned := make([]Assignment, n)
 	finish := make([]float64, n)
-	waiting := make([]int, n) // parents not yet finished
-	var ready []int           // dense ids, in no particular order
+	dataReady := make([]float64, n) // set when the last parent finishes; 0 for roots
+	waiting := make([]int, n)       // parents not yet finished
+	var ready []int                 // dense ids, in no particular order
 	hostFree := map[string]float64{}
 	for i := range assigned {
 		assigned[i], _ = table.Get(ix.ID(i))
@@ -153,19 +158,25 @@ func replay(ix *afg.Index, table *AllocationTable, model TimeModel, net *netsim.
 		}
 	}
 
-	startOf := func(i int) float64 {
+	// arrival is when task i's inputs are all on its hosts: the latest
+	// parent finish plus transfer. Valid once every parent has finished.
+	arrival := func(i int) float64 {
 		a := assigned[i]
 		hosts := effectiveHosts(a)
-		var start float64
+		var at float64
 		for _, arc := range ix.Parents(i) {
 			p := assigned[arc.Peer]
 			arrive := finish[arc.Peer]
 			if net != nil && !sharesHost(effectiveHosts(p), hosts) {
 				arrive += net.TransferTime(p.Site, a.Site, arc.Bytes).Seconds()
 			}
-			start = math.Max(start, arrive)
+			at = math.Max(at, arrive)
 		}
-		for _, h := range hosts {
+		return at
+	}
+	startOf := func(i int) float64 {
+		start := dataReady[i]
+		for _, h := range effectiveHosts(assigned[i]) {
 			start = math.Max(start, hostFree[h])
 		}
 		return start
@@ -202,6 +213,7 @@ func replay(ix *afg.Index, table *AllocationTable, model TimeModel, net *netsim.
 		}
 		for _, arc := range ix.Children(pick) {
 			if waiting[arc.Peer]--; waiting[arc.Peer] == 0 {
+				dataReady[arc.Peer] = arrival(int(arc.Peer))
 				ready = append(ready, int(arc.Peer))
 			}
 		}
