@@ -1,9 +1,9 @@
 // Command vdce-vet runs the repo's domain-specific static analyzers: the
-// mechanical enforcement of the determinism, float-exactness, lock
-// discipline, and evaluation-coverage invariants everything else in this
-// reproduction leans on — plus the interprocedural tier (detflow,
-// lockorder) built on the call-graph engine. See internal/lint for the
-// rules and the //vdce:ignore suppression convention.
+// mechanical enforcement of the determinism, float-exactness and lock
+// discipline invariants everything else in this reproduction leans on —
+// plus the interprocedural tier (detflow, lockorder) built on the
+// call-graph engine. See internal/lint for the rules and the //vdce:ignore
+// suppression convention.
 //
 // Usage:
 //

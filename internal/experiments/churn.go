@@ -270,26 +270,8 @@ func ChurnWith(cfg ChurnConfig) (*Result, error) {
 		YLabels: yl,
 	}
 
-	// Per-cell mean degradation rows, grid order (sizes outer, CCRs inner).
-	ci := 0
-	for _, size := range cfg.Sizes {
-		for _, ccr := range cfg.CCRs {
-			row := []float64{float64(size), ccr}
-			sums := make([]float64, len(names))
-			n := 0
-			//vdce:ignore floateq grouping rows by grid axis value: CCRs are copied from the config verbatim, never recomputed
-			for ; ci < len(cells) && cells[ci].Size == size && cells[ci].CCR == ccr; ci++ {
-				for p, v := range cells[ci].Degradation {
-					sums[p] += v
-				}
-				n++
-			}
-			for _, s := range sums {
-				row = append(row, s/float64(n))
-			}
-			res.Series.Rows = append(res.Series.Rows, row)
-		}
-	}
+	res.Series.Rows = blockMeans(cfg.Sizes, cfg.CCRs, cfg.GraphsPerCell, cells,
+		func(c ChurnCell) []float64 { return c.Degradation })
 
 	for p, name := range names {
 		var deg, rp, mv, kl, dp float64

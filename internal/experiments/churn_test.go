@@ -92,3 +92,53 @@ func TestChurnResultShape(t *testing.T) {
 		}
 	}
 }
+
+// A value listed twice on a grid axis is two blocks of cells, and each row
+// is the mean of its own block, in RANKING and CHURN alike. Grouping cells
+// by comparing CCRs gave the first row both blocks and the second NaN.
+func TestRepeatedAxisValueRows(t *testing.T) {
+	check := func(exp string, rows, vals [][]float64) {
+		t.Helper()
+		if len(rows) != len(vals) {
+			t.Fatalf("%s: %d rows for %d cells", exp, len(rows), len(vals))
+		}
+		for i, row := range rows {
+			if want := append([]float64{10, 1}, vals[i]...); !reflect.DeepEqual(row, want) {
+				t.Errorf("%s row %d = %v, want %v", exp, i, row, want)
+			}
+		}
+	}
+
+	rcfg := DefaultRankingConfig(1)
+	rcfg.Sizes, rcfg.CCRs, rcfg.GraphsPerCell = []int{10}, []float64{1, 1}, 1
+	rcfg.Policies = []string{"eft", "heft"}
+	ranking, err := RankingWith(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcells, _, err := RankingCells(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slr [][]float64
+	for _, c := range rcells {
+		slr = append(slr, c.SLR)
+	}
+	check("RANKING", ranking.Series.Rows, slr)
+
+	ccfg := smallChurnConfig(1)
+	ccfg.Sizes, ccfg.CCRs, ccfg.GraphsPerCell = []int{10}, []float64{1, 1}, 1
+	churn, err := ChurnWith(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccells, _, err := ChurnCells(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deg [][]float64
+	for _, c := range ccells {
+		deg = append(deg, c.Degradation)
+	}
+	check("CHURN", churn.Series.Rows, deg)
+}

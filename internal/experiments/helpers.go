@@ -78,6 +78,33 @@ func runGrid[W, C any](runs []rankingRun, workers int, newWorker func() W, cell 
 	return cells, nil
 }
 
+// blockMeans folds a grid's cells into one series row per (size, CCR)
+// block, in rankingGrid order (sizes outer, CCRs inner): the size, the CCR,
+// then the mean of each column of vals over the block's perCell
+// consecutive cells. Blocks are taken by position, never by comparing axis
+// values, so a value listed twice on an axis still yields one well-formed
+// row per listing.
+func blockMeans[C any](sizes []int, ccrs []float64, perCell int, cells []C, vals func(C) []float64) [][]float64 {
+	rows := make([][]float64, 0, len(sizes)*len(ccrs))
+	for _, size := range sizes {
+		for _, ccr := range ccrs {
+			block := cells[len(rows)*perCell : (len(rows)+1)*perCell]
+			sums := make([]float64, len(vals(block[0])))
+			for _, c := range block {
+				for p, v := range vals(c) {
+					sums[p] += v
+				}
+			}
+			row := []float64{float64(size), ccr}
+			for _, s := range sums {
+				row = append(row, s/float64(perCell))
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 // repoSite builds a repository for a homogeneous-speed site with uniform
 // random loads in [0, loadMax).
 func repoSite(name string, hosts int, speed, loadMax float64, seed int64) *repository.Repository {

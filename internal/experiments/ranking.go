@@ -297,26 +297,8 @@ func RankingWith(cfg RankingConfig) (*Result, error) {
 		YLabels: yl,
 	}
 
-	// Per-cell mean SLR rows, grid order (sizes outer, CCRs inner).
-	ci := 0
-	for _, size := range cfg.Sizes {
-		for _, ccr := range cfg.CCRs {
-			row := []float64{float64(size), ccr}
-			sums := make([]float64, len(names))
-			n := 0
-			//vdce:ignore floateq grouping rows by grid axis value: CCRs are copied from the config verbatim, never recomputed
-			for ; ci < len(cells) && cells[ci].Size == size && cells[ci].CCR == ccr; ci++ {
-				for p, v := range cells[ci].SLR {
-					sums[p] += v
-				}
-				n++
-			}
-			for _, s := range sums {
-				row = append(row, s/float64(n))
-			}
-			res.Series.Rows = append(res.Series.Rows, row)
-		}
-	}
+	res.Series.Rows = blockMeans(cfg.Sizes, cfg.CCRs, cfg.GraphsPerCell, cells,
+		func(c RankingCell) []float64 { return c.SLR })
 
 	// Aggregates across every run of the grid.
 	runs := make([][]float64, len(cells))

@@ -153,6 +153,21 @@ func (p *Program) fset() *token.FileSet {
 // Funcs returns every analyzed function in deterministic order.
 func (p *Program) Funcs() []*FuncInfo { return p.order }
 
+// fixpoint runs step over Funcs() until a full pass reports no change. It
+// iterates every per-function summary (detflow's taint bits, lockorder's
+// may-lock sets): each step may only grow a finite lattice, so the loop
+// ends without a round cap.
+func (p *Program) fixpoint(step func(*FuncInfo) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, fi := range p.order {
+			if step(fi) {
+				changed = true
+			}
+		}
+	}
+}
+
 func (p *Program) collectCalls(fi *FuncInfo) []*CallSite {
 	var out []*CallSite
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {

@@ -50,17 +50,7 @@ func DetFlow() *Analyzer {
 	a.RunProgram = func(pass *ProgramPass) {
 		d := &detflow{pass: pass, sums: map[*types.Func]*flowSummary{}}
 		d.collectWaivers()
-		for round := 0; round < 32; round++ {
-			changed := false
-			for _, fi := range pass.Prog.Funcs() {
-				if d.analyze(fi) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
+		pass.Prog.fixpoint(d.analyze)
 		for _, fi := range pass.Prog.Funcs() {
 			d.report(fi)
 		}
@@ -213,7 +203,6 @@ func (d *detflow) report(fi *FuncInfo) {
 		seen[key] = true
 		d.pass.Reportf(pos, format, args...)
 	}
-	st.changed = false
 	st.walk()
 }
 
@@ -260,57 +249,26 @@ func paramObjects(fi *FuncInfo) []types.Object {
 	return out
 }
 
-// findSorted pre-scans the body for sort.*/slices.Sort* calls and records
-// the re-ordered objects: a slice the function sorts cannot carry
-// map-iteration order out, wherever in the body the sort sits.
+// findSorted records the objects a sort.*/slices.* call in the body
+// re-orders: a slice the function sorts cannot carry map-iteration order
+// out, wherever in the body the sort sits.
 func (st *funcState) findSorted() {
-	ast.Inspect(st.fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
-			return true
-		}
-		if _, isPkg := st.fi.Pkg.Info.Uses[pkg].(*types.PkgName); !isPkg {
-			return true
-		}
-		for _, arg := range call.Args {
-			root := arg
-			if u, isAddr := arg.(*ast.UnaryExpr); isAddr && u.Op == token.AND {
-				root = u.X
-			}
-			if id := rootIdent(root); id != nil {
-				if obj := identObj2(st.fi.Pkg, id); obj != nil {
-					st.sorted[obj] = true
-				}
+	info := st.fi.Pkg.Info
+	for _, arg := range sortedArgs(info, st.fi.Decl.Body) {
+		if id := rootIdent(arg); id != nil {
+			if obj := identObj(info, id); obj != nil {
+				st.sorted[obj] = true
 			}
 		}
-		return true
-	})
-}
-
-func identObj2(pkg *Package, id *ast.Ident) types.Object {
-	if obj := pkg.Info.Defs[id]; obj != nil {
-		return obj
 	}
-	return pkg.Info.Uses[id]
 }
 
 // converge iterates the body walk until the environment and summary stop
-// growing (monotone: bounded by the label-set height).
+// growing. Both only ever gain label bits, so the loop ends without a cap.
 func (st *funcState) converge() {
-	for i := 0; i < 32; i++ {
+	for st.changed = true; st.changed; {
 		st.changed = false
 		st.walk()
-		if !st.changed {
-			break
-		}
 	}
 }
 
@@ -382,7 +340,7 @@ func (st *funcState) store(lhs ast.Expr, t taint, pos token.Pos) {
 		t = t.params()
 	}
 	if id, ok := lhs.(*ast.Ident); ok {
-		st.mark(identObj2(st.fi.Pkg, id), t)
+		st.mark(identObj(st.fi.Pkg.Info, id), t)
 		return
 	}
 	// Walk the access path: a store through a sink-typed prefix is a
@@ -410,7 +368,7 @@ func (st *funcState) store(lhs ast.Expr, t taint, pos token.Pos) {
 			e = v.X
 		default:
 			if id, ok := e.(*ast.Ident); ok {
-				st.mark(identObj2(st.fi.Pkg, id), t)
+				st.mark(identObj(st.fi.Pkg.Info, id), t)
 			}
 			goto done
 		}
@@ -451,12 +409,12 @@ func (st *funcState) rangeStmt(s *ast.RangeStmt) {
 	}
 	if s.Key != nil {
 		if id, ok := s.Key.(*ast.Ident); ok {
-			st.mark(identObj2(st.fi.Pkg, id), keyT)
+			st.mark(identObj(st.fi.Pkg.Info, id), keyT)
 		}
 	}
 	if s.Value != nil {
 		if id, ok := s.Value.(*ast.Ident); ok {
-			st.mark(identObj2(st.fi.Pkg, id), valT)
+			st.mark(identObj(st.fi.Pkg.Info, id), valT)
 		}
 	}
 }
@@ -661,7 +619,7 @@ func mapOrderKiller(callee *types.Func) bool {
 func (st *funcState) taintOf(e ast.Expr) taint {
 	switch v := e.(type) {
 	case *ast.Ident:
-		if obj := identObj2(st.fi.Pkg, v); obj != nil {
+		if obj := identObj(st.fi.Pkg.Info, v); obj != nil {
 			return st.env[obj]
 		}
 		return 0

@@ -145,11 +145,6 @@ func TestLockDisciplineFixture(t *testing.T) {
 	checkFixture(t, filepath.Join("testdata", "src", "lockdiscipline"), LockDiscipline())
 }
 
-func TestRegistryCheckFixture(t *testing.T) {
-	// Paths resolve against the fixture package's own directory.
-	checkFixture(t, filepath.Join("testdata", "src", "registrycheck"), RegistryCheck("golden.json", "validator.txt"))
-}
-
 func TestDetFlowFixture(t *testing.T) {
 	checkFixture(t, filepath.Join("testdata", "src", "detflow"), DetFlow())
 }

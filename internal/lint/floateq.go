@@ -35,17 +35,14 @@ import (
 // name tie-breaks). Those comparisons define a total order, and replacing
 // them with a tolerance would break strict weak ordering — sort.Slice
 // would see a < b, b < c, but not a < c.
-//
-// extraAllow adds file base-name substrings to the allowlist (tests use
-// this; the repo default is the empty set).
-func FloatEq(extraAllow ...string) *Analyzer {
+func FloatEq() *Analyzer {
 	a := &Analyzer{
 		Name: "floateq",
 		Doc:  "no exact float64 ==/!=/switch outside the oracle/equivalence allowlist",
 	}
 	a.Run = func(pass *Pass) {
 		for _, sf := range pass.Pkg.Files {
-			if floatEqAllowedFile(sf, extraAllow) {
+			if floatEqAllowedFile(sf) {
 				continue
 			}
 			inspectWithStack(sf.AST, func(n ast.Node, stack []ast.Node) bool {
@@ -83,16 +80,12 @@ func FloatEq(extraAllow ...string) *Analyzer {
 	return a
 }
 
-func floatEqAllowedFile(sf SourceFile, extraAllow []string) bool {
-	base := filepath.Base(sf.Path)
-	if sf.Test {
-		for _, marker := range []string{"oracle", "equiv", "golden"} {
-			if strings.Contains(base, marker) {
-				return true
-			}
-		}
+func floatEqAllowedFile(sf SourceFile) bool {
+	if !sf.Test {
+		return false
 	}
-	for _, marker := range extraAllow {
+	base := filepath.Base(sf.Path)
+	for _, marker := range []string{"oracle", "equiv", "golden"} {
 		if strings.Contains(base, marker) {
 			return true
 		}

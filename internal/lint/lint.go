@@ -1,9 +1,8 @@
 // Package lint is vdce-vet's analyzer suite: domain-specific static
 // analysis that mechanically enforces the invariants the reproduction's
 // claims rest on — deterministic iteration wherever output is observable,
-// bit-exact float comparison only where it is the point, lock discipline on
-// mutex-guarded state, and full evaluation coverage of every registered
-// scheduling policy.
+// bit-exact float comparison only where it is the point, and lock
+// discipline on mutex-guarded state.
 //
 // Analyzers are deliberately conservative: they flag everything they cannot
 // prove safe and rely on an explicit, reviewable suppression to waive a
@@ -337,15 +336,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // Analyzers returns the full suite with repo-default configuration: the
-// per-package tier (maporder, floateq, lockdiscipline, registrycheck) and
-// the interprocedural tier (detflow, lockorder) built on the call-graph
-// engine.
+// per-package tier (maporder, floateq, lockdiscipline) and the
+// interprocedural tier (detflow, lockorder) built on the call-graph engine.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapOrder(),
 		FloatEq(),
 		LockDiscipline(),
-		RegistryCheck("", ""),
 		DetFlow(),
 		LockOrder(),
 	}

@@ -35,7 +35,6 @@ type Package struct {
 	ImportPath string
 	Name       string
 	Dir        string
-	RootDir    string // module root (fixture dir for LoadDir packages)
 	Files      []SourceFile
 	Fset       *token.FileSet
 	Types      *types.Package
@@ -54,7 +53,6 @@ type listMeta struct {
 	TestImports []string
 	Standard    bool
 	DepOnly     bool
-	Module      *struct{ Dir string }
 	Error       *struct{ Err string }
 }
 
@@ -219,7 +217,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		ImportPath: path,
 		Name:       tpkg.Name(),
 		Dir:        abs,
-		RootDir:    abs,
 		Files:      files,
 		Fset:       l.Fset,
 		Types:      tpkg,
@@ -294,15 +291,10 @@ func (l *Loader) checkTarget(m *listMeta) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := m.Dir
-	if m.Module != nil && m.Module.Dir != "" {
-		root = m.Module.Dir
-	}
 	pkg := &Package{
 		ImportPath: m.ImportPath,
 		Name:       tpkg.Name(),
 		Dir:        m.Dir,
-		RootDir:    root,
 		Files:      files,
 		Fset:       l.Fset,
 		Types:      tpkg,

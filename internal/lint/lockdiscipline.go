@@ -19,20 +19,17 @@ import (
 // fast and predictable. Accesses to freshly allocated, not-yet-shared
 // values (`l := &LoadLedger{}` in a constructor) are exempt.
 //
-// It also flags lock-state copies beyond what `go vet` copylocks reports:
-// by-value receivers, parameters, *results*, range-value copies, and plain
-// assignments of any type that transitively contains a sync primitive with
-// by-value identity (Mutex, RWMutex, Once, WaitGroup, Cond, Map, Pool).
+// Copies of lock state (by-value receivers, parameters, range values,
+// assignments, `return c`) are `go vet` copylocks' job, not this rule's.
 func LockDiscipline() *Analyzer {
 	a := &Analyzer{
 		Name: "lockdiscipline",
-		Doc:  "`guarded by mu` fields only touched under their mutex; no lock-state copies",
+		Doc:  "`guarded by mu` fields only touched under their mutex",
 	}
 	a.Run = func(pass *Pass) {
 		guards := collectGuards(pass)
 		for _, sf := range pass.Pkg.Files {
 			checkGuardedAccesses(pass, sf, guards)
-			checkLockCopies(pass, sf)
 		}
 	}
 	return a
@@ -234,78 +231,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// checkLockCopies flags by-value traffic in lock-holding types.
-func checkLockCopies(pass *Pass, sf SourceFile) {
-	holds := func(e ast.Expr) bool {
-		t := pass.TypeOf(e)
-		if t == nil {
-			return false
-		}
-		if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			return false
-		}
-		// The guard map must be per-query: lockHolder uses it to break
-		// recursive types, and a map shared across queries would cache the
-		// first answer for every type it visited — including "true" ones.
-		return lockHolder(t, map[types.Type]bool{})
-	}
-	ast.Inspect(sf.AST, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncDecl:
-			if v.Recv != nil {
-				for _, f := range v.Recv.List {
-					if holds(f.Type) {
-						pass.Reportf(f.Pos(), "method %s has a by-value receiver of a lock-holding type; use a pointer receiver", v.Name.Name)
-					}
-				}
-			}
-			checkFuncSig(pass, v.Type, holds)
-		case *ast.FuncLit:
-			checkFuncSig(pass, v.Type, holds)
-		case *ast.RangeStmt:
-			if v.Value != nil && !isBlank(v.Value) && holds(v.Value) {
-				pass.Reportf(v.Value.Pos(), "range value copies a lock-holding element each iteration; range over indices or pointers")
-			}
-		case *ast.AssignStmt:
-			if len(v.Lhs) != len(v.Rhs) {
-				return true
-			}
-			for i, rhs := range v.Rhs {
-				if copiesLockValue(pass, rhs, holds) {
-					pass.Reportf(v.Rhs[i].Pos(), "assignment copies lock-holding value %s; take a pointer instead", exprString(rhs))
-				}
-			}
-		}
-		return true
-	})
-}
-
-func checkFuncSig(pass *Pass, ft *ast.FuncType, holds func(ast.Expr) bool) {
-	if ft.Params != nil {
-		for _, f := range ft.Params.List {
-			if holds(f.Type) {
-				pass.Reportf(f.Pos(), "parameter passes a lock-holding type by value; use a pointer")
-			}
-		}
-	}
-	if ft.Results != nil {
-		for _, f := range ft.Results.List {
-			if holds(f.Type) {
-				pass.Reportf(f.Pos(), "result returns a lock-holding type by value (uncaught by vet copylocks); return a pointer")
-			}
-		}
-	}
-}
-
-// copiesLockValue reports whether evaluating rhs yields a *copy* of an
-// existing lock-holding value (identifier, field, element, or deref — not a
-// fresh composite literal or a call result already flagged at its decl).
-func copiesLockValue(pass *Pass, rhs ast.Expr, holds func(ast.Expr) bool) bool {
-	switch rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return holds(rhs)
-	}
-	return false
 }

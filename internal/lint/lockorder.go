@@ -40,15 +40,14 @@ func LockOrder() *Analyzer {
 	}
 	a.RunProgram = func(pass *ProgramPass) {
 		lo := &lockorder{
-			pass:   pass,
-			direct: map[*types.Func]map[string]bool{},
-			may:    map[*types.Func]map[string]bool{},
-			edges:  map[[2]string]*lockEdge{},
+			pass:  pass,
+			may:   map[*types.Func]map[string]bool{},
+			edges: map[[2]string]*lockEdge{},
 		}
 		for _, fi := range pass.Prog.Funcs() {
-			lo.direct[fi.Obj] = lo.directLocks(fi)
+			lo.may[fi.Obj] = directLocks(fi)
 		}
-		lo.fixpointMayLock()
+		pass.Prog.fixpoint(lo.mayLock)
 		for _, fi := range pass.Prog.Funcs() {
 			lo.walkFunc(fi)
 		}
@@ -64,10 +63,9 @@ type lockEdge struct {
 }
 
 type lockorder struct {
-	pass   *ProgramPass
-	direct map[*types.Func]map[string]bool
-	may    map[*types.Func]map[string]bool
-	edges  map[[2]string]*lockEdge
+	pass  *ProgramPass
+	may   map[*types.Func]map[string]bool // classes a function may acquire, transitively
+	edges map[[2]string]*lockEdge
 }
 
 // lockAcq describes one Lock/RLock/Unlock/RUnlock call: its mutex class
@@ -77,24 +75,22 @@ type lockAcq struct {
 	acquire bool
 }
 
-// classifyLockCall recognizes a sync lock-protocol call and names its
-// mutex class; ok is false for everything else.
-func classifyLockCall(pkg *Package, call *ast.CallExpr) (lockAcq, bool) {
+// acqOf classifies call as a sync Lock/RLock/Unlock/... on a nameable
+// class: the mutex expression's own, or, for a Lock promoted through an
+// embedded sync.Mutex (`m.Lock()`), the embedded field's.
+func acqOf(pkg *Package, call *ast.CallExpr) (lockAcq, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !lockOps[sel.Sel.Name] {
 		return lockAcq{}, false
 	}
-	obj, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+	if m, ok := pkg.Info.Uses[sel.Sel].(*types.Func); !ok || m.Pkg() == nil || m.Pkg().Path() != "sync" {
 		return lockAcq{}, false
 	}
 	cls, ok := mutexClass(pkg, sel.X)
 	if !ok {
-		return lockAcq{}, false
+		cls, ok = embeddedMutexClass(pkg, sel)
 	}
-	acquire := strings.HasPrefix(sel.Sel.Name, "Lock") || strings.HasPrefix(sel.Sel.Name, "RLock") ||
-		strings.HasPrefix(sel.Sel.Name, "Try")
-	return lockAcq{class: cls, acquire: acquire}, true
+	return lockAcq{class: cls, acquire: !strings.HasSuffix(sel.Sel.Name, "Unlock")}, ok
 }
 
 // mutexClass names the lock class of a mutex-valued expression:
@@ -143,20 +139,12 @@ func varClass(obj *types.Var) string {
 	return path + "." + obj.Name()
 }
 
-// lockTarget maps a promoted Lock call (`m.Lock()` on a struct embedding
-// sync.Mutex) to the embedded field's class.
-func embeddedMutexClass(pkg *Package, call *ast.CallExpr) (lockAcq, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !lockOps[sel.Sel.Name] {
-		return lockAcq{}, false
-	}
+// embeddedMutexClass names the embedded field a promoted Lock call
+// (`m.Lock()` on a struct embedding sync.Mutex) goes through.
+func embeddedMutexClass(pkg *Package, sel *ast.SelectorExpr) (string, bool) {
 	selection := pkg.Info.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
-		return lockAcq{}, false
-	}
-	m, ok := selection.Obj().(*types.Func)
-	if !ok || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-		return lockAcq{}, false
+		return "", false
 	}
 	recv := selection.Recv()
 	if ptr, ok := recv.(*types.Pointer); ok {
@@ -164,35 +152,20 @@ func embeddedMutexClass(pkg *Package, call *ast.CallExpr) (lockAcq, bool) {
 	}
 	named, ok := recv.(*types.Named)
 	if !ok || isMutexType(named) {
-		return lockAcq{}, false // direct mutex receiver: classified via sel.X instead
+		return "", false // direct mutex receiver: classified via sel.X instead
 	}
-	// Promoted through an embedded field: name the first hop.
 	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return lockAcq{}, false
-	}
 	idx := selection.Index()
-	if len(idx) < 2 || idx[0] >= st.NumFields() {
-		return lockAcq{}, false
+	if !ok || len(idx) < 2 || idx[0] >= st.NumFields() {
+		return "", false
 	}
-	field := st.Field(idx[0])
-	acquire := strings.HasPrefix(sel.Sel.Name, "Lock") || strings.HasPrefix(sel.Sel.Name, "RLock") ||
-		strings.HasPrefix(sel.Sel.Name, "Try")
-	return lockAcq{class: moduleTypeName(named) + "." + field.Name(), acquire: acquire}, true
-}
-
-// acqOf classifies call as a lock-protocol operation on a nameable class.
-func acqOf(pkg *Package, call *ast.CallExpr) (lockAcq, bool) {
-	if acq, ok := classifyLockCall(pkg, call); ok {
-		return acq, true
-	}
-	return embeddedMutexClass(pkg, call)
+	return moduleTypeName(named) + "." + st.Field(idx[0]).Name(), true
 }
 
 // directLocks collects every class the function may acquire anywhere in its
 // body (function literals included: even a goroutine's acquisition makes
 // the class reachable from this function for transitive purposes).
-func (lo *lockorder) directLocks(fi *FuncInfo) map[string]bool {
+func directLocks(fi *FuncInfo) map[string]bool {
 	out := map[string]bool{}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -207,34 +180,21 @@ func (lo *lockorder) directLocks(fi *FuncInfo) map[string]bool {
 	return out
 }
 
-// fixpointMayLock closes the per-function lock sets over the call graph.
-func (lo *lockorder) fixpointMayLock() {
-	for f, d := range lo.direct {
-		m := map[string]bool{}
-		for c := range d {
-			m[c] = true
-		}
-		lo.may[f] = m
-	}
-	for {
-		changed := false
-		for _, fi := range lo.pass.Prog.Funcs() {
-			mine := lo.may[fi.Obj]
-			for _, site := range fi.Calls {
-				for _, callee := range site.Callees {
-					for c := range lo.may[callee.Origin()] {
-						if !mine[c] {
-							mine[c] = true
-							changed = true
-						}
-					}
+// mayLock is the fixpoint step closing the may-lock sets over the call
+// graph: fi gains every class its callees may acquire.
+func (lo *lockorder) mayLock(fi *FuncInfo) bool {
+	mine, grew := lo.may[fi.Obj], false
+	for _, site := range fi.Calls {
+		for _, callee := range site.Callees {
+			for c := range lo.may[callee.Origin()] {
+				if !mine[c] {
+					mine[c] = true
+					grew = true
 				}
 			}
 		}
-		if !changed {
-			return
-		}
 	}
+	return grew
 }
 
 func (lo *lockorder) addEdge(from, to string, pos token.Pos, via string) {

@@ -65,8 +65,8 @@ func mapRangeIsSafe(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
 	if collectThenSort(pass, rs, stack) {
 		return true
 	}
-	key := identObj(pass, rs.Key)
-	val := identObj(pass, rs.Value)
+	key := identObj(pass.Pkg.Info, rs.Key)
+	val := identObj(pass.Pkg.Info, rs.Value)
 	for _, stmt := range rs.Body.List {
 		if !orderInsensitiveStmt(pass, stmt, key, val) {
 			return false
@@ -150,37 +150,14 @@ func collectThenSort(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
 }
 
 // sortedInFunc reports whether the function body contains a sort.* or
-// slices.Sort* call with the access path among its arguments.
+// slices.* call with the access path among its arguments.
 func sortedInFunc(pass *Pass, body *ast.BlockStmt, path string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+	for _, arg := range sortedArgs(pass.Pkg.Info, body) {
+		if exprString(arg) == path {
 			return true
 		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
-			return true
-		}
-		if o, isPkg := pass.Pkg.Info.Uses[pkg].(*types.PkgName); !isPkg || o == nil {
-			return true
-		}
-		for _, arg := range call.Args {
-			root := arg
-			if u, isAddr := arg.(*ast.UnaryExpr); isAddr && u.Op == token.AND {
-				root = u.X
-			}
-			if exprString(root) == path {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+	}
+	return false
 }
 
 // orderInsensitiveStmt reports whether executing stmt for the map's entries
@@ -239,8 +216,8 @@ func orderInsensitiveStmt(pass *Pass, stmt ast.Stmt, key, val types.Object) bool
 		case *types.Map:
 			// A nested range over another map: order-insensitive iff its
 			// own body is, with the inner iteration variables in play.
-			innerKey := identObj(pass, s.Key)
-			innerVal := identObj(pass, s.Value)
+			innerKey := identObj(pass.Pkg.Info, s.Key)
+			innerVal := identObj(pass.Pkg.Info, s.Value)
 			for _, sub := range s.Body.List {
 				if !orderInsensitiveStmt(pass, sub, innerKey, innerVal) {
 					return false
@@ -391,7 +368,7 @@ func keyedMapStore(pass *Pass, e ast.Expr, key types.Object) bool {
 }
 
 func boolIdent(pass *Pass, e ast.Expr) bool {
-	if identObj(pass, e) == nil {
+	if identObj(pass.Pkg.Info, e) == nil {
 		return false
 	}
 	t := pass.TypeOf(e)
@@ -437,15 +414,4 @@ func usesObject(pass *Pass, e ast.Expr, obj types.Object) bool {
 		return !used
 	})
 	return used
-}
-
-func identObj(pass *Pass, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := pass.Pkg.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Pkg.Info.Uses[id]
 }

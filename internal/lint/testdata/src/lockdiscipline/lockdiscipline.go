@@ -8,8 +8,6 @@ type counter struct {
 	n  int // guarded by mu
 }
 
-func sinkCounter(*counter) {}
-
 // Locked access participates in the protocol: fine.
 func (c *counter) Inc() {
 	c.mu.Lock()
@@ -33,24 +31,6 @@ func newCounter() *counter {
 func peekSuppressed(c *counter) int {
 	//vdce:ignore lockdiscipline fixture: every caller holds c.mu
 	return c.n
-}
-
-// By-value receiver copies the mutex.
-func (c counter) badRecv() {} // want "by-value receiver of a lock-holding type"
-
-// By-value parameter and result copies (the result is vet's blind spot).
-func badSig(c counter) counter { // want "parameter passes a lock-holding type by value" "result returns a lock-holding type by value"
-	return c
-}
-
-// Range-value and assignment copies.
-func badCopies(cs []counter) {
-	for _, c := range cs { // want "range value copies a lock-holding element"
-		sinkCounter(&c)
-	}
-	var x counter
-	y := x // want "assignment copies lock-holding value x"
-	sinkCounter(&y)
 }
 
 // An annotation naming a mutex the struct does not have is a finding.

@@ -1,6 +1,7 @@
 // Fixture for the lockorder analyzer: a two-class cycle closed through a
-// call, a transitive self-acquisition, and the clean shapes — a fixed
-// global order and the early-return branch that releases via defer.
+// call, a transitive self-acquisition, a cycle through an embedded mutex,
+// and the clean shapes — a fixed global order and the early-return branch
+// that releases via defer.
 package lockorder
 
 import "sync"
@@ -89,4 +90,28 @@ func (e *E) get(fast bool) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.val * 2
+}
+
+// F embeds its mutex: f.Lock() is promoted through the embedded field, so
+// its class is lockorder.F.Mutex.
+type F struct {
+	sync.Mutex
+	n int
+}
+
+// fThenD and dThenF nest the embedded class and D's in opposite orders.
+func fThenD(f *F, d *D) {
+	f.Lock()
+	d.mu.Lock()
+	d.n++
+	d.mu.Unlock()
+	f.Unlock()
+}
+
+func dThenF(f *F, d *D) {
+	d.mu.Lock()
+	f.Lock() // want "lock-order cycle \(potential deadlock\) among \{lockorder.D.mu, lockorder.F.Mutex\}"
+	f.n++
+	f.Unlock()
+	d.mu.Unlock()
 }

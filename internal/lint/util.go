@@ -61,64 +61,58 @@ func exprString(e ast.Expr) string {
 	return types.ExprString(e)
 }
 
-// namedStruct unwraps a type to its underlying struct, following pointers
-// and aliases; ok is false for non-struct types.
-func namedStruct(t types.Type) (*types.Struct, bool) {
-	if t == nil {
-		return nil, false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	s, ok := t.Underlying().(*types.Struct)
-	return s, ok
-}
-
-// syncType reports whether t is the named sync type (e.g. "Mutex").
-func syncType(t types.Type, names ...string) bool {
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
+func isMutexType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex")
+}
+
+// identObj returns the object an identifier defines or uses; nil when e is
+// not an identifier.
+func identObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
 	}
-	for _, name := range names {
-		if obj.Name() == name {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// sortedArgs lists the arguments of every sort.* and slices.* call in body,
+// a leading & stripped: the values the function re-orders in place.
+func sortedArgs(info *types.Info, body ast.Node) []ast.Expr {
+	var out []ast.Expr
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
 		}
-	}
-	return false
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	return syncType(t, "Mutex", "RWMutex")
-}
-
-// lockHolder reports whether a value of type t embeds lock state that must
-// not be copied: any sync primitive with by-value identity, directly or
-// through nested structs and arrays. seen guards against recursive types.
-func lockHolder(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if syncType(t, "Mutex", "RWMutex", "Once", "WaitGroup", "Cond", "Map", "Pool") {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lockHolder(u.Field(i).Type(), seen) {
-				return true
-			}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
 		}
-	case *types.Array:
-		return lockHolder(u.Elem(), seen)
-	}
-	return false
+		pkg, ok := sel.X.(*ast.Ident)
+		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
+			return true
+		}
+		if _, isPkg := info.Uses[pkg].(*types.PkgName); !isPkg {
+			return true
+		}
+		for _, arg := range call.Args {
+			if u, isAddr := arg.(*ast.UnaryExpr); isAddr && u.Op == token.AND {
+				arg = u.X
+			}
+			out = append(out, arg)
+		}
+		return true
+	})
+	return out
 }
 
 // ignoreSpans indexes every //vdce:ignore span naming rule across the load,

@@ -270,7 +270,7 @@ func TestEveryPolicyPassesValidatorOnStructuredGraphs(t *testing.T) {
 	env, repos, net := dagenEnv(t, 1, 23)
 	truth := heftTruth(repos)
 	for _, g := range []*afg.Graph{ge, fft} {
-		for _, name := range Policies() { // registrycheck reads this file for the enumeration
+		for _, name := range Policies() { // every registered policy, a newly registered one included
 			if strings.HasPrefix(name, "test-") {
 				continue
 			}
