@@ -114,6 +114,7 @@
 // deterministic and bit-identical for any worker count.
 //
 // See README.md for the architecture overview, the policy table, the
-// per-experiment index, and how to run the benchmarks. The root-level
-// bench_test.go wraps each experiment in a testing.B benchmark.
+// per-experiment index, and how to run the benchmarks. TestAllRuns
+// (internal/experiments) runs every experiment on each go test ./..., and
+// vdce-bench -exp <ID> -json emits one experiment's headline metrics.
 package repro

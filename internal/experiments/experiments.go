@@ -2,7 +2,7 @@
 // paper figure (the paper has no numeric tables — its figures are
 // architecture and algorithm descriptions, so each experiment quantifies
 // the behavioural claim the figure makes). cmd/vdce-bench prints the
-// series; the root bench_test.go wraps each experiment in a testing.B.
+// series, or with -json the headline metrics.
 package experiments
 
 import (

@@ -6,14 +6,22 @@
 // runs every task on its assigned machine, and maintains the performance
 // and fault-tolerance requirements: a task on an overloaded or failed host
 // is terminated and rescheduled through the Group Manager (§2.3.1).
+//
+// A task starts when its last parent delivers. Each task counts the parents
+// that have not delivered yet, and the parent that takes a child's count to
+// zero launches it — the ready rule the scheduler's executor and validator
+// run on the same afg.Index. So an execution's goroutines are its running
+// tasks: none is parked waiting for inputs, and no channel is made per link.
 package runtime
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/afg"
@@ -116,7 +124,6 @@ type Options struct {
 }
 
 type taskOutcome struct {
-	id  afg.TaskID
 	val tasklib.Value
 	res TaskResult
 }
@@ -135,11 +142,6 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
 	}
-	for _, id := range g.TaskIDs() {
-		if _, ok := table.Get(id); !ok {
-			return nil, fmt.Errorf("runtime: task %q missing from allocation table", id)
-		}
-	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -149,6 +151,8 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 		return nil, err
 	}
 	defer env.close()
+	// A cancelled run closes the proxies, so a child reading its own stops.
+	defer context.AfterFunc(ctx, env.close)()
 
 	if opts.Deviations != nil {
 		go func() {
@@ -167,18 +171,14 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 	}
 
 	start := time.Now()
-	outcomes := make(chan taskOutcome, g.Len())
-	var wg sync.WaitGroup
-	for _, id := range g.TaskIDs() {
-		wg.Add(1)
-		go func(id afg.TaskID) {
-			defer wg.Done()
-			env.runTask(ctx, id, outcomes)
-		}(id)
+	for i := range env.ix.Len() {
+		if env.ix.NumParents(i) == 0 {
+			env.launch(ctx, i)
+		}
 	}
 	go func() {
-		wg.Wait()
-		close(outcomes)
+		env.wg.Wait()
+		close(env.out)
 	}()
 
 	res := &Result{
@@ -187,35 +187,59 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 		TaskResults: make(map[afg.TaskID]TaskResult, g.Len()),
 	}
 	var firstErr error
-	for o := range outcomes {
-		res.TaskResults[o.id] = o.res
-		res.Rescheduled += o.res.Attempts - 1
+	for o := range env.out {
+		id := o.res.Task
+		res.TaskResults[id] = o.res
+		res.Rescheduled += max(o.res.Attempts-1, 0) // a task that never reached a host moved nowhere
 		if o.res.Err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("task %q: %w", o.id, o.res.Err)
+				firstErr = fmt.Errorf("task %q: %w", id, o.res.Err)
 				cancel() // abort the rest of the application
 			}
 			continue
 		}
-		res.Outputs[o.id] = o.val
+		res.Outputs[id] = o.val
 		if opts.OnTaskDone != nil {
 			opts.OnTaskDone(o.res)
 		}
 	}
 	res.Makespan = time.Since(start)
 	res.FrontierReplans = env.replanCount()
-	if firstErr != nil {
-		return res, firstErr
+	// A task no parent launched, because an upstream task failed, is
+	// accounted too.
+	for _, id := range env.ix.IDs() {
+		if _, ok := res.TaskResults[id]; !ok {
+			res.TaskResults[id] = TaskResult{Task: id, Err: ctx.Err()}
+		}
 	}
-	return res, nil
+	return res, firstErr
 }
 
 // execEnv is the per-application execution environment (Fig 7): the wiring
-// that moves values between tasks, in memory or through sockets.
+// that moves values between tasks, in memory or through sockets, and the
+// ready rule that starts each task once its inputs are there. Every slice
+// is indexed by the task's dense afg.Index position.
 type execEnv struct {
 	g     *afg.Graph
+	ix    *afg.Index
 	table *scheduler.AllocationTable
 	opts  Options
+
+	// The ready rule: pending[i] counts task i's parents that have not
+	// delivered yet, and the parent that takes it to zero launches i. wg
+	// counts launched tasks that have not reported on out, which holds one
+	// outcome per task so a finished task never waits for the collector.
+	pending []atomic.Int32
+	out     chan taskOutcome
+	wg      sync.WaitGroup
+
+	// in-memory mode: task i's output, written before any child's count
+	// drops, so a launched child reads it after its parents wrote it.
+	vals []tasklib.Value
+
+	// socket mode: one communication proxy per task.
+	proxies   []*datamgr.Proxy
+	closeOnce sync.Once
 
 	// Live placement state: the current assignment per task (re-plans and
 	// reschedules move it), which tasks have started and which delivered,
@@ -225,86 +249,95 @@ type execEnv struct {
 	// second discoverer waits for the first one's assignments instead of
 	// racing past them.
 	mu         sync.Mutex
-	cur        map[afg.TaskID]scheduler.Assignment
-	started    map[afg.TaskID]bool
-	finished   map[afg.TaskID]bool
+	cur        []scheduler.Assignment
+	started    []bool
+	finished   []bool
 	dead       map[string]bool
 	planned    map[string]bool
 	replans    int
 	replanning chan struct{}
-
-	// in-memory mode: one buffered channel per link.
-	mem map[afg.Link]chan tasklib.Value
-
-	// socket mode: one communication proxy per task.
-	proxies map[afg.TaskID]*datamgr.Proxy
 }
 
 func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*execEnv, error) {
-	env := &execEnv{
-		g: g, table: table, opts: opts,
-		cur:      make(map[afg.TaskID]scheduler.Assignment, g.Len()),
-		started:  make(map[afg.TaskID]bool, g.Len()),
-		finished: make(map[afg.TaskID]bool, g.Len()),
-		dead:     make(map[string]bool),
-		planned:  make(map[string]bool),
+	ix, err := g.Index()
+	if err != nil {
+		return nil, err
 	}
-	env.replanning = make(chan struct{}, 1)
-	for _, id := range g.TaskIDs() {
-		a, _ := table.Get(id)
-		env.cur[id] = a
+	n := ix.Len()
+	env := &execEnv{
+		g: g, ix: ix, table: table, opts: opts,
+		pending:    make([]atomic.Int32, n),
+		out:        make(chan taskOutcome, n),
+		cur:        make([]scheduler.Assignment, n),
+		started:    make([]bool, n),
+		finished:   make([]bool, n),
+		dead:       make(map[string]bool),
+		planned:    make(map[string]bool),
+		replanning: make(chan struct{}, 1),
+	}
+	for i, id := range ix.IDs() {
+		a, ok := table.Get(id)
+		if !ok {
+			return nil, fmt.Errorf("runtime: task %q missing from allocation table", id)
+		}
+		env.cur[i] = a
+		env.pending[i].Store(int32(ix.NumParents(i)))
 	}
 	if !opts.UseSockets {
-		env.mem = make(map[afg.Link]chan tasklib.Value)
-		for _, l := range g.Links() {
-			env.mem[l] = make(chan tasklib.Value, 1)
-		}
+		env.vals = make([]tasklib.Value, n)
 		return env, nil
 	}
 	// Phase 1 (Fig 7 steps 1–2): activate a Data Manager proxy per task.
-	env.proxies = make(map[afg.TaskID]*datamgr.Proxy, g.Len())
-	for _, id := range g.TaskIDs() {
-		a, _ := table.Get(id)
-		p, err := datamgr.NewProxy(string(id), a.Site, opts.Net)
+	env.proxies = make([]*datamgr.Proxy, n)
+	for i, id := range ix.IDs() {
+		p, err := datamgr.NewProxy(string(id), env.cur[i].Site, opts.Net)
 		if err != nil {
 			env.close()
 			return nil, err
 		}
-		env.proxies[id] = p
+		env.proxies[i] = p
 	}
 	// Phase 2 (steps 3–4): create point-to-point channels parent→child and
 	// collect the acknowledgements; ConnectTo returning nil is the ACK.
-	for _, l := range g.Links() {
-		child := env.proxies[l.To]
-		ca, _ := table.Get(l.To)
-		if err := env.proxies[l.From].ConnectTo(datamgr.PeerInfo{
-			Task: string(l.To),
-			Addr: child.Addr(),
-			Site: ca.Site,
-		}); err != nil {
-			env.close()
-			return nil, fmt.Errorf("runtime: channel setup %s->%s: %w", l.From, l.To, err)
+	for i, p := range env.proxies {
+		for _, a := range ix.Children(i) {
+			c := int(a.Peer)
+			if err := p.ConnectTo(datamgr.PeerInfo{
+				Task: string(ix.ID(c)),
+				Addr: env.proxies[c].Addr(),
+				Site: env.cur[c].Site,
+			}); err != nil {
+				env.close()
+				return nil, fmt.Errorf("runtime: channel setup %s->%s: %w", ix.ID(i), ix.ID(c), err)
+			}
 		}
 	}
-	// All ACKs in: the caller proceeding to runTask goroutines is the
-	// execution startup signal (step 5).
+	// All ACKs in: the caller launching the entry tasks is the execution
+	// startup signal (step 5).
 	return env, nil
+}
+
+// launch starts task i, whose last parent has just delivered (or which has
+// none).
+func (e *execEnv) launch(ctx context.Context, i int) {
+	e.wg.Add(1)
+	go e.runTask(ctx, i)
 }
 
 // claim marks the task started and returns its current assignment — which a
 // frontier re-plan may have moved since the table was multicast.
-func (e *execEnv) claim(id afg.TaskID) scheduler.Assignment {
+func (e *execEnv) claim(i int) scheduler.Assignment {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.started[id] = true
-	return e.cur[id]
+	e.started[i] = true
+	return e.cur[i]
 }
 
 // settledLocked reports whether a re-plan must leave the task where it is:
 // it delivered, or it started on a host not known dead. A task claimed on a
 // dead host is frontier — its result is or will be lost. Caller holds mu.
-func (e *execEnv) settledLocked(id afg.TaskID) bool {
-	return e.finished[id] || (e.started[id] && !e.dead[e.cur[id].Host])
+func (e *execEnv) settledLocked(i int) bool {
+	return e.finished[i] || (e.started[i] && !e.dead[e.cur[i].Host])
 }
 
 // hostFailed adds host to the dead set and, unless an earlier re-plan was
@@ -334,9 +367,9 @@ func (e *execEnv) hostFailed(ctx context.Context, host string) {
 	for _, h := range down {
 		e.planned[h] = true
 	}
-	settled := make(map[afg.TaskID]bool, len(e.started))
-	for id := range e.started {
-		if e.settledLocked(id) {
+	settled := make(map[afg.TaskID]bool)
+	for i, id := range e.ix.IDs() {
+		if e.settledLocked(i) {
 			settled[id] = true
 		}
 	}
@@ -348,9 +381,9 @@ func (e *execEnv) hostFailed(ctx context.Context, host string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.replans++
-	for id, a := range moved {
-		if !e.settledLocked(id) {
-			e.cur[id] = a
+	for i, id := range e.ix.IDs() {
+		if a, ok := moved[id]; ok && !e.settledLocked(i) {
+			e.cur[i] = a
 		}
 	}
 }
@@ -358,10 +391,10 @@ func (e *execEnv) hostFailed(ctx context.Context, host string) {
 // reassigned re-reads a failed task's assignment after hostFailed; ok is
 // false when it still names a host known dead (no re-plan moved the task,
 // or one moved it onto a host that has since died too).
-func (e *execEnv) reassigned(id afg.TaskID) (a scheduler.Assignment, ok bool) {
+func (e *execEnv) reassigned(i int) (a scheduler.Assignment, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	a = e.cur[id]
+	a = e.cur[i]
 	return a, !e.dead[a.Host]
 }
 
@@ -377,7 +410,7 @@ func (e *execEnv) deadLocked() []string {
 
 // reschedule is the per-task path: a fresh assignment from the Rescheduler,
 // excluding every host known dead and the hosts this task tried.
-func (e *execEnv) reschedule(ctx context.Context, task *afg.Task, tried []string) (scheduler.Assignment, error) {
+func (e *execEnv) reschedule(ctx context.Context, i int, tried []string) (scheduler.Assignment, error) {
 	e.mu.Lock()
 	exclude := e.deadLocked()
 	for _, h := range tried {
@@ -386,20 +419,20 @@ func (e *execEnv) reschedule(ctx context.Context, task *afg.Task, tried []string
 		}
 	}
 	e.mu.Unlock()
-	a, err := e.opts.Reschedule(ctx, task, exclude)
+	a, err := e.opts.Reschedule(ctx, e.ix.Task(i), exclude)
 	if err == nil {
 		e.mu.Lock()
-		e.cur[task.ID] = a
+		e.cur[i] = a
 		e.mu.Unlock()
 	}
 	return a, err
 }
 
 // finish marks the task delivered: no re-plan may move it any more.
-func (e *execEnv) finish(id afg.TaskID) {
+func (e *execEnv) finish(i int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.finished[id] = true
+	e.finished[i] = true
 }
 
 func (e *execEnv) replanCount() int {
@@ -408,174 +441,141 @@ func (e *execEnv) replanCount() int {
 	return e.replans
 }
 
+// close shuts every proxy, once; a second caller waits for the first.
 func (e *execEnv) close() {
-	ids := make([]afg.TaskID, 0, len(e.proxies))
-	for id := range e.proxies {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e.proxies[id].Close()
-	}
+	e.closeOnce.Do(func() {
+		for _, p := range e.proxies {
+			if p != nil {
+				p.Close()
+			}
+		}
+	})
 }
 
-// gatherInputs blocks until all parent values have arrived, returning them
-// in deterministic parent-link order.
-func (e *execEnv) gatherInputs(ctx context.Context, id afg.TaskID) ([]tasklib.Value, error) {
-	parents := e.g.Parents(id)
+// gatherInputs returns the task's inputs in input-port order. Every parent
+// has delivered by the time the task is launched: in memory its output slot
+// is written; over sockets its Send has returned, so the value is on its way
+// to this task's proxy.
+func (e *execEnv) gatherInputs(ctx context.Context, i int) ([]tasklib.Value, error) {
+	parents := e.ix.Parents(i)
 	if len(parents) == 0 {
 		return nil, nil
 	}
-	if !e.opts.UseSockets {
-		vals := make([]tasklib.Value, len(parents))
-		for i, l := range parents {
-			select {
-			case v := <-e.mem[l]:
-				vals[i] = v
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	vals := make([]tasklib.Value, len(parents))
+	if e.proxies == nil {
+		for k, a := range parents {
+			vals[k] = e.vals[a.Peer]
 		}
 		return vals, nil
 	}
-	proxy := e.proxies[id]
-	byFrom := make(map[string]tasklib.Value, len(parents))
-	type recvResult struct {
-		m  datamgr.Message
-		ok bool
-	}
-	for len(byFrom) < len(parents) {
-		ch := make(chan recvResult, 1)
-		go func() {
-			m, ok := proxy.Recv()
-			ch <- recvResult{m, ok}
-		}()
-		select {
-		case r := <-ch:
-			if !r.ok {
-				return nil, fmt.Errorf("runtime: channel closed while gathering inputs for %q", id)
-			}
-			v, err := tasklib.DecodeValue(r.m.Payload)
-			if err != nil {
+	for range parents {
+		m, ok := e.proxies[i].Recv()
+		if !ok {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			byFrom[r.m.From] = v
-		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, fmt.Errorf("runtime: channel closed while gathering inputs for %q", e.ix.ID(i))
 		}
-	}
-	vals := make([]tasklib.Value, len(parents))
-	for i, l := range parents {
-		vals[i] = byFrom[string(l.From)]
+		from := int32(e.ix.Of(afg.TaskID(m.From)))
+		k := slices.IndexFunc(parents, func(a afg.Arc) bool { return a.Peer == from })
+		if k < 0 {
+			return nil, fmt.Errorf("runtime: input for %q from %q, which is not its parent", e.ix.ID(i), m.From)
+		}
+		v, err := tasklib.DecodeValue(m.Payload)
+		if err != nil {
+			return nil, err
+		}
+		vals[k] = v
 	}
 	return vals, nil
 }
 
-// deliver sends a task's output to all its children.
-func (e *execEnv) deliver(ctx context.Context, id afg.TaskID, v tasklib.Value) error {
-	children := e.g.Children(id)
-	if !e.opts.UseSockets {
-		for _, l := range children {
-			select {
-			case e.mem[l] <- v:
-			case <-ctx.Done():
-				return ctx.Err()
+// deliver hands the task's output to its children — into its output slot,
+// or through its proxy to each child's — and launches every child whose
+// count of parents still to deliver this takes to zero.
+func (e *execEnv) deliver(ctx context.Context, i int, v tasklib.Value) error {
+	var payload []byte
+	if e.proxies == nil {
+		e.vals[i] = v
+	} else {
+		var err error
+		if payload, err = v.Encode(); err != nil {
+			return err
+		}
+	}
+	for _, a := range e.ix.Children(i) {
+		c := int(a.Peer)
+		if e.proxies != nil {
+			if err := e.proxies[i].Send(string(e.ix.ID(c)), payload); err != nil {
+				return err
 			}
 		}
-		return nil
-	}
-	payload, err := v.Encode()
-	if err != nil {
-		return err
-	}
-	proxy := e.proxies[id]
-	for _, l := range children {
-		if err := proxy.Send(string(l.To), payload); err != nil {
-			return err
+		if e.pending[c].Add(-1) == 0 {
+			e.launch(ctx, c)
 		}
 	}
 	return nil
 }
 
-// runTask executes one task: gather inputs, wait at the console gate, pick
-// (and if necessary re-pick) a host, run the function, deliver outputs.
-func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOutcome) {
-	task := e.g.Task(id)
-	res := TaskResult{Task: id}
-	fail := func(err error) {
-		res.Err = err
-		out <- taskOutcome{id: id, res: res}
+// runTask runs one launched task and reports its outcome; a task that
+// succeeds delivers its output first.
+func (e *execEnv) runTask(ctx context.Context, i int) {
+	defer e.wg.Done()
+	res := TaskResult{Task: e.ix.ID(i)}
+	val, err := e.place(ctx, i, &res)
+	if err == nil {
+		err = e.deliver(ctx, i, val)
 	}
+	res.Err = err
+	e.out <- taskOutcome{val: val, res: res}
+}
 
-	inputs, err := e.gatherInputs(ctx, id)
+// place gathers the task's inputs, waits at the console gate, picks (and if
+// necessary re-picks) a host, and runs the function there.
+func (e *execEnv) place(ctx context.Context, i int, res *TaskResult) (tasklib.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return tasklib.Value{}, err
+	}
+	inputs, err := e.gatherInputs(ctx, i)
 	if err != nil {
-		fail(err)
-		return
+		return tasklib.Value{}, err
 	}
 	if e.opts.Gate != nil {
 		if err := e.opts.Gate.Wait(ctx); err != nil {
-			fail(err)
-			return
+			return tasklib.Value{}, err
 		}
 	}
 
-	assign := e.claim(id)
+	task := e.ix.Task(i)
+	assign := e.claim(i)
 	var tried []string
 	begin := time.Now()
 	res.Started = begin
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
 		if attempt > e.opts.MaxAttempts {
-			fail(fmt.Errorf("%w (%d attempts, hosts %v)", ErrTooManyRetries, attempt-1, tried))
-			return
+			return tasklib.Value{}, fmt.Errorf("%w (%d attempts, hosts %v)", ErrTooManyRetries, attempt-1, tried)
 		}
-		host := e.opts.Hosts(assign.Host)
-		if host == nil {
-			if e.opts.RemoteExec == nil {
-				fail(fmt.Errorf("%w: %q", ErrUnknownHost, assign.Host))
-				return
+		var val tasklib.Value
+		var err error
+		switch host := e.opts.Hosts(assign.Host); {
+		case host != nil:
+			val, err = e.runOn(ctx, host, task, inputs)
+		case e.opts.RemoteExec == nil:
+			return tasklib.Value{}, fmt.Errorf("%w: %q", ErrUnknownHost, assign.Host)
+		default:
+			// A remote failure is final: the task is not rescheduled.
+			if val, err = e.opts.RemoteExec(ctx, assign, task, inputs); err != nil {
+				return tasklib.Value{}, fmt.Errorf("runtime: remote execution on %s/%s: %w", assign.Site, assign.Host, err)
 			}
-			val, err := e.opts.RemoteExec(ctx, assign, task, inputs)
-			if err != nil {
-				fail(fmt.Errorf("runtime: remote execution on %s/%s: %w", assign.Site, assign.Host, err))
-				return
-			}
-			e.finish(id)
-			res.Host = assign.Host
-			res.Site = assign.Site
-			res.Elapsed = time.Since(begin)
-			if err := e.deliver(ctx, id, val); err != nil {
-				fail(err)
-				return
-			}
-			out <- taskOutcome{id: id, val: val, res: res}
-			return
 		}
-		placeErr := e.checkPlacement(host)
-		if placeErr == nil {
-			val, runErr := e.runOn(ctx, host, task, inputs)
-			if runErr == nil && host.IsDown() {
-				// The host died while the task ran: its result is lost,
-				// exactly the failure Fig 6's keep-alive packets detect.
-				runErr = ErrHostFailed
-			}
-			if runErr == nil {
-				e.finish(id)
-				res.Host = assign.Host
-				res.Site = assign.Site
-				res.Elapsed = time.Since(begin)
-				if err := e.deliver(ctx, id, val); err != nil {
-					fail(err)
-					return
-				}
-				out <- taskOutcome{id: id, val: val, res: res}
-				return
-			}
-			if !errors.Is(runErr, ErrHostFailed) && !errors.Is(runErr, ErrOverloaded) {
-				fail(runErr) // genuine task error: no point rescheduling
-				return
-			}
-			placeErr = runErr
+		if err == nil {
+			e.finish(i)
+			res.Host, res.Site, res.Elapsed = assign.Host, assign.Site, time.Since(begin)
+			return val, nil
+		}
+		if !errors.Is(err, ErrHostFailed) && !errors.Is(err, ErrOverloaded) {
+			return tasklib.Value{}, err // genuine task error: no point rescheduling
 		}
 		// Host unusable: request rescheduling. A dead host joins the
 		// execution's dead set and the frontier — this task included — is
@@ -583,40 +583,32 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 		// unless that host is known dead too, in which case (as for an
 		// overloaded host) fall through to the per-task path.
 		tried = append(tried, assign.Host)
-		if errors.Is(placeErr, ErrHostFailed) {
+		if errors.Is(err, ErrHostFailed) {
 			e.hostFailed(ctx, assign.Host)
-			if na, ok := e.reassigned(id); ok {
+			if na, ok := e.reassigned(i); ok {
 				assign = na
 				continue
 			}
 		}
 		if e.opts.Reschedule == nil {
-			fail(fmt.Errorf("%w: host %s: %v", ErrNoReschedule, assign.Host, placeErr))
-			return
+			return tasklib.Value{}, fmt.Errorf("%w: host %s: %v", ErrNoReschedule, assign.Host, err)
 		}
-		na, err := e.reschedule(ctx, task, tried)
-		if err != nil {
-			fail(fmt.Errorf("runtime: reschedule %q: %w", id, err))
-			return
+		if assign, err = e.reschedule(ctx, i, tried); err != nil {
+			return tasklib.Value{}, fmt.Errorf("runtime: reschedule %q: %w", task.ID, err)
 		}
-		assign = na
 	}
 }
 
-// checkPlacement enforces the Application Controller's QoS checks before a
-// task starts on a host.
-func (e *execEnv) checkPlacement(h *resource.Host) error {
+// runOn runs the task on a local host under the Application Controller's
+// QoS checks: ErrHostFailed or ErrOverloaded means the host could not, and
+// the task may move.
+func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
 	if h.IsDown() {
-		return ErrHostFailed
+		return tasklib.Value{}, ErrHostFailed
 	}
 	if e.opts.LoadThreshold > 0 && h.Load() > e.opts.LoadThreshold {
-		return ErrOverloaded
+		return tasklib.Value{}, ErrOverloaded
 	}
-	return nil
-}
-
-// runOn claims the host, executes the task function, and releases the host.
-func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
 	if err := h.BeginTask(task.MemReq); err != nil {
 		// A full host is not a dead host: only a host that is down joins
 		// the dead set; this task alone goes elsewhere when memory is short.
@@ -630,21 +622,24 @@ func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, i
 	if task.Mode == afg.Parallel {
 		procs = task.Processors
 	}
-	return e.opts.Registry.Execute(ctx, task.Function, tasklib.Args{
+	val, err := e.opts.Registry.Execute(ctx, task.Function, tasklib.Args{
 		Params:     task.Params,
 		Inputs:     inputs,
 		Processors: procs,
 	})
+	if err == nil && h.IsDown() {
+		// The host died while the task ran: its result is lost, exactly
+		// the failure Fig 6's keep-alive packets detect.
+		return tasklib.Value{}, ErrHostFailed
+	}
+	return val, err
 }
 
 // ExitOutputs filters a result down to the graph's exit-task outputs — the
 // values the I/O/visualization services present to the user.
 func ExitOutputs(g *afg.Graph, r *Result) map[afg.TaskID]tasklib.Value {
 	out := make(map[afg.TaskID]tasklib.Value)
-	var exits []afg.TaskID
-	exits = append(exits, g.Exits()...)
-	sort.Slice(exits, func(i, j int) bool { return exits[i] < exits[j] })
-	for _, id := range exits {
+	for _, id := range g.Exits() {
 		if v, ok := r.Outputs[id]; ok {
 			out[id] = v
 		}

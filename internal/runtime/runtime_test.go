@@ -253,6 +253,9 @@ func TestDownstreamAbortsWhenUpstreamFails(t *testing.T) {
 	if res == nil || len(res.TaskResults) != 2 {
 		t.Fatalf("expected both tasks accounted, got %+v", res)
 	}
+	if res.Rescheduled != 0 {
+		t.Fatalf("Rescheduled = %d, want 0: no task moved", res.Rescheduled)
+	}
 }
 
 func TestConsoleGatePausesExecution(t *testing.T) {

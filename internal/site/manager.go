@@ -82,7 +82,8 @@ type Manager struct {
 	Registry *tasklib.Registry
 	Gate     *datamgr.Gate
 
-	cfg Config
+	cfg       Config
+	replanner scheduler.Replanner // Config.Replanner resolved once; nil when "off"
 
 	// Deviation fan-out: in-flight executions subscribe here and receive
 	// the names of hosts the monitoring plane reports down (§2.3.1).
@@ -102,6 +103,9 @@ func NewManager(siteName string, pool *resource.Pool, nw *netsim.Network, reg *t
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = 8
 	}
+	if cfg.Replanner == "" {
+		cfg.Replanner = "eft"
+	}
 	m := &Manager{
 		Site:     siteName,
 		Repo:     repository.New(),
@@ -111,6 +115,13 @@ func NewManager(siteName string, pool *resource.Pool, nw *netsim.Network, reg *t
 		Registry: reg,
 		Gate:     datamgr.NewGate(),
 		cfg:      cfg,
+	}
+	if cfg.Replanner != "off" {
+		rp, err := scheduler.LookupReplanner(cfg.Replanner)
+		if err != nil {
+			return nil, fmt.Errorf("site %s: %w", siteName, err)
+		}
+		m.replanner = rp
 	}
 	for _, h := range pool.Hosts() {
 		err := m.Repo.Resources.Register(repository.ResourceStatic{
@@ -287,18 +298,11 @@ func (m *Manager) SubscribeDeviations() (<-chan string, func()) {
 // ValidateSchedule before any assignment is adopted. Returns nil when
 // Config.Replanner is "off".
 func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
-	name := m.cfg.Replanner
-	if name == "off" {
+	rp := m.replanner
+	if rp == nil {
 		return nil
 	}
-	if name == "" {
-		name = "eft"
-	}
-	rp, lookupErr := scheduler.LookupReplanner(name)
 	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
-		if lookupErr != nil {
-			return nil, lookupErr
-		}
 		down := make(map[string]bool, len(dead))
 		for _, h := range dead {
 			down[h] = true
@@ -465,18 +469,12 @@ func (m *Manager) execute(ctx context.Context, g *afg.Graph, table *scheduler.Al
 // database, in sorted task order so the recorded sample history is
 // reproducible run to run.
 func (m *Manager) recordExecutions(g *afg.Graph, res *runtime.Result) {
-	ids := make([]afg.TaskID, 0, len(res.TaskResults))
-	for id := range res.TaskResults {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		tr := res.TaskResults[id]
-		task := g.Task(id)
-		if task == nil || tr.Err != nil {
+	for _, id := range g.TaskIDs() {
+		tr, ok := res.TaskResults[id]
+		if !ok || tr.Err != nil {
 			continue
 		}
-		m.Repo.Tasks.RecordExecution(task.Function, repository.ExecutionSample{
+		m.Repo.Tasks.RecordExecution(g.Task(id).Function, repository.ExecutionSample{
 			Host: tr.Host, Elapsed: tr.Elapsed, At: time.Now(),
 		})
 	}

@@ -52,6 +52,26 @@ func TestNewManagerRegistersEverything(t *testing.T) {
 	}
 }
 
+// TestNewManagerRefusesUnknownReplanner: a misspelt re-planner is refused
+// when the site is built, instead of failing every re-plan later and
+// leaving only per-task rescheduling without a word. "" and "off" keep
+// their meaning.
+func TestNewManagerRefusesUnknownReplanner(t *testing.T) {
+	pool := resource.GenerateSite("syracuse", 2, 4, 1)
+	if _, err := NewManager("syracuse", pool, nil, nil, Config{Replanner: "etf"}); !errors.Is(err, scheduler.ErrUnknownReplanner) {
+		t.Fatalf("Replanner etf: err = %v, want ErrUnknownReplanner", err)
+	}
+	for name, wantReplan := range map[string]bool{"": true, "eft": true, "off": false} {
+		m, err := NewManager("syracuse", pool, nil, nil, Config{Replanner: name})
+		if err != nil {
+			t.Fatalf("Replanner %q: %v", name, err)
+		}
+		if got := m.FrontierReplanner() != nil; got != wantReplan {
+			t.Fatalf("Replanner %q: frontier re-planning = %v, want %v", name, got, wantReplan)
+		}
+	}
+}
+
 func TestMonitoringUpdatesRepository(t *testing.T) {
 	m := newTestSite(t, "syracuse", 4, 2)
 	m.TickMonitors()
