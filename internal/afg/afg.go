@@ -34,7 +34,7 @@ package afg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -321,7 +321,7 @@ func (g *Graph) TaskIDs() []TaskID {
 	for id := range g.tasks {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,6 +60,90 @@ var refusalDocs = []struct {
 	{"empty", `{"name":"nothing"}`, ErrEmpty},
 	{"empty task id", `{"tasks":[{"id":""}]}`, errEmptyID},
 	{"unknown mode", `{"tasks":[{"id":"a","mode":"quantum"}]}`, errUnknownMode},
+}
+
+// deepMember is a document whose one unknown member nests n arrays inside
+// the top-level object: n+1 levels in all.
+func deepMember(n int) string {
+	return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,"tasks":[{"id":"a"}]}`
+}
+
+// quirkDocs are the documents on which a hand-written decoder most easily
+// parts from encoding/json, one quirk each. want is nil for a graph, errSyntax
+// or errWrongType for bytes encoding/json refused, or the graph sentinel.
+// Both ingest paths must agree on each (TestDecodeQuirks), and FuzzDecode
+// starts from them.
+var quirkDocs = []struct {
+	name string
+	doc  string
+	want error
+}{
+	{"folded keys, long s", "{\"NAME\":\"n\",\"Tasks\":[{\"ID\":\"a\",\"Function\":\"f\",\"Mode\":\"parallel\"," +
+		"\"proce\xc5\xbf\xc5\xbfors\":3,\"MACHINETYPE\":\"m\",\"computecost\":2.5,\"MemReq\":7,\"OUTPUTBYTES\":9," +
+		"\"PARAMS\":{\"K\":\"v\"}},{\"id\":\"b\"}],\"links\":[{\"from\":\"a\",\"to\":\"b\",\"bytes\":5,\"port\":0}]}", nil},
+	{"escaped folded key, Kelvin sign", `{"tasks":[{"id":"a"},{"id":"b"}],"lin\u212as":[{"From":"a","To":"b"}]}`, nil},
+	{"unknown nested member", `{"tasks":[{"id":"a","extra":{"deep":[1,-2.5e3,{"x":null,"y":[true,false,"\u00e9"]}]}}],"meta":{}}`, nil},
+	{"unknown member, bad syntax", `{"tasks":[{"id":"a"}],"meta":[1,]}`, errSyntax},
+	{"null for each field", `{"name":null,"tasks":[{"id":"a","function":null,"mode":null,"processors":null,"machineType":null,` +
+		`"computeCost":null,"memReq":null,"outputBytes":null,"params":null},{"id":"b","params":{"k":null}}],` +
+		`"links":[{"From":"a","To":"b","Bytes":null,"Port":null}]}`, nil},
+	{"null links", `{"tasks":[{"id":"a"}],"links":null}`, nil},
+	{"null after tasks", `{"tasks":[{"id":"a"}],"tasks":null}`, ErrEmpty},
+	{"null task", `{"tasks":[null]}`, errEmptyID},
+	{"repeated tasks decode over the old elements", `{"tasks":[{"id":"a","function":"f","computeCost":2},{"id":"b"}],"tasks":[{"id":"c"}]}`, nil},
+	{"repeated tasks regrow into old capacity", `{"tasks":[{"id":"a","function":"f"},{"id":"b","function":"g"}],` +
+		`"tasks":[{"id":"c"}],"tasks":[{"id":"d"},{"id":"e"}]}`, nil},
+	{"empty tasks drop the old elements", `{"tasks":[{"id":"a","function":"f"}],"tasks":[],"tasks":[{"id":"b"}]}`, nil},
+	{"repeated params merge", `{"tasks":[{"id":"a","params":{"x":"1","y":"2"},"params":{"y":"3","z":"4"}}]}`, nil},
+	{"null params, then params", `{"tasks":[{"id":"a","params":{"x":"1"},"params":null,"params":{"z":"4"}}]}`, nil},
+	{"integer 1.0", `{"tasks":[{"id":"a","processors":1.0}]}`, errWrongType},
+	{"integer 1e2", `{"tasks":[{"id":"a","memReq":1e2}]}`, errWrongType},
+	{"int64 overflow", `{"tasks":[{"id":"a","outputBytes":9223372036854775808}]}`, errWrongType},
+	{"int64 minimum", `{"tasks":[{"id":"a","memReq":-9223372036854775808}],"links":null}`, nil},
+	{"float 1e400", `{"tasks":[{"id":"a","computeCost":1e400}]}`, errWrongType},
+	{"float 1e2 and underflow", `{"tasks":[{"id":"a","computeCost":1e2},{"id":"b","computeCost":-1e-400}]}`, nil},
+	{"string for an integer", `{"tasks":[{"id":"a","processors":"3"}]}`, errWrongType},
+	{"object for a string", `{"name":{"a":1},"tasks":[{"id":"a"}]}`, errWrongType},
+	{"number for a task", `{"tasks":[1]}`, errWrongType},
+	{"wrong type before a syntax error", `{"tasks":[{"id":5}],"x":}`, errSyntax},
+	{"depth 10000", deepMember(9999), nil},
+	{"depth 10001", deepMember(10000), errSyntax},
+	{"lone high surrogate", `{"tasks":[{"id":"a\ud800"}]}`, nil},
+	{"lone low surrogate", `{"tasks":[{"id":"\udc00x"}]}`, nil},
+	{"high surrogate, then a letter escape", `{"tasks":[{"id":"\ud800\u0041"}]}`, nil},
+	{"surrogate pair", `{"tasks":[{"id":"\ud83d\ude00"}]}`, nil},
+	{"invalid UTF-8", "{\"tasks\":[{\"id\":\"a\xff\xfe\xed\xa0\x80\"}]}", nil},
+	{"invalid UTF-8 key", "{\"tasks\":[{\"id\":\"a\",\"\xff\":1}]}", nil},
+	{"raw control character", "{\"tasks\":[{\"id\":\"a\tb\"}]}", errSyntax},
+	{"invalid escape", `{"tasks":[{"id":"a\'"}]}`, errSyntax},
+	{"trailing data", `{"tasks":[{"id":"a"}]} x`, errSyntax},
+	{"second document", `{"tasks":[{"id":"a"}]}{}`, errSyntax},
+	{"trailing space", "{\"tasks\":[{\"id\":\"a\"}]} \r\n\t", nil},
+	{"empty input", ``, errSyntax},
+	{"only space", " \n", errSyntax},
+	{"top-level null", `null`, ErrEmpty},
+	{"top-level array", `[]`, errWrongType},
+	{"top-level string", `"x"`, errWrongType},
+}
+
+// TestDecodeQuirks holds each quirk document to its verdict on both ingest
+// paths: Decode's typed error and encoding/json's (a *json.SyntaxError for
+// errSyntax, a *json.UnmarshalTypeError for errWrongType), and equal bytes
+// for an accepted document.
+func TestDecodeQuirks(t *testing.T) {
+	for _, c := range quirkDocs {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := Decode([]byte(c.doc))
+			if !errors.Is(err, c.want) || (err == nil) != (g != nil) {
+				t.Fatalf("Decode = %v; want %v", err, c.want)
+			}
+			_, oerr := decodePerLink([]byte(c.doc))
+			if refusalClass(oerr) != refusalClass(c.want) || c.want != errSyntax && c.want != errWrongType && !errors.Is(oerr, c.want) {
+				t.Fatalf("per-link oracle = %v; want %v", oerr, c.want)
+			}
+			checkAgainstPerLink(t, []byte(c.doc))
+		})
+	}
 }
 
 func TestDecodeRefusalsAreTyped(t *testing.T) {
@@ -270,7 +355,10 @@ func TestDecodeRefusesLargeCycleInBoundedTime(t *testing.T) {
 
 var underRace bool // set by race_test.go when the race detector is on
 
-var benchGraph *Graph
+var (
+	benchGraph *Graph
+	benchBytes []byte
+)
 
 // BenchmarkDecode reports ingest cost per task at three sizes, so the slope
 // — linear in the document, not quadratic in its links — is readable.
@@ -285,6 +373,36 @@ func BenchmarkDecode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if benchGraph, err = Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/task")
+		})
+	}
+}
+
+// BenchmarkEncode reports Encode's cost per task on BenchmarkDecode's
+// documents.
+func BenchmarkEncode(b *testing.B) {
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			w := layeredWire(n, 50, 1)
+			tasks := make([]*Task, len(w.Tasks))
+			for i, wt := range w.Tasks {
+				t, err := wt.task()
+				if err != nil {
+					b.Fatal(err)
+				}
+				tasks[i] = t
+			}
+			g, err := Build(w.Name, tasks, w.Links)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchBytes, err = g.Encode(); err != nil {
 					b.Fatal(err)
 				}
 			}

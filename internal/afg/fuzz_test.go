@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -155,34 +156,83 @@ func FuzzGraphIndex(f *testing.F) {
 	})
 }
 
-// typedRefusal reports whether err is one of the refusals ingest may give:
-// one of the package's sentinel errors, or encoding/json's own typed error
-// for bytes that are not a wire document at all.
-func typedRefusal(err error) bool {
+// refusalClass sorts an ingest refusal the way both decoders must agree on
+// it: 1 for bytes that are not JSON, 2 for JSON with a value of the wrong
+// type, 3 for a wire document that is not a graph (which defect of several
+// is named may differ), 0 for anything else — an untyped refusal.
+func refusalClass(err error) int {
+	var syntax *json.SyntaxError
+	var mistyped *json.UnmarshalTypeError
+	switch {
+	case errors.Is(err, errSyntax) || errors.As(err, &syntax):
+		return 1
+	case errors.Is(err, errWrongType) || errors.As(err, &mistyped):
+		return 2
+	}
 	for _, want := range []error{
 		ErrDuplicateTask, ErrUnknownTask, ErrSelfLink, ErrDuplicateLink,
 		ErrCycle, ErrEmpty, ErrPortConflict, errEmptyID, errUnknownMode,
 	} {
 		if errors.Is(err, want) {
-			return true
+			return 3
 		}
 	}
-	var syntax *json.SyntaxError
-	var mistyped *json.UnmarshalTypeError
-	return errors.As(err, &syntax) || errors.As(err, &mistyped)
+	return 0
 }
 
-// FuzzDecode feeds arbitrary bytes to Decode and to the per-link path it
-// replaced (decodePerLink, kept as the oracle). The two must agree on which
-// documents are graphs; an accepted document must encode to the same bytes
-// from both and survive a further round trip unchanged; a refused one must
-// be refused with a typed error by both (which defect of several is named
-// may differ); nothing may panic. Run the smoke in CI with:
+// checkAgainstPerLink holds Decode against the per-link path it replaced
+// (decodePerLink, kept as the oracle, which reads through encoding/json).
+// The two must agree on which documents are graphs; an accepted document
+// must encode to the same bytes from both and survive a further round trip
+// unchanged; a refused one must be refused by both with a typed error of
+// the same class; nothing may panic.
+func checkAgainstPerLink(t *testing.T, data []byte) {
+	t.Helper()
+	g, err := Decode(data)
+	oracle, oerr := decodePerLink(data)
+	if (err == nil) != (oerr == nil) {
+		t.Fatalf("Decode err = %v, per-link err = %v", err, oerr)
+	}
+	if err != nil {
+		if g != nil {
+			t.Fatalf("Decode returned a graph with %v", err)
+		}
+		if c := refusalClass(err); c == 0 || c != refusalClass(oerr) {
+			t.Fatalf("refusals differ in kind: Decode %v, per-link %v", err, oerr)
+		}
+		return
+	}
+	enc, err := g.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if want, err := oracle.Encode(); err != nil || !bytes.Equal(enc, want) {
+		t.Fatalf("bulk and per-link ingest disagree (%v):\n%s\nvs\n%s", err, enc, want)
+	}
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("re-decode: %v", err)
+	}
+	if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
+		t.Fatalf("round trip drifted (%v):\n%s\nvs\n%s", err, again, enc)
+	}
+	if _, err := g.Index(); err != nil {
+		t.Fatalf("Index of an accepted graph: %v", err)
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode and to the per-link oracle
+// (see checkAgainstPerLink). Run the smoke in CI with:
 //
 //	go test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/afg
 func FuzzDecode(f *testing.F) {
 	for _, c := range refusalDocs {
 		f.Add([]byte(c.doc))
+	}
+	for _, c := range quirkDocs {
+		if len(c.doc) < 1000 { // not the 20 kB depth documents
+			f.Add([]byte(c.doc))
+		}
 	}
 	f.Add([]byte(`{"name":"ok","tasks":[{"id":"a","function":"f","mode":"parallel","processors":3,"params":{"n":"4"}},
 		{"id":"b","function":"f","computeCost":1.5},{"id":"c","function":"f"}],
@@ -191,37 +241,110 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"tasks":[{"id":7}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Decode(data)
-		oracle, oerr := decodePerLink(data)
+	f.Fuzz(checkAgainstPerLink)
+}
+
+// wireOf is the wireGraph the encoder before this codec built from g.
+func wireOf(g *Graph) wireGraph {
+	w := wireGraph{Name: g.Name, Links: g.Links()}
+	for _, id := range g.TaskIDs() {
+		t := g.Task(id)
+		w.Tasks = append(w.Tasks, wireTask{
+			ID:          t.ID,
+			Function:    t.Function,
+			Mode:        t.Mode.String(),
+			Processors:  t.Processors,
+			MachineType: t.MachineType,
+			ComputeCost: t.ComputeCost,
+			MemReq:      t.MemReq,
+			OutputBytes: t.OutputBytes,
+			Params:      t.Params,
+		})
+	}
+	return w
+}
+
+// oracleEncode is the Encode this codec replaced, json.MarshalIndent(g)
+// through the old MarshalJSON: json.MarshalIndent over wireOf(g). It stays
+// as the test-only oracle Encode is held against.
+func oracleEncode(g *Graph) ([]byte, error) {
+	return json.MarshalIndent(wireOf(g), "", "  ")
+}
+
+// checkAgainstEncodingJSON holds both faces of the encoder against
+// encoding/json over the same wireGraph: Encode against MarshalIndent and
+// MarshalJSON against Marshal, bytes equal, and a value encoding/json
+// refuses (a NaN or infinite cost) refused by both.
+func checkAgainstEncodingJSON(t *testing.T, g *Graph) {
+	t.Helper()
+	for _, face := range []struct {
+		name      string
+		got, want func() ([]byte, error)
+	}{
+		{"Encode", g.Encode, func() ([]byte, error) { return oracleEncode(g) }},
+		{"MarshalJSON", g.MarshalJSON, func() ([]byte, error) { return json.Marshal(wireOf(g)) }},
+	} {
+		got, err := face.got()
+		want, oerr := face.want()
 		if (err == nil) != (oerr == nil) {
-			t.Fatalf("Decode err = %v, per-link err = %v", err, oerr)
+			t.Fatalf("%s err = %v, encoding/json err = %v", face.name, err, oerr)
 		}
-		if err != nil {
-			if g != nil {
-				t.Fatalf("Decode returned a graph with %v", err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s drifted from encoding/json:\n%q\nvs\n%q", face.name, got, want)
+		}
+	}
+}
+
+// FuzzEncode builds a two-task graph from arbitrary field values — strings
+// with control bytes, invalid UTF-8, U+2028/U+2029 and HTML characters,
+// every float class, any Processors (set after AddTask's floor, so 0 and
+// negatives reach the encoder), params — and holds Encode and MarshalJSON
+// to encoding/json's bytes (checkAgainstEncodingJSON). The encoded
+// document then goes through checkAgainstPerLink, so the decoder sees
+// every string the encoder can write. Run the smoke in CI with:
+//
+//	go test -run=NONE -fuzz=FuzzEncode -fuzztime=10s ./internal/afg
+func FuzzEncode(f *testing.F) {
+	type fields struct {
+		name, id, function, machine string
+		mode                        uint8
+		procs                       int
+		cost                        float64
+		mem, out                    int64
+		key, val, child             string
+		volume                      int64
+		port                        int
+	}
+	for _, c := range []fields{
+		{"g", "a", "f", "", 0, 2, 1.5, 0, 64, "n", "4", "b", 7, 1},
+		{"<&>", "a\x00\x1f\x7f\"\\", "\xff\xfe", "x\xe2\x80\xa8y\xe2\x80\xa9", 1, 0, math.Copysign(0, -1), -1, 1 << 62, "<k>", "\b\f\n\r\t", "\xc5\xbf", -3, -2},
+		{"", "t", "", "", 2, -4, 1e-7, 0, 0, "", "", "t", 0, 0},
+		{"e", "a", "f", "", 0, 1, 1e21, 0, 0, "a", "", "b", 0, 0},
+		{"e", "a", "f", "", 0, 1, 123456789e-20, 0, 0, "", "", "", 0, 0},
+		{"nan", "a", "f", "", 0, 1, math.NaN(), 0, 0, "", "", "b", 0, 0},
+		{"inf", "a", "f", "", 0, 1, math.Inf(1), 0, 0, "", "", "b", 0, 0},
+		{"-inf", "a", "f", "", 0, 1, math.Inf(-1), 0, 0, "", "", "b", 0, 0},
+		{"empty id", "", "f", "", 0, 1, 1, 0, 0, "", "", "", 0, 0},
+	} {
+		f.Add(c.name, c.id, c.function, c.machine, c.mode, c.procs, c.cost, c.mem, c.out, c.key, c.val, c.child, c.volume, c.port)
+	}
+	f.Fuzz(func(t *testing.T, name, id, function, machine string, mode uint8, procs int, cost float64,
+		mem, out int64, key, val, child string, volume int64, port int) {
+		g := New(name)
+		task := &Task{ID: TaskID(id), Function: function, Mode: Mode(mode % 3), MachineType: machine,
+			ComputeCost: cost, MemReq: mem, OutputBytes: out}
+		if key != "" || val != "" {
+			task.Params = map[string]string{key: val, val + "/" + key: key}
+		}
+		if g.AddTask(task) == nil {
+			task.Processors = procs
+			if g.AddTask(&Task{ID: TaskID(child), Function: val, ComputeCost: -cost}) == nil {
+				_ = g.AddLinkExact(Link{From: TaskID(id), To: TaskID(child), Bytes: volume, Port: port})
 			}
-			if !typedRefusal(err) || !typedRefusal(oerr) {
-				t.Fatalf("untyped refusal: Decode %v, per-link %v", err, oerr)
-			}
-			return
 		}
-		enc, err := g.Encode()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if want, err := oracle.Encode(); err != nil || !bytes.Equal(enc, want) {
-			t.Fatalf("bulk and per-link ingest disagree (%v):\n%s\nvs\n%s", err, enc, want)
-		}
-		back, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
-			t.Fatalf("round trip drifted (%v):\n%s\nvs\n%s", err, again, enc)
-		}
-		if _, err := g.Index(); err != nil {
-			t.Fatalf("Index of an accepted graph: %v", err)
+		checkAgainstEncodingJSON(t, g)
+		if data, err := g.Encode(); err == nil {
+			checkAgainstPerLink(t, data)
 		}
 	})
 }

@@ -48,8 +48,10 @@ type Config struct {
 
 	// Replanner names the frontier re-planner this site's executions run
 	// after a mid-execution host failure (scheduler.LookupReplanner name:
-	// "heft", "eft", "dup"). Empty selects "eft"; "off" disables frontier
-	// re-planning so only the per-task Rescheduler path remains.
+	// "heft" or "eft"). Empty selects "eft"; "off" disables frontier
+	// re-planning so only the per-task Rescheduler path remains. "dup" is
+	// refused: its hedges are duplicate runs, and live execution runs
+	// none, so it would re-plan exactly as "eft" does.
 	Replanner string
 }
 
@@ -105,6 +107,9 @@ func NewManager(siteName string, pool *resource.Pool, nw *netsim.Network, reg *t
 	}
 	if cfg.Replanner == "" {
 		cfg.Replanner = "eft"
+	}
+	if cfg.Replanner == "dup" {
+		return nil, fmt.Errorf(`site %s: re-planner "dup" hedges with duplicate runs, and live execution runs no hedges; use "eft", the same re-plan without them`, siteName)
 	}
 	m := &Manager{
 		Site:     siteName,
