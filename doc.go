@@ -64,7 +64,11 @@
 // FIFOPriority the constant key) and sorts them once, the Fig 4 multicast
 // hands that order to every in-process site's Fig 5 walk — the same walk
 // LocalSelector.SelectHosts serves to RPC peers as an id-keyed map — and
-// the ready heap reads the same keys.
+// the ready heap reads the same keys. Every earliest-finish policy places
+// through one kernel (the scheduler's placement): heft and cpop over the
+// per-host cost matrix, eft and ledger over the sites' Fig 5 offers, all on
+// one ready walk, and under one ledger rule — no task starts on a host
+// before the seconds other applications hold there in the shared ledger.
 // Invariants: dense indices follow ascending TaskID order (index
 // tie-breaks equal id tie-breaks), arc transfer volumes are resolved when
 // the index is built (task cost metadata is frozen during scheduling), and

@@ -207,20 +207,6 @@ func TestHotAllocBudgets(t *testing.T) {
 		}},
 		{"heftPolicy.Schedule", []string{"heftPolicy.Schedule"}, schedule("heft")},
 		{"cpopPolicy.Schedule", []string{"cpopPolicy.Schedule"}, schedule("cpop")},
-		{"scheduleAvailabilityAware under a ledger", []string{"siteScheduler.scheduleAvailabilityAware"}, func(t *testing.T) float64 {
-			s := &siteScheduler{req: req, avail: true, ledger: NewLoadLedger()}
-			results, err := multicast(ix, req, func(ls *LocalSelector, r *siteResult) {
-				r.choices, r.err = ls.selectHostsDense(ix, order, true, s.ledger)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return warmAllocs(func() {
-				if _, err := s.scheduleAvailabilityAware(ix, keys, results); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}},
 		{"selectHostsDense", []string{"LocalSelector.selectHostsDense"}, func(t *testing.T) float64 {
 			sel := req.Local.(*LocalSelector)
 			return warmAllocs(func() {

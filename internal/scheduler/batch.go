@@ -33,13 +33,14 @@ type Batch struct {
 	// network, Config. Its Graph field is ignored. A non-nil
 	// Env.Config.Ledger is the shared cross-application load ledger
 	// threaded through every Schedule call (forcing availability-aware
-	// placement for the site policies; HEFT/CPOP seed their host timelines
-	// with it): each graph's walk sees the predicted busy time the batch's
-	// other graphs have already placed per host, so the batch spreads
-	// instead of every graph dog-piling the same machines. The resulting
-	// tables then depend on completion order when Workers > 1 —
-	// cross-application awareness trades away the ledger-free mode's
-	// worker-count invariance.
+	// placement for the site policies). Every policy that places through
+	// the earliest-finish kernel — eft, ledger, heft, cpop — reads it live,
+	// once per task, and reserves each commit in it: each graph's walk sees
+	// the predicted busy time the batch's other graphs have placed per
+	// host so far, so the batch spreads instead of every graph dog-piling
+	// the same machines. The resulting tables then depend on completion
+	// order when Workers > 1 — cross-application awareness trades away the
+	// ledger-free mode's worker-count invariance.
 	Env Request
 	// Workers bounds concurrent Schedule calls (0 = GOMAXPROCS, 1 =
 	// serial — the baseline the scale benchmark compares against).
@@ -51,9 +52,8 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 	items := make([]BatchItem, len(graphs))
 	env := b.Env
 	// The "ledger" policy exists to share placements ACROSS a batch;
-	// without a caller-supplied ledger it would mint a private one per
-	// graph and degenerate to plain EFT, so the batch supplies the shared
-	// one itself.
+	// without a caller-supplied ledger it is plain eft, so the batch
+	// supplies the shared one itself.
 	if env.Config.Ledger == nil && b.Policy.Name() == "ledger" {
 		env.Config.Ledger = NewLoadLedger()
 	}

@@ -30,7 +30,8 @@ type HostRef struct {
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best
-// offer per task sits in the site block's fallback slice instead.
+// offer per task sits in the site block's fallback slice instead. An
+// earliest-finish site walk's matrix is all fallback blocks (offerMatrix).
 type CostMatrix struct {
 	ix     *afg.Index
 	hosts  []HostRef
@@ -115,6 +116,16 @@ func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratc
 			cm.blocks = append(cm.blocks, siteBlock{name: h.Site, col0: int32(c)})
 		}
 		cm.blocks[len(cm.blocks)-1].col1 = int32(c + 1)
+	}
+	return cm
+}
+
+// offerMatrix is the cost matrix of an earliest-finish site walk: no
+// columns, and each site a fallback block holding its Fig 5 offers.
+func offerMatrix(ix *afg.Index, results []siteResult) *CostMatrix {
+	cm := &CostMatrix{ix: ix, blocks: make([]siteBlock, len(results))}
+	for i, r := range results {
+		cm.blocks[i] = siteBlock{name: r.name, fallback: r.choices}
 	}
 	return cm
 }

@@ -151,16 +151,19 @@ func TestDenseCPOPMatchesOracle(t *testing.T) {
 	}
 }
 
-// The HEFT ledger path: timelines seeded from shared cross-application
-// reservations must seed identically in the dense rewrite.
+// The HEFT ledger path: a serial sequence of applications threaded
+// through one shared ledger must wait out the same cross-application
+// reservations in the dense kernel as in the oracle.
 func TestDenseHEFTWithLedgerMatchesOracle(t *testing.T) {
 	p, err := Lookup("heft")
 	if err != nil {
 		t.Fatal(err)
 	}
 	denseLedger, oracleLedger := NewLoadLedger(), NewLoadLedger()
+	var repos map[string]*repository.Repository
 	for seed := int64(1); seed <= 3; seed++ {
-		req, _, _ := equivEnv(t, 2)
+		var req *Request
+		req, repos, _ = equivEnv(t, 2)
 		req.Graph = equivGraph(t, 60, 6, seed)
 
 		req.Config.Ledger = denseLedger
@@ -176,13 +179,19 @@ func TestDenseHEFTWithLedgerMatchesOracle(t *testing.T) {
 		tablesEqual(t, fmt.Sprintf("heft+ledger seed %d", seed), dense, want)
 	}
 	// Both sequences reserved identical schedules, so the ledgers agree.
-	ds, os := denseLedger.Snapshot(), oracleLedger.Snapshot()
-	if len(ds) != len(os) {
-		t.Fatalf("ledger snapshots diverge: %v vs %v", ds, os)
-	}
-	for h, b := range os {
-		if ds[h] != b {
-			t.Fatalf("ledger busy diverges on %s: %v vs %v", h, ds[h], b)
+	ledgersEqual(t, repos, denseLedger, oracleLedger)
+}
+
+// ledgersEqual fails unless two ledgers hold bit-identical busy seconds on
+// every host of repos.
+func ledgersEqual(t *testing.T, repos map[string]*repository.Repository, got, want *LoadLedger) {
+	t.Helper()
+	for _, repo := range repos {
+		for _, rec := range repo.Resources.List() {
+			h := rec.Static.HostName
+			if g, w := got.Busy(h), want.Busy(h); g != w {
+				t.Fatalf("ledger busy diverges on %s: %v vs %v", h, g, w)
+			}
 		}
 	}
 }
@@ -235,7 +244,7 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	denseLedger, oracleLedger := NewLoadLedger(), NewLoadLedger()
-	req, _, _ := equivEnv(t, 3)
+	req, repos, _ := equivEnv(t, 3)
 	req.Config.Concurrency = 1
 	for seed := int64(1); seed <= 4; seed++ {
 		req.Graph = equivGraph(t, 80, 10, seed)
@@ -251,12 +260,7 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 		}
 		tablesEqual(t, fmt.Sprintf("ledger app %d", seed), dense, want)
 	}
-	ds, os := denseLedger.Snapshot(), oracleLedger.Snapshot()
-	for h, b := range os {
-		if ds[h] != b {
-			t.Fatalf("ledger busy diverges on %s: %v vs %v", h, ds[h], b)
-		}
-	}
+	ledgersEqual(t, repos, denseLedger, oracleLedger)
 }
 
 // Two sites exposing the SAME host name must share one timeline — the

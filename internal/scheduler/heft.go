@@ -30,8 +30,10 @@ import (
 // graph's dense Index, and host timelines find insertion gaps by binary
 // search. The original map-keyed implementations are retained in
 // oracle_test.go; equivalence tests prove the dense paths produce
-// identical allocation tables. The frontier re-planners (resched.go) are
-// strategies over the same placement state, started from a settled set.
+// identical allocation tables. placement below is the package's one
+// earliest-finish kernel: the eft-family site policies (site.go) place
+// through it over their Fig 5 offers, and the frontier re-planners
+// (resched.go) are strategies over it, started from a settled set.
 
 // commModel is the environment-average communication cost the rank
 // computations use (the classic HEFT "average transfer rate" treatment):
@@ -152,9 +154,12 @@ type span struct {
 	start, end float64
 }
 
-// timeline is one host's reserved intervals, sorted by start and disjoint.
+// timeline is one host's reserved intervals, sorted by start and disjoint,
+// plus the busy seconds the walk placing on it has reserved there in the
+// shared ledger.
 type timeline struct {
 	busy []span
+	own  float64
 }
 
 // earliest returns the insertion-based earliest start at or after ready
@@ -187,30 +192,35 @@ func (t *timeline) end() float64 {
 	return 0
 }
 
-// add reserves [start, end), keeping the interval list sorted.
+// add reserves [start, end), keeping the interval list sorted; a span
+// goes after any that start at the same time, so an append-only line's last
+// span is always its latest.
 func (t *timeline) add(start, end float64) {
-	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].start >= start })
+	i := sort.Search(len(t.busy), func(i int) bool { return t.busy[i].start > start })
 	t.busy = append(t.busy, span{})
 	copy(t.busy[i+1:], t.busy[i:])
 	t.busy[i] = span{start, end}
 }
 
-// placement is the package's one earliest-finish placement state — HEFT,
-// CPOP and the frontier re-planners all place through it — slice-indexed
-// end to end: per-host-column timelines (seeded from one bulk ledger
-// snapshot, or from the settled set of a running application), per-task
+// placement is the package's one earliest-finish kernel — heft, cpop, the
+// eft-family site policies and the frontier re-planners all place through
+// it — slice-indexed end to end: per-host-column timelines (empty, or
+// seeded from the settled set of a running application), per-task
 // estimated finishes and assigned host sets by dense task index, and the
 // allocation table under construction. Hosts outside the matrix — a
-// fallback site's opaque choices, the down machines a settled task still
-// sits on — get map-keyed overflow timelines. The zero strategy fields are
-// planning from scratch; only this package's re-planners set them.
+// fallback site's offers, the down machines a settled task still sits on —
+// get lines appended after the columns. With a shared ledger, no task
+// starts on a host before the work other applications hold there has run
+// (floor), and every commit reserves its prediction on each of its hosts.
+// The zero strategy fields are planning from scratch; only this package's
+// re-planners set them.
 type placement struct {
 	cm    *CostMatrix
 	net   *netsim.Network
-	ledg  *LoadLedger
-	lines []timeline
-	canon []int32 // column -> canonical column for its host NAME
-	extra map[string]*timeline
+	view  *LedgerView      // the shared ledger, refreshed once per task; nil = none
+	lines []timeline       // per column (canonical ones used), then per host outside the matrix
+	canon []int32          // column -> canonical column for its host NAME
+	extra map[string]int32 // host outside the matrix -> its line
 
 	placed []bool // task is settled or committed; gates finish/site/hosts
 	finish []float64
@@ -222,7 +232,7 @@ type placement struct {
 	singleHost bool             // place a parallel-mode task on one host (its machine set broke)
 	prior      *AllocationTable // the committed table under repair: where keep finds a task's current hosts
 
-	choiceBuf []Choice // scratch for the parallel placement path
+	choiceBuf []Choice // one site's candidates for a parallel-mode task
 
 	// hostSlab backs the committed single-host sets. It is schedule
 	// OUTPUT — the carved sets escape into the allocation table — so it is
@@ -241,6 +251,7 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
 	sc.canon = grow(sc.canon, len(cm.hosts))
+	clear(sc.lineOf)
 	sc.placed = growZero(sc.placed, n)     // false = unplaced marker must reset
 	sc.finish = grow(sc.finish, n)         // gated by placed before reads
 	sc.siteOf = grow(sc.siteOf, n)         // gated by placed before reads
@@ -249,16 +260,16 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	p := &placement{
 		cm:          cm,
 		net:         net,
-		ledg:        ledger,
+		view:        ledger.View(),
 		lines:       sc.lines,
 		canon:       sc.canon,
+		extra:       sc.lineOf,
 		placed:      sc.placed,
 		finish:      sc.finish,
 		site:        sc.siteOf,
 		hosts:       sc.hostSets,
 		table:       NewAllocationTableSized(app, n),
 		choiceBuf:   sc.choiceBuf,
-		hostSlab:    make([]string, n),
 		blockReady:  sc.blockReady,
 		parentHosts: sc.parentHosts,
 	}
@@ -268,41 +279,31 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	for c := range p.canon {
 		p.canon[c] = p.cm.col[cm.hosts[c].Host]
 	}
-	if ledger != nil {
-		view := ledger.View()
-		view.Refresh()
-		for c := range p.lines {
-			if int32(c) != p.canon[c] {
-				continue
-			}
-			if busy := view.Busy(cm.hosts[c].Host); busy > 0 {
-				p.lines[c].busy = append(p.lines[c].busy, span{0, busy})
-			}
-		}
-	}
 	return p
 }
 
-// line resolves a host name to its timeline: the dense column when the
-// matrix knows the host, a lazily created overflow line otherwise.
+// line resolves a host name to its timeline: the canonical column's when
+// the matrix knows the host, else one appended after the columns on first
+// use. The pointer is good until the next line call, which may move lines.
 func (p *placement) line(host string) *timeline {
 	if c, ok := p.cm.col[host]; ok {
 		return &p.lines[c]
 	}
-	t, ok := p.extra[host]
+	c, ok := p.extra[host]
 	if !ok {
-		t = &timeline{}
-		if p.ledg != nil {
-			if busy := p.ledg.Busy(host); busy > 0 {
-				t.busy = append(t.busy, span{0, busy})
-			}
+		c = int32(len(p.lines))
+		if len(p.lines) < cap(p.lines) {
+			p.lines = p.lines[:c+1]
+			p.lines[c] = timeline{busy: p.lines[c].busy[:0]}
+		} else {
+			p.lines = append(p.lines, timeline{})
 		}
 		if p.extra == nil {
-			p.extra = map[string]*timeline{}
+			p.extra = map[string]int32{}
 		}
-		p.extra[host] = t
+		p.extra[host] = c
 	}
-	return t
+	return &p.lines[c]
 }
 
 // releaseScratch hands the placement's pooled buffers back to sc so any
@@ -311,7 +312,7 @@ func (p *placement) line(host string) *timeline {
 // matrix (a CostCache may share it); a re-plan's lazy one is scratch. Call
 // before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
-	sc.lines, sc.canon = p.lines, p.canon
+	sc.lines, sc.canon, sc.lineOf = p.lines, p.canon, p.extra
 	sc.placed, sc.finish, sc.siteOf, sc.hostSets = p.placed, p.finish, p.site, p.hosts
 	sc.blockReady, sc.parentHosts = p.blockReady, p.parentHosts
 	sc.choiceBuf = p.choiceBuf
@@ -354,7 +355,11 @@ func (p *placement) readyAt(t int, site string, hosts []string) float64 {
 // once per (task, host) — O(S·P) against the former O(H·P) — which
 // profiled far better at 1000 hosts than an indexed O(log H) structure,
 // whose per-host heterogeneous ready times defeat any shared ordering.
+// A matrix without columns (a site walk's offers) has nothing to memoise.
 func (p *placement) prepReady(t int) {
+	if len(p.cm.hosts) == 0 {
+		return
+	}
 	p.parentHosts = p.parentHosts[:0]
 	for _, a := range p.cm.ix.Parents(t) {
 		if a.Bytes > 0 && p.placed[a.Peer] {
@@ -379,10 +384,33 @@ func hostIn(hosts []string, h string) bool {
 	return false
 }
 
-// startOn is the strategy's start rule on one host line: the first idle
-// gap at or after ready that fits dur (insertion), or, append-only, the
-// later of ready and the line's last reservation.
-func (p *placement) startOn(l *timeline, ready, dur float64) float64 {
+// floor is the kernel's ledger rule: with a shared ledger, host h (whose
+// line is l) is busy until the work other applications hold on it has run —
+// its viewed busy seconds less what this walk reserved there itself.
+func (p *placement) floor(h string, l *timeline) float64 {
+	if p.view == nil {
+		return 0
+	}
+	return p.view.Busy(h) - l.own
+}
+
+// free is when host h can take work appended to it: after its last
+// reservation and its ledger floor.
+func (p *placement) free(h string) float64 {
+	l := p.line(h)
+	if f := p.floor(h, l); f > l.end() {
+		return f
+	}
+	return l.end()
+}
+
+// startOn is the strategy's start rule on host h, whose line is l: never
+// before ready or the host's ledger floor, then the first idle gap that
+// fits dur (insertion) or, append-only, after the line's last reservation.
+func (p *placement) startOn(h string, l *timeline, ready, dur float64) float64 {
+	if f := p.floor(h, l); f > ready {
+		ready = f
+	}
 	if !p.appendOnly {
 		return l.earliest(ready, dur)
 	}
@@ -392,23 +420,35 @@ func (p *placement) startOn(l *timeline, ready, dur float64) float64 {
 	return ready
 }
 
+// after is the machine-set start rule: once the data is ready and every
+// member is free — appended, because idle gaps rarely align across a set.
+func (p *placement) after(hosts []string, ready float64) float64 {
+	for _, h := range hosts {
+		if f := p.free(h); f > ready {
+			ready = f
+		}
+	}
+	return ready
+}
+
 // place schedules one task on the candidate minimising earliest finish
 // time under the strategy's start rule, walking the matrix row in
-// deterministic site/host order. restrict, when non-nil, limits the hosts
-// considered (CPOP's critical-path pinning); if it excludes every
-// candidate, placement retries unrestricted rather than failing the
-// application.
+// deterministic site/host order: every eligible column host (for a
+// parallel-mode task, one machine set per site), and every fallback site's
+// offer with its host set as offered. The ledger view is refreshed first,
+// once per task. restrict, when non-nil, limits the hosts considered
+// (CPOP's critical-path pinning); if it excludes every candidate,
+// placement retries unrestricted rather than failing the application.
 func (p *placement) place(t int, restrict map[string]bool) error {
 	task := p.cm.ix.Task(t)
-	if task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost {
-		return p.placeParallel(t, task, restrict)
-	}
+	set := task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost
+	p.view.Refresh()
+	p.prepReady(t)
 	var best Choice
 	var bestStart float64
 	bestFinish := math.Inf(1)
 	found := false
 	var hostBuf [1]string
-	p.prepReady(t)
 	row := p.cm.row(t)
 	for bi, b := range p.cm.blocks {
 		if b.fallback != nil {
@@ -416,11 +456,25 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			if c.Host == "" || (restrict != nil && !restrict[c.Host]) {
 				continue
 			}
-			hostBuf[0] = c.Host
-			ready := p.readyAt(t, c.Site, hostBuf[:])
-			start := p.startOn(p.line(c.Host), ready, c.Predicted)
-			p.consider(&best, &bestStart, &bestFinish, &found,
-				Choice{Site: c.Site, Host: c.Host, Predicted: c.Predicted}, start)
+			hosts := c.Hosts
+			if len(hosts) == 0 {
+				hostBuf[0] = c.Host
+				hosts = hostBuf[:]
+			}
+			ready := p.readyAt(t, c.Site, hosts)
+			var start float64
+			if len(hosts) == 1 && !set {
+				start = p.startOn(c.Host, p.line(c.Host), ready, c.Predicted)
+			} else {
+				start = p.after(hosts, ready)
+			}
+			p.consider(&best, &bestStart, &bestFinish, &found, c, start)
+			continue
+		}
+		if set {
+			if c, start, ok := p.machineSet(t, task.Processors, b, row, restrict); ok {
+				p.consider(&best, &bestStart, &bestFinish, &found, c, start)
+			}
 			continue
 		}
 		base := p.blockReady[bi]
@@ -438,7 +492,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 				hostBuf[0] = host
 				ready = p.readyAt(t, b.name, hostBuf[:])
 			}
-			start := p.startOn(&p.lines[p.canon[col]], ready, pr)
+			start := p.startOn(host, &p.lines[p.canon[col]], ready, pr)
 			p.consider(&best, &bestStart, &bestFinish, &found,
 				Choice{Site: b.name, Host: host, Predicted: pr}, start)
 		}
@@ -449,12 +503,18 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 		}
 		return fmt.Errorf("%w: %q", ErrNoEligibleHost, p.cm.ix.ID(t))
 	}
-	// The committed host set is carved from hostSlab (schedule output; see
-	// the placement struct): a full-capacity reslice, so the set can never
-	// grow into its neighbour.
-	hosts := p.hostSlab[:1:1]
-	p.hostSlab = p.hostSlab[1:]
-	hosts[0] = best.Host
+	hosts := best.Hosts
+	if len(hosts) == 0 {
+		// A one-host set is carved from hostSlab (schedule output; see the
+		// placement struct), allocated on the first carve: a full-capacity
+		// reslice, so the set can never grow into its neighbour.
+		if len(p.hostSlab) == 0 {
+			p.hostSlab = make([]string, p.cm.ix.Len())
+		}
+		hosts = p.hostSlab[:1:1]
+		p.hostSlab = p.hostSlab[1:]
+		hosts[0] = best.Host
+	}
 	p.commit(t, Assignment{
 		Task:      p.cm.ix.ID(t),
 		Site:      best.Site,
@@ -478,78 +538,56 @@ func (p *placement) consider(best *Choice, bestStart, bestFinish *float64, found
 	}
 }
 
-// placeParallel handles parallel-mode tasks: within each candidate site,
-// take the task.Processors hosts that free up earliest (appending after
-// their last reservation — gaps rarely align across a whole machine set),
-// charge the slowest member's prediction split n ways, and pick the site
-// with the earliest finish.
-func (p *placement) placeParallel(t int, task *afg.Task, restrict map[string]bool) error {
-	p.choiceBuf = p.cm.choices(t, p.choiceBuf[:0])
-	cands := p.choiceBuf
-	bySite := map[string][]Choice{}
-	var siteNames []string
-	for _, c := range cands {
-		if restrict != nil && !restrict[c.Host] {
-			continue
-		}
-		if _, ok := bySite[c.Site]; !ok {
-			siteNames = append(siteNames, c.Site)
-		}
-		bySite[c.Site] = append(bySite[c.Site], c)
-	}
-	if len(bySite) == 0 {
-		if restrict != nil {
-			return p.placeParallel(t, task, nil)
-		}
-		return fmt.Errorf("%w: %q", ErrNoEligibleHost, p.cm.ix.ID(t))
-	}
-	sort.Strings(siteNames)
-
-	var bestAssign Assignment
-	var bestStart float64
-	bestFinish := math.Inf(1)
-	for _, site := range siteNames {
-		group := bySite[site]
-		n := task.Processors
-		if n > len(group) {
-			n = len(group)
-		}
-		// Earliest-freeing hosts first; host name breaks ties.
-		sort.Slice(group, func(i, j int) bool {
-			ei, ej := p.line(group[i].Host).end(), p.line(group[j].Host).end()
-			if ei != ej {
-				return ei < ej
-			}
-			return group[i].Host < group[j].Host
-		})
-		chosen := group[:n]
-		hosts := make([]string, n)
-		var maxPred, free float64
-		for i, c := range chosen {
-			hosts[i] = c.Host
-			if c.Predicted > maxPred {
-				maxPred = c.Predicted
-			}
-			if e := p.line(c.Host).end(); e > free {
-				free = e
+// machineSet is a parallel-mode task's candidate at column block b: the
+// task.Processors eligible hosts that free up earliest (host name on ties),
+// charged the slowest member's prediction split n ways. ok is false when
+// restrict leaves the block no host.
+func (p *placement) machineSet(t, n int, b siteBlock, row []float64, restrict map[string]bool) (c Choice, start float64, ok bool) {
+	group := p.choiceBuf[:0]
+	for col := b.col0; col < b.col1; col++ {
+		if pr := row[col]; !math.IsNaN(pr) {
+			if host := p.cm.hosts[col].Host; restrict == nil || restrict[host] {
+				group = append(group, Choice{Host: host, Predicted: pr})
 			}
 		}
-		pred := maxPred / float64(n)
-		start := math.Max(p.readyAt(t, site, hosts), free)
-		fin := start + pred
-		if fin < bestFinish || (fin == bestFinish && site < bestAssign.Site) {
-			bestAssign = Assignment{Task: p.cm.ix.ID(t), Site: site, Host: hosts[0], Hosts: hosts, Predicted: pred}
-			bestStart, bestFinish = start, fin
+	}
+	p.choiceBuf = group
+	if len(group) == 0 {
+		return Choice{}, 0, false
+	}
+	if n > len(group) {
+		n = len(group)
+	}
+	sort.Slice(group, func(i, j int) bool {
+		ei, ej := p.free(group[i].Host), p.free(group[j].Host)
+		if ei != ej {
+			return ei < ej
+		}
+		return group[i].Host < group[j].Host
+	})
+	hosts := make([]string, n)
+	var maxPred float64
+	for i, g := range group[:n] {
+		hosts[i] = g.Host
+		if g.Predicted > maxPred {
+			maxPred = g.Predicted
 		}
 	}
-	p.commit(t, bestAssign, bestStart, bestFinish)
-	return nil
+	c = Choice{Site: b.name, Host: hosts[0], Hosts: hosts, Predicted: maxPred / float64(n)}
+	return c, p.after(hosts, p.readyAt(t, b.name, hosts)), true
 }
 
+// commit enters a's assignment and reserves [start, fin) on each of its
+// hosts — with a shared ledger, a's prediction per host there as well.
 func (p *placement) commit(t int, a Assignment, start, fin float64) {
 	p.record(t, a, fin)
 	for _, h := range p.hosts[t] {
-		p.line(h).add(start, fin)
+		l := p.line(h)
+		l.add(start, fin)
+		if p.view != nil {
+			p.view.Reserve(h, a.Predicted)
+			l.own += a.Predicted
+		}
 	}
 }
 
@@ -563,10 +601,32 @@ func (p *placement) record(t int, a Assignment, fin float64) {
 	p.hosts[t] = effectiveHosts(a)
 }
 
+// done ends a walk: its table or, when the walk failed, err — after every
+// second the walk reserved in the shared ledger has been released.
+func (p *placement) done(err error) (*AllocationTable, error) {
+	if err == nil {
+		return p.table, nil
+	}
+	if p.view != nil {
+		for t, ok := range p.placed {
+			if !ok {
+				continue
+			}
+			for _, h := range p.hosts[t] {
+				if l := p.line(h); l.own != 0 {
+					p.view.l.Release(h, l.own)
+					l.own = 0
+				}
+			}
+		}
+	}
+	return nil, err
+}
+
 // settle enters a task that has already started (finished at fin, or
 // running and expected to finish then): its assignment is copied verbatim
 // and every host it occupies is held busy from 0 to the latest settled
-// finish on it — one span per line, the shape a ledger snapshot seeds.
+// finish on it, as one span per line.
 func (p *placement) settle(t int, a Assignment, fin float64) {
 	p.record(t, a, fin)
 	for _, h := range p.hosts[t] {
@@ -620,6 +680,18 @@ func (p *placement) placeAll(ctx context.Context, order []int32, stay []bool) er
 	return nil
 }
 
+// placeReady places every task in ready-set priority order over keys (see
+// readyWalk); the tasks pinned marks (nil = none) go to the pin hosts when
+// they can — CPOP's critical path.
+func (p *placement) placeReady(ctx context.Context, keys []float64, pinned []bool, pin map[string]bool, sc *scratch) error {
+	return readyWalk(ctx, p.cm.ix, keys, sc, func(t int) error {
+		if pinned != nil && pinned[t] {
+			return p.place(t, pin)
+		}
+		return p.place(t, nil)
+	})
+}
+
 // heftPass is HEFT over the movable part of an application: upward ranks
 // over the subgraph front marks (nil = every task), then rank-descending
 // earliest-finish placement of it, the tasks in stay excepted. The heft
@@ -629,21 +701,6 @@ func heftPass(ctx context.Context, p *placement, c commModel, front, stay []bool
 	sc.rankU = upwardRanks(p.cm, c, front, sc.rankU)
 	sc.order = rankOrderDesc(sc.rankU, front, sc.order)
 	return p.placeAll(ctx, sc.order, stay)
-}
-
-// reserveLedger records the finished schedule's predicted busy seconds in
-// the shared ledger, so concurrent applications in the same batch spread
-// around this one. Done once, after the whole schedule succeeds.
-func (p *placement) reserveLedger() {
-	if p.ledg == nil {
-		return
-	}
-	for _, id := range p.table.Order() {
-		a, _ := p.table.Get(id)
-		for _, h := range effectiveHosts(a) {
-			p.ledg.Reserve(h, a.Predicted)
-		}
-	}
 }
 
 // densePrep validates the graph and assembles the dense inputs shared by
@@ -683,11 +740,7 @@ func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	defer sc.release()
 	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
-	if err := heftPass(ctx, p, c, nil, nil, sc); err != nil {
-		return nil, err
-	}
-	p.reserveLedger()
-	return p.table, nil
+	return p.done(heftPass(ctx, p, c, nil, nil, sc))
 }
 
 // cpopPolicy is the registered "cpop" policy.
@@ -715,51 +768,12 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	for i := range prio {
 		prio[i] += sc.rankD[i]
 	}
-
 	sc.cp = criticalPath(ix, prio, sc.cp)
-	cp := sc.cp
-	restrict := criticalHost(cm, cp)
+	restrict := criticalHost(cm, sc.cp)
 
 	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
-	n := ix.Len()
-	sc.pending = grow(sc.pending, n) // fully written by the init loop below
-	pending := sc.pending
-	// One entry per task ever enters the heap; capacity n keeps Push
-	// growth-free.
-	sc.heap = grow(sc.heap, n)
-	ready := prioHeap(sc.heap[:0])
-	for i := 0; i < n; i++ {
-		pending[i] = int32(ix.NumParents(i))
-		if pending[i] == 0 {
-			ready = append(ready, prioItem{prio[i], int32(i)})
-		}
-	}
-	ready.Init()
-	for done := 0; done < n; done++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(ready) == 0 {
-			return nil, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", n-done)
-		}
-		t := int(ready.Pop().idx)
-		var pin map[string]bool
-		if cp[t] {
-			pin = restrict
-		}
-		if err := p.place(t, pin); err != nil {
-			return nil, err
-		}
-		for _, a := range ix.Children(t) {
-			pending[a.Peer]--
-			if pending[a.Peer] == 0 {
-				ready.Push(prioItem{prio[a.Peer], a.Peer})
-			}
-		}
-	}
-	p.reserveLedger()
-	return p.table, nil
+	return p.done(p.placeReady(ctx, prio, sc.cp, restrict, sc))
 }
 
 // criticalPath walks one maximum-priority chain from the highest-priority

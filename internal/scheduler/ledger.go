@@ -10,29 +10,31 @@ import (
 // for every host it tracks the predicted busy seconds of tasks that have
 // been scheduled onto it but not (as far as the scheduler knows) finished.
 // One ledger threaded through a scheduler.Batch lets concurrent application
-// flow graphs see each other's placements during the availability-aware
-// walk, instead of every walk independently dog-piling the same best
-// machines.
+// flow graphs see each other's placements, instead of every walk
+// independently dog-piling the same best machines.
 //
 // The ledger is an estimate, not a clock: Busy(h) answers "how many seconds
-// of already-promised work stand between now and h being free", which the
-// availability-aware walk folds into its earliest-finish-time objective.
+// of already-promised work stand between now and h being free". The
+// package's one earliest-finish kernel (heft.go's placement, behind eft,
+// ledger, heft and cpop) reads it through a LedgerView refreshed once per
+// task: no task starts on h before the seconds other applications hold
+// there, and every commit reserves its prediction on each of its hosts.
 //
 // Concurrency: the host map is sharded across independently locked stripes
 // (hosts hash to stripes by name), so concurrent Reserve/Busy traffic from
 // parallel Schedule goroutines contends only when two walks touch hosts on
 // the same stripe — not on one global mutex. A monotonic version counter
-// advances on every mutation; View/Refresh use it to serve bulk snapshots
-// ("what is every host's busy time right now?") without re-reading the
-// stripes when nothing changed.
+// advances on every mutation; LedgerView.Refresh uses it to serve bulk
+// snapshots ("what is every host's busy time right now?") without
+// re-reading the stripes when nothing changed.
 //
-// Lifecycle: the built-in users (Batch.Ledger, site.Manager's SharedLedger
-// batches) create one ledger per batch and discard it afterwards —
+// Lifecycle: the built-in users (Batch for the "ledger" policy,
+// site.Manager's SharedLedger batches) create one ledger per batch and discard it afterwards —
 // reservations only need to outlive the scheduling episode they coordinate.
-// An owner holding a ledger across episodes must release completed or
-// abandoned work itself (Release / ReleaseTable); nothing in the runtime
-// does so automatically, and unreleased reservations accumulate until
-// every host looks equally busy.
+// A walk that fails releases what it reserved; an owner holding a ledger
+// across episodes must release completed work itself (Release). Nothing in
+// the runtime does so automatically, and unreleased reservations accumulate
+// until every host looks equally busy.
 type LoadLedger struct {
 	version atomic.Uint64
 	shards  [ledgerShards]ledgerShard
@@ -100,36 +102,9 @@ func (l *LoadLedger) Busy(host string) float64 {
 	return s.busy[host]
 }
 
-// ReleaseTable releases every assignment of a completed (or abandoned)
-// application: each occupied host gives back the predicted duration the
-// availability-aware walk reserved on it. Releases run in assignment
-// order — several tasks can share a host, and the busy value is a float
-// sum, so the subtraction order must be deterministic.
-func (l *LoadLedger) ReleaseTable(t *AllocationTable) {
-	if t == nil {
-		return
-	}
-	for _, id := range t.Order() {
-		a, ok := t.Entries[id]
-		if !ok {
-			continue
-		}
-		for _, h := range effectiveHosts(a) {
-			l.Release(h, a.Predicted)
-		}
-	}
-}
-
-// Snapshot copies the current host -> busy-seconds map (diagnostics and
-// experiment reporting). The copy is not atomic across shards: concurrent
-// mutations may land in some shards and not others — the same estimate
-// semantics per-host reads always had.
-func (l *LoadLedger) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	l.snapshotInto(out)
-	return out
-}
-
+// snapshotInto copies every host's busy seconds into dst. The copy is not
+// atomic across shards: concurrent mutations may land in some shards and
+// not others — the same estimate semantics per-host reads always had.
 func (l *LoadLedger) snapshotInto(dst map[string]float64) {
 	for i := range l.shards {
 		s := &l.shards[i]
@@ -141,16 +116,13 @@ func (l *LoadLedger) snapshotInto(dst map[string]float64) {
 	}
 }
 
-// Version returns the mutation counter: it advances on every Reserve and
-// Release, so equal versions bracket an unchanged ledger.
-func (l *LoadLedger) Version() uint64 { return l.version.Load() }
-
 // LedgerView is a bulk read-side cache over a ledger: one snapshot of every
 // host's busy seconds, revalidated against the ledger's version counter.
-// The EFT walk refreshes its view once per task and then reads candidates
-// lock-free, instead of taking a ledger lock per (task, candidate) probe.
-// A view expecting its own writes (the walk reserves as it places) absorbs
-// them via its Reserve method, so a serial walk never re-snapshots.
+// The earliest-finish kernel refreshes its view once per task and then
+// reads candidates lock-free, instead of taking a ledger lock per (task,
+// candidate) probe. A view expecting its own writes (the walk reserves as
+// it places) absorbs them via its Reserve method, so a serial walk never
+// re-snapshots.
 //
 // Views are single-goroutine; each walk owns its own.
 type LedgerView struct {

@@ -43,19 +43,19 @@ func TestLedgerViewTracksOwnAndForeignWrites(t *testing.T) {
 // Version advances on every mutation and is stable across reads.
 func TestLedgerVersionAdvancesOnMutation(t *testing.T) {
 	l := NewLoadLedger()
-	v0 := l.Version()
+	v0 := l.version.Load()
 	l.Reserve("a", 1)
-	if l.Version() == v0 {
+	if l.version.Load() == v0 {
 		t.Fatal("Reserve did not advance the version")
 	}
-	v1 := l.Version()
+	v1 := l.version.Load()
 	_ = l.Busy("a")
-	_ = l.Snapshot()
-	if l.Version() != v1 {
+	l.View().Refresh()
+	if l.version.Load() != v1 {
 		t.Fatal("reads advanced the version")
 	}
 	l.Release("a", 1)
-	if l.Version() == v1 {
+	if l.version.Load() == v1 {
 		t.Fatal("Release did not advance the version")
 	}
 }
@@ -83,8 +83,8 @@ func TestLedgerConcurrentReserveRelease(t *testing.T) {
 	wg.Wait()
 	// Every round leaves +1 second behind: workers × rounds total.
 	var total float64
-	for _, b := range l.Snapshot() {
-		total += b
+	for _, h := range hosts {
+		total += l.Busy(h)
 	}
 	if total != workers*rounds {
 		t.Fatalf("concurrent traffic lost reservations: total %v, want %v", total, workers*rounds)

@@ -782,7 +782,9 @@ func oracleSelectHosts(s *LocalSelector, g *afg.Graph, avail bool, ledger *LoadL
 	queued := make(map[string]float64) // paper mode: placed tasks per host
 	freeAt := make(map[string]float64) // availability mode: est host-free times
 	if ledger != nil {
-		freeAt = ledger.Snapshot()
+		for _, r := range resources {
+			freeAt[r.Static.HostName] = ledger.Busy(r.Static.HostName)
+		}
 	}
 	out := make(map[afg.TaskID]Choice, g.Len())
 	for _, id := range prio(g.TaskIDs(), levels) {

@@ -117,8 +117,11 @@ func (r *Request) siteRepos() map[string]*repository.Repository {
 // placement) apply.
 type Config struct {
 	// Ledger is the shared cross-application load ledger; non-nil implies
-	// availability-aware placement for the site policies and seeds the
-	// HEFT/CPOP host timelines with other applications' reservations.
+	// availability-aware placement for the site policies. The
+	// earliest-finish kernel (eft, ledger, heft, cpop) starts no task on a
+	// host before the seconds other applications hold there, read live
+	// once per task, and reserves every commit in it; a failed schedule
+	// releases what it reserved.
 	Ledger *LoadLedger
 
 	// Concurrency bounds the per-site fan-out worker pool

@@ -85,7 +85,7 @@ func Policies() []string { return policies.names() }
 func init() {
 	Register(sitePolicy{name: "faithful"})
 	Register(sitePolicy{name: "eft", eft: true})
-	Register(sitePolicy{name: "ledger", eft: true, ledger: true})
+	Register(sitePolicy{name: "ledger", eft: true})
 	Register(heftPolicy{})
 	Register(cpopPolicy{})
 	Register(baselinePolicy{kind: "random"})

@@ -200,7 +200,8 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 // host(s) minimising earliest finish time (free time + predicted execution)
 // and its finish pushes those hosts' free times out. A non-nil ledger seeds
 // that timeline with the busy seconds other applications have reserved;
-// reservations themselves are made by the site-level walk, never here.
+// reservations themselves are made by the earliest-finish kernel the site
+// policy places with, never here.
 // order is only read: the Site Scheduler hands one slice to every site's walk.
 //
 //vdce:hot allocs=18

@@ -33,29 +33,31 @@ package scheduler
 import "sync"
 
 // scratch is the arena. Fields group by consumer; consumers sharing a
-// field (CPOP's pending counters and the simulator's, say) never coexist
+// field (the ready walk's pending counters and the simulator's, say) never coexist
 // in one holder, because a holder runs exactly one of those paths.
 type scratch struct {
-	// Rank and priority state (HEFT, CPOP).
+	// Rank and priority state (HEFT, CPOP, the ready walk).
 	rankU   []float64  // upward ranks / combined CPOP priority
 	rankD   []float64  // downward ranks
 	order   []int32    // rank-sorted task order
-	pending []int32    // unfinished-parent counters (CPOP walk, executor)
-	heap    []prioItem // ready-heap backing array (CPOP)
+	pending []int32    // unfinished-parent counters (ready walk, executor)
+	heap    []prioItem // ready-heap backing array (ready walk)
 	cp      []bool     // critical-path membership (CPOP)
 
-	// Placement state (the earliest-finish kernel: HEFT, CPOP, re-planners).
-	lines       []timeline // per-host-column timelines; span slabs retained
-	canon       []int32    // column -> canonical column per host name
-	placed      []bool     // settled-or-committed marker per task (reset to false)
-	finish      []float64  // estimated finish per task
-	siteOf      []string   // assigned site per task
-	hostSets    [][]string // assigned host set per task (refs dropped on reset)
-	blockReady  []float64  // per-site-block data-ready memo
-	parentHosts []string   // hosts of the current task's byte-carrying parents
-	choiceBuf   []Choice   // candidate row scratch (parallel placement, CPOP pin)
-	lazyPred    []float64  // a re-plan's lazy CostMatrix, V×H (rows gated by lazyFilled)
-	lazyFilled  []bool     // its row-priced markers (reset to false)
+	// Placement state (the earliest-finish kernel: HEFT, CPOP, the eft
+	// site walks, re-planners).
+	lines       []timeline       // per-host timelines; span slabs retained
+	lineOf      map[string]int32 // host outside the matrix -> its line (cleared per use)
+	canon       []int32          // column -> canonical column per host name
+	placed      []bool           // settled-or-committed marker per task (reset to false)
+	finish      []float64        // estimated finish per task
+	siteOf      []string         // assigned site per task
+	hostSets    [][]string       // assigned host set per task (refs dropped on reset)
+	blockReady  []float64        // per-site-block data-ready memo
+	parentHosts []string         // hosts of the current task's byte-carrying parents
+	choiceBuf   []Choice         // one site's candidates for a parallel-mode task
+	lazyPred    []float64        // a re-plan's lazy CostMatrix, V×H (rows gated by lazyFilled)
+	lazyFilled  []bool           // its row-priced markers (reset to false)
 
 	// Site-walk state (selectHostsDense).
 	scored []scored  // candidate scratch for selectFor
@@ -126,8 +128,9 @@ func growZero[T any](buf []T, n int) []T {
 }
 
 // growTimelines returns a timeline slice of length n with every span slab
-// reset to length zero but its capacity retained: the per-host insertion
-// lists reach a schedule's high-water mark once and are reused thereafter.
+// reset to length zero but its capacity retained, and no ledger
+// reservation counted: the per-host insertion lists reach a schedule's
+// high-water mark once and are reused thereafter.
 func growTimelines(buf []timeline, n int) []timeline {
 	if cap(buf) < n {
 		next := make([]timeline, n)
@@ -137,7 +140,7 @@ func growTimelines(buf []timeline, n int) []timeline {
 		buf = buf[:n]
 	}
 	for i := range buf {
-		buf[i].busy = buf[i].busy[:0]
+		buf[i] = timeline{busy: buf[i].busy[:0]}
 	}
 	return buf
 }

@@ -27,34 +27,37 @@ import (
 //  7. walk the ready set in level-priority order, assigning each task to
 //     the site minimising predicted time (entry tasks) or
 //     transfer time from the parents' sites + predicted time (others).
+//
+// Step 7 of the earliest-finish variants is no walk of its own: the sites'
+// offers feed the same placement kernel heft and cpop use (heft.go).
 type siteScheduler struct {
 	// req is the scheduling problem: graph, selectors, network, Config.
 	req *Request
 
 	// avail replaces step 7's predicted+transfer objective with earliest
-	// finish time: the walk tracks an estimated free-time timeline for
-	// every host across all sites and places each task on the site/host
-	// set minimising
+	// finish time: the sites' offers become the fallback blocks of a cost
+	// matrix without columns, placed append-only by the package's one
+	// earliest-finish kernel (heft.go's placement), which sends each task
+	// to the site/host set minimising
 	//
-	//	max(parent finishes + transfer, host free, ledger wait) + predicted.
+	//	max(parent finishes + transfer, host free, ledger floor) + predicted.
 	avail bool
 
-	// ledger, when non-nil, is the cross-application load ledger consulted
-	// and updated by the availability-aware walk: placements from
-	// concurrent schedules (scheduler.Batch) reserve predicted busy seconds
-	// per host, so applications scheduled in the same batch spread around
-	// each other instead of dog-piling the fastest machines.
+	// ledger, when non-nil, is the cross-application load ledger the
+	// kernel reads and reserves in: placements from concurrent schedules
+	// (scheduler.Batch) reserve predicted busy seconds per host, so
+	// applications scheduled in the same batch spread around each other
+	// instead of dog-piling the fastest machines.
 	ledger *LoadLedger
 }
 
 // sitePolicy wraps the Site Scheduler engine as a registered Policy:
 // "faithful" is the paper's Fig 4 walk, "eft" the earliest-finish-time
-// variant, and "ledger" eft with a cross-application load ledger (the
-// request's shared ledger when provided, else a private one).
+// variant, and "ledger" eft meant to run with a shared cross-application
+// load ledger (Batch supplies one). Without one it is eft.
 type sitePolicy struct {
-	name   string
-	eft    bool
-	ledger bool
+	name string
+	eft  bool
 }
 
 // Name implements Policy.
@@ -69,11 +72,8 @@ func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTabl
 		return nil, err
 	}
 	s := &siteScheduler{req: req, ledger: req.Config.Ledger}
-	if p.ledger && s.ledger == nil {
-		s.ledger = NewLoadLedger()
-	}
 	s.avail = p.eft || s.ledger != nil
-	return s.run()
+	return s.run(ctx)
 }
 
 // run is the Site Scheduler engine. The walk is slice-indexed end to end:
@@ -81,7 +81,7 @@ func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTabl
 // heap over the dense keys, and the transfer term reads CSR parent arcs. The
 // original map-keyed walk is retained in oracle_test.go; equivalence tests
 // pin the tables.
-func (s *siteScheduler) run() (*AllocationTable, error) {
+func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 	g, cfg := s.req.Graph, &s.req.Config
 	if g.Len() == 0 {
 		return nil, afg.ErrEmpty
@@ -115,22 +115,19 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 		return nil, err
 	}
 
+	sc := getScratch()
+	defer sc.release()
 	if s.avail {
-		return s.scheduleAvailabilityAware(ix, keys, results)
+		p := newPlacement(offerMatrix(ix, results), g.Name, s.req.Net, s.ledger, sc)
+		defer p.releaseScratch(sc)
+		p.appendOnly = true
+		return p.done(p.placeReady(ctx, keys, nil, nil, sc))
 	}
 
-	table := NewAllocationTable(g.Name)
-
 	// Steps 6–7: ready-set walk in priority order.
-	walk := newReadyWalk(ix, keys)
-	n := ix.Len()
-	site := make([]string, n) // assigned site per task; "" = unplaced
-	for done := 0; done < n; done++ {
-		t, err := walk.next(done)
-		if err != nil {
-			return nil, err
-		}
-
+	table := NewAllocationTable(g.Name)
+	site := make([]string, ix.Len()) // assigned site per task; "" = unplaced
+	err = readyWalk(ctx, ix, keys, sc, func(t int) error {
 		best := Choice{Predicted: math.Inf(1)}
 		bestTotal := math.Inf(1)
 		found := false
@@ -150,7 +147,7 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
+			return fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
 		}
 		table.Set(Assignment{
 			Task:      ix.ID(t),
@@ -160,162 +157,54 @@ func (s *siteScheduler) run() (*AllocationTable, error) {
 			Predicted: best.Predicted,
 		})
 		site[t] = best.Site
-		walk.complete(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return table, nil
 }
 
-// scheduleAvailabilityAware is the earliest-finish-time variant of steps
-// 6–7: the ready-set walk keeps an estimated free-time timeline for every
-// host it has placed work on (seeded, per task, from one bulk snapshot of
-// the shared ledger's cross-application reservations) and an estimated
-// finish time per scheduled task, and sends each task to the site/host
-// set whose estimated finish — parents' data arrival plus queueing wait
-// plus predicted execution — is smallest.
-//
-//vdce:hot allocs=77
-func (s *siteScheduler) scheduleAvailabilityAware(ix *afg.Index, keys []float64, results []siteResult) (*AllocationTable, error) {
-	table := NewAllocationTable(s.req.Graph.Name)
-	net := s.req.Net
+// readyWalk visits every task of ix in ready-set priority order — the
+// highest key among the tasks whose parents have all been visited, dense
+// index (= ascending TaskID) on ties — and stops at the first error visit
+// returns, or at ctx's. The ready set is a priority heap over the keys:
+// O(V log V) for the whole walk instead of a full re-sort per step. Its
+// heap and pending-parent counters are sc's.
+func readyWalk(ctx context.Context, ix *afg.Index, keys []float64, sc *scratch, visit func(t int) error) error {
 	n := ix.Len()
-	estFinish := make([]float64, n)
-	site := make([]string, n)        // assigned site per task; "" = unplaced
-	phosts := make([][]string, n)    // assigned host set per task
-	hostFree := map[string]float64{} // this walk's own host timeline
-	own := map[string]float64{}      // busy seconds this walk reserved in the ledger
-	// view folds the ledger's view of OTHER applications' in-flight work
-	// into this walk's own timeline. Refreshed once per task — one bulk
-	// snapshot revalidation instead of a ledger lock per candidate — so a
-	// placement made by a concurrent Schedule goroutine moves this walk
-	// off the host it just claimed from the next task onward.
-	view := s.ledger.View()
-	freeAt := func(h string) float64 {
-		f := hostFree[h]
-		if view != nil {
-			if other := view.Busy(h) - own[h]; other > f {
-				f = other
-			}
-		}
-		return f
-	}
-	releaseOwn := func() {
-		if s.ledger == nil {
-			return
-		}
-		//vdce:ignore maporder one Release per distinct host key: updates touch disjoint ledger entries, so order commutes
-		for h, sec := range own {
-			s.ledger.Release(h, sec)
-		}
-	}
-
-	walk := newReadyWalk(ix, keys)
-	for done := 0; done < n; done++ {
-		t, err := walk.next(done)
-		if err != nil {
-			releaseOwn()
-			return nil, err
-		}
-		view.Refresh()
-
-		var best Choice
-		var bestHosts []string
-		bestFinish := math.Inf(1)
-		found := false
-		for si := range results {
-			sr := &results[si]
-			choice := sr.choices[t]
-			if choice.Host == "" {
-				continue
-			}
-			hosts := effectiveHosts(Assignment{Host: choice.Host, Hosts: choice.Hosts})
-			// Data arrival: every scheduled parent's estimated finish,
-			// plus the site-to-site transfer unless a host is shared.
-			start := 0.0
-			for _, a := range ix.Parents(t) {
-				arrive := estFinish[a.Peer]
-				if net != nil && site[a.Peer] != "" {
-					if a.Bytes > 0 && !sharesHost(phosts[a.Peer], hosts) {
-						arrive += net.TransferTime(site[a.Peer], sr.name, a.Bytes).Seconds()
-					}
-				}
-				start = math.Max(start, arrive)
-			}
-			for _, h := range hosts {
-				start = math.Max(start, freeAt(h))
-			}
-			finish := start + choice.Predicted
-			if finish < bestFinish || (finish == bestFinish && sr.name < best.Site) {
-				best, bestHosts, bestFinish, found = choice, hosts, finish, true
-			}
-		}
-		if !found {
-			releaseOwn()
-			return nil, fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
-		}
-		table.Set(Assignment{
-			Task:      ix.ID(t),
-			Site:      best.Site,
-			Host:      best.Host,
-			Hosts:     best.Hosts,
-			Predicted: best.Predicted,
-		})
-		estFinish[t] = bestFinish
-		site[t] = best.Site
-		phosts[t] = bestHosts
-		for _, h := range bestHosts {
-			hostFree[h] = bestFinish
-			if view != nil {
-				view.Reserve(h, best.Predicted)
-				own[h] += best.Predicted
-			}
-		}
-		walk.complete(t)
-	}
-	return table, nil
-}
-
-// readyWalk yields dense task indices in ready-set priority order: the
-// ready set is a priority heap over the schedule's keys — O(V log V) for the
-// whole walk instead of a full re-sort per step.
-type readyWalk struct {
-	ix      *afg.Index
-	keys    []float64
-	heap    prioHeap
-	pending []int32
-}
-
-func newReadyWalk(ix *afg.Index, keys []float64) *readyWalk {
-	n := ix.Len()
+	sc.pending = grow(sc.pending, n) // fully written by the init loop below
+	pending := sc.pending
 	// One entry per task ever enters the heap; capacity n keeps Push
 	// growth-free.
-	w := &readyWalk{ix: ix, keys: keys, pending: make([]int32, n), heap: make(prioHeap, 0, n)}
+	sc.heap = grow(sc.heap, n)
+	ready := prioHeap(sc.heap[:0])
 	for i := 0; i < n; i++ {
-		w.pending[i] = int32(ix.NumParents(i))
-		if w.pending[i] == 0 {
-			w.heap = append(w.heap, prioItem{keys[i], int32(i)})
+		pending[i] = int32(ix.NumParents(i))
+		if pending[i] == 0 {
+			ready = append(ready, prioItem{keys[i], int32(i)})
 		}
 	}
-	w.heap.Init()
-	return w
-}
-
-// next returns the highest-priority ready task; done is the count of
-// completed tasks (for the empty-ready-set diagnostic).
-func (w *readyWalk) next(done int) (int, error) {
-	if len(w.heap) == 0 {
-		return 0, fmt.Errorf("scheduler: ready set empty with %d tasks remaining", w.ix.Len()-done)
-	}
-	return int(w.heap.Pop().idx), nil
-}
-
-// complete marks t scheduled, admitting children whose parents are done.
-func (w *readyWalk) complete(t int) {
-	for _, a := range w.ix.Children(t) {
-		w.pending[a.Peer]--
-		if w.pending[a.Peer] == 0 {
-			w.heap.Push(prioItem{w.keys[a.Peer], a.Peer})
+	ready.Init()
+	for done := 0; done < n; done++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if len(ready) == 0 {
+			return fmt.Errorf("scheduler: ready set empty with %d tasks remaining", n-done)
+		}
+		t := int(ready.Pop().idx)
+		if err := visit(t); err != nil {
+			return err
+		}
+		for _, a := range ix.Children(t) {
+			pending[a.Peer]--
+			if pending[a.Peer] == 0 {
+				ready.Push(prioItem{keys[a.Peer], a.Peer})
+			}
 		}
 	}
+	return nil
 }
 
 // isEntryLikeDense reports whether the task "is an entry task or does not
