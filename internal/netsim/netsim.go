@@ -4,7 +4,10 @@
 //
 //  1. Estimation: the Site Scheduler Algorithm (Fig 4) charges
 //     transfer_time(Sparent, Sj) × file_size when placing a task away from
-//     its parent's site; TransferTime supplies that estimate.
+//     its parent's site; TransferTime supplies that estimate. A schedule
+//     reads each site pair's PathSpec once, the first time it meets the
+//     pair, and prices every later transfer with PathSpec.Transfer — the
+//     same arithmetic TransferTime runs, without its lock and map lookup.
 //  2. Injection: the Data Manager delays real socket transfers between
 //     co-simulated sites by the modelled WAN time (scaled, so benchmarks
 //     stay fast) to make co-location measurably better, as the paper claims.
@@ -12,6 +15,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -43,6 +47,7 @@ var DefaultLAN = PathSpec{Latency: 500 * time.Microsecond, Bandwidth: 19.4e6}
 // of real sleeping); estimates returned by TransferTime are always in
 // modelled (unscaled) time.
 func New(lan PathSpec, scale float64) *Network {
+	mustBeRate("LAN", lan)
 	if scale <= 0 {
 		scale = 1
 	}
@@ -54,7 +59,10 @@ func New(lan PathSpec, scale float64) *Network {
 }
 
 // SetPath installs the directed path a→b. Use Connect for symmetric links.
+// A bandwidth that is not a positive finite rate, or a negative latency, is
+// a programming error and panics, naming the pair.
 func (n *Network) SetPath(a, b string, spec PathSpec) {
+	mustBeRate(a+"→"+b, spec)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.paths[a] == nil {
@@ -95,12 +103,33 @@ func (n *Network) Path(a, b string) PathSpec {
 // intra-site transfers are still accounted, which is strictly more accurate
 // than the paper's simplification).
 func (n *Network) TransferTime(a, b string, bytes int64) time.Duration {
-	p := n.Path(a, b)
+	return n.Path(a, b).Transfer(bytes)
+}
+
+// Transfer is the modelled time to move `bytes` over the path: latency +
+// bytes/bandwidth, negative byte counts clamped to zero. A transfer whose
+// time is not finite or does not fit a time.Duration (an enormous byte
+// count, or a path with no bandwidth) saturates at the largest Duration
+// instead of wrapping negative.
+func (p PathSpec) Transfer(bytes int64) time.Duration {
+	const never = time.Duration(math.MaxInt64)
 	if bytes < 0 {
 		bytes = 0
 	}
-	xfer := time.Duration(float64(bytes) / p.Bandwidth * float64(time.Second))
-	return p.Latency + xfer
+	xfer := float64(bytes) / p.Bandwidth * float64(time.Second)
+	if !(xfer >= 0 && xfer < float64(never-max(p.Latency, 0))) {
+		return never
+	}
+	return p.Latency + time.Duration(xfer)
+}
+
+// mustBeRate panics unless spec, the named path, has a positive finite
+// bandwidth and a non-negative latency.
+func mustBeRate(path string, spec PathSpec) {
+	if spec.Bandwidth > 0 && !math.IsInf(spec.Bandwidth, 1) && spec.Latency >= 0 {
+		return
+	}
+	panic(fmt.Sprintf("netsim: path %s: %v: bandwidth must be positive and finite, latency non-negative", path, spec))
 }
 
 // InjectDelay sleeps for the scaled modelled transfer time. The Data

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +131,63 @@ func TestNYNETSites(t *testing.T) {
 	}
 	if n.Path("syracuse", "rome").Latency >= n.Path("syracuse", "nyc").Latency {
 		t.Fatal("rome should be nearer syracuse than nyc")
+	}
+}
+
+// A transfer that cannot fit a Duration saturates at the largest one
+// instead of wrapping negative: an enormous byte count on a real path, and
+// a path with no bandwidth, whatever the byte count.
+func TestTransferSaturates(t *testing.T) {
+	const never = time.Duration(math.MaxInt64)
+	n := NYNET(1)
+	if got := n.TransferTime("syracuse", "rome", math.MaxInt64); got != never {
+		t.Fatalf("MaxInt64 bytes syracuse→rome = %v, want %v", got, never)
+	}
+	if got := n.TransferTime("syracuse", "syracuse", math.MaxInt64); got != never {
+		t.Fatalf("MaxInt64 bytes over the LAN = %v, want %v", got, never)
+	}
+	for _, bytes := range []int64{0, 1, 1 << 20} {
+		if got := (PathSpec{Latency: time.Millisecond}).Transfer(bytes); got != never {
+			t.Fatalf("%d bytes with no bandwidth = %v, want %v", bytes, got, never)
+		}
+	}
+	if got := (PathSpec{Latency: never - time.Nanosecond, Bandwidth: 1}).Transfer(1); got != never {
+		t.Fatalf("latency near the limit plus 1 s = %v, want %v", got, never)
+	}
+}
+
+// A path that is not a positive finite rate, or runs back in time, is a
+// programming error: SetPath, Connect and New refuse it, naming the pair.
+func TestPathSpecRefusesNonRates(t *testing.T) {
+	bad := []PathSpec{
+		{Latency: time.Millisecond, Bandwidth: 0},
+		{Latency: time.Millisecond, Bandwidth: -1e6},
+		{Latency: time.Millisecond, Bandwidth: math.NaN()},
+		{Latency: time.Millisecond, Bandwidth: math.Inf(1)},
+		{Latency: -time.Millisecond, Bandwidth: 1e6},
+	}
+	mustPanic := func(what, name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s accepted it", what)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, name) {
+				t.Fatalf("%s panicked with %q, which does not name %s", what, msg, name)
+			}
+		}()
+		f()
+	}
+	for _, spec := range bad {
+		n := New(DefaultLAN, 1)
+		mustPanic(fmt.Sprintf("SetPath(%v)", spec), "a→b", func() { n.SetPath("a", "b", spec) })
+		mustPanic(fmt.Sprintf("Connect(%v)", spec), "a→b", func() { n.Connect("a", "b", spec) })
+		mustPanic(fmt.Sprintf("New(%v)", spec), "LAN", func() { New(spec, 1) })
+		if p := n.Path("a", "b"); p.Bandwidth <= 0 {
+			t.Fatalf("a refused spec was installed: %v", p)
+		}
 	}
 }
 

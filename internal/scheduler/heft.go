@@ -48,33 +48,31 @@ func (m commModel) cost(bytes int64) float64 {
 	return m.latency + float64(bytes)*m.perByte
 }
 
-// averageComm derives the commModel from the participating sites. No
-// network, or a single site, means communication is free.
-func averageComm(net *netsim.Network, sites []string) commModel {
-	if net == nil || len(sites) < 2 {
+// averageComm derives the commModel from the participating sites (sorted),
+// averaging the probe-measured latency and per-byte cost over every ordered
+// pair, priced from the pair table. No network, or a single site, means
+// communication is free.
+func averageComm(pairs *sitePairs, sites []string) commModel {
+	if pairs.net == nil || len(sites) < 2 {
 		return commModel{}
 	}
-	return commFromNames(net, sites)
-}
-
-// commFromNames averages the probe-measured latency and per-byte cost over
-// every ordered site pair. names must be sorted and len ≥ 2.
-func commFromNames(net *netsim.Network, names []string) commModel {
 	const probe = 1 << 20
 	var lat, perByte float64
-	pairs := 0
-	for _, a := range names {
-		for _, b := range names {
+	n := 0
+	for _, a := range sites {
+		from := pairs.id(a)
+		for _, b := range sites {
 			if a == b {
 				continue
 			}
-			l := net.TransferTime(a, b, 0).Seconds()
+			to := pairs.id(b)
+			l := pairs.seconds(from, to, 0)
 			lat += l
-			perByte += (net.TransferTime(a, b, probe).Seconds() - l) / probe
-			pairs++
+			perByte += (pairs.seconds(from, to, probe) - l) / probe
+			n++
 		}
 	}
-	return commModel{latency: lat / float64(pairs), perByte: perByte / float64(pairs)}
+	return commModel{latency: lat / float64(n), perByte: perByte / float64(n)}
 }
 
 // upwardRanks computes rank_u(t) = w̄(t) + max over children of
@@ -216,15 +214,15 @@ func (t *timeline) add(start, end float64) {
 // re-planners set them.
 type placement struct {
 	cm    *CostMatrix
-	net   *netsim.Network
+	pairs *sitePairs       // transfer prices by site id
 	view  *LedgerView      // the shared ledger, refreshed once per task; nil = none
 	lines []timeline       // per column (canonical ones used), then per host outside the matrix
 	canon []int32          // column -> canonical column for its host NAME
 	extra map[string]int32 // host outside the matrix -> its line
 
-	placed []bool // task is settled or committed; gates finish/site/hosts
+	placed []bool // task is settled or committed; gates finish/siteID/hosts
 	finish []float64
-	site   []string   // assigned site per task
+	siteID []int32    // assigned site id per task
 	hosts  [][]string // assigned host set per task
 	table  *AllocationTable
 
@@ -240,13 +238,15 @@ type placement struct {
 	hostSlab []string
 
 	blockReady  []float64 // per-site-block data-ready memo for the current task
+	blockSite   []int32   // per-site-block site id
 	parentHosts []string  // hosts of the current task's byte-carrying placed parents
 }
 
 // newPlacement wires the placement state onto sc's pooled buffers. The
 // timelines, columns, and per-task vectors are scratch (contract 2 in
-// scratch.go: placed and hostSets are reset, finish and siteOf are gated by
-// the placed marker); the table and hostSlab are output and allocated fresh.
+// scratch.go: placed and hostSets are reset, finish and siteID are gated by
+// the placed marker, the pair table starts empty and interns every block's
+// site); the table and hostSlab are output and allocated fresh.
 func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
@@ -254,23 +254,29 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	clear(sc.lineOf)
 	sc.placed = growZero(sc.placed, n)     // false = unplaced marker must reset
 	sc.finish = grow(sc.finish, n)         // gated by placed before reads
-	sc.siteOf = grow(sc.siteOf, n)         // gated by placed before reads
+	sc.siteID = grow(sc.siteID, n)         // gated by placed before reads
 	sc.hostSets = growZero(sc.hostSets, n) // drop the prior schedule's refs
 	sc.blockReady = grow(sc.blockReady, len(cm.blocks))
+	sc.blockSite = grow(sc.blockSite, len(cm.blocks))
+	sc.pairs.reset(net)
+	for bi := range cm.blocks {
+		sc.blockSite[bi] = sc.pairs.id(cm.blocks[bi].name)
+	}
 	p := &placement{
 		cm:          cm,
-		net:         net,
+		pairs:       &sc.pairs,
 		view:        ledger.View(),
 		lines:       sc.lines,
 		canon:       sc.canon,
 		extra:       sc.lineOf,
 		placed:      sc.placed,
 		finish:      sc.finish,
-		site:        sc.siteOf,
+		siteID:      sc.siteID,
 		hosts:       sc.hostSets,
 		table:       NewAllocationTableSized(app, n),
 		choiceBuf:   sc.choiceBuf,
 		blockReady:  sc.blockReady,
+		blockSite:   sc.blockSite,
 		parentHosts: sc.parentHosts,
 	}
 	// A host NAME owns one timeline, however many sites offer it (the
@@ -313,30 +319,30 @@ func (p *placement) line(host string) *timeline {
 // before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
 	sc.lines, sc.canon, sc.lineOf = p.lines, p.canon, p.extra
-	sc.placed, sc.finish, sc.siteOf, sc.hostSets = p.placed, p.finish, p.site, p.hosts
-	sc.blockReady, sc.parentHosts = p.blockReady, p.parentHosts
+	sc.placed, sc.finish, sc.siteID, sc.hostSets = p.placed, p.finish, p.siteID, p.hosts
+	sc.blockReady, sc.blockSite, sc.parentHosts = p.blockReady, p.blockSite, p.parentHosts
 	sc.choiceBuf = p.choiceBuf
 	if p.cm.model != nil {
 		sc.lazyPred, sc.lazyFilled = p.cm.pred, p.cm.filled
 	}
 }
 
-// readyAt is the data-ready time of task t on the given host set at site:
-// every scheduled parent's estimated finish, plus the inter-site transfer
-// unless a host is shared with the parent. A nil host set shares nothing:
-// the same float operations, in the same order, as for any candidate off
-// the parents' hosts, which lets prepReady memoise it per site block.
-func (p *placement) readyAt(t int, site string, hosts []string) float64 {
+// readyAt is the data-ready time of task t on the given host set at site
+// (an id in the pair table): every scheduled parent's estimated finish, plus
+// the transfer from the parent's site unless a host is shared with the
+// parent, priced from the schedule's pair table. A nil host set shares
+// nothing: the same float operations, in the same order, as for any
+// candidate off the parents' hosts, which lets prepReady memoise it per
+// site block.
+func (p *placement) readyAt(t int, site int32, hosts []string) float64 {
 	var ready float64
 	for _, a := range p.cm.ix.Parents(t) {
 		if !p.placed[a.Peer] {
 			continue // unplaced parent (possible only on rank ties); skip
 		}
 		arrive := p.finish[a.Peer]
-		if p.net != nil {
-			if a.Bytes > 0 && !sharesHost(p.hosts[a.Peer], hosts) {
-				arrive += p.net.TransferTime(p.site[a.Peer], site, a.Bytes).Seconds()
-			}
+		if p.pairs.net != nil && a.Bytes > 0 && !sharesHost(p.hosts[a.Peer], hosts) {
+			arrive += p.pairs.seconds(p.siteID[a.Peer], site, a.Bytes)
 		}
 		if arrive > ready {
 			ready = arrive
@@ -351,7 +357,7 @@ func (p *placement) readyAt(t int, site string, hosts []string) float64 {
 // except the few appearing in a parent's host set (a zero-byte parent's
 // sharing never changes readyAt), so only those fall back to the full
 // recompute. This is the cache-blocked CostMatrix traversal: the
-// O(parents) TransferTime walk runs once per (task, site block) instead of
+// O(parents) transfer walk runs once per (task, site block) instead of
 // once per (task, host) — O(S·P) against the former O(H·P) — which
 // profiled far better at 1000 hosts than an indexed O(log H) structure,
 // whose per-host heterogeneous ready times defeat any shared ordering.
@@ -370,7 +376,7 @@ func (p *placement) prepReady(t int) {
 		if p.cm.blocks[bi].fallback != nil {
 			continue // single candidate per block: memoising buys nothing
 		}
-		p.blockReady[bi] = p.readyAt(t, p.cm.blocks[bi].name, nil)
+		p.blockReady[bi] = p.readyAt(t, p.blockSite[bi], nil)
 	}
 }
 
@@ -461,7 +467,11 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 				hostBuf[0] = c.Host
 				hosts = hostBuf[:]
 			}
-			ready := p.readyAt(t, c.Site, hosts)
+			site := p.blockSite[bi]
+			if c.Site != b.name {
+				site = p.pairs.id(c.Site)
+			}
+			ready := p.readyAt(t, site, hosts)
 			var start float64
 			if len(hosts) == 1 && !set {
 				start = p.startOn(c.Host, p.line(c.Host), ready, c.Predicted)
@@ -472,7 +482,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			continue
 		}
 		if set {
-			if c, start, ok := p.machineSet(t, task.Processors, b, row, restrict); ok {
+			if c, start, ok := p.machineSet(t, task.Processors, bi, row, restrict); ok {
 				p.consider(&best, &bestStart, &bestFinish, &found, c, start)
 			}
 			continue
@@ -490,7 +500,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			ready := base
 			if hostIn(p.parentHosts, host) {
 				hostBuf[0] = host
-				ready = p.readyAt(t, b.name, hostBuf[:])
+				ready = p.readyAt(t, p.blockSite[bi], hostBuf[:])
 			}
 			start := p.startOn(host, &p.lines[p.canon[col]], ready, pr)
 			p.consider(&best, &bestStart, &bestFinish, &found,
@@ -538,11 +548,12 @@ func (p *placement) consider(best *Choice, bestStart, bestFinish *float64, found
 	}
 }
 
-// machineSet is a parallel-mode task's candidate at column block b: the
+// machineSet is a parallel-mode task's candidate at column block bi: the
 // task.Processors eligible hosts that free up earliest (host name on ties),
 // charged the slowest member's prediction split n ways. ok is false when
 // restrict leaves the block no host.
-func (p *placement) machineSet(t, n int, b siteBlock, row []float64, restrict map[string]bool) (c Choice, start float64, ok bool) {
+func (p *placement) machineSet(t, n, bi int, row []float64, restrict map[string]bool) (c Choice, start float64, ok bool) {
+	b := &p.cm.blocks[bi]
 	group := p.choiceBuf[:0]
 	for col := b.col0; col < b.col1; col++ {
 		if pr := row[col]; !math.IsNaN(pr) {
@@ -574,7 +585,7 @@ func (p *placement) machineSet(t, n int, b siteBlock, row []float64, restrict ma
 		}
 	}
 	c = Choice{Site: b.name, Host: hosts[0], Hosts: hosts, Predicted: maxPred / float64(n)}
-	return c, p.after(hosts, p.readyAt(t, b.name, hosts)), true
+	return c, p.after(hosts, p.readyAt(t, p.blockSite[bi], hosts)), true
 }
 
 // commit enters a's assignment and reserves [start, fin) on each of its
@@ -597,7 +608,7 @@ func (p *placement) record(t int, a Assignment, fin float64) {
 	p.table.Set(a)
 	p.placed[t] = true
 	p.finish[t] = fin
-	p.site[t] = a.Site
+	p.siteID[t] = p.pairs.id(a.Site)
 	p.hosts[t] = effectiveHosts(a)
 }
 
@@ -655,7 +666,7 @@ func (p *placement) keep(t int) {
 		}
 	}
 	primary := [1]string{a.Host}
-	start := p.readyAt(t, a.Site, primary[:])
+	start := p.readyAt(t, p.pairs.id(a.Site), primary[:])
 	for _, h := range hosts {
 		if e := p.line(h).end(); e > start {
 			start = e
@@ -704,21 +715,20 @@ func heftPass(ctx context.Context, p *placement, c commModel, front, stay []bool
 }
 
 // densePrep validates the graph and assembles the dense inputs shared by
-// HEFT and CPOP: the index, the (possibly cached) cost matrix, and the
-// environment-average communication model.
-func densePrep(req *Request) (*afg.Index, *CostMatrix, commModel, error) {
+// HEFT and CPOP: the index and the (possibly cached) cost matrix.
+func densePrep(req *Request) (*afg.Index, *CostMatrix, error) {
 	if req.Graph.Len() == 0 {
-		return nil, nil, commModel{}, afg.ErrEmpty
+		return nil, nil, afg.ErrEmpty
 	}
 	ix, err := req.Graph.Index()
 	if err != nil {
-		return nil, nil, commModel{}, err
+		return nil, nil, err
 	}
 	cm, err := req.costMatrix(ix)
 	if err != nil {
-		return nil, nil, commModel{}, err
+		return nil, nil, err
 	}
-	return ix, cm, averageComm(req.Net, cm.sites), nil
+	return ix, cm, nil
 }
 
 // heftPolicy is the registered "heft" policy.
@@ -732,7 +742,7 @@ func (heftPolicy) Name() string { return "heft" }
 //
 //vdce:hot allocs=18
 func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
-	_, cm, c, err := densePrep(req)
+	_, cm, err := densePrep(req)
 	if err != nil {
 		return nil, err
 	}
@@ -740,7 +750,7 @@ func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	defer sc.release()
 	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
-	return p.done(heftPass(ctx, p, c, nil, nil, sc))
+	return p.done(heftPass(ctx, p, averageComm(p.pairs, cm.sites), nil, nil, sc))
 }
 
 // cpopPolicy is the registered "cpop" policy.
@@ -756,12 +766,15 @@ func (cpopPolicy) Name() string { return "cpop" }
 //
 //vdce:hot allocs=48
 func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
-	ix, cm, c, err := densePrep(req)
+	ix, cm, err := densePrep(req)
 	if err != nil {
 		return nil, err
 	}
 	sc := getScratch()
 	defer sc.release()
+	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
+	defer p.releaseScratch(sc)
+	c := averageComm(p.pairs, cm.sites)
 	sc.rankU = upwardRanks(cm, c, nil, sc.rankU)
 	sc.rankD = downwardRanks(cm, c, sc.rankD)
 	prio := sc.rankU
@@ -770,9 +783,6 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	}
 	sc.cp = criticalPath(ix, prio, sc.cp)
 	restrict := criticalHost(cm, sc.cp)
-
-	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
-	defer p.releaseScratch(sc)
 	return p.done(p.placeReady(ctx, prio, sc.cp, restrict, sc))
 }
 

@@ -319,7 +319,21 @@ func oracleAverageComm(net *netsim.Network, cands map[afg.TaskID][]Choice) commM
 		return commModel{}
 	}
 	sort.Strings(names)
-	return commFromNames(net, names)
+	const probe = 1 << 20
+	var lat, perByte float64
+	pairs := 0
+	for _, a := range names {
+		for _, b := range names {
+			if a == b {
+				continue
+			}
+			l := net.TransferTime(a, b, 0).Seconds()
+			lat += l
+			perByte += (net.TransferTime(a, b, probe).Seconds() - l) / probe
+			pairs++
+		}
+	}
+	return commModel{latency: lat / float64(pairs), perByte: perByte / float64(pairs)}
 }
 
 // oracleMeanExec is w̄(t) over a map candidate list.

@@ -336,7 +336,7 @@ func (s frontierStrategy) Replan(req *ReplanRequest) (*Replan, error) {
 		}
 		err = r.p.placeAll(ctx, sc.order, r.stay)
 	} else {
-		err = heftPass(ctx, r.p, averageComm(req.Net, r.p.cm.sites), r.front, r.stay, sc)
+		err = heftPass(ctx, r.p, averageComm(r.p.pairs, r.p.cm.sites), r.front, r.stay, sc)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: replan: %w", err)

@@ -30,7 +30,11 @@ package scheduler
 // clears the pool's victim cache. That retention is bounded by one
 // schedule's working set per pooled scratch and is the price of reuse.
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/netsim"
+)
 
 // scratch is the arena. Fields group by consumer; consumers sharing a
 // field (the ready walk's pending counters and the simulator's, say) never coexist
@@ -51,13 +55,18 @@ type scratch struct {
 	canon       []int32          // column -> canonical column per host name
 	placed      []bool           // settled-or-committed marker per task (reset to false)
 	finish      []float64        // estimated finish per task
-	siteOf      []string         // assigned site per task
 	hostSets    [][]string       // assigned host set per task (refs dropped on reset)
 	blockReady  []float64        // per-site-block data-ready memo
+	blockSite   []int32          // per-site-block site id
 	parentHosts []string         // hosts of the current task's byte-carrying parents
 	choiceBuf   []Choice         // one site's candidates for a parallel-mode task
 	lazyPred    []float64        // a re-plan's lazy CostMatrix, V×H (rows gated by lazyFilled)
 	lazyFilled  []bool           // its row-priced markers (reset to false)
+
+	// Transfer pricing (placement, the executor, the paper's walk): site
+	// pairs read once per use, and each task's assigned site id in them.
+	pairs  sitePairs
+	siteID []int32
 
 	// Site-walk state (selectHostsDense).
 	scored []scored  // candidate scratch for selectFor
@@ -78,6 +87,69 @@ type scratch struct {
 	fin       pq               // running tasks by actual finish
 	det       pq               // overrun detections of running tasks
 	hostCol   map[string]int32 // host name -> dense column (cleared per use)
+}
+
+// sitePairs is one holder's snapshot of the network, grown as it meets
+// sites: every site name met is interned to a dense id, and cell (i, j)
+// caches the PathSpec i→j, read from the network the first time a transfer
+// i→j is priced. Pricing is then one slice read and
+// PathSpec.Transfer — the arithmetic Network.TransferTime runs, so the two
+// agree bit for bit — with no lock and no string-keyed map. A schedule sees
+// each pair as the network held it when the schedule first priced it.
+type sitePairs struct {
+	net    *netsim.Network // nil = transfers are free and never priced
+	ids    map[string]int32
+	names  []string
+	stride int32
+	cells  []netsim.PathSpec // i→j at i*stride+j; a zero Bandwidth marks a pair not yet read
+}
+
+// reset empties the table for a use against net, keeping the map, names and
+// cells for the next holder.
+func (sp *sitePairs) reset(net *netsim.Network) {
+	sp.net = net
+	if sp.ids == nil {
+		sp.ids = map[string]int32{}
+	} else {
+		clear(sp.ids)
+	}
+	for i := range sp.names {
+		row := int32(i) * sp.stride
+		clear(sp.cells[row : row+int32(len(sp.names))])
+	}
+	clear(sp.names) // drop the last holder's strings
+	sp.names = sp.names[:0]
+}
+
+// id interns site, widening the table when it is full.
+func (sp *sitePairs) id(site string) int32 {
+	if i, ok := sp.ids[site]; ok {
+		return i
+	}
+	i := int32(len(sp.names))
+	if i == sp.stride {
+		stride := max(2*sp.stride, 8)
+		cells := make([]netsim.PathSpec, stride*stride)
+		for r := int32(0); r < i; r++ {
+			copy(cells[r*stride:], sp.cells[r*sp.stride:r*sp.stride+i])
+		}
+		sp.stride, sp.cells = stride, cells
+	}
+	sp.ids[site] = i
+	sp.names = append(sp.names, site)
+	return i
+}
+
+// seconds prices moving bytes from site a to site b (ids), reading the pair
+// from the network on its first use. Only for a table with a network. A
+// spec the network hands out always has a positive bandwidth (SetPath and
+// New refuse any other), so the zero marker never hides a real path.
+func (sp *sitePairs) seconds(a, b int32, bytes int64) float64 {
+	c := &sp.cells[a*sp.stride+b]
+	if c.Bandwidth == 0 {
+		*c = sp.net.Path(sp.names[a], sp.names[b])
+	}
+	return c.Transfer(bytes).Seconds()
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

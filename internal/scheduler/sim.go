@@ -184,7 +184,8 @@ func (x *executor) load() error {
 		clear(x.hostCol)
 	}
 	x.hostFree, x.slow = x.hostFree[:0], x.slow[:0]
-	x.assigns, x.hostCols = grow(x.assigns, n), grow(x.hostCols, n)
+	x.pairs.reset(x.net)
+	x.assigns, x.hostCols, x.siteID = grow(x.assigns, n), grow(x.hostCols, n), grow(x.siteID, n)
 	x.pending, x.started = grow(x.pending, n), growZero(x.started, n)
 	x.dataReady, x.begin, x.pred, x.end = grow(x.dataReady, n), grow(x.begin, n), grow(x.pred, n), grow(x.end, n)
 	for i := range x.assigns {
@@ -202,11 +203,13 @@ func (x *executor) load() error {
 	return nil
 }
 
-// mirror records task i's assignment and resolves its hosts to dense
-// columns, reusing the slot's backing array from the pooled scratch's last
-// holder (a warm load allocates nothing).
+// mirror records task i's assignment and resolves its site to its id in the
+// pair table and its hosts to dense columns, reusing the slot's backing
+// array from the pooled scratch's last holder (a warm load allocates
+// nothing).
 func (x *executor) mirror(i int, a Assignment) {
 	x.assigns[i] = a
+	x.siteID[i] = x.pairs.id(a.Site)
 	cols := x.hostCols[i][:0]
 	if len(a.Hosts) == 0 { // single-host: no effectiveHosts slice
 		cols = append(cols, x.colFor(a.Host))
@@ -245,14 +248,16 @@ func (x *executor) reseed() {
 }
 
 // arrival is when task i's inputs are all on its hosts: the latest parent
-// finish plus transfer. Valid once every parent has finished.
+// finish plus the transfer from the parent's site, priced from the run's
+// pair table (each site pair read from the network once per run). Valid
+// once every parent has finished.
 func (x *executor) arrival(i int32) float64 {
 	var ready float64
-	cols, site := x.hostCols[i], x.assigns[i].Site
+	cols, site := x.hostCols[i], x.siteID[i]
 	for _, arc := range x.ix.Parents(int(i)) {
 		arrive := x.end[arc.Peer]
 		if x.net != nil && !sharesCol(x.hostCols[arc.Peer], cols) {
-			arrive += x.net.TransferTime(x.assigns[arc.Peer].Site, site, arc.Bytes).Seconds()
+			arrive += x.pairs.seconds(x.siteID[arc.Peer], site, arc.Bytes)
 		}
 		ready = math.Max(ready, arrive)
 	}
@@ -336,6 +341,8 @@ func CommVolume(g *afg.Graph, table *AllocationTable, net *netsim.Network) float
 	if err != nil || net == nil {
 		return 0
 	}
+	var pairs sitePairs
+	pairs.reset(net)
 	var total float64
 	for t := 0; t < ix.Len(); t++ {
 		from, ok := table.Get(ix.ID(t))
@@ -347,7 +354,7 @@ func CommVolume(g *afg.Graph, table *AllocationTable, net *netsim.Network) float
 			if !ok || sharesHost(effectiveHosts(from), effectiveHosts(to)) {
 				continue
 			}
-			total += net.TransferTime(from.Site, to.Site, a.Bytes).Seconds()
+			total += pairs.seconds(pairs.id(from.Site), pairs.id(to.Site), a.Bytes)
 		}
 	}
 	return total

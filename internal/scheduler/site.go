@@ -124,9 +124,19 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 		return p.done(p.placeReady(ctx, keys, nil, nil, sc))
 	}
 
-	// Steps 6–7: ready-set walk in priority order.
+	// Steps 6–7: ready-set walk in priority order, the transfer term priced
+	// from the pair table by site id.
 	table := NewAllocationTable(g.Name)
-	site := make([]string, ix.Len()) // assigned site per task; "" = unplaced
+	sc.pairs.reset(s.req.Net)
+	sc.blockSite = grow(sc.blockSite, len(results))
+	for si := range results {
+		sc.blockSite[si] = sc.pairs.id(results[si].name)
+	}
+	site := grow(sc.siteID, ix.Len()) // assigned site id per task; -1 = unplaced
+	for t := range site {
+		site[t] = -1
+	}
+	sc.siteID = site
 	err = readyWalk(ctx, ix, keys, sc, func(t int) error {
 		best := Choice{Predicted: math.Inf(1)}
 		bestTotal := math.Inf(1)
@@ -140,7 +150,7 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 			}
 			total := choice.Predicted
 			if cfg.TransferAware && !entryLike {
-				total += transferCostDense(s.req.Net, ix, t, sr.name, site)
+				total += transferCostDense(&sc.pairs, ix, t, sc.blockSite[si], site)
 			}
 			if total < bestTotal || (total == bestTotal && sr.name < best.Site) {
 				best, bestTotal, found = choice, total, true
@@ -156,7 +166,9 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 			Hosts:     best.Hosts,
 			Predicted: best.Predicted,
 		})
-		site[t] = best.Site
+		if best.Site != "" {
+			site[t] = sc.pairs.id(best.Site)
+		}
 		return nil
 	})
 	if err != nil {
@@ -220,20 +232,20 @@ func isEntryLikeDense(ix *afg.Index, t int) bool {
 }
 
 // transferCostDense sums transfer_time(Sparent, Sj) over the task's
-// already scheduled parents, reading CSR arcs and the dense site table.
-// (The paper's formula names a single parent site; with several parents
-// each contributes its own transfer, so we sum — a co-located parent
-// contributes its cheap LAN term.)
-func transferCostDense(net *netsim.Network, ix *afg.Index, t int, siteName string, site []string) float64 {
-	if net == nil {
+// already scheduled parents, reading CSR arcs, the dense site-id column and
+// the pair table. (The paper's formula names a single parent site; with
+// several parents each contributes its own transfer, so we sum — a
+// co-located parent contributes its cheap LAN term.)
+func transferCostDense(pairs *sitePairs, ix *afg.Index, t int, to int32, site []int32) float64 {
+	if pairs.net == nil {
 		return 0
 	}
 	var total float64
 	for _, a := range ix.Parents(t) {
-		if site[a.Peer] == "" {
+		if site[a.Peer] < 0 {
 			continue // parent unscheduled (possible only for cross runs)
 		}
-		total += net.TransferTime(site[a.Peer], siteName, a.Bytes).Seconds()
+		total += pairs.seconds(site[a.Peer], to, a.Bytes)
 	}
 	return total
 }

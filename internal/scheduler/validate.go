@@ -25,7 +25,10 @@ import (
 // the policy property tests use it as their backbone:
 // whatever a policy emits must replay without precedence violations, without
 // two tasks overlapping on one host, and with every inter-site transfer
-// accounted.
+// accounted. It prices each transfer with net.TransferTime, on purpose: the
+// executor and the placement kernel price from a per-run site-pair table
+// (scratch.go's sitePairs), and a validator reading that table would share
+// the very code it checks.
 
 // ScheduledSpan is one task's realized execution interval in the audit.
 type ScheduledSpan struct {
