@@ -58,7 +58,8 @@
 // batched pass and shared across policies via a CostCache, ranks and
 // ready-set walks run on slice-indexed priority heaps, host timelines
 // binary-search their insertion gaps, and the cross-application LoadLedger
-// is striped with bulk-snapshot LedgerViews instead of a global mutex. The
+// is sharded across independently locked stripes and read directly per
+// candidate host, not behind one global mutex. The
 // site policies have one of each figure: a schedule evaluates its priority
 // keys (Config.Priority, one key per task; nil is the paper's level rule,
 // FIFOPriority the constant key) and sorts them once, the Fig 4 multicast

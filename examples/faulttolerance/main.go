@@ -1,10 +1,11 @@
 // Fault tolerance: hosts fail after the scheduler has placed work on them,
 // and the Runtime System recovers on two levels — a whole-frontier re-plan
-// through the site's configured re-planner (scheduler.Replanners: full HEFT
-// rescan, EFT patching, or duplication) backed by the per-task rescheduling
-// request of §2.3.1, then, once a monitoring round has reported the
-// failures, schedules that avoid the dead hosts outright ("the machine is
-// marked as 'down' ... to prevent further task mappings").
+// through the site's configured re-planner (full HEFT rescan or EFT
+// patching; a site refuses "dup", whose hedges live execution never runs)
+// backed by the per-task rescheduling request of §2.3.1, then, once a
+// monitoring round has reported the failures, schedules that avoid the dead
+// hosts outright ("the machine is marked as 'down' ... to prevent further
+// task mappings").
 package main
 
 import (

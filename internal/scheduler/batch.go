@@ -35,8 +35,8 @@ type Batch struct {
 	// threaded through every Schedule call (forcing availability-aware
 	// placement for the site policies). Every policy that places through
 	// the earliest-finish kernel — eft, ledger, heft, cpop — reads it live,
-	// once per task, and reserves each commit in it: each graph's walk sees
-	// the predicted busy time the batch's other graphs have placed per
+	// per candidate host, and reserves each commit in it: each graph's walk
+	// sees the predicted busy time the batch's other graphs have placed per
 	// host so far, so the batch spreads instead of every graph dog-piling
 	// the same machines. The resulting tables then depend on completion
 	// order when Workers > 1 — cross-application awareness trades away the
@@ -56,12 +56,6 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 	// supplies the shared one itself.
 	if env.Config.Ledger == nil && b.Policy.Name() == "ledger" {
 		env.Config.Ledger = NewLoadLedger()
-	}
-	// One cost-matrix cache per batch: a policy scheduling the same graph
-	// twice gathers per-(task, host) costs once. Harmless for policies
-	// that never read it.
-	if env.Config.Costs == nil {
-		env.Config.Costs = NewCostCache()
 	}
 	schedule := func(i int) {
 		req := env

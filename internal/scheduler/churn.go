@@ -192,29 +192,23 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 // straight to predicted; a price is stored as returned — NaN, ±Inf and
 // negatives included — so every refusal still fires where it would without
 // the table. It is no cache: nothing invalidates it, and it dies with the run.
-//
-// Until some task is asked on a second host, each task holds its one price
-// in first: all a run that never re-plans needs. The first such ask — the
-// first re-plan's cost matrix, in practice — arms the V×H table.
 type runPrices struct {
 	predicted TimeModel
 	ix        *afg.Index
 	col       map[string]int32 // host name -> column
-
-	first    []float64 // unarmed: task t's price on column firstCol[t]-1
-	firstCol []int32   // 0 = not priced yet
-	table    []float64 // armed: V×H row-major, valid where known
-	known    []bool
+	table     []float64        // V×H row-major, valid where known
+	known     []bool
 }
 
 func newRunPrices(predicted TimeModel, ix *afg.Index, hosts []HostRef) *runPrices {
-	p := &runPrices{predicted: predicted, ix: ix, col: make(map[string]int32, len(hosts)),
-		first: make([]float64, ix.Len()), firstCol: make([]int32, ix.Len())}
+	p := &runPrices{predicted: predicted, ix: ix, col: make(map[string]int32, len(hosts))}
 	for _, h := range hosts {
 		if _, ok := p.col[h.Host]; !ok {
 			p.col[h.Host] = int32(len(p.col))
 		}
 	}
+	n := ix.Len() * len(p.col)
+	p.table, p.known = make([]float64, n), make([]bool, n)
 	return p
 }
 
@@ -225,33 +219,11 @@ func (p *runPrices) price(task *afg.Task, host string) float64 {
 	if t < 0 || !ok || p.ix.Task(t) != task {
 		return p.predicted(task, host)
 	}
-	if p.known == nil {
-		switch p.firstCol[t] {
-		case 0:
-			p.first[t], p.firstCol[t] = p.predicted(task, host), c+1
-			return p.first[t]
-		case c + 1:
-			return p.first[t]
-		}
-		p.arm()
-	}
 	k := t*len(p.col) + int(c)
 	if !p.known[k] {
 		p.table[k], p.known[k] = p.predicted(task, host), true
 	}
 	return p.table[k]
-}
-
-// arm allocates the V×H table and moves every task's first price into it.
-func (p *runPrices) arm() {
-	h := len(p.col)
-	p.table, p.known = make([]float64, p.ix.Len()*h), make([]bool, p.ix.Len()*h)
-	for t, c := range p.firstCol {
-		if c > 0 {
-			k := t*h + int(c-1)
-			p.table[k], p.known[k] = p.first[t], true
-		}
-	}
 }
 
 // transition applies the next scripted availability event. A host going

@@ -363,7 +363,10 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 
 // denseChoices flattens a per-task choice map onto the dense index (an
 // empty Host marks "no offer"); ids the index does not know are dropped.
-func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice) []Choice {
+// An offer whose prediction is NaN, infinite or negative would win or
+// poison every comparison it enters, so it rejects the whole reply with
+// ErrInvalidOffer, naming the first such task in dense order.
+func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice) ([]Choice, error) {
 	out := make([]Choice, ix.Len())
 	//vdce:ignore maporder,detflow ix.Of is injective: every id writes its own dense slot, so visit order cannot be observed
 	for id, c := range m {
@@ -371,5 +374,10 @@ func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice) []Choice {
 			out[t] = c
 		}
 	}
-	return out
+	for t, c := range out {
+		if c.Host != "" && !validCost(c.Predicted) {
+			return nil, fmt.Errorf("%w: task %q predicted %v on %s", ErrInvalidOffer, ix.ID(t), c.Predicted, c.Host)
+		}
+	}
+	return out, nil
 }

@@ -120,9 +120,10 @@ func BenchmarkLedgerContention(b *testing.B) {
 	})
 }
 
-// BenchmarkLedgerViewWalk — the EFT walk's read pattern: one Refresh per
-// task, then candidate probes against the local snapshot.
-func BenchmarkLedgerViewWalk(b *testing.B) {
+// BenchmarkLedgerWalk — the earliest-finish kernel's ledger traffic: 32
+// candidate probes and one reservation per task, read from the ledger
+// directly.
+func BenchmarkLedgerWalk(b *testing.B) {
 	hosts := make([]string, 128)
 	l := NewLoadLedger()
 	for i := range hosts {
@@ -132,14 +133,12 @@ func BenchmarkLedgerViewWalk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := l.View()
 		var sink float64
 		for task := 0; task < 1000; task++ {
-			v.Refresh()
 			for _, h := range hosts[:32] {
-				sink += v.Busy(h)
+				sink += l.Busy(h)
 			}
-			v.Reserve(hosts[task%len(hosts)], 0.25)
+			l.Reserve(hosts[task%len(hosts)], 0.25)
 		}
 		for task := 0; task < 1000; task++ { // keep the ledger from growing across iterations
 			l.Release(hosts[task%len(hosts)], 0.25)

@@ -209,16 +209,17 @@ func (t *timeline) add(start, end float64) {
 // fallback site's offers, the down machines a settled task still sits on —
 // get lines appended after the columns. With a shared ledger, no task
 // starts on a host before the work other applications hold there has run
-// (floor), and every commit reserves its prediction on each of its hosts.
+// (floor, read from the ledger per candidate), every commit reserves its
+// prediction on each of its hosts, and a failed walk releases them (done).
 // The zero strategy fields are planning from scratch; only this package's
 // re-planners set them.
 type placement struct {
-	cm    *CostMatrix
-	pairs *sitePairs       // transfer prices by site id
-	view  *LedgerView      // the shared ledger, refreshed once per task; nil = none
-	lines []timeline       // per column (canonical ones used), then per host outside the matrix
-	canon []int32          // column -> canonical column for its host NAME
-	extra map[string]int32 // host outside the matrix -> its line
+	cm     *CostMatrix
+	pairs  *sitePairs       // transfer prices by site id
+	ledger *LoadLedger      // the shared ledger, read per candidate; nil = none
+	lines  []timeline       // per column (canonical ones used), then per host outside the matrix
+	canon  []int32          // column -> canonical column for its host NAME
+	extra  map[string]int32 // host outside the matrix -> its line
 
 	placed []bool // task is settled or committed; gates finish/siteID/hosts
 	finish []float64
@@ -265,7 +266,7 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	p := &placement{
 		cm:          cm,
 		pairs:       &sc.pairs,
-		view:        ledger.View(),
+		ledger:      ledger,
 		lines:       sc.lines,
 		canon:       sc.canon,
 		extra:       sc.lineOf,
@@ -392,12 +393,12 @@ func hostIn(hosts []string, h string) bool {
 
 // floor is the kernel's ledger rule: with a shared ledger, host h (whose
 // line is l) is busy until the work other applications hold on it has run —
-// its viewed busy seconds less what this walk reserved there itself.
+// the ledger's busy seconds there less what this walk reserved itself.
 func (p *placement) floor(h string, l *timeline) float64 {
-	if p.view == nil {
+	if p.ledger == nil {
 		return 0
 	}
-	return p.view.Busy(h) - l.own
+	return p.ledger.Busy(h) - l.own
 }
 
 // free is when host h can take work appended to it: after its last
@@ -441,14 +442,13 @@ func (p *placement) after(hosts []string, ready float64) float64 {
 // time under the strategy's start rule, walking the matrix row in
 // deterministic site/host order: every eligible column host (for a
 // parallel-mode task, one machine set per site), and every fallback site's
-// offer with its host set as offered. The ledger view is refreshed first,
-// once per task. restrict, when non-nil, limits the hosts considered
-// (CPOP's critical-path pinning); if it excludes every candidate,
-// placement retries unrestricted rather than failing the application.
+// offer with its host set as offered. restrict, when non-nil, limits the
+// hosts considered (CPOP's critical-path pinning); if it excludes every
+// candidate, placement retries unrestricted rather than failing the
+// application.
 func (p *placement) place(t int, restrict map[string]bool) error {
 	task := p.cm.ix.Task(t)
 	set := task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost
-	p.view.Refresh()
 	p.prepReady(t)
 	var best Choice
 	var bestStart float64
@@ -595,8 +595,8 @@ func (p *placement) commit(t int, a Assignment, start, fin float64) {
 	for _, h := range p.hosts[t] {
 		l := p.line(h)
 		l.add(start, fin)
-		if p.view != nil {
-			p.view.Reserve(h, a.Predicted)
+		if p.ledger != nil {
+			p.ledger.Reserve(h, a.Predicted)
 			l.own += a.Predicted
 		}
 	}
@@ -618,14 +618,14 @@ func (p *placement) done(err error) (*AllocationTable, error) {
 	if err == nil {
 		return p.table, nil
 	}
-	if p.view != nil {
+	if p.ledger != nil {
 		for t, ok := range p.placed {
 			if !ok {
 				continue
 			}
 			for _, h := range p.hosts[t] {
 				if l := p.line(h); l.own != 0 {
-					p.view.l.Release(h, l.own)
+					p.ledger.Release(h, l.own)
 					l.own = 0
 				}
 			}

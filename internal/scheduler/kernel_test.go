@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -47,6 +48,41 @@ func TestOpaqueRemoteParallelKeepsMachineSet(t *testing.T) {
 		if a.Site != "rome" || !reflect.DeepEqual(a.Hosts, []string{"r1", "r2"}) || a.Predicted != 0.5 {
 			t.Fatalf("%s: p placed %s hosts=%v pred=%v, want rome hosts=[r1 r2] pred=0.5",
 				policy, a.Site, a.Hosts, a.Predicted)
+		}
+	}
+}
+
+// A peer's reply is only as good as its predictions: an offer of NaN, ±Inf
+// or a negative time would win every comparison it enters (or turn every
+// rank that averages it into NaN), so one such offer drops the whole site,
+// as a transient loss wrapping ErrInvalidOffer, under every policy that
+// reads peer offers.
+func TestInvalidPeerOfferDropsSite(t *testing.T) {
+	syr := makeRepo(t, "syr", map[string][2]float64{"syr-1": {1, 0}, "syr-2": {1, 0}})
+	g := wideGraph(4, 5)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		remote := opaqueSelector{site: "rome", offers: map[afg.TaskID]Choice{}}
+		for _, id := range []afg.TaskID{"a", "b", "c", "d"} {
+			remote.offers[id] = Choice{Site: "rome", Host: "r1", Predicted: 1}
+		}
+		remote.offers["d"] = Choice{Site: "rome", Host: "r1", Predicted: bad}
+		for _, policy := range []string{"faithful", "eft", "heft", "cpop"} {
+			env := NewRequest(nil, &LocalSelector{Site: "syr", Repo: syr}, []HostSelector{remote}, nil)
+			env.Diag = &Diagnostics{}
+			table, err := runPolicy(policy, env, g)
+			if err != nil {
+				t.Fatalf("%s, offer %v: %v", policy, bad, err)
+			}
+			for _, id := range table.Order() {
+				a, _ := table.Get(id)
+				if a.Site != "syr" || !validCost(a.Predicted) {
+					t.Errorf("%s, offer %v: %s placed on %s/%s pred=%v, want syr", policy, bad, id, a.Site, a.Host, a.Predicted)
+				}
+			}
+			lost := env.Diag.Transient()
+			if len(lost) != 1 || lost[0].Site != "rome" || !errors.Is(lost[0].Err, ErrInvalidOffer) {
+				t.Errorf("%s, offer %v: transient losses %v, want rome with ErrInvalidOffer", policy, bad, lost)
+			}
 		}
 	}
 }
@@ -127,6 +163,90 @@ func TestLedgerErrorPathReleasesReservations(t *testing.T) {
 		for h, b := range before {
 			if got := ledger.Busy(h); math.Float64bits(got) != math.Float64bits(b) {
 				t.Fatalf("%s: failed walk left %v busy seconds on %s, found %v", policy, got, h, b)
+			}
+		}
+	}
+}
+
+// A failed walk's release races the other walks of its batch: under the
+// ledger policy with four workers, one graph fails on its last task (no
+// site offers it) after reserving the rest, while seven others place on the
+// same hosts. The ledger must end holding exactly the survivors' work, and
+// every surviving table must still replay.
+func TestConcurrentLedgerBatchReleasesFailedWalk(t *testing.T) {
+	const sites, graphs, width, failing = 4, 8, 10, 3
+	id := func(g, k int) afg.TaskID { return afg.TaskID(fmt.Sprintf("g%d/t%02d", g, k)) }
+	truth := map[afg.TaskID]map[string]float64{}
+	var selectors []HostSelector
+	var hosts []string
+	for si := 0; si < sites; si++ {
+		site := fmt.Sprintf("s%d", si)
+		hosts = append(hosts, site+"-0", site+"-1")
+		sel := opaqueSelector{site: site, offers: map[afg.TaskID]Choice{}}
+		for gi := 0; gi < graphs; gi++ {
+			for k := 0; k < width+2; k++ {
+				h := fmt.Sprintf("%s-%d", site, k%2)
+				pred := 0.25 * float64(1+(gi+k+si)%5)
+				sel.offers[id(gi, k)] = Choice{Site: site, Host: h, Hosts: []string{h}, Predicted: pred}
+				if truth[id(gi, k)] == nil {
+					truth[id(gi, k)] = map[string]float64{}
+				}
+				truth[id(gi, k)][h] = pred
+			}
+		}
+		selectors = append(selectors, sel)
+	}
+	model := func(task *afg.Task, host string) float64 { return truth[task.ID][host] }
+	gs := make([]*afg.Graph, graphs)
+	for gi := range gs {
+		g := afg.New(fmt.Sprintf("g%d", gi))
+		for k := 0; k < width+2; k++ {
+			if err := g.AddTask(&afg.Task{ID: id(gi, k), Function: "f", ComputeCost: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 1; k <= width; k++ { // fork from t00, join at the last task
+			g.AddLink(afg.Link{From: id(gi, 0), To: id(gi, k), Bytes: 1})
+			g.AddLink(afg.Link{From: id(gi, k), To: id(gi, width+1), Bytes: 1})
+		}
+		if gi == failing {
+			late := afg.TaskID(fmt.Sprintf("g%d/late", gi))
+			if err := g.AddTask(&afg.Task{ID: late, Function: "f", ComputeCost: 1}); err != nil {
+				t.Fatal(err)
+			}
+			g.AddLink(afg.Link{From: id(gi, width+1), To: late, Bytes: 1})
+		}
+		gs[gi] = g
+	}
+	for round := 0; round < 5; round++ {
+		env := NewRequest(nil, selectors[0], selectors[1:], nil)
+		ledger := NewLoadLedger()
+		env.Config.Ledger = ledger
+		items := runBatch(t, "ledger", env, 4, gs)
+		want := map[string]float64{}
+		for gi, it := range items {
+			if gi == failing {
+				if it.Err == nil {
+					t.Fatalf("round %d: a graph with an unoffered task was scheduled", round)
+				}
+				continue
+			}
+			if it.Err != nil {
+				t.Fatalf("round %d graph %d: %v", round, gi, it.Err)
+			}
+			if _, err := ValidateSchedule(gs[gi], it.Table, model, nil); err != nil {
+				t.Fatalf("round %d graph %d: %v", round, gi, err)
+			}
+			for _, tid := range it.Table.Order() {
+				a, _ := it.Table.Get(tid)
+				for _, h := range effectiveHosts(a) {
+					want[h] += a.Predicted
+				}
+			}
+		}
+		for _, h := range hosts {
+			if got := ledger.Busy(h); !metrics.ApproxEqual(got, want[h], 1e-9) {
+				t.Fatalf("round %d: ledger holds %v busy seconds on %s, the survivors predict %v", round, got, h, want[h])
 			}
 		}
 	}

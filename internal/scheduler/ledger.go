@@ -3,7 +3,6 @@ package scheduler
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 )
 
 // LoadLedger is the shared cross-application view of in-flight placements:
@@ -16,28 +15,24 @@ import (
 // The ledger is an estimate, not a clock: Busy(h) answers "how many seconds
 // of already-promised work stand between now and h being free". The
 // package's one earliest-finish kernel (heft.go's placement, behind eft,
-// ledger, heft and cpop) reads it through a LedgerView refreshed once per
-// task: no task starts on h before the seconds other applications hold
-// there, and every commit reserves its prediction on each of its hosts.
+// ledger, heft and cpop) reads it directly, per candidate host: no task
+// starts on h before the seconds other applications hold there, and every
+// commit reserves its prediction on each of its hosts.
 //
 // Concurrency: the host map is sharded across independently locked stripes
 // (hosts hash to stripes by name), so concurrent Reserve/Busy traffic from
 // parallel Schedule goroutines contends only when two walks touch hosts on
-// the same stripe — not on one global mutex. A monotonic version counter
-// advances on every mutation; LedgerView.Refresh uses it to serve bulk
-// snapshots ("what is every host's busy time right now?") without
-// re-reading the stripes when nothing changed.
+// the same stripe — not on one global mutex.
 //
-// Lifecycle: the built-in users (Batch for the "ledger" policy,
-// site.Manager's SharedLedger batches) create one ledger per batch and discard it afterwards —
-// reservations only need to outlive the scheduling episode they coordinate.
+// Lifecycle: the built-in user (Batch, for the "ledger" policy) creates one
+// ledger per batch and discards it afterwards — reservations only need to
+// outlive the scheduling episode they coordinate.
 // A walk that fails releases what it reserved; an owner holding a ledger
 // across episodes must release completed work itself (Release). Nothing in
 // the runtime does so automatically, and unreleased reservations accumulate
 // until every host looks equally busy.
 type LoadLedger struct {
-	version atomic.Uint64
-	shards  [ledgerShards]ledgerShard
+	shards [ledgerShards]ledgerShard
 }
 
 const ledgerShards = 32
@@ -76,11 +71,10 @@ func (l *LoadLedger) Reserve(host string, seconds float64) {
 	s.mu.Lock()
 	s.busy[host] += seconds
 	s.mu.Unlock()
-	l.version.Add(1)
 }
 
-// Release removes `seconds` of previously reserved work from host,
-// clamping at zero (a release may race a monitor-driven reset).
+// Release removes `seconds` of previously reserved work from host; a host
+// left with none is dropped.
 func (l *LoadLedger) Release(host string, seconds float64) {
 	if seconds <= 0 {
 		return
@@ -91,100 +85,15 @@ func (l *LoadLedger) Release(host string, seconds float64) {
 		delete(s.busy, host)
 	}
 	s.mu.Unlock()
-	l.version.Add(1)
 }
 
-// Busy returns the reserved busy seconds currently standing on host.
+// Busy returns the reserved busy seconds currently standing on host. The
+// earliest-finish kernel calls it once per candidate host per task.
+//
+//vdce:hot allocs=0
 func (l *LoadLedger) Busy(host string) float64 {
 	s := l.shard(host)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.busy[host]
-}
-
-// snapshotInto copies every host's busy seconds into dst. The copy is not
-// atomic across shards: concurrent mutations may land in some shards and
-// not others — the same estimate semantics per-host reads always had.
-func (l *LoadLedger) snapshotInto(dst map[string]float64) {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for h, b := range s.busy {
-			dst[h] = b
-		}
-		s.mu.Unlock()
-	}
-}
-
-// LedgerView is a bulk read-side cache over a ledger: one snapshot of every
-// host's busy seconds, revalidated against the ledger's version counter.
-// The earliest-finish kernel refreshes its view once per task and then
-// reads candidates lock-free, instead of taking a ledger lock per (task,
-// candidate) probe. A view expecting its own writes (the walk reserves as
-// it places) absorbs them via its Reserve method, so a serial walk never
-// re-snapshots.
-//
-// Views are single-goroutine; each walk owns its own.
-type LedgerView struct {
-	l      *LoadLedger
-	expect uint64
-	busy   map[string]float64
-	stale  bool
-}
-
-// View returns a fresh view over l, or nil for a nil ledger.
-func (l *LoadLedger) View() *LedgerView {
-	if l == nil {
-		return nil
-	}
-	return &LedgerView{l: l, busy: make(map[string]float64), stale: true}
-}
-
-// Refresh revalidates the view: if the ledger's version moved past what the
-// view expects (a concurrent walk reserved or released), the whole busy
-// table is re-read in one pass over the stripes. The warm path (version
-// unchanged) must stay allocation-free — it runs once per task placed.
-//
-//vdce:hot allocs=0
-func (v *LedgerView) Refresh() {
-	if v == nil {
-		return
-	}
-	cur := v.l.version.Load()
-	if !v.stale && cur == v.expect {
-		return
-	}
-	clear(v.busy)
-	v.l.snapshotInto(v.busy)
-	// Expect the version observed BEFORE the snapshot: a mutation racing
-	// the stripe reads may or may not be in the copy, but its bump is
-	// past cur either way, so the next Refresh re-reads rather than
-	// trusting a possibly torn snapshot. (Worst case is one redundant
-	// re-read; the reverse order could absorb a missed write forever.)
-	v.expect = cur
-	v.stale = false
-}
-
-// Busy returns the viewed busy seconds for host (as of the last Refresh).
-//
-//vdce:hot allocs=0
-func (v *LedgerView) Busy(host string) float64 {
-	if v == nil {
-		return 0
-	}
-	return v.busy[host]
-}
-
-// Reserve forwards to the underlying ledger and keeps the view current:
-// the local copy absorbs the write and the expected version advances, so
-// an uncontended walk's next Refresh is a version check, not a snapshot.
-//
-//vdce:hot allocs=0
-func (v *LedgerView) Reserve(host string, seconds float64) {
-	if v == nil || seconds <= 0 {
-		return
-	}
-	v.l.Reserve(host, seconds)
-	v.busy[host] += seconds
-	v.expect++
 }

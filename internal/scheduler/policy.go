@@ -120,7 +120,7 @@ type Config struct {
 	// availability-aware placement for the site policies. The
 	// earliest-finish kernel (eft, ledger, heft, cpop) starts no task on a
 	// host before the seconds other applications hold there, read live
-	// once per task, and reserves every commit in it; a failed schedule
+	// per candidate host, and reserves every commit in it; a failed schedule
 	// releases what it reserved.
 	Ledger *LoadLedger
 

@@ -21,6 +21,9 @@ import (
 var (
 	ErrNoEligibleHost = errors.New("scheduler: no eligible host for task")
 	ErrNoSites        = errors.New("scheduler: no sites available")
+	// ErrInvalidOffer marks a peer site dropped for offering a NaN,
+	// infinite or negative prediction; it is a transient loss.
+	ErrInvalidOffer = errors.New("scheduler: invalid offer")
 )
 
 // Assignment maps one task to its execution resources.

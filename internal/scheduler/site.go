@@ -268,11 +268,12 @@ type siteResult struct {
 // neighbours are each asked once — in-process selectors through local,
 // which fills its siteResult; any other selector through SelectHosts, its
 // reply flattened onto the dense index — serially or across a worker pool
-// bounded by Config.Concurrency. A site that fails is dropped and recorded
-// on Request.Diag, as a capacity refusal (it cannot host some task) or a
-// transient loss (anything else). The survivors come back in ascending
-// site-name order; if none does, the error carries this gather's transient
-// losses.
+// bounded by Config.Concurrency. A site that fails, or replies with an
+// offer no cost model could vouch for (ErrInvalidOffer), is dropped and
+// recorded on Request.Diag, as a capacity refusal (it cannot host some
+// task) or a transient loss (anything else). The survivors come back in
+// ascending site-name order; if none does, the error carries this gather's
+// transient losses.
 func multicast(ix *afg.Index, req *Request, local func(*LocalSelector, *siteResult)) ([]siteResult, error) {
 	if req.Local == nil {
 		return nil, ErrNoSites
@@ -292,7 +293,7 @@ func multicast(ix *afg.Index, req *Request, local func(*LocalSelector, *siteResu
 			r.err = err
 			return
 		}
-		r.choices = denseChoices(ix, m)
+		r.choices, r.err = denseChoices(ix, m)
 	}
 	workers := req.Config.Concurrency
 	if workers <= 0 {

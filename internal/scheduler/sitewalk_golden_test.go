@@ -58,7 +58,9 @@ func TestSiteWalkGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SelectHosts on %s: %v", label, err)
 				}
-				choices = denseChoices(ix, m)
+				if choices, err = denseChoices(ix, m); err != nil {
+					t.Fatalf("SelectHosts on %s: %v", label, err)
+				}
 			}
 			h := sum("SelectHosts/" + prio)
 			for i, c := range choices {

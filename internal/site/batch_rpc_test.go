@@ -138,12 +138,12 @@ func TestScheduleBatchOverRPCByPolicy(t *testing.T) {
 }
 
 // TestScheduleBatchOverRPCWithLedger drives the batch endpoint with the
-// availability-aware + shared-ledger options: every graph must still
-// schedule completely, and the ledger must actually steer the batch —
-// identical single-task applications may not all land on the same host.
-// The site runs serial batch workers so each application deterministically
-// sees the previous applications' reservations (with concurrent workers
-// the walks could all snapshot the ledger before any reservation lands).
+// "ledger" policy: every graph must still schedule completely, and the
+// batch-wide ledger must actually steer the batch — identical single-task
+// applications may not all land on the same host. The site runs serial
+// batch workers so each application deterministically sees the previous
+// applications' reservations (with concurrent workers the walks could all
+// read the ledger before any reservation lands).
 func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 	pool := resource.GenerateSite("syracuse", 4, 4, 31)
 	m, err := NewManager("syracuse", pool, netsim.NYNET(0.0001), nil,
@@ -163,7 +163,7 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 	}
 	defer client.Close()
 
-	args := BatchArgs{Policy: "eft", SharedLedger: true}
+	args := BatchArgs{Policy: "ledger"}
 	for i := 0; i < 4; i++ {
 		g := afg.New(fmt.Sprintf("single%d", i))
 		g.AddTask(&afg.Task{ID: "t", Function: "synthetic.noop", ComputeCost: 5})
@@ -189,7 +189,7 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 		hosts[a.Host] = true
 	}
 	if len(hosts) < 2 {
-		t.Fatalf("shared ledger over RPC did not spread identical apps: %v", hosts)
+		t.Fatalf("ledger policy over RPC did not spread identical apps: %v", hosts)
 	}
 }
 
@@ -226,9 +226,9 @@ func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
 	}
 }
 
-// Selecting Policy "ledger" must share one ledger across the whole batch
-// even without the SharedLedger flag — otherwise it degenerates to eft.
-func TestLedgerPolicySharesAcrossBatchWithoutFlag(t *testing.T) {
+// Selecting Policy "ledger" must share one ledger across the whole batch —
+// otherwise it degenerates to eft.
+func TestLedgerPolicySharesAcrossBatch(t *testing.T) {
 	pool := resource.GenerateSite("syracuse", 4, 4, 31)
 	m, err := NewManager("syracuse", pool, netsim.NYNET(0.0001), nil,
 		Config{GroupSize: 3, SchedulerConcurrency: 1})
@@ -255,6 +255,6 @@ func TestLedgerPolicySharesAcrossBatchWithoutFlag(t *testing.T) {
 		hosts[a.Host] = true
 	}
 	if len(hosts) < 2 {
-		t.Fatalf("ledger policy without SharedLedger flag did not spread identical apps: %v", hosts)
+		t.Fatalf("ledger policy did not spread identical apps: %v", hosts)
 	}
 }

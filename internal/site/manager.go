@@ -59,14 +59,10 @@ type Config struct {
 // the site Config.
 type BatchOptions struct {
 	// Policy selects the scheduling policy by registry name for this
-	// batch; empty follows the site default (Config.Policy).
+	// batch; empty follows the site default (Config.Policy). The "ledger"
+	// policy shares one load ledger across the batch, so its graphs spread
+	// around each other's in-flight placements.
 	Policy string
-	// SharedLedger threads one cross-application load ledger through the
-	// batch (implies availability-aware placement for the site policies):
-	// the batch's graphs see each other's in-flight placements and
-	// spread accordingly. The "ledger" policy shares a batch-wide ledger
-	// even without this flag — that sharing is its whole point.
-	SharedLedger bool
 	// Seed feeds the randomized policies ("random"), so probing clients
 	// can vary placements between otherwise identical calls.
 	Seed int64
@@ -417,9 +413,6 @@ func (m *Manager) ScheduleBatchOpts(graphs []*afg.Graph, remotes []scheduler.Hos
 		concurrency = 1
 	}
 	env := m.policyRequest(nil, remotes, concurrency, opts.Seed)
-	if opts.SharedLedger {
-		env.Config.Ledger = scheduler.NewLoadLedger()
-	}
 	b := &scheduler.Batch{Policy: p, Env: *env, Workers: m.cfg.SchedulerConcurrency}
 	return b.Schedule(graphs), nil
 }

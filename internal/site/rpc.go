@@ -58,14 +58,11 @@ func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
 // BatchArgs carries many JSON-encoded application flow graphs for
 // concurrent scheduling against this site and its configured peers.
 // Policy selects the scheduling policy by registry name ("" = the site's
-// configured default); SharedLedger threads a cross-application load ledger
-// through the batch so its graphs spread around each other's in-flight
-// placements.
+// configured default); "ledger" shares one load ledger across the batch.
 type BatchArgs struct {
-	AFGs         [][]byte
-	Policy       string
-	SharedLedger bool
-	Seed         int64 // feeds the randomized policies ("random")
+	AFGs   [][]byte
+	Policy string
+	Seed   int64 // feeds the randomized policies ("random")
 }
 
 // BatchReply returns one allocation table (or error string) per input AFG,
@@ -107,9 +104,8 @@ func (s *Service) ScheduleBatch(args BatchArgs, reply *BatchReply) error {
 		remotes = append(remotes, p)
 	}
 	items, err := s.m.ScheduleBatchOpts(graphs, remotes, BatchOptions{
-		Policy:       args.Policy,
-		SharedLedger: args.SharedLedger,
-		Seed:         args.Seed,
+		Policy: args.Policy,
+		Seed:   args.Seed,
 	})
 	if err != nil {
 		return err
