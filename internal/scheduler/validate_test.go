@@ -296,3 +296,89 @@ func TestEveryPolicyPassesValidatorOnStructuredGraphs(t *testing.T) {
 		}
 	}
 }
+
+// Every refusal of the validator, pinned by its exact text: a malformed table
+// is reported by the smallest offending task id, a double-booked host by the
+// smallest host name, whatever the order the schedule reaches them in. (A
+// replay deadlock needs a cyclic graph, which afg.Index refuses, so no input
+// reaches that error.)
+func TestValidateScheduleErrorText(t *testing.T) {
+	g := afg.New("pin")
+	g.AddTask(&afg.Task{ID: "a", Function: "f", ComputeCost: 1, OutputBytes: 1 << 20})
+	g.AddTask(&afg.Task{ID: "b", Function: "f", ComputeCost: 2})
+	g.AddTask(&afg.Task{ID: "c", Function: "f", ComputeCost: 3})
+	g.AddLink(afg.Link{From: "a", To: "b"})
+	g.AddLink(afg.Link{From: "a", To: "c"})
+	net := netsim.StarTopology([]string{"east", "west"}, 10*time.Millisecond, 1e6, 1)
+	cost := func(task *afg.Task, host string) float64 { return task.ComputeCost }
+	table := func(edit func(e map[afg.TaskID]Assignment)) *AllocationTable {
+		tb := NewAllocationTable("pin")
+		tb.Set(Assignment{Task: "a", Site: "east", Host: "h0"})
+		tb.Set(Assignment{Task: "b", Site: "west", Host: "h1", Hosts: []string{"h1", "h2"}})
+		tb.Set(Assignment{Task: "c", Site: "east", Host: "h0"})
+		if edit != nil {
+			edit(tb.Entries)
+		}
+		return tb
+	}
+	withHosts := func(id afg.TaskID, host string, hosts ...string) func(e map[afg.TaskID]Assignment) {
+		return func(e map[afg.TaskID]Assignment) {
+			a := e[id]
+			a.Host, a.Hosts = host, hosts
+			e[id] = a
+		}
+	}
+	const pre = "scheduler: validate: "
+	cases := []struct {
+		name  string
+		table *AllocationTable
+		model TimeModel
+		want  string
+	}{
+		{"unknown task", table(func(e map[afg.TaskID]Assignment) {
+			e["ghost"] = Assignment{Task: "ghost", Site: "east", Host: "h0"}
+		}), cost, pre + `assignment for unknown task "ghost"`},
+		{"missing task", table(func(e map[afg.TaskID]Assignment) { delete(e, "b") }), cost,
+			pre + `task "b" missing from allocation table`},
+		{"entry names another task", table(func(e map[afg.TaskID]Assignment) {
+			e["b"] = Assignment{Task: "c", Site: "east", Host: "h0"}
+		}), cost, pre + `entry "b" names task "c"`},
+		{"empty host", table(withHosts("c", "")), cost, pre + `task "c" has no host`},
+		{"primary host outside its set", table(withHosts("b", "h0", "h1", "h2")), cost,
+			pre + `task "b" primary host "h0" not in host set [h1 h2]`},
+		{"empty host inside a set", table(withHosts("b", "h1", "h1", "")), cost,
+			pre + `task "b" has an empty host in its host set`},
+		{"two faults, the smaller id reported", table(func(e map[afg.TaskID]Assignment) {
+			withHosts("c", "")(e)
+			withHosts("b", "h3", "h1")(e)
+		}), cost, pre + `task "b" primary host "h3" not in host set [h1]`},
+		{"NaN duration", table(nil), func(task *afg.Task, host string) float64 {
+			if task.ID == "c" {
+				return math.NaN()
+			}
+			return 1
+		}, pre + `invalid duration NaN for task "c"`},
+		{"infinite duration", table(nil), func(task *afg.Task, host string) float64 {
+			return math.Inf(1)
+		}, pre + `invalid duration +Inf for task "a"`},
+	}
+	for _, tc := range cases {
+		audit, err := ValidateSchedule(g, tc.table, tc.model, net)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got (%v, %v), want error %q", tc.name, audit, err, tc.want)
+		}
+	}
+
+	// Host h2's overlap comes first in time, h1's first by name: the error
+	// names h1.
+	overlaps := &ScheduleAudit{Spans: []ScheduledSpan{
+		{Task: "p", Hosts: []string{"h2"}, Start: 0, End: 2},
+		{Task: "q", Hosts: []string{"h2", "h3"}, Start: 1, End: 3},
+		{Task: "r", Hosts: []string{"h1"}, Start: 4, End: 6},
+		{Task: "s", Hosts: []string{"h1"}, Start: 5, End: 7},
+	}}
+	want := pre + "host h1 double-booked: r [4, 6) overlaps s [5, 7)"
+	if err := checkHostExclusive(overlaps); err == nil || err.Error() != want {
+		t.Errorf("double-booked: got %v, want %q", err, want)
+	}
+}
