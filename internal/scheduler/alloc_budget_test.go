@@ -226,6 +226,19 @@ func TestHotAllocBudgets(t *testing.T) {
 				}
 			})
 		}},
+		{"validator.certify", []string{"validator.certify"}, func(t *testing.T) float64 {
+			// RunChurn's certifier: one validator, warm after its first call.
+			table, err := runPolicy("heft", req, req.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v validator
+			return warmAllocs(func() {
+				if _, err := v.certify(req.Graph, table, unitModel, req.Net); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}},
 	}
 
 	measured := map[string]bool{}

@@ -176,7 +176,8 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 		}
 	}
 	x := executor{g: g, table: plan, model: newRunPrices(predicted, ix, hosts).price, net: net,
-		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts}
+		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts,
+		cert: new(validator)}
 	if err := x.run(); err != nil {
 		return nil, err
 	}
@@ -324,7 +325,7 @@ func (x *executor) replan(ev Deviation) error {
 		return nil
 	}
 	if err == nil {
-		_, err = CertifyReplan(x.g, pl.Table, x.model, x.net)
+		_, err = x.cert.certify(x.g, pl.Table, x.model, x.net)
 	}
 	if err != nil {
 		return fmt.Errorf("churn replan (%s, %s): %w", x.rp.Name(), ev.Kind, err)

@@ -90,13 +90,23 @@ type churnOutcomePin struct {
 	Killed          int    `json:"killed"`
 }
 
-// TestChurnGolden pins the fault-injection executor where the CHURN cells of
-// experiments_golden.json do not reach: repaired hosts coming back and
-// parallel-mode tasks losing a machine, for every re-planner, on 50-task
-// dagen graphs over 16 hosts.
-func TestChurnGolden(t *testing.T) {
-	env, truth, refs, hostNames := churnGoldenEnv(t)
-	got := map[string]churnOutcomePin{}
+// churnCell is one RunChurn of the churn_golden grid: a graph, its heft
+// table and a churn trace, under one re-planner.
+type churnCell struct {
+	key       string
+	g         *afg.Graph
+	table     *AllocationTable
+	trace     ChurnTrace
+	replanner string
+}
+
+// churnGoldenGrid builds the churn_golden grid: 8 seeds of 50-task dagen
+// graphs, serial and every-fifth-task-parallel, permanent failures and
+// repairs after 0.15 × the fault-free makespan, under dup, eft and heft —
+// 96 cells.
+func churnGoldenGrid(t testing.TB, env Request, truth TimeModel, hostNames []string) []churnCell {
+	t.Helper()
+	var cells []churnCell
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, shape := range []string{"serial", "parallel"} {
 			ccr := 0.5
@@ -126,24 +136,56 @@ func TestChurnGolden(t *testing.T) {
 				}
 				trace := GenerateChurnTrace(hostNames, fair, cfg, 7000+seed)
 				for _, name := range []string{"dup", "eft", "heft"} {
-					out, err := RunChurn(g, table, truth, env.Net, refs, trace, ChurnConfig{Replanner: name})
-					if err != nil {
-						t.Fatalf("%s/%s/%s/seed%d: %v", name, faults, shape, seed, err)
-					}
-					got[fmt.Sprintf("%s/%s/%s/seed%d", name, faults, shape, seed)] = churnOutcomePin{
-						MakespanBits:    fmt.Sprintf("%016x", math.Float64bits(out.Makespan)),
-						Replans:         out.Replans,
-						HostDownReplans: out.HostDownReplans,
-						OverrunReplans:  out.OverrunReplans,
-						Moved:           out.Moved,
-						DupRuns:         out.DupRuns,
-						Killed:          out.Killed,
-					}
+					cells = append(cells, churnCell{key: fmt.Sprintf("%s/%s/%s/seed%d", name, faults, shape, seed),
+						g: g, table: table, trace: trace, replanner: name})
 				}
 			}
 		}
 	}
+	return cells
+}
+
+// TestChurnGolden pins the fault-injection executor where the CHURN cells of
+// experiments_golden.json do not reach: repaired hosts coming back and
+// parallel-mode tasks losing a machine, for every re-planner, on 50-task
+// dagen graphs over 16 hosts.
+func TestChurnGolden(t *testing.T) {
+	env, truth, refs, hostNames := churnGoldenEnv(t)
+	got := map[string]churnOutcomePin{}
+	for _, c := range churnGoldenGrid(t, env, truth, hostNames) {
+		out, err := RunChurn(c.g, c.table, truth, env.Net, refs, c.trace, ChurnConfig{Replanner: c.replanner})
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		got[c.key] = churnOutcomePin{
+			MakespanBits:    fmt.Sprintf("%016x", math.Float64bits(out.Makespan)),
+			Replans:         out.Replans,
+			HostDownReplans: out.HostDownReplans,
+			OverrunReplans:  out.OverrunReplans,
+			Moved:           out.Moved,
+			DupRuns:         out.DupRuns,
+			Killed:          out.Killed,
+		}
+	}
 	checkGolden(t, "churn_golden.json", got)
+}
+
+// BenchmarkRunChurn times the churn_golden grid's 96 RunChurn calls per
+// iteration, with every table and trace built before the clock starts: the
+// re-planning kernel and every repair's certification, without the 10 s
+// harness's spread.
+func BenchmarkRunChurn(b *testing.B) {
+	env, truth, refs, hostNames := churnGoldenEnv(b)
+	cells := churnGoldenGrid(b, env, truth, hostNames)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := RunChurn(c.g, c.table, truth, env.Net, refs, c.trace, ChurnConfig{Replanner: c.replanner}); err != nil {
+				b.Fatalf("%s: %v", c.key, err)
+			}
+		}
+	}
 }
 
 // realPolicies is every registered policy but the erroring "test-" stubs

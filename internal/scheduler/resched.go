@@ -426,11 +426,18 @@ func (r *repair) hedges() []Assignment {
 // bit-for-bit — the same equivalence the property tests pin for initial
 // schedules. Every adopted re-plan goes through this gate.
 func CertifyReplan(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
+	return new(validator).certify(g, table, model, net)
+}
+
+// certify is CertifyReplan on v's buffers, which RunChurn's repairs share.
+//
+//vdce:hot allocs=0
+func (v *validator) certify(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
 	mk, err := Simulate(g, table, model, net)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: certify replan: simulate: %w", err)
 	}
-	audit, err := ValidateSchedule(g, table, model, net)
+	audit, err := v.validate(g, table, model, net)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: certify replan: %w", err)
 	}

@@ -44,10 +44,10 @@ func effectiveHosts(a Assignment) []string {
 	return []string{a.Host}
 }
 
-// sharesHost reports whether two host sets intersect. Host sets are tiny
-// (the paper's parallel tasks span a few workstations), so the quadratic
-// scan beats building a map.
-func sharesHost(a, b []string) bool {
+// sharesHost reports whether two host sets — names, or dense host columns —
+// intersect. Host sets are tiny (the paper's parallel tasks span a few
+// workstations), so the quadratic scan beats building a map.
+func sharesHost[H comparable](a, b []H) bool {
 	for _, x := range a {
 		for _, y := range b {
 			if x == y {

@@ -47,8 +47,8 @@ func Simulate(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim
 }
 
 // executor is the one event loop that advances simulated time for a plan
-// (ValidateSchedule's naive replay is the independent check on it, and
-// shares no code with it). All per-task and per-host state is slice-indexed
+// (ValidateSchedule's naive replay is the independent check on it, sharing
+// only sharesHost with it). All per-task and per-host state is slice-indexed
 // through the graph's dense Index and lives in the embedded pooled scratch;
 // the loop itself runs map-free.
 //
@@ -83,6 +83,7 @@ type executor struct {
 	threshold float64 // a run past threshold × predicted raises an overrun
 	rp        Replanner
 	hosts     []HostRef
+	cert      *validator // certifies every repair; one per RunChurn, its buffers reused
 
 	now     float64
 	traceIx int
@@ -256,7 +257,7 @@ func (x *executor) arrival(i int32) float64 {
 	cols, site := x.hostCols[i], x.siteID[i]
 	for _, arc := range x.ix.Parents(int(i)) {
 		arrive := x.end[arc.Peer]
-		if x.net != nil && !sharesCol(x.hostCols[arc.Peer], cols) {
+		if x.net != nil && !sharesHost(x.hostCols[arc.Peer], cols) {
 			arrive += x.pairs.seconds(x.siteID[arc.Peer], site, arc.Bytes)
 		}
 		ready = math.Max(ready, arrive)
@@ -316,20 +317,6 @@ func (x *executor) finish(e event) {
 			x.cand.Push(event{at: x.startOf(c), i: c})
 		}
 	}
-}
-
-// sharesCol reports whether two dense host-column sets intersect (the
-// integer twin of sharesHost; host sets are tiny, so the quadratic scan
-// beats building a set).
-func sharesCol(a, b []int32) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // CommVolume sums the modelled inter-host communication time of a table —

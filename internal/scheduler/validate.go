@@ -1,8 +1,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/afg"
@@ -29,6 +31,12 @@ import (
 // executor and the placement kernel price from a per-run site-pair table
 // (scratch.go's sitePairs), and a validator reading that table would share
 // the very code it checks.
+//
+// A validator holds the replay's and the checks' buffers: slices by dense
+// task index, host names interned into its own columns. RunChurn reuses one
+// across its certifications, so that audit is valid only until the next one
+// and never leaves RunChurn. The shape and host checks accept in one pass and
+// fall back to their sorted walks to reject, so every error reads as before.
 
 // ScheduledSpan is one task's realized execution interval in the audit.
 type ScheduledSpan struct {
@@ -67,6 +75,24 @@ func (a *ScheduleAudit) Span(id afg.TaskID) (ScheduledSpan, bool) {
 // link by link, and per-host mutual exclusion interval by interval. Any
 // violation is an error naming the offending tasks.
 func ValidateSchedule(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
+	return new(validator).validate(g, table, model, net)
+}
+
+// validator is every buffer of a validation; the zero value is ready.
+type validator struct {
+	col               map[string]int32 // host name -> column, kept across calls
+	colAt, cols       []int32          // task i's columns are cols[colAt[i]:colAt[i+1]]
+	one               []string         // task -> its primary host, the Hosts of a single-host span
+	assigned          []Assignment     // Hosts always set: the parallel set or a slice of one
+	finish, dataReady []float64        // dataReady is set when the last parent finishes; 0 for roots
+	waiting, ready    []int32          // parents not yet finished; the ready dense ids, unordered
+	hostFree          []float64        // column -> host-free time, then latest end (checkHostExclusive)
+	pos               []int32          // task -> its span in the audit
+	audit             ScheduleAudit
+}
+
+// validate is ValidateSchedule on v's buffers.
+func (v *validator) validate(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
 	if g == nil || g.Len() == 0 {
 		return nil, afg.ErrEmpty
 	}
@@ -77,21 +103,61 @@ func ValidateSchedule(g *afg.Graph, table *AllocationTable, model TimeModel, net
 	if err != nil {
 		return nil, err
 	}
-	if err := checkTableShape(ix, table); err != nil {
-		return nil, err
+	if !v.load(ix, table) {
+		return nil, checkTableShape(ix, table)
 	}
-	audit, err := replay(ix, table, model, net)
+	audit, err := v.replay(ix, model, net)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPrecedence(ix, net, audit); err != nil {
+	if err := v.checkPrecedence(ix, net, audit); err != nil {
 		return nil, err
 	}
-	if err := checkHostExclusive(audit); err != nil {
+	if err := v.checkHostExclusive(audit); err != nil {
 		return nil, err
 	}
 	return audit, nil
 }
+
+// load mirrors the table into v's dense columns and seeds the ready list. It
+// accepts exactly what checkTableShape accepts and leaves errors to that walk.
+func (v *validator) load(ix *afg.Index, table *AllocationTable) bool {
+	n := ix.Len()
+	if len(table.Entries) != n {
+		return false
+	}
+	if v.col == nil {
+		v.col = map[string]int32{}
+	}
+	v.assigned, v.one, v.finish, v.waiting = grow(v.assigned, n), grow(v.one, n), grow(v.finish, n), grow(v.waiting, n)
+	v.dataReady, v.colAt, v.cols, v.ready = growZero(v.dataReady, n), append(v.colAt[:0], 0), v.cols[:0], v.ready[:0]
+	for i, id := range ix.IDs() {
+		a, ok := table.Get(id)
+		if !ok || a.Task != id || a.Host == "" || slices.Contains(a.Hosts, "") || len(a.Hosts) > 0 && !slices.Contains(a.Hosts, a.Host) {
+			return false
+		}
+		if len(a.Hosts) == 0 {
+			v.one[i] = a.Host
+			a.Hosts = v.one[i : i+1 : i+1]
+		}
+		v.assigned[i] = a
+		for _, h := range a.Hosts {
+			if _, ok := v.col[h]; !ok {
+				v.col[h] = int32(len(v.col))
+			}
+			v.cols = append(v.cols, v.col[h])
+		}
+		v.colAt = append(v.colAt, int32(len(v.cols)))
+		if v.waiting[i] = int32(ix.NumParents(i)); v.waiting[i] == 0 {
+			v.ready = append(v.ready, int32(i))
+		}
+	}
+	v.hostFree = growZero(v.hostFree, len(v.col))
+	return true
+}
+
+// hostCols is task i's host set as interned columns.
+func (v *validator) hostCols(i int32) []int32 { return v.cols[v.colAt[i]:v.colAt[i+1]] }
 
 // checkTableShape verifies the table covers the graph exactly: every task
 // assigned once, no assignments for unknown tasks, and each assignment
@@ -138,114 +204,96 @@ func checkTableShape(ix *afg.Index, table *AllocationTable) error {
 	return nil
 }
 
-// replay executes the table under the executor's semantics, naively: the
-// ready list holds every unfinished task whose parents are done (per-task
+// replay executes the loaded table under the executor's semantics, naively:
+// the ready list holds every unfinished task whose parents are done (per-task
 // parent counters put it there, and derive its data-ready time as they do),
 // and each step recomputes every ready task's earliest start against the
 // current host-free times and runs the (start, id)-minimal one. Identical
 // arithmetic to the executor — start = max(parent finish + transfer, host
 // free) and duration split across a parallel host set — so the realized times
 // match it bit for bit.
-func replay(ix *afg.Index, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
+func (v *validator) replay(ix *afg.Index, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
 	n := ix.Len()
-	assigned := make([]Assignment, n)
-	finish := make([]float64, n)
-	dataReady := make([]float64, n) // set when the last parent finishes; 0 for roots
-	waiting := make([]int, n)       // parents not yet finished
-	var ready []int                 // dense ids, in no particular order
-	hostFree := map[string]float64{}
-	for i := range assigned {
-		assigned[i], _ = table.Get(ix.ID(i))
-		if waiting[i] = ix.NumParents(i); waiting[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-
-	// arrival is when task i's inputs are all on its hosts: the latest
-	// parent finish plus transfer. Valid once every parent has finished.
-	arrival := func(i int) float64 {
-		a := assigned[i]
-		hosts := effectiveHosts(a)
-		var at float64
-		for _, arc := range ix.Parents(i) {
-			p := assigned[arc.Peer]
-			arrive := finish[arc.Peer]
-			if net != nil && !sharesHost(effectiveHosts(p), hosts) {
-				arrive += net.TransferTime(p.Site, a.Site, arc.Bytes).Seconds()
-			}
-			at = math.Max(at, arrive)
-		}
-		return at
-	}
-	startOf := func(i int) float64 {
-		start := dataReady[i]
-		for _, h := range effectiveHosts(assigned[i]) {
-			start = math.Max(start, hostFree[h])
-		}
-		return start
-	}
-
-	audit := &ScheduleAudit{Spans: make([]ScheduledSpan, 0, n)}
+	audit := &v.audit
+	audit.Spans, audit.Makespan = grow(audit.Spans, n)[:0], 0
 	for completed := 0; completed < n; completed++ {
-		if len(ready) == 0 {
+		if len(v.ready) == 0 {
 			return nil, fmt.Errorf("scheduler: validate: deadlock with %d tasks pending", n-completed)
 		}
-		at, pickStart := 0, startOf(ready[0])
-		for k := 1; k < len(ready); k++ {
-			if s := startOf(ready[k]); s < pickStart || (s == pickStart && ready[k] < ready[at]) {
+		at, pickStart := 0, v.startOf(v.ready[0])
+		for k := 1; k < len(v.ready); k++ {
+			if s := v.startOf(v.ready[k]); s < pickStart || (s == pickStart && v.ready[k] < v.ready[at]) {
 				at, pickStart = k, s
 			}
 		}
-		pick := ready[at]
-		ready[at] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+		pick := v.ready[at]
+		v.ready[at] = v.ready[len(v.ready)-1]
+		v.ready = v.ready[:len(v.ready)-1]
 
-		a := assigned[pick]
-		hosts := effectiveHosts(a)
-		dur := model(ix.Task(pick), a.Host)
+		a, cols := v.assigned[pick], v.hostCols(pick)
+		dur := model(ix.Task(int(pick)), a.Host)
 		if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
 			return nil, fmt.Errorf("scheduler: validate: invalid duration %v for task %q", dur, a.Task)
 		}
-		if len(hosts) > 1 {
-			dur /= float64(len(hosts))
+		if len(cols) > 1 {
+			dur /= float64(len(cols))
 		}
 		end := pickStart + dur
-		finish[pick] = end
-		for _, h := range hosts {
-			hostFree[h] = end
+		v.finish[pick] = end
+		for _, c := range cols {
+			v.hostFree[c] = end
 		}
-		for _, arc := range ix.Children(pick) {
-			if waiting[arc.Peer]--; waiting[arc.Peer] == 0 {
-				dataReady[arc.Peer] = arrival(int(arc.Peer))
-				ready = append(ready, int(arc.Peer))
+		for _, arc := range ix.Children(int(pick)) {
+			if v.waiting[arc.Peer]--; v.waiting[arc.Peer] == 0 {
+				v.dataReady[arc.Peer] = v.arrival(ix, net, arc.Peer)
+				v.ready = append(v.ready, arc.Peer)
 			}
 		}
-		audit.Spans = append(audit.Spans, ScheduledSpan{
-			Task: a.Task, Site: a.Site, Hosts: hosts, Start: pickStart, End: end,
-		})
+		audit.Spans = append(audit.Spans, ScheduledSpan{Task: a.Task, Site: a.Site, Hosts: a.Hosts, Start: pickStart, End: end})
 		audit.Makespan = math.Max(audit.Makespan, end)
 	}
-	sort.Slice(audit.Spans, func(i, j int) bool {
-		if audit.Spans[i].Start != audit.Spans[j].Start {
-			return audit.Spans[i].Start < audit.Spans[j].Start
-		}
-		return audit.Spans[i].Task < audit.Spans[j].Task
+	slices.SortFunc(audit.Spans, func(x, y ScheduledSpan) int {
+		return cmp.Or(cmp.Compare(x.Start, y.Start), cmp.Compare(x.Task, y.Task))
 	})
 	return audit, nil
+}
+
+// arrival is when task i's inputs are all on its hosts, once its parents finished.
+func (v *validator) arrival(ix *afg.Index, net *netsim.Network, i int32) float64 {
+	site, cols := v.assigned[i].Site, v.hostCols(i)
+	var at float64
+	for _, arc := range ix.Parents(int(i)) {
+		arrive := v.finish[arc.Peer]
+		if net != nil && !sharesHost(v.hostCols(arc.Peer), cols) {
+			arrive += net.TransferTime(v.assigned[arc.Peer].Site, site, arc.Bytes).Seconds()
+		}
+		at = math.Max(at, arrive)
+	}
+	return at
+}
+
+// startOf is ready task i's earliest start given the current host-free times.
+func (v *validator) startOf(i int32) float64 {
+	start := v.dataReady[i]
+	for _, c := range v.hostCols(i) {
+		start = math.Max(start, v.hostFree[c])
+	}
+	return start
 }
 
 // checkPrecedence re-verifies every link against the realized intervals
 // alone (the audit spans carry the sites and host sets): the child may not
 // start before the parent's finish plus the inter-site transfer (zero when
 // the two assignments share a host).
-func checkPrecedence(ix *afg.Index, net *netsim.Network, audit *ScheduleAudit) error {
-	span := make([]ScheduledSpan, ix.Len())
-	for _, s := range audit.Spans {
-		span[ix.Of(s.Task)] = s
+func (v *validator) checkPrecedence(ix *afg.Index, net *netsim.Network, audit *ScheduleAudit) error {
+	v.pos = grow(v.pos, ix.Len())
+	for k, s := range audit.Spans {
+		v.pos[ix.Of(s.Task)] = int32(k)
 	}
-	for i, child := range span {
+	for i, at := range v.pos {
+		child := &audit.Spans[at]
 		for _, arc := range ix.Parents(i) {
-			parent := span[arc.Peer]
+			parent := &audit.Spans[v.pos[arc.Peer]]
 			need := parent.End
 			if net != nil && !sharesHost(parent.Hosts, child.Hosts) {
 				need += net.TransferTime(parent.Site, child.Site, arc.Bytes).Seconds()
@@ -254,6 +302,23 @@ func checkPrecedence(ix *afg.Index, net *netsim.Network, audit *ScheduleAudit) e
 				return fmt.Errorf("scheduler: validate: precedence violation %s -> %s: child starts %v before data ready %v",
 					parent.Task, child.Task, child.Start, need)
 			}
+		}
+	}
+	return nil
+}
+
+// checkHostExclusive accepts in one pass: the replay's spans come in
+// (start, id) order, so keeping each host's latest end makes exactly the
+// sorted walk's comparisons. On doubt the package-level sorted walk decides.
+func (v *validator) checkHostExclusive(audit *ScheduleAudit) error {
+	clear(v.hostFree) // the replay is done with it
+	for _, s := range audit.Spans {
+		for _, h := range s.Hosts {
+			c, ok := v.col[h]
+			if !ok || s.Start < v.hostFree[c] {
+				return checkHostExclusive(audit)
+			}
+			v.hostFree[c] = s.End
 		}
 	}
 	return nil

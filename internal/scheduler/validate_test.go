@@ -4,8 +4,11 @@ package scheduler
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -151,7 +154,7 @@ func TestValidateCheckersCatchViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkPrecedence(ix, net, bad); err == nil {
+	if err := new(validator).checkPrecedence(ix, net, bad); err == nil {
 		t.Fatal("transfer-blind schedule accepted")
 	}
 	// Same instant, same host: double-booked.
@@ -380,5 +383,114 @@ func TestValidateScheduleErrorText(t *testing.T) {
 	want := pre + "host h1 double-booked: r [4, 6) overlaps s [5, 7)"
 	if err := checkHostExclusive(overlaps); err == nil || err.Error() != want {
 		t.Errorf("double-booked: got %v, want %q", err, want)
+	}
+}
+
+var reuseSeed = flag.Int64("reuse-seed", 0, "seed of TestReusedValidatorMatchesFresh (0: from the clock)")
+
+// One validator driven through a random sequence of tables — the dagen grid
+// and its mirror images, serial and parallel, so n grows and shrinks; a table
+// repeated; malformed tables and a mid-replay refusal in between — must
+// return exactly what a fresh ValidateSchedule returns at every step: the
+// same audit, or the same error. A buffer that needs growZero but got grow
+// leaks one call's state into the next and shows here.
+func TestReusedValidatorMatchesFresh(t *testing.T) {
+	type input struct {
+		g     *afg.Graph
+		table *AllocationTable
+		truth TimeModel
+		net   *netsim.Network
+	}
+	// mirror renames g's tasks in reverse order, so its roots take the
+	// highest dense indices, where the other graphs hold non-roots.
+	mirror := func(g *afg.Graph) *afg.Graph {
+		ids := g.TaskIDs()
+		rename := map[afg.TaskID]afg.TaskID{}
+		for k, id := range ids {
+			rename[id] = ids[len(ids)-1-k]
+		}
+		m := afg.New(g.Name + "-mirrored")
+		for _, id := range ids {
+			task := *g.Task(id)
+			task.ID = rename[id]
+			if err := m.AddTask(&task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range g.Links() {
+			l.From, l.To = rename[l.From], rename[l.To]
+			if err := m.AddLinkExact(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	var grid []input
+	forEachDagenGridGraph(t, func(label string, env Request, g *afg.Graph, truth TimeModel, net *netsim.Network) {
+		for _, g := range []*afg.Graph{g, mirror(g)} {
+			for _, policy := range []string{"heft", "eft"} {
+				table, err := runPolicy(policy, &env, g)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", policy, label, err)
+				}
+				grid = append(grid, input{g, table, truth, net})
+			}
+		}
+	})
+	seed := *reuseSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	malformed := func(tb *AllocationTable) *AllocationTable {
+		out := NewAllocationTable(tb.App)
+		order := tb.Order()
+		victim := order[rng.Intn(len(order))]
+		kind := rng.Intn(4)
+		for _, id := range order {
+			a, _ := tb.Get(id)
+			if id == victim {
+				switch kind {
+				case 0:
+					continue // missing
+				case 1:
+					a.Host, a.Hosts = "", nil
+				case 2:
+					a.Hosts = []string{a.Host + "-elsewhere"}
+				case 3:
+					out.Set(Assignment{Task: "zz-ghost", Site: a.Site, Host: a.Host})
+				}
+			}
+			out.Set(a)
+		}
+		return out
+	}
+	var v validator
+	in := grid[0]
+	for step := 0; step < 400; step++ {
+		what := "repeat"
+		switch r := rng.Float64(); {
+		case r < 0.15: // the previous input again
+		case r < 0.3:
+			what, in = "malformed", grid[rng.Intn(len(grid))]
+			in.table = malformed(in.table)
+		case r < 0.4:
+			what, in = "refused duration", grid[rng.Intn(len(grid))]
+			victim, truth := in.g.TaskIDs()[rng.Intn(in.g.Len())], in.truth
+			in.truth = func(task *afg.Task, host string) float64 {
+				if task.ID == victim {
+					return math.Inf(-1)
+				}
+				return truth(task, host)
+			}
+		default:
+			what, in = "grid", grid[rng.Intn(len(grid))]
+		}
+		got, gotErr := v.validate(in.g, in.table, in.truth, in.net)
+		want, wantErr := ValidateSchedule(in.g, in.table, in.truth, in.net)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d (%s, %d tasks): reused validator returned (%v, %v), fresh (%v, %v)",
+				seed, step, what, in.g.Len(), got, gotErr, want, wantErr)
+		}
 	}
 }
