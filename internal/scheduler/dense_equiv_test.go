@@ -265,43 +265,75 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 
 // Two sites exposing the SAME host name must share one timeline — the
 // map-keyed path keyed timelines by name, so the dense path's canonical
-// columns must reproduce it exactly.
+// columns must reproduce it exactly. Every fifth task is parallel, so
+// machineSet reads the second column block's rows. The mixed case adds an
+// opaque site whose name sorts between the two, so a fallback block sits
+// between two column blocks and offers the shared host for some tasks: the
+// block offsets and the parent-host test are held to the oracle too.
 func TestDenseHEFTSharedHostNameAcrossSites(t *testing.T) {
 	for _, policy := range []string{"heft", "cpop"} {
 		p, err := Lookup(policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for seed := int64(1); seed <= 3; seed++ {
-			repos := map[string]*repository.Repository{
-				"ames": makeRepo(t, "ames", map[string][2]float64{
-					"shared-00": {3, 0}, "ames-01": {1, 1},
-				}),
-				"oslo": makeRepo(t, "oslo", map[string][2]float64{
-					"shared-00": {3, 0.5}, "oslo-01": {2, 0},
-				}),
+		for _, mixed := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				g := equivGraph(t, 60, 6, seed)
+				for i, id := range g.TaskIDs() {
+					if i%5 == 2 {
+						task := g.Task(id)
+						task.Mode, task.Processors = afg.Parallel, 2
+					}
+				}
+				repos := map[string]*repository.Repository{
+					"ames": makeRepo(t, "ames", map[string][2]float64{
+						"shared-00": {3, 0}, "ames-01": {1, 1},
+					}),
+					"oslo": makeRepo(t, "oslo", map[string][2]float64{
+						"shared-00": {3, 0.5}, "oslo-01": {2, 0},
+					}),
+				}
+				sites := []string{"ames", "oslo"}
+				remotes := []HostSelector{&LocalSelector{Site: "oslo", Repo: repos["oslo"]}}
+				if mixed {
+					sites = []string{"ames", "lima", "oslo"}
+					remotes = append(remotes, limaOffers(g))
+				}
+				net := netsim.StarTopology(sites, 5*time.Millisecond, 1e7, 1)
+				req := NewRequest(g, &LocalSelector{Site: "ames", Repo: repos["ames"]}, remotes, net)
+				req.Sites = repos
+				dense, err := p.Schedule(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s mixed=%v seed %d: dense: %v", policy, mixed, seed, err)
+				}
+				var want *AllocationTable
+				if policy == "heft" {
+					want, err = oracleHEFT(context.Background(), req)
+				} else {
+					want, err = oracleCPOP(context.Background(), req)
+				}
+				if err != nil {
+					t.Fatalf("%s mixed=%v seed %d: oracle: %v", policy, mixed, seed, err)
+				}
+				tablesEqual(t, fmt.Sprintf("%s shared-host mixed=%v seed %d", policy, mixed, seed), dense, want)
 			}
-			net := netsim.StarTopology([]string{"ames", "oslo"}, 5*time.Millisecond, 1e7, 1)
-			req := NewRequest(equivGraph(t, 60, 6, seed),
-				&LocalSelector{Site: "ames", Repo: repos["ames"]},
-				[]HostSelector{&LocalSelector{Site: "oslo", Repo: repos["oslo"]}}, net)
-			req.Sites = repos
-			dense, err := p.Schedule(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s seed %d: dense: %v", policy, seed, err)
-			}
-			var want *AllocationTable
-			if policy == "heft" {
-				want, err = oracleHEFT(context.Background(), req)
-			} else {
-				want, err = oracleCPOP(context.Background(), req)
-			}
-			if err != nil {
-				t.Fatalf("%s seed %d: oracle: %v", policy, seed, err)
-			}
-			tablesEqual(t, fmt.Sprintf("%s shared-host seed %d", policy, seed), dense, want)
 		}
 	}
+}
+
+// limaOffers answers for an opaque site "lima": the shared host for every
+// third task, its own host for the rest, at predictions that win some tasks
+// and lose others.
+func limaOffers(g *afg.Graph) opaqueSelector {
+	sel := opaqueSelector{site: "lima", offers: map[afg.TaskID]Choice{}}
+	for i, id := range g.TaskIDs() {
+		host := "lima-01"
+		if i%3 == 0 {
+			host = "shared-00"
+		}
+		sel.offers[id] = Choice{Site: "lima", Host: host, Predicted: g.Task(id).ComputeCost * (0.2 + 0.15*float64(i%4))}
+	}
+	return sel
 }
 
 // The dense per-site selector walk against the map-keyed oracle walk, under

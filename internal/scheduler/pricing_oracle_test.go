@@ -156,11 +156,26 @@ func TestWalksPriceLikePerPairOracle(t *testing.T) {
 		if withCache {
 			sel.Cache = predict.NewCache()
 		}
+		// A second in-process site on the same hosts under other loads, and
+		// an opaque one between them, so the gather has a fallback block
+		// between two column blocks whose cells differ.
+		repo2, _ := pricingFixture(t)
+		for i, r := range repo2.Resources.List() {
+			if err := repo2.Resources.UpdateDynamic(r.Static.HostName, 0.3*float64(i+1), r.Dynamic.AvailableMemory, time.Unix(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		abq := &LocalSelector{Site: "abq", Repo: repo2, Forecast: forecast}
+		mid := opaqueSelector{site: "mid", offers: map[afg.TaskID]Choice{}}
+		for _, id := range g.TaskIDs() {
+			mid.offers[id] = Choice{Site: "mid", Host: "m0", Predicted: 1}
+		}
 		for round := 0; round < 2; round++ {
 			name := fmt.Sprintf("cache=%v/round=%d", withCache, round)
 			checkFaithfulWalk(t, name, sel, g)
 			checkEFTWalk(t, name, sel, g)
-			checkCostMatrix(t, name, sel, g)
+			checkCostMatrix(t, name, g, sel)
+			checkCostMatrix(t, name+"/3-site", g, sel, abq, mid)
 		}
 	}
 }
@@ -252,32 +267,52 @@ func checkEFTWalk(t *testing.T, name string, sel *LocalSelector, g *afg.Graph) {
 	}
 }
 
-// checkCostMatrix compares every cell of the HEFT/CPOP cost gather.
-func checkCostMatrix(t *testing.T, name string, sel *LocalSelector, g *afg.Graph) {
+// checkCostMatrix compares every cell of the HEFT/CPOP cost gather over
+// local and remotes, read through Pred, against the oracle on the cell's own
+// site: the columns must be every in-process site's hosts, grouped by site
+// in name order and by host within a site.
+func checkCostMatrix(t *testing.T, name string, g *afg.Graph, local *LocalSelector, remotes ...HostSelector) {
 	t.Helper()
 	cc := NewCostCache()
-	req := NewRequest(g, sel, nil, nil, WithCostCache(cc))
+	req := NewRequest(g, local, remotes, nil, WithCostCache(cc))
 	if err := req.PrewarmCosts(); err != nil {
 		t.Fatalf("%s: PrewarmCosts: %v", name, err)
 	}
 	cm := cc.m[g]
-	resources := sel.Repo.Resources.List()
-	if len(cm.Hosts()) != len(resources) {
-		t.Fatalf("%s: matrix has %d columns, repository %d hosts", name, len(cm.Hosts()), len(resources))
+	bySite := map[string]*LocalSelector{local.Site: local}
+	for _, r := range remotes {
+		if ls, ok := r.(*LocalSelector); ok {
+			bySite[ls.Site] = ls
+		}
+	}
+	type column struct {
+		sel *LocalSelector
+		r   repository.ResourceRecord
+	}
+	var cols []column
+	for _, site := range cm.Sites() {
+		if sel := bySite[site]; sel != nil {
+			for _, r := range sel.Repo.Resources.List() {
+				cols = append(cols, column{sel, r})
+			}
+		}
+	}
+	if len(cm.Hosts()) != len(cols) {
+		t.Fatalf("%s: matrix has %d columns, repositories %d hosts", name, len(cm.Hosts()), len(cols))
 	}
 	ix, _ := g.Index()
 	for ti := 0; ti < ix.Len(); ti++ {
-		for c, r := range resources {
-			if cm.Hosts()[c].Host != r.Static.HostName {
-				t.Fatalf("%s: column %d is %s, want %s", name, c, cm.Hosts()[c].Host, r.Static.HostName)
+		for c, col := range cols {
+			if h := cm.Hosts()[c]; h.Site != col.sel.Site || h.Host != col.r.Static.HostName {
+				t.Fatalf("%s: column %d is %s/%s, want %s/%s", name, c, h.Site, h.Host, col.sel.Site, col.r.Static.HostName)
 			}
 			got := cm.Pred(ti, c)
-			want, ok := oraclePrice(sel, ix.Task(ti), r, 0)
+			want, ok := oraclePrice(col.sel, ix.Task(ti), col.r, 0)
 			if !ok {
 				want = math.NaN()
 			}
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("%s: cost cell (%s, %s) = %v, oracle %v", name, ix.ID(ti), r.Static.HostName, got, want)
+				t.Fatalf("%s: cost cell (%s, %s/%s) = %v, oracle %v", name, ix.ID(ti), col.sel.Site, col.r.Static.HostName, got, want)
 			}
 		}
 	}
