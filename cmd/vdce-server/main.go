@@ -40,7 +40,7 @@ func main() {
 	sockets := flag.Bool("sockets", false, "ship inter-task data through TCP proxies")
 	threshold := flag.Float64("load-threshold", 0, "QoS load threshold (0 = disabled)")
 	repoPath := flag.String("repo", "", "site repository file: loaded at startup if present, saved on shutdown")
-	schedWorkers := flag.Int("sched-workers", 0, "scheduling concurrency: site fan-out and batch workers (0 = GOMAXPROCS, 1 = serial)")
+	schedWorkers := flag.Int("sched-workers", 0, "scheduling concurrency: the site's fan-out workers (0 = GOMAXPROCS, 1 = serial)")
 	policy := flag.String("policy", "", fmt.Sprintf("default scheduling policy (one of: %s; empty = faithful)", strings.Join(scheduler.Policies(), ", ")))
 	flag.Parse()
 

@@ -10,8 +10,8 @@
 // Scheduling is organised around a pluggable policy API: every heuristic
 // implements scheduler.Policy (Name + Schedule(ctx, *Request)) and
 // registers by name, so algorithms are selected as data end to end — the
-// Site.ScheduleBatch RPC, vdce-server -policy, vdce-submit -policy, and
-// the experiments harness all take a policy name. Policy.Schedule is the
+// site Manager's batch scheduling, vdce-server -policy, vdce-submit
+// -policy, and the experiments harness all take a policy name. Policy.Schedule is the
 // only way to run an algorithm and the registered name the only selector of
 // which one runs: a Request (NewRequest plus With* options) describes the
 // environment, and scheduler.Batch{Policy, Env} runs one policy over many
@@ -54,8 +54,9 @@
 //
 // The scheduling core is dense: afg.Graph caches an integer-indexed view
 // (Graph.Index — TaskID→int, CSR adjacency, topological order), per-(task,
-// host) predictions sit in one contiguous CostMatrix built in a single
-// batched pass and shared across policies via a CostCache, ranks and
+// host) predictions sit in a CostMatrix built in a single batched pass —
+// a view over the prediction slabs the sites' Host Selection returned, not
+// a merged copy — and shared across policies via a CostCache, ranks and
 // ready-set walks run on slice-indexed priority heaps, host timelines
 // binary-search their insertion gaps, and the cross-application LoadLedger
 // is sharded across independently locked stripes and read directly per

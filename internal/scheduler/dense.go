@@ -9,10 +9,11 @@ import (
 	"repro/internal/afg"
 )
 
-// This file is the dense scheduling core: per-(task, host) predictions live
-// in one contiguous matrix addressed by (dense task index × dense host
-// column) instead of map[TaskID][]Choice, built in a single batched pass
-// over the participating sites and shared — via CostCache — across every
+// This file is the dense scheduling core: per-(task, host) predictions are
+// addressed by (dense task index × dense host column) instead of
+// map[TaskID][]Choice. Each site's predictions stay in the slab that site's
+// Host Selection returned (Fig 4, steps 3–5) — the matrix is a view over
+// them, not a merged copy — and one matrix is shared, via CostCache, by every
 // policy a Batch or policy-comparison run throws at the same graph.
 
 // HostRef names one dense host column: the host and the site that owns it.
@@ -22,11 +23,12 @@ type HostRef struct {
 }
 
 // CostMatrix is the dense candidate table for one (graph, environment)
-// pair: Pred[t*H+c] is the pure predicted execution seconds of task t on
+// pair: Pred(t, c) is the pure predicted execution seconds of task t on
 // host column c, NaN where the host is ineligible. Columns are grouped by
 // site in ascending site-name order and sorted by host name within a site —
 // exactly the deterministic merge order of the map-keyed gather, so walks
-// that iterate columns in order reproduce the map path's tie-breaks.
+// that iterate columns in order reproduce the map path's tie-breaks. Each
+// site block holds its own columns' predictions, row-major by task.
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best
@@ -36,7 +38,6 @@ type CostMatrix struct {
 	ix     *afg.Index
 	hosts  []HostRef
 	col    map[string]int32 // host name -> dense column
-	pred   []float64        // V×H row-major; NaN = ineligible
 	blocks []siteBlock      // participating sites, ascending name
 	sites  []string         // participating site names, ascending
 
@@ -47,12 +48,14 @@ type CostMatrix struct {
 	filled []bool
 }
 
-// siteBlock is one site's contribution to the matrix: a column range for
-// per-host-cost sites, or an index-addressed fallback offer table.
+// siteBlock is one site's contribution to the matrix: a column range and
+// its predictions for per-host-cost sites, or an index-addressed fallback
+// offer table.
 type siteBlock struct {
 	name       string
-	col0, col1 int32    // dense column range; col0 == col1 ⇒ fallback site
-	fallback   []Choice // idx-indexed best offers (fallback sites only)
+	col0, col1 int32     // dense column range; col0 == col1 ⇒ fallback site
+	pred       []float64 // V×(col1−col0) row-major; NaN = ineligible
+	fallback   []Choice  // idx-indexed best offers (fallback sites only)
 }
 
 // Hosts returns the dense column → host table. Callers must not mutate it.
@@ -64,28 +67,36 @@ func (cm *CostMatrix) Sites() []string { return cm.sites }
 // Pred returns the predicted seconds for task index t on column c (NaN
 // when ineligible).
 func (cm *CostMatrix) Pred(t, c int) float64 {
-	return cm.row(t)[c]
-}
-
-// row returns task t's prediction row.
-func (cm *CostMatrix) row(t int) []float64 {
-	h := len(cm.hosts)
-	row := cm.pred[t*h : (t+1)*h]
-	if cm.model != nil && !cm.filled[t] {
-		cm.fill(t, row)
+	bi := 0
+	for int32(c) >= cm.blocks[bi].col1 {
+		bi++
 	}
-	return row
+	return cm.row(t, bi)[c-int(cm.blocks[bi].col0)]
 }
 
-// fill prices task t on every column from the lazy matrix's model; a cost
-// the model cannot vouch for (NaN, infinite, negative) marks the host
-// ineligible.
-func (cm *CostMatrix) fill(t int, row []float64) {
+// row returns task t's predictions on column block bi's hosts.
+func (cm *CostMatrix) row(t, bi int) []float64 {
+	if cm.model != nil && !cm.filled[t] {
+		cm.fill(t)
+	}
+	b := &cm.blocks[bi]
+	w := int(b.col1 - b.col0)
+	return b.pred[t*w : (t+1)*w]
+}
+
+// fill prices task t on every column, block by block in column order, from
+// the lazy matrix's model; a cost the model cannot vouch for (NaN,
+// infinite, negative) marks the host ineligible.
+func (cm *CostMatrix) fill(t int) {
 	task := cm.ix.Task(t)
-	for c, h := range cm.hosts {
-		row[c] = cm.model(task, h.Host)
-		if !validCost(row[c]) {
-			row[c] = math.NaN()
+	for _, b := range cm.blocks {
+		w := int(b.col1 - b.col0)
+		row := b.pred[t*w : (t+1)*w]
+		for k, h := range cm.hosts[b.col0:b.col1] {
+			row[k] = cm.model(task, h.Host)
+			if !validCost(row[k]) {
+				row[k] = math.NaN()
+			}
 		}
 	}
 	cm.filled[t] = true
@@ -98,16 +109,18 @@ func validCost(c float64) bool {
 // modelCostMatrix is the lazy matrix of a re-plan: one column per host, in
 // the given order — which must be site-then-host ascending, the gather's
 // column order — and no row priced until it is read. Its two buffers are
-// sc's (placement.releaseScratch hands them back): pred is left dirty
-// because row reads nothing it has not filled, filled is reset.
+// sc's, and each site block slices its columns out of lazyPred: the slab is
+// left dirty because row reads nothing it has not filled, filled is reset.
 func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratch) *CostMatrix {
+	v := ix.Len()
+	sc.lazyPred = grow(sc.lazyPred, v*len(hosts))
+	sc.lazyFilled = growZero(sc.lazyFilled, v)
 	cm := &CostMatrix{
 		ix:     ix,
 		hosts:  hosts,
 		col:    make(map[string]int32, len(hosts)),
-		pred:   grow(sc.lazyPred, ix.Len()*len(hosts)),
 		model:  model,
-		filled: growZero(sc.lazyFilled, ix.Len()),
+		filled: sc.lazyFilled,
 	}
 	for c, h := range hosts {
 		cm.col[h.Host] = int32(c)
@@ -116,6 +129,10 @@ func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratc
 			cm.blocks = append(cm.blocks, siteBlock{name: h.Site, col0: int32(c)})
 		}
 		cm.blocks[len(cm.blocks)-1].col1 = int32(c + 1)
+	}
+	for bi := range cm.blocks {
+		b := &cm.blocks[bi]
+		b.pred = sc.lazyPred[v*int(b.col0) : v*int(b.col1)]
 	}
 	return cm
 }
@@ -134,10 +151,9 @@ func offerMatrix(ix *afg.Index, results []siteResult) *CostMatrix {
 // t, accumulated in the same site-then-host order as the map-keyed gather
 // so the float result is bit-identical.
 func (cm *CostMatrix) meanExec(t int) float64 {
-	row := cm.row(t)
 	var sum float64
 	n := 0
-	for _, b := range cm.blocks {
+	for bi, b := range cm.blocks {
 		if b.fallback != nil {
 			if c := b.fallback[t]; c.Host != "" {
 				sum += c.Predicted
@@ -145,8 +161,8 @@ func (cm *CostMatrix) meanExec(t int) float64 {
 			}
 			continue
 		}
-		for c := b.col0; c < b.col1; c++ {
-			if p := row[c]; !math.IsNaN(p) {
+		for _, p := range cm.row(t, bi) {
+			if !math.IsNaN(p) {
 				sum += p
 				n++
 			}
@@ -163,17 +179,16 @@ func (cm *CostMatrix) meanExec(t int) float64 {
 // placement path needs the slice form; the scalar walks iterate the
 // matrix directly.
 func (cm *CostMatrix) choices(t int, buf []Choice) []Choice {
-	row := cm.row(t)
-	for _, b := range cm.blocks {
+	for bi, b := range cm.blocks {
 		if b.fallback != nil {
 			if c := b.fallback[t]; c.Host != "" {
 				buf = append(buf, c)
 			}
 			continue
 		}
-		for c := b.col0; c < b.col1; c++ {
-			if p := row[c]; !math.IsNaN(p) {
-				buf = append(buf, Choice{Site: b.name, Host: cm.hosts[c].Host, Predicted: p})
+		for k, p := range cm.row(t, bi) {
+			if !math.IsNaN(p) {
+				buf = append(buf, Choice{Site: b.name, Host: cm.hosts[int(b.col0)+k].Host, Predicted: p})
 			}
 		}
 	}
@@ -319,11 +334,14 @@ func (r *Request) PrewarmCosts() error {
 }
 
 // gatherCostMatrix is the HEFT/CPOP candidate gather: one multicast whose
-// in-process sites answer with full per-host cost vectors and whose other
+// in-process sites answer with full per-host cost slabs and whose other
 // sites answer with their single best choice per task, merged in site-name
-// order into one contiguous matrix.
+// order. The merge numbers the columns and points each site block at the
+// slab its site returned; no prediction is copied. The slabs are schedule
+// output — a CostCache shares them across policies and Batch workers — and
+// are never pooled.
 //
-//vdce:hot allocs=120
+//vdce:hot allocs=83
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	keep, err := multicast(ix, req, func(ls *LocalSelector, r *siteResult) {
 		r.hosts, r.pred, r.err = ls.denseHostCosts(ix)
@@ -331,31 +349,15 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	v := ix.Len()
 	cm := &CostMatrix{ix: ix, col: map[string]int32{}}
-	total := 0
-	for _, g := range keep {
-		total += len(g.hosts)
-	}
-	cm.pred = make([]float64, v*total)
-	for i := range cm.pred {
-		cm.pred[i] = math.NaN()
-	}
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
-		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), fallback: g.choices}
+		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), pred: g.pred, fallback: g.choices}
 		for _, h := range g.hosts {
 			cm.col[h] = int32(len(cm.hosts))
 			cm.hosts = append(cm.hosts, HostRef{Site: g.name, Host: h})
 		}
 		b.col1 = int32(len(cm.hosts))
-		// Both sides are row-major, so each task's site block moves as
-		// one contiguous copy.
-		for t := 0; t < v; t++ {
-			copy(cm.pred[t*total+int(b.col0):t*total+int(b.col1)],
-				g.pred[t*len(g.hosts):(t+1)*len(g.hosts)])
-		}
 		cm.blocks = append(cm.blocks, b)
 	}
 	return cm, nil

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -477,8 +478,10 @@ func containsStr(s, sub string) bool {
 }
 
 // One shared CostCache across policies: the second policy's gather must
-// come from the cache (pointer-identical matrix), and cached scheduling
-// must equal uncached.
+// come from the cache (pointer-identical matrix), cached scheduling must
+// equal uncached, and schedules reading the cached matrix — the sites'
+// own prediction slabs, shared by reference — from several goroutines at
+// once must each equal the serial one.
 func TestCostCacheSharedAcrossPolicies(t *testing.T) {
 	req, _, _ := equivEnv(t, 9)
 	req.Graph = equivGraph(t, 60, 6, 9)
@@ -510,4 +513,34 @@ func TestCostCacheSharedAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, "cached vs uncached", t1, plain)
+
+	t2, err := cpop.Schedule(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*AllocationTable, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p := heft
+			if i%2 == 1 {
+				p = cpop
+			}
+			got[i], errs[i] = p.Schedule(context.Background(), req)
+		}(i)
+	}
+	wg.Wait()
+	for i, table := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want := t1
+		if i%2 == 1 {
+			want = t2
+		}
+		tablesEqual(t, fmt.Sprintf("concurrent schedule %d", i), table, want)
+	}
 }

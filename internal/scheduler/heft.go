@@ -238,9 +238,10 @@ type placement struct {
 	// allocated fresh per placement and never returned to the pool.
 	hostSlab []string
 
-	blockReady  []float64 // per-site-block data-ready memo for the current task
-	blockSite   []int32   // per-site-block site id
-	parentHosts []string  // hosts of the current task's byte-carrying placed parents
+	blockReady []float64 // per-site-block data-ready memo for the current task
+	blockSite  []int32   // per-site-block site id
+	mark       []int32   // column -> stamp of the last task with a byte-carrying parent on its host
+	stamp      int32     // the current task's stamp
 }
 
 // newPlacement wires the placement state onto sc's pooled buffers. The
@@ -259,26 +260,27 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	sc.hostSets = growZero(sc.hostSets, n) // drop the prior schedule's refs
 	sc.blockReady = grow(sc.blockReady, len(cm.blocks))
 	sc.blockSite = grow(sc.blockSite, len(cm.blocks))
+	sc.mark = growZero(sc.mark, len(cm.hosts)) // 0 = no stamp yet
 	sc.pairs.reset(net)
 	for bi := range cm.blocks {
 		sc.blockSite[bi] = sc.pairs.id(cm.blocks[bi].name)
 	}
 	p := &placement{
-		cm:          cm,
-		pairs:       &sc.pairs,
-		ledger:      ledger,
-		lines:       sc.lines,
-		canon:       sc.canon,
-		extra:       sc.lineOf,
-		placed:      sc.placed,
-		finish:      sc.finish,
-		siteID:      sc.siteID,
-		hosts:       sc.hostSets,
-		table:       NewAllocationTableSized(app, n),
-		choiceBuf:   sc.choiceBuf,
-		blockReady:  sc.blockReady,
-		blockSite:   sc.blockSite,
-		parentHosts: sc.parentHosts,
+		cm:         cm,
+		pairs:      &sc.pairs,
+		ledger:     ledger,
+		lines:      sc.lines,
+		canon:      sc.canon,
+		extra:      sc.lineOf,
+		placed:     sc.placed,
+		finish:     sc.finish,
+		siteID:     sc.siteID,
+		hosts:      sc.hostSets,
+		table:      NewAllocationTableSized(app, n),
+		choiceBuf:  sc.choiceBuf,
+		blockReady: sc.blockReady,
+		blockSite:  sc.blockSite,
+		mark:       sc.mark,
 	}
 	// A host NAME owns one timeline, however many sites offer it (the
 	// map-keyed path keyed timelines by name): every column resolves to
@@ -316,16 +318,13 @@ func (p *placement) line(host string) *timeline {
 // releaseScratch hands the placement's pooled buffers back to sc so any
 // growth is retained for the next schedule. The table and hostSlab are
 // schedule output and are never returned, and neither is a gathered cost
-// matrix (a CostCache may share it); a re-plan's lazy one is scratch. Call
-// before sc.release().
+// matrix (a CostCache may share it); a re-plan's lazy one is sc's already.
+// Call before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
 	sc.lines, sc.canon, sc.lineOf = p.lines, p.canon, p.extra
 	sc.placed, sc.finish, sc.siteID, sc.hostSets = p.placed, p.finish, p.siteID, p.hosts
-	sc.blockReady, sc.blockSite, sc.parentHosts = p.blockReady, p.blockSite, p.parentHosts
+	sc.blockReady, sc.blockSite, sc.mark = p.blockReady, p.blockSite, p.mark
 	sc.choiceBuf = p.choiceBuf
-	if p.cm.model != nil {
-		sc.lazyPred, sc.lazyFilled = p.cm.pred, p.cm.filled
-	}
 }
 
 // readyAt is the data-ready time of task t on the given host set at site
@@ -353,13 +352,15 @@ func (p *placement) readyAt(t int, site int32, hosts []string) float64 {
 }
 
 // prepReady memoises, per dense site block, the current task's data-ready
-// time assuming no host sharing, and collects the hosts of byte-carrying
-// placed parents. Inside a block every host sees the same transfer terms
-// except the few appearing in a parent's host set (a zero-byte parent's
-// sharing never changes readyAt), so only those fall back to the full
-// recompute. This is the cache-blocked CostMatrix traversal: the
-// O(parents) transfer walk runs once per (task, site block) instead of
-// once per (task, host) — O(S·P) against the former O(H·P) — which
+// time assuming no host sharing, and stamps the columns of the hosts of
+// byte-carrying placed parents in mark. Inside a block every host sees the
+// same transfer terms except the few appearing in a parent's host set (a
+// zero-byte parent's sharing never changes readyAt), so only those fall
+// back to the full recompute. A host is stamped at its name's canonical
+// column, which every site offering that name shares; a parent host outside
+// the matrix has no column to stamp. This is the cache-blocked CostMatrix
+// traversal: the O(parents) transfer walk runs once per (task, site block)
+// instead of once per (task, host) — O(S·P) against the former O(H·P) — which
 // profiled far better at 1000 hosts than an indexed O(log H) structure,
 // whose per-host heterogeneous ready times defeat any shared ordering.
 // A matrix without columns (a site walk's offers) has nothing to memoise.
@@ -367,10 +368,14 @@ func (p *placement) prepReady(t int) {
 	if len(p.cm.hosts) == 0 {
 		return
 	}
-	p.parentHosts = p.parentHosts[:0]
+	p.stamp++
 	for _, a := range p.cm.ix.Parents(t) {
 		if a.Bytes > 0 && p.placed[a.Peer] {
-			p.parentHosts = append(p.parentHosts, p.hosts[a.Peer]...)
+			for _, h := range p.hosts[a.Peer] {
+				if c, ok := p.cm.col[h]; ok {
+					p.mark[c] = p.stamp
+				}
+			}
 		}
 	}
 	for bi := range p.cm.blocks {
@@ -379,16 +384,6 @@ func (p *placement) prepReady(t int) {
 		}
 		p.blockReady[bi] = p.readyAt(t, p.blockSite[bi], nil)
 	}
-}
-
-// hostIn is a linear probe over the (tiny) parent host list.
-func hostIn(hosts []string, h string) bool {
-	for _, x := range hosts {
-		if x == h {
-			return true
-		}
-	}
-	return false
 }
 
 // floor is the kernel's ledger rule: with a shared ledger, host h (whose
@@ -455,7 +450,6 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 	bestFinish := math.Inf(1)
 	found := false
 	var hostBuf [1]string
-	row := p.cm.row(t)
 	for bi, b := range p.cm.blocks {
 		if b.fallback != nil {
 			c := b.fallback[t]
@@ -481,6 +475,7 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			p.consider(&best, &bestStart, &bestFinish, &found, c, start)
 			continue
 		}
+		row := p.cm.row(t, bi)
 		if set {
 			if c, start, ok := p.machineSet(t, task.Processors, bi, row, restrict); ok {
 				p.consider(&best, &bestStart, &bestFinish, &found, c, start)
@@ -488,21 +483,22 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			continue
 		}
 		base := p.blockReady[bi]
-		for col := b.col0; col < b.col1; col++ {
-			pr := row[col]
+		for k, pr := range row {
 			if math.IsNaN(pr) {
 				continue
 			}
+			col := b.col0 + int32(k)
 			host := p.cm.hosts[col].Host
 			if restrict != nil && !restrict[host] {
 				continue
 			}
 			ready := base
-			if hostIn(p.parentHosts, host) {
+			canon := p.canon[col]
+			if p.mark[canon] == p.stamp {
 				hostBuf[0] = host
 				ready = p.readyAt(t, p.blockSite[bi], hostBuf[:])
 			}
-			start := p.startOn(host, &p.lines[p.canon[col]], ready, pr)
+			start := p.startOn(host, &p.lines[canon], ready, pr)
 			p.consider(&best, &bestStart, &bestFinish, &found,
 				Choice{Site: b.name, Host: host, Predicted: pr}, start)
 		}
@@ -548,16 +544,16 @@ func (p *placement) consider(best *Choice, bestStart, bestFinish *float64, found
 	}
 }
 
-// machineSet is a parallel-mode task's candidate at column block bi: the
-// task.Processors eligible hosts that free up earliest (host name on ties),
-// charged the slowest member's prediction split n ways. ok is false when
-// restrict leaves the block no host.
+// machineSet is a parallel-mode task's candidate at column block bi, whose
+// row of predictions is row: the task.Processors eligible hosts that free up
+// earliest (host name on ties), charged the slowest member's prediction
+// split n ways. ok is false when restrict leaves the block no host.
 func (p *placement) machineSet(t, n, bi int, row []float64, restrict map[string]bool) (c Choice, start float64, ok bool) {
 	b := &p.cm.blocks[bi]
 	group := p.choiceBuf[:0]
-	for col := b.col0; col < b.col1; col++ {
-		if pr := row[col]; !math.IsNaN(pr) {
-			if host := p.cm.hosts[col].Host; restrict == nil || restrict[host] {
+	for k, pr := range row {
+		if !math.IsNaN(pr) {
+			if host := p.cm.hosts[int(b.col0)+k].Host; restrict == nil || restrict[host] {
 				group = append(group, Choice{Host: host, Predicted: pr})
 			}
 		}

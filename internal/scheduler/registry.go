@@ -9,8 +9,8 @@ import (
 )
 
 // The policy registry: every scheduling heuristic registers itself by name
-// so callers — site.Manager, the Site.ScheduleBatch RPC, vdce-server's
-// -policy flag, the experiments harness — select algorithms as data. A new
+// so callers — site.Manager, vdce-server's -policy flag, the experiments
+// harness — select algorithms as data. A new
 // heuristic is a Policy implementation plus one Register call.
 
 // ErrUnknownPolicy reports a Lookup for a name nothing registered.

@@ -26,7 +26,7 @@ package scheduler
 //     no synchronisation happens inside one.
 //
 // A pooled scratch retains references from its last use (assignment
-// strings, parent host lists) until its next growZero or until the GC
+// strings, host sets) until its next growZero or until the GC
 // clears the pool's victim cache. That retention is bounded by one
 // schedule's working set per pooled scratch and is the price of reuse.
 
@@ -50,18 +50,18 @@ type scratch struct {
 
 	// Placement state (the earliest-finish kernel: HEFT, CPOP, the eft
 	// site walks, re-planners).
-	lines       []timeline       // per-host timelines; span slabs retained
-	lineOf      map[string]int32 // host outside the matrix -> its line (cleared per use)
-	canon       []int32          // column -> canonical column per host name
-	placed      []bool           // settled-or-committed marker per task (reset to false)
-	finish      []float64        // estimated finish per task
-	hostSets    [][]string       // assigned host set per task (refs dropped on reset)
-	blockReady  []float64        // per-site-block data-ready memo
-	blockSite   []int32          // per-site-block site id
-	parentHosts []string         // hosts of the current task's byte-carrying parents
-	choiceBuf   []Choice         // one site's candidates for a parallel-mode task
-	lazyPred    []float64        // a re-plan's lazy CostMatrix, V×H (rows gated by lazyFilled)
-	lazyFilled  []bool           // its row-priced markers (reset to false)
+	lines      []timeline       // per-host timelines; span slabs retained
+	lineOf     map[string]int32 // host outside the matrix -> its line (cleared per use)
+	canon      []int32          // column -> canonical column per host name
+	placed     []bool           // settled-or-committed marker per task (reset to false)
+	finish     []float64        // estimated finish per task
+	hostSets   [][]string       // assigned host set per task (refs dropped on reset)
+	blockReady []float64        // per-site-block data-ready memo
+	blockSite  []int32          // per-site-block site id
+	mark       []int32          // column -> parent-host stamp (reset to 0)
+	choiceBuf  []Choice         // one site's candidates for a parallel-mode task
+	lazyPred   []float64        // a re-plan's lazy CostMatrix: each site block's V × columns, block after block (rows gated by lazyFilled)
+	lazyFilled []bool           // its row-priced markers (reset to false)
 
 	// Transfer pricing (placement, the executor, the paper's walk): site
 	// pairs read once per use, and each task's assigned site id in them.

@@ -43,7 +43,7 @@ func (t *AllocationTable) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Encode serialises the table to JSON (the batch RPC wire format).
+// Encode serialises the table to JSON.
 func (t *AllocationTable) Encode() ([]byte, error) { return json.Marshal(t) }
 
 // DecodeTable parses a JSON-encoded allocation table.
@@ -53,17 +53,6 @@ func DecodeTable(data []byte) (*AllocationTable, error) {
 		return nil, err
 	}
 	return &t, nil
-}
-
-// RebuildTable reconstructs an ordered table from its wire pieces — the
-// entries map plus the order slice RPC replies carry alongside it.
-func RebuildTable(app string, entries map[afg.TaskID]Assignment, order []afg.TaskID) *AllocationTable {
-	t := NewAllocationTable(app)
-	for id, a := range entries {
-		t.Entries[id] = a
-	}
-	t.order = orderedIDs(t.Entries, order)
-	return t
 }
 
 // orderedIDs returns order filtered to ids present in entries (first

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/afg"
@@ -73,25 +74,18 @@ func TestAllocationTableJSONLegacyPayload(t *testing.T) {
 	if len(o) != 2 || o[0] != "a" || o[1] != "b" {
 		t.Fatalf("legacy order = %v, want [a b]", o)
 	}
-}
-
-// RebuildTable reconstructs an ordered table from the entries+order pieces
-// the batch RPC reply ships.
-func TestRebuildTable(t *testing.T) {
-	src := orderedTestTable()
-	rebuilt := RebuildTable(src.App, src.Entries, src.Order())
-	if len(rebuilt.Entries) != 3 {
-		t.Fatalf("rebuilt entries = %d", len(rebuilt.Entries))
-	}
-	o := rebuilt.Order()
-	if len(o) != 3 || o[0] != "c" || o[1] != "a" || o[2] != "b" {
-		t.Fatalf("rebuilt order = %v", o)
-	}
 	// A stale order mentioning unknown ids, with entries it misses, still
 	// yields a complete, deduplicated order.
-	partial := RebuildTable(src.App, src.Entries, []afg.TaskID{"b", "ghost", "b"})
-	o = partial.Order()
-	if len(o) != 3 || o[0] != "b" || o[1] != "a" || o[2] != "c" {
-		t.Fatalf("sanitised order = %v", o)
+	data, err := json.Marshal(orderedTestTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = []byte(strings.Replace(string(data), `"order":["c","a","b"]`, `"order":["b","ghost","b"]`, 1))
+	var partial AllocationTable
+	if err := json.Unmarshal(data, &partial); err != nil {
+		t.Fatal(err)
+	}
+	if o := partial.Order(); len(o) != 3 || o[0] != "b" || o[1] != "a" || o[2] != "c" {
+		t.Fatalf("sanitised order = %v, from %s", o, data)
 	}
 }

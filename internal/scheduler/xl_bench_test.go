@@ -63,10 +63,12 @@ func xlEnv(b testing.TB, sites, hostsPerSite int) *Request {
 	return req
 }
 
-// BenchmarkXLSchedule — HEFT over the 100k × 1000 cell. The ~0.8 GB cost
-// matrix is gathered once in setup (PrewarmCosts into a shared CostCache),
+// BenchmarkXLSchedule — HEFT over the 100k × 1000 cell. The cost matrix,
+// ~0.8 GB held in the sites' own prediction slabs with no merged second
+// copy, is gathered once in setup (PrewarmCosts into a shared CostCache),
 // so the measured region is ranking plus insertion-based placement — the
-// part the scratch arena and the per-site-block ready memo make scale.
+// part the scratch arena, the per-site-block ready memo and the parent-host
+// column stamp make scale.
 func BenchmarkXLSchedule(b *testing.B) {
 	req := xlEnv(b, xlSites, xlHostsPerSite)
 	req.Graph = dagen.Random(dagen.Params{

@@ -37,7 +37,7 @@ type Config struct {
 	// UseSockets makes executions ship data through real TCP proxies.
 	UseSockets bool
 	// SchedulerConcurrency bounds the Site Scheduler's fan-out worker
-	// pool and the batch endpoint's per-application workers
+	// pool and ScheduleBatchOpts' per-application workers
 	// (0 = GOMAXPROCS, 1 = serial).
 	SchedulerConcurrency int
 
@@ -63,8 +63,8 @@ type BatchOptions struct {
 	// policy shares one load ledger across the batch, so its graphs spread
 	// around each other's in-flight placements.
 	Policy string
-	// Seed feeds the randomized policies ("random"), so probing clients
-	// can vary placements between otherwise identical calls.
+	// Seed feeds the randomized policies ("random"), so callers can vary
+	// placements between otherwise identical calls.
 	Seed int64
 }
 
@@ -397,9 +397,8 @@ func (m *Manager) SchedulePolicy(ctx context.Context, policy string, g *afg.Grap
 // ScheduleBatchOpts schedules many applications concurrently against this
 // site (plus the given remote selectors), sharing the repository and
 // prediction cache across all of them; results come back in input order.
-// The Site.ScheduleBatch RPC surfaces the options to clients. It fails fast
-// on an unknown policy name; per-graph failures report through the items.
-// SchedulerConcurrency is one budget, not two: with several graphs in
+// It fails fast on an unknown policy name; per-graph failures report
+// through the items. SchedulerConcurrency is one budget, not two: with several graphs in
 // flight it bounds the batch workers and each schedule fans out serially;
 // a single graph gets the whole budget as fan-out instead. Without this,
 // the effective parallelism would be the square of the configured bound.

@@ -55,73 +55,6 @@ func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
 	return nil
 }
 
-// BatchArgs carries many JSON-encoded application flow graphs for
-// concurrent scheduling against this site and its configured peers.
-// Policy selects the scheduling policy by registry name ("" = the site's
-// configured default); "ledger" shares one load ledger across the batch.
-type BatchArgs struct {
-	AFGs   [][]byte
-	Policy string
-	Seed   int64 // feeds the randomized policies ("random")
-}
-
-// BatchReply returns one allocation table (or error string) per input AFG,
-// in input order. Exactly one of Tables[i]/Errs[i] is non-zero. Orders[i]
-// carries the table's assignment order (lost by the bare entries map);
-// scheduler.RebuildTable(app, Tables[i], Orders[i]) reconstructs the full
-// ordered table client-side.
-type BatchReply struct {
-	Tables []map[afg.TaskID]scheduler.Assignment
-	Orders [][]afg.TaskID
-	Errs   []string
-}
-
-// ScheduleBatch schedules a batch of applications concurrently against
-// shared site state (the scheduler.Batch API over RPC). It returns the
-// allocation tables only — execution stays with the caller, which lets a
-// client probe placements for many candidate applications in one round
-// trip. Failures are per item — a graph that does not decode or schedule
-// reports through Errs[i] without sinking the rest of the batch — except an
-// unknown policy name, which fails the whole call with the registry's
-// error listing the available policies.
-func (s *Service) ScheduleBatch(args BatchArgs, reply *BatchReply) error {
-	reply.Tables = make([]map[afg.TaskID]scheduler.Assignment, len(args.AFGs))
-	reply.Orders = make([][]afg.TaskID, len(args.AFGs))
-	reply.Errs = make([]string, len(args.AFGs))
-	var graphs []*afg.Graph
-	var indices []int // position of graphs[j] in the reply
-	for i, raw := range args.AFGs {
-		g, err := afg.Decode(raw)
-		if err != nil {
-			reply.Errs[i] = fmt.Sprintf("site: batch graph %d: %v", i, err)
-			continue
-		}
-		graphs = append(graphs, g)
-		indices = append(indices, i)
-	}
-	var remotes []scheduler.HostSelector
-	for _, p := range s.peers {
-		remotes = append(remotes, p)
-	}
-	items, err := s.m.ScheduleBatchOpts(graphs, remotes, BatchOptions{
-		Policy: args.Policy,
-		Seed:   args.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	for j, it := range items {
-		i := indices[j]
-		if it.Err != nil {
-			reply.Errs[i] = it.Err.Error()
-			continue
-		}
-		reply.Tables[i] = it.Table.Entries
-		reply.Orders[i] = it.Table.Order()
-	}
-	return nil
-}
-
 // PoliciesArgs is empty; PoliciesReply lists the registered policy names.
 type PoliciesArgs struct{}
 
