@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Println("Placement:")
 	for _, id := range table.Order() {
-		a := table.Entries[id]
+		a, _ := table.Get(id)
 		fmt.Printf("  %-10s -> %s/%s\n", id, a.Site, a.Host)
 	}
 	fmt.Println()

@@ -47,7 +47,8 @@ func main() {
 	// repository, so the next schedule walks straight into them and the
 	// runtime has to recover mid-flight.
 	victims := map[string]bool{}
-	for _, a := range table.Entries {
+	for _, id := range table.Order() {
+		a, _ := table.Get(id)
 		victims[a.Host] = true
 	}
 	used := make([]string, 0, len(victims))
@@ -86,7 +87,7 @@ func main() {
 	fmt.Printf("\nAfter a monitoring round: %d reschedules (repository already knew)\n", res3.Rescheduled)
 	fmt.Println("Placement now avoids the failed hosts:")
 	for _, id := range table3.Order() {
-		a := table3.Entries[id]
+		a, _ := table3.Get(id)
 		if m.Pool.Get(a.Host).IsDown() {
 			log.Fatalf("task %s placed on down host %s", id, a.Host)
 		}

@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("\nPlacement across sites:")
 	remoteTasks := 0
 	for _, id := range table.Order() {
-		a := table.Entries[id]
+		a, _ := table.Get(id)
 		marker := ""
 		if a.Site == "rome" {
 			marker = "  (executed over RPC)"

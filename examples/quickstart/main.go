@@ -41,7 +41,7 @@ func main() {
 	// 4. Inspect the outcome.
 	fmt.Println("\nResource allocation table:")
 	for _, id := range table.Order() {
-		a := table.Entries[id]
+		a, _ := table.Get(id)
 		fmt.Printf("  %-8s -> %s/%s (predicted %.4gs)\n", id, a.Site, a.Host, a.Predicted)
 	}
 	fmt.Println()

@@ -64,14 +64,14 @@ func TestSubmitLinearSolverAcrossSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Entries) != 5 {
-		t.Fatalf("table = %d entries", len(table.Entries))
+	if table.Len() != 5 {
+		t.Fatalf("table = %d entries", table.Len())
 	}
 	check := res.Outputs["check"]
 	if check.Kind != tasklib.KindScalar || check.Scalar > 1e-8 {
 		t.Fatalf("residual = %+v", check)
 	}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		if env.ResolveHost(a.Host) == nil {
 			t.Fatalf("assignment to unknown host %q", a.Host)
 		}
@@ -111,8 +111,8 @@ func TestSchedulerConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Entries) != 5 {
-		t.Fatalf("entries = %d", len(table.Entries))
+	if table.Len() != 5 {
+		t.Fatalf("entries = %d", table.Len())
 	}
 	mk, err := scheduler.Simulate(g, table, env.TruthModel(), env.Net())
 	if err != nil {

@@ -31,7 +31,7 @@ func TestMonitorRoundExcludesDownHostsFromPlacement(t *testing.T) {
 
 	// Fail the two hosts the scheduler liked best.
 	used := map[string]bool{}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		used[a.Host] = true
 	}
 	victims := make([]string, 0, len(used))
@@ -52,7 +52,7 @@ func TestMonitorRoundExcludesDownHostsFromPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, a := range table2.Entries {
+	for id, a := range table2.Entries() {
 		if m.Pool.Get(a.Host).IsDown() {
 			t.Errorf("task %s placed on down host %s after a monitoring round", id, a.Host)
 		}
@@ -84,7 +84,7 @@ func TestMidFlightFailureRecoversViaFrontierReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	used := map[string]bool{}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		used[a.Host] = true
 	}
 	victims := make([]string, 0, len(used))

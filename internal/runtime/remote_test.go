@@ -55,7 +55,7 @@ func TestRemoteExecPath(t *testing.T) {
 		t.Fatalf("residual = %v", res.Outputs["check"].Scalar)
 	}
 	for id, tr := range res.TaskResults {
-		want := table.Entries[id]
+		want, _ := table.Get(id)
 		if tr.Host != want.Host || tr.Site != want.Site {
 			t.Fatalf("task %s result %+v does not match assignment %+v", id, tr, want)
 		}

@@ -16,9 +16,12 @@ import (
 	"go/token"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/afg"
 )
 
 // hotAllocBudgets parses every non-test source file in this package and
@@ -106,10 +109,12 @@ func warmAllocs(f func()) float64 {
 // BenchmarkLedgerWalk). The whole passes run the 1000-task scale graph
 // on the equivEnv pool with the cost matrix gathered and the scratch pool
 // warm: such a pass allocates a few dozen times whatever the graph size
-// (heft 10/12/16, cpop 30/32/36 at 500/1000/2000 tasks; one site's Fig 5
-// walk 12, the pricing snapshot and kind rows plus its two outputs), so a budget of
-// the 1000-task reading plus half again does not flake and an allocation
-// per task (+1000) cannot hide under it.
+// (heft 7, cpop 27 at 500, 1000 and 2000 tasks alike, the table's four among
+// them; one site's Fig 5 walk 12, the pricing snapshot and kind rows plus its
+// two outputs), and an allocation per task (+1000) cannot hide under it. A
+// churn repair (an eft one on the churn_golden fixture) allocates its table,
+// its committed host sets and its Replan, nothing else. The policy and
+// repair budgets are their warm readings, plain and under -race alike.
 func TestHotAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun workloads are not -short sized")
@@ -223,6 +228,34 @@ func TestHotAllocBudgets(t *testing.T) {
 			return warmAllocs(func() {
 				if _, err := Simulate(req.Graph, table, unitModel, req.Net); err != nil {
 					t.Fatal(err)
+				}
+			})
+		}},
+		{"frontierStrategy.Replan", []string{"frontierStrategy.Replan"}, func(t *testing.T) float64 {
+			// An eft repair on the churn_golden fixture, at the trace's first
+			// host failure: what finished by then is done, what runs on
+			// another host is running, the rest is the frontier.
+			env, truth, refs, names := churnGoldenEnv(t)
+			c := churnGoldenGrid(t, env, truth, names)[1]
+			ev := c.trace.Events[0]
+			audit, err := ValidateSchedule(c.g, c.table, truth, env.Net)
+			if err != nil || c.replanner != "eft" || !ev.Down {
+				t.Fatalf("fixture: %v, %s, %+v", err, c.replanner, ev)
+			}
+			req := &ReplanRequest{Graph: c.g, Table: c.table, Done: map[afg.TaskID]float64{},
+				Running: map[afg.TaskID]float64{}, Down: map[string]bool{ev.Host: true},
+				Event: Deviation{Kind: DeviationHostDown, Host: ev.Host, At: ev.At}, Costs: truth, Hosts: refs, Net: env.Net}
+			for _, s := range audit.Spans {
+				if s.End <= ev.At {
+					req.Done[s.Task] = s.End
+				} else if s.Start <= ev.At && !slices.Contains(s.Hosts, ev.Host) {
+					req.Running[s.Task] = s.End
+				}
+			}
+			rp, _ := LookupReplanner("eft")
+			return warmAllocs(func() {
+				if pl, err := rp.Replan(req); err != nil || pl.Moved == 0 {
+					t.Fatalf("repair: %v, moved %v", err, pl)
 				}
 			})
 		}},

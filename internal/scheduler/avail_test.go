@@ -53,13 +53,13 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 	}
 
 	sites := map[string]int{}
-	for _, a := range et.Entries {
+	for _, a := range et.Entries() {
 		sites[a.Site]++
 	}
 	if sites["syr"] == 0 {
 		t.Fatalf("availability-aware walk never overflowed to the slow site: %v", sites)
 	}
-	for _, a := range ft.Entries {
+	for _, a := range ft.Entries() {
 		if a.Site != "rome" {
 			t.Fatalf("faithful walk unexpectedly used %s — test premise broken", a.Site)
 		}

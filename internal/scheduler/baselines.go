@@ -109,14 +109,14 @@ func (b baselinePolicy) Schedule(ctx context.Context, req *Request) (*Allocation
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownPolicy, b.kind)
 	}
-	order, err := req.Graph.TopoOrder()
+	ix, err := req.Graph.Index()
 	if err != nil {
 		return nil, err
 	}
-	table := NewAllocationTable(req.Graph.Name)
-	for i, id := range order {
-		h := hosts[pick(i)]
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
+	table := tableFor(req.Graph.Name, ix)
+	for k, i := range ix.Topo() {
+		h := hosts[pick(k)]
+		table.setAt(i, Assignment{Task: ix.ID(int(i)), Site: h.site, Host: h.host, Hosts: []string{h.host}})
 	}
 	return table, nil
 }

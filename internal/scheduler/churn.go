@@ -169,15 +169,15 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 	}
 	// A duplicate promotion writes the plan in force, so the executor gets a
 	// private copy (entries the graph does not name are not part of the run).
-	plan := NewAllocationTableSized(table.App, g.Len())
-	for _, id := range g.TaskIDs() {
-		if a, ok := table.Get(id); ok {
-			plan.Set(a)
+	plan := tableFor(table.App, ix)
+	for i := range ix.Len() {
+		if a, ok := table.at(ix, i); ok {
+			plan.setAt(int32(i), a)
 		}
 	}
 	x := executor{g: g, table: plan, model: newRunPrices(predicted, ix, hosts).price, net: net,
 		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts,
-		cert: new(validator)}
+		cert: new(validator), req: new(ReplanRequest)}
 	if err := x.run(); err != nil {
 		return nil, err
 	}
@@ -284,7 +284,7 @@ func (x *executor) overrun(e event) error {
 func (x *executor) refresh() {
 	for i, started := range x.started {
 		if !started {
-			a, _ := x.table.Get(x.ix.ID(i))
+			a, _ := x.table.at(x.ix, i)
 			x.mirror(i, a)
 		}
 	}
@@ -292,15 +292,13 @@ func (x *executor) refresh() {
 }
 
 // replan asks the re-planner to repair the frontier around the settled work
-// and adopts the certified result. The request's map-keyed progress is built
-// here, from the dense state, for this one call.
+// and adopts the certified result. The request's map-keyed progress is
+// refilled here, from the dense state, in maps the run keeps for every
+// deviation.
 func (x *executor) replan(ev Deviation) error {
-	req := &ReplanRequest{
-		Graph: x.g, Table: x.table, Event: ev, Costs: x.model, Hosts: x.hosts, Net: x.net,
-		Done:    make(map[afg.TaskID]float64, x.ix.Len()),
-		Running: make(map[afg.TaskID]float64, len(x.fin)),
-		Down:    map[string]bool{},
-	}
+	req := x.req
+	*req = ReplanRequest{Graph: x.g, Table: x.table, Event: ev, Costs: x.model, Hosts: x.hosts, Net: x.net,
+		Done: cleared(&req.Done), Running: cleared(&req.Running), Down: cleared(&req.Down)}
 	for _, e := range x.fin {
 		// The scheduler's view of a running task is its expected finish,
 		// floored at the present — it knows an overrunning task has not
@@ -333,10 +331,9 @@ func (x *executor) replan(ev Deviation) error {
 	// Settled assignments must survive verbatim: the frontier
 	// rescheduler may only move unstarted tasks.
 	for i, was := range x.assigns {
-		id := x.ix.ID(i)
-		if is, ok := pl.Table.Get(id); x.started[i] && (!ok || was.Host != is.Host || was.Site != is.Site) {
+		if is, ok := pl.Table.at(x.ix, i); x.started[i] && (!ok || was.Host != is.Host || was.Site != is.Site) {
 			return fmt.Errorf("churn replan (%s): settled task %s moved from %s to %s",
-				x.rp.Name(), id, was.Host, is.Host)
+				x.rp.Name(), x.ix.ID(i), was.Host, is.Host)
 		}
 	}
 	x.table = pl.Table

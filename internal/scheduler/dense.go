@@ -108,20 +108,17 @@ func validCost(c float64) bool {
 
 // modelCostMatrix is the lazy matrix of a re-plan: one column per host, in
 // the given order — which must be site-then-host ascending, the gather's
-// column order — and no row priced until it is read. Its two buffers are
-// sc's, and each site block slices its columns out of lazyPred: the slab is
-// left dirty because row reads nothing it has not filled, filled is reset.
+// column order — and no row priced until it is read. The matrix and its
+// buffers are sc's, and each site block slices its columns out of lazyPred:
+// the slab is left dirty because row reads nothing it has not filled,
+// filled is reset.
 func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratch) *CostMatrix {
 	v := ix.Len()
 	sc.lazyPred = grow(sc.lazyPred, v*len(hosts))
 	sc.lazyFilled = growZero(sc.lazyFilled, v)
-	cm := &CostMatrix{
-		ix:     ix,
-		hosts:  hosts,
-		col:    make(map[string]int32, len(hosts)),
-		model:  model,
-		filled: sc.lazyFilled,
-	}
+	cm := &sc.lazy
+	*cm = CostMatrix{ix: ix, hosts: hosts, col: cleared(&cm.col), blocks: cm.blocks[:0], sites: cm.sites[:0],
+		model: model, filled: sc.lazyFilled}
 	for c, h := range hosts {
 		cm.col[h.Host] = int32(c)
 		if n := len(cm.blocks); n == 0 || cm.blocks[n-1].name != h.Site {

@@ -265,7 +265,8 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	for bi := range cm.blocks {
 		sc.blockSite[bi] = sc.pairs.id(cm.blocks[bi].name)
 	}
-	p := &placement{
+	p := &sc.kernel
+	*p = placement{
 		cm:         cm,
 		pairs:      &sc.pairs,
 		ledger:     ledger,
@@ -276,7 +277,7 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 		finish:     sc.finish,
 		siteID:     sc.siteID,
 		hosts:      sc.hostSets,
-		table:      NewAllocationTableSized(app, n),
+		table:      tableFor(app, cm.ix),
 		choiceBuf:  sc.choiceBuf,
 		blockReady: sc.blockReady,
 		blockSite:  sc.blockSite,
@@ -601,7 +602,7 @@ func (p *placement) commit(t int, a Assignment, start, fin float64) {
 // record enters a's assignment in the table and makes it visible to
 // readyAt; the caller reserves the host lines.
 func (p *placement) record(t int, a Assignment, fin float64) {
-	p.table.Set(a)
+	p.table.setAt(int32(t), a)
 	p.placed[t] = true
 	p.finish[t] = fin
 	p.siteID[t] = p.pairs.id(a.Site)
@@ -653,7 +654,7 @@ func (p *placement) settle(t int, a Assignment, fin float64) {
 // occupancy. A single-host task is re-priced by the model; a machine set
 // keeps its committed prediction and is data-ready when its primary is.
 func (p *placement) keep(t int) {
-	a, _ := p.prior.Get(p.cm.ix.ID(t))
+	a, _ := p.prior.at(p.cm.ix, t)
 	hosts := effectiveHosts(a)
 	dur := a.Predicted
 	if len(hosts) == 1 {
@@ -736,7 +737,7 @@ func (heftPolicy) Name() string { return "heft" }
 // Schedule implements Policy: upward-rank order, insertion-based earliest
 // finish placement.
 //
-//vdce:hot allocs=18
+//vdce:hot allocs=7
 func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	_, cm, err := densePrep(req)
 	if err != nil {
@@ -760,7 +761,7 @@ func (cpopPolicy) Name() string { return "cpop" }
 // minimising its total execution; everything else places by earliest
 // finish time in ready-set priority order.
 //
-//vdce:hot allocs=48
+//vdce:hot allocs=27
 func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	ix, cm, err := densePrep(req)
 	if err != nil {

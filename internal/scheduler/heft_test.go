@@ -94,8 +94,8 @@ func heftTruth(repos map[string]*repository.Repository) TimeModel {
 // precedence in its assignment order, and replays to a finite makespan.
 func validateSchedule(t *testing.T, g *afg.Graph, table *AllocationTable, repos map[string]*repository.Repository, net *netsim.Network) float64 {
 	t.Helper()
-	if len(table.Entries) != g.Len() {
-		t.Fatalf("table covers %d of %d tasks", len(table.Entries), g.Len())
+	if table.Len() != g.Len() {
+		t.Fatalf("table covers %d of %d tasks", table.Len(), g.Len())
 	}
 	pos := map[afg.TaskID]int{}
 	for i, id := range table.Order() {
@@ -167,14 +167,14 @@ func TestCPOPPinsCriticalPathToOneHost(t *testing.T) {
 	}
 	validateSchedule(t, req.Graph, table, repos, net)
 	hosts := map[string]bool{}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		hosts[a.Host] = true
 	}
 	if len(hosts) != 1 {
 		t.Fatalf("critical-path chain spread over %d hosts: %v", len(hosts), hosts)
 	}
 	// And the pin must be the fastest idle machine (alpha-0, speed 4).
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		if a.Host != "alpha-0" {
 			t.Fatalf("critical path pinned to %q, want alpha-0", a.Host)
 		}

@@ -31,10 +31,11 @@ package scheduler
 // this file's one in-package caller; the live one is site.Manager.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
@@ -110,7 +111,9 @@ type Replan struct {
 	Duplicates []Assignment
 }
 
-// Replanner re-plans the unstarted frontier after a deviation.
+// Replanner re-plans the unstarted frontier after a deviation. It must not
+// retain the request or its maps: the churn executor refills them for every
+// deviation.
 type Replanner interface {
 	Name() string
 	Replan(req *ReplanRequest) (*Replan, error)
@@ -142,47 +145,62 @@ func init() {
 	RegisterReplanner(frontierStrategy{name: "dup", patch: true, hedge: true})
 }
 
-// hostsOutside returns the candidate pool minus the hosts excluded marks,
-// sorted by (site, host) — the dense-column order every strategy iterates.
-func (req *ReplanRequest) hostsOutside(excluded map[string]bool) []HostRef {
-	out := make([]HostRef, 0, len(req.Hosts))
+// hostsOutside refills *buf with the candidate pool minus the hosts excluded
+// marks, sorted by (site, host) — the dense-column order every strategy
+// iterates.
+func (req *ReplanRequest) hostsOutside(buf *[]HostRef, excluded map[string]bool) []HostRef {
+	out := (*buf)[:0]
 	for _, h := range req.Hosts {
 		if !excluded[h.Host] {
 			out = append(out, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		return a.Site < b.Site || (a.Site == b.Site && a.Host < b.Host)
-	})
+	slices.SortFunc(out, func(a, b HostRef) int { return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Host, b.Host)) })
+	*buf = out
 	return out
 }
 
-func (req *ReplanRequest) validate() error {
+// validate checks the request and returns its graph's index. It walks the
+// index, ids ascending, so a malformed request always gets the same error;
+// a settled task the graph does not name is found by a sorted walk.
+func (req *ReplanRequest) validate() (*afg.Index, error) {
 	if req.Graph == nil || req.Graph.Len() == 0 {
-		return errors.New("scheduler: replan: empty graph")
+		return nil, errors.New("scheduler: replan: empty graph")
 	}
 	if req.Table == nil {
-		return errors.New("scheduler: replan: nil table")
+		return nil, errors.New("scheduler: replan: nil table")
 	}
 	if req.Costs == nil {
-		return errors.New("scheduler: replan: nil cost model")
+		return nil, errors.New("scheduler: replan: nil cost model")
 	}
-	// Sorted walks so the same malformed request surfaces the same error.
-	for _, id := range sortedIDs(req.Done) {
-		if _, run := req.Running[id]; run {
-			return fmt.Errorf("scheduler: replan: task %s both done and running", id)
-		}
-		if _, ok := req.Table.Get(id); !ok {
-			return fmt.Errorf("scheduler: replan: done task %s missing from table", id)
+	ix, err := req.Graph.Index()
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: replan: %w", err)
+	}
+	named := 0
+	for i, id := range ix.IDs() {
+		_, done := req.Done[id]
+		_, run := req.Running[id]
+		_, ok := req.Table.at(ix, i)
+		switch {
+		case done && run:
+			return nil, fmt.Errorf("scheduler: replan: task %s both done and running", id)
+		case done && !ok:
+			return nil, fmt.Errorf("scheduler: replan: done task %s missing from table", id)
+		case run && !ok:
+			return nil, fmt.Errorf("scheduler: replan: running task %s missing from table", id)
+		case done || run:
+			named++
 		}
 	}
-	for _, id := range sortedIDs(req.Running) {
-		if _, ok := req.Table.Get(id); !ok {
-			return fmt.Errorf("scheduler: replan: running task %s missing from table", id)
+	if named < len(req.Done)+len(req.Running) {
+		for _, id := range append(sortedIDs(req.Done), sortedIDs(req.Running)...) {
+			if ix.Of(id) < 0 {
+				return nil, fmt.Errorf("scheduler: replan: settled task %s is not in the graph", id)
+			}
 		}
 	}
-	return nil
+	return ix, nil
 }
 
 // sortedIDs returns a map's task keys in ascending order.
@@ -191,21 +209,25 @@ func sortedIDs[V any](m map[afg.TaskID]V) []afg.TaskID {
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // repair is one re-plan in flight: the scheduling kernel (heft.go's
 // placement) seeded with the settled set, over a lazy cost matrix of the
 // hosts the strategy may use, plus the two masks that say what may move.
+// A holder's scratch keeps one, so its buffers serve every later repair.
 type repair struct {
-	req     *ReplanRequest
-	ix      *afg.Index
-	sc      *scratch
-	p       *placement
-	suspect map[string]bool // patch strategies only: hosts to route around
-	front   []bool          // the unstarted frontier: not Done, not Running
-	stay    []bool          // frontier tasks left on their current hosts
+	req              *ReplanRequest
+	ix               *afg.Index
+	sc               *scratch
+	p                *placement
+	suspect          map[string]bool // patch strategies only: hosts to route around
+	front            []bool          // the unstarted frontier: not Done, not Running
+	stay             []bool          // frontier tasks left on their current hosts
+	hedged           []bool          // tasks hedges has considered
+	cols, safe, idle []HostRef       // the up, the unsuspected and the idle candidates
+	targets          []int32         // the tasks to hedge
 }
 
 // newRepair validates the request and starts the kernel from its settled
@@ -223,30 +245,27 @@ type repair struct {
 // failing the repair. sc backs the kernel; the caller hands the placement's
 // buffers back (releaseScratch) when done.
 func newRepair(req *ReplanRequest, patch bool, sc *scratch) (*repair, error) {
-	if err := req.validate(); err != nil {
+	ix, err := req.validate()
+	if err != nil {
 		return nil, err
 	}
-	r := &repair{req: req, sc: sc}
-	cols := req.hostsOutside(req.Down)
+	r := &sc.repair
+	r.req, r.ix, r.sc = req, ix, sc
+	cols := req.hostsOutside(&r.cols, req.Down)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("scheduler: replan: %w", ErrNoEligibleHost)
 	}
 	if patch {
-		r.suspect = req.suspectHosts()
-		if safe := req.hostsOutside(r.suspect); len(safe) > 0 {
+		req.suspectHosts(cleared(&r.suspect))
+		if safe := req.hostsOutside(&r.safe, r.suspect); len(safe) > 0 {
 			cols = safe
 		}
 	}
-	ix, err := req.Graph.Index()
-	if err != nil {
-		return nil, fmt.Errorf("scheduler: replan: %w", err)
-	}
-	r.ix = ix
 	r.p = newPlacement(modelCostMatrix(ix, cols, req.Costs, sc), req.Table.App, req.Net, nil, sc)
 	r.p.prior, r.p.singleHost, r.p.appendOnly = req.Table, true, patch
-	r.front, r.stay = make([]bool, ix.Len()), make([]bool, ix.Len())
+	r.front, r.stay = growZero(r.front, ix.Len()), growZero(r.stay, ix.Len())
 	for t, id := range ix.IDs() {
-		old, ok := req.Table.Get(id)
+		old, ok := req.Table.at(ix, t)
 		fin, settled := req.Done[id]
 		if !settled {
 			fin, settled = req.Running[id]
@@ -267,12 +286,12 @@ func newRepair(req *ReplanRequest, patch bool, sc *scratch) (*repair, error) {
 // primary host changed.
 func (r *repair) result(dups []Assignment) *Replan {
 	moved := 0
-	for t, id := range r.ix.IDs() {
-		if !r.front[t] {
+	for t, front := range r.front {
+		if !front {
 			continue
 		}
-		was, _ := r.req.Table.Get(id)
-		if is, _ := r.p.table.Get(id); is.Host != was.Host {
+		was, _ := r.req.Table.at(r.ix, t)
+		if is, _ := r.p.table.at(r.ix, t); is.Host != was.Host {
 			moved++
 		}
 	}
@@ -289,10 +308,9 @@ func anyIn(hosts []string, set map[string]bool) bool {
 	return false
 }
 
-// suspectHosts is the set a patch-style re-planner routes around: every
-// down host plus, for an overrun event, the straggling host.
-func (req *ReplanRequest) suspectHosts() map[string]bool {
-	suspect := make(map[string]bool, len(req.Down)+1)
+// suspectHosts marks in suspect the hosts a patch-style re-planner routes
+// around: every down host plus, for an overrun event, the straggling host.
+func (req *ReplanRequest) suspectHosts(suspect map[string]bool) {
 	for h, d := range req.Down {
 		if d {
 			suspect[h] = true
@@ -301,7 +319,6 @@ func (req *ReplanRequest) suspectHosts() map[string]bool {
 	if req.Event.Kind == DeviationOverrun && req.Event.Host != "" {
 		suspect[req.Event.Host] = true
 	}
-	return suspect
 }
 
 // frontierStrategy is a built-in re-planner. Without patch it is the full
@@ -318,6 +335,9 @@ type frontierStrategy struct {
 
 func (s frontierStrategy) Name() string { return s.name }
 
+// Replan implements Replanner.
+//
+//vdce:hot allocs=6
 func (s frontierStrategy) Replan(req *ReplanRequest) (*Replan, error) {
 	sc := getScratch()
 	defer sc.release()
@@ -367,11 +387,11 @@ func (r *repair) hedges() []Assignment {
 			}
 		}
 	}
-	idle := req.hostsOutside(busy)
+	idle := req.hostsOutside(&r.idle, busy)
 
 	// Targets: the re-placed tasks in placement order, then the straggler's
 	// frontier children by ascending id.
-	var targets []int32
+	targets := r.targets[:0]
 	for _, t := range r.sc.order {
 		if !r.stay[t] {
 			targets = append(targets, t)
@@ -384,20 +404,20 @@ func (r *repair) hedges() []Assignment {
 				targets = append(targets, a.Peer)
 			}
 		}
-		kids := targets[n:]
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+		slices.Sort(targets[n:])
 	}
+	r.targets = targets
 
-	seen := make([]bool, r.ix.Len())
+	r.hedged = growZero(r.hedged, r.ix.Len())
 	var dups []Assignment
 	for _, t := range targets {
 		if len(idle) == 0 {
 			break
 		}
-		if seen[t] {
+		if r.hedged[t] {
 			continue
 		}
-		seen[t] = true
+		r.hedged[t] = true
 		task := r.ix.Task(int(t))
 		bestIx := -1
 		var bestCost float64

@@ -524,3 +524,52 @@ func TestHEFTReplanOfNothingSettledIsHEFTPolicy(t *testing.T) {
 		}
 	}
 }
+
+// Every refusal of a malformed progress report, pinned by its exact text. A
+// settled task the graph does not name is refused, even when the table
+// carries an entry for it, and the smallest such done id is reported before
+// any running one.
+func TestReplanRequestRefusalText(t *testing.T) {
+	hosts, model, net := reschedEnv()
+	g := diamondGraph(t)
+	tbl := tableOn(g, model, "alpha", "a-0")
+	withGhost := tableOn(g, model, "alpha", "a-0")
+	withGhost.Set(Assignment{Task: "ghost", Site: "alpha", Host: "a-0"})
+	partial := NewAllocationTable(g.Name)
+	for _, id := range []afg.TaskID{"A", "B", "D"} {
+		a, _ := tbl.Get(id)
+		partial.Set(a)
+	}
+	const pre = "scheduler: replan: "
+	cases := []struct {
+		name          string
+		table         *AllocationTable
+		done, running map[afg.TaskID]float64
+		want          string
+	}{
+		{"done ghost", tbl, map[afg.TaskID]float64{"A": 2, "ghost": 1}, nil,
+			pre + "settled task ghost is not in the graph"},
+		{"running ghost", tbl, map[afg.TaskID]float64{"A": 2}, map[afg.TaskID]float64{"B": 4, "ghost": 3},
+			pre + "settled task ghost is not in the graph"},
+		{"ghost with a table entry", withGhost, map[afg.TaskID]float64{"A": 2, "ghost": 1}, nil,
+			pre + "settled task ghost is not in the graph"},
+		{"done ghost before running ghost", tbl, map[afg.TaskID]float64{"zz": 1}, map[afg.TaskID]float64{"aa": 1},
+			pre + "settled task zz is not in the graph"},
+		{"both done and running", tbl, map[afg.TaskID]float64{"A": 2, "B": 4}, map[afg.TaskID]float64{"B": 4},
+			pre + "task B both done and running"},
+		{"done missing from table", partial, map[afg.TaskID]float64{"A": 2, "C": 4}, nil,
+			pre + "done task C missing from table"},
+		{"running missing from table", partial, map[afg.TaskID]float64{"A": 2}, map[afg.TaskID]float64{"C": 4},
+			pre + "running task C missing from table"},
+	}
+	for _, tc := range cases {
+		for _, name := range Replanners() {
+			rp, _ := LookupReplanner(name)
+			pl, err := rp.Replan(&ReplanRequest{Graph: g, Table: tc.table, Done: tc.done, Running: tc.running,
+				Event: Deviation{Kind: DeviationOverrun, Host: "a-0", At: 2}, Costs: model, Hosts: hosts, Net: net})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: got (%v, %v), want error %q", tc.name, name, pl, err, tc.want)
+			}
+		}
+	}
+}

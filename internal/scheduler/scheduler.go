@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/afg"
@@ -59,58 +60,125 @@ func sharesHost[H comparable](a, b []H) bool {
 }
 
 // AllocationTable is the scheduler's output: the resource allocation table
-// the Site Manager multicasts to the Group Managers involved in execution.
+// the Site Manager multicasts to the Group Managers involved in execution:
+// a row per task position, its set marker, and the set rows in assignment
+// order. A table built for a graph (placement, the Fig 4 walk, the
+// baselines, RunChurn's plan) takes its positions from the graph's
+// afg.Index, and a reader holding that index reads row i directly (at). One
+// built by name (NewAllocationTable, NewAllocationTableSized, a decoded one)
+// numbers its own in a map, as callers outside the package and the wire
+// know tasks only by id. A Set of a task the index does not name moves a
+// table onto its own positions, once; Entries builds the wire's map.
 type AllocationTable struct {
-	App     string                    `json:"app"`
-	Entries map[afg.TaskID]Assignment `json:"entries"`
-	order   []afg.TaskID              // assignment order, for inspection
+	App   string               `json:"app"`
+	ix    *afg.Index           // the position source; nil = the table's own
+	of    map[afg.TaskID]int32 // own positions: id -> row
+	ids   []afg.TaskID         // row -> id (ix's own ids, capped, for an index table)
+	rows  []Assignment
+	set   []bool
+	order []int32 // set rows, in assignment order
 }
 
 // NewAllocationTable returns an empty table for the named application.
-func NewAllocationTable(app string) *AllocationTable {
-	return &AllocationTable{App: app, Entries: make(map[afg.TaskID]Assignment)}
+func NewAllocationTable(app string) *AllocationTable { return NewAllocationTableSized(app, 0) }
+
+// NewAllocationTableSized is NewAllocationTable sized for n tasks.
+func NewAllocationTableSized(app string, n int) *AllocationTable {
+	return &AllocationTable{App: app, of: make(map[afg.TaskID]int32, n), ids: make([]afg.TaskID, 0, n),
+		rows: make([]Assignment, 0, n), set: make([]bool, 0, n), order: make([]int32, 0, n)}
 }
 
-// NewAllocationTableSized is NewAllocationTable with a capacity hint:
-// callers that know the task count up front (dense placement, table
-// merges) size the map and order slice once instead of growing them
-// assignment by assignment.
-func NewAllocationTableSized(app string, n int) *AllocationTable {
-	return &AllocationTable{
-		App:     app,
-		Entries: make(map[afg.TaskID]Assignment, n),
-		order:   make([]afg.TaskID, 0, n),
-	}
+// tableFor returns an empty table whose positions are ix's.
+func tableFor(app string, ix *afg.Index) *AllocationTable {
+	n := ix.Len()
+	return &AllocationTable{App: app, ix: ix, ids: ix.IDs()[:n:n], rows: make([]Assignment, n), set: make([]bool, n),
+		order: make([]int32, 0, n)}
 }
 
 // Set records an assignment.
-func (t *AllocationTable) Set(a Assignment) {
-	if _, ok := t.Entries[a.Task]; !ok {
-		t.order = append(t.order, a.Task)
+func (t *AllocationTable) Set(a Assignment) { t.put(a.Task, a) }
+
+// put records a under id, whatever task a names: a decoded entry whose key
+// and task disagree keeps its key, for the validator to refuse.
+func (t *AllocationTable) put(id afg.TaskID, a Assignment) {
+	i := t.pos(id)
+	if i < 0 {
+		if t.ix != nil || t.of == nil { // onto own positions, every row in place
+			t.ix, t.of = nil, make(map[afg.TaskID]int32, len(t.ids)+1)
+			for k, id := range t.ids {
+				t.of[id] = int32(k)
+			}
+		}
+		i = int32(len(t.rows))
+		t.of[id], t.ids, t.rows, t.set = i, append(t.ids, id), append(t.rows, Assignment{}), append(t.set, false)
 	}
-	t.Entries[a.Task] = a
+	t.setAt(i, a)
+}
+
+// setAt records a in row i.
+func (t *AllocationTable) setAt(i int32, a Assignment) {
+	if !t.set[i] {
+		t.set[i] = true
+		t.order = append(t.order, i)
+	}
+	t.rows[i] = a
+}
+
+// pos is id's row, or -1.
+func (t *AllocationTable) pos(id afg.TaskID) int32 {
+	if t.ix != nil {
+		return int32(t.ix.Of(id))
+	}
+	if i, ok := t.of[id]; ok {
+		return i
+	}
+	return -1
 }
 
 // Get returns the assignment for a task.
 func (t *AllocationTable) Get(id afg.TaskID) (Assignment, bool) {
-	a, ok := t.Entries[id]
-	return a, ok
+	if i := t.pos(id); i >= 0 && t.set[i] {
+		return t.rows[i], true
+	}
+	return Assignment{}, false
 }
+
+// at is Get(ix.ID(i)), read from row i when the table's positions are ix's.
+func (t *AllocationTable) at(ix *afg.Index, i int) (Assignment, bool) {
+	if t.ix == ix {
+		return t.rows[i], t.set[i]
+	}
+	return t.Get(ix.ID(i))
+}
+
+// Len returns the number of assigned tasks.
+func (t *AllocationTable) Len() int { return len(t.order) }
 
 // Order returns task ids in assignment order.
 func (t *AllocationTable) Order() []afg.TaskID {
-	return append([]afg.TaskID(nil), t.order...)
+	out := make([]afg.TaskID, len(t.order))
+	for k, i := range t.order {
+		out[k] = t.ids[i]
+	}
+	return out
+}
+
+// Entries builds the assignments keyed by task id: the table's wire form.
+func (t *AllocationTable) Entries() map[afg.TaskID]Assignment {
+	m := make(map[afg.TaskID]Assignment, len(t.order))
+	for _, i := range t.order {
+		m[t.ids[i]] = t.rows[i]
+	}
+	return m
 }
 
 // Sites returns the distinct sites used, sorted.
 func (t *AllocationTable) Sites() []string {
-	seen := map[string]bool{}
-	for _, a := range t.Entries {
-		seen[a.Site] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	out := []string{}
+	for _, i := range t.order {
+		if s := t.rows[i].Site; !slices.Contains(out, s) {
+			out = append(out, s)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -120,8 +188,8 @@ func (t *AllocationTable) Sites() []string {
 // for one site (§2.3.1: the Site Manager multicasts it to Group Managers).
 func (t *AllocationTable) PerSite(site string) []Assignment {
 	var out []Assignment
-	for _, id := range t.order {
-		if a := t.Entries[id]; a.Site == site {
+	for _, i := range t.order {
+		if a := t.rows[i]; a.Site == site {
 			out = append(out, a)
 		}
 	}

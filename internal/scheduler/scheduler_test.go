@@ -375,8 +375,8 @@ func TestSiteSchedulerFIFOPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Entries) != 3 {
-		t.Fatalf("entries = %d", len(table.Entries))
+	if table.Len() != 3 {
+		t.Fatalf("entries = %d", table.Len())
 	}
 }
 
@@ -411,8 +411,8 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(table.Entries) != 4 {
-			t.Fatalf("%s: entries = %d", name, len(table.Entries))
+		if table.Len() != 4 {
+			t.Fatalf("%s: entries = %d", name, table.Len())
 		}
 	}
 }
@@ -424,7 +424,7 @@ func TestFastestHostSchedulerSerialises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		if a.Host != "s2" {
 			t.Fatalf("fastest host not used: %+v", a)
 		}
@@ -443,7 +443,7 @@ func TestMinLoadSpreadsTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		counts[a.Host]++
 	}
 	if counts["s1"] != 2 || counts["s2"] != 2 {
@@ -603,7 +603,7 @@ func TestPropertySiteSchedulerComplete(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(table.Entries) != n {
+		if table.Len() != n {
 			return false
 		}
 		mk, err := Simulate(g, table, func(task *afg.Task, host string) float64 {

@@ -26,9 +26,9 @@ package scheduler
 //     no synchronisation happens inside one.
 //
 // A pooled scratch retains references from its last use (assignment
-// strings, host sets) until its next growZero or until the GC
-// clears the pool's victim cache. That retention is bounded by one
-// schedule's working set per pooled scratch and is the price of reuse.
+// strings, host sets, the last placement's table) until its next use or
+// until the GC clears the pool's victim cache. That retention is bounded by
+// one schedule's working set per pooled scratch and is the price of reuse.
 
 import (
 	"sync"
@@ -60,8 +60,12 @@ type scratch struct {
 	blockSite  []int32          // per-site-block site id
 	mark       []int32          // column -> parent-host stamp (reset to 0)
 	choiceBuf  []Choice         // one site's candidates for a parallel-mode task
-	lazyPred   []float64        // a re-plan's lazy CostMatrix: each site block's V × columns, block after block (rows gated by lazyFilled)
+	lazy       CostMatrix       // a re-plan's lazy cost matrix: its column map, sites and blocks are refilled per use
+	lazyPred   []float64        // its predictions: each site block's V × columns, block after block (rows gated by lazyFilled)
 	lazyFilled []bool           // its row-priced markers (reset to false)
+
+	kernel placement // the one placement a holder runs; its table is output, never reused
+	repair repair    // a re-plan's state, its buffers refilled per use
 
 	// Transfer pricing (placement, the executor, the paper's walk): site
 	// pairs read once per use, and each task's assigned site id in them.
@@ -186,6 +190,15 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
+}
+
+// cleared empties *m, making it when nil, and returns it.
+func cleared[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = map[K]V{}
+	}
+	clear(*m)
+	return *m
 }
 
 // growZero is grow plus an explicit clear. For buffers whose zero value is

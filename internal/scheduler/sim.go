@@ -83,7 +83,8 @@ type executor struct {
 	threshold float64 // a run past threshold × predicted raises an overrun
 	rp        Replanner
 	hosts     []HostRef
-	cert      *validator // certifies every repair; one per RunChurn, its buffers reused
+	cert      *validator     // certifies every repair; one per RunChurn, its buffers reused
+	req       *ReplanRequest // every repair's request (one per RunChurn), its maps cleared and refilled
 
 	now     float64
 	traceIx int
@@ -190,7 +191,7 @@ func (x *executor) load() error {
 	x.pending, x.started = grow(x.pending, n), growZero(x.started, n)
 	x.dataReady, x.begin, x.pred, x.end = grow(x.dataReady, n), grow(x.begin, n), grow(x.pred, n), grow(x.end, n)
 	for i := range x.assigns {
-		a, ok := x.table.Get(x.ix.ID(i))
+		a, ok := x.table.at(x.ix, i)
 		if !ok {
 			return fmt.Errorf("scheduler: task %q missing from allocation table", x.ix.ID(i))
 		}
@@ -332,12 +333,12 @@ func CommVolume(g *afg.Graph, table *AllocationTable, net *netsim.Network) float
 	pairs.reset(net)
 	var total float64
 	for t := 0; t < ix.Len(); t++ {
-		from, ok := table.Get(ix.ID(t))
+		from, ok := table.at(ix, t)
 		if !ok {
 			continue
 		}
 		for _, a := range ix.Children(t) {
-			to, ok := table.Get(ix.ID(int(a.Peer)))
+			to, ok := table.at(ix, int(a.Peer))
 			if !ok || sharesHost(effectiveHosts(from), effectiveHosts(to)) {
 				continue
 			}

@@ -126,7 +126,7 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 
 	// Steps 6–7: ready-set walk in priority order, the transfer term priced
 	// from the pair table by site id.
-	table := NewAllocationTable(g.Name)
+	table := tableFor(g.Name, ix)
 	sc.pairs.reset(s.req.Net)
 	sc.blockSite = grow(sc.blockSite, len(results))
 	for si := range results {
@@ -159,7 +159,7 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 		if !found {
 			return fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
 		}
-		table.Set(Assignment{
+		table.setAt(int32(t), Assignment{
 			Task:      ix.ID(t),
 			Site:      best.Site,
 			Host:      best.Host,

@@ -108,7 +108,7 @@ func TestSiteSchedulerBurstPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		if a.Site != "rome" {
 			t.Fatalf("task %s left the 4x-fast site: %+v", a.Task, a)
 		}

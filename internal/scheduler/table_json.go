@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"encoding/json"
-	"sort"
 
 	"repro/internal/afg"
 )
@@ -22,24 +21,24 @@ type tableJSON struct {
 
 // MarshalJSON implements json.Marshaler, including the assignment order.
 func (t *AllocationTable) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tableJSON{App: t.App, Entries: t.Entries, Order: t.order})
+	return json.Marshal(tableJSON{App: t.App, Entries: t.Entries(), Order: t.Order()})
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The order list is sanitised —
 // unknown and duplicate ids are dropped — and entries a legacy payload
 // omitted from the order are appended in sorted-id order, so Order() always
-// covers exactly the table's entries.
+// covers exactly the table's entries. Each entry is kept under its key.
 func (t *AllocationTable) UnmarshalJSON(data []byte) error {
 	var raw tableJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	t.App = raw.App
-	t.Entries = raw.Entries
-	if t.Entries == nil {
-		t.Entries = make(map[afg.TaskID]Assignment)
+	*t = *NewAllocationTableSized(raw.App, len(raw.Entries))
+	for _, id := range append(raw.Order, sortedIDs(raw.Entries)...) { // an id's first put places it
+		if a, ok := raw.Entries[id]; ok && t.pos(id) < 0 {
+			t.put(id, a)
+		}
 	}
-	t.order = orderedIDs(t.Entries, raw.Order)
 	return nil
 }
 
@@ -53,29 +52,4 @@ func DecodeTable(data []byte) (*AllocationTable, error) {
 		return nil, err
 	}
 	return &t, nil
-}
-
-// orderedIDs returns order filtered to ids present in entries (first
-// occurrence wins), with any entries missing from order appended in sorted
-// id order.
-func orderedIDs(entries map[afg.TaskID]Assignment, order []afg.TaskID) []afg.TaskID {
-	out := make([]afg.TaskID, 0, len(entries))
-	seen := make(map[afg.TaskID]bool, len(entries))
-	for _, id := range order {
-		if _, ok := entries[id]; ok && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	if len(out) < len(entries) {
-		var rest []afg.TaskID
-		for id := range entries {
-			if !seen[id] {
-				rest = append(rest, id)
-			}
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		out = append(out, rest...)
-	}
-	return out
 }

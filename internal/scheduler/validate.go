@@ -123,7 +123,7 @@ func (v *validator) validate(g *afg.Graph, table *AllocationTable, model TimeMod
 // accepts exactly what checkTableShape accepts and leaves errors to that walk.
 func (v *validator) load(ix *afg.Index, table *AllocationTable) bool {
 	n := ix.Len()
-	if len(table.Entries) != n {
+	if table.Len() != n {
 		return false
 	}
 	if v.col == nil {
@@ -132,7 +132,7 @@ func (v *validator) load(ix *afg.Index, table *AllocationTable) bool {
 	v.assigned, v.one, v.finish, v.waiting = grow(v.assigned, n), grow(v.one, n), grow(v.finish, n), grow(v.waiting, n)
 	v.dataReady, v.colAt, v.cols, v.ready = growZero(v.dataReady, n), append(v.colAt[:0], 0), v.cols[:0], v.ready[:0]
 	for i, id := range ix.IDs() {
-		a, ok := table.Get(id)
+		a, ok := table.at(ix, i)
 		if !ok || a.Task != id || a.Host == "" || slices.Contains(a.Hosts, "") || len(a.Hosts) > 0 && !slices.Contains(a.Hosts, a.Host) {
 			return false
 		}
@@ -165,13 +165,10 @@ func (v *validator) hostCols(i int32) []int32 { return v.cols[v.colAt[i]:v.colAt
 func checkTableShape(ix *afg.Index, table *AllocationTable) error {
 	// Sorted entry walk: a malformed table must produce the same error
 	// every run, not whichever violation map order reaches first.
-	entryIDs := make([]afg.TaskID, 0, len(table.Entries))
-	for id := range table.Entries {
-		entryIDs = append(entryIDs, id)
-	}
-	sort.Slice(entryIDs, func(i, j int) bool { return entryIDs[i] < entryIDs[j] })
+	entryIDs := table.Order()
+	slices.Sort(entryIDs)
 	for _, id := range entryIDs {
-		a := table.Entries[id]
+		a, _ := table.Get(id)
 		if ix.Of(id) < 0 {
 			return fmt.Errorf("scheduler: validate: assignment for unknown task %q", id)
 		}

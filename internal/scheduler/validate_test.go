@@ -319,10 +319,17 @@ func TestValidateScheduleErrorText(t *testing.T) {
 		tb.Set(Assignment{Task: "a", Site: "east", Host: "h0"})
 		tb.Set(Assignment{Task: "b", Site: "west", Host: "h1", Hosts: []string{"h1", "h2"}})
 		tb.Set(Assignment{Task: "c", Site: "east", Host: "h0"})
-		if edit != nil {
-			edit(tb.Entries)
+		if edit == nil {
+			return tb
 		}
-		return tb
+		// Rebuild from the edited map, each entry under its key.
+		e := tb.Entries()
+		edit(e)
+		out := NewAllocationTable("pin")
+		for _, id := range sortedIDs(e) {
+			out.put(id, e[id])
+		}
+		return out
 	}
 	withHosts := func(id afg.TaskID, host string, hosts ...string) func(e map[afg.TaskID]Assignment) {
 		return func(e map[afg.TaskID]Assignment) {
@@ -330,6 +337,14 @@ func TestValidateScheduleErrorText(t *testing.T) {
 			a.Host, a.Hosts = host, hosts
 			e[id] = a
 		}
+	}
+	// A decoded entry keeps its key, whatever task it names.
+	decoded, err := DecodeTable([]byte(`{"app":"pin","entries":{` +
+		`"a":{"task":"a","site":"east","host":"h0","predicted":0},` +
+		`"b":{"task":"c","site":"east","host":"h0","predicted":0},` +
+		`"c":{"task":"c","site":"east","host":"h0","predicted":0}},"order":["a","b","c"]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
 	const pre = "scheduler: validate: "
 	cases := []struct {
@@ -346,6 +361,7 @@ func TestValidateScheduleErrorText(t *testing.T) {
 		{"entry names another task", table(func(e map[afg.TaskID]Assignment) {
 			e["b"] = Assignment{Task: "c", Site: "east", Host: "h0"}
 		}), cost, pre + `entry "b" names task "c"`},
+		{"decoded entry names another task", decoded, cost, pre + `entry "b" names task "c"`},
 		{"empty host", table(withHosts("c", "")), cost, pre + `task "c" has no host`},
 		{"primary host outside its set", table(withHosts("b", "h0", "h1", "h2")), cost,
 			pre + `task "b" primary host "h0" not in host set [h1 h2]`},

@@ -86,8 +86,8 @@ func BenchmarkXLSchedule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(table.Entries) != xlTasks {
-			b.Fatalf("short table: %d entries", len(table.Entries))
+		if table.Len() != xlTasks {
+			b.Fatalf("short table: %d entries", table.Len())
 		}
 	}
 }

@@ -41,13 +41,13 @@ func TestExecuteDistributedAcrossRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	usedRemote := false
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		if a.Site == "rome" {
 			usedRemote = true
 		}
 	}
 	if !usedRemote {
-		t.Fatalf("remote site never used: %+v", table.Entries)
+		t.Fatalf("remote site never used: %+v", table.Entries())
 	}
 	if res.Outputs["solve"].Kind != tasklib.KindVector {
 		t.Fatalf("solve output = %+v", res.Outputs["solve"])

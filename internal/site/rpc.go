@@ -176,7 +176,7 @@ func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Table = table.Entries
+	reply.Table = table.Entries()
 	reply.MakespanSec = res.Makespan.Seconds()
 	reply.Rescheduled = res.Rescheduled
 	reply.Outputs = map[afg.TaskID]string{}

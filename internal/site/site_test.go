@@ -124,8 +124,8 @@ func TestExecuteLocalSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Entries) != 3 {
-		t.Fatalf("table = %+v", table.Entries)
+	if table.Len() != 3 {
+		t.Fatalf("table = %+v", table.Entries())
 	}
 	if res.Outputs["solve"].Kind != "vector" {
 		t.Fatalf("solve output = %+v", res.Outputs["solve"])
@@ -299,11 +299,11 @@ func TestRPCDistributedScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Entries) != 3 {
-		t.Fatalf("entries = %d", len(table.Entries))
+	if table.Len() != 3 {
+		t.Fatalf("entries = %d", table.Len())
 	}
 	// Assignments must reference real hosts of whichever site they chose.
-	for _, a := range table.Entries {
+	for _, a := range table.Entries() {
 		var pool *resource.Pool
 		switch a.Site {
 		case "syracuse":
