@@ -81,6 +81,7 @@ var quirkDocs = []struct {
 	{"folded keys, long s", "{\"NAME\":\"n\",\"Tasks\":[{\"ID\":\"a\",\"Function\":\"f\",\"Mode\":\"parallel\"," +
 		"\"proce\xc5\xbf\xc5\xbfors\":3,\"MACHINETYPE\":\"m\",\"computecost\":2.5,\"MemReq\":7,\"OUTPUTBYTES\":9," +
 		"\"PARAMS\":{\"K\":\"v\"}},{\"id\":\"b\"}],\"links\":[{\"from\":\"a\",\"to\":\"b\",\"bytes\":5,\"port\":0}]}", nil},
+	{"folded key, otherwise plain", `{"tasks":[{"id":"a","Function":"f"}]}`, nil},
 	{"escaped folded key, Kelvin sign", `{"tasks":[{"id":"a"},{"id":"b"}],"lin\u212as":[{"From":"a","To":"b"}]}`, nil},
 	{"unknown nested member", `{"tasks":[{"id":"a","extra":{"deep":[1,-2.5e3,{"x":null,"y":[true,false,"\u00e9"]}]}}],"meta":{}}`, nil},
 	{"unknown member, bad syntax", `{"tasks":[{"id":"a"}],"meta":[1,]}`, errSyntax},
@@ -100,6 +101,9 @@ var quirkDocs = []struct {
 	{"integer 1e2", `{"tasks":[{"id":"a","memReq":1e2}]}`, errWrongType},
 	{"int64 overflow", `{"tasks":[{"id":"a","outputBytes":9223372036854775808}]}`, errWrongType},
 	{"int64 minimum", `{"tasks":[{"id":"a","memReq":-9223372036854775808}],"links":null}`, nil},
+	{"leading zero", `{"tasks":[{"id":"a","processors":01}]}`, errSyntax},
+	{"fraction without digits", `{"tasks":[{"id":"a","computeCost":1.}]}`, errSyntax},
+	{"empty params and links", `{"tasks":[{"id":"a","params":{}}],"links":[]}`, nil},
 	{"float 1e400", `{"tasks":[{"id":"a","computeCost":1e400}]}`, errWrongType},
 	{"float 1e2 and underflow", `{"tasks":[{"id":"a","computeCost":1e2},{"id":"b","computeCost":-1e-400}]}`, nil},
 	{"string for an integer", `{"tasks":[{"id":"a","processors":"3"}]}`, errWrongType},
@@ -368,6 +372,9 @@ func BenchmarkDecode(b *testing.B) {
 			data, err := json.MarshalIndent(layeredWire(n, 50, 1), "", "  ")
 			if err != nil {
 				b.Fatal(err)
+			}
+			if _, ok := fastWire(data); !ok {
+				b.Fatal("the benchmark document misses the fast path: this would time json.Unmarshal")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -188,6 +190,7 @@ func refusalClass(err error) int {
 // the same class; nothing may panic.
 func checkAgainstPerLink(t *testing.T, data []byte) {
 	t.Helper()
+	checkFastPath(t, data)
 	g, err := Decode(data)
 	oracle, oerr := decodePerLink(data)
 	if (err == nil) != (oerr == nil) {
@@ -221,6 +224,79 @@ func checkAgainstPerLink(t *testing.T, data []byte) {
 	}
 }
 
+// checkFastPath holds Decode's fast path to json.Unmarshal field by field:
+// a document the path takes must be one json.Unmarshal takes, into a
+// wireGraph reflect.DeepEqual to the path's, nil against empty slices and
+// maps included.
+func checkFastPath(t *testing.T, data []byte) {
+	t.Helper()
+	fast, ok := fastWire(data)
+	if !ok {
+		return
+	}
+	var want wireGraph
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("fast path took a document json.Unmarshal refuses: %v", err)
+	}
+	if !reflect.DeepEqual(fast, want) {
+		t.Fatalf("fast path and json.Unmarshal disagree:\n%#v\nvs\n%#v", fast, want)
+	}
+}
+
+// fastPathSeeds are documents on the fast path and just off it: on are
+// small Encode and MarshalJSON output and a copy with a non-ASCII string;
+// off are copies with a repeated member, an escaped key and 1.0 for an int.
+func fastPathSeeds() (on, off []string) {
+	g := New("seed")
+	for _, t := range []*Task{
+		{ID: "a", Function: "f", Mode: Parallel, Processors: 3, MachineType: "m", ComputeCost: 1.5,
+			MemReq: 7, OutputBytes: 9, Params: map[string]string{"n": "4", "k": ""}},
+		{ID: "b", Function: "g", ComputeCost: 2e-7},
+		{ID: "c"},
+	} {
+		if err := g.AddTask(t); err != nil {
+			panic(err)
+		}
+	}
+	for _, l := range []Link{{From: "a", To: "c", Bytes: 5, Port: 0}, {From: "b", To: "c", Bytes: 6, Port: 1}} {
+		if err := g.AddLinkExact(l); err != nil {
+			panic(err)
+		}
+	}
+	indented, err := g.Encode()
+	if err != nil {
+		panic(err)
+	}
+	compact, err := g.MarshalJSON()
+	if err != nil {
+		panic(err)
+	}
+	doc := string(compact)
+	on = []string{string(indented), doc, strings.Replace(doc, `"function":"g"`, `"function":"gé"`, 1)}
+	off = []string{
+		strings.Replace(doc, `"function":"g"`, `"function":"g","function":"h"`, 1),
+		strings.Replace(doc, `"machineType"`, `"machine\u0054ype"`, 1),
+		strings.Replace(doc, `"processors":3`, `"processors":1.0`, 1),
+	}
+	return on, off
+}
+
+// TestFastPathSeeds pins which of fastPathSeeds the fast path takes.
+func TestFastPathSeeds(t *testing.T) {
+	on, off := fastPathSeeds()
+	for _, c := range []struct {
+		docs []string
+		want bool
+	}{{on, true}, {off, false}} {
+		for _, doc := range c.docs {
+			if _, ok := fastWire([]byte(doc)); ok != c.want {
+				t.Errorf("fast path took it = %v, want %v:\n%s", ok, c.want, doc)
+			}
+			checkAgainstPerLink(t, []byte(doc))
+		}
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes to Decode and to the per-link oracle
 // (see checkAgainstPerLink). Run the smoke in CI with:
 //
@@ -238,6 +314,10 @@ func FuzzDecode(f *testing.F) {
 		{"id":"b","function":"f","computeCost":1.5},{"id":"c","function":"f"}],
 		"links":[{"From":"b","To":"c","Bytes":7,"Port":1},{"From":"a","To":"c","Port":0},{"From":"a","To":"b","Port":-2}]}`))
 	f.Add([]byte(`{"tasks":[{"id":"a"},{"id":"b"}],"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"a","To":"zz"}]}`))
+	on, off := fastPathSeeds()
+	for _, doc := range append(on, off...) {
+		f.Add([]byte(doc))
+	}
 	f.Add([]byte(`{"tasks":[{"id":7}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte{})
@@ -325,6 +405,7 @@ func FuzzEncode(f *testing.F) {
 		{"inf", "a", "f", "", 0, 1, math.Inf(1), 0, 0, "", "", "b", 0, 0},
 		{"-inf", "a", "f", "", 0, 1, math.Inf(-1), 0, 0, "", "", "b", 0, 0},
 		{"empty id", "", "f", "", 0, 1, 1, 0, 0, "", "", "", 0, 0},
+		{"<", ">", "&", "\u2028", 0, 1, 1, 0, 0, "", "", "", 0, 0},
 	} {
 		f.Add(c.name, c.id, c.function, c.machine, c.mode, c.procs, c.cost, c.mem, c.out, c.key, c.val, c.child, c.volume, c.port)
 	}

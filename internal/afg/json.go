@@ -7,29 +7,45 @@ package afg
 //
 //   - Encode writes byte for byte what json.MarshalIndent(g, "", "  ") wrote
 //     over wireGraph (field order, omitempty, sorted params, HTML-safe
-//     escapes, ES6 float format). TestGeneratorsGolden pins its digests and
-//     FuzzEncode holds it against encoding/json.
-//   - Decode accepts exactly the documents json.Unmarshal accepted into
-//     wireGraph and builds the same graph from each — key folding, null,
-//     repeated keys, number ranges, nesting depth and string repair included.
-//     FuzzDecode holds it against the encoding/json per-link oracle.
+//     escapes, ES6 float format); MarshalJSON is the compact json.Marshal.
+//     A string that needs an escape is quoted by json.Marshal itself.
+//     TestGeneratorsGolden pins the digests and FuzzEncode holds both faces
+//     against encoding/json.
+//   - Decode reads the shape the encoder writes on a fast path and hands
+//     every other document to json.Unmarshal, so it accepts exactly what
+//     json.Unmarshal accepts into wireGraph and builds the same graph from
+//     it. The fast path takes one top-level object; member names that are
+//     the schema's field names exactly, each at most once an object (params
+//     keys are free, and a repeated one keeps its last value); strings with
+//     no backslash, no control byte and valid UTF-8; numbers in JSON's
+//     grammar that strconv parses in range; JSON white space, and nothing
+//     after the document. Anything else goes to the fallback: null, true
+//     and false, unknown members, and any nesting past graph → tasks/links
+//     → task → params. On each of those json.Unmarshal has a rule of its
+//     own (case-folded names, null, merged repeats, escapes and UTF-8
+//     repair, type errors deferred behind syntax errors, a depth limit),
+//     and the fallback applies it rather than a copy of it. Nothing chooses
+//     the path but the document.
+//     TestProducersTakeTheFastPath holds every producer to the fast path,
+//     and FuzzDecode holds both paths against the encoding/json per-link
+//     oracle, the fast path field by field.
 //
 // Refusals are typed: a malformed document wraps errSyntax, a value of the
-// wrong type errWrongType, and a graph defect the sentinel Build names.
+// wrong type errWrongType (each wrapping encoding/json's own error), and a
+// graph defect the sentinel Build names.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// wireGraph is the document's shape. The tags are the schema encoding/json
-// read and wrote; the test oracles still do.
+// wireGraph is the document's shape. The tags are the schema json.Unmarshal
+// reads on the fallback path, and the test oracles read and write.
 type wireGraph struct {
 	Name  string     `json:"name"`
 	Tasks []wireTask `json:"tasks"`
@@ -315,114 +331,63 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-const hexDigits = "0123456789abcdef"
-
-// escapes holds the one-letter escape of each ASCII byte that has one.
-var escapes = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
-
-// appendString quotes s as encoding/json does with HTML escaping on:
-// control characters, '"', '\\', '<', '>' and '&' are escaped, as are
-// U+2028 and U+2029, and each invalid UTF-8 byte is written as the six
-// characters of the escaped U+FFFD.
+// appendString quotes s as encoding/json does with HTML escaping on. A
+// string of printable ASCII with no '"', '\\', '<', '>' or '&' is written as
+// it is; any other is left to json.Marshal, whose escapes are the format.
 func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			if e := escapes[c]; e != 0 {
-				b = append(b, '\\', e)
-			} else {
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == 0x2028 || r == 0x2029:
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
 	}
-	b = append(b, s[start:]...)
+	b = append(b, '"')
+	b = append(b, s...)
 	return append(b, '"')
 }
 
-// maxDepth is encoding/json's nesting limit, counted over every object and
-// array whether it is decoded or skipped.
-const maxDepth = 10000
-
-// decoder reads one document into a wireGraph with json.Unmarshal's rules
-// for these types: an exact member-name match first, then a case-folded
-// one; unknown members skipped but syntax-checked; null leaving strings,
-// numbers and structs as they are and making slices and maps nil; a
-// repeated array decoding over the elements already there; a repeated
-// object merging into the map already there. A value of the wrong type is
-// recorded and skipped, and reported only if the document has no syntax
-// error, because encoding/json checks syntax before it decodes anything.
-type decoder struct {
-	data    []byte
-	off     int
-	depth   int
-	typeErr error  // first value of the wrong type
-	buf     []byte // unquoted string; valid until the next string is read
-}
-
+// decodeWire reads a document on the fast path if it can and through
+// json.Unmarshal if not, wrapping encoding/json's refusals in the codec's
+// sentinels.
 func decodeWire(data []byte) (wireGraph, error) {
-	d := decoder{data: data}
+	if w, ok := fastWire(data); ok {
+		return w, nil
+	}
 	var w wireGraph
-	err := d.graph(&w)
-	if err != nil {
-		return w, err
+	err := json.Unmarshal(data, &w)
+	var wrong *json.UnmarshalTypeError
+	switch {
+	case err == nil:
+		return w, nil
+	case errors.As(err, &wrong):
+		return w, fmt.Errorf("afg: decode: %w: %w", errWrongType, err)
 	}
-	if d.next(); d.off < len(d.data) {
-		return w, d.syntax("data after the document")
-	}
-	return w, d.typeErr
+	// Into a wireGraph, json.Unmarshal's only other refusal is a
+	// *json.SyntaxError.
+	return w, fmt.Errorf("afg: decode: %w: %w", errSyntax, err)
 }
 
-func (d *decoder) syntax(what string) error {
-	if d.off >= len(d.data) {
-		what = "unexpected end of input"
+// fastWire reads data on the fast path. ok is false for any document the
+// path does not take, and w is then to be dropped.
+func fastWire(data []byte) (w wireGraph, ok bool) {
+	d := decoder{data: data}
+	if !d.graph(&w) {
+		return w, false
 	}
-	return fmt.Errorf("afg: decode: %w at offset %d: %s", errSyntax, d.off, what)
+	d.next()
+	return w, d.off == len(data)
 }
 
-// mistyped records a value of the wrong type that started at start.
-func (d *decoder) mistyped(start int, want string) {
-	if d.typeErr == nil {
-		d.typeErr = fmt.Errorf("afg: decode: %w at offset %d: want %s", errWrongType, start, want)
-	}
-}
-
-// wrongType skips a value that cannot go where it was found.
-func (d *decoder) wrongType(want string) error {
-	start := d.off
-	if err := d.skip(); err != nil {
-		return err
-	}
-	d.mistyped(start, want)
-	return nil
+// decoder is the fast path: a reader for the shape Encode and MarshalJSON
+// write, each method reporting false for anything else.
+type decoder struct {
+	data []byte
+	off  int
 }
 
 // next skips white space and returns the byte at d.off, 0 at the end. The
-// scans here keep the offset in a local: an indented document is a third
-// white space.
+// scan keeps the offset in a local: an indented document is a third white
+// space.
 func (d *decoder) next() byte {
 	i := d.off
 	for ; i < len(d.data); i++ {
@@ -435,296 +400,168 @@ func (d *decoder) next() byte {
 	return 0
 }
 
-// open consumes the '{' or '[' at d.off.
-func (d *decoder) open() error {
-	d.off++
-	if d.depth++; d.depth > maxDepth {
-		return d.syntax("exceeded max nesting depth")
-	}
-	return nil
-}
-
-// more reports whether the object or array being read has another entry,
-// consuming the ',' before it or the closing end.
-func (d *decoder) more(end byte, first bool) (bool, error) {
-	switch c := d.next(); {
-	case c == end:
+// eat consumes c if it is the next byte past white space.
+func (d *decoder) eat(c byte) bool {
+	if d.next() == c {
 		d.off++
-		d.depth--
-		return false, nil
-	case first:
-		return true, nil
-	case c == ',':
-		d.off++
-		return true, nil
+		return true
 	}
-	return false, d.syntax("want ',' or '" + string(end) + "'")
+	return false
 }
 
-// members reads the members of the object just opened, handing each name
-// to each, which reads the value.
-func (d *decoder) members(each func(key []byte) error) error {
-	for first := true; ; first = false {
-		ok, err := d.more('}', first)
-		if !ok || err != nil {
-			return err
+// list reads the entries of an object or array, from open to end, calling
+// each to read every one.
+func (d *decoder) list(open, end byte, each func() bool) bool {
+	if !d.eat(open) {
+		return false
+	}
+	if d.eat(end) {
+		return true
+	}
+	for {
+		if !each() {
+			return false
 		}
-		if d.next() != '"' {
-			return d.syntax("want a member name")
+		if d.eat(end) {
+			return true
 		}
-		key, err := d.quoted()
-		if err != nil {
-			return err
-		}
-		if d.next() != ':' {
-			return d.syntax("want ':'")
-		}
-		d.off++
-		if err := each(key); err != nil {
-			return err
+		if !d.eat(',') {
+			return false
 		}
 	}
 }
 
-// elements reads the elements of the array just opened, calling each to
-// read every one.
-func (d *decoder) elements(each func() error) error {
-	for first := true; ; first = false {
-		ok, err := d.more(']', first)
-		if !ok || err != nil {
-			return err
-		}
-		if err := each(); err != nil {
-			return err
-		}
-	}
-}
-
-// object reads an object where a struct is expected, handing each member
-// to set with the index of its field in names, or -1. null leaves the
-// struct as it is.
-func (d *decoder) object(names *fieldNames, set func(field int) error) error {
-	switch d.next() {
-	case '{':
-		if err := d.open(); err != nil {
-			return err
-		}
-		return d.members(func(key []byte) error { return set(names.index(key)) })
-	case 'n':
-		return d.literal("null")
-	}
-	return d.wrongType("an object")
-}
-
-// fieldNames are a struct's member names and their case folds.
-type fieldNames struct{ exact, folded []string }
-
-func fieldsOf(names ...string) fieldNames {
-	f := fieldNames{exact: names}
-	for _, n := range names {
-		f.folded = append(f.folded, string(foldName(nil, []byte(n))))
-	}
-	return f
-}
-
-var (
-	graphFields = fieldsOf("name", "tasks", "links")
-	taskFields  = fieldsOf("id", "function", "mode", "processors", "machineType", "computeCost", "memReq", "outputBytes", "params")
-	linkFields  = fieldsOf("From", "To", "Bytes", "Port")
-)
-
-// index returns the field key names, or -1.
-func (f *fieldNames) index(key []byte) int {
-	for i, n := range f.exact {
-		if string(key) == n {
-			return i
-		}
-	}
-	var buf [32]byte
-	folded := foldName(buf[:0], key)
-	for i, n := range f.folded {
-		if string(folded) == n {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldName is encoding/json's: ASCII upper case, and every other rune the
-// smallest of its simple fold orbit, so "ſ" (long s) folds to "S".
-func foldName(out, in []byte) []byte {
-	for i := 0; i < len(in); {
-		if c := in[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			out = append(out, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(in[i:])
-		for {
-			f := unicode.SimpleFold(r)
-			if f <= r {
-				r = f
-				break
-			}
-			r = f
-		}
-		out = utf8.AppendRune(out, r)
-		i += n
-	}
-	return out
-}
-
-func (d *decoder) graph(w *wireGraph) error {
-	return d.object(&graphFields, func(field int) error {
-		switch field {
-		case 0:
-			return d.str(&w.Name)
-		case 1:
-			return decodeSlice(d, &w.Tasks, (*decoder).task)
-		case 2:
-			return decodeSlice(d, &w.Links, (*decoder).link)
-		}
-		return d.skip()
+// object reads an object, handing each member name to each, which reads
+// the value.
+func (d *decoder) object(each func(key []byte) bool) bool {
+	return d.list('{', '}', func() bool {
+		key, ok := d.quoted()
+		return ok && d.eat(':') && each(key)
 	})
 }
 
-func (d *decoder) task(t *wireTask) error {
-	return d.object(&taskFields, func(field int) error {
-		switch field {
-		case 0:
-			return d.str((*string)(&t.ID))
-		case 1:
-			return d.str(&t.Function)
-		case 2:
-			return d.str(&t.Mode)
-		case 3:
-			return d.int(&t.Processors)
-		case 4:
-			return d.str(&t.MachineType)
-		case 5:
-			return d.float(&t.ComputeCost)
-		case 6:
-			return d.int64(&t.MemReq, 64)
-		case 7:
-			return d.int64(&t.OutputBytes, 64)
-		case 8:
-			return d.params(&t.Params)
+// decodeSlice reads an array into *p, [] as an empty slice.
+func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) bool) bool {
+	s := []T{}
+	ok := d.list('[', ']', func() bool {
+		var zero T
+		s = append(s, zero)
+		return elem(d, &s[len(s)-1])
+	})
+	*p = s
+	return ok
+}
+
+// once marks member bit as read and reports whether it was the first time:
+// a repeated member leaves the fast path.
+func once(seen *uint16, bit uint) bool {
+	first := *seen&(1<<bit) == 0
+	*seen |= 1 << bit
+	return first
+}
+
+func (d *decoder) graph(w *wireGraph) bool {
+	var seen uint16
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			return once(&seen, 0) && d.str(&w.Name)
+		case "tasks":
+			return once(&seen, 1) && decodeSlice(d, &w.Tasks, (*decoder).task)
+		case "links":
+			return once(&seen, 2) && decodeSlice(d, &w.Links, (*decoder).link)
 		}
-		return d.skip()
+		return false
 	})
 }
 
-func (d *decoder) link(l *Link) error {
-	return d.object(&linkFields, func(field int) error {
-		switch field {
-		case 0:
-			return d.str((*string)(&l.From))
-		case 1:
-			return d.str((*string)(&l.To))
-		case 2:
-			return d.int64(&l.Bytes, 64)
-		case 3:
-			return d.int(&l.Port)
+func (d *decoder) task(t *wireTask) bool {
+	var seen uint16
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "id":
+			return once(&seen, 0) && d.str((*string)(&t.ID))
+		case "function":
+			return once(&seen, 1) && d.str(&t.Function)
+		case "mode":
+			return once(&seen, 2) && d.str(&t.Mode)
+		case "processors":
+			return once(&seen, 3) && d.int(&t.Processors)
+		case "machineType":
+			return once(&seen, 4) && d.str(&t.MachineType)
+		case "computeCost":
+			return once(&seen, 5) && d.float(&t.ComputeCost)
+		case "memReq":
+			return once(&seen, 6) && d.int64(&t.MemReq, 64)
+		case "outputBytes":
+			return once(&seen, 7) && d.int64(&t.OutputBytes, 64)
+		case "params":
+			return once(&seen, 8) && d.params(&t.Params)
 		}
-		return d.skip()
+		return false
 	})
 }
 
-// decodeSlice reads an array into *p as encoding/json does: element i
-// decodes over whatever the slice already holds at i (its length, or its
-// capacity, grown as append grows it), the slice ends at the array's
-// length, [] is an empty slice and null is nil.
-func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) error) error {
-	switch d.next() {
-	case '[':
-	case 'n':
-		*p = nil
-		return d.literal("null")
-	default:
-		return d.wrongType("an array")
-	}
-	if err := d.open(); err != nil {
-		return err
-	}
-	s, i := *p, 0
-	err := d.elements(func() error {
-		if i == len(s) {
-			if i < cap(s) {
-				s = s[:i+1]
-			} else {
-				var zero T
-				s = append(s, zero)
-			}
+func (d *decoder) link(l *Link) bool {
+	var seen uint16
+	return d.object(func(key []byte) bool {
+		switch string(key) {
+		case "From":
+			return once(&seen, 0) && d.str((*string)(&l.From))
+		case "To":
+			return once(&seen, 1) && d.str((*string)(&l.To))
+		case "Bytes":
+			return once(&seen, 2) && d.int64(&l.Bytes, 64)
+		case "Port":
+			return once(&seen, 3) && d.int(&l.Port)
 		}
-		i++
-		return elem(d, &s[i-1])
-	})
-	if err != nil {
-		return err
-	}
-	if i == 0 {
-		s = []T{}
-	}
-	*p = s[:i]
-	return nil
-}
-
-// params reads a map: null makes it nil, an object adds its members to the
-// map already there, and a null member value is stored as "".
-func (d *decoder) params(p *map[string]string) error {
-	switch d.next() {
-	case '{':
-	case 'n':
-		*p = nil
-		return d.literal("null")
-	default:
-		return d.wrongType("an object")
-	}
-	if err := d.open(); err != nil {
-		return err
-	}
-	if *p == nil {
-		*p = make(map[string]string)
-	}
-	return d.members(func(key []byte) error {
-		k, v := string(key), ""
-		err := d.str(&v)
-		(*p)[k] = v
-		return err
+		return false
 	})
 }
 
-func (d *decoder) str(p *string) error {
-	switch d.next() {
-	case '"':
-		s, err := d.quoted()
-		if err == nil {
-			*p = string(s)
-		}
-		return err
-	case 'n':
-		return d.literal("null")
-	}
-	return d.wrongType("a string")
+// params reads a map of strings; a repeated key keeps its last value, as
+// it does in json.Unmarshal.
+func (d *decoder) params(p *map[string]string) bool {
+	m := make(map[string]string)
+	*p = m
+	return d.object(func(key []byte) bool {
+		v, ok := d.quoted()
+		m[string(key)] = string(v)
+		return ok
+	})
 }
 
-// numeral reads a number where one is expected. lit is nil when the value
-// was null or of another type.
-func (d *decoder) numeral(want string) (lit []byte, err error) {
-	switch c := d.next(); {
-	case c == 'n':
-		return nil, d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		return d.number()
+func (d *decoder) str(p *string) bool {
+	s, ok := d.quoted()
+	*p = string(s)
+	return ok
+}
+
+// quoted reads a string with no escape, no control byte and valid UTF-8,
+// and returns a view of it in the input.
+func (d *decoder) quoted() ([]byte, bool) {
+	if d.next() != '"' {
+		return nil, false
 	}
-	return nil, d.wrongType(want)
+	start, ascii := d.off+1, true
+	for i := start; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			d.off = i + 1
+			s := d.data[start:i]
+			return s, ascii || utf8.Valid(s)
+		case c == '\\' || c < ' ':
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
 }
 
 // number reads a number with JSON's grammar.
-func (d *decoder) number() ([]byte, error) {
+func (d *decoder) number() ([]byte, bool) {
+	d.next()
 	start := d.off
 	if d.at('-') {
 		d.off++
@@ -732,12 +569,12 @@ func (d *decoder) number() ([]byte, error) {
 	if d.at('0') {
 		d.off++
 	} else if !d.digits() {
-		return nil, d.syntax("want a value")
+		return nil, false
 	}
 	if d.at('.') {
 		d.off++
 		if !d.digits() {
-			return nil, d.syntax("invalid number")
+			return nil, false
 		}
 	}
 	if d.at('e') || d.at('E') {
@@ -746,194 +583,50 @@ func (d *decoder) number() ([]byte, error) {
 			d.off++
 		}
 		if !d.digits() {
-			return nil, d.syntax("invalid number")
+			return nil, false
 		}
 	}
-	return d.data[start:d.off], nil
+	return d.data[start:d.off], true
 }
 
 func (d *decoder) at(c byte) bool { return d.off < len(d.data) && d.data[d.off] == c }
 
 // digits consumes a run of decimal digits and reports whether there was one.
 func (d *decoder) digits() bool {
-	i := d.off
-	for i < len(d.data) && '0' <= d.data[i] && d.data[i] <= '9' {
-		i++
-	}
 	start := d.off
-	d.off = i
-	return i > start
+	for d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9' {
+		d.off++
+	}
+	return d.off > start
 }
 
-// int64 stores an integer of the given size: a fraction, an exponent or an
-// overflow is a value of the wrong type, as strconv.ParseInt decides.
-func (d *decoder) int64(p *int64, bits int) error {
-	start := d.off
-	lit, err := d.numeral("an integer")
-	if lit != nil {
-		if n, perr := strconv.ParseInt(string(lit), 10, bits); perr == nil {
-			*p = n
-		} else {
-			d.mistyped(start, "an integer")
-		}
+// int64 reads an integer of the given size; a fraction, an exponent or an
+// overflow leaves the fast path, as strconv.ParseInt decides.
+func (d *decoder) int64(p *int64, bits int) bool {
+	lit, ok := d.number()
+	if !ok {
+		return false
 	}
-	return err
+	n, err := strconv.ParseInt(string(lit), 10, bits)
+	*p = n
+	return err == nil
 }
 
-func (d *decoder) int(p *int) error {
-	n := int64(*p)
-	err := d.int64(&n, strconv.IntSize)
+func (d *decoder) int(p *int) bool {
+	var n int64
+	ok := d.int64(&n, strconv.IntSize)
 	*p = int(n)
-	return err
+	return ok
 }
 
-// float stores a float64; a number out of its range is a value of the wrong
-// type, as strconv.ParseFloat decides.
-func (d *decoder) float(p *float64) error {
-	start := d.off
-	lit, err := d.numeral("a float64")
-	if lit != nil {
-		if f, perr := strconv.ParseFloat(string(lit), 64); perr == nil {
-			*p = f
-		} else {
-			d.mistyped(start, "a float64")
-		}
+// float reads a float64; a number out of its range leaves the fast path,
+// as strconv.ParseFloat decides.
+func (d *decoder) float(p *float64) bool {
+	lit, ok := d.number()
+	if !ok {
+		return false
 	}
-	return err
-}
-
-// literal consumes true, false or null.
-func (d *decoder) literal(lit string) error {
-	if len(d.data)-d.off < len(lit) || string(d.data[d.off:d.off+len(lit)]) != lit {
-		return d.syntax("invalid literal")
-	}
-	d.off += len(lit)
-	return nil
-}
-
-// skip reads one value of any type without storing it: how an unknown
-// member, or a value of the wrong type, is still checked for syntax.
-func (d *decoder) skip() error {
-	switch c := d.next(); c {
-	case '{':
-		if err := d.open(); err != nil {
-			return err
-		}
-		return d.members(func([]byte) error { return d.skip() })
-	case '[':
-		if err := d.open(); err != nil {
-			return err
-		}
-		return d.elements(d.skip)
-	case '"':
-		_, err := d.quoted()
-		return err
-	case 't':
-		return d.literal("true")
-	case 'f':
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	_, err := d.number()
-	return err
-}
-
-// quoted reads the string at d.off and returns it unquoted: a view of the
-// input when nothing needs rewriting, else d.buf.
-func (d *decoder) quoted() ([]byte, error) {
-	start := d.off + 1
-	for i := start; i < len(d.data); {
-		switch c := d.data[i]; {
-		case c == '"':
-			d.off = i + 1
-			return d.data[start:i], nil
-		case c == '\\':
-			d.off = i
-			return d.unquote(start)
-		case c < ' ':
-			d.off = i
-			return nil, d.syntax("control character in string")
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			r, n := utf8.DecodeRune(d.data[i:])
-			if r == utf8.RuneError && n == 1 {
-				d.off = i
-				return d.unquote(start)
-			}
-			i += n
-		}
-	}
-	d.off = len(d.data)
-	return nil, d.syntax("")
-}
-
-// unquote finishes a string that needs rewriting, as encoding/json does:
-// escapes resolved, a surrogate pair joined, a lone surrogate and each
-// invalid UTF-8 byte replaced by U+FFFD.
-func (d *decoder) unquote(start int) ([]byte, error) {
-	b := append(d.buf[:0], d.data[start:d.off]...)
-	for d.off < len(d.data) {
-		switch c := d.data[d.off]; {
-		case c == '"':
-			d.off++
-			d.buf = b
-			return b, nil
-		case c == '\\':
-			if d.off+1 >= len(d.data) {
-				return nil, d.syntax("")
-			}
-			e := d.data[d.off+1]
-			d.off += 2
-			switch {
-			case unescape[e] != 0:
-				b = append(b, unescape[e])
-			case e == 'u':
-				r := hex4(d.data[d.off:])
-				if r < 0 {
-					return nil, d.syntax(`invalid \u escape`)
-				}
-				d.off += 4
-				if utf16.IsSurrogate(r) {
-					low := rune(-1)
-					if d.at('\\') && d.off+1 < len(d.data) && d.data[d.off+1] == 'u' {
-						low = hex4(d.data[d.off+2:])
-					}
-					if r = utf16.DecodeRune(r, low); r != unicode.ReplacementChar {
-						d.off += 6
-					}
-				}
-				b = utf8.AppendRune(b, r)
-			default:
-				return nil, d.syntax("invalid escape")
-			}
-		case c < ' ':
-			return nil, d.syntax("control character in string")
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.off++
-		default:
-			r, n := utf8.DecodeRune(d.data[d.off:])
-			b = utf8.AppendRune(b, r)
-			d.off += n
-		}
-	}
-	return nil, d.syntax("")
-}
-
-// unescape maps the byte after a backslash to the byte it stands for, 0 for
-// no one-byte escape.
-var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// hex4 parses the four hex digits s starts with, or returns -1.
-func hex4(s []byte) rune {
-	if len(s) < 4 {
-		return -1
-	}
-	n, err := strconv.ParseUint(string(s[:4]), 16, 16)
-	if err != nil {
-		return -1
-	}
-	return rune(n)
+	f, err := strconv.ParseFloat(string(lit), 64)
+	*p = f
+	return err == nil
 }

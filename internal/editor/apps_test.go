@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -93,5 +94,37 @@ func TestHTTPAppsMissing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// endlessBody is a request body that opens a JSON string and never closes
+// it, counting the bytes the server reads.
+type endlessBody struct{ read int64 }
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+		if b.read == 0 {
+			p[i] = '"'
+		}
+		b.read++
+	}
+	return len(p), nil
+}
+
+// TestHTTPBodyIsCapped: an oversized POST to each endpoint that decodes a
+// body is refused with 400, and the server stops reading at maxBodyBytes.
+func TestHTTPBodyIsCapped(t *testing.T) {
+	h := NewServer(nil, nil).Handler()
+	for _, path := range []string{"/validate", "/apps?owner=u&name=big", "/login"} {
+		body := &endlessBody{}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", path, rec.Code)
+		}
+		if body.read < maxBodyBytes || body.read > maxBodyBytes+1 {
+			t.Errorf("%s: server read %d bytes, want it to stop at %d", path, body.read, maxBodyBytes)
+		}
 	}
 }

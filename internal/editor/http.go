@@ -22,6 +22,11 @@ type Server struct {
 	Apps     *repository.AppStore       // nil disables /apps endpoints
 }
 
+// maxBodyBytes caps every request body the server decodes: an AFG of about
+// 40,000 tasks at the encoder's ~419 bytes a task. A larger body is refused
+// with 400 once that many bytes are read, not buffered to its end.
+const maxBodyBytes = 16 << 20
+
 // NewServer builds an editor HTTP service.
 func NewServer(reg *tasklib.Registry, users *repository.UserAccountsDB) *Server {
 	if reg == nil {
@@ -45,6 +50,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody reads the request's JSON body into v, refusing a body larger
+// than maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 }
 
 // handleLibraries lists the menu groups and their task functions.
@@ -116,7 +127,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, validateReply{Error: err.Error()})
 		return
 	}
@@ -175,7 +186,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		w.Write(app.AFG)
 	case http.MethodPost:
 		var body json.RawMessage
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := decodeBody(w, r, &body); err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
@@ -201,7 +212,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var creds struct{ User, Password string }
-	if err := json.NewDecoder(r.Body).Decode(&creds); err != nil {
+	if err := decodeBody(w, r, &creds); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
