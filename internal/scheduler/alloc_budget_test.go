@@ -11,6 +11,7 @@ package scheduler
 
 import (
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,8 +21,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
+	"repro/internal/netsim"
+	"repro/internal/repository"
 )
 
 // hotAllocBudgets parses every non-test source file in this package and
@@ -91,6 +96,32 @@ func hotAllocBudgets(t *testing.T) map[string]int {
 	return budgets
 }
 
+// siteWalkRequest is the site walk's budget fixture: the 1000-task scale
+// graph multicast to n in-process sites of four hosts each on a star
+// network, asked two at a time, so an allocation per site shows n times.
+// Each site knows the graph's task kind: an unknown one costs an error per
+// walk, whose fmt buffer pool the race detector thins at random.
+func siteWalkRequest(t testing.TB, n int) *Request {
+	var names []string
+	var sites []HostSelector
+	for s := 0; s < n; s++ {
+		name := fmt.Sprintf("s%d", s)
+		hosts := map[string][2]float64{}
+		for h := 0; h < 4; h++ {
+			hosts[fmt.Sprintf("%s-%d", name, h)] = [2]float64{1 + float64((s+h)%4), 0.25 * float64(h)}
+		}
+		repo := makeRepo(t, name, hosts)
+		if err := repo.Tasks.Put(repository.TaskRecord{Function: "synthetic.noop", BaseTime: 1}); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		sites = append(sites, &LocalSelector{Site: name, Repo: repo})
+	}
+	req := NewRequest(dagen.Scale(1000, 25, 12, 42), sites[0], sites[1:], netsim.StarTopology(names, 5*time.Millisecond, 1e7, 1))
+	req.Config.Concurrency = 2
+	return req
+}
+
 // warmAllocs is the allocation count of one warm call of f: the minimum
 // over single measured runs. A refill of the pooled scratch (after a GC, or
 // when the race detector makes sync.Pool drop a Put) belongs to no one
@@ -109,12 +140,14 @@ func warmAllocs(f func()) float64 {
 // BenchmarkLedgerWalk). The whole passes run the 1000-task scale graph
 // on the equivEnv pool with the cost matrix gathered and the scratch pool
 // warm: such a pass allocates a few dozen times whatever the graph size
-// (heft 7, cpop 27 at 500, 1000 and 2000 tasks alike, the table's four among
-// them; one site's Fig 5 walk 12, the pricing snapshot and kind rows plus its
-// two outputs), and an allocation per task (+1000) cannot hide under it. A
-// churn repair (an eft one on the churn_golden fixture) allocates its table,
-// its committed host sets and its Replan, nothing else. The policy and
-// repair budgets are their warm readings, plain and under -race alike.
+// (heft 7, cpop 11 at 500, 1000 and 2000 tasks alike, the table's four among
+// them; one site's Fig 5 walk 10, its pricing snapshot and kind rows, its
+// offers going into the caller's slot), and an allocation per task (+1000)
+// cannot hide under it. The site walk policies run on eight in-process
+// sites, so an allocation per site (+8) cannot hide either. A churn repair
+// (an eft one on the churn_golden fixture) allocates its table, its
+// committed host sets and its Replan, nothing else. The policy and repair
+// budgets are their warm readings, plain and under -race alike.
 func TestHotAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun workloads are not -short sized")
@@ -132,18 +165,19 @@ func TestHotAllocBudgets(t *testing.T) {
 	}
 	keys := ix.Levels()
 	order := rankOrderDesc(keys, nil, nil)
-	schedule := func(policy string) func(t *testing.T) float64 {
-		return func(t *testing.T) float64 {
-			p, err := Lookup(policy)
-			if err != nil {
+	scheduleOn := func(req *Request, policy string) float64 {
+		p, err := Lookup(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return warmAllocs(func() {
+			if _, err := p.Schedule(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}
-			return warmAllocs(func() {
-				if _, err := p.Schedule(context.Background(), req); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		})
+	}
+	schedule := func(policy string) func(t *testing.T) float64 {
+		return func(t *testing.T) float64 { return scheduleOn(req, policy) }
 	}
 
 	cases := []struct {
@@ -212,10 +246,15 @@ func TestHotAllocBudgets(t *testing.T) {
 		}},
 		{"heftPolicy.Schedule", []string{"heftPolicy.Schedule"}, schedule("heft")},
 		{"cpopPolicy.Schedule", []string{"cpopPolicy.Schedule"}, schedule("cpop")},
+		{"site walk, 8 sites", []string{"sitePolicy.Schedule"}, func(t *testing.T) float64 {
+			walk := siteWalkRequest(t, 8)
+			return max(scheduleOn(walk, "faithful"), scheduleOn(walk, "eft"))
+		}},
 		{"selectHostsDense", []string{"LocalSelector.selectHostsDense"}, func(t *testing.T) float64 {
 			sel := req.Local.(*LocalSelector)
+			var r siteResult
 			return warmAllocs(func() {
-				if _, err := sel.selectHostsDense(ix, order, false, nil); err != nil {
+				if err := sel.selectHostsDense(ix, order, false, nil, &r); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -57,24 +57,26 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 	if env.Config.Ledger == nil && b.Policy.Name() == "ledger" {
 		env.Config.Ledger = NewLoadLedger()
 	}
-	schedule := func(i int) {
+	fanOut(len(graphs), b.Workers, func(i int) {
 		req := env
 		req.Graph = graphs[i]
 		items[i].Graph = graphs[i]
 		items[i].Table, items[i].Err = b.Policy.Schedule(context.Background(), &req)
-	}
-	workers := b.Workers
+	})
+	return items
+}
+
+// fanOut calls f(i) for every i in [0, n), serially when workers (0 =
+// GOMAXPROCS) is one, else from that many goroutines, and waits for them.
+func fanOut(n, workers int, f func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(graphs) {
-		workers = len(graphs)
-	}
-	if workers <= 1 {
-		for i := range graphs {
-			schedule(i)
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
 		}
-		return items
+		return
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -83,14 +85,13 @@ func (b *Batch) Schedule(graphs []*afg.Graph) []BatchItem {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				schedule(i)
+				f(i)
 			}
 		}()
 	}
-	for i := range graphs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return items
 }

@@ -4,17 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/afg"
 )
 
-// This file is the dense scheduling core: per-(task, host) predictions are
-// addressed by (dense task index × dense host column) instead of
-// map[TaskID][]Choice. Each site's predictions stay in the slab that site's
-// Host Selection returned (Fig 4, steps 3–5) — the matrix is a view over
-// them, not a merged copy — and one matrix is shared, via CostCache, by every
-// policy a Batch or policy-comparison run throws at the same graph.
+// This file is the dense scheduling core: per-(task, host) predictions and
+// the sites' Fig 5 offers are addressed by dense task index and host column,
+// and host names are built only for the table and the SelectHosts reply.
+// Each site's predictions stay in the slab its Host Selection returned (Fig
+// 4, steps 3–5) — the matrix is a view over them, not a merged copy — and one
+// matrix is shared, via CostCache, by every policy a Batch or
+// policy-comparison run throws at the same graph.
 
 // HostRef names one dense host column: the host and the site that owns it.
 type HostRef struct {
@@ -32,8 +34,8 @@ type HostRef struct {
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best
-// offer per task sits in the site block's fallback slice instead. An
-// earliest-finish site walk's matrix is all fallback blocks (offerMatrix).
+// offer per task sits in the site block's offers instead, over the site's
+// own columns. An earliest-finish site walk's matrix is all offer blocks.
 type CostMatrix struct {
 	ix     *afg.Index
 	hosts  []HostRef
@@ -49,13 +51,12 @@ type CostMatrix struct {
 }
 
 // siteBlock is one site's contribution to the matrix: a column range and
-// its predictions for per-host-cost sites, or an index-addressed fallback
-// offer table.
+// its predictions for per-host-cost sites, or an offer site's Fig 5 offers.
 type siteBlock struct {
 	name       string
-	col0, col1 int32     // dense column range; col0 == col1 ⇒ fallback site
+	col0, col1 int32     // dense column range; col0 == col1 for an offer site
 	pred       []float64 // V×(col1−col0) row-major; NaN = ineligible
-	fallback   []Choice  // idx-indexed best offers (fallback sites only)
+	offers               // an offer site's answer; at is nil for a column block
 }
 
 // Hosts returns the dense column → host table. Callers must not mutate it.
@@ -134,16 +135,6 @@ func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratc
 	return cm
 }
 
-// offerMatrix is the cost matrix of an earliest-finish site walk: no
-// columns, and each site a fallback block holding its Fig 5 offers.
-func offerMatrix(ix *afg.Index, results []siteResult) *CostMatrix {
-	cm := &CostMatrix{ix: ix, blocks: make([]siteBlock, len(results))}
-	for i, r := range results {
-		cm.blocks[i] = siteBlock{name: r.name, fallback: r.choices}
-	}
-	return cm
-}
-
 // meanExec is w̄(t): the prediction averaged over every candidate of task
 // t, accumulated in the same site-then-host order as the map-keyed gather
 // so the float result is bit-identical.
@@ -151,9 +142,9 @@ func (cm *CostMatrix) meanExec(t int) float64 {
 	var sum float64
 	n := 0
 	for bi, b := range cm.blocks {
-		if b.fallback != nil {
-			if c := b.fallback[t]; c.Host != "" {
-				sum += c.Predicted
+		if b.at != nil {
+			if o := b.at[t]; o.lo < o.hi {
+				sum += o.pred
 				n++
 			}
 			continue
@@ -169,27 +160,6 @@ func (cm *CostMatrix) meanExec(t int) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// choices materialises task t's candidate list in deterministic order
-// (the map-keyed gather's order), appending to buf. Only the parallel
-// placement path needs the slice form; the scalar walks iterate the
-// matrix directly.
-func (cm *CostMatrix) choices(t int, buf []Choice) []Choice {
-	for bi, b := range cm.blocks {
-		if b.fallback != nil {
-			if c := b.fallback[t]; c.Host != "" {
-				buf = append(buf, c)
-			}
-			continue
-		}
-		for k, p := range cm.row(t, bi) {
-			if !math.IsNaN(p) {
-				buf = append(buf, Choice{Site: b.name, Host: cm.hosts[int(b.col0)+k].Host, Predicted: p})
-			}
-		}
-	}
-	return buf
 }
 
 // SiteError records one site dropped from a gather and why.
@@ -213,9 +183,8 @@ func (e SiteError) Unwrap() error { return e.Err }
 // across every schedule that shares the Request — attach a fresh one per
 // episode when per-run attribution matters.
 type Diagnostics struct {
-	mu         sync.Mutex
-	cannotHost []SiteError
-	transient  []SiteError
+	mu      sync.Mutex
+	dropped [2][]SiteError // capacity refusals, then transient losses
 }
 
 // record classifies err: anything wrapping ErrNoEligibleHost is a
@@ -224,35 +193,31 @@ func (d *Diagnostics) record(site string, err error) {
 	if d == nil {
 		return
 	}
+	k := 1
+	if errors.Is(err, ErrNoEligibleHost) {
+		k = 0
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if errors.Is(err, ErrNoEligibleHost) {
-		d.cannotHost = append(d.cannotHost, SiteError{Site: site, Err: err})
-	} else {
-		d.transient = append(d.transient, SiteError{Site: site, Err: err})
-	}
+	d.dropped[k] = append(d.dropped[k], SiteError{Site: site, Err: err})
 }
 
 // CannotHost returns the sites dropped because some task had no eligible
 // host there, in record order.
-func (d *Diagnostics) CannotHost() []SiteError {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]SiteError(nil), d.cannotHost...)
-}
+func (d *Diagnostics) CannotHost() []SiteError { return d.list(0) }
 
 // Transient returns the sites dropped for non-capacity reasons (RPC or
 // repository failures) — capacity the schedule lost without knowing.
-func (d *Diagnostics) Transient() []SiteError {
+func (d *Diagnostics) Transient() []SiteError { return d.list(1) }
+
+// list copies the drops of kind k, in record order.
+func (d *Diagnostics) list(k int) []SiteError {
 	if d == nil {
 		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]SiteError(nil), d.transient...)
+	return append([]SiteError(nil), d.dropped[k]...)
 }
 
 // noSitesErr builds the terminal error for a gather that kept no site:
@@ -264,8 +229,7 @@ func noSitesErr(transient []SiteError) error {
 	if len(transient) == 0 {
 		return ErrNoSites
 	}
-	errs := make([]error, 0, len(transient)+1)
-	errs = append(errs, ErrNoSites)
+	errs := []error{ErrNoSites}
 	for _, e := range transient {
 		errs = append(errs, e)
 	}
@@ -340,7 +304,8 @@ func (r *Request) PrewarmCosts() error {
 //
 //vdce:hot allocs=83
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
-	keep, err := multicast(ix, req, func(ls *LocalSelector, r *siteResult) {
+	var fresh []siteResult // the gather's slabs are matrix output, never pooled
+	keep, err := multicast(ix, req, &fresh, func(ls *LocalSelector, r *siteResult) {
 		r.hosts, r.pred, r.err = ls.denseHostCosts(ix)
 	})
 	if err != nil {
@@ -349,10 +314,14 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	cm := &CostMatrix{ix: ix, col: map[string]int32{}}
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
-		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), pred: g.pred, fallback: g.choices}
-		for _, h := range g.hosts {
-			cm.col[h] = int32(len(cm.hosts))
-			cm.hosts = append(cm.hosts, HostRef{Site: g.name, Host: h})
+		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), pred: g.pred}
+		if g.at != nil {
+			b.offers = g.offers
+		} else {
+			for _, h := range g.hosts {
+				cm.col[h] = int32(len(cm.hosts))
+				cm.hosts = append(cm.hosts, HostRef{Site: g.name, Host: h})
+			}
 		}
 		b.col1 = int32(len(cm.hosts))
 		cm.blocks = append(cm.blocks, b)
@@ -360,23 +329,44 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	return cm, nil
 }
 
-// denseChoices flattens a per-task choice map onto the dense index (an
-// empty Host marks "no offer"); ids the index does not know are dropped.
-// An offer whose prediction is NaN, infinite or negative would win or
-// poison every comparison it enters, so it rejects the whole reply with
-// ErrInvalidOffer, naming the first such task in dense order.
-func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice) ([]Choice, error) {
-	out := make([]Choice, ix.Len())
-	//vdce:ignore maporder,detflow ix.Of is injective: every id writes its own dense slot, so visit order cannot be observed
-	for id, c := range m {
-		if t := ix.Of(id); t >= 0 {
-			out[t] = c
+// denseChoices interns site's reply m into out by dense task index, over
+// host columns numbered as a walk in dense order first meets each host, so
+// no column depends on map order; ids the index does not know are dropped,
+// and a task m does not name gets no offer. An offer the kernel could not
+// place as offered rejects the whole reply with ErrInvalidOffer, naming the
+// first such task in dense order: a NaN, infinite or negative prediction, a
+// Site not the replier's, no Host, a set not headed by Host or holding an
+// empty or repeated name, or more hosts than the task runs on. One host
+// name offered by two sites is legal.
+func denseChoices(ix *afg.Index, m map[afg.TaskID]Choice, site string, out *offers) error {
+	out.hosts, out.at, out.cols = out.hosts[:0], grow(out.at, ix.Len()), out.cols[:0]
+	col := map[string]int32{}
+	for t := range out.at {
+		c, ok := m[ix.ID(t)]
+		out.at[t] = offer{c.Predicted, int32(len(out.cols)), int32(len(out.cols))}
+		if !ok {
+			continue
 		}
-	}
-	for t, c := range out {
-		if c.Host != "" && !validCost(c.Predicted) {
-			return nil, fmt.Errorf("%w: task %q predicted %v on %s", ErrInvalidOffer, ix.ID(t), c.Predicted, c.Host)
+		most, set := 1, c.Hosts
+		if task := ix.Task(t); task.Mode == afg.Parallel {
+			most = max(task.Processors, 1)
 		}
+		if len(set) == 0 {
+			set = []string{c.Host}
+		}
+		for i, h := range set {
+			if !validCost(c.Predicted) || c.Site != site || set[0] != c.Host || len(set) > most || h == "" || slices.Contains(set[:i], h) {
+				return fmt.Errorf("%w: task %q offered %+v by site %s", ErrInvalidOffer, ix.ID(t), c, site)
+			}
+			k, ok := col[h]
+			if !ok {
+				k = int32(len(out.hosts))
+				col[h] = k
+				out.hosts = append(out.hosts, h)
+			}
+			out.cols = append(out.cols, k)
+		}
+		out.at[t].hi = int32(len(out.cols))
 	}
-	return out, nil
+	return nil
 }

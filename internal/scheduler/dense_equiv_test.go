@@ -268,7 +268,7 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 // map-keyed path keyed timelines by name, so the dense path's canonical
 // columns must reproduce it exactly. Every fifth task is parallel, so
 // machineSet reads the second column block's rows. The mixed case adds an
-// opaque site whose name sorts between the two, so a fallback block sits
+// opaque site whose name sorts between the two, so an offer block sits
 // between two column blocks and offers the shared host for some tasks: the
 // block offsets and the parent-host test are held to the oracle too.
 func TestDenseHEFTSharedHostNameAcrossSites(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/afg"
@@ -205,21 +206,21 @@ func (t *timeline) add(start, end float64) {
 // it — slice-indexed end to end: per-host-column timelines (empty, or
 // seeded from the settled set of a running application), per-task
 // estimated finishes and assigned host sets by dense task index, and the
-// allocation table under construction. Hosts outside the matrix — a
-// fallback site's offers, the down machines a settled task still sits on —
-// get lines appended after the columns. With a shared ledger, no task
-// starts on a host before the work other applications hold there has run
-// (floor, read from the ledger per candidate), every commit reserves its
-// prediction on each of its hosts, and a failed walk releases them (done).
+// allocation table under construction. Hosts outside the matrix's columns
+// — an offer block's, the down machines a settled task still sits on — get
+// lines appended after the columns. With a shared ledger, no task starts on
+// a host before the work other applications hold there has run (floor,
+// read from the ledger per candidate), every commit reserves its prediction
+// on each of its hosts, and a failed walk releases them (done).
 // The zero strategy fields are planning from scratch; only this package's
 // re-planners set them.
 type placement struct {
 	cm     *CostMatrix
 	pairs  *sitePairs       // transfer prices by site id
 	ledger *LoadLedger      // the shared ledger, read per candidate; nil = none
-	lines  []timeline       // per column (canonical ones used), then per host outside the matrix
-	canon  []int32          // column -> canonical column for its host NAME
-	extra  map[string]int32 // host outside the matrix -> its line
+	lines  []timeline       // per column (canonical ones used), then per host outside the columns
+	canon  []int32          // column, then offered host -> the line of its host NAME
+	extra  map[string]int32 // host outside the columns -> its line
 
 	placed []bool // task is settled or committed; gates finish/siteID/hosts
 	finish []float64
@@ -231,7 +232,8 @@ type placement struct {
 	singleHost bool             // place a parallel-mode task on one host (its machine set broke)
 	prior      *AllocationTable // the committed table under repair: where keep finds a task's current hosts
 
-	choiceBuf []Choice // one site's candidates for a parallel-mode task
+	cand  []scored // one column block's candidates for a machine set, keyed by free time
+	names []string // one candidate set's host names, for readyAt
 
 	// hostSlab backs the committed single-host sets. It is schedule
 	// OUTPUT — the carved sets escape into the allocation table — so it is
@@ -253,7 +255,6 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
 	sc.canon = grow(sc.canon, len(cm.hosts))
-	clear(sc.lineOf)
 	sc.placed = growZero(sc.placed, n)     // false = unplaced marker must reset
 	sc.finish = grow(sc.finish, n)         // gated by placed before reads
 	sc.siteID = grow(sc.siteID, n)         // gated by placed before reads
@@ -272,32 +273,38 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 		ledger:     ledger,
 		lines:      sc.lines,
 		canon:      sc.canon,
-		extra:      sc.lineOf,
+		extra:      cleared(&sc.lineOf),
 		placed:     sc.placed,
 		finish:     sc.finish,
 		siteID:     sc.siteID,
 		hosts:      sc.hostSets,
 		table:      tableFor(app, cm.ix),
-		choiceBuf:  sc.choiceBuf,
+		cand:       sc.scored,
+		names:      sc.names,
 		blockReady: sc.blockReady,
 		blockSite:  sc.blockSite,
 		mark:       sc.mark,
 	}
 	// A host NAME owns one timeline, however many sites offer it (the
-	// map-keyed path keyed timelines by name): every column resolves to
-	// the name's canonical column, and only canonical lines are used.
-	for c := range p.canon {
-		p.canon[c] = p.cm.col[cm.hosts[c].Host]
+	// map-keyed path keyed timelines by name): canon maps every column, then
+	// every offer block's hosts in block order, to its name's line.
+	for c := range cm.hosts {
+		p.canon[c] = cm.col[cm.hosts[c].Host]
+	}
+	for _, b := range cm.blocks {
+		for _, h := range b.hosts {
+			p.canon = append(p.canon, p.lineOf(h))
+		}
 	}
 	return p
 }
 
-// line resolves a host name to its timeline: the canonical column's when
-// the matrix knows the host, else one appended after the columns on first
-// use. The pointer is good until the next line call, which may move lines.
-func (p *placement) line(host string) *timeline {
+// lineOf resolves a host name to its line: its column's when the matrix
+// knows the host, else one appended after the columns on first use (which
+// moves lines: a *timeline is good until the next lineOf call).
+func (p *placement) lineOf(host string) int32 {
 	if c, ok := p.cm.col[host]; ok {
-		return &p.lines[c]
+		return c
 	}
 	c, ok := p.extra[host]
 	if !ok {
@@ -308,12 +315,9 @@ func (p *placement) line(host string) *timeline {
 		} else {
 			p.lines = append(p.lines, timeline{})
 		}
-		if p.extra == nil {
-			p.extra = map[string]int32{}
-		}
 		p.extra[host] = c
 	}
-	return &p.lines[c]
+	return c
 }
 
 // releaseScratch hands the placement's pooled buffers back to sc so any
@@ -325,7 +329,7 @@ func (p *placement) releaseScratch(sc *scratch) {
 	sc.lines, sc.canon, sc.lineOf = p.lines, p.canon, p.extra
 	sc.placed, sc.finish, sc.siteID, sc.hostSets = p.placed, p.finish, p.siteID, p.hosts
 	sc.blockReady, sc.blockSite, sc.mark = p.blockReady, p.blockSite, p.mark
-	sc.choiceBuf = p.choiceBuf
+	sc.scored, sc.names = p.cand, p.names
 }
 
 // readyAt is the data-ready time of task t on the given host set at site
@@ -380,7 +384,7 @@ func (p *placement) prepReady(t int) {
 		}
 	}
 	for bi := range p.cm.blocks {
-		if p.cm.blocks[bi].fallback != nil {
+		if p.cm.blocks[bi].at != nil {
 			continue // single candidate per block: memoising buys nothing
 		}
 		p.blockReady[bi] = p.readyAt(t, p.blockSite[bi], nil)
@@ -397,10 +401,9 @@ func (p *placement) floor(h string, l *timeline) float64 {
 	return p.ledger.Busy(h) - l.own
 }
 
-// free is when host h can take work appended to it: after its last
-// reservation and its ledger floor.
-func (p *placement) free(h string) float64 {
-	l := p.line(h)
+// free is when host h, whose line is l, can take work appended to it:
+// after its last reservation and its ledger floor.
+func (p *placement) free(h string, l *timeline) float64 {
 	if f := p.floor(h, l); f > l.end() {
 		return f
 	}
@@ -423,64 +426,75 @@ func (p *placement) startOn(h string, l *timeline, ready, dur float64) float64 {
 	return ready
 }
 
-// after is the machine-set start rule: once the data is ready and every
-// member is free — appended, because idle gaps rarely align across a set.
-func (p *placement) after(hosts []string, ready float64) float64 {
-	for _, h := range hosts {
-		if f := p.free(h); f > ready {
-			ready = f
-		}
+// candidate is one way to place a task on site block bi, and its timing.
+type candidate struct {
+	bi               int      // -1 = none yet
+	host             string   // the primary host
+	hosts            []string // a column block's machine set, named
+	cols             []int32  // an offer block's host set, by its columns
+	pred, start, fin float64
+}
+
+// better reports whether finishing at fin on host of block bi beats best,
+// by the map path's exact order: finish, then site name, then host name.
+func (p *placement) better(best *candidate, bi int, host string, fin float64) bool {
+	if best.bi < 0 || fin != best.fin {
+		return fin < best.fin
 	}
-	return ready
+	site, bestSite := p.cm.blocks[bi].name, p.cm.blocks[best.bi].name
+	return site < bestSite || (site == bestSite && host < best.host)
 }
 
 // place schedules one task on the candidate minimising earliest finish
 // time under the strategy's start rule, walking the matrix row in
 // deterministic site/host order: every eligible column host (for a
-// parallel-mode task, one machine set per site), and every fallback site's
-// offer with its host set as offered. restrict, when non-nil, limits the
-// hosts considered (CPOP's critical-path pinning); if it excludes every
-// candidate, placement retries unrestricted rather than failing the
-// application.
+// parallel-mode task, one machine set per site), and every offer block's
+// offer with its host set as offered, read by column. restrict, when
+// non-nil, limits the hosts considered (CPOP's critical-path pinning); if
+// it excludes every candidate, placement retries unrestricted rather than
+// failing the application.
 func (p *placement) place(t int, restrict map[string]bool) error {
 	task := p.cm.ix.Task(t)
 	set := task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost
 	p.prepReady(t)
-	var best Choice
-	var bestStart float64
-	bestFinish := math.Inf(1)
-	found := false
-	var hostBuf [1]string
-	for bi, b := range p.cm.blocks {
-		if b.fallback != nil {
-			c := b.fallback[t]
-			if c.Host == "" || (restrict != nil && !restrict[c.Host]) {
+	best := candidate{bi: -1, fin: math.Inf(1)}
+	slot := int32(len(p.cm.hosts)) // canon slot of the next offer block's first host
+	for bi := range p.cm.blocks {
+		b := &p.cm.blocks[bi]
+		if b.at != nil {
+			base := slot
+			slot += int32(len(b.hosts))
+			o := b.at[t]
+			if o.lo == o.hi {
 				continue
 			}
-			hosts := c.Hosts
-			if len(hosts) == 0 {
-				hostBuf[0] = c.Host
-				hosts = hostBuf[:]
+			cols := b.cols[o.lo:o.hi]
+			host := b.hosts[cols[0]]
+			if restrict != nil && !restrict[host] {
+				continue
 			}
-			site := p.blockSite[bi]
-			if c.Site != b.name {
-				site = p.pairs.id(c.Site)
+			p.names = p.names[:0]
+			for _, c := range cols {
+				p.names = append(p.names, b.hosts[c])
 			}
-			ready := p.readyAt(t, site, hosts)
-			var start float64
-			if len(hosts) == 1 && !set {
-				start = p.startOn(c.Host, p.line(c.Host), ready, c.Predicted)
-			} else {
-				start = p.after(hosts, ready)
+			start := p.readyAt(t, p.blockSite[bi], p.names)
+			if len(cols) == 1 && !set {
+				start = p.startOn(host, &p.lines[p.canon[base+cols[0]]], start, o.pred)
+			} else { // appended: idle gaps rarely align across a set
+				for k, c := range cols {
+					if f := p.free(p.names[k], &p.lines[p.canon[base+c]]); f > start {
+						start = f
+					}
+				}
 			}
-			p.consider(&best, &bestStart, &bestFinish, &found, c, start)
+			if fin := start + o.pred; p.better(&best, bi, host, fin) {
+				best = candidate{bi: bi, host: host, cols: cols, pred: o.pred, start: start, fin: fin}
+			}
 			continue
 		}
 		row := p.cm.row(t, bi)
 		if set {
-			if c, start, ok := p.machineSet(t, task.Processors, bi, row, restrict); ok {
-				p.consider(&best, &bestStart, &bestFinish, &found, c, start)
-			}
+			p.machineSet(&best, t, task.Processors, bi, row, restrict)
 			continue
 		}
 		base := p.blockReady[bi]
@@ -496,93 +510,71 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			ready := base
 			canon := p.canon[col]
 			if p.mark[canon] == p.stamp {
-				hostBuf[0] = host
-				ready = p.readyAt(t, p.blockSite[bi], hostBuf[:])
+				p.names = append(p.names[:0], host)
+				ready = p.readyAt(t, p.blockSite[bi], p.names)
 			}
 			start := p.startOn(host, &p.lines[canon], ready, pr)
-			p.consider(&best, &bestStart, &bestFinish, &found,
-				Choice{Site: b.name, Host: host, Predicted: pr}, start)
+			if fin := start + pr; p.better(&best, bi, host, fin) {
+				best = candidate{bi: bi, host: host, pred: pr, start: start, fin: fin}
+			}
 		}
 	}
-	if !found {
+	if best.bi < 0 {
 		if restrict != nil {
 			return p.place(t, nil)
 		}
 		return fmt.Errorf("%w: %q", ErrNoEligibleHost, p.cm.ix.ID(t))
 	}
-	hosts := best.Hosts
-	if len(hosts) == 0 {
-		// A one-host set is carved from hostSlab (schedule output; see the
-		// placement struct), allocated on the first carve: a full-capacity
-		// reslice, so the set can never grow into its neighbour.
-		if len(p.hostSlab) == 0 {
-			p.hostSlab = make([]string, p.cm.ix.Len())
-		}
-		hosts = p.hostSlab[:1:1]
-		p.hostSlab = p.hostSlab[1:]
-		hosts[0] = best.Host
+	b := &p.cm.blocks[best.bi]
+	hosts := best.hosts
+	if hosts == nil {
+		hosts = hostSet(best.host, b.hosts, best.cols, &p.hostSlab, p.cm.ix.Len())
 	}
-	p.commit(t, Assignment{
-		Task:      p.cm.ix.ID(t),
-		Site:      best.Site,
-		Host:      best.Host,
-		Hosts:     hosts,
-		Predicted: best.Predicted,
-	}, bestStart, bestFinish)
+	p.commit(t, Assignment{Task: p.cm.ix.ID(t), Site: b.name, Host: best.host, Hosts: hosts, Predicted: best.pred},
+		best.start, best.fin)
 	return nil
 }
 
-// consider folds one candidate into the running minimum with the map
-// path's exact tie-break: earliest finish, then site name, then host name.
-func (p *placement) consider(best *Choice, bestStart, bestFinish *float64, found *bool, c Choice, start float64) {
-	fin := start + c.Predicted
-	better := fin < *bestFinish
-	if fin == *bestFinish {
-		better = c.Site < best.Site || (c.Site == best.Site && c.Host < best.Host)
-	}
-	if better {
-		*best, *bestStart, *bestFinish, *found = c, start, fin, true
-	}
-}
-
-// machineSet is a parallel-mode task's candidate at column block bi, whose
-// row of predictions is row: the task.Processors eligible hosts that free up
-// earliest (host name on ties), charged the slowest member's prediction
-// split n ways. ok is false when restrict leaves the block no host.
-func (p *placement) machineSet(t, n, bi int, row []float64, restrict map[string]bool) (c Choice, start float64, ok bool) {
+// machineSet folds a parallel-mode task's candidate at column block bi,
+// whose row of predictions is row, into best: the n eligible hosts that free
+// up earliest (host name on ties), charged the slowest member's prediction
+// split n ways, started once the data is ready and every member is free.
+func (p *placement) machineSet(best *candidate, t, n, bi int, row []float64, restrict map[string]bool) {
 	b := &p.cm.blocks[bi]
-	group := p.choiceBuf[:0]
+	group := p.cand[:0]
 	for k, pr := range row {
-		if !math.IsNaN(pr) {
-			if host := p.cm.hosts[int(b.col0)+k].Host; restrict == nil || restrict[host] {
-				group = append(group, Choice{Host: host, Predicted: pr})
-			}
+		if math.IsNaN(pr) {
+			continue
+		}
+		col := b.col0 + int32(k)
+		if host := p.cm.hosts[col].Host; restrict == nil || restrict[host] {
+			group = append(group, scored{col, pr, p.free(host, &p.lines[p.canon[col]])})
 		}
 	}
-	p.choiceBuf = group
+	p.cand = group
 	if len(group) == 0 {
-		return Choice{}, 0, false
+		return
 	}
-	if n > len(group) {
-		n = len(group)
-	}
-	sort.Slice(group, func(i, j int) bool {
-		ei, ej := p.free(group[i].Host), p.free(group[j].Host)
-		if ei != ej {
-			return ei < ej
-		}
-		return group[i].Host < group[j].Host
-	})
-	hosts := make([]string, n)
+	n = min(n, len(group))
+	pick(group, n)
+	p.names = p.names[:0]
 	var maxPred float64
-	for i, g := range group[:n] {
-		hosts[i] = g.Host
-		if g.Predicted > maxPred {
-			maxPred = g.Predicted
+	for _, g := range group[:n] {
+		p.names = append(p.names, p.cm.hosts[g.col].Host)
+		if g.pred > maxPred {
+			maxPred = g.pred
 		}
 	}
-	c = Choice{Site: b.name, Host: hosts[0], Hosts: hosts, Predicted: maxPred / float64(n)}
-	return c, p.after(hosts, p.readyAt(t, p.blockSite[bi], hosts)), true
+	pred := maxPred / float64(n)
+	start := p.readyAt(t, p.blockSite[bi], p.names)
+	for _, g := range group[:n] {
+		if g.key > start {
+			start = g.key
+		}
+	}
+	if fin := start + pred; p.better(best, bi, p.names[0], fin) {
+		*best = candidate{bi: bi, host: p.names[0], hosts: slices.Clone(p.names), pred: pred, start: start, fin: fin}
+	}
 }
 
 // commit enters a's assignment and reserves [start, fin) on each of its
@@ -590,7 +582,7 @@ func (p *placement) machineSet(t, n, bi int, row []float64, restrict map[string]
 func (p *placement) commit(t int, a Assignment, start, fin float64) {
 	p.record(t, a, fin)
 	for _, h := range p.hosts[t] {
-		l := p.line(h)
+		l := &p.lines[p.lineOf(h)]
 		l.add(start, fin)
 		if p.ledger != nil {
 			p.ledger.Reserve(h, a.Predicted)
@@ -621,7 +613,7 @@ func (p *placement) done(err error) (*AllocationTable, error) {
 				continue
 			}
 			for _, h := range p.hosts[t] {
-				if l := p.line(h); l.own != 0 {
+				if l := &p.lines[p.lineOf(h)]; l.own != 0 {
 					p.ledger.Release(h, l.own)
 					l.own = 0
 				}
@@ -638,7 +630,7 @@ func (p *placement) done(err error) (*AllocationTable, error) {
 func (p *placement) settle(t int, a Assignment, fin float64) {
 	p.record(t, a, fin)
 	for _, h := range p.hosts[t] {
-		l := p.line(h)
+		l := &p.lines[p.lineOf(h)]
 		if len(l.busy) == 0 {
 			if fin > 0 {
 				l.busy = append(l.busy, span{0, fin})
@@ -665,7 +657,7 @@ func (p *placement) keep(t int) {
 	primary := [1]string{a.Host}
 	start := p.readyAt(t, p.pairs.id(a.Site), primary[:])
 	for _, h := range hosts {
-		if e := p.line(h).end(); e > start {
+		if e := p.lines[p.lineOf(h)].end(); e > start {
 			start = e
 		}
 	}
@@ -761,7 +753,7 @@ func (cpopPolicy) Name() string { return "cpop" }
 // minimising its total execution; everything else places by earliest
 // finish time in ready-set priority order.
 //
-//vdce:hot allocs=27
+//vdce:hot allocs=11
 func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	ix, cm, err := densePrep(req)
 	if err != nil {
@@ -825,21 +817,27 @@ func criticalHost(cm *CostMatrix, cp []bool) map[string]bool {
 		sum float64
 		cnt int
 	}
-	per := map[string]*agg{}
-	var buf []Choice
+	per := map[string]agg{}
+	add := func(h string, pred float64) {
+		a := per[h]
+		per[h] = agg{a.sum + pred, a.cnt + 1}
+	}
 	for t := range cp {
 		if !cp[t] {
 			continue
 		}
-		buf = cm.choices(t, buf[:0])
-		for _, c := range buf {
-			a := per[c.Host]
-			if a == nil {
-				a = &agg{}
-				per[c.Host] = a
+		for bi, b := range cm.blocks { // the gather's site-then-host order
+			if b.at != nil {
+				if o := b.at[t]; o.lo < o.hi {
+					add(b.hosts[b.cols[o.lo]], o.pred)
+				}
+				continue
 			}
-			a.sum += c.Predicted
-			a.cnt++
+			for k, pr := range cm.row(t, bi) {
+				if !math.IsNaN(pr) {
+					add(cm.hosts[int(b.col0)+k].Host, pr)
+				}
+			}
 		}
 	}
 	var bestHost string

@@ -87,6 +87,84 @@ func TestInvalidPeerOfferDropsSite(t *testing.T) {
 	}
 }
 
+// A peer's offer is taken as offered — its host set becomes the table's —
+// so every shape the kernel could not place that way drops the whole site,
+// as a transient loss wrapping ErrInvalidOffer, under every policy that
+// reads peer offers: a host outside the head of its set, a repeated or
+// empty name in the set, no host, a sequential task on two hosts, a
+// parallel one on more than its processors, and a site name other than the
+// replier's. The same reply with the shape mended is taken.
+func TestMisshapenPeerOfferDropsSite(t *testing.T) {
+	syr := makeRepo(t, "syr", map[string][2]float64{"syr-1": {1, 0}, "syr-2": {1, 0}, "syr-3": {1, 0}})
+	g := afg.New("shapes")
+	for _, task := range []*afg.Task{
+		{ID: "a", Function: "f", ComputeCost: 10},
+		{ID: "b", Function: "f", ComputeCost: 10},
+		{ID: "p", Function: "f", ComputeCost: 10, Mode: afg.Parallel, Processors: 2},
+	} {
+		if err := g.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := map[afg.TaskID]Choice{
+		"a": {Site: "rome", Host: "r1", Hosts: []string{"r1"}, Predicted: 1},
+		"b": {Site: "rome", Host: "r2", Predicted: 1},
+		"p": {Site: "rome", Host: "r2", Hosts: []string{"r2", "r3"}, Predicted: 0.5},
+	}
+	shapes := []struct {
+		name string
+		id   afg.TaskID
+		c    Choice
+	}{
+		{"good", "", Choice{}},
+		{"host outside its set", "a", Choice{Site: "rome", Host: "r1", Hosts: []string{"r2", "r3"}, Predicted: 1}},
+		{"repeated host", "p", Choice{Site: "rome", Host: "r1", Hosts: []string{"r1", "r1"}, Predicted: 1}},
+		{"empty host in the set", "p", Choice{Site: "rome", Host: "r1", Hosts: []string{"r1", ""}, Predicted: 1}},
+		{"no host", "b", Choice{Site: "rome", Predicted: 1}},
+		{"sequential task on two hosts", "a", Choice{Site: "rome", Host: "r1", Hosts: []string{"r1", "r2"}, Predicted: 1}},
+		{"parallel task beyond its processors", "p", Choice{Site: "rome", Host: "r1", Hosts: []string{"r1", "r2", "r3"}, Predicted: 1}},
+		{"another site's name", "b", Choice{Site: "paris", Host: "r2", Predicted: 1}},
+		{"no site name", "b", Choice{Host: "r2", Predicted: 1}},
+	}
+	for _, shape := range shapes {
+		remote := opaqueSelector{site: "rome", offers: map[afg.TaskID]Choice{}}
+		for id, c := range good {
+			remote.offers[id] = c
+		}
+		if shape.id != "" {
+			remote.offers[shape.id] = shape.c
+		}
+		for _, policy := range []string{"faithful", "eft", "heft", "cpop"} {
+			env := NewRequest(nil, &LocalSelector{Site: "syr", Repo: syr}, []HostSelector{remote}, nil)
+			env.Diag = &Diagnostics{}
+			table, err := runPolicy(policy, env, g)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", policy, shape.name, err)
+			}
+			lost := env.Diag.Transient()
+			onRome := 0
+			for _, id := range table.Order() {
+				if a, _ := table.Get(id); a.Site == "rome" {
+					onRome++
+				}
+			}
+			if shape.id == "" {
+				if len(lost) != 0 || onRome != table.Len() {
+					t.Errorf("%s, %s: %d of %d tasks on rome, transient losses %v; want every task on rome, no loss",
+						policy, shape.name, onRome, table.Len(), lost)
+				}
+				continue
+			}
+			if onRome != 0 {
+				t.Errorf("%s, %s: %d tasks placed on rome, want none", policy, shape.name, onRome)
+			}
+			if len(lost) != 1 || lost[0].Site != "rome" || !errors.Is(lost[0].Err, ErrInvalidOffer) {
+				t.Errorf("%s, %s: transient losses %v, want rome with ErrInvalidOffer", policy, shape.name, lost)
+			}
+		}
+	}
+}
+
 // The kernel's ledger rule under concurrent batch workers: every policy
 // that places through the kernel reserves, per host, exactly the
 // predictions of the assignments it committed there — nothing lost or

@@ -157,7 +157,7 @@ func TestWalksPriceLikePerPairOracle(t *testing.T) {
 			sel.Cache = predict.NewCache()
 		}
 		// A second in-process site on the same hosts under other loads, and
-		// an opaque one between them, so the gather has a fallback block
+		// an opaque one between them, so the gather has an offer block
 		// between two column blocks whose cells differ.
 		repo2, _ := pricingFixture(t)
 		for i, r := range repo2.Resources.List() {

@@ -22,8 +22,8 @@ import (
 var (
 	ErrNoEligibleHost = errors.New("scheduler: no eligible host for task")
 	ErrNoSites        = errors.New("scheduler: no sites available")
-	// ErrInvalidOffer marks a peer site dropped for offering a NaN,
-	// infinite or negative prediction; it is a transient loss.
+	// ErrInvalidOffer marks a peer site dropped for an offer the kernel
+	// cannot place as offered (see denseChoices); it is a transient loss.
 	ErrInvalidOffer = errors.New("scheduler: invalid offer")
 )
 
@@ -200,7 +200,8 @@ func (t *AllocationTable) PerSite(site string) []Assignment {
 // Host Selection Algorithm (paper Fig 5)
 // ---------------------------------------------------------------------------
 
-// Choice is a host-selection result for one task at one site.
+// Choice is a host-selection result for one task at one site, as a
+// HostSelector and the RPC reply give it; the walks hold offers by column.
 type Choice struct {
 	Site      string   `json:"site"`
 	Host      string   `json:"host"`
@@ -245,68 +246,85 @@ func (s *LocalSelector) SiteName() string { return s.Site }
 // paper-faithful mode and level order: each assignment adds one queued-load
 // unit to its chosen host(s), so a wide application does not dog-pile the
 // single best machine. The id-keyed map is the interface's and the RPC
-// reply's form of the dense walk's answer.
+// reply's form of the dense walk's offers, which stay in a pooled slot.
 func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
 	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
-	choices, err := s.selectHostsDense(ix, rankOrderDesc(ix.Levels(), nil, nil), false, nil)
-	if err != nil {
+	sc := getScratch()
+	defer sc.release()
+	sc.sites = grow(sc.sites, 1)
+	r := &sc.sites[0]
+	if err := s.selectHostsDense(ix, rankOrderDesc(ix.Levels(), nil, nil), false, nil, r); err != nil {
 		return nil, err
 	}
-	out := make(map[afg.TaskID]Choice, len(choices))
-	for t, c := range choices {
-		out[ix.ID(t)] = c
-	}
-	return out, nil
+	return r.choices(ix, s.Site), nil
 }
 
 // selectHostsDense is the Fig 5 walk. The task queue is walked in the given
-// priority order (dense indices; the result is addressed the same way) and
-// each assignment updates the walk's own view of its chosen host(s), kept
-// per column of the pricing's resource snapshot: one queued-load unit in the
-// paper-faithful mode, or — when avail is set, by the availability-aware
-// site policies — an estimated host-free timeline, where each task takes the
-// host(s) minimising earliest finish time (free time + predicted execution)
-// and its finish pushes those hosts' free times out. A non-nil ledger seeds
-// that timeline with the busy seconds other applications have reserved;
+// priority order (dense indices, every task once) and each assignment
+// updates the walk's own view of its chosen host(s), kept per column of the
+// pricing's resource snapshot: one queued-load unit in the paper-faithful
+// mode, or — when avail is set, by the availability-aware site policies — an
+// estimated host-free timeline, where each task takes the host(s)
+// minimising earliest finish time (free time + predicted execution) and its
+// finish pushes those hosts' free times out. A non-nil ledger seeds that
+// timeline with the busy seconds other applications have reserved;
 // reservations themselves are made by the earliest-finish kernel the site
 // policy places with, never here.
-// order is only read: the Site Scheduler hands one slice to every site's walk.
+// The offers, the view and the candidates are the caller's slot r, refilled,
+// by column of that snapshot: a warm walk builds no host name. order is
+// only read: the Site Scheduler hands one slice to every site's walk.
 //
-//vdce:hot allocs=18
-func (s *LocalSelector) selectHostsDense(ix *afg.Index, order []int32, avail bool, ledger *LoadLedger) ([]Choice, error) {
+//vdce:hot allocs=10
+func (s *LocalSelector) selectHostsDense(ix *afg.Index, order []int32, avail bool, ledger *LoadLedger, r *siteResult) error {
 	p := s.newPricing()
 	defer p.count()
-	sc := getScratch()
-	defer sc.release()
-	sc.queued = growZero(sc.queued, len(p.resources))
-	sc.freeAt = growZero(sc.freeAt, len(p.resources))
-	if ledger != nil {
-		for k := range p.resources {
-			sc.freeAt[k] = ledger.Busy(p.resources[k].Static.HostName)
+	r.queued = growZero(r.queued, len(p.resources))
+	r.freeAt = growZero(r.freeAt, len(p.resources))
+	r.hosts = grow(r.hosts, len(p.resources))
+	for k := range p.resources {
+		r.hosts[k] = p.resources[k].Static.HostName
+		if ledger != nil {
+			r.freeAt[k] = ledger.Busy(r.hosts[k])
 		}
 	}
-	out := make([]Choice, ix.Len()) // schedule output
-	// One host-name slab backs every sequential task's committed host set
-	// (schedule output): one allocation per walk instead of one per task.
-	slab := make([]string, ix.Len())
+	r.at = growZero(r.at, ix.Len())
+	r.cols = grow(r.cols, ix.Len())[:0] // one column per sequential task
 	for _, t := range order {
-		var err error
-		out[t], sc.scored, slab, err = p.selectFor(ix.Task(int(t)), avail, sc.queued, sc.freeAt, sc.scored, slab)
+		lo := int32(len(r.cols))
+		pred, err := p.selectFor(ix.Task(int(t)), avail, r)
 		if err != nil {
-			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
+			return fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
 		}
+		r.at[t] = offer{pred, lo, int32(len(r.cols))}
 	}
-	return out, nil
+	return nil
 }
 
-// scored is one candidate of a selectFor evaluation.
+// scored is one candidate host column, its prediction and its ranking key:
+// the prediction or the finish (selectFor), the free time (machineSet).
 type scored struct {
-	col  int32   // resource column
-	pred float64 // predicted execution seconds
-	key  float64 // ranking key (finish time in availability mode)
+	col  int32
+	pred float64
+	key  float64
+}
+
+// pick moves the n least candidates by (key, column) to the front, in order:
+// columns ascend by host name within a site, so this is any comparison
+// sort's prefix by (key, host), at O(n·C) against a sort's O(C log C), and n
+// is 1 for every sequential task.
+func pick(cands []scored, n int) {
+	for i := 0; i < n; i++ {
+		m := i
+		for j := i + 1; j < len(cands); j++ {
+			if cands[j].key < cands[m].key || (cands[j].key == cands[m].key && cands[j].col < cands[m].col) {
+				m = j
+			}
+		}
+		cands[i], cands[m] = cands[m], cands[i]
+	}
 }
 
 // selectFor evaluates Predict(task, R) for every eligible resource and
@@ -316,12 +334,11 @@ type scored struct {
 // task, or the choice's estimated finish as the new free time.
 // Parallel tasks select task.Processors machines (the paper's "the host
 // selection algorithm is updated to select the number of machines required
-// within the site"). buf is a caller-owned scratch slice and slab a
-// caller-owned host-name arena for the committed sets, both returned
-// (maybe consumed or grown) for reuse across the walk: the steady-state
-// sequential walk step allocates nothing at all.
-func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt []float64, buf []scored, slab []string) (Choice, []scored, []string, error) {
-	cands := buf[:0]
+// within the site"). The chosen columns are appended to r's column slab and
+// the offer's prediction returned; the view and the candidates are r's too,
+// so the steady-state walk step allocates nothing at all.
+func (p *pricing) selectFor(task *afg.Task, avail bool, r *siteResult) (float64, error) {
+	queued, freeAt, cands := r.queued, r.freeAt, r.scored[:0]
 	row := p.row(task.Function)
 	for k := range p.resources {
 		if !p.eligible(task, row, k) {
@@ -334,8 +351,9 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt []float64
 		}
 		cands = append(cands, scored{int32(k), pred, key})
 	}
+	r.scored = cands
 	if len(cands) == 0 {
-		return Choice{}, cands, slab, ErrNoEligibleHost
+		return 0, ErrNoEligibleHost
 	}
 	n := task.Processors
 	if task.Mode != afg.Parallel {
@@ -344,33 +362,10 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt []float64
 	if n > len(cands) {
 		n = len(cands)
 	}
-	// Partial selection by (key, column): only the n winners matter, so each
-	// of the n rounds swaps the minimum of the remainder into place —
-	// O(n·C) against a full sort's O(C log C), and n is 1 for every
-	// sequential task. Columns ascend by host name, so (key, column) is the
-	// strict total order (key, host) and the selected prefix and its order
-	// are identical to any comparison sort of the whole candidate list.
-	for i := 0; i < n; i++ {
-		m := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].key < cands[m].key || (cands[j].key == cands[m].key && cands[j].col < cands[m].col) {
-				m = j
-			}
-		}
-		cands[i], cands[m] = cands[m], cands[i]
-	}
-	var hosts []string
-	if n == 1 && len(slab) > 0 {
-		// Carve the single-host set from the caller's slab: full-capacity
-		// reslice, so the committed set can never grow into its neighbour.
-		hosts = slab[:1:1]
-		slab = slab[1:]
-	} else {
-		hosts = make([]string, n)
-	}
+	pick(cands, n)
 	var maxPred, start float64
-	for i, c := range cands[:n] {
-		hosts[i] = p.resources[c.col].Static.HostName
+	for _, c := range cands[:n] {
+		r.cols = append(r.cols, c.col)
 		if c.pred > maxPred {
 			maxPred = c.pred
 		}
@@ -388,7 +383,7 @@ func (p *pricing) selectFor(task *afg.Task, avail bool, queued, freeAt []float64
 			queued[c.col]++
 		}
 	}
-	return Choice{Site: p.s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, cands, slab, nil
+	return pred, nil
 }
 
 // denseHostCosts is the batched per-host cost gather behind the HEFT/CPOP

@@ -45,18 +45,29 @@ func runPolicy(name string, env *Request, g *afg.Graph) (*AllocationTable, error
 }
 
 // fig5 runs sel's Host Selection walk the way siteScheduler.run does: one key
-// vector, its descending order, the dense walk.
+// vector, its descending order, the dense walk; its offers come back as
+// Choices by dense index.
 func fig5(t testing.TB, sel *LocalSelector, g *afg.Graph, prio Priority, avail bool, ledger *LoadLedger) (*afg.Index, []Choice) {
 	t.Helper()
 	ix, err := g.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices, err := sel.selectHostsDense(ix, rankOrderDesc(prio.keys(ix), nil, nil), avail, ledger)
-	if err != nil {
+	var r siteResult
+	if err := sel.selectHostsDense(ix, rankOrderDesc(prio.keys(ix), nil, nil), avail, ledger, &r); err != nil {
 		t.Fatal(err)
 	}
-	return ix, choices
+	return ix, denseOf(ix, r.choices(ix, sel.Site))
+}
+
+// denseOf lays an id-keyed choice map out by dense index; a task the map
+// does not name gets the zero Choice.
+func denseOf(ix *afg.Index, m map[afg.TaskID]Choice) []Choice {
+	out := make([]Choice, ix.Len())
+	for t := range out {
+		out[t] = m[ix.ID(t)]
+	}
+	return out
 }
 
 // runBatch schedules graphs under the named registered policy against env

@@ -10,10 +10,10 @@ package scheduler
 //
 // The pooling contract, in order of importance:
 //
-//  1. Schedule OUTPUT is never pooled. Anything reachable from a returned
-//     AllocationTable — the table itself, committed host sets and their
-//     backing slabs, Choice slices handed to callers — is allocated fresh
-//     per schedule. Pool reuse of output would corrupt live tables.
+//  1. Schedule OUTPUT is never pooled: the returned AllocationTable, its
+//     committed host sets and the slabs they are carved from, and a cost
+//     matrix a CostCache shares are allocated fresh per schedule. A site
+//     walk's Fig 5 offers are scratch (sites); only the table names hosts.
 //  2. Every pooled buffer is either fully overwritten before it is read
 //     (rank vectors, dense columns, bulk heap loads: plain grow) or
 //     explicitly reset by growZero / growTimelines (placed markers back to
@@ -59,7 +59,8 @@ type scratch struct {
 	blockReady []float64        // per-site-block data-ready memo
 	blockSite  []int32          // per-site-block site id
 	mark       []int32          // column -> parent-host stamp (reset to 0)
-	choiceBuf  []Choice         // one site's candidates for a parallel-mode task
+	names      []string         // one candidate set's host names
+	scored     []scored         // one column block's candidates for a machine set
 	lazy       CostMatrix       // a re-plan's lazy cost matrix: its column map, sites and blocks are refilled per use
 	lazyPred   []float64        // its predictions: each site block's V × columns, block after block (rows gated by lazyFilled)
 	lazyFilled []bool           // its row-priced markers (reset to false)
@@ -72,10 +73,9 @@ type scratch struct {
 	pairs  sitePairs
 	siteID []int32
 
-	// Site-walk state (selectHostsDense).
-	scored []scored  // candidate scratch for selectFor
-	queued []float64 // column -> tasks this walk placed there, paper mode (reset to 0)
-	freeAt []float64 // column -> estimated host-free time, availability mode (reset to 0)
+	// Site-walk state: the sites' answers to one Site Scheduler run, each
+	// slot keeping its offer slabs and its walk's buffers.
+	sites []siteResult
 
 	// Executor state (sim.go's event loop).
 	assigns   []Assignment     // dense assignment copies

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
@@ -35,10 +34,9 @@ type siteScheduler struct {
 	req *Request
 
 	// avail replaces step 7's predicted+transfer objective with earliest
-	// finish time: the sites' offers become the fallback blocks of a cost
-	// matrix without columns, placed append-only by the package's one
-	// earliest-finish kernel (heft.go's placement), which sends each task
-	// to the site/host set minimising
+	// finish time: the sites' offers, placed append-only by the package's
+	// one earliest-finish kernel (heft.go's placement), which sends each
+	// task to the site/host set minimising
 	//
 	//	max(parent finishes + transfer, host free, ledger floor) + predicted.
 	avail bool
@@ -67,6 +65,8 @@ func (p sitePolicy) Name() string { return p.name }
 // The walk is availability-aware iff the policy is "eft"/"ledger" or the
 // request carries a ledger (reservations only mean something on a host
 // timeline).
+//
+//vdce:hot allocs=99
 func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -108,24 +108,28 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 	// the wait). Remote sites decide their own mode and priority — the RPC
 	// selector cannot see this walk's — which only perturbs which host a
 	// remote site offers, not the EFT accounting.
-	results, err := multicast(ix, s.req, func(ls *LocalSelector, r *siteResult) {
-		r.choices, r.err = ls.selectHostsDense(ix, order, s.avail, s.ledger)
+	sc := getScratch()
+	defer sc.release()
+	results, err := multicast(ix, s.req, &sc.sites, func(ls *LocalSelector, r *siteResult) {
+		r.err = ls.selectHostsDense(ix, order, s.avail, s.ledger, r)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	sc := getScratch()
-	defer sc.release()
-	if s.avail {
-		p := newPlacement(offerMatrix(ix, results), g.Name, s.req.Net, s.ledger, sc)
+	if s.avail { // a cost matrix with no columns: every site an offer block
+		cm := &CostMatrix{ix: ix, blocks: make([]siteBlock, len(results))}
+		for i := range results {
+			cm.blocks[i] = siteBlock{name: results[i].name, offers: results[i].offers}
+		}
+		p := newPlacement(cm, g.Name, s.req.Net, s.ledger, sc)
 		defer p.releaseScratch(sc)
 		p.appendOnly = true
 		return p.done(p.placeReady(ctx, keys, nil, nil, sc))
 	}
 
 	// Steps 6–7: ready-set walk in priority order, the transfer term priced
-	// from the pair table by site id.
+	// from the pair table by site id; only the chosen offer is named.
 	table := tableFor(g.Name, ix)
 	sc.pairs.reset(s.req.Net)
 	sc.blockSite = grow(sc.blockSite, len(results))
@@ -137,38 +141,30 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 		site[t] = -1
 	}
 	sc.siteID = site
+	var slab []string
 	err = readyWalk(ctx, ix, keys, sc, func(t int) error {
-		best := Choice{Predicted: math.Inf(1)}
-		bestTotal := math.Inf(1)
-		found := false
+		best, bo, bestTotal := -1, offer{}, math.Inf(1)
 		entryLike := isEntryLikeDense(ix, t)
 		for si := range results {
-			sr := &results[si]
-			choice := sr.choices[t]
-			if choice.Host == "" {
+			o := results[si].at[t]
+			if o.lo == o.hi {
 				continue
 			}
-			total := choice.Predicted
+			total := o.pred
 			if cfg.TransferAware && !entryLike {
 				total += transferCostDense(&sc.pairs, ix, t, sc.blockSite[si], site)
 			}
-			if total < bestTotal || (total == bestTotal && sr.name < best.Site) {
-				best, bestTotal, found = choice, total, true
+			if total < bestTotal { // sites ascend by name: the first of equals wins
+				best, bo, bestTotal = si, o, total
 			}
 		}
-		if !found {
+		if best < 0 {
 			return fmt.Errorf("%w: %q", ErrNoEligibleHost, ix.ID(t))
 		}
-		table.setAt(int32(t), Assignment{
-			Task:      ix.ID(t),
-			Site:      best.Site,
-			Host:      best.Host,
-			Hosts:     best.Hosts,
-			Predicted: best.Predicted,
-		})
-		if best.Site != "" {
-			site[t] = sc.pairs.id(best.Site)
-		}
+		sr, cols := &results[best], results[best].cols[bo.lo:bo.hi]
+		hosts := hostSet(sr.hosts[cols[0]], sr.hosts, cols, &slab, ix.Len())
+		table.setAt(int32(t), Assignment{Task: ix.ID(t), Site: sr.name, Host: hosts[0], Hosts: hosts, Predicted: bo.pred})
+		site[t] = sc.blockSite[best]
 		return nil
 	})
 	if err != nil {
@@ -250,38 +246,88 @@ func transferCostDense(pairs *sitePairs, ix *afg.Index, t int, to int32, site []
 	return total
 }
 
-// siteResult is one site's answer to a multicast. choices holds its best
-// offer per task, addressed by dense task index (an empty Host marks "no
-// offer"): a Fig 5 walk's, or whatever an RPC peer replied. An in-process
-// site asked for costs fills hosts (its columns, ascending by name) and pred
-// (V×len(hosts), NaN = ineligible) instead.
+// offer is one task's Fig 5 answer at one site: its prediction and machine
+// set, the span cols[lo:hi] of the site's column slab (lo == hi: no offer).
+type offer struct {
+	pred   float64
+	lo, hi int32
+}
+
+// offers is one site's Fig 5 answer by host column: the column → host-name
+// list (a walk's pricing snapshot, or a reply's hosts interned in dense
+// order), each task's offer by dense index, and the column slab.
+type offers struct {
+	hosts []string
+	at    []offer
+	cols  []int32
+}
+
+// choices builds the id-keyed map of site's offers, the form SelectHosts
+// returns and the RPC replies.
+func (o *offers) choices(ix *afg.Index, site string) map[afg.TaskID]Choice {
+	out := make(map[afg.TaskID]Choice, len(o.at))
+	var slab []string
+	for t, a := range o.at {
+		if a.lo < a.hi {
+			set := hostSet(o.hosts[o.cols[a.lo]], o.hosts, o.cols[a.lo:a.hi], &slab, len(o.at))
+			out[ix.ID(t)] = Choice{Site: site, Host: set[0], Hosts: set, Predicted: a.pred}
+		}
+	}
+	return out
+}
+
+// hostSet names a chosen candidate's hosts as schedule output: a machine
+// set (columns cols of hosts) is allocated, a one-host set carved from
+// *slab, n slots at a time, capped so it cannot grow into its neighbour.
+func hostSet(host string, hosts []string, cols []int32, slab *[]string, n int) []string {
+	if len(cols) > 1 {
+		set := make([]string, len(cols))
+		for k, c := range cols {
+			set[k] = hosts[c]
+		}
+		return set
+	}
+	if len(*slab) == 0 {
+		*slab = make([]string, n)
+	}
+	set := (*slab)[:1:1]
+	*slab, set[0] = (*slab)[1:], host
+	return set
+}
+
+// siteResult is one site's answer to a multicast — its offers, one shape for
+// a Fig 5 walk and an RPC reply — and the walk's buffers. A site asked for
+// costs fills hosts (its columns) and pred (V×len(hosts), NaN = ineligible).
 type siteResult struct {
-	name    string
-	choices []Choice
-	hosts   []string
-	pred    []float64
-	err     error
+	name string
+	offers
+	pred   []float64
+	err    error
+	queued []float64 // walk: column -> tasks placed there, paper mode
+	freeAt []float64 // walk: column -> estimated host-free time, availability mode
+	scored []scored  // walk: one task's candidates
 }
 
 // multicast is steps 2–5 of Fig 4, shared by the site policies and the
 // HEFT/CPOP cost gather: the local site plus its Config.K nearest
 // neighbours are each asked once — in-process selectors through local,
 // which fills its siteResult; any other selector through SelectHosts, its
-// reply flattened onto the dense index — serially or across a worker pool
+// reply interned by denseChoices — serially or across a worker pool
 // bounded by Config.Concurrency. A site that fails, or replies with an
-// offer no cost model could vouch for (ErrInvalidOffer), is dropped and
-// recorded on Request.Diag, as a capacity refusal (it cannot host some
-// task) or a transient loss (anything else). The survivors come back in
-// ascending site-name order; if none does, the error carries this gather's
-// transient losses.
-func multicast(ix *afg.Index, req *Request, local func(*LocalSelector, *siteResult)) ([]siteResult, error) {
+// offer the kernel could not place as offered (ErrInvalidOffer), is
+// dropped and recorded on Request.Diag, as a capacity refusal (it cannot
+// host some task) or a transient loss (anything else). The survivors come
+// back in ascending site-name order, in *slots, refilled (grown when
+// short); if none does, the error carries this gather's transient losses.
+func multicast(ix *afg.Index, req *Request, slots *[]siteResult, local func(*LocalSelector, *siteResult)) ([]siteResult, error) {
 	if req.Local == nil {
 		return nil, ErrNoSites
 	}
 	selectors := append([]HostSelector{req.Local},
 		nearestSelectors(req.Local, req.Remotes, req.Net, req.Config.K)...)
-	per := make([]siteResult, len(selectors))
-	ask := func(i int) {
+	per := grow(*slots, len(selectors))
+	*slots = per
+	fanOut(len(selectors), req.Config.Concurrency, func(i int) {
 		r := &per[i]
 		r.name = selectors[i].SiteName()
 		if ls, ok := selectors[i].(*LocalSelector); ok {
@@ -293,50 +339,27 @@ func multicast(ix *afg.Index, req *Request, local func(*LocalSelector, *siteResu
 			r.err = err
 			return
 		}
-		r.choices, r.err = denseChoices(ix, m)
-	}
-	workers := req.Config.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(selectors) {
-		workers = len(selectors)
-	}
-	if workers <= 1 {
-		for i := range selectors {
-			ask(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range selectors {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				ask(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	keep := per[:0]
+		r.err = denseChoices(ix, m, r.name, &r.offers)
+	})
+	keep := 0
 	var transient []SiteError
-	for _, r := range per {
-		if r.err != nil {
+	for i := range per {
+		if r := &per[i]; r.err != nil {
 			req.Diag.record(r.name, r.err)
 			if !errors.Is(r.err, ErrNoEligibleHost) {
 				transient = append(transient, SiteError{Site: r.name, Err: r.err})
 			}
 			continue
 		}
-		keep = append(keep, r)
+		per[keep], per[i] = per[i], per[keep] // swapped, so each pooled result keeps its own slabs
+		keep++
 	}
-	if len(keep) == 0 {
+	if keep == 0 {
 		return nil, noSitesErr(transient)
 	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i].name < keep[j].name })
-	return keep, nil
+	out := per[:keep]
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
 }
 
 // nearestSelectors is the neighbour-selection step shared by the site
@@ -366,19 +389,8 @@ func nearestSelectors(local HostSelector, remotes []HostSelector, net *netsim.Ne
 			}
 		}
 	}
-	// Remotes absent from the network map come last.
-	for _, r := range remotes {
-		if len(out) == k {
-			break
-		}
-		known := false
-		for _, o := range out {
-			if o == r {
-				known = true
-				break
-			}
-		}
-		if !known {
+	for _, r := range remotes { // remotes absent from the network map come last
+		if len(out) < k && !slices.Contains(out, r) {
 			out = append(out, r)
 		}
 	}

@@ -58,9 +58,11 @@ func TestSiteWalkGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SelectHosts on %s: %v", label, err)
 				}
-				if choices, err = denseChoices(ix, m); err != nil {
+				var o offers
+				if err = denseChoices(ix, m, env.Local.SiteName(), &o); err != nil {
 					t.Fatalf("SelectHosts on %s: %v", label, err)
 				}
+				choices = denseOf(ix, o.choices(ix, env.Local.SiteName()))
 			}
 			h := sum("SelectHosts/" + prio)
 			for i, c := range choices {
