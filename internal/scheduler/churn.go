@@ -228,9 +228,10 @@ func (p *runPrices) price(task *afg.Task, host string) float64 {
 }
 
 // transition applies the next scripted availability event. A host going
-// down kills what runs on it — the work is lost and the task returns to the
-// frontier, on its hedge copy if a live one is registered — and raises a
-// host-down deviation; a host coming back is free from now.
+// down kills what runs on it — the work is lost, every live host the run
+// held is free from now, and the task returns to the frontier, on its hedge
+// copy if a live one is registered — and raises a host-down deviation; a
+// host coming back is free from now.
 func (x *executor) transition() error {
 	ev := x.events[x.traceIx]
 	x.traceIx++
@@ -247,6 +248,11 @@ func (x *executor) transition() error {
 			if !slices.Contains(x.hostCols[e.i], c) {
 				running = append(running, e)
 				continue
+			}
+			for _, m := range x.hostCols[e.i] {
+				if !x.isDown(m) {
+					x.hostFree[m] = x.now
+				}
 			}
 			x.started[e.i] = false
 			x.out.Killed++
