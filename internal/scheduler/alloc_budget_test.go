@@ -146,8 +146,10 @@ func warmAllocs(f func()) float64 {
 // cannot hide under it. The site walk policies run on eight in-process
 // sites, so an allocation per site (+8) cannot hide either. A churn repair
 // (an eft one on the churn_golden fixture) allocates its table, its
-// committed host sets and its Replan, nothing else. The policy and repair
-// budgets are their warm readings, plain and under -race alike.
+// committed host sets and its Replan, nothing else; a whole RunChurn's
+// repairs write into the table the run retired, so it allocates two tables
+// however many repairs it adopts. The policy and repair budgets are their
+// warm readings, plain and under -race alike.
 func TestHotAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("AllocsPerRun workloads are not -short sized")
@@ -295,6 +297,26 @@ func TestHotAllocBudgets(t *testing.T) {
 			return warmAllocs(func() {
 				if pl, err := rp.Replan(req); err != nil || pl.Moved == 0 {
 					t.Fatalf("repair: %v, moved %v", err, pl)
+				}
+			})
+		}},
+		{"RunChurn", []string{"RunChurn"}, func(t *testing.T) float64 {
+			// One churn_golden cell, dup over the parallel shape: 14 repairs,
+			// so a table or a price row allocated per repair adds 14 or more.
+			// A run draws ~30 scratches from the pool (executor, repairs,
+			// certifications), and -race drops one pooled Put in four, so
+			// no run there is warm: the plain build holds this budget.
+			if raceBuild {
+				t.Skip("no warm RunChurn under -race: sync.Pool drops one Put in four")
+			}
+			env, truth, refs, names := churnGoldenEnv(t)
+			c := churnGoldenGrid(t, env, truth, names)[6]
+			if c.key != "dup/permanent/parallel/seed1" {
+				t.Fatalf("fixture moved: %s", c.key)
+			}
+			return warmAllocs(func() {
+				if out, err := RunChurn(c.g, c.table, truth, env.Net, refs, c.trace, ChurnConfig{Replanner: c.replanner}); err != nil || out.Replans != 14 {
+					t.Fatalf("run: %v, %+v", err, out)
 				}
 			})
 		}},

@@ -17,12 +17,12 @@ package scheduler
 // trace seed, and every adopted re-plan is certified by CertifyReplan first.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
@@ -71,21 +71,12 @@ var DefaultChurnTrace = ChurnTraceConfig{
 // on the order of the fault-free makespan.
 func GenerateChurnTrace(hosts []string, horizon float64, cfg ChurnTraceConfig, seed int64) ChurnTrace {
 	names := append([]string(nil), hosts...)
-	sort.Strings(names)
+	slices.Sort(names)
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(names))
 
-	nFail := int(math.Round(cfg.FailFraction * float64(len(names))))
-	if nFail >= len(names) {
-		nFail = len(names) - 1 // at least one survivor
-	}
-	if nFail < 0 {
-		nFail = 0
-	}
-	nSlow := int(math.Round(cfg.StraggleFraction * float64(len(names))))
-	if nFail+nSlow > len(names) {
-		nSlow = len(names) - nFail
-	}
+	nFail := max(min(int(math.Round(cfg.FailFraction*float64(len(names)))), len(names)-1), 0) // one survives
+	nSlow := min(int(math.Round(cfg.StraggleFraction*float64(len(names)))), len(names)-nFail)
 
 	var tr ChurnTrace
 	for i := 0; i < nFail; i++ {
@@ -102,12 +93,7 @@ func GenerateChurnTrace(hosts []string, horizon float64, cfg ChurnTraceConfig, s
 			tr.Straggle[names[perm[i]]] = cfg.StraggleFactor
 		}
 	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		if tr.Events[i].At != tr.Events[j].At { // tie-break adjacent to the ordering
-			return tr.Events[i].At < tr.Events[j].At
-		}
-		return tr.Events[i].Host < tr.Events[j].Host
-	})
+	slices.SortStableFunc(tr.Events, func(a, b ChurnEvent) int { return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Host, b.Host)) })
 	return tr
 }
 
@@ -153,7 +139,10 @@ type ChurnOutcome struct {
 // predicted must be a pure function of (task, host) for the duration of the
 // call — the determinism contract above already rests on it — and RunChurn
 // asks it each (task, host) pair of the run at most once: the executor, every
-// re-plan and every certification read one per-run price table (runPrices).
+// re-plan and every certification read one per-run price table (runPrices),
+// and each repair writes into the table the last adopted one retired.
+//
+//vdce:hot allocs=175
 func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *netsim.Network, hosts []HostRef, trace ChurnTrace, cfg ChurnConfig) (*ChurnOutcome, error) {
 	cfg = cfg.withDefaults()
 	rp, err := LookupReplanner(cfg.Replanner)
@@ -175,9 +164,10 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 			plan.setAt(int32(i), a)
 		}
 	}
-	x := executor{g: g, table: plan, model: newRunPrices(predicted, ix, hosts).price, net: net,
-		events: trace.Events, straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, hosts: hosts,
-		cert: new(validator), req: new(ReplanRequest)}
+	prices := new(runPrices).reset(predicted, ix, hosts)
+	x := executor{g: g, table: plan, model: prices.price, prices: prices, net: net, events: trace.Events,
+		straggle: trace.Straggle, threshold: cfg.OverrunThreshold, rp: rp, down: map[string]bool{}, cert: new(validator),
+		req: new(ReplanRequest)}
 	if err := x.run(); err != nil {
 		return nil, err
 	}
@@ -185,53 +175,66 @@ func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *ne
 	return &out, nil
 }
 
-// runPrices is one RunChurn's price table, installed as the executor's model
-// and so read by everything that prices during the run: the executor's
-// starts, every ReplanRequest.Costs (the re-planner's lazy CostMatrix, keep,
-// dup's hedges) and both replays of every CertifyReplan. Rows are the run's
-// dense task ids, columns its host names. A task or host outside them goes
-// straight to predicted; a price is stored as returned — NaN, ±Inf and
+// runPrices is a price table over a host list, sorted into the gather's
+// (site, host) column order: rows are dense task ids, and at asks predicted
+// each cell once. RunChurn builds one per run; its starts and every repair
+// (the lazy CostMatrix, keep, hedges) read it by (row, column), and both
+// replays of every certification by name (price). A repair whose request
+// brings none builds one over its Hosts. A task or host outside the table
+// goes straight to predicted; a price is stored as returned — NaN, ±Inf and
 // negatives included — so every refusal still fires where it would without
-// the table. It is no cache: nothing invalidates it, and it dies with the run.
+// the table. It is no cache: nothing invalidates it.
 type runPrices struct {
 	predicted TimeModel
 	ix        *afg.Index
-	col       map[string]int32 // host name -> column
+	hosts     []HostRef        // column -> host
+	col       map[string]int32 // host name -> its first column
 	table     []float64        // V×H row-major, valid where known
 	known     []bool
 }
 
-func newRunPrices(predicted TimeModel, ix *afg.Index, hosts []HostRef) *runPrices {
-	p := &runPrices{predicted: predicted, ix: ix, col: make(map[string]int32, len(hosts))}
-	for _, h := range hosts {
-		if _, ok := p.col[h.Host]; !ok {
-			p.col[h.Host] = int32(len(p.col))
-		}
+// reset empties p for ix's tasks over hosts, priced by predicted.
+func (p *runPrices) reset(predicted TimeModel, ix *afg.Index, hosts []HostRef) *runPrices {
+	p.predicted, p.ix, p.hosts = predicted, ix, append(p.hosts[:0], hosts...)
+	slices.SortFunc(p.hosts, func(a, b HostRef) int { return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Host, b.Host)) })
+	cleared(&p.col)
+	for c := len(p.hosts) - 1; c >= 0; c-- {
+		p.col[p.hosts[c].Host] = int32(c)
 	}
-	n := ix.Len() * len(p.col)
-	p.table, p.known = make([]float64, n), make([]bool, n)
+	n := ix.Len() * len(p.hosts)
+	p.table, p.known = grow(p.table, n), growZero(p.known, n)
 	return p
 }
 
-// price is the run's TimeModel: predicted, asked once per pair.
-func (p *runPrices) price(task *afg.Task, host string) float64 {
-	t := p.ix.Of(task.ID)
-	c, ok := p.col[host]
-	if t < 0 || !ok || p.ix.Task(t) != task {
-		return p.predicted(task, host)
-	}
-	k := t*len(p.col) + int(c)
+// at is task t's price on column c.
+func (p *runPrices) at(t int, c int32) float64 {
+	k := t*len(p.hosts) + int(c)
 	if !p.known[k] {
-		p.table[k], p.known[k] = p.predicted(task, host), true
+		p.table[k], p.known[k] = p.predicted(p.ix.Task(t), p.hosts[c].Host), true
 	}
 	return p.table[k]
 }
 
+// of is task t's price on host, read at the host's column when it has one.
+func (p *runPrices) of(t int, host string) float64 {
+	if c, ok := p.col[host]; ok {
+		return p.at(t, c)
+	}
+	return p.predicted(p.ix.Task(t), host)
+}
+
+// price is the table as the certifier's TimeModel.
+func (p *runPrices) price(task *afg.Task, host string) float64 {
+	if t := p.ix.Of(task.ID); t >= 0 && p.ix.Task(t) == task {
+		return p.of(t, host)
+	}
+	return p.predicted(task, host)
+}
+
 // transition applies the next scripted availability event. A host going
-// down kills what runs on it — the work is lost, every live host the run
-// held is free from now, and the task returns to the frontier, on its hedge
-// copy if a live one is registered — and raises a host-down deviation; a
-// host coming back is free from now.
+// down kills what runs on it — the work is lost, its live hosts are free,
+// and the task returns to the frontier, on its hedge copy if a live one is
+// registered — and raises a host-down deviation; a host coming back is free.
 func (x *executor) transition() error {
 	ev := x.events[x.traceIx]
 	x.traceIx++
@@ -241,8 +244,9 @@ func (x *executor) transition() error {
 	switch wasDown := x.isDown(c); {
 	case !ev.Down && wasDown:
 		x.hostFree[c] = x.now
+		delete(x.down, ev.Host)
 	case ev.Down && !wasDown:
-		x.hostFree[c] = math.Inf(1)
+		x.hostFree[c], x.down[ev.Host] = math.Inf(1), true
 		running := x.fin[:0]
 		for _, e := range x.fin {
 			if !slices.Contains(x.hostCols[e.i], c) {
@@ -285,12 +289,12 @@ func (x *executor) overrun(e event) error {
 }
 
 // refresh re-reads the plan in force after a deviation — the one moment a
-// start can move earlier: unstarted tasks take their (possibly new)
-// assignments, and the candidate heap is rebuilt from the ready set.
+// start can move earlier: unstarted tasks whose hosts or site changed take
+// their new assignments, and the candidate heap is rebuilt from the ready set.
 func (x *executor) refresh() {
 	for i, started := range x.started {
-		if !started {
-			a, _ := x.table.at(x.ix, i)
+		a, _ := x.table.at(x.ix, i)
+		if was := x.assigns[i]; !started && (a.Host != was.Host || a.Site != was.Site || !slices.Equal(a.Hosts, was.Hosts)) {
 			x.mirror(i, a)
 		}
 	}
@@ -300,11 +304,11 @@ func (x *executor) refresh() {
 // replan asks the re-planner to repair the frontier around the settled work
 // and adopts the certified result. The request's map-keyed progress is
 // refilled here, from the dense state, in maps the run keeps for every
-// deviation.
+// deviation, beside the run's price table and spare table.
 func (x *executor) replan(ev Deviation) error {
 	req := x.req
-	*req = ReplanRequest{Graph: x.g, Table: x.table, Event: ev, Costs: x.model, Hosts: x.hosts, Net: x.net,
-		Done: cleared(&req.Done), Running: cleared(&req.Running), Down: cleared(&req.Down)}
+	*req = ReplanRequest{Graph: x.g, Table: x.table, Event: ev, Costs: x.model, Hosts: x.prices.hosts, Net: x.net,
+		Done: cleared(&req.Done), Running: cleared(&req.Running), Down: x.down, prices: x.prices, spare: x.spare}
 	for _, e := range x.fin {
 		// The scheduler's view of a running task is its expected finish,
 		// floored at the present — it knows an overrunning task has not
@@ -312,13 +316,8 @@ func (x *executor) replan(ev Deviation) error {
 		req.Running[x.ix.ID(int(e.i))] = math.Max(x.begin[e.i]+x.pred[e.i], x.now)
 	}
 	for i, started := range x.started {
-		if _, running := req.Running[x.ix.ID(i)]; started && !running {
+		if started && x.end[i] <= x.now { // a run ending by now has finished: fin is served first
 			req.Done[x.ix.ID(i)] = x.end[i]
-		}
-	}
-	for h, c := range x.hostCol {
-		if x.isDown(c) {
-			req.Down[h] = true
 		}
 	}
 	pl, err := x.rp.Replan(req)
@@ -342,7 +341,9 @@ func (x *executor) replan(ev Deviation) error {
 				x.rp.Name(), x.ix.ID(i), was.Host, is.Host)
 		}
 	}
-	x.table = pl.Table
+	if pl.Table != x.table { // the retired plan becomes the next repair's spare
+		x.table, x.spare = pl.Table, x.table
+	}
 	x.out.Replans++
 	x.out.Moved += pl.Moved
 	switch ev.Kind {

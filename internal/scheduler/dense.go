@@ -43,11 +43,12 @@ type CostMatrix struct {
 	blocks []siteBlock      // participating sites, ascending name
 	sites  []string         // participating site names, ascending
 
-	// A re-plan's matrix is lazy: model prices a task's row the first time
-	// row asks for it, so a patch strategy pays only for the tasks it
-	// re-places. Gathered matrices leave model nil and are always full.
-	model  TimeModel
-	filled []bool
+	// A re-plan's matrix holds no predictions: row reads its price table
+	// at each column's runCol into one row buffer, so a patch strategy
+	// prices only the tasks it re-places. Gathered matrices leave prices nil.
+	prices *runPrices
+	runCol []int32
+	rowBuf []float64
 }
 
 // siteBlock is one site's contribution to the matrix: a column range and
@@ -75,62 +76,45 @@ func (cm *CostMatrix) Pred(t, c int) float64 {
 	return cm.row(t, bi)[c-int(cm.blocks[bi].col0)]
 }
 
-// row returns task t's predictions on column block bi's hosts.
+// row returns task t's predictions on column block bi's hosts: a view of
+// the block's slab or, in a re-plan's matrix, the price table's cells, a
+// cost the table cannot vouch for (NaN, infinite, negative) marking the host
+// ineligible, in a buffer the next row call overwrites.
 func (cm *CostMatrix) row(t, bi int) []float64 {
-	if cm.model != nil && !cm.filled[t] {
-		cm.fill(t)
-	}
 	b := &cm.blocks[bi]
 	w := int(b.col1 - b.col0)
-	return b.pred[t*w : (t+1)*w]
-}
-
-// fill prices task t on every column, block by block in column order, from
-// the lazy matrix's model; a cost the model cannot vouch for (NaN,
-// infinite, negative) marks the host ineligible.
-func (cm *CostMatrix) fill(t int) {
-	task := cm.ix.Task(t)
-	for _, b := range cm.blocks {
-		w := int(b.col1 - b.col0)
-		row := b.pred[t*w : (t+1)*w]
-		for k, h := range cm.hosts[b.col0:b.col1] {
-			row[k] = cm.model(task, h.Host)
-			if !validCost(row[k]) {
-				row[k] = math.NaN()
-			}
+	if cm.prices == nil {
+		return b.pred[t*w : (t+1)*w]
+	}
+	row := cm.rowBuf[:w]
+	for k, c := range cm.runCol[b.col0:b.col1] {
+		if row[k] = cm.prices.at(t, c); !validCost(row[k]) {
+			row[k] = math.NaN()
 		}
 	}
-	cm.filled[t] = true
+	return row
 }
 
 func validCost(c float64) bool {
 	return !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0
 }
 
-// modelCostMatrix is the lazy matrix of a re-plan: one column per host, in
-// the given order — which must be site-then-host ascending, the gather's
-// column order — and no row priced until it is read. The matrix and its
-// buffers are sc's, and each site block slices its columns out of lazyPred:
-// the slab is left dirty because row reads nothing it has not filled,
-// filled is reset.
-func modelCostMatrix(ix *afg.Index, hosts []HostRef, model TimeModel, sc *scratch) *CostMatrix {
-	v := ix.Len()
-	sc.lazyPred = grow(sc.lazyPred, v*len(hosts))
-	sc.lazyFilled = growZero(sc.lazyFilled, v)
+// lazyCostMatrix is the matrix of a re-plan: one column per price column in
+// cols, in the given order — which must be site-then-host ascending, the
+// gather's column order — read from prices row by row. The matrix and its
+// buffers are sc's.
+func lazyCostMatrix(ix *afg.Index, cols []int32, prices *runPrices, sc *scratch) *CostMatrix {
 	cm := &sc.lazy
-	*cm = CostMatrix{ix: ix, hosts: hosts, col: cleared(&cm.col), blocks: cm.blocks[:0], sites: cm.sites[:0],
-		model: model, filled: sc.lazyFilled}
-	for c, h := range hosts {
-		cm.col[h.Host] = int32(c)
+	*cm = CostMatrix{ix: ix, hosts: cm.hosts[:0], col: cleared(&cm.col), blocks: cm.blocks[:0], sites: cm.sites[:0],
+		prices: prices, runCol: cols, rowBuf: grow(cm.rowBuf, len(cols))}
+	for c, pc := range cols {
+		h := prices.hosts[pc]
+		cm.col[h.Host], cm.hosts = int32(c), append(cm.hosts, h)
 		if n := len(cm.blocks); n == 0 || cm.blocks[n-1].name != h.Site {
 			cm.sites = append(cm.sites, h.Site)
 			cm.blocks = append(cm.blocks, siteBlock{name: h.Site, col0: int32(c)})
 		}
 		cm.blocks[len(cm.blocks)-1].col1 = int32(c + 1)
-	}
-	for bi := range cm.blocks {
-		b := &cm.blocks[bi]
-		b.pred = sc.lazyPred[v*int(b.col0) : v*int(b.col1)]
 	}
 	return cm
 }

@@ -250,8 +250,9 @@ type placement struct {
 // timelines, columns, and per-task vectors are scratch (contract 2 in
 // scratch.go: placed and hostSets are reset, finish and siteID are gated by
 // the placed marker, the pair table starts empty and interns every block's
-// site); the table and hostSlab are output and allocated fresh.
-func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
+// site); the table and hostSlab are output, allocated fresh — unless spare,
+// a table RunChurn retired, has cm's positions: then it is emptied and reused.
+func newPlacement(cm *CostMatrix, app string, spare *AllocationTable, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
 	n := cm.ix.Len()
 	sc.lines = growTimelines(sc.lines, len(cm.hosts))
 	sc.canon = grow(sc.canon, len(cm.hosts))
@@ -266,6 +267,12 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 	for bi := range cm.blocks {
 		sc.blockSite[bi] = sc.pairs.id(cm.blocks[bi].name)
 	}
+	if spare == nil || spare.ix != cm.ix {
+		spare = tableFor(app, cm.ix)
+	}
+	clear(spare.rows)
+	clear(spare.set)
+	spare.App, spare.order = app, spare.order[:0]
 	p := &sc.kernel
 	*p = placement{
 		cm:         cm,
@@ -278,7 +285,7 @@ func newPlacement(cm *CostMatrix, app string, net *netsim.Network, ledger *LoadL
 		finish:     sc.finish,
 		siteID:     sc.siteID,
 		hosts:      sc.hostSets,
-		table:      tableFor(app, cm.ix),
+		table:      spare,
 		cand:       sc.scored,
 		names:      sc.names,
 		blockReady: sc.blockReady,
@@ -650,7 +657,7 @@ func (p *placement) keep(t int) {
 	hosts := effectiveHosts(a)
 	dur := a.Predicted
 	if len(hosts) == 1 {
-		if c := p.cm.model(p.cm.ix.Task(t), a.Host); validCost(c) {
+		if c := p.cm.prices.of(t, a.Host); validCost(c) {
 			dur = c
 		}
 	}
@@ -737,7 +744,7 @@ func (heftPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	}
 	sc := getScratch()
 	defer sc.release()
-	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
+	p := newPlacement(cm, req.Graph.Name, nil, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
 	return p.done(heftPass(ctx, p, averageComm(p.pairs, cm.sites), nil, nil, sc))
 }
@@ -761,7 +768,7 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 	}
 	sc := getScratch()
 	defer sc.release()
-	p := newPlacement(cm, req.Graph.Name, req.Net, req.Config.Ledger, sc)
+	p := newPlacement(cm, req.Graph.Name, nil, req.Net, req.Config.Ledger, sc)
 	defer p.releaseScratch(sc)
 	c := averageComm(p.pairs, cm.sites)
 	sc.rankU = upwardRanks(cm, c, nil, sc.rankU)

@@ -31,7 +31,6 @@ package scheduler
 // this file's one in-package caller; the live one is site.Manager.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -99,6 +98,10 @@ type ReplanRequest struct {
 	Costs TimeModel
 	Hosts []HostRef
 	Net   *netsim.Network
+	// RunChurn's only: the run's price table over Hosts, and the table its
+	// last adopted repair retired, into which the repair writes its own.
+	prices *runPrices
+	spare  *AllocationTable
 }
 
 // Replan is a re-planner's output: the complete repaired table (settled
@@ -112,8 +115,8 @@ type Replan struct {
 }
 
 // Replanner re-plans the unstarted frontier after a deviation. It must not
-// retain the request or its maps: the churn executor refills them for every
-// deviation.
+// retain the request, its maps or its table: the churn executor refills the
+// maps for every deviation and recycles a table once a later repair retires it.
 type Replanner interface {
 	Name() string
 	Replan(req *ReplanRequest) (*Replan, error)
@@ -145,25 +148,24 @@ func init() {
 	RegisterReplanner(frontierStrategy{name: "dup", patch: true, hedge: true})
 }
 
-// hostsOutside refills *buf with the candidate pool minus the hosts excluded
-// marks, sorted by (site, host) — the dense-column order every strategy
-// iterates.
-func (req *ReplanRequest) hostsOutside(buf *[]HostRef, excluded map[string]bool) []HostRef {
+// hostsOutside refills *buf with the price columns excluded does not mark,
+// ascending — the gather's (site, host) order every strategy iterates.
+func hostsOutside(buf *[]int32, excluded []bool) []int32 {
 	out := (*buf)[:0]
-	for _, h := range req.Hosts {
-		if !excluded[h.Host] {
-			out = append(out, h)
+	for c, x := range excluded {
+		if !x {
+			out = append(out, int32(c))
 		}
 	}
-	slices.SortFunc(out, func(a, b HostRef) int { return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Host, b.Host)) })
 	*buf = out
 	return out
 }
 
-// validate checks the request and returns its graph's index. It walks the
-// index, ids ascending, so a malformed request always gets the same error;
-// a settled task the graph does not name is found by a sorted walk.
-func (req *ReplanRequest) validate() (*afg.Index, error) {
+// validate checks the request, reads its settled set into r (front, done,
+// fin) and returns its graph's index. It walks the index, ids ascending, so a
+// malformed request always gets the same error; a settled task the graph
+// does not name is found by a sorted walk.
+func (req *ReplanRequest) validate(r *repair) (*afg.Index, error) {
 	if req.Graph == nil || req.Graph.Len() == 0 {
 		return nil, errors.New("scheduler: replan: empty graph")
 	}
@@ -177,10 +179,11 @@ func (req *ReplanRequest) validate() (*afg.Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: replan: %w", err)
 	}
+	r.front, r.done, r.fin = grow(r.front, ix.Len()), grow(r.done, ix.Len()), grow(r.fin, ix.Len())
 	named := 0
 	for i, id := range ix.IDs() {
-		_, done := req.Done[id]
-		_, run := req.Running[id]
+		fin, done := req.Done[id]
+		ran, run := req.Running[id]
 		_, ok := req.Table.at(ix, i)
 		switch {
 		case done && run:
@@ -192,6 +195,7 @@ func (req *ReplanRequest) validate() (*afg.Index, error) {
 		case done || run:
 			named++
 		}
+		r.front[i], r.done[i], r.fin[i] = !done && !run, done, fin+ran // one of the two is zero
 	}
 	if named < len(req.Done)+len(req.Running) {
 		for _, id := range append(sortedIDs(req.Done), sortedIDs(req.Running)...) {
@@ -215,19 +219,22 @@ func sortedIDs[V any](m map[afg.TaskID]V) []afg.TaskID {
 
 // repair is one re-plan in flight: the scheduling kernel (heft.go's
 // placement) seeded with the settled set, over a lazy cost matrix of the
-// hosts the strategy may use, plus the two masks that say what may move.
+// hosts the strategy may use, plus the masks that say what may move.
 // A holder's scratch keeps one, so its buffers serve every later repair.
 type repair struct {
 	req              *ReplanRequest
 	ix               *afg.Index
 	sc               *scratch
 	p                *placement
-	suspect          map[string]bool // patch strategies only: hosts to route around
-	front            []bool          // the unstarted frontier: not Done, not Running
-	stay             []bool          // frontier tasks left on their current hosts
-	hedged           []bool          // tasks hedges has considered
-	cols, safe, idle []HostRef       // the up, the unsuspected and the idle candidates
-	targets          []int32         // the tasks to hedge
+	prices           *runPrices // the request's run table, or one over its Hosts in sc
+	straggler        string     // patch strategies on an overrun: the straggling host
+	down, suspect    []bool     // per price column: down; marked
+	front, done      []bool     // per row (validate): the unstarted frontier; finished
+	fin              []float64  // per settled row: its finish
+	stay             []bool     // frontier tasks left on their current hosts
+	hedged           []bool     // tasks hedges has considered
+	cols, safe, idle []int32    // the up, the unsuspected and the idle price columns
+	targets          []int32    // the tasks to hedge
 }
 
 // newRepair validates the request and starts the kernel from its settled
@@ -245,38 +252,41 @@ type repair struct {
 // failing the repair. sc backs the kernel; the caller hands the placement's
 // buffers back (releaseScratch) when done.
 func newRepair(req *ReplanRequest, patch bool, sc *scratch) (*repair, error) {
-	ix, err := req.validate()
+	r := &sc.repair
+	ix, err := req.validate(r)
 	if err != nil {
 		return nil, err
 	}
-	r := &sc.repair
-	r.req, r.ix, r.sc = req, ix, sc
-	cols := req.hostsOutside(&r.cols, req.Down)
+	r.req, r.ix, r.sc, r.prices, r.straggler = req, ix, sc, req.prices, ""
+	if r.prices == nil {
+		r.prices = sc.prices.reset(req.Costs, ix, req.Hosts)
+	}
+	if patch && req.Event.Kind == DeviationOverrun {
+		r.straggler = req.Event.Host
+	}
+	r.down, r.suspect = grow(r.down, len(r.prices.hosts)), grow(r.suspect, len(r.prices.hosts))
+	for c, h := range r.prices.hosts {
+		r.down[c], r.suspect[c] = req.Down[h.Host], r.marked(h.Host)
+	}
+	cols := hostsOutside(&r.cols, r.down)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("scheduler: replan: %w", ErrNoEligibleHost)
 	}
-	if patch {
-		req.suspectHosts(cleared(&r.suspect))
-		if safe := req.hostsOutside(&r.safe, r.suspect); len(safe) > 0 {
-			cols = safe
-		}
+	if safe := hostsOutside(&r.safe, r.suspect); len(safe) > 0 {
+		cols = safe
 	}
-	r.p = newPlacement(modelCostMatrix(ix, cols, req.Costs, sc), req.Table.App, req.Net, nil, sc)
+	r.p = newPlacement(lazyCostMatrix(ix, cols, r.prices, sc), req.Table.App, req.spare, req.Net, nil, sc)
 	r.p.prior, r.p.singleHost, r.p.appendOnly = req.Table, true, patch
-	r.front, r.stay = growZero(r.front, ix.Len()), growZero(r.stay, ix.Len())
-	for t, id := range ix.IDs() {
+	r.stay = growZero(r.stay, ix.Len())
+	for t, front := range r.front {
 		old, ok := req.Table.at(ix, t)
-		fin, settled := req.Done[id]
-		if !settled {
-			fin, settled = req.Running[id]
-		}
 		switch {
-		case settled:
-			r.p.settle(t, old, fin)
+		case !front:
+			r.p.settle(t, old, r.fin[t])
 		case patch:
-			r.front[t], r.stay[t] = true, ok && !anyIn(effectiveHosts(old), r.suspect)
+			r.stay[t] = ok && !slices.ContainsFunc(effectiveHosts(old), r.marked)
 		default:
-			r.front[t], r.stay[t] = true, len(old.Hosts) > 1 && !anyIn(old.Hosts, req.Down)
+			r.stay[t] = len(old.Hosts) > 1 && !slices.ContainsFunc(old.Hosts, r.marked)
 		}
 	}
 	return r, nil
@@ -298,28 +308,8 @@ func (r *repair) result(dups []Assignment) *Replan {
 	return &Replan{Table: r.p.table, Moved: moved, Duplicates: dups}
 }
 
-// anyIn reports whether any of hosts is marked in set.
-func anyIn(hosts []string, set map[string]bool) bool {
-	for _, h := range hosts {
-		if set[h] {
-			return true
-		}
-	}
-	return false
-}
-
-// suspectHosts marks in suspect the hosts a patch-style re-planner routes
-// around: every down host plus, for an overrun event, the straggling host.
-func (req *ReplanRequest) suspectHosts(suspect map[string]bool) {
-	for h, d := range req.Down {
-		if d {
-			suspect[h] = true
-		}
-	}
-	if req.Event.Kind == DeviationOverrun && req.Event.Host != "" {
-		suspect[req.Event.Host] = true
-	}
-}
+// marked reports whether h is down or, for a patch on an overrun, the straggler.
+func (r *repair) marked(h string) bool { return r.req.Down[h] || h != "" && h == r.straggler }
 
 // frontierStrategy is a built-in re-planner. Without patch it is the full
 // HEFT rescan: the heft policy's own pass (heftPass) over the unstarted
@@ -378,16 +368,18 @@ func (r *repair) hedges() []Assignment {
 	req := r.req
 	// Idle = unsuspected (hence up) and carrying no running or frontier
 	// assignment; a finished task's host is free again. The patch is done
-	// with the suspect set, so it grows into the busy set in place.
+	// with the suspect mask, so it grows into the busy mask in place.
 	busy := r.suspect
-	for t, id := range r.ix.IDs() {
-		if _, done := req.Done[id]; !done {
+	for t, done := range r.done {
+		if !done {
 			for _, h := range r.p.hosts[t] {
-				busy[h] = true
+				if c, ok := r.prices.col[h]; ok {
+					busy[c] = true
+				}
 			}
 		}
 	}
-	idle := req.hostsOutside(&r.idle, busy)
+	idle := hostsOutside(&r.idle, busy)
 
 	// Targets: the re-placed tasks in placement order, then the straggler's
 	// frontier children by ascending id.
@@ -418,11 +410,10 @@ func (r *repair) hedges() []Assignment {
 			continue
 		}
 		r.hedged[t] = true
-		task := r.ix.Task(int(t))
 		bestIx := -1
 		var bestCost float64
 		for i, c := range idle {
-			cost := req.Costs(task, c.Host)
+			cost := r.prices.at(int(t), c)
 			if !validCost(cost) {
 				continue
 			}
@@ -433,9 +424,9 @@ func (r *repair) hedges() []Assignment {
 		if bestIx < 0 {
 			continue
 		}
-		h := idle[bestIx]
-		idle = append(idle[:bestIx], idle[bestIx+1:]...)
-		dups = append(dups, Assignment{Task: task.ID, Site: h.Site, Host: h.Host,
+		h := r.prices.hosts[idle[bestIx]]
+		idle = slices.Delete(idle, bestIx, bestIx+1)
+		dups = append(dups, Assignment{Task: r.ix.ID(int(t)), Site: h.Site, Host: h.Host,
 			Hosts: []string{h.Host}, Predicted: bestCost})
 	}
 	return dups

@@ -14,6 +14,7 @@ package scheduler
 //     committed host sets and the slabs they are carved from, and a cost
 //     matrix a CostCache shares are allocated fresh per schedule. A site
 //     walk's Fig 5 offers are scratch (sites); only the table names hosts.
+//     One exception: a RunChurn repair writes into the table the run retired.
 //  2. Every pooled buffer is either fully overwritten before it is read
 //     (rank vectors, dense columns, bulk heap loads: plain grow) or
 //     explicitly reset by growZero / growTimelines (placed markers back to
@@ -61,9 +62,8 @@ type scratch struct {
 	mark       []int32          // column -> parent-host stamp (reset to 0)
 	names      []string         // one candidate set's host names
 	scored     []scored         // one column block's candidates for a machine set
-	lazy       CostMatrix       // a re-plan's lazy cost matrix: its column map, sites and blocks are refilled per use
-	lazyPred   []float64        // its predictions: each site block's V × columns, block after block (rows gated by lazyFilled)
-	lazyFilled []bool           // its row-priced markers (reset to false)
+	lazy       CostMatrix       // a re-plan's cost matrix: its hosts, column map, sites, blocks and row buffer are refilled per use
+	prices     runPrices        // a re-plan's price table when its request brings none (reset per use)
 
 	kernel placement // the one placement a holder runs; its table is output, never reused
 	repair repair    // a re-plan's state, its buffers refilled per use
@@ -90,7 +90,7 @@ type scratch struct {
 	cand      pq               // ready tasks by candidate start
 	fin       pq               // running tasks by actual finish
 	det       pq               // overrun detections of running tasks
-	hostCol   map[string]int32 // host name -> dense column (cleared per use)
+	hostCol   map[string]int32 // host outside the run -> dense column (cleared per use)
 }
 
 // sitePairs is one holder's snapshot of the network, grown as it meets

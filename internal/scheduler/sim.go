@@ -82,9 +82,11 @@ type executor struct {
 	straggle  map[string]float64
 	threshold float64 // a run past threshold × predicted raises an overrun
 	rp        Replanner
-	hosts     []HostRef
-	cert      *validator     // certifies every repair; one per RunChurn, its buffers reused
-	req       *ReplanRequest // every repair's request (one per RunChurn), its maps cleared and refilled
+	prices    *runPrices       // the run's hosts and prices; its columns are the executor's first
+	down      map[string]bool  // the hosts down now: every repair's Down
+	cert      *validator       // certifies every repair; one per RunChurn, its buffers reused
+	req       *ReplanRequest   // every repair's request (one per RunChurn), its maps cleared and refilled
+	spare     *AllocationTable // the plan the last adopted repair retired, for the next repair to write into
 
 	now     float64
 	traceIx int
@@ -175,17 +177,17 @@ loop:
 	return nil
 }
 
-// load mirrors the table into dense columns and seeds the ready set. The
-// per-task columns are fully overwritten; the per-host vectors start empty
-// and grow a zero per column (colFor).
+// load mirrors the table into dense columns and seeds the ready set: per-task
+// columns are overwritten, per-host ones are the run's, then one per other host.
 func (x *executor) load() error {
 	n := x.ix.Len()
-	if x.hostCol == nil {
-		x.hostCol = map[string]int32{}
-	} else {
-		clear(x.hostCol)
-	}
+	cleared(&x.hostCol)
 	x.hostFree, x.slow = x.hostFree[:0], x.slow[:0]
+	if x.prices != nil {
+		for _, h := range x.prices.hosts {
+			x.hostFree, x.slow = append(x.hostFree, 0), append(x.slow, x.straggle[h.Host])
+		}
+	}
 	x.pairs.reset(x.net)
 	x.assigns, x.hostCols, x.siteID = grow(x.assigns, n), grow(x.hostCols, n), grow(x.siteID, n)
 	x.pending, x.started = grow(x.pending, n), growZero(x.started, n)
@@ -222,15 +224,18 @@ func (x *executor) mirror(i int, a Assignment) {
 	x.hostCols[i] = cols
 }
 
-// colFor returns host h's dense column, opening one — free at 0, running at
-// its scripted speed — the first time a table, trace or re-plan names it.
+// colFor returns host h's dense column: its run column, else one opened —
+// free at 0, at its scripted speed — the first time a table, trace or re-plan names h.
 func (x *executor) colFor(h string) int32 {
+	if x.prices != nil {
+		if c, ok := x.prices.col[h]; ok {
+			return c
+		}
+	}
 	c, ok := x.hostCol[h]
 	if !ok {
-		c = int32(len(x.hostCol))
-		x.hostCol[h] = c
-		x.hostFree = append(x.hostFree, 0)
-		x.slow = append(x.slow, x.straggle[h])
+		c = int32(len(x.slow))
+		x.hostCol[h], x.hostFree, x.slow = c, append(x.hostFree, 0), append(x.slow, x.straggle[h])
 	}
 	return c
 }
@@ -281,11 +286,16 @@ func (x *executor) startOf(i int32) float64 {
 // slowest host's straggle — and is watched for an overrun.
 func (x *executor) start(e event) error {
 	x.now = e.at
-	dur := x.model(x.ix.Task(int(e.i)), x.assigns[e.i].Host)
+	a, cols := &x.assigns[e.i], x.hostCols[e.i]
+	var dur float64
+	if x.prices != nil && int(cols[0]) < len(x.prices.hosts) && (len(a.Hosts) == 0 || a.Hosts[0] == a.Host) {
+		dur = x.prices.at(int(e.i), cols[0]) // the primary's run column
+	} else {
+		dur = x.model(x.ix.Task(int(e.i)), a.Host)
+	}
 	if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
 		return fmt.Errorf("scheduler: invalid duration %v for task %q", dur, x.ix.ID(int(e.i)))
 	}
-	cols := x.hostCols[e.i]
 	if len(cols) > 1 {
 		dur /= float64(len(cols))
 	}

@@ -122,7 +122,7 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 		for i := range results {
 			cm.blocks[i] = siteBlock{name: results[i].name, offers: results[i].offers}
 		}
-		p := newPlacement(cm, g.Name, s.req.Net, s.ledger, sc)
+		p := newPlacement(cm, g.Name, nil, s.req.Net, s.ledger, sc)
 		defer p.releaseScratch(sc)
 		p.appendOnly = true
 		return p.done(p.placeReady(ctx, keys, nil, nil, sc))
