@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
@@ -71,12 +72,21 @@ var DefaultChurnTrace = ChurnTraceConfig{
 // on the order of the fault-free makespan.
 func GenerateChurnTrace(hosts []string, horizon float64, cfg ChurnTraceConfig, seed int64) ChurnTrace {
 	names := append([]string(nil), hosts...)
-	slices.Sort(names)
+	sort.Strings(names)
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(names))
 
-	nFail := max(min(int(math.Round(cfg.FailFraction*float64(len(names)))), len(names)-1), 0) // one survives
-	nSlow := min(int(math.Round(cfg.StraggleFraction*float64(len(names)))), len(names)-nFail)
+	nFail := int(math.Round(cfg.FailFraction * float64(len(names))))
+	if nFail >= len(names) {
+		nFail = len(names) - 1 // at least one survivor
+	}
+	if nFail < 0 {
+		nFail = 0
+	}
+	nSlow := int(math.Round(cfg.StraggleFraction * float64(len(names))))
+	if nFail+nSlow > len(names) {
+		nSlow = len(names) - nFail
+	}
 
 	var tr ChurnTrace
 	for i := 0; i < nFail; i++ {
@@ -93,7 +103,12 @@ func GenerateChurnTrace(hosts []string, horizon float64, cfg ChurnTraceConfig, s
 			tr.Straggle[names[perm[i]]] = cfg.StraggleFactor
 		}
 	}
-	slices.SortStableFunc(tr.Events, func(a, b ChurnEvent) int { return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Host, b.Host)) })
+	sort.SliceStable(tr.Events, func(i, j int) bool {
+		if tr.Events[i].At != tr.Events[j].At { // tie-break adjacent to the ordering
+			return tr.Events[i].At < tr.Events[j].At
+		}
+		return tr.Events[i].Host < tr.Events[j].Host
+	})
 	return tr
 }
 
@@ -215,18 +230,11 @@ func (p *runPrices) at(t int, c int32) float64 {
 	return p.table[k]
 }
 
-// of is task t's price on host, read at the host's column when it has one.
-func (p *runPrices) of(t int, host string) float64 {
-	if c, ok := p.col[host]; ok {
-		return p.at(t, c)
-	}
-	return p.predicted(p.ix.Task(t), host)
-}
-
-// price is the table as the certifier's TimeModel.
+// price is the table by name, as a TimeModel (the certifier's, and keep's).
 func (p *runPrices) price(task *afg.Task, host string) float64 {
-	if t := p.ix.Of(task.ID); t >= 0 && p.ix.Task(t) == task {
-		return p.of(t, host)
+	t := p.ix.Of(task.ID)
+	if c, ok := p.col[host]; ok && t >= 0 && p.ix.Task(t) == task {
+		return p.at(t, c)
 	}
 	return p.predicted(task, host)
 }

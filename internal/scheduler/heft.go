@@ -657,7 +657,7 @@ func (p *placement) keep(t int) {
 	hosts := effectiveHosts(a)
 	dur := a.Predicted
 	if len(hosts) == 1 {
-		if c := p.cm.prices.of(t, a.Host); validCost(c) {
+		if c := p.cm.prices.price(p.cm.ix.Task(t), a.Host); validCost(c) {
 			dur = c
 		}
 	}
