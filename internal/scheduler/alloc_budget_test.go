@@ -328,7 +328,7 @@ func TestHotAllocBudgets(t *testing.T) {
 			}
 			var v validator
 			return warmAllocs(func() {
-				if _, err := v.certify(req.Graph, table, unitModel, req.Net); err != nil {
+				if _, err := v.certify(req.Graph, table, unitModel, nil, req.Net); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -336,7 +336,7 @@ func (x *executor) replan(ev Deviation) error {
 		return nil
 	}
 	if err == nil {
-		_, err = x.cert.certify(x.g, pl.Table, x.model, x.net)
+		_, err = x.cert.certify(x.g, pl.Table, x.model, x.prices, x.net)
 	}
 	if err != nil {
 		return fmt.Errorf("churn replan (%s, %s): %w", x.rp.Name(), ev.Kind, err)

@@ -437,22 +437,23 @@ func (r *repair) hedges() []Assignment {
 // bit-for-bit — the same equivalence the property tests pin for initial
 // schedules. Every adopted re-plan goes through this gate.
 func CertifyReplan(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
-	return new(validator).certify(g, table, model, net)
+	return new(validator).certify(g, table, model, nil, net)
 }
 
-// certify is CertifyReplan on v's buffers, which RunChurn's repairs share.
+// certify is CertifyReplan on v's buffers, which RunChurn's repairs share. In
+// a run the executor's replay prices by column from the run's table (prices).
 //
 //vdce:hot allocs=0
-func (v *validator) certify(g *afg.Graph, table *AllocationTable, model TimeModel, net *netsim.Network) (*ScheduleAudit, error) {
-	mk, err := Simulate(g, table, model, net)
-	if err != nil {
+func (v *validator) certify(g *afg.Graph, table *AllocationTable, model TimeModel, prices *runPrices, net *netsim.Network) (*ScheduleAudit, error) {
+	x := executor{g: g, table: table, model: model, prices: prices, net: net, threshold: defaultOverrunThreshold}
+	if err := x.run(); err != nil {
 		return nil, fmt.Errorf("scheduler: certify replan: simulate: %w", err)
 	}
 	audit, err := v.validate(g, table, model, net)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: certify replan: %w", err)
 	}
-	if audit.Makespan != mk { //vdce:ignore floateq bit-identity between the replay paths is the certification contract, not an approximate comparison
+	if mk := x.out.Makespan; audit.Makespan != mk { //vdce:ignore floateq bit-identity between the replay paths is the certification contract, not an approximate comparison
 		return nil, fmt.Errorf("scheduler: certify replan: validator makespan %v != simulator %v", audit.Makespan, mk)
 	}
 	return audit, nil
