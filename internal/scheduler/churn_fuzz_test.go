@@ -180,8 +180,8 @@ func FuzzChurn(f *testing.F) {
 			t.Fatalf("%s: warm rerun gave %+v, %v; first run %+v", input, warm, err, out)
 		}
 		scratchPoolOff = true
+		defer func() { scratchPoolOff = false }()
 		fresh, err := run()
-		scratchPoolOff = false
 		if err != nil || !reflect.DeepEqual(fresh, out) {
 			t.Fatalf("%s: pool-off run gave %+v, %v; pooled run %+v", input, fresh, err, out)
 		}
