@@ -17,27 +17,22 @@ import (
 	"repro/internal/repository"
 )
 
-// churnInstance is one FuzzChurn input decoded: a dagen graph and its heft
-// table, the hosts, a trace and a re-planner.
-type churnInstance struct {
-	g         *afg.Graph
-	table     *AllocationTable
-	truth     TimeModel
-	net       *netsim.Network
-	hosts     []HostRef
-	trace     ChurnTrace
-	replanner string
-	someUp    bool // some host never goes down
+// planInstance is the environment FuzzPlan and FuzzChurn decode from their
+// arguments: a dagen graph, the hosts in (site, host) order, the truth model
+// and network, and the request every policy schedules against.
+type planInstance struct {
+	env   Request
+	g     *afg.Graph
+	truth TimeModel
+	net   *netsim.Network
+	hosts []HostRef
 }
 
-// decodeChurnInstance builds the instance the fuzz arguments choose: ≤ 32
+// decodePlanInstance builds the instance the fuzz arguments choose: ≤ 32
 // tasks, every fifth one parallel on two hosts as churnGoldenGrid makes them
-// when flags bit 0 is set; ≤ 16 hosts over ≤ 4 sites; a re-planner (flags
-// bits 1–2); CCR 2 or 0.5 (bit 3). Each 4 bytes of trace script one event:
-// its time as a fraction of the fault-free makespan (0 = at the start, equal
-// bytes = one instant), its host, down or up (bit 0), and, when bit 1 is
-// set, a straggle of 1–100× on that host.
-func decodeChurnInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags uint8, trace []byte) churnInstance {
+// when flags bit 0 is set; ≤ 16 hosts over ≤ 4 sites, every site an
+// in-process one; CCR 2 or 0.5 (flags bit 3).
+func decodePlanInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags uint8) planInstance {
 	nSites := 1 + int(sitesB)%4
 	nHosts := max(nSites, 1+int(hostsB)%16)
 	sites := make([]string, nSites)
@@ -46,7 +41,7 @@ func decodeChurnInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags
 		sites[s], perSite[s] = fmt.Sprintf("s%d", s), map[string][2]float64{}
 	}
 	speeds := dagen.SpeedFactors(nHosts, 1, seed)
-	var in churnInstance
+	var in planInstance
 	repos := map[string]*repository.Repository{}
 	var remotes []HostSelector
 	for s, site := range sites {
@@ -62,7 +57,7 @@ func decodeChurnInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags
 	}
 	in.net = netsim.StarTopology(sites, 5*time.Millisecond, 1e7, 1)
 	in.truth = heftTruth(repos)
-	env := Request{Local: &LocalSelector{Site: sites[0], Repo: repos[sites[0]]}, Remotes: remotes,
+	in.env = Request{Local: &LocalSelector{Site: sites[0], Repo: repos[sites[0]]}, Remotes: remotes,
 		Net: in.net, Sites: repos, Config: NewConfig(WithSeed(1))}
 
 	ccr := 0.5
@@ -77,9 +72,29 @@ func decodeChurnInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags
 			}
 		}
 	}
+	return in
+}
+
+// churnInstance is one FuzzChurn input decoded: the plan instance and its
+// heft table, a trace and a re-planner.
+type churnInstance struct {
+	planInstance
+	table     *AllocationTable
+	trace     ChurnTrace
+	replanner string
+	someUp    bool // some host never goes down
+}
+
+// decodeChurnInstance builds decodePlanInstance's instance, a re-planner
+// (flags bits 1–2) and a trace: each 4 bytes script one event: its time as
+// a fraction of the fault-free makespan (0 = at the start, equal bytes = one
+// instant), its host, down or up (bit 0), and, when bit 1 is set, a straggle
+// of 1–100× on that host.
+func decodeChurnInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags uint8, trace []byte) churnInstance {
+	in := churnInstance{planInstance: decodePlanInstance(t, seed, tasksB, hostsB, sitesB, flags)}
 	in.replanner = []string{"dup", "eft", "heft"}[int(flags>>1&3)%3]
 	var err error
-	if in.table, err = runPolicy("heft", &env, in.g); err != nil {
+	if in.table, err = runPolicy("heft", &in.env, in.g); err != nil {
 		t.Fatal(err)
 	}
 	fair, err := Simulate(in.g, in.table, in.truth, in.net)
