@@ -67,6 +67,9 @@ func (b baselinePolicy) Schedule(ctx context.Context, req *Request) (*Allocation
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := req.distinctSites(); err != nil {
+		return nil, err
+	}
 	sites := req.siteRepos()
 	if len(sites) == 0 {
 		return nil, ErrNoSites

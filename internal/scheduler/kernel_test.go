@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/afg"
@@ -352,5 +353,52 @@ func TestPrivateLedgerIsEFT(t *testing.T) {
 			t.Fatal(err)
 		}
 		tablesEqual(t, fmt.Sprintf("eft+fresh ledger seed %d", seed), got, want)
+	}
+}
+
+// countingSelector is an in-process site seen as a peer that counts how
+// often it is asked.
+type countingSelector struct {
+	relaySelector
+	asked *int
+}
+
+func (s countingSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
+	*s.asked++
+	return s.relaySelector.SelectHosts(g)
+}
+
+// Two selectors naming one site would put both repositories' hosts in the
+// table under one name, so a task could run through the wrong peer: every
+// policy refuses such a request, naming the site, and the multicast asks
+// no site first.
+func TestRepeatedSiteNameRefused(t *testing.T) {
+	repo := func(site, host string) *LocalSelector {
+		return &LocalSelector{Site: site, Repo: makeRepo(t, site, map[string][2]float64{host: {1, 0}})}
+	}
+	g := afg.New("one")
+	if err := g.AddTask(&afg.Task{ID: "t", Function: "f", ComputeCost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	asked := 0
+	peer := func(site, host string) HostSelector { return countingSelector{relaySelector{repo(site, host)}, &asked} }
+	for _, c := range []struct {
+		local   HostSelector
+		remotes []HostSelector
+	}{
+		{repo("a", "a-1"), []HostSelector{repo("a", "a-2")}},
+		{repo("a", "a-1"), []HostSelector{peer("a", "a-2")}},
+		{repo("a", "a-1"), []HostSelector{peer("b", "b-1"), peer("b", "b-2")}},
+	} {
+		name := c.remotes[len(c.remotes)-1].SiteName()
+		for _, policy := range Policies() {
+			_, err := runPolicy(policy, NewRequest(nil, c.local, c.remotes, nil), g)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Fatalf("%s, local %s, %d remotes: %v, want a refusal naming %q", policy, c.local.SiteName(), len(c.remotes), err, name)
+			}
+		}
+	}
+	if asked != 0 {
+		t.Fatalf("a refused request asked a peer %d times", asked)
 	}
 }

@@ -316,12 +316,16 @@ type siteResult struct {
 // bounded by Config.Concurrency. A site that fails, or replies with an
 // offer the kernel could not place as offered (ErrInvalidOffer), is
 // dropped and recorded on Request.Diag, as a capacity refusal (it cannot
-// host some task) or a transient loss (anything else). The survivors come
+// host some task) or a transient loss (anything else). A request naming one
+// site twice is refused before any site is asked. The survivors come
 // back in ascending site-name order, in *slots, refilled (grown when
 // short); if none does, the error carries this gather's transient losses.
 func multicast(ix *afg.Index, req *Request, slots *[]siteResult, local func(*LocalSelector, *siteResult)) ([]siteResult, error) {
 	if req.Local == nil {
 		return nil, ErrNoSites
+	}
+	if err := req.distinctSites(); err != nil {
+		return nil, err
 	}
 	selectors := append([]HostSelector{req.Local},
 		nearestSelectors(req.Local, req.Remotes, req.Net, req.Config.K)...)
@@ -360,6 +364,20 @@ func multicast(ix *afg.Index, req *Request, slots *[]siteResult, local func(*Loc
 	out := per[:keep]
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, nil
+}
+
+// distinctSites refuses a request two of whose selectors name one site: a
+// table row's Site says which repository a host is in and which peer runs
+// it, so two sites under one name would be mixed in its rows.
+func (r *Request) distinctSites() error {
+	for i, sel := range r.Remotes {
+		name := sel.SiteName()
+		if r.Local != nil && name == r.Local.SiteName() ||
+			slices.ContainsFunc(r.Remotes[:i], func(o HostSelector) bool { return o.SiteName() == name }) {
+			return fmt.Errorf("scheduler: site %q named by two selectors", name)
+		}
+	}
+	return nil
 }
 
 // nearestSelectors is the neighbour-selection step shared by the site

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/rpc"
+	"strings"
 	"testing"
 
 	"repro/internal/afg"
@@ -187,5 +188,27 @@ func TestRefusedCallKeepsSharedConnection(t *testing.T) {
 	}
 	if again, err := peer.conn(); err != nil || again != shared {
 		t.Fatalf("next call would redial (%v): the refusal dropped the shared connection", err)
+	}
+}
+
+// A peer must be told apart from every other site by its name, because a
+// task assigned to a site runs through the peer of that name: a nameless
+// peer, a repeated name and the site's own name are refused before the
+// endpoint listens.
+func TestServeWithPeersRefusesAmbiguousNames(t *testing.T) {
+	m := newTestSite(t, "syracuse", 2, 24)
+	for _, names := range [][]string{{""}, {"rome", "rome"}, {"rome", "syracuse"}} {
+		var peers []*RemoteSelector
+		for _, n := range names {
+			peers = append(peers, NewRemoteSelector(n, "127.0.0.1:1"))
+		}
+		addr, stop, err := m.ServeWithPeers("127.0.0.1:0", peers)
+		if err == nil {
+			stop()
+			t.Fatalf("peers %q: served on %s, want a refusal", names, addr)
+		}
+		if want := `peer "` + names[len(names)-1] + `"`; !strings.Contains(err.Error(), want) {
+			t.Fatalf("peers %q: %v, want it to name %s", names, err, want)
+		}
 	}
 }

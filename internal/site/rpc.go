@@ -194,8 +194,15 @@ func (m *Manager) Serve(addr string) (string, func(), error) {
 }
 
 // ServeWithPeers starts the RPC endpoint with a set of peer sites used for
-// distributed scheduling/execution of submitted applications.
+// distributed scheduling/execution of submitted applications. Each peer
+// needs a name of its own, neither empty nor this site's: a task runs
+// through the peer its table row's site names.
 func (m *Manager) ServeWithPeers(addr string, peers []*RemoteSelector) (string, func(), error) {
+	for i, p := range peers {
+		if p.Name == "" || p.Name == m.Site || slices.ContainsFunc(peers[:i], func(o *RemoteSelector) bool { return o.Name == p.Name }) {
+			return "", nil, fmt.Errorf("site: peer %q at %s: a peer needs a name of its own", p.Name, p.Addr)
+		}
+	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Site", &Service{m: m, peers: peers}); err != nil {
 		return "", nil, err
