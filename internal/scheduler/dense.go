@@ -30,7 +30,9 @@ type HostRef struct {
 // site in ascending site-name order and sorted by host name within a site —
 // exactly the deterministic merge order of the map-keyed gather, so walks
 // that iterate columns in order reproduce the map path's tie-breaks. Each
-// site block holds its own columns' predictions, row-major by task.
+// site block holds its own columns' predictions, row-major by task. The
+// matrix keeps no host-name index: a column names its host once, in hosts,
+// and the placement kernel interns those names into its own host lines.
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best
@@ -39,9 +41,8 @@ type HostRef struct {
 type CostMatrix struct {
 	ix     *afg.Index
 	hosts  []HostRef
-	col    map[string]int32 // host name -> dense column
-	blocks []siteBlock      // participating sites, ascending name
-	sites  []string         // participating site names, ascending
+	blocks []siteBlock // participating sites, ascending name
+	sites  []string    // participating site names, ascending
 
 	// A re-plan's matrix holds no predictions: row reads its price table
 	// at each column's runCol into one row buffer, so a patch strategy
@@ -105,11 +106,11 @@ func validCost(c float64) bool {
 // buffers are sc's.
 func lazyCostMatrix(ix *afg.Index, cols []int32, prices *runPrices, sc *scratch) *CostMatrix {
 	cm := &sc.lazy
-	*cm = CostMatrix{ix: ix, hosts: cm.hosts[:0], col: cleared(&cm.col), blocks: cm.blocks[:0], sites: cm.sites[:0],
+	*cm = CostMatrix{ix: ix, hosts: cm.hosts[:0], blocks: cm.blocks[:0], sites: cm.sites[:0],
 		prices: prices, runCol: cols, rowBuf: grow(cm.rowBuf, len(cols))}
 	for c, pc := range cols {
 		h := prices.hosts[pc]
-		cm.col[h.Host], cm.hosts = int32(c), append(cm.hosts, h)
+		cm.hosts = append(cm.hosts, h)
 		if n := len(cm.blocks); n == 0 || cm.blocks[n-1].name != h.Site {
 			cm.sites = append(cm.sites, h.Site)
 			cm.blocks = append(cm.blocks, siteBlock{name: h.Site, col0: int32(c)})
@@ -286,7 +287,7 @@ func (r *Request) PrewarmCosts() error {
 // output — a CostCache shares them across policies and Batch workers — and
 // are never pooled.
 //
-//vdce:hot allocs=83
+//vdce:hot allocs=78
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	var fresh []siteResult // the gather's slabs are matrix output, never pooled
 	keep, err := multicast(ix, req, &fresh, func(ls *LocalSelector, r *siteResult) {
@@ -295,7 +296,7 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := &CostMatrix{ix: ix, col: map[string]int32{}}
+	cm := &CostMatrix{ix: ix}
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
 		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), pred: g.pred}
@@ -303,7 +304,6 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 			b.offers = g.offers
 		} else {
 			for _, h := range g.hosts {
-				cm.col[h] = int32(len(cm.hosts))
 				cm.hosts = append(cm.hosts, HostRef{Site: g.name, Host: h})
 			}
 		}

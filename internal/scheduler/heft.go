@@ -1,11 +1,12 @@
 package scheduler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/afg"
 	"repro/internal/minheap"
@@ -28,10 +29,10 @@ import (
 // Both run on the dense scheduling core: per-(task, host) costs come from
 // the request's CostMatrix (one batched gather, shared across policies via
 // CostCache), ranks and placement state are slice-indexed through the
-// graph's dense Index, and host timelines find insertion gaps by binary
-// search. The original map-keyed implementations are retained in
-// oracle_test.go; equivalence tests prove the dense paths produce
-// identical allocation tables. placement below is the package's one
+// graph's dense Index, and every host is a dense line whose timeline finds
+// insertion gaps by binary search. The original map-keyed implementations
+// are retained in oracle_test.go; equivalence tests prove the dense paths
+// produce identical allocation tables. placement below is the package's one
 // earliest-finish kernel: the eft-family site policies (site.go) place
 // through it over their Fig 5 offers, and the frontier re-planners
 // (resched.go) are strategies over it, started from a settled set.
@@ -203,37 +204,41 @@ func (t *timeline) add(start, end float64) {
 
 // placement is the package's one earliest-finish kernel — heft, cpop, the
 // eft-family site policies and the frontier re-planners all place through
-// it — slice-indexed end to end: per-host-column timelines (empty, or
-// seeded from the settled set of a running application), per-task
-// estimated finishes and assigned host sets by dense task index, and the
-// allocation table under construction. Hosts outside the matrix's columns
-// — an offer block's, the down machines a settled task still sits on — get
-// lines appended after the columns. With a shared ledger, no task starts on
-// a host before the work other applications hold there has run (floor,
-// read from the ledger per candidate), every commit reserves its prediction
-// on each of its hosts, and a failed walk releases them (done).
-// The zero strategy fields are planning from scratch; only this package's
-// re-planners set them.
+// it — slice-indexed end to end. Every host is a dense line, interned once
+// per placement by name (a host NAME owns one timeline, however many sites
+// offer it): the matrix's columns, then every offer block's hosts, then any
+// host settled work names. Per line it keeps a timeline (empty, or seeded
+// from the settled set of a running application); per task by dense index,
+// the estimated finish, site and host lines; and the allocation table under
+// construction. Names are read only to fill a table row, for the shared
+// ledger, and where a re-plan prices a kept task by name. With a shared
+// ledger, no task starts on a host before the work other applications hold
+// there has run (floor, read from the ledger per candidate), every commit
+// reserves its prediction on each of its hosts, and a failed walk releases
+// them (done). The zero strategy fields are planning from scratch; only this
+// package's re-planners set them.
 type placement struct {
 	cm     *CostMatrix
 	pairs  *sitePairs       // transfer prices by site id
 	ledger *LoadLedger      // the shared ledger, read per candidate; nil = none
-	lines  []timeline       // per column (canonical ones used), then per host outside the columns
-	canon  []int32          // column, then offered host -> the line of its host NAME
-	extra  map[string]int32 // host outside the columns -> its line
+	ids    map[string]int32 // host name -> its line
+	hostOf []string         // line -> host name
+	lines  []timeline       // per line
+	canon  []int32          // column, then offered host -> its line
 
 	placed []bool // task is settled or committed; gates finish/siteID/hosts
 	finish []float64
-	siteID []int32    // assigned site id per task
-	hosts  [][]string // assigned host set per task
+	siteID []int32   // assigned site id per task
+	hosts  [][]int32 // assigned host lines per task, carved from slab
+	slab   []int32
 	table  *AllocationTable
 
 	appendOnly bool             // start after the host's last reservation instead of in the first fitting gap
 	singleHost bool             // place a parallel-mode task on one host (its machine set broke)
 	prior      *AllocationTable // the committed table under repair: where keep finds a task's current hosts
 
-	cand  []scored // one column block's candidates for a machine set, keyed by free time
-	names []string // one candidate set's host names, for readyAt
+	cand      []scored // one column block's candidates for a machine set, keyed by free time
+	set, best []int32  // one candidate's host lines; the best set so far
 
 	// hostSlab backs the committed single-host sets. It is schedule
 	// OUTPUT — the carved sets escape into the allocation table — so it is
@@ -242,27 +247,25 @@ type placement struct {
 
 	blockReady []float64 // per-site-block data-ready memo for the current task
 	blockSite  []int32   // per-site-block site id
-	mark       []int32   // column -> stamp of the last task with a byte-carrying parent on its host
+	mark       []int32   // line -> stamp of the last task with a byte-carrying parent on its host
 	stamp      int32     // the current task's stamp
 }
 
 // newPlacement wires the placement state onto sc's pooled buffers. The
-// timelines, columns, and per-task vectors are scratch (contract 2 in
-// scratch.go: placed and hostSets are reset, finish and siteID are gated by
-// the placed marker, the pair table starts empty and interns every block's
-// site); the table and hostSlab are output, allocated fresh — unless spare,
-// a table RunChurn retired, has cm's positions: then it is emptied and reused.
+// lines, columns, and per-task vectors are scratch (contract 2 in
+// scratch.go: placed, hosts and mark are reset, finish and siteID are gated
+// by the placed marker, lineOf reopens each line, the pair table starts
+// empty and interns every block's site); the table and hostSlab are output,
+// allocated fresh — unless spare, a table RunChurn retired, has cm's
+// positions: then it is emptied and reused.
 func newPlacement(cm *CostMatrix, app string, spare *AllocationTable, net *netsim.Network, ledger *LoadLedger, sc *scratch) *placement {
 	n := cm.ix.Len()
-	sc.lines = growTimelines(sc.lines, len(cm.hosts))
-	sc.canon = grow(sc.canon, len(cm.hosts))
 	sc.placed = growZero(sc.placed, n)     // false = unplaced marker must reset
 	sc.finish = grow(sc.finish, n)         // gated by placed before reads
 	sc.siteID = grow(sc.siteID, n)         // gated by placed before reads
 	sc.hostSets = growZero(sc.hostSets, n) // drop the prior schedule's refs
 	sc.blockReady = grow(sc.blockReady, len(cm.blocks))
 	sc.blockSite = grow(sc.blockSite, len(cm.blocks))
-	sc.mark = growZero(sc.mark, len(cm.hosts)) // 0 = no stamp yet
 	sc.pairs.reset(net)
 	for bi := range cm.blocks {
 		sc.blockSite[bi] = sc.pairs.id(cm.blocks[bi].name)
@@ -278,53 +281,49 @@ func newPlacement(cm *CostMatrix, app string, spare *AllocationTable, net *netsi
 		cm:         cm,
 		pairs:      &sc.pairs,
 		ledger:     ledger,
-		lines:      sc.lines,
-		canon:      sc.canon,
-		extra:      cleared(&sc.lineOf),
+		ids:        cleared(&sc.lineIDs),
+		hostOf:     sc.hostOf[:0],
+		lines:      sc.lines[:0],
+		canon:      sc.canon[:0],
 		placed:     sc.placed,
 		finish:     sc.finish,
 		siteID:     sc.siteID,
 		hosts:      sc.hostSets,
+		slab:       sc.lineSlab[:0],
 		table:      spare,
 		cand:       sc.scored,
-		names:      sc.names,
+		set:        sc.set,
+		best:       sc.best,
 		blockReady: sc.blockReady,
 		blockSite:  sc.blockSite,
-		mark:       sc.mark,
 	}
-	// A host NAME owns one timeline, however many sites offer it (the
-	// map-keyed path keyed timelines by name): canon maps every column, then
-	// every offer block's hosts in block order, to its name's line.
 	for c := range cm.hosts {
-		p.canon[c] = cm.col[cm.hosts[c].Host]
+		p.canon = append(p.canon, p.lineOf(cm.hosts[c].Host))
 	}
 	for _, b := range cm.blocks {
 		for _, h := range b.hosts {
 			p.canon = append(p.canon, p.lineOf(h))
 		}
 	}
+	p.mark = growZero(sc.mark, len(p.lines)) // 0 = no stamp yet
 	return p
 }
 
-// lineOf resolves a host name to its line: its column's when the matrix
-// knows the host, else one appended after the columns on first use (which
-// moves lines: a *timeline is good until the next lineOf call).
+// lineOf interns a host name: its line, opened on first sight in the next
+// pooled slot (its span slab kept, emptied) or a new one.
 func (p *placement) lineOf(host string) int32 {
-	if c, ok := p.cm.col[host]; ok {
-		return c
-	}
-	c, ok := p.extra[host]
+	l, ok := p.ids[host]
 	if !ok {
-		c = int32(len(p.lines))
+		l = int32(len(p.lines))
 		if len(p.lines) < cap(p.lines) {
-			p.lines = p.lines[:c+1]
-			p.lines[c] = timeline{busy: p.lines[c].busy[:0]}
+			p.lines = p.lines[:l+1]
+			p.lines[l] = timeline{busy: p.lines[l].busy[:0]}
 		} else {
 			p.lines = append(p.lines, timeline{})
 		}
-		p.extra[host] = c
+		p.ids[host], p.hostOf = l, append(p.hostOf, host)
 	}
-	return c
+	return l
 }
 
 // releaseScratch hands the placement's pooled buffers back to sc so any
@@ -333,27 +332,27 @@ func (p *placement) lineOf(host string) int32 {
 // matrix (a CostCache may share it); a re-plan's lazy one is sc's already.
 // Call before sc.release().
 func (p *placement) releaseScratch(sc *scratch) {
-	sc.lines, sc.canon, sc.lineOf = p.lines, p.canon, p.extra
-	sc.placed, sc.finish, sc.siteID, sc.hostSets = p.placed, p.finish, p.siteID, p.hosts
+	sc.lines, sc.canon, sc.lineIDs, sc.hostOf = p.lines, p.canon, p.ids, p.hostOf
+	sc.placed, sc.finish, sc.siteID, sc.hostSets, sc.lineSlab = p.placed, p.finish, p.siteID, p.hosts, p.slab
 	sc.blockReady, sc.blockSite, sc.mark = p.blockReady, p.blockSite, p.mark
-	sc.scored, sc.names = p.cand, p.names
+	sc.scored, sc.set, sc.best = p.cand, p.set, p.best
 }
 
-// readyAt is the data-ready time of task t on the given host set at site
+// readyAt is the data-ready time of task t on the given host lines at site
 // (an id in the pair table): every scheduled parent's estimated finish, plus
 // the transfer from the parent's site unless a host is shared with the
 // parent, priced from the schedule's pair table. A nil host set shares
 // nothing: the same float operations, in the same order, as for any
 // candidate off the parents' hosts, which lets prepReady memoise it per
 // site block.
-func (p *placement) readyAt(t int, site int32, hosts []string) float64 {
+func (p *placement) readyAt(t int, site int32, set []int32) float64 {
 	var ready float64
 	for _, a := range p.cm.ix.Parents(t) {
 		if !p.placed[a.Peer] {
 			continue // unplaced parent (possible only on rank ties); skip
 		}
 		arrive := p.finish[a.Peer]
-		if p.pairs.net != nil && a.Bytes > 0 && !sharesHost(p.hosts[a.Peer], hosts) {
+		if p.pairs.net != nil && a.Bytes > 0 && !sharesHost(p.hosts[a.Peer], set) {
 			arrive += p.pairs.seconds(p.siteID[a.Peer], site, a.Bytes)
 		}
 		if arrive > ready {
@@ -364,17 +363,18 @@ func (p *placement) readyAt(t int, site int32, hosts []string) float64 {
 }
 
 // prepReady memoises, per dense site block, the current task's data-ready
-// time assuming no host sharing, and stamps the columns of the hosts of
-// byte-carrying placed parents in mark. Inside a block every host sees the
-// same transfer terms except the few appearing in a parent's host set (a
-// zero-byte parent's sharing never changes readyAt), so only those fall
-// back to the full recompute. A host is stamped at its name's canonical
-// column, which every site offering that name shares; a parent host outside
-// the matrix has no column to stamp. This is the cache-blocked CostMatrix
-// traversal: the O(parents) transfer walk runs once per (task, site block)
-// instead of once per (task, host) — O(S·P) against the former O(H·P) — which
-// profiled far better at 1000 hosts than an indexed O(log H) structure,
-// whose per-host heterogeneous ready times defeat any shared ordering.
+// time assuming no host sharing, and stamps the lines of byte-carrying
+// placed parents in mark. Inside a block every host sees the same transfer
+// terms except the few appearing in a parent's host set (a zero-byte
+// parent's sharing never changes readyAt), so only those fall back to the
+// full recompute. A line is its host name's, which every site offering that
+// name shares; one opened after newPlacement (a settled host outside the
+// matrix and its offers) is no column's, so it is not stamped. This is the
+// cache-blocked CostMatrix traversal: the O(parents) transfer walk runs once
+// per (task, site block) instead of once per (task, host) — O(S·P) against
+// the former O(H·P) — which profiled far better at 1000 hosts than an
+// indexed O(log H) structure, whose per-host heterogeneous ready times
+// defeat any shared ordering.
 // A matrix without columns (a site walk's offers) has nothing to memoise.
 func (p *placement) prepReady(t int) {
 	if len(p.cm.hosts) == 0 {
@@ -383,9 +383,9 @@ func (p *placement) prepReady(t int) {
 	p.stamp++
 	for _, a := range p.cm.ix.Parents(t) {
 		if a.Bytes > 0 && p.placed[a.Peer] {
-			for _, h := range p.hosts[a.Peer] {
-				if c, ok := p.cm.col[h]; ok {
-					p.mark[c] = p.stamp
+			for _, l := range p.hosts[a.Peer] {
+				if int(l) < len(p.mark) {
+					p.mark[l] = p.stamp
 				}
 			}
 		}
@@ -398,36 +398,36 @@ func (p *placement) prepReady(t int) {
 	}
 }
 
-// floor is the kernel's ledger rule: with a shared ledger, host h (whose
-// line is l) is busy until the work other applications hold on it has run —
-// the ledger's busy seconds there less what this walk reserved itself.
-func (p *placement) floor(h string, l *timeline) float64 {
+// floor is the kernel's ledger rule: with a shared ledger, line l's host is
+// busy until the work other applications hold on it has run — the ledger's
+// busy seconds there less what this walk reserved itself.
+func (p *placement) floor(l int32) float64 {
 	if p.ledger == nil {
 		return 0
 	}
-	return p.ledger.Busy(h) - l.own
+	return p.ledger.Busy(p.hostOf[l]) - p.lines[l].own
 }
 
-// free is when host h, whose line is l, can take work appended to it:
-// after its last reservation and its ledger floor.
-func (p *placement) free(h string, l *timeline) float64 {
-	if f := p.floor(h, l); f > l.end() {
+// free is when line l can take work appended to it: after its last
+// reservation and its ledger floor.
+func (p *placement) free(l int32) float64 {
+	if f := p.floor(l); f > p.lines[l].end() {
 		return f
 	}
-	return l.end()
+	return p.lines[l].end()
 }
 
-// startOn is the strategy's start rule on host h, whose line is l: never
-// before ready or the host's ledger floor, then the first idle gap that
-// fits dur (insertion) or, append-only, after the line's last reservation.
-func (p *placement) startOn(h string, l *timeline, ready, dur float64) float64 {
-	if f := p.floor(h, l); f > ready {
+// startOn is the strategy's start rule on line l: never before ready or the
+// host's ledger floor, then the first idle gap that fits dur (insertion)
+// or, append-only, after the line's last reservation.
+func (p *placement) startOn(l int32, ready, dur float64) float64 {
+	if f := p.floor(l); f > ready {
 		ready = f
 	}
 	if !p.appendOnly {
-		return l.earliest(ready, dur)
+		return p.lines[l].earliest(ready, dur)
 	}
-	if e := l.end(); e > ready {
+	if e := p.lines[l].end(); e > ready {
 		return e
 	}
 	return ready
@@ -435,34 +435,31 @@ func (p *placement) startOn(h string, l *timeline, ready, dur float64) float64 {
 
 // candidate is one way to place a task on site block bi, and its timing.
 type candidate struct {
-	bi               int      // -1 = none yet
-	host             string   // the primary host
-	hosts            []string // a column block's machine set, named
-	cols             []int32  // an offer block's host set, by its columns
+	bi               int     // -1 = none yet
+	set              []int32 // its host lines, primary first
 	pred, start, fin float64
 }
 
-// better reports whether finishing at fin on host of block bi beats best,
-// by the map path's exact order: finish, then site name, then host name.
-func (p *placement) better(best *candidate, bi int, host string, fin float64) bool {
-	if best.bi < 0 || fin != best.fin {
-		return fin < best.fin
-	}
-	site, bestSite := p.cm.blocks[bi].name, p.cm.blocks[best.bi].name
-	return site < bestSite || (site == bestSite && host < best.host)
+// improve makes c the best candidate so far, its set copied into the best
+// buffer, as the next candidate reuses set.
+func (p *placement) improve(best *candidate, c candidate) {
+	p.best = append(p.best[:0], c.set...)
+	c.set = p.best
+	*best = c
 }
 
 // place schedules one task on the candidate minimising earliest finish
-// time under the strategy's start rule, walking the matrix row in
-// deterministic site/host order: every eligible column host (for a
+// time under the strategy's start rule: every eligible column host (for a
 // parallel-mode task, one machine set per site), and every offer block's
-// offer with its host set as offered, read by column. restrict, when
-// non-nil, limits the hosts considered (CPOP's critical-path pinning); if
-// it excludes every candidate, placement retries unrestricted rather than
-// failing the application.
-func (p *placement) place(t int, restrict map[string]bool) error {
+// offer with its host set as offered, read by column. Blocks ascend by site
+// name and columns by host name within one, so taking only a strictly
+// earlier finish gives exact ties to the first candidate in (site, host)
+// order. pin, when a line (not -1), limits the hosts considered to it
+// (CPOP's critical-path pinning); if it excludes every candidate, placement
+// retries unpinned rather than failing the application.
+func (p *placement) place(t int, pin int32) error {
 	task := p.cm.ix.Task(t)
-	set := task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost
+	parallel := task.Mode == afg.Parallel && task.Processors > 1 && !p.singleHost
 	p.prepReady(t)
 	best := candidate{bi: -1, fin: math.Inf(1)}
 	slot := int32(len(p.cm.hosts)) // canon slot of the next offer block's first host
@@ -472,73 +469,58 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 			base := slot
 			slot += int32(len(b.hosts))
 			o := b.at[t]
-			if o.lo == o.hi {
+			if o.lo == o.hi || pin >= 0 && p.canon[base+b.cols[o.lo]] != pin {
 				continue
 			}
-			cols := b.cols[o.lo:o.hi]
-			host := b.hosts[cols[0]]
-			if restrict != nil && !restrict[host] {
-				continue
+			p.set = p.set[:0]
+			for _, c := range b.cols[o.lo:o.hi] {
+				p.set = append(p.set, p.canon[base+c])
 			}
-			p.names = p.names[:0]
-			for _, c := range cols {
-				p.names = append(p.names, b.hosts[c])
-			}
-			start := p.readyAt(t, p.blockSite[bi], p.names)
-			if len(cols) == 1 && !set {
-				start = p.startOn(host, &p.lines[p.canon[base+cols[0]]], start, o.pred)
+			start := p.readyAt(t, p.blockSite[bi], p.set)
+			if len(p.set) == 1 && !parallel {
+				start = p.startOn(p.set[0], start, o.pred)
 			} else { // appended: idle gaps rarely align across a set
-				for k, c := range cols {
-					if f := p.free(p.names[k], &p.lines[p.canon[base+c]]); f > start {
-						start = f
-					}
+				for _, l := range p.set {
+					start = max(start, p.free(l))
 				}
 			}
-			if fin := start + o.pred; p.better(&best, bi, host, fin) {
-				best = candidate{bi: bi, host: host, cols: cols, pred: o.pred, start: start, fin: fin}
+			if fin := start + o.pred; fin < best.fin {
+				p.improve(&best, candidate{bi, p.set, o.pred, start, fin})
 			}
 			continue
 		}
 		row := p.cm.row(t, bi)
-		if set {
-			p.machineSet(&best, t, task.Processors, bi, row, restrict)
+		if parallel {
+			p.machineSet(&best, t, task.Processors, bi, row, pin)
 			continue
 		}
 		base := p.blockReady[bi]
 		for k, pr := range row {
-			if math.IsNaN(pr) {
-				continue
-			}
 			col := b.col0 + int32(k)
-			host := p.cm.hosts[col].Host
-			if restrict != nil && !restrict[host] {
+			l := p.canon[col]
+			if math.IsNaN(pr) || pin >= 0 && l != pin {
 				continue
 			}
+			set := p.canon[col : col+1]
 			ready := base
-			canon := p.canon[col]
-			if p.mark[canon] == p.stamp {
-				p.names = append(p.names[:0], host)
-				ready = p.readyAt(t, p.blockSite[bi], p.names)
+			if p.mark[l] == p.stamp {
+				ready = p.readyAt(t, p.blockSite[bi], set)
 			}
-			start := p.startOn(host, &p.lines[canon], ready, pr)
-			if fin := start + pr; p.better(&best, bi, host, fin) {
-				best = candidate{bi: bi, host: host, pred: pr, start: start, fin: fin}
+			start := p.startOn(l, ready, pr)
+			if fin := start + pr; fin < best.fin {
+				best = candidate{bi, set, pr, start, fin}
 			}
 		}
 	}
 	if best.bi < 0 {
-		if restrict != nil {
-			return p.place(t, nil)
+		if pin >= 0 {
+			return p.place(t, -1)
 		}
 		return fmt.Errorf("%w: %q", ErrNoEligibleHost, p.cm.ix.ID(t))
 	}
-	b := &p.cm.blocks[best.bi]
-	hosts := best.hosts
-	if hosts == nil {
-		hosts = hostSet(best.host, b.hosts, best.cols, &p.hostSlab, p.cm.ix.Len())
-	}
-	p.commit(t, Assignment{Task: p.cm.ix.ID(t), Site: b.name, Host: best.host, Hosts: hosts, Predicted: best.pred},
-		best.start, best.fin)
+	hosts := hostSet(p.hostOf[best.set[0]], p.hostOf, best.set, &p.hostSlab, p.cm.ix.Len())
+	p.commit(t, Assignment{Task: p.cm.ix.ID(t), Site: p.cm.blocks[best.bi].name, Host: hosts[0], Hosts: hosts, Predicted: best.pred},
+		best.set, best.start, best.fin)
 	return nil
 }
 
@@ -546,16 +528,13 @@ func (p *placement) place(t int, restrict map[string]bool) error {
 // whose row of predictions is row, into best: the n eligible hosts that free
 // up earliest (host name on ties), charged the slowest member's prediction
 // split n ways, started once the data is ready and every member is free.
-func (p *placement) machineSet(best *candidate, t, n, bi int, row []float64, restrict map[string]bool) {
+func (p *placement) machineSet(best *candidate, t, n, bi int, row []float64, pin int32) {
 	b := &p.cm.blocks[bi]
 	group := p.cand[:0]
 	for k, pr := range row {
-		if math.IsNaN(pr) {
-			continue
-		}
 		col := b.col0 + int32(k)
-		if host := p.cm.hosts[col].Host; restrict == nil || restrict[host] {
-			group = append(group, scored{col, pr, p.free(host, &p.lines[p.canon[col]])})
+		if l := p.canon[col]; !math.IsNaN(pr) && (pin < 0 || l == pin) {
+			group = append(group, scored{col, pr, p.free(l)})
 		}
 	}
 	p.cand = group
@@ -564,48 +543,53 @@ func (p *placement) machineSet(best *candidate, t, n, bi int, row []float64, res
 	}
 	n = min(n, len(group))
 	pick(group, n)
-	p.names = p.names[:0]
+	p.set = p.set[:0]
 	var maxPred float64
 	for _, g := range group[:n] {
-		p.names = append(p.names, p.cm.hosts[g.col].Host)
-		if g.pred > maxPred {
-			maxPred = g.pred
-		}
+		p.set = append(p.set, p.canon[g.col])
+		maxPred = max(maxPred, g.pred)
 	}
 	pred := maxPred / float64(n)
-	start := p.readyAt(t, p.blockSite[bi], p.names)
+	start := p.readyAt(t, p.blockSite[bi], p.set)
 	for _, g := range group[:n] {
-		if g.key > start {
-			start = g.key
-		}
+		start = max(start, g.key)
 	}
-	if fin := start + pred; p.better(best, bi, p.names[0], fin) {
-		*best = candidate{bi: bi, host: p.names[0], hosts: slices.Clone(p.names), pred: pred, start: start, fin: fin}
+	if fin := start + pred; fin < best.fin {
+		p.improve(best, candidate{bi, p.set, pred, start, fin})
 	}
 }
 
-// commit enters a's assignment and reserves [start, fin) on each of its
-// hosts — with a shared ledger, a's prediction per host there as well.
-func (p *placement) commit(t int, a Assignment, start, fin float64) {
-	p.record(t, a, fin)
-	for _, h := range p.hosts[t] {
-		l := &p.lines[p.lineOf(h)]
-		l.add(start, fin)
+// commit enters a's assignment on host lines set and reserves [start, fin)
+// on each — with a shared ledger, a's prediction per host there as well.
+func (p *placement) commit(t int, a Assignment, set []int32, start, fin float64) {
+	p.record(t, a, set, fin)
+	for _, l := range set {
+		p.lines[l].add(start, fin)
 		if p.ledger != nil {
-			p.ledger.Reserve(h, a.Predicted)
-			l.own += a.Predicted
+			p.ledger.Reserve(p.hostOf[l], a.Predicted)
+			p.lines[l].own += a.Predicted
 		}
 	}
 }
 
-// record enters a's assignment in the table and makes it visible to
-// readyAt; the caller reserves the host lines.
-func (p *placement) record(t int, a Assignment, fin float64) {
+// record enters a's assignment on host lines set in the table and makes it
+// visible to readyAt; the caller reserves the lines.
+func (p *placement) record(t int, a Assignment, set []int32, fin float64) {
 	p.table.setAt(int32(t), a)
 	p.placed[t] = true
 	p.finish[t] = fin
 	p.siteID[t] = p.pairs.id(a.Site)
-	p.hosts[t] = effectiveHosts(a)
+	p.slab = append(p.slab, set...)
+	p.hosts[t] = p.slab[len(p.slab)-len(set):]
+}
+
+// linesOf interns the hosts a's assignment occupies into the set buffer.
+func (p *placement) linesOf(a Assignment) []int32 {
+	p.set = p.set[:0]
+	for _, h := range effectiveHosts(a) {
+		p.set = append(p.set, p.lineOf(h))
+	}
+	return p.set
 }
 
 // done ends a walk: its table or, when the walk failed, err — after every
@@ -619,10 +603,10 @@ func (p *placement) done(err error) (*AllocationTable, error) {
 			if !ok {
 				continue
 			}
-			for _, h := range p.hosts[t] {
-				if l := &p.lines[p.lineOf(h)]; l.own != 0 {
-					p.ledger.Release(h, l.own)
-					l.own = 0
+			for _, l := range p.hosts[t] {
+				if own := p.lines[l].own; own != 0 {
+					p.ledger.Release(p.hostOf[l], own)
+					p.lines[l].own = 0
 				}
 			}
 		}
@@ -635,15 +619,15 @@ func (p *placement) done(err error) (*AllocationTable, error) {
 // and every host it occupies is held busy from 0 to the latest settled
 // finish on it, as one span per line.
 func (p *placement) settle(t int, a Assignment, fin float64) {
-	p.record(t, a, fin)
-	for _, h := range p.hosts[t] {
-		l := &p.lines[p.lineOf(h)]
-		if len(l.busy) == 0 {
+	set := p.linesOf(a)
+	p.record(t, a, set, fin)
+	for _, l := range set {
+		if busy := p.lines[l].busy; len(busy) == 0 {
 			if fin > 0 {
-				l.busy = append(l.busy, span{0, fin})
+				p.lines[l].busy = append(busy, span{0, fin})
 			}
-		} else if fin > l.busy[0].end {
-			l.busy[0].end = fin
+		} else if fin > busy[0].end {
+			busy[0].end = fin
 		}
 	}
 }
@@ -654,21 +638,19 @@ func (p *placement) settle(t int, a Assignment, fin float64) {
 // keeps its committed prediction and is data-ready when its primary is.
 func (p *placement) keep(t int) {
 	a, _ := p.prior.at(p.cm.ix, t)
-	hosts := effectiveHosts(a)
+	set := p.linesOf(a)
 	dur := a.Predicted
-	if len(hosts) == 1 {
+	if len(set) == 1 {
 		if c := p.cm.prices.price(p.cm.ix.Task(t), a.Host); validCost(c) {
 			dur = c
 		}
 	}
-	primary := [1]string{a.Host}
+	primary := [1]int32{p.lineOf(a.Host)}
 	start := p.readyAt(t, p.pairs.id(a.Site), primary[:])
-	for _, h := range hosts {
-		if e := p.lines[p.lineOf(h)].end(); e > start {
-			start = e
-		}
+	for _, l := range set {
+		start = max(start, p.lines[l].end())
 	}
-	p.commit(t, a, start, start+dur)
+	p.commit(t, a, set, start, start+dur)
 }
 
 // placeAll walks order, keeping the tasks stay marks (nil = none) where
@@ -680,7 +662,7 @@ func (p *placement) placeAll(ctx context.Context, order []int32, stay []bool) er
 		}
 		if stay != nil && stay[t] {
 			p.keep(int(t))
-		} else if err := p.place(int(t), nil); err != nil {
+		} else if err := p.place(int(t), -1); err != nil {
 			return err
 		}
 	}
@@ -688,14 +670,14 @@ func (p *placement) placeAll(ctx context.Context, order []int32, stay []bool) er
 }
 
 // placeReady places every task in ready-set priority order over keys (see
-// readyWalk); the tasks pinned marks (nil = none) go to the pin hosts when
-// they can — CPOP's critical path.
-func (p *placement) placeReady(ctx context.Context, keys []float64, pinned []bool, pin map[string]bool, sc *scratch) error {
+// readyWalk); the tasks pinned marks (nil = none) go to line pin when they
+// can — CPOP's critical path.
+func (p *placement) placeReady(ctx context.Context, keys []float64, pinned []bool, pin int32, sc *scratch) error {
 	return readyWalk(ctx, p.cm.ix, keys, sc, func(t int) error {
 		if pinned != nil && pinned[t] {
 			return p.place(t, pin)
 		}
-		return p.place(t, nil)
+		return p.place(t, -1)
 	})
 }
 
@@ -760,7 +742,7 @@ func (cpopPolicy) Name() string { return "cpop" }
 // minimising its total execution; everything else places by earliest
 // finish time in ready-set priority order.
 //
-//vdce:hot allocs=11
+//vdce:hot allocs=6
 func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	ix, cm, err := densePrep(req)
 	if err != nil {
@@ -778,8 +760,7 @@ func (cpopPolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable,
 		prio[i] += sc.rankD[i]
 	}
 	sc.cp = criticalPath(ix, prio, sc.cp)
-	restrict := criticalHost(cm, sc.cp)
-	return p.done(p.placeReady(ctx, prio, sc.cp, restrict, sc))
+	return p.done(p.placeReady(ctx, prio, sc.cp, p.criticalLine(sc.cp), sc))
 }
 
 // criticalPath walks one maximum-priority chain from the highest-priority
@@ -815,55 +796,46 @@ func criticalPath(ix *afg.Index, prio []float64, buf []bool) []bool {
 	}
 }
 
-// criticalHost picks the critical-path processor: among hosts offered to
+// criticalLine picks the critical-path processor: among hosts offered to
 // every critical task, the one minimising the path's summed prediction
-// (most-covering, then cheapest, then name, when no host covers them all).
-// Returns a restrict set for placement, nil when there are no candidates.
-func criticalHost(cm *CostMatrix, cp []bool) map[string]bool {
+// (most-covering, then cheapest, then first by name, when no host covers
+// them all). Returns its line, -1 when there are no candidates.
+func (p *placement) criticalLine(cp []bool) int32 {
 	type agg struct {
 		sum float64
 		cnt int
 	}
-	per := map[string]agg{}
-	add := func(h string, pred float64) {
-		a := per[h]
-		per[h] = agg{a.sum + pred, a.cnt + 1}
-	}
+	per := make([]agg, len(p.lines))
+	add := func(l int32, pred float64) { per[l].sum, per[l].cnt = per[l].sum+pred, per[l].cnt+1 }
+	cm := p.cm
 	for t := range cp {
 		if !cp[t] {
 			continue
 		}
+		slot := int32(len(cm.hosts))
 		for bi, b := range cm.blocks { // the gather's site-then-host order
 			if b.at != nil {
 				if o := b.at[t]; o.lo < o.hi {
-					add(b.hosts[b.cols[o.lo]], o.pred)
+					add(p.canon[slot+b.cols[o.lo]], o.pred)
 				}
+				slot += int32(len(b.hosts))
 				continue
 			}
 			for k, pr := range cm.row(t, bi) {
 				if !math.IsNaN(pr) {
-					add(cm.hosts[int(b.col0)+k].Host, pr)
+					add(p.canon[b.col0+int32(k)], pr)
 				}
 			}
 		}
 	}
-	var bestHost string
-	bestCnt, bestSum := 0, math.Inf(1)
-	hosts := make([]string, 0, len(per))
-	for h := range per {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		a := per[h]
-		if a.cnt > bestCnt || (a.cnt == bestCnt && a.sum < bestSum) {
-			bestHost, bestCnt, bestSum = h, a.cnt, a.sum
+	best := int32(-1)
+	for l, a := range per {
+		if a.cnt > 0 && (best < 0 || cmp.Or(cmp.Compare(per[best].cnt, a.cnt), cmp.Compare(a.sum, per[best].sum),
+			strings.Compare(p.hostOf[l], p.hostOf[best])) < 0) {
+			best = int32(l)
 		}
 	}
-	if bestHost == "" {
-		return nil
-	}
-	return map[string]bool{bestHost: true}
+	return best
 }
 
 // prioItem orders ready tasks by descending priority, dense index

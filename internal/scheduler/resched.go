@@ -372,8 +372,8 @@ func (r *repair) hedges() []Assignment {
 	busy := r.suspect
 	for t, done := range r.done {
 		if !done {
-			for _, h := range r.p.hosts[t] {
-				if c, ok := r.prices.col[h]; ok {
+			for _, l := range r.p.hosts[t] {
+				if c, ok := r.prices.col[r.p.hostOf[l]]; ok {
 					busy[c] = true
 				}
 			}

@@ -17,10 +17,11 @@ package scheduler
 //     One exception: a RunChurn repair writes into the table the run retired.
 //  2. Every pooled buffer is either fully overwritten before it is read
 //     (rank vectors, dense columns, bulk heap loads: plain grow) or
-//     explicitly reset by growZero / growTimelines (placed markers back to
-//     false, host-free and data-ready columns back to 0, span slabs back to
-//     length zero). A read-before-write buffer acquired with
-//     plain grow is a correctness bug, not just a leak.
+//     explicitly reset: by growZero (placed markers back to false,
+//     host-free and data-ready columns back to 0) or, for a placement's
+//     host line, by placement.lineOf as it reopens the slot (span slab back
+//     to length zero, no ledger reservation). A read-before-write buffer
+//     acquired with plain grow is a correctness bug, not just a leak.
 //  3. Scratch is function-scoped: a holder Gets at entry and releases on
 //     exit. Concurrent Batch workers, gather goroutines, and parallel
 //     RankingCells workers each draw their own scratch from the pool, so
@@ -51,18 +52,20 @@ type scratch struct {
 
 	// Placement state (the earliest-finish kernel: HEFT, CPOP, the eft
 	// site walks, re-planners).
-	lines      []timeline       // per-host timelines; span slabs retained
-	lineOf     map[string]int32 // host outside the matrix -> its line (cleared per use)
-	canon      []int32          // column -> canonical column per host name
+	lineIDs    map[string]int32 // host name -> its line (cleared per use)
+	hostOf     []string         // line -> host name (refilled per use)
+	lines      []timeline       // per-line timelines; span slabs retained
+	canon      []int32          // column, then offered host -> its line
 	placed     []bool           // settled-or-committed marker per task (reset to false)
 	finish     []float64        // estimated finish per task
-	hostSets   [][]string       // assigned host set per task (refs dropped on reset)
+	hostSets   [][]int32        // assigned host lines per task (refs dropped on reset)
+	lineSlab   []int32          // backs hostSets (refilled per use)
 	blockReady []float64        // per-site-block data-ready memo
 	blockSite  []int32          // per-site-block site id
-	mark       []int32          // column -> parent-host stamp (reset to 0)
-	names      []string         // one candidate set's host names
+	mark       []int32          // line -> parent-host stamp (reset to 0)
+	set, best  []int32          // one candidate's host lines; the best set so far
 	scored     []scored         // one column block's candidates for a machine set
-	lazy       CostMatrix       // a re-plan's cost matrix: its hosts, column map, sites, blocks and row buffer are refilled per use
+	lazy       CostMatrix       // a re-plan's cost matrix: its hosts, sites, blocks and row buffer are refilled per use
 	prices     runPrices        // a re-plan's price table when its request brings none (reset per use)
 
 	kernel placement // the one placement a holder runs; its table is output, never reused
@@ -209,23 +212,5 @@ func cleared[K comparable, V any](m *map[K]V) map[K]V {
 func growZero[T any](buf []T, n int) []T {
 	buf = grow(buf, n)
 	clear(buf)
-	return buf
-}
-
-// growTimelines returns a timeline slice of length n with every span slab
-// reset to length zero but its capacity retained, and no ledger
-// reservation counted: the per-host insertion lists reach a schedule's
-// high-water mark once and are reused thereafter.
-func growTimelines(buf []timeline, n int) []timeline {
-	if cap(buf) < n {
-		next := make([]timeline, n)
-		copy(next, buf[:cap(buf)]) // keep the old span slabs' capacity
-		buf = next
-	} else {
-		buf = buf[:n]
-	}
-	for i := range buf {
-		buf[i] = timeline{busy: buf[i].busy[:0]}
-	}
 	return buf
 }

@@ -125,7 +125,7 @@ func (s *siteScheduler) run(ctx context.Context) (*AllocationTable, error) {
 		p := newPlacement(cm, g.Name, nil, s.req.Net, s.ledger, sc)
 		defer p.releaseScratch(sc)
 		p.appendOnly = true
-		return p.done(p.placeReady(ctx, keys, nil, nil, sc))
+		return p.done(p.placeReady(ctx, keys, nil, -1, sc))
 	}
 
 	// Steps 6–7: ready-set walk in priority order, the transfer term priced
