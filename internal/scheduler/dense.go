@@ -31,8 +31,7 @@ type HostRef struct {
 // exactly the deterministic merge order of the map-keyed gather, so walks
 // that iterate columns in order reproduce the map path's tie-breaks. Each
 // site block holds its own columns' predictions, row-major by task. The
-// matrix keeps no host-name index: a column names its host once, in hosts,
-// and the placement kernel interns those names into its own host lines.
+// placement kernel interns the columns' host names into its own lines.
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best

@@ -25,7 +25,7 @@ func (r relaySelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) 
 // tasks of one cost with no links.
 type tieCase struct {
 	name     string
-	sites    []string            // ascending; sites[0] is the local one
+	sites    []string            // sites[0] is the local one
 	hosts    map[string][]string // site -> its hosts
 	relayed  map[string]bool     // sites answering through a relaySelector
 	tasks    int                 // independent tasks t0, t1, ...
