@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -10,20 +11,22 @@ import (
 	"repro/internal/metrics"
 )
 
-// FuzzPlan holds every registered policy to four oracles on instances no
+// FuzzPlan holds every registered policy to five oracles on instances no
 // fixed grid has — one task, one host or one site, parallel tasks, both
 // CCRs: its table passes ValidateSchedule; Simulate's makespan equals the
 // audit's bit for bit; no makespan beats the critical-path lower bound (each
 // task at its cheapest host, a parallel one split over as many hosts as it
-// runs on, communication free); and a warm rerun and a run with the scratch
-// pool off give byte-identical table JSON. The corpus is seeded from
-// churn_golden's cells, cut to 32 tasks.
+// runs on, communication free); a warm rerun and a run with the scratch
+// pool off give byte-identical table JSON; and heft's and cpop's tables
+// equal the map-keyed oracles', which price every candidate with no bound.
+// The corpus is seeded from churn_golden's cells, cut to 32 tasks.
 func FuzzPlan(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(4000+seed, uint8(31), uint8(15), uint8(3), uint8(seed%2)|uint8(1-seed%2)<<3)
 	}
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(1))  // one task, one host
 	f.Add(int64(2), uint8(20), uint8(1), uint8(1), uint8(9)) // two sites of one host, parallel tasks
+	planOracles := map[string]func(context.Context, *Request) (*AllocationTable, error){"heft": oracleHEFT, "cpop": oracleCPOP}
 	f.Fuzz(func(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags uint8) {
 		in := decodePlanInstance(t, seed, tasksB, hostsB, sitesB, flags)
 		input := fmt.Sprintf("seed %d tasks %d hosts %d sites %d flags %d", seed, tasksB, hostsB, sitesB, flags)
@@ -50,6 +53,15 @@ func FuzzPlan(f *testing.F) {
 				return table, tableJSONBytes(t, table)
 			}
 			table, first := plan()
+			if oracle := planOracles[policy]; oracle != nil {
+				req := in.env
+				req.Graph = in.g
+				want, err := oracle(context.Background(), &req)
+				if err != nil {
+					t.Fatalf("%s, %s oracle: %v", input, policy, err)
+				}
+				tablesEqual(t, input+", "+policy, table, want)
+			}
 			audit, err := ValidateSchedule(in.g, table, in.truth, in.net)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", input, policy, err)
