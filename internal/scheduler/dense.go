@@ -25,13 +25,15 @@ type HostRef struct {
 }
 
 // CostMatrix is the dense candidate table for one (graph, environment)
-// pair: Pred(t, c) is the pure predicted execution seconds of task t on
-// host column c, NaN where the host is ineligible. Columns are grouped by
-// site in ascending site-name order and sorted by host name within a site —
-// exactly the deterministic merge order of the map-keyed gather, so walks
-// that iterate columns in order reproduce the map path's tie-breaks. Each
-// site block holds its own columns' predictions, row-major by task. The
-// placement kernel interns the columns' host names into its own lines.
+// pair: row(t, bi)[k] is the pure predicted execution seconds of task t on
+// column block bi's k-th host, NaN where the host is ineligible. Columns are
+// grouped by site in ascending site-name order and sorted by host name
+// within a site — exactly the deterministic merge order of the map-keyed
+// gather, so walks that iterate columns in order reproduce the map path's
+// tie-breaks. Each site block holds its own columns' predictions, row-major
+// by task. The placement kernel interns the columns' host names into its
+// own lines. A gathered matrix also holds w̄ per task, for every rank sweep
+// of every policy a CostCache shares it with.
 //
 // Sites whose selector offers no per-host costs (anything but an in-process
 // LocalSelector — RPC remotes) contribute no columns; their single best
@@ -42,6 +44,7 @@ type CostMatrix struct {
 	hosts  []HostRef
 	blocks []siteBlock // participating sites, ascending name
 	sites  []string    // participating site names, ascending
+	mean   []float64   // w̄ per task; nil outside a gathered matrix
 
 	// A re-plan's matrix holds no predictions: row reads its price table
 	// at each column's runCol into one row buffer, so a patch strategy
@@ -58,22 +61,6 @@ type siteBlock struct {
 	col0, col1 int32     // dense column range; col0 == col1 for an offer site
 	pred       []float64 // V×(col1−col0) row-major; NaN = ineligible
 	offers               // an offer site's answer; at is nil for a column block
-}
-
-// Hosts returns the dense column → host table. Callers must not mutate it.
-func (cm *CostMatrix) Hosts() []HostRef { return cm.hosts }
-
-// Sites returns the participating site names, ascending.
-func (cm *CostMatrix) Sites() []string { return cm.sites }
-
-// Pred returns the predicted seconds for task index t on column c (NaN
-// when ineligible).
-func (cm *CostMatrix) Pred(t, c int) float64 {
-	bi := 0
-	for int32(c) >= cm.blocks[bi].col1 {
-		bi++
-	}
-	return cm.row(t, bi)[c-int(cm.blocks[bi].col0)]
 }
 
 // row returns task t's predictions on column block bi's hosts: a view of
@@ -121,8 +108,12 @@ func lazyCostMatrix(ix *afg.Index, cols []int32, prices *runPrices, sc *scratch)
 
 // meanExec is w̄(t): the prediction averaged over every candidate of task
 // t, accumulated in the same site-then-host order as the map-keyed gather
-// so the float result is bit-identical.
+// so the float result is bit-identical: stored by the gather, summed per
+// call in a re-plan's lazy matrix, whose ranks sweep only the frontier.
 func (cm *CostMatrix) meanExec(t int) float64 {
+	if cm.mean != nil {
+		return cm.mean[t]
+	}
 	var sum float64
 	n := 0
 	for bi, b := range cm.blocks {
@@ -282,11 +273,13 @@ func (r *Request) PrewarmCosts() error {
 // in-process sites answer with full per-host cost slabs and whose other
 // sites answer with their single best choice per task, merged in site-name
 // order. The merge numbers the columns and points each site block at the
-// slab its site returned; no prediction is copied. The slabs are schedule
-// output — a CostCache shares them across policies and Batch workers — and
-// are never pooled.
+// slab its site returned; no prediction is copied. Then w̄ is summed once
+// per task, in contiguous task ranges of at least 64Ki cells each, under
+// the multicast's worker bound (Config.Concurrency). The slabs and w̄ are
+// schedule output — a CostCache shares them across policies and Batch
+// workers — and are never pooled.
 //
-//vdce:hot allocs=78
+//vdce:hot allocs=76
 func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	var fresh []siteResult // the gather's slabs are matrix output, never pooled
 	keep, err := multicast(ix, req, &fresh, func(ls *LocalSelector, r *siteResult) {
@@ -295,7 +288,7 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := &CostMatrix{ix: ix}
+	cm := &CostMatrix{ix: ix, blocks: make([]siteBlock, 0, len(keep)), sites: make([]string, 0, len(keep))}
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)
 		b := siteBlock{name: g.name, col0: int32(len(cm.hosts)), pred: g.pred}
@@ -309,6 +302,15 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 		b.col1 = int32(len(cm.hosts))
 		cm.blocks = append(cm.blocks, b)
 	}
+	n := ix.Len()
+	ranges := max(min(n*len(cm.hosts)>>16, n), 1) // a smaller range costs more to hand out than to sum
+	mean := make([]float64, n)
+	fanOut(ranges, req.Config.Concurrency, func(r int) {
+		for t := r * n / ranges; t < (r+1)*n/ranges; t++ {
+			mean[t] = cm.meanExec(t)
+		}
+	})
+	cm.mean = mean // only now: meanExec sums the rows until it is set
 	return cm, nil
 }
 

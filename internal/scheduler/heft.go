@@ -79,7 +79,8 @@ func averageComm(pairs *sitePairs, sites []string) commModel {
 
 // upwardRanks computes rank_u(t) = w̄(t) + max over children of
 // (c̄(t, child) + rank_u(child)) — the length of the most expensive path
-// from t to an exit, in mean costs — as a dense slice over the matrix.
+// from t to an exit, in mean costs — as a dense slice over the matrix, w̄
+// read from the gathered matrix's vector (summed per task in a re-plan's).
 // front, when non-nil, restricts the sweep to the subgraph it marks (a
 // re-plan's unstarted frontier); other elements are left unwritten and must
 // not be read. The rank vector is written into buf (grown only until its
@@ -112,7 +113,8 @@ func upwardRanks(cm *CostMatrix, c commModel, front []bool, buf []float64) []flo
 
 // downwardRanks computes rank_d(t) = max over parents of
 // (rank_d(parent) + w̄(parent) + c̄(parent, t)); entry tasks rank 0. Like
-// upwardRanks, the vector reuses buf and every element is overwritten.
+// upwardRanks, it reads w̄ from the gathered matrix's vector, here once per
+// arc; the rank vector reuses buf and every element is overwritten.
 func downwardRanks(cm *CostMatrix, c commModel, buf []float64) []float64 {
 	ix := cm.ix
 	rank := grow(buf, ix.Len())
@@ -374,7 +376,8 @@ func (p *placement) readyAt(t int, site int32, set []int32) float64 {
 // per (task, site block) instead of once per (task, host) — O(S·P) against
 // the former O(H·P) — which profiled far better at 1000 hosts than an
 // indexed O(log H) structure, whose per-host heterogeneous ready times
-// defeat any shared ordering.
+// defeat any shared ordering. The memo is also place's finish bound for
+// every unmarked column; a marked one is bounded by its own readyAt.
 // A matrix without columns (a site walk's offers) has nothing to memoise.
 func (p *placement) prepReady(t int) {
 	if len(p.cm.hosts) == 0 {
@@ -454,7 +457,11 @@ func (p *placement) improve(best *candidate, c candidate) {
 // offer with its host set as offered, read by column. Blocks ascend by site
 // name and columns by host name within one, so taking only a strictly
 // earlier finish gives exact ties to the first candidate in (site, host)
-// order. pin, when a line (not -1), limits the hosts considered to it
+// order. No start precedes the data-ready time, so a column or offer whose
+// ready + prediction is not strictly below the best finish cannot finish
+// first: it is skipped before the start rule reads its timeline or the
+// ledger (a NaN, ineligible, cell too). A parent's own host keeps its own
+// readyAt. pin, when a line (not -1), limits the hosts considered to it
 // (CPOP's critical-path pinning); if it excludes every candidate, placement
 // retries unpinned rather than failing the application.
 func (p *placement) place(t int, pin int32) error {
@@ -477,6 +484,9 @@ func (p *placement) place(t int, pin int32) error {
 				p.set = append(p.set, p.canon[base+c])
 			}
 			start := p.readyAt(t, p.blockSite[bi], p.set)
+			if !(start+o.pred < best.fin) {
+				continue
+			}
 			if len(p.set) == 1 && !parallel {
 				start = p.startOn(p.set[0], start, o.pred)
 			} else { // appended: idle gaps rarely align across a set
@@ -497,14 +507,12 @@ func (p *placement) place(t int, pin int32) error {
 		base := p.blockReady[bi]
 		for k, pr := range row {
 			col := b.col0 + int32(k)
-			l := p.canon[col]
-			if math.IsNaN(pr) || pin >= 0 && l != pin {
-				continue
-			}
-			set := p.canon[col : col+1]
-			ready := base
+			l, set, ready := p.canon[col], p.canon[col:col+1], base
 			if p.mark[l] == p.stamp {
 				ready = p.readyAt(t, p.blockSite[bi], set)
+			}
+			if pin >= 0 && l != pin || !(ready+pr < best.fin) {
+				continue
 			}
 			start := p.startOn(l, ready, pr)
 			if fin := start + pr; fin < best.fin {

@@ -267,8 +267,18 @@ func checkEFTWalk(t *testing.T, name string, sel *LocalSelector, g *afg.Graph) {
 	}
 }
 
+// predAt is the cost matrix's cell for task index t on dense column c (NaN
+// when ineligible), read through the column's block.
+func predAt(cm *CostMatrix, t, c int) float64 {
+	bi := 0
+	for int32(c) >= cm.blocks[bi].col1 {
+		bi++
+	}
+	return cm.row(t, bi)[c-int(cm.blocks[bi].col0)]
+}
+
 // checkCostMatrix compares every cell of the HEFT/CPOP cost gather over
-// local and remotes, read through Pred, against the oracle on the cell's own
+// local and remotes, read through predAt, against the oracle on the cell's own
 // site: the columns must be every in-process site's hosts, grouped by site
 // in name order and by host within a site.
 func checkCostMatrix(t *testing.T, name string, g *afg.Graph, local *LocalSelector, remotes ...HostSelector) {
@@ -290,29 +300,117 @@ func checkCostMatrix(t *testing.T, name string, g *afg.Graph, local *LocalSelect
 		r   repository.ResourceRecord
 	}
 	var cols []column
-	for _, site := range cm.Sites() {
+	for _, site := range cm.sites {
 		if sel := bySite[site]; sel != nil {
 			for _, r := range sel.Repo.Resources.List() {
 				cols = append(cols, column{sel, r})
 			}
 		}
 	}
-	if len(cm.Hosts()) != len(cols) {
-		t.Fatalf("%s: matrix has %d columns, repositories %d hosts", name, len(cm.Hosts()), len(cols))
+	if len(cm.hosts) != len(cols) {
+		t.Fatalf("%s: matrix has %d columns, repositories %d hosts", name, len(cm.hosts), len(cols))
 	}
 	ix, _ := g.Index()
 	for ti := 0; ti < ix.Len(); ti++ {
 		for c, col := range cols {
-			if h := cm.Hosts()[c]; h.Site != col.sel.Site || h.Host != col.r.Static.HostName {
+			if h := cm.hosts[c]; h.Site != col.sel.Site || h.Host != col.r.Static.HostName {
 				t.Fatalf("%s: column %d is %s/%s, want %s/%s", name, c, h.Site, h.Host, col.sel.Site, col.r.Static.HostName)
 			}
-			got := cm.Pred(ti, c)
+			got := predAt(cm, ti, c)
 			want, ok := oraclePrice(col.sel, ix.Task(ti), col.r, 0)
 			if !ok {
 				want = math.NaN()
 			}
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("%s: cost cell (%s, %s/%s) = %v, oracle %v", name, ix.ID(ti), col.sel.Site, col.r.Static.HostName, got, want)
+			}
+		}
+	}
+}
+
+// meanSite is an in-process site of n hosts of spread speeds and, per
+// site, spread loads; "k.pinned" runs only on every third host and one host
+// is down, so rows carry NaN cells between eligible ones.
+func meanSite(t *testing.T, site string, n int, load float64) *LocalSelector {
+	t.Helper()
+	hosts := map[string][2]float64{}
+	for h := 0; h < n; h++ {
+		hosts[fmt.Sprintf("%s-%02d", site, h)] = [2]float64{1 + float64(h%7)*0.5, load * float64(h%5)}
+	}
+	repo := makeRepo(t, site, hosts)
+	for _, kind := range []string{"k.plain", "k.pinned", "k.heavy"} {
+		if err := repo.Tasks.Put(repository.TaskRecord{Function: kind, BaseTime: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for h := 0; h < n; h += 3 {
+		repo.Constraints.SetLocation("k.pinned", fmt.Sprintf("%s-%02d", site, h), "/opt/vdce/pinned")
+	}
+	if err := repo.Resources.SetDown(site+"-05", true); err != nil {
+		t.Fatal(err)
+	}
+	return &LocalSelector{Site: site, Repo: repo}
+}
+
+// TestGatheredMeanExecMatchesOracle holds the w̄ a gather stores per task
+// to oracleMeanExec over the map-keyed candidate lists, bit for bit: over
+// one site, over three in-process sites under different loads, and with an
+// opaque site's offer block between two column blocks, which offers every
+// 50th task, a parallel one, as a machine set. Each gather is large enough
+// to be split (2,203 tasks on 64 local and 16 remote hosts a site: 2 or 3
+// ranges of 64Ki cells or more) and runs serially, on GOMAXPROCS workers and
+// on three, so some range is summed off the calling goroutine on any machine.
+func TestGatheredMeanExecMatchesOracle(t *testing.T) {
+	g := afg.New("means")
+	kinds := []string{"k.plain", "k.pinned", "k.heavy"}
+	for i := 0; i < 2203; i++ {
+		task := &afg.Task{ID: afg.TaskID(fmt.Sprintf("t%04d", i)), Function: kinds[i%3], ComputeCost: 0.5 + float64(i%17)*0.3}
+		if i%50 == 0 {
+			task.Mode, task.Processors = afg.Parallel, 2
+		}
+		if err := g.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := opaqueSelector{site: "mid", offers: map[afg.TaskID]Choice{}}
+	for i, id := range g.TaskIDs() {
+		c := Choice{Site: "mid", Host: "m0", Predicted: 0.5 + float64(i%13)*0.3}
+		if g.Task(id).Mode == afg.Parallel {
+			c.Hosts = []string{"m0", "m1"}
+		}
+		mid.offers[id] = c
+	}
+	syr := meanSite(t, "syr", 64, 0.25)
+	gathers := []struct {
+		name    string
+		remotes []HostSelector
+	}{
+		{"1-site", nil},
+		{"3-site", []HostSelector{meanSite(t, "abq", 16, 0.5), meanSite(t, "nyc", 16, 0.75)}},
+		{"offer block", []HostSelector{meanSite(t, "abq", 16, 0.5), mid}},
+	}
+	for _, gather := range gathers {
+		cands, err := oracleCollectCandidates(g, NewRequest(g, syr, gather.remotes, nil))
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", gather.name, err)
+		}
+		for _, workers := range []int{1, 0, 3} {
+			name := fmt.Sprintf("%s, concurrency %d", gather.name, workers)
+			cm, err := gatherCostMatrix(ix, NewRequest(g, syr, gather.remotes, nil, WithConcurrency(workers)))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(cm.sites) != 1+len(gather.remotes) || len(cm.mean) != ix.Len() {
+				t.Fatalf("%s: sites %v, %d stored means for %d tasks", name, cm.sites, len(cm.mean), ix.Len())
+			}
+			for i := 0; i < ix.Len(); i++ {
+				if got, want := cm.mean[i], oracleMeanExec(cands[ix.ID(i)]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: task %q stores w̄ %v, oracle %v", name, ix.ID(i), got, want)
+				}
 			}
 		}
 	}

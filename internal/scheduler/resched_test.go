@@ -498,7 +498,7 @@ func TestHEFTReplanOfNothingSettledIsHEFTPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := map[string]int{}
-		for c, h := range cm.Hosts() {
+		for c, h := range cm.hosts {
 			col[h.Host] = c
 		}
 		want, err := runPolicy("heft", &req, req.Graph)
@@ -510,9 +510,9 @@ func TestHEFTReplanOfNothingSettledIsHEFTPolicy(t *testing.T) {
 			Graph: req.Graph,
 			Table: NewAllocationTable(req.Graph.Name),
 			Costs: func(task *afg.Task, host string) float64 {
-				return cm.Pred(ix.Of(task.ID), col[host])
+				return predAt(cm, ix.Of(task.ID), col[host])
 			},
-			Hosts: cm.Hosts(),
+			Hosts: cm.hosts,
 			Net:   net,
 		})
 		if err != nil {
