@@ -123,7 +123,7 @@ func TestFinishBoundKeepsEveryWinner(t *testing.T) {
 			for fn, hosts := range c.eligible {
 				for _, h := range hosts {
 					if _, ok := c.hosts[site][h]; ok {
-						repos[site].Constraints.SetLocation(fn, h, "/opt/vdce/"+fn)
+						repos[site].Constraints.SetLocation(fn, h, "lib/"+fn)
 					}
 				}
 			}

@@ -344,7 +344,7 @@ func meanSite(t *testing.T, site string, n int, load float64) *LocalSelector {
 		}
 	}
 	for h := 0; h < n; h += 3 {
-		repo.Constraints.SetLocation("k.pinned", fmt.Sprintf("%s-%02d", site, h), "/opt/vdce/pinned")
+		repo.Constraints.SetLocation("k.pinned", fmt.Sprintf("%s-%02d", site, h), "lib/k.pinned")
 	}
 	if err := repo.Resources.SetDown(site+"-05", true); err != nil {
 		t.Fatal(err)
