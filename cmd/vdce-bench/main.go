@@ -33,32 +33,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
-
-var experimentFuncs = map[string]func(int64) (*experiments.Result, error){
-	"FIG1":      experiments.Fig1MultiSite,
-	"FIG2":      experiments.Fig2Pipeline,
-	"FIG3":      experiments.Fig3LinearSolver,
-	"FIG4":      experiments.Fig4SiteScheduler,
-	"FIG5":      experiments.Fig5HostSelection,
-	"FIG6":      experiments.Fig6Monitoring,
-	"FIG7":      experiments.Fig7ExecSetup,
-	"TAB-PRED":  experiments.PredictionAccuracy,
-	"TAB-SCHED": experiments.ScheduleQuality,
-	"SCALE":     experiments.ScaleScheduling,
-	"LEDGER":    experiments.AvailabilityScheduling,
-	"POLICY":    experiments.PolicyComparison,
-	"RANKING":   experiments.Ranking,
-	"CHURN":     experiments.Churn,
-}
-
-var experimentOrder = []string{
-	"FIG1", "FIG2", "FIG3", "FIG4", "FIG5", "FIG6", "FIG7", "TAB-PRED", "TAB-SCHED", "SCALE", "LEDGER", "POLICY", "RANKING", "CHURN",
-}
 
 func main() {
 	// run does the work so its defers (profile flushes) fire exactly once
@@ -67,7 +47,12 @@ func main() {
 }
 
 func run() int {
-	exp := flag.String("exp", "all", "comma-separated experiment ids (FIG1..FIG7, TAB-PRED, TAB-SCHED, SCALE, LEDGER, POLICY, RANKING, CHURN) or 'all'")
+	exps := experiments.Experiments()
+	known := make([]string, len(exps))
+	for i, e := range exps {
+		known[i] = e.ID
+	}
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(known, ", ")+") or 'all'")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit one JSON document for all selected experiments (rows + metrics)")
@@ -121,9 +106,9 @@ func run() int {
 		for _, n := range strings.Split(*policies, ",") {
 			names = append(names, strings.TrimSpace(n))
 		}
-		experimentFuncs["POLICY"] = func(seed int64) (*experiments.Result, error) {
+		replace(exps, "POLICY", func(seed int64) (*experiments.Result, error) {
 			return experiments.PolicyComparisonFor(seed, names)
-		}
+		})
 	}
 	if *rankSizes != "" || *rankCCRs != "" || *rankGraphs > 0 || *rankWorkers != 0 {
 		sizes, err := parseInts(*rankSizes)
@@ -137,7 +122,7 @@ func run() int {
 			return 2
 		}
 		graphs, workers := *rankGraphs, *rankWorkers
-		experimentFuncs["RANKING"] = func(seed int64) (*experiments.Result, error) {
+		replace(exps, "RANKING", func(seed int64) (*experiments.Result, error) {
 			cfg := experiments.DefaultRankingConfig(seed)
 			if len(sizes) > 0 {
 				cfg.Sizes = sizes
@@ -150,7 +135,7 @@ func run() int {
 			}
 			cfg.Workers = workers
 			return experiments.RankingWith(cfg)
-		}
+		})
 	}
 	if *churnSizes != "" || *churnCCRs != "" || *churnGraphs > 0 || *churnWorkers != 0 ||
 		*churnReplanners != "" || *churnThreshold > 0 {
@@ -171,7 +156,7 @@ func run() int {
 			}
 		}
 		graphs, workers, threshold := *churnGraphs, *churnWorkers, *churnThreshold
-		experimentFuncs["CHURN"] = func(seed int64) (*experiments.Result, error) {
+		replace(exps, "CHURN", func(seed int64) (*experiments.Result, error) {
 			cfg := experiments.DefaultChurnConfig(seed)
 			if len(sizes) > 0 {
 				cfg.Sizes = sizes
@@ -190,29 +175,33 @@ func run() int {
 			}
 			cfg.Workers = workers
 			return experiments.ChurnWith(cfg)
-		}
+		})
 	}
 
-	ids := experimentOrder
+	selected := exps
 	if *exp != "all" {
-		ids = nil
+		selected = nil
 		for _, id := range strings.Split(*exp, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if _, ok := experimentFuncs[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n",
-					id, strings.Join(experimentOrder, ", "))
+			i := slices.Index(known, id)
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, strings.Join(known, ", "))
 				return 2
 			}
-			ids = append(ids, id)
+			if slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return e.ID == id }) {
+				fmt.Fprintf(os.Stderr, "experiment %q listed twice\n", id)
+				return 2
+			}
+			selected = append(selected, exps[i])
 		}
 	}
 
 	failed := false
 	var jsonResults []resultJSON
-	for _, id := range ids {
-		r, err := experimentFuncs[id](*seed)
+	for _, e := range selected {
+		r, err := e.Run(*seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
@@ -247,6 +236,15 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// replace swaps the run of the experiment with the given id.
+func replace(exps []experiments.Experiment, id string, run func(int64) (*experiments.Result, error)) {
+	for i := range exps {
+		if exps[i].ID == id {
+			exps[i].Run = run
+		}
+	}
 }
 
 // resultJSON is one experiment's machine-readable form: the series columns

@@ -20,10 +20,10 @@
 // variants ("eft", "ledger" — the latter with a shared cross-application
 // load ledger), the HEFT and CPOP list-scheduling heuristics of Topcuoglu
 // et al. ("heft", "cpop"), and the naive baselines ("random", "roundrobin",
-// "minload", "fastest"). experiments.PolicyComparison scores them all by
-// combined simulated makespan on one workload, and one incremental
-// event-driven executor (near-linear in tasks and links on realistic
-// allocations) does the scoring at scale: scheduler.Simulate is that
+// "minload", "fastest"). experiments.PolicyComparison, the one batch
+// experiment, scores them all by combined simulated makespan on one
+// workload, and one incremental event-driven executor (near-linear in
+// tasks and links on realistic allocations) does the scoring at scale: scheduler.Simulate is that
 // executor with nothing scripted, scheduler.RunChurn the same loop under a
 // fault script. The paper-faithful algorithm remains the default policy and
 // the evaluation baseline.
@@ -120,7 +120,8 @@
 // deterministic and bit-identical for any worker count.
 //
 // See README.md for the architecture overview, the policy table, the
-// per-experiment index, and how to run the benchmarks. TestAllRuns
-// (internal/experiments) runs every experiment on each go test ./..., and
+// per-experiment index, and how to run the benchmarks. One ordered list,
+// experiments.Experiments(), names every experiment: TestAllRuns
+// (internal/experiments) runs each on every go test ./..., and
 // vdce-bench -exp <ID> -json emits one experiment's headline metrics.
 package repro

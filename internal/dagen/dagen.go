@@ -256,7 +256,7 @@ func SpeedFactors(n int, beta float64, seed int64) []float64 {
 // the last rank padded short) whose cost/memory/output parameters are drawn
 // from a catalogue of `kinds` distinct task profiles — the shape of a real
 // task library, where thousands of task instances share a handful of
-// function configurations. The SCALE/LEDGER/POLICY workloads are built from
+// function configurations. The POLICY experiment's batch is built from
 // it: repeated profiles are what a (kind, size, resource)-keyed prediction
 // cache can exploit. (Moved verbatim from package workload so every seeded
 // generator lives here; the RNG consumption is unchanged, so graphs are

@@ -162,7 +162,7 @@ func TestFFTShape(t *testing.T) {
 }
 
 // TestScaleMatchesWorkloadHistory pins the moved Scale generator to its
-// historical output shape: the POLICY/SCALE/LEDGER makespans depend on these
+// historical output shape: the POLICY experiment's makespans depend on these
 // graphs bit for bit.
 func TestScaleDeterministicShape(t *testing.T) {
 	g := Scale(1000, 25, 12, 42)

@@ -431,17 +431,29 @@ func ScheduleQuality(seed int64) (*Result, error) {
 	return res, nil
 }
 
+// Experiment is one runnable experiment: the id vdce-bench selects it by,
+// and its run at a seed.
+type Experiment struct {
+	ID  string
+	Run func(seed int64) (*Result, error)
+}
+
+// Experiments lists every experiment in figure order, in a fresh slice the
+// caller may edit.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"FIG1", Fig1MultiSite}, {"FIG2", Fig2Pipeline}, {"FIG3", Fig3LinearSolver},
+		{"FIG4", Fig4SiteScheduler}, {"FIG5", Fig5HostSelection}, {"FIG6", Fig6Monitoring},
+		{"FIG7", Fig7ExecSetup}, {"TAB-PRED", PredictionAccuracy}, {"TAB-SCHED", ScheduleQuality},
+		{"POLICY", PolicyComparison}, {"RANKING", Ranking}, {"CHURN", Churn},
+	}
+}
+
 // All runs every experiment in figure order.
 func All(seed int64) ([]*Result, error) {
-	funcs := []func(int64) (*Result, error){
-		Fig1MultiSite, Fig2Pipeline, Fig3LinearSolver, Fig4SiteScheduler,
-		Fig5HostSelection, Fig6Monitoring, Fig7ExecSetup,
-		PredictionAccuracy, ScheduleQuality, ScaleScheduling,
-		AvailabilityScheduling, PolicyComparison, Ranking, Churn,
-	}
 	var out []*Result
-	for _, f := range funcs {
-		r, err := f(seed)
+	for _, e := range Experiments() {
+		r, err := e.Run(seed)
 		if err != nil {
 			return out, err
 		}

@@ -25,7 +25,7 @@ type experimentsGolden struct {
 }
 
 // TestExperimentsGolden pins, at seed 1, the schedules behind FIG1, FIG4,
-// FIG5, QUALITY, LEDGER and POLICY (through their simulated makespans) and
+// FIG5, TAB-SCHED and POLICY (through their simulated makespans) and
 // the full CHURN grid. RANKING has its own golden; together they are what
 // lets scheduler entry points be rewired or deleted with proof that no
 // allocation table moved. Re-bless consciously with
@@ -41,8 +41,7 @@ func TestExperimentsGolden(t *testing.T) {
 		{Fig4SiteScheduler, true},
 		{Fig5HostSelection, true},
 		{ScheduleQuality, true},
-		{AvailabilityScheduling, false}, // rows carry sched_wall_s
-		{PolicyComparison, false},       // rows carry sched_wall_s
+		{PolicyComparison, false}, // rows carry sched_wall_s
 	}
 	var got experimentsGolden
 	for _, e := range runs {

@@ -186,32 +186,6 @@ func TestFig1AggregationHelps(t *testing.T) {
 	}
 }
 
-func TestLedgerBeatsLedgerFreeBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("6×1000-task batches ×3 configurations in short mode")
-	}
-	r, err := AvailabilityScheduling(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faithful := r.Metrics["makespan_faithful"]
-	eft := r.Metrics["makespan_eft"]
-	ledger := r.Metrics["makespan_ledger"]
-	if faithful <= 0 || eft <= 0 || ledger <= 0 {
-		t.Fatalf("non-positive makespans: %v", r.Metrics)
-	}
-	// The shared-ledger batch must beat the ledger-free concurrent batch
-	// (the PR 1 code path) on combined simulated makespan...
-	if ledger >= faithful {
-		t.Fatalf("shared ledger (%v) did not beat the ledger-free faithful batch (%v)", ledger, faithful)
-	}
-	// ...and also the availability-aware-but-private-timeline ablation,
-	// since the ledger's whole job is cross-application contention.
-	if ledger >= eft {
-		t.Fatalf("shared ledger (%v) did not beat private-timeline EFT (%v)", ledger, eft)
-	}
-}
-
 func TestPolicyComparisonCoversRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6×1000-task batches per registered policy in short mode")
@@ -241,6 +215,16 @@ func TestPolicyComparisonCoversRegistry(t *testing.T) {
 			t.Fatalf("%s (%v) did not beat the faithful batch (%v)", h, r.Metrics["makespan_"+h], faithful)
 		}
 	}
+	// The shared-ledger batch must beat the ledger-free faithful batch...
+	ledger, eft := r.Metrics["makespan_ledger"], r.Metrics["makespan_eft"]
+	if ledger >= faithful {
+		t.Fatalf("shared ledger (%v) did not beat the ledger-free faithful batch (%v)", ledger, faithful)
+	}
+	// ...and also the availability-aware-but-private-timeline ablation,
+	// since the ledger's whole job is cross-application contention.
+	if ledger >= eft {
+		t.Fatalf("shared ledger (%v) did not beat private-timeline EFT (%v)", ledger, eft)
+	}
 }
 
 // TestPolicyComparisonForSubset exercises the restricted form vdce-bench's
@@ -259,6 +243,11 @@ func TestPolicyComparisonForSubset(t *testing.T) {
 	if _, ok := r.Metrics["makespan_fastest"]; !ok {
 		t.Fatalf("missing subset metric: %v", r.Metrics)
 	}
+	// A name listed twice would print two identical rows under one metric
+	// key: it is refused before anything is scheduled.
+	if _, err := PolicyComparisonFor(1, []string{"heft", "heft", "eft"}); err == nil {
+		t.Fatal("a policy named twice was accepted")
+	}
 }
 
 func TestAllRuns(t *testing.T) {
@@ -269,15 +258,16 @@ func TestAllRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 14 {
+	if len(results) != 12 {
 		t.Fatalf("results = %d", len(results))
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
-		if seen[r.ID] {
-			t.Fatalf("duplicate id %s", r.ID)
+	for i, e := range Experiments() {
+		r := results[i]
+		if seen[e.ID] || r.ID != e.ID {
+			t.Fatalf("experiment %d listed as %s (listed before: %v) returned %s", i, e.ID, seen[e.ID], r.ID)
 		}
-		seen[r.ID] = true
+		seen[e.ID] = true
 		if r.Series.Render() == "" || len(r.Series.Rows) == 0 {
 			t.Fatalf("experiment %s empty", r.ID)
 		}

@@ -194,23 +194,31 @@ func TestCacheDoesNotBakeInForecast(t *testing.T) {
 }
 
 // TestBatchSchedulesInInputOrder checks items line up with inputs and that
-// worker count does not change any table.
+// worker count does not change any table — also with the site fan-out
+// concurrent at the same time, against the fully serial path (fan-out 1,
+// one worker), which on a one-CPU machine the GOMAXPROCS default would
+// never exercise.
 func TestBatchSchedulesInInputOrder(t *testing.T) {
 	graphs := randomGraphs(9, 25, 3)
 	s, _ := multiSiteScheduler(t, 4, true)
 	serialItems := runBatch(t, "faithful", s, 1, graphs)
 	concItems := runBatch(t, "faithful", s, 8, graphs)
+	one, four := *s, *s
+	one.Config.Concurrency, four.Config.Concurrency = 1, 4
+	allSerial := runBatch(t, "faithful", &one, 1, graphs)
+	allConc := runBatch(t, "faithful", &four, 8, graphs)
 	if len(serialItems) != len(graphs) || len(concItems) != len(graphs) {
 		t.Fatalf("item counts %d/%d, want %d", len(serialItems), len(concItems), len(graphs))
 	}
 	for i := range graphs {
-		if concItems[i].Graph != graphs[i] {
+		if concItems[i].Graph != graphs[i] || allConc[i].Graph != graphs[i] {
 			t.Fatalf("item %d carries wrong graph", i)
 		}
-		if serialItems[i].Err != nil || concItems[i].Err != nil {
-			t.Fatalf("item %d errs: %v / %v", i, serialItems[i].Err, concItems[i].Err)
+		if serialItems[i].Err != nil || concItems[i].Err != nil || allSerial[i].Err != nil || allConc[i].Err != nil {
+			t.Fatalf("item %d errs: %v / %v / %v / %v", i, serialItems[i].Err, concItems[i].Err, allSerial[i].Err, allConc[i].Err)
 		}
 		assertSameTable(t, serialItems[i].Table, concItems[i].Table)
+		assertSameTable(t, allSerial[i].Table, allConc[i].Table)
 	}
 }
 
