@@ -33,9 +33,12 @@ const (
 )
 
 // repoScaleSite builds one site's repository the way a live site.Manager
-// leaves it: hosts registered with dynamic load data, trial-run weights for
-// the synthetic task, and a tail of measured execution history — the
-// record a walk copies once per task kind, not once per (task, host).
+// leaves it: hosts registered with dynamic load data, and a tail of
+// measured execution history for the synthetic task — the record a walk
+// copies once per task kind, not once per (task, host). It records no
+// trial-run weight, so every host is priced with predict.WeightFromSpeed
+// (1/SpeedFactor): what a trial run would measure under truthFromRepos,
+// which the batch's makespans are replayed under.
 func repoScaleSite(name string, hosts int, seed int64) *repository.Repository {
 	repo := repoSiteSkewed(name, hosts, 6, seed)
 	rec := repository.TaskRecord{Function: "synthetic.noop", BaseTime: 0.5, MemReq: 1 << 20}
@@ -47,10 +50,6 @@ func repoScaleSite(name string, hosts int, seed int64) *repository.Repository {
 		})
 	}
 	repo.Tasks.Put(rec)
-	for i := 0; i < hosts; i++ {
-		host := fmt.Sprintf("%s-%02d", name, i)
-		repo.Tasks.SetWeight("synthetic.noop", host, 0.5+rng.Float64())
-	}
 	return repo
 }
 
