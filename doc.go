@@ -23,10 +23,11 @@
 // "minload", "fastest"). experiments.PolicyComparison, the one batch
 // experiment, scores them all by combined simulated makespan on one
 // workload, and one incremental event-driven executor (near-linear in
-// tasks and links on realistic allocations) does the scoring at scale: scheduler.Simulate is that
-// executor with nothing scripted, scheduler.RunChurn the same loop under a
-// fault script. The paper-faithful algorithm remains the default policy and
-// the evaluation baseline.
+// tasks and links on realistic allocations) does the scoring at scale:
+// scheduler.Simulate is that executor with nothing scripted,
+// scheduler.RunChurn the same loop under a fault script. The
+// paper-faithful algorithm remains the default policy and the evaluation
+// baseline.
 //
 // # Evaluation methodology
 //

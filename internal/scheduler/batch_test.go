@@ -4,6 +4,7 @@ package scheduler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func assertSameTable(t *testing.T, want, got *AllocationTable) {
 		}
 		w, _ := want.Get(wo[i])
 		g, _ := got.Get(wo[i])
-		if w.Site != g.Site || w.Host != g.Host || w.Predicted != g.Predicted {
+		if w.Site != g.Site || w.Host != g.Host || w.Predicted != g.Predicted || !slices.Equal(w.Hosts, g.Hosts) {
 			t.Fatalf("task %q: got %+v, want %+v", wo[i], g, w)
 		}
 	}
