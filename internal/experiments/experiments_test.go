@@ -215,8 +215,25 @@ func TestPolicyComparisonCoversRegistry(t *testing.T) {
 			t.Fatalf("%s (%v) did not beat the faithful batch (%v)", h, r.Metrics["makespan_"+h], faithful)
 		}
 	}
+}
+
+// TestLedgerBeatsLedgerFreeBatch runs POLICY on the three batches the
+// shared ledger is measured against.
+func TestLedgerBeatsLedgerFreeBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("6×1000-task batches ×3 configurations in short mode")
+	}
+	r, err := PolicyComparisonFor(1, []string{"faithful", "eft", "ledger"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faithful := r.Metrics["makespan_faithful"]
+	eft := r.Metrics["makespan_eft"]
+	ledger := r.Metrics["makespan_ledger"]
+	if faithful <= 0 || eft <= 0 || ledger <= 0 {
+		t.Fatalf("non-positive makespans: %v", r.Metrics)
+	}
 	// The shared-ledger batch must beat the ledger-free faithful batch...
-	ledger, eft := r.Metrics["makespan_ledger"], r.Metrics["makespan_eft"]
 	if ledger >= faithful {
 		t.Fatalf("shared ledger (%v) did not beat the ledger-free faithful batch (%v)", ledger, faithful)
 	}
