@@ -417,3 +417,103 @@ func BenchmarkEncode(b *testing.B) {
 		})
 	}
 }
+
+// twoDefectDocs are documents with more than one defect, each with the one
+// refusal Decode must name: task defects before link defects; among links
+// the earliest defective one in wire order; within one link self, unknown
+// source, unknown destination, duplicate, port conflict; and a cycle only
+// for a document with no other defect. oracleDiffers marks the documents
+// on which the per-link oracle names another defect: it refuses a cycle at
+// the link that closes it, and reads each task's mode just before inserting
+// the task.
+var twoDefectDocs = []struct {
+	name          string
+	doc           string
+	want          string
+	oracleDiffers bool
+}{
+	{"duplicate before unknown", `{"tasks":[{"id":"a"},{"id":"b"}],
+		"links":[{"From":"a","To":"b"},{"From":"a","To":"b","Port":1},{"From":"a","To":"zz"}]}`,
+		`afg: duplicate link: a -> b`, false},
+	{"unknown before duplicate", `{"tasks":[{"id":"a"},{"id":"b"}],
+		"links":[{"From":"a","To":"zz"},{"From":"a","To":"b"},{"From":"a","To":"b","Port":1}]}`,
+		`afg: unknown task id: "zz"`, false},
+	{"port conflict before self", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"c"}],
+		"links":[{"From":"a","To":"c","Port":2},{"From":"b","To":"c","Port":2},{"From":"a","To":"a"}]}`,
+		`afg: input port already connected: port 2 on c already connected (from a)`, false},
+	{"self before port conflict", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"c"}],
+		"links":[{"From":"b","To":"b"},{"From":"a","To":"c","Port":2},{"From":"b","To":"c","Port":2}]}`,
+		`afg: link from a task to itself: "b"`, false},
+	{"both endpoints unknown", `{"tasks":[{"id":"a"}],"links":[{"From":"yy","To":"zz"}]}`,
+		`afg: unknown task id: "yy"`, false},
+	{"self link on an unknown task", `{"tasks":[{"id":"a"}],"links":[{"From":"zz","To":"zz"}]}`,
+		`afg: link from a task to itself: "zz"`, false},
+	{"duplicate on a taken port", `{"tasks":[{"id":"a"},{"id":"c"}],
+		"links":[{"From":"a","To":"c","Port":0},{"From":"a","To":"c","Port":0}]}`,
+		`afg: duplicate link: a -> c`, false},
+	{"third link on one port", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"}],
+		"links":[{"From":"c","To":"d","Port":1},{"From":"b","To":"d","Port":1},{"From":"a","To":"d","Port":1}]}`,
+		`afg: input port already connected: port 1 on d already connected (from c)`, false},
+	{"conflict behind a lower port", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"}],
+		"links":[{"From":"c","To":"d","Port":3},{"From":"b","To":"d","Port":1},{"From":"a","To":"d","Port":3}]}`,
+		`afg: input port already connected: port 3 on d already connected (from c)`, false},
+	{"duplicate task before empty id", `{"tasks":[{"id":"a"},{"id":"a"},{"id":""}]}`,
+		`afg: duplicate task id: "a"`, false},
+	{"empty id before duplicate task", `{"tasks":[{"id":"b"},{"id":""},{"id":"b"}]}`,
+		`afg: empty task id`, false},
+	{"task defect before link defect", `{"tasks":[{"id":"a"},{"id":"a"}],"links":[{"From":"a","To":"zz"}]}`,
+		`afg: duplicate task id: "a"`, false},
+	{"unknown mode before duplicate task", `{"tasks":[{"id":"a"},{"id":"a"},{"id":"b","mode":"quantum"}]}`,
+		`afg: task "b": unknown mode "quantum"`, true},
+	{"cycle and a later duplicate", `{"tasks":[{"id":"a"},{"id":"b"}],
+		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"a","To":"b","Port":1}]}`,
+		`afg: duplicate link: a -> b`, true},
+	{"cycle and a later unknown endpoint", `{"tasks":[{"id":"a"},{"id":"b"}],
+		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"a","To":"zz"}]}`,
+		`afg: unknown task id: "zz"`, true},
+	{"cycle and a later port conflict", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"c"}],
+		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"c","To":"b"}]}`,
+		`afg: input port already connected: port 0 on b already connected (from a)`, true},
+	{"cycle and a later self link", `{"tasks":[{"id":"a"},{"id":"b"}],
+		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"},{"From":"b","To":"b"}]}`,
+		`afg: link from a task to itself: "b"`, true},
+	{"cycle and an earlier duplicate task", `{"tasks":[{"id":"a"},{"id":"b"},{"id":"b"}],
+		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"}]}`,
+		`afg: duplicate task id: "b"`, true},
+}
+
+// TestRefusalNamesEarliestDefect pins the exact refusal, text included, of
+// every twoDefectDocs document, through Decode and through Build, and the
+// per-link oracle's where it names the same defect.
+func TestRefusalNamesEarliestDefect(t *testing.T) {
+	for _, c := range twoDefectDocs {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := Decode([]byte(c.doc))
+			if g != nil || err == nil || err.Error() != c.want {
+				t.Fatalf("Decode = %v, %v; want no graph and %q", g, err, c.want)
+			}
+			if refusalClass(err) != 3 {
+				t.Fatalf("Decode refusal %v is not a graph sentinel", err)
+			}
+			var w wireGraph
+			if err := json.Unmarshal([]byte(c.doc), &w); err != nil {
+				t.Fatal(err)
+			}
+			tasks := make([]*Task, len(w.Tasks))
+			for i, wt := range w.Tasks {
+				if tasks[i], err = wt.task(); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				if _, err = Build(w.Name, tasks, w.Links); err == nil || err.Error() != c.want {
+					t.Fatalf("Build = %v, want %q", err, c.want)
+				}
+			}
+			if _, err := decodePerLink([]byte(c.doc)); !c.oracleDiffers && (err == nil || err.Error() != c.want) {
+				t.Fatalf("per-link oracle = %v, want %q", err, c.want)
+			}
+			checkAgainstPerLink(t, []byte(c.doc))
+		})
+	}
+}

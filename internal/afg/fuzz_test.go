@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -219,8 +220,46 @@ func checkAgainstPerLink(t *testing.T, data []byte) {
 	if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
 		t.Fatalf("round trip drifted (%v):\n%s\nvs\n%s", err, again, enc)
 	}
-	if _, err := g.Index(); err != nil {
+	for _, id := range oracle.TaskIDs() {
+		if !slices.Equal(g.Parents(id), oracle.Parents(id)) || !slices.Equal(g.Children(id), oracle.Children(id)) {
+			t.Fatalf("task %q: parents %v, children %v; per-link %v, %v",
+				id, g.Parents(id), g.Children(id), oracle.Parents(id), oracle.Children(id))
+		}
+	}
+	g.mu.Lock()
+	handed := g.idx
+	g.mu.Unlock()
+	g.mutated()
+	rebuilt, err := g.Index()
+	if err != nil {
 		t.Fatalf("Index of an accepted graph: %v", err)
+	}
+	checkSameIndex(t, handed, rebuilt)
+}
+
+// checkSameIndex holds the Index Decode hands over to the one Index()
+// rebuilds from the graph's maps, field by field.
+func checkSameIndex(t *testing.T, handed, rebuilt *Index) {
+	t.Helper()
+	if handed == nil || handed == rebuilt {
+		t.Fatalf("handed-over Index %p, rebuilt %p", handed, rebuilt)
+	}
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"ids", handed.ids, rebuilt.ids},
+		{"of", handed.of, rebuilt.of},
+		{"tasks", handed.tasks, rebuilt.tasks},
+		{"topo", handed.topo, rebuilt.topo},
+		{"childStart", handed.childStart, rebuilt.childStart},
+		{"childArc", handed.childArc, rebuilt.childArc},
+		{"parentStart", handed.parentStart, rebuilt.parentStart},
+		{"parentArc", handed.parentArc, rebuilt.parentArc},
+	} {
+		if !reflect.DeepEqual(f.a, f.b) {
+			t.Fatalf("Index.%s: handed over %v, rebuilt %v", f.name, f.a, f.b)
+		}
 	}
 }
 
@@ -303,6 +342,9 @@ func TestFastPathSeeds(t *testing.T) {
 //	go test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/afg
 func FuzzDecode(f *testing.F) {
 	for _, c := range refusalDocs {
+		f.Add([]byte(c.doc))
+	}
+	for _, c := range twoDefectDocs {
 		f.Add([]byte(c.doc))
 	}
 	for _, c := range quirkDocs {
