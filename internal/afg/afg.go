@@ -164,21 +164,42 @@ func newSized(name string, tasks int) *Graph {
 // cached. The graph owns the tasks afterwards, as with AddTask. A graph of
 // no tasks builds; Validate is what refuses it.
 func Build(name string, tasks []*Task, links []Link) (*Graph, error) {
+	ix, parentLink, err := buildDense(tasks, links)
+	if err != nil {
+		return nil, err
+	}
+	// Each task's links are cap-limited windows on the Index's arrays, so
+	// an editor's append copies its own and never writes into a neighbour's.
 	g := newSized(name, len(tasks))
+	for i, t := range ix.tasks {
+		g.tasks[t.ID] = t
+		if s, e := ix.childStart[i], ix.childStart[i+1]; s < e {
+			g.succ[t.ID] = ix.childLink[s:e:e]
+		}
+		if s, e := ix.parentStart[i], ix.parentStart[i+1]; s < e {
+			g.pred[t.ID] = parentLink[s:e:e]
+		}
+	}
+	g.idx = ix
+	return g, nil
+}
+
+// refusal names the defect buildDense found: the first refusal, in wire
+// order, of the per-task and per-link rules, which insertTask and
+// insertLink hold.
+func refusal(tasks []*Task, links []Link) error {
+	g := newSized("", len(tasks))
 	for _, t := range tasks {
 		if err := g.insertTask(t); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, l := range links {
 		if err := g.insertLink(l, false); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if _, err := g.Index(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	panic("afg: buildDense refused a graph the per-link rules accept")
 }
 
 // AddTask inserts a task node. The task's ID must be unique.
@@ -315,23 +336,24 @@ func (g *Graph) Task(id TaskID) *Task { return g.tasks[id] }
 // Len returns the number of tasks.
 func (g *Graph) Len() int { return len(g.tasks) }
 
-// TaskIDs returns all task ids in deterministic (sorted) order.
-func (g *Graph) TaskIDs() []TaskID {
-	ids := make([]TaskID, 0, len(g.tasks))
-	for id := range g.tasks {
-		ids = append(ids, id)
+// index returns the cached Index of a graph, which is acyclic: every way
+// of constructing one refuses a cycle.
+func (g *Graph) index() *Index {
+	ix, err := g.Index()
+	if err != nil {
+		panic(err)
 	}
-	slices.Sort(ids)
-	return ids
+	return ix
 }
 
-// Links returns every link in deterministic order.
+// TaskIDs returns all task ids in deterministic (sorted) order: a copy of
+// the Index's.
+func (g *Graph) TaskIDs() []TaskID { return slices.Clone(g.index().ids) }
+
+// Links returns every link in deterministic order: by source id, then in
+// each source's insertion order.
 func (g *Graph) Links() []Link {
-	var out []Link
-	for _, id := range g.TaskIDs() {
-		out = append(out, g.succ[id]...)
-	}
-	return out
+	return append([]Link(nil), g.index().childLink...)
 }
 
 // Parents returns the incoming links of id.
@@ -343,24 +365,14 @@ func (g *Graph) Children(id TaskID) []Link { return g.succ[id] }
 // Entries returns the tasks with no parents, in sorted order. The paper
 // calls these "entry tasks"; the Site Scheduler treats them specially.
 func (g *Graph) Entries() []TaskID {
-	var out []TaskID
-	for _, id := range g.TaskIDs() {
-		if len(g.pred[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
+	ix := g.index()
+	return ix.unlinked(ix.parentStart)
 }
 
 // Exits returns the tasks with no children ("exit nodes", §2.2).
 func (g *Graph) Exits() []TaskID {
-	var out []TaskID
-	for _, id := range g.TaskIDs() {
-		if len(g.succ[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
+	ix := g.index()
+	return ix.unlinked(ix.childStart)
 }
 
 // Validate checks structural invariants: non-empty and acyclic. Both ways
@@ -431,8 +443,8 @@ func (g *Graph) CriticalPathLength() (float64, error) {
 // wherever the value is serialized (the editor's /validate response).
 func (g *Graph) TotalWork() float64 {
 	var sum float64
-	for _, id := range g.TaskIDs() {
-		sum += g.tasks[id].ComputeCost
+	for _, t := range g.index().tasks {
+		sum += t.ComputeCost
 	}
 	return sum
 }

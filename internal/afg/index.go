@@ -1,7 +1,9 @@
 package afg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/minheap"
 )
@@ -30,8 +32,9 @@ type Index struct {
 	tasks []*Task
 	topo  []int32 // deterministic topological order (Kahn, min-id frontier)
 
-	childStart  []int32 // CSR offsets into childArc, len V+1
+	childStart  []int32 // CSR offsets into childArc and childLink, len V+1
 	childArc    []Arc
+	childLink   []Link  // the link behind each child arc
 	parentStart []int32 // CSR offsets into parentArc, len V+1
 	parentArc   []Arc
 }
@@ -44,16 +47,26 @@ type Arc struct {
 }
 
 // Index returns the graph's cached dense view, rebuilding it after any
-// structural mutation. It fails only on a cyclic graph, which only Build's
-// own call can meet: that call is how bulk construction refuses a cycle,
-// and AddLink refuses one link at a time.
+// structural mutation by feeding the graph's current tasks and links
+// through buildDense, the core Build runs. It fails only on a cyclic graph,
+// which only Build's own call can meet: that call is how bulk construction
+// refuses a cycle, and AddLink refuses one link at a time.
 func (g *Graph) Index() (*Index, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.idx != nil && g.idxGen == g.gen {
 		return g.idx, nil
 	}
-	ix, err := buildIndex(g)
+	tasks := make([]*Task, 0, len(g.tasks))
+	for _, t := range g.tasks {
+		tasks = append(tasks, t)
+	}
+	slices.SortFunc(tasks, byID)
+	var links []Link
+	for _, t := range tasks {
+		links = append(links, g.succ[t.ID]...)
+	}
+	ix, _, err := buildDense(tasks, links)
 	if err != nil {
 		return nil, err
 	}
@@ -61,49 +74,107 @@ func (g *Graph) Index() (*Index, error) {
 	return ix, nil
 }
 
-func buildIndex(g *Graph) (*Index, error) {
-	n := len(g.tasks)
+// buildDense is the one dense core under Build and Index: it sorts the
+// tasks by id once, resolves each link endpoint to a dense index once, and
+// fills both CSR directions — arcs, the links behind the child arcs, and
+// the parent links, which it returns in port order — in one pass over the
+// links. It refuses with errDefect a graph with an empty or repeated task
+// id, a self link, an unknown endpoint, a repeated (From, To) pair or two
+// links on one input port, and with ErrCycle, from the Kahn pass, a graph
+// with none of those but a cycle. Tasks below one processor are raised to
+// one, as AddTask does.
+func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
+	n := len(tasks)
 	ix := &Index{
-		ids:   make([]TaskID, 0, n),
-		of:    make(map[TaskID]int32, n),
-		tasks: make([]*Task, n),
+		ids:         make([]TaskID, n),
+		of:          make(map[TaskID]int32, n),
+		tasks:       slices.Clone(tasks),
+		childStart:  make([]int32, n+1),
+		parentStart: make([]int32, n+1),
 	}
-	for id := range g.tasks {
-		ix.ids = append(ix.ids, id)
-	}
-	sort.Slice(ix.ids, func(i, j int) bool { return ix.ids[i] < ix.ids[j] })
-	for i, id := range ix.ids {
-		ix.of[id] = int32(i)
-		ix.tasks[i] = g.tasks[id]
+	slices.SortFunc(ix.tasks, byID)
+	for i, t := range ix.tasks {
+		if t.ID == "" || i > 0 && t.ID == ix.ids[i-1] {
+			return nil, nil, refusal(tasks, links)
+		}
+		if t.Processors < 1 {
+			t.Processors = 1
+		}
+		ix.ids[i], ix.of[t.ID] = t.ID, int32(i)
 	}
 
-	resolve := func(l Link) int64 {
-		if l.Bytes > 0 {
-			return l.Bytes
+	// ends holds each link's resolved (from, to): the fill pass below reads
+	// it instead of looking the endpoints up again.
+	ends := make([]int32, 2*len(links))
+	for k, l := range links {
+		from, okFrom := ix.of[l.From]
+		to, okTo := ix.of[l.To]
+		if l.From == l.To || !okFrom || !okTo {
+			return nil, nil, refusal(tasks, links)
 		}
-		return g.tasks[l.From].OutputBytes
+		ends[2*k], ends[2*k+1] = from, to
+		ix.childStart[from+1]++
+		ix.parentStart[to+1]++
 	}
-	ix.childStart = make([]int32, n+1)
-	ix.parentStart = make([]int32, n+1)
-	for i, id := range ix.ids {
-		ix.childStart[i+1] = ix.childStart[i] + int32(len(g.succ[id]))
-		ix.parentStart[i+1] = ix.parentStart[i] + int32(len(g.pred[id]))
+	for i := 0; i < n; i++ {
+		ix.childStart[i+1] += ix.childStart[i]
+		ix.parentStart[i+1] += ix.parentStart[i]
 	}
-	ix.childArc = make([]Arc, ix.childStart[n])
-	ix.parentArc = make([]Arc, ix.parentStart[n])
-	for i, id := range ix.ids {
-		for k, l := range g.succ[id] {
-			ix.childArc[int(ix.childStart[i])+k] = Arc{Peer: ix.of[l.To], Bytes: resolve(l)}
+	bytes := func(k int32) int64 { // the transfer rule (see Arc)
+		if b := links[k].Bytes; b > 0 {
+			return b
 		}
-		// pred is kept in port order — the arc order mirrors Parents(id).
-		for k, l := range g.pred[id] {
-			ix.parentArc[int(ix.parentStart[i])+k] = Arc{Peer: ix.of[l.From], Bytes: resolve(l)}
+		return ix.tasks[ends[2*k]].OutputBytes
+	}
+	var parentLink []Link
+	if len(links) > 0 {
+		ix.childArc, ix.childLink = make([]Arc, len(links)), make([]Link, len(links))
+		ix.parentArc, parentLink = make([]Arc, len(links)), make([]Link, len(links))
+	}
+	// One pass in wire order fills each child segment and lists each
+	// parent segment's link numbers, which are put in port order below.
+	inLinks := make([]int32, len(links))
+	next := make([]int32, 2*n) // fill cursors: children, then parents
+	copy(next, ix.childStart[:n])
+	copy(next[n:], ix.parentStart[:n])
+	for k, l := range links {
+		from, to := ends[2*k], ends[2*k+1]
+		c, p := next[from], next[n+int(to)]
+		next[from], next[n+int(to)] = c+1, p+1
+		ix.childArc[c], ix.childLink[c] = Arc{Peer: to, Bytes: bytes(int32(k))}, l
+		inLinks[p] = int32(k)
+	}
+
+	// A repeated (From, To) pair: mark each child with its parent's stamp.
+	mark := next[:n]
+	clear(mark)
+	for i := 0; i < n; i++ {
+		for _, a := range ix.Children(i) {
+			if mark[a.Peer] == int32(i)+1 {
+				return nil, nil, refusal(tasks, links)
+			}
+			mark[a.Peer] = int32(i) + 1
+		}
+	}
+	// Two links on one input port sit side by side once a segment is in
+	// port order.
+	byPort := func(a, b int32) int { return cmp.Compare(links[a].Port, links[b].Port) }
+	for i := 0; i < n; i++ {
+		s := ix.parentStart[i]
+		in := inLinks[s:ix.parentStart[i+1]]
+		slices.SortFunc(in, byPort)
+		for q, k := range in {
+			if q > 0 && links[in[q-1]].Port == links[k].Port {
+				return nil, nil, refusal(tasks, links)
+			}
+			ix.parentArc[s+int32(q)] = Arc{Peer: ends[2*k], Bytes: bytes(k)}
+			parentLink[s+int32(q)] = links[k]
 		}
 	}
 
 	// Deterministic Kahn: the frontier is a min-heap on dense index, which
 	// equals min TaskID — the same order TopoOrder produces.
-	indeg := make([]int32, n)
+	indeg := next[:n]
 	for i := range indeg {
 		indeg[i] = ix.parentStart[i+1] - ix.parentStart[i]
 	}
@@ -126,9 +197,9 @@ func buildIndex(g *Graph) (*Index, error) {
 		}
 	}
 	if len(ix.topo) != n {
-		return nil, ErrCycle
+		return nil, nil, ErrCycle
 	}
-	return ix, nil
+	return ix, parentLink, nil
 }
 
 // Len returns the task count.
@@ -173,6 +244,18 @@ func (ix *Index) NumParents(i int) int {
 	return int(ix.parentStart[i+1] - ix.parentStart[i])
 }
 
+// unlinked returns, in dense order, the ids whose segment of the CSR
+// offsets start is empty.
+func (ix *Index) unlinked(start []int32) []TaskID {
+	var out []TaskID
+	for i, id := range ix.ids {
+		if start[i] == start[i+1] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Levels computes the list-scheduling priority of every task (the same
 // quantity as Graph.Levels) as a dense slice: levels[i] is the largest sum
 // of computation costs on any path from task i to an exit, inclusive.
@@ -191,6 +274,8 @@ func (ix *Index) Levels() []float64 {
 	}
 	return levels
 }
+
+func byID(a, b *Task) int { return strings.Compare(string(a.ID), string(b.ID)) }
 
 // minIdx is a dense index ordered ascending for the frontier heap.
 type minIdx int32

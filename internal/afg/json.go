@@ -159,41 +159,37 @@ type encoder struct {
 	keys   []string // one task's params keys, reused across tasks
 }
 
-// appendJSON walks the sorted ids once: tasks in id order, then each task's
-// links in insertion order, which is the order Links returns.
+// appendJSON walks the Index once: tasks in id order, then the child links
+// in the same order, each source's in insertion order, which is the order
+// Links returns.
 func (g *Graph) appendJSON(indent bool) ([]byte, error) {
-	ids := g.TaskIDs()
-	e := encoder{b: make([]byte, 0, 256+448*len(ids)), indent: indent}
+	ix := g.index()
+	e := encoder{b: make([]byte, 0, 256+448*len(ix.tasks)), indent: indent}
 	e.open('{')
 	e.member("name")
 	e.b = appendString(e.b, g.Name)
 	e.member("tasks")
-	if len(ids) == 0 {
+	if len(ix.tasks) == 0 {
 		e.b = append(e.b, "null"...)
 	} else {
 		e.open('[')
-		for _, id := range ids {
+		for _, t := range ix.tasks {
 			e.next()
-			if err := e.task(g.tasks[id]); err != nil {
+			if err := e.task(t); err != nil {
 				return nil, err
 			}
 		}
 		e.close(']')
 	}
 	e.member("links")
-	n := 0
-	for _, id := range ids {
-		for _, l := range g.succ[id] {
-			if n++; n == 1 {
-				e.open('[')
-			}
+	if len(ix.childLink) == 0 {
+		e.b = append(e.b, "null"...)
+	} else {
+		e.open('[')
+		for _, l := range ix.childLink {
 			e.next()
 			e.link(l)
 		}
-	}
-	if n == 0 {
-		e.b = append(e.b, "null"...)
-	} else {
 		e.close(']')
 	}
 	e.close('}')
