@@ -284,8 +284,8 @@ func TestDecodeKeepsValidatedIndex(t *testing.T) {
 }
 
 // layeredWire is an n-task wire document: ranks of `width` tasks, every task
-// reading three tasks of the previous rank on ports 0..2.
-func layeredWire(n, width int, seed int64) wireGraph {
+// reading `parents` tasks of the previous rank on ports 0..parents-1.
+func layeredWire(n, width, parents int, seed int64) wireGraph {
 	rng := rand.New(rand.NewSource(seed))
 	w := wireGraph{Name: fmt.Sprintf("layered-%d", n)}
 	id := func(i int) TaskID { return TaskID(fmt.Sprintf("t%06d", i)) }
@@ -295,7 +295,7 @@ func layeredWire(n, width int, seed int64) wireGraph {
 			continue
 		}
 		base := (i/width - 1) * width
-		for port, k := range rng.Perm(width)[:3] {
+		for port, k := range rng.Perm(width)[:parents] {
 			w.Links = append(w.Links, Link{From: id(base + k), To: id(i), Bytes: int64(rng.Intn(1 << 16)), Port: port})
 		}
 	}
@@ -357,6 +357,33 @@ func TestDecodeRefusesLargeCycleInBoundedTime(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocatesNothingPerLink: two documents with the same tasks, one
+// with three times the other's links, decode in allocation counts that
+// differ by a small constant — no allocation is made per link — and
+// TaskIDs on the decoded graph allocates its copy alone.
+func TestDecodeAllocatesNothingPerLink(t *testing.T) {
+	allocs := func(parents int) (float64, *Graph) {
+		data, err := json.Marshal(layeredWire(2000, 50, parents, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g *Graph
+		return testing.AllocsPerRun(5, func() {
+			if g, err = Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}), g
+	}
+	one, _ := allocs(1)
+	three, g := allocs(3)
+	if three-one > 8 || one-three > 8 {
+		t.Errorf("Decode allocs: %v with 1 parent a task, %v with 3", one, three)
+	}
+	if n := testing.AllocsPerRun(5, func() { _ = g.TaskIDs() }); n != 1 {
+		t.Errorf("TaskIDs allocs = %v, want 1", n)
+	}
+}
+
 var underRace bool // set by race_test.go when the race detector is on
 
 var (
@@ -369,7 +396,7 @@ var (
 func BenchmarkDecode(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
-			data, err := json.MarshalIndent(layeredWire(n, 50, 1), "", "  ")
+			data, err := json.MarshalIndent(layeredWire(n, 50, 3, 1), "", "  ")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -393,7 +420,7 @@ func BenchmarkDecode(b *testing.B) {
 func BenchmarkEncode(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
-			w := layeredWire(n, 50, 1)
+			w := layeredWire(n, 50, 3, 1)
 			tasks := make([]*Task, len(w.Tasks))
 			for i, wt := range w.Tasks {
 				t, err := wt.task()

@@ -379,6 +379,7 @@ func fastWire(data []byte) (w wireGraph, ok bool) {
 type decoder struct {
 	data []byte
 	off  int
+	ids  map[string]TaskID // the task ids read so far, for link endpoints to share
 }
 
 // next skips white space and returns the byte at d.off, 0 at the end. The
@@ -463,7 +464,14 @@ func (d *decoder) graph(w *wireGraph) bool {
 		case "name":
 			return once(&seen, 0) && d.str(&w.Name)
 		case "tasks":
-			return once(&seen, 1) && decodeSlice(d, &w.Tasks, (*decoder).task)
+			if !once(&seen, 1) || !decodeSlice(d, &w.Tasks, (*decoder).task) {
+				return false
+			}
+			d.ids = make(map[string]TaskID, len(w.Tasks))
+			for _, t := range w.Tasks {
+				d.ids[string(t.ID)] = t.ID
+			}
+			return true
 		case "links":
 			return once(&seen, 2) && decodeSlice(d, &w.Links, (*decoder).link)
 		}
@@ -503,9 +511,9 @@ func (d *decoder) link(l *Link) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "From":
-			return once(&seen, 0) && d.str((*string)(&l.From))
+			return once(&seen, 0) && d.id(&l.From)
 		case "To":
-			return once(&seen, 1) && d.str((*string)(&l.To))
+			return once(&seen, 1) && d.id(&l.To)
 		case "Bytes":
 			return once(&seen, 2) && d.int64(&l.Bytes, 64)
 		case "Port":
@@ -530,6 +538,18 @@ func (d *decoder) params(p *map[string]string) bool {
 func (d *decoder) str(p *string) bool {
 	s, ok := d.quoted()
 	*p = string(s)
+	return ok
+}
+
+// id reads a link endpoint, sharing the string of the task it names when
+// that task has been read: a document's links then allocate no strings.
+func (d *decoder) id(p *TaskID) bool {
+	s, ok := d.quoted()
+	if id, known := d.ids[string(s)]; known {
+		*p = id
+	} else {
+		*p = TaskID(s)
+	}
 	return ok
 }
 
