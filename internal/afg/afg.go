@@ -11,29 +11,32 @@
 //
 // # Bulk vs incremental construction
 //
-// A graph is built one of two ways, and both end in the same state under
-// the same rules (insertTask and insertLink hold the one copy of them).
+// A graph is built one of two ways, under the same rules and ending in the
+// same state: two implementations, held together by decodePerLink (the
+// per-link oracle FuzzDecode runs) and the tests' refusal tables.
 //
 // Incremental — New, then AddTask and AddLink/AddLinkExact — is the
 // Application Editor's way: a user draws one link at a time and must be
-// told at that gesture why it is refused. Each call leaves the graph valid
-// or unchanged, and AddLink proves acyclicity with one reachability walk
-// from the link's head, O(V+E) per link. AddLink also picks the next free
-// input port when the caller names none.
+// told at that gesture why it is refused. insertTask and insertLink hold
+// its rules. Each call leaves the graph valid or unchanged, and AddLink
+// proves acyclicity with one reachability walk from the link's head,
+// O(V+E) per link. AddLink also picks the next free input port when the
+// caller names none.
 //
 // Bulk — Build — is for a caller that already holds the whole graph:
 // Decode/UnmarshalJSON, the dagen and workload generators, the experiment
-// harness's graph union. The same per-task and per-link refusals apply and
-// ports are honoured exactly as written, but acyclicity is decided once,
-// by the Kahn pass that builds the dense Index — O(V+E) for the graph, not
-// per link — and that Index stays cached on the result. Build is
-// all-or-nothing: on any refusal there is no graph. Since the cycle check
-// runs last, a cyclic input with another defect reports the other defect.
+// harness's graph union. buildDense, the core of every Index, checks the
+// whole graph in O(V+E) and decides acyclicity by one Kahn pass; that
+// Index stays cached on the result, and ports are honoured as written.
+// Build is all-or-nothing: on a defect it replays insertTask and
+// insertLink in wire order, so it names the refusal the incremental path
+// meets first, and a cycle only when nothing else is wrong.
 package afg
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 )
@@ -84,12 +87,7 @@ type Task struct {
 // Clone returns a deep copy of t.
 func (t *Task) Clone() *Task {
 	c := *t
-	if t.Params != nil {
-		c.Params = make(map[string]string, len(t.Params))
-		for k, v := range t.Params {
-			c.Params[k] = v
-		}
-	}
+	c.Params = maps.Clone(t.Params)
 	return &c
 }
 
@@ -115,9 +113,8 @@ type Graph struct {
 
 	// Dense-view cache (see Index): structural mutations bump gen, so a
 	// cached Index is valid exactly while idxGen == gen. The mutex makes
-	// Index() safe from the concurrent readers of a frozen graph (batch
-	// scheduling fans selectors out over one graph); mutation itself is
-	// single-writer, as before.
+	// Index(), and every sorted view read from it, safe from concurrent
+	// readers of a frozen graph; mutation is single-writer.
 	mu     sync.Mutex
 	gen    uint64
 	idx    *Index
@@ -139,9 +136,7 @@ var (
 )
 
 // New returns an empty application flow graph.
-func New(name string) *Graph {
-	return newSized(name, 0)
-}
+func New(name string) *Graph { return newSized(name, 0) }
 
 // newSized sizes the id-keyed maps up front, so building a large graph
 // skips the incremental rehash growth.
@@ -154,17 +149,16 @@ func newSized(name string, tasks int) *Graph {
 	}
 }
 
-// Build constructs a graph from a complete task and link list in one pass —
-// the bulk counterpart of New + AddTask + AddLinkExact for callers that
-// already hold the whole graph (deserialisation, generators, merges). It is
-// all-or-nothing: every refusal AddTask and AddLinkExact can give comes back
-// as the same typed error and no graph, each link's Port is honoured
-// exactly, and acyclicity is decided once for the whole graph (ErrCycle) by
-// the Kahn pass that builds the dense Index, which the returned graph keeps
-// cached. The graph owns the tasks afterwards, as with AddTask. A graph of
-// no tasks builds; Validate is what refuses it.
+// Build constructs a graph from a complete task and link list — the bulk
+// counterpart of New + AddTask + AddLinkExact for callers that already hold
+// the whole graph (deserialisation, generators, merges) — in one pass of
+// buildDense, whose Index the graph keeps cached. It is all-or-nothing:
+// every refusal AddTask and AddLinkExact can give comes back as the same
+// typed error and no graph, each link's Port is honoured exactly, and a
+// cycle is ErrCycle. The graph owns the tasks afterwards, as with AddTask.
+// A graph of no tasks builds; Validate is what refuses it.
 func Build(name string, tasks []*Task, links []Link) (*Graph, error) {
-	ix, parentLink, err := buildDense(tasks, links)
+	ix, err := buildDense(tasks, links)
 	if err != nil {
 		return nil, err
 	}
@@ -177,16 +171,15 @@ func Build(name string, tasks []*Task, links []Link) (*Graph, error) {
 			g.succ[t.ID] = ix.childLink[s:e:e]
 		}
 		if s, e := ix.parentStart[i], ix.parentStart[i+1]; s < e {
-			g.pred[t.ID] = parentLink[s:e:e]
+			g.pred[t.ID] = ix.parentLink[s:e:e]
 		}
 	}
 	g.idx = ix
 	return g, nil
 }
 
-// refusal names the defect buildDense found: the first refusal, in wire
-// order, of the per-task and per-link rules, which insertTask and
-// insertLink hold.
+// refusal names the defect buildDense found: the first refusal of
+// insertTask and insertLink, tasks then links, in wire order.
 func refusal(tasks []*Task, links []Link) error {
 	g := newSized("", len(tasks))
 	for _, t := range tasks {
@@ -215,15 +208,11 @@ func (g *Graph) AddTask(t *Task) error {
 // the link must not introduce a cycle. A zero Port on a task that already
 // has parents is auto-assigned the next free port; use AddLinkExact to
 // force port 0.
-func (g *Graph) AddLink(l Link) error {
-	return g.addLink(l, true)
-}
+func (g *Graph) AddLink(l Link) error { return g.addLink(l, true) }
 
 // AddLinkExact inserts a link honouring l.Port exactly (editors that manage
 // ports themselves).
-func (g *Graph) AddLinkExact(l Link) error {
-	return g.addLink(l, false)
-}
+func (g *Graph) AddLinkExact(l Link) error { return g.addLink(l, false) }
 
 // addLink is the incremental path: the graph is acyclic before the call, so
 // one reachability walk proves it stays so and the editor gets its refusal
@@ -246,8 +235,7 @@ func (g *Graph) mutated() {
 	g.mu.Unlock()
 }
 
-// insertTask is the one copy of the per-task rules, shared by AddTask and
-// Build.
+// insertTask holds the per-task rules, for AddTask and Build's refusal.
 func (g *Graph) insertTask(t *Task) error {
 	if t.ID == "" {
 		return errEmptyID
@@ -262,9 +250,9 @@ func (g *Graph) insertTask(t *Task) error {
 	return nil
 }
 
-// insertLink is the one copy of the per-link rules, shared by AddLink,
-// AddLinkExact and Build: everything a link can be refused for except
-// closing a cycle, which each caller decides its own way.
+// insertLink holds the per-link rules, for AddLink, AddLinkExact and
+// Build's refusal: everything a link can be refused for except closing a
+// cycle, which each caller decides its own way.
 func (g *Graph) insertLink(l Link, autoPort bool) error {
 	if l.From == l.To {
 		return fmt.Errorf("%w: %q", ErrSelfLink, l.From)
@@ -307,11 +295,9 @@ func (g *Graph) insertLink(l Link, autoPort bool) error {
 	return nil
 }
 
-// reachable reports whether dst is reachable from src by directed links.
+// reachable reports whether dst, another task than src, is reachable from
+// src by directed links.
 func (g *Graph) reachable(src, dst TaskID) bool {
-	if src == dst {
-		return true
-	}
 	seen := map[TaskID]bool{src: true}
 	stack := []TaskID{src}
 	for len(stack) > 0 {
@@ -352,9 +338,7 @@ func (g *Graph) TaskIDs() []TaskID { return slices.Clone(g.index().ids) }
 
 // Links returns every link in deterministic order: by source id, then in
 // each source's insertion order.
-func (g *Graph) Links() []Link {
-	return append([]Link(nil), g.index().childLink...)
-}
+func (g *Graph) Links() []Link { return append([]Link(nil), g.index().childLink...) }
 
 // Parents returns the incoming links of id.
 func (g *Graph) Parents(id TaskID) []Link { return g.pred[id] }
@@ -364,16 +348,10 @@ func (g *Graph) Children(id TaskID) []Link { return g.succ[id] }
 
 // Entries returns the tasks with no parents, in sorted order. The paper
 // calls these "entry tasks"; the Site Scheduler treats them specially.
-func (g *Graph) Entries() []TaskID {
-	ix := g.index()
-	return ix.unlinked(ix.parentStart)
-}
+func (g *Graph) Entries() []TaskID { return g.index().unlinked(true) }
 
 // Exits returns the tasks with no children ("exit nodes", §2.2).
-func (g *Graph) Exits() []TaskID {
-	ix := g.index()
-	return ix.unlinked(ix.childStart)
-}
+func (g *Graph) Exits() []TaskID { return g.index().unlinked(false) }
 
 // Validate checks structural invariants: non-empty and acyclic. Both ways
 // of constructing a graph refuse cycles already, so on a graph built through
@@ -382,20 +360,15 @@ func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return ErrEmpty
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.Index()
+	return err
 }
 
 // TopoOrder returns a deterministic topological ordering (ascending-id
 // frontier) or ErrCycle. The order itself comes from the cached dense
 // Index; this wrapper materialises it as TaskIDs for map-keyed callers.
 func (g *Graph) TopoOrder() ([]TaskID, error) {
-	ix, err := g.Index()
-	if err != nil {
-		return nil, err
-	}
+	ix := g.index()
 	order := make([]TaskID, len(ix.topo))
 	for k, i := range ix.topo {
 		order[k] = ix.ids[i]
@@ -408,10 +381,7 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 // from the node to an exit node, inclusive of the node's own cost. Higher
 // level ⇒ higher scheduling priority.
 func (g *Graph) Levels() (map[TaskID]float64, error) {
-	ix, err := g.Index()
-	if err != nil {
-		return nil, err
-	}
+	ix := g.index()
 	dense := ix.Levels()
 	levels := make(map[TaskID]float64, len(dense))
 	for i, v := range dense {
@@ -423,13 +393,8 @@ func (g *Graph) Levels() (map[TaskID]float64, error) {
 // CriticalPathLength returns the largest level value — the lower bound on
 // schedule length ignoring communication.
 func (g *Graph) CriticalPathLength() (float64, error) {
-	levels, err := g.Levels()
-	if err != nil {
-		return 0, err
-	}
 	var max float64
-	//vdce:ignore detflow max over map values is order-independent: float comparison, unlike float addition, commutes
-	for _, l := range levels {
+	for _, l := range g.index().Levels() {
 		if l > max {
 			max = l
 		}

@@ -256,6 +256,8 @@ func checkSameIndex(t *testing.T, handed, rebuilt *Index) {
 		{"childArc", handed.childArc, rebuilt.childArc},
 		{"parentStart", handed.parentStart, rebuilt.parentStart},
 		{"parentArc", handed.parentArc, rebuilt.parentArc},
+		{"childLink", handed.childLink, rebuilt.childLink},
+		{"parentLink", handed.parentLink, rebuilt.parentLink},
 	} {
 		if !reflect.DeepEqual(f.a, f.b) {
 			t.Fatalf("Index.%s: handed over %v, rebuilt %v", f.name, f.a, f.b)

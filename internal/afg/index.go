@@ -9,20 +9,23 @@ import (
 )
 
 // Index is the dense, slice-addressed view of a Graph the scheduling hot
-// path runs on: every task gets a stable integer index (ascending TaskID
-// order, so index order and id order agree), adjacency is CSR-style —
-// one contiguous arc array per direction plus offset tables — and the
-// deterministic topological order is computed once and cached with the
-// structure.
+// path runs on: every task gets a stable integer index, adjacency is
+// CSR-style — one contiguous arc array per direction, the links behind
+// them, and offset tables — and the deterministic topological order is
+// computed once and cached with the structure.
 //
 // Invariants:
 //
 //   - Indices are assigned by sorted TaskID, so sorting indices ascending
-//     is exactly the deterministic id tie-break the map-keyed code used.
+//     is exactly the deterministic id tie-break. The Graph's sorted views
+//     (TaskIDs, Entries, Exits, Links, TotalWork, Encode) read this order.
 //   - Arc.Bytes is resolved at build time (the link's explicit size, or the
 //     parent task's OutputBytes: "the input size of the application can be
-//     used for the transfer size parameter"); task cost
-//     metadata must not change between Index() and the end of scheduling.
+//     used for the transfer size parameter"); task cost metadata must not
+//     change between Index() and the end of scheduling.
+//   - Child links keep each source's insertion order, parent links are in
+//     port order; a graph Build made holds its succ and pred lists as
+//     cap-limited windows on the two link arrays.
 //   - The Index is immutable once built. Graph mutations (AddTask/AddLink)
 //     invalidate the cached Index; holding one across a mutation yields a
 //     stale structural snapshot.
@@ -35,8 +38,9 @@ type Index struct {
 	childStart  []int32 // CSR offsets into childArc and childLink, len V+1
 	childArc    []Arc
 	childLink   []Link  // the link behind each child arc
-	parentStart []int32 // CSR offsets into parentArc, len V+1
+	parentStart []int32 // CSR offsets into parentArc and parentLink, len V+1
 	parentArc   []Arc
+	parentLink  []Link // the link behind each parent arc
 }
 
 // Arc is one adjacency entry of the dense view: the dense index of the
@@ -47,10 +51,9 @@ type Arc struct {
 }
 
 // Index returns the graph's cached dense view, rebuilding it after any
-// structural mutation by feeding the graph's current tasks and links
-// through buildDense, the core Build runs. It fails only on a cyclic graph,
-// which only Build's own call can meet: that call is how bulk construction
-// refuses a cycle, and AddLink refuses one link at a time.
+// structural mutation from the graph's current tasks and links through
+// buildDense, Build's core. It never fails on a graph: Build refuses a
+// cycle before there is one, and AddLink refuses one link at a time.
 func (g *Graph) Index() (*Index, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -66,7 +69,7 @@ func (g *Graph) Index() (*Index, error) {
 	for _, t := range tasks {
 		links = append(links, g.succ[t.ID]...)
 	}
-	ix, _, err := buildDense(tasks, links)
+	ix, err := buildDense(tasks, links)
 	if err != nil {
 		return nil, err
 	}
@@ -74,16 +77,15 @@ func (g *Graph) Index() (*Index, error) {
 	return ix, nil
 }
 
-// buildDense is the one dense core under Build and Index: it sorts the
-// tasks by id once, resolves each link endpoint to a dense index once, and
-// fills both CSR directions — arcs, the links behind the child arcs, and
-// the parent links, which it returns in port order — in one pass over the
-// links. It refuses with errDefect a graph with an empty or repeated task
-// id, a self link, an unknown endpoint, a repeated (From, To) pair or two
-// links on one input port, and with ErrCycle, from the Kahn pass, a graph
-// with none of those but a cycle. Tasks below one processor are raised to
-// one, as AddTask does.
-func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
+// buildDense is the one core under Build and Index: it sorts the tasks by
+// id once, resolves each link's endpoints to dense indices once, and fills
+// both CSR directions and the links behind them from one pass over the
+// links, the parent links in port order. A graph with an empty or repeated
+// task id, a self link, an unknown endpoint, a repeated (From, To) pair or
+// two links on one input port it refuses as refusal names it; one with none
+// of those but a cycle with ErrCycle, from the Kahn pass. Tasks below one
+// processor are raised to one, as AddTask does.
+func buildDense(tasks []*Task, links []Link) (*Index, error) {
 	n := len(tasks)
 	ix := &Index{
 		ids:         make([]TaskID, n),
@@ -95,7 +97,7 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 	slices.SortFunc(ix.tasks, byID)
 	for i, t := range ix.tasks {
 		if t.ID == "" || i > 0 && t.ID == ix.ids[i-1] {
-			return nil, nil, refusal(tasks, links)
+			return nil, refusal(tasks, links)
 		}
 		if t.Processors < 1 {
 			t.Processors = 1
@@ -103,14 +105,13 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 		ix.ids[i], ix.of[t.ID] = t.ID, int32(i)
 	}
 
-	// ends holds each link's resolved (from, to): the fill pass below reads
-	// it instead of looking the endpoints up again.
+	// ends holds each link's dense (from, to), resolved once.
 	ends := make([]int32, 2*len(links))
 	for k, l := range links {
 		from, okFrom := ix.of[l.From]
 		to, okTo := ix.of[l.To]
 		if l.From == l.To || !okFrom || !okTo {
-			return nil, nil, refusal(tasks, links)
+			return nil, refusal(tasks, links)
 		}
 		ends[2*k], ends[2*k+1] = from, to
 		ix.childStart[from+1]++
@@ -126,17 +127,13 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 		}
 		return ix.tasks[ends[2*k]].OutputBytes
 	}
-	var parentLink []Link
-	if len(links) > 0 {
-		ix.childArc, ix.childLink = make([]Arc, len(links)), make([]Link, len(links))
-		ix.parentArc, parentLink = make([]Arc, len(links)), make([]Link, len(links))
-	}
+	ix.childArc, ix.childLink = make([]Arc, len(links)), make([]Link, len(links))
+	ix.parentArc, ix.parentLink = make([]Arc, len(links)), make([]Link, len(links))
 	// One pass in wire order fills each child segment and lists each
 	// parent segment's link numbers, which are put in port order below.
 	inLinks := make([]int32, len(links))
-	next := make([]int32, 2*n) // fill cursors: children, then parents
-	copy(next, ix.childStart[:n])
-	copy(next[n:], ix.parentStart[:n])
+	// Fill cursors: each child segment's, then each parent segment's.
+	next := append(append(make([]int32, 0, 2*n), ix.childStart[:n]...), ix.parentStart[:n]...)
 	for k, l := range links {
 		from, to := ends[2*k], ends[2*k+1]
 		c, p := next[from], next[n+int(to)]
@@ -151,7 +148,7 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 	for i := 0; i < n; i++ {
 		for _, a := range ix.Children(i) {
 			if mark[a.Peer] == int32(i)+1 {
-				return nil, nil, refusal(tasks, links)
+				return nil, refusal(tasks, links)
 			}
 			mark[a.Peer] = int32(i) + 1
 		}
@@ -165,22 +162,18 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 		slices.SortFunc(in, byPort)
 		for q, k := range in {
 			if q > 0 && links[in[q-1]].Port == links[k].Port {
-				return nil, nil, refusal(tasks, links)
+				return nil, refusal(tasks, links)
 			}
-			ix.parentArc[s+int32(q)] = Arc{Peer: ends[2*k], Bytes: bytes(k)}
-			parentLink[s+int32(q)] = links[k]
+			ix.parentArc[s+int32(q)], ix.parentLink[s+int32(q)] = Arc{Peer: ends[2*k], Bytes: bytes(k)}, links[k]
 		}
 	}
 
 	// Deterministic Kahn: the frontier is a min-heap on dense index, which
 	// equals min TaskID — the same order TopoOrder produces.
 	indeg := next[:n]
-	for i := range indeg {
-		indeg[i] = ix.parentStart[i+1] - ix.parentStart[i]
-	}
 	var frontier minheap.Heap[minIdx]
-	for i := n - 1; i >= 0; i-- {
-		if indeg[i] == 0 {
+	for i := range indeg {
+		if indeg[i] = ix.parentStart[i+1] - ix.parentStart[i]; indeg[i] == 0 {
 			frontier = append(frontier, minIdx(i))
 		}
 	}
@@ -197,9 +190,9 @@ func buildDense(tasks []*Task, links []Link) (*Index, []Link, error) {
 		}
 	}
 	if len(ix.topo) != n {
-		return nil, nil, ErrCycle
+		return nil, ErrCycle
 	}
-	return ix, parentLink, nil
+	return ix, nil
 }
 
 // Len returns the task count.
@@ -244,9 +237,13 @@ func (ix *Index) NumParents(i int) int {
 	return int(ix.parentStart[i+1] - ix.parentStart[i])
 }
 
-// unlinked returns, in dense order, the ids whose segment of the CSR
-// offsets start is empty.
-func (ix *Index) unlinked(start []int32) []TaskID {
+// unlinked returns, in dense order, the tasks with no parents, or with
+// parents false no children.
+func (ix *Index) unlinked(parents bool) []TaskID {
+	start := ix.childStart
+	if parents {
+		start = ix.parentStart
+	}
 	var out []TaskID
 	for i, id := range ix.ids {
 		if start[i] == start[i+1] {

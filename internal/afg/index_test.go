@@ -1,7 +1,9 @@
 package afg
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -162,9 +164,26 @@ func TestIndexCacheInvalidatedByMutation(t *testing.T) {
 	}
 }
 
+// TestIndexConcurrentAccess: eight goroutines take the Index of one decoded
+// graph, after a mutation so the first of them rebuilds it, and read every
+// sorted view served from it; the race job runs it under -race.
 func TestIndexConcurrentAccess(t *testing.T) {
-	g := diamondGraph(t)
-	done := make(chan *Index, 8)
+	data, err := diamondGraph(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.mutated()
+	type views struct {
+		ix                  *Index
+		ids, entries, exits []TaskID
+		links               []Link
+		enc                 []byte
+	}
+	done := make(chan views, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
 			ix, err := g.Index()
@@ -172,13 +191,24 @@ func TestIndexConcurrentAccess(t *testing.T) {
 				panic(err)
 			}
 			_ = ix.Levels()
-			done <- ix
+			enc, err := g.Encode()
+			if err != nil {
+				panic(err)
+			}
+			done <- views{ix, g.TaskIDs(), g.Entries(), g.Exits(), g.Links(), enc}
 		}()
 	}
 	first := <-done
+	if !bytes.Equal(first.enc, data) {
+		t.Fatalf("Encode of the decoded graph:\n%s\nwant\n%s", first.enc, data)
+	}
 	for w := 1; w < 8; w++ {
-		if ix := <-done; ix != first {
+		v := <-done
+		if v.ix != first.ix {
 			t.Fatal("concurrent Index() calls built distinct indices")
+		}
+		if !reflect.DeepEqual(v, first) {
+			t.Fatalf("concurrent readers disagree: %+v vs %+v", v, first)
 		}
 	}
 }

@@ -101,12 +101,9 @@ func (wt wireTask) task() (*Task, error) {
 }
 
 // UnmarshalJSON decodes a graph and validates it: the whole document goes
-// through Build, so a submission is refused for exactly what the editor
-// would have refused link by link, with acyclicity decided once for the
-// graph. When a document has more than one defect the error names one of
-// them, not necessarily the first in wire order: every task is checked
-// before any link, and a cycle is reported only for a document with no
-// other defect. On error g is unchanged.
+// through Build, so a submission is refused for the defect the editor would
+// have met first link by link, tasks before links, with acyclicity decided
+// once for the graph. On error g is unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	w, err := decodeWire(data)
 	if err != nil {
@@ -114,11 +111,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	tasks := make([]*Task, len(w.Tasks))
 	for i, wt := range w.Tasks {
-		t, err := wt.task()
-		if err != nil {
+		if tasks[i], err = wt.task(); err != nil {
 			return err
 		}
-		tasks[i] = t
 	}
 	fresh, err := Build(w.Name, tasks, w.Links)
 	if err != nil {
@@ -127,14 +122,10 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if fresh.Len() == 0 {
 		return ErrEmpty
 	}
-	// Move the decoded state field-by-field: copying the whole struct
-	// would copy the dense-view mutex. The Index Build validated with comes
-	// along, replacing any g had cached.
+	// Move the decoded state field by field, not the struct and its mutex;
+	// the Index Build validated with replaces any g had cached.
 	g.mu.Lock()
-	g.Name = fresh.Name
-	g.tasks = fresh.tasks
-	g.succ = fresh.succ
-	g.pred = fresh.pred
+	g.Name, g.tasks, g.succ, g.pred = fresh.Name, fresh.tasks, fresh.succ, fresh.pred
 	g.gen++
 	g.idx, g.idxGen = fresh.idx, g.gen
 	g.mu.Unlock()
