@@ -365,8 +365,8 @@ func (g *Graph) Validate() error {
 }
 
 // TopoOrder returns a deterministic topological ordering (ascending-id
-// frontier) or ErrCycle. The order itself comes from the cached dense
-// Index; this wrapper materialises it as TaskIDs for map-keyed callers.
+// frontier), the cached Index's as TaskIDs for map-keyed callers. The error
+// is nil on every graph: each way of building one refuses a cycle.
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	ix := g.index()
 	order := make([]TaskID, len(ix.topo))
