@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -317,42 +318,69 @@ func TestSolveMatrixAgainstInverse(t *testing.T) {
 	}
 }
 
-func TestParallelMulMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randomMatrix(rng, 37, 23)
-	b := randomMatrix(rng, 23, 41)
-	seq, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
+// pinSizes and pinWorkers are the shapes and worker counts the row-split
+// kernels are pinned on: both sides of the LU's serial cutoff at n = 64, one
+// worker, worker counts that do and do not divide the rows, and more
+// workers than some steps have rows.
+var (
+	pinSizes   = []int{1, 63, 64, 65, 130, 257}
+	pinWorkers = []int{1, 2, 3, 8}
+)
+
+// sameBits reports whether a and b hold the same float64s bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	for _, p := range []int{1, 2, 4, 100} {
-		par, err := a.ParallelMul(b, p)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
-		if !par.Equal(seq, 1e-12) {
-			t.Fatalf("p=%d: parallel result differs", p)
+	}
+	return true
+}
+
+func TestParallelMulMatchesSequential(t *testing.T) {
+	for _, n := range pinSizes {
+		rng := rand.New(rand.NewSource(int64(6 + n)))
+		a := randomMatrix(rng, n, n)
+		b := randomMatrix(rng, n, n)
+		seq, err := a.Mul(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pinWorkers {
+			par, err := a.ParallelMul(b, p)
+			if err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
+			if par.Rows != seq.Rows || par.Cols != seq.Cols || !sameBits(par.Data, seq.Data) {
+				t.Fatalf("n=%d p=%d: product differs from the serial one", n, p)
+			}
 		}
 	}
 }
 
 func TestParallelFactorMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomDominant(rng, 96)
-	seq, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParallelFactor(a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.LU.Equal(seq.LU, 1e-9) {
-		t.Fatal("parallel LU differs from sequential")
-	}
-	for i := range par.Pivot {
-		if par.Pivot[i] != seq.Pivot[i] {
-			t.Fatalf("pivot[%d] differs: %d vs %d", i, par.Pivot[i], seq.Pivot[i])
+	for _, n := range pinSizes {
+		// A general random matrix, not a dominant one, so rows swap and
+		// the pivots and the sign are exercised.
+		a := randomMatrix(rand.New(rand.NewSource(int64(7+n))), n, n)
+		seq, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pinWorkers {
+			par, err := ParallelFactor(a, p)
+			if err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
+			if !sameBits(par.LU.Data, seq.LU.Data) {
+				t.Fatalf("n=%d p=%d: LU differs from the serial one", n, p)
+			}
+			if !slices.Equal(par.Pivot, seq.Pivot) || par.Signs != seq.Signs {
+				t.Fatalf("n=%d p=%d: pivots or sign differ from the serial ones", n, p)
+			}
 		}
 	}
 }
