@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -118,25 +119,57 @@ func (m *Matrix) Scale(s float64) *Matrix {
 }
 
 // Mul returns the matrix product m*n using a cache-friendly ikj loop order.
-func (m *Matrix) Mul(n *Matrix) (*Matrix, error) {
+// With p > 1 the output rows are split across p goroutines: the paper's
+// parallel execution mode (Fig 3). Each row is computed exactly as the
+// serial loop computes it, so the product is the same for every p.
+func (m *Matrix) Mul(n *Matrix, p int) (*Matrix, error) {
 	if m.Cols != n.Rows {
 		return nil, ErrDimension
 	}
 	out := New(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+	split(0, m.Rows, p, func(lo, hi int) { mulRows(m, n, out, lo, hi) })
+	return out, nil
+}
+
+// mulRows writes rows [lo, hi) of out = m*n.
+func mulRows(m, n, out *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			nrow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			for j, nv := range nrow {
-				orow[j] += mv * nv
+		for k, mv := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			if mv != 0 {
+				axpy(mv, n.Data[k*n.Cols:(k+1)*n.Cols], orow)
 			}
 		}
 	}
-	return out, nil
+}
+
+// axpy adds a*x to y, element by element.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for j, v := range x {
+		y[j] += a * v
+	}
+}
+
+// split runs body over the rows [lo, hi): in one call when p <= 1, else cut
+// into at most p contiguous ranges, one goroutine each, and waits for them
+// all. The ranges are disjoint, so bodies that write only their own rows of
+// one slab do not race.
+func split(lo, hi, p int, body func(lo, hi int)) {
+	if p <= 1 || hi-lo <= 1 {
+		body(lo, hi)
+		return
+	}
+	chunk := (hi - lo + p - 1) / p
+	var wg sync.WaitGroup
+	for r := lo; r < hi; r += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(r, min(r+chunk, hi))
+	}
+	wg.Wait()
 }
 
 // MulVec returns the matrix-vector product m*x.
@@ -192,12 +225,19 @@ type LU struct {
 }
 
 // Factor computes the LU decomposition of the square matrix a with partial
-// pivoting. It returns ErrSingular if a zero pivot is encountered.
-func Factor(a *Matrix) (*LU, error) {
+// pivoting. It returns ErrSingular if a zero pivot is encountered. With
+// p > 1 and n >= 64, each elimination step's row updates are split across
+// p goroutines (below n = 64 a step costs less than starting them); every
+// row is updated exactly as the serial loop updates it, so the
+// factorization is the same for every p.
+func Factor(a *Matrix, p int) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrDimension
 	}
 	n := a.Rows
+	if n < 64 {
+		p = 1
+	}
 	lu := a.Clone()
 	piv := make([]int, n)
 	for i := range piv {
@@ -206,40 +246,42 @@ func Factor(a *Matrix) (*LU, error) {
 	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |value| in column k at or below row k.
-		p := k
+		pr := k
 		max := math.Abs(lu.At(k, k))
 		for i := k + 1; i < n; i++ {
 			if v := math.Abs(lu.At(i, k)); v > max {
-				max, p = v, i
+				max, pr = v, i
 			}
 		}
 		if max == 0 {
 			return nil, ErrSingular
 		}
-		if p != k {
+		if pr != k {
 			r1 := lu.Data[k*n : (k+1)*n]
-			r2 := lu.Data[p*n : (p+1)*n]
+			r2 := lu.Data[pr*n : (pr+1)*n]
 			for j := range r1 {
 				r1[j], r2[j] = r2[j], r1[j]
 			}
-			piv[k], piv[p] = piv[p], piv[k]
+			piv[k], piv[pr] = piv[pr], piv[k]
 			sign = -sign
 		}
-		pivVal := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			mult := lu.At(i, k) / pivVal
-			lu.Set(i, k, mult)
-			if mult == 0 {
-				continue
-			}
-			irow := lu.Data[i*n : (i+1)*n]
-			krow := lu.Data[k*n : (k+1)*n]
-			for j := k + 1; j < n; j++ {
-				irow[j] -= mult * krow[j]
-			}
-		}
+		split(k+1, n, p, func(lo, hi int) { eliminate(lu.Data, n, k, lo, hi) })
 	}
 	return &LU{N: n, LU: lu, Pivot: piv, Signs: sign}, nil
+}
+
+// eliminate subtracts multiples of pivot row k from rows [lo, hi) of the
+// n×n slab lu, storing each row's multiplier in its column k.
+func eliminate(lu []float64, n, k, lo, hi int) {
+	pivVal := lu[k*n+k]
+	krow := lu[k*n+k+1 : (k+1)*n]
+	for i := lo; i < hi; i++ {
+		mult := lu[i*n+k] / pivVal
+		lu[i*n+k] = mult
+		if mult != 0 {
+			axpy(-mult, krow, lu[i*n+k+1:(i+1)*n])
+		}
+	}
 }
 
 // Solve solves A*x = b for x given the factorization.
@@ -332,20 +374,9 @@ func (f *LU) U() *Matrix {
 	return u
 }
 
-// PermutedCopy returns P*A for the original matrix a (a convenience used by
-// tests to verify P*A = L*U).
-func (f *LU) PermutedCopy(a *Matrix) *Matrix {
-	n := f.N
-	out := New(n, n)
-	for i := 0; i < n; i++ {
-		copy(out.Data[i*n:(i+1)*n], a.Data[f.Pivot[i]*n:(f.Pivot[i]+1)*n])
-	}
-	return out
-}
-
 // Inverse computes A⁻¹ via LU decomposition.
 func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
+	f, err := Factor(a, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +385,7 @@ func Inverse(a *Matrix) (*Matrix, error) {
 
 // Solve solves A*x = b directly (factor + solve).
 func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
+	f, err := Factor(a, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,16 @@ func randomDominant(rng *rand.Rand, n int) *Matrix {
 		m.Set(i, i, s+1)
 	}
 	return m
+}
+
+// permuted returns P*A for the matrix a that f factors.
+func permuted(f *LU, a *Matrix) *Matrix {
+	n := f.N
+	out := New(n, n)
+	for i := 0; i < n; i++ {
+		copy(out.Data[i*n:(i+1)*n], a.Data[f.Pivot[i]*n:(f.Pivot[i]+1)*n])
+	}
+	return out
 }
 
 func TestNewZeroInitialised(t *testing.T) {
@@ -120,7 +131,7 @@ func TestAddDimensionMismatch(t *testing.T) {
 func TestMulKnown(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
+	c, err := a.Mul(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +144,7 @@ func TestMulKnown(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 7, 7)
-	c, err := a.Mul(Identity(7))
+	c, err := a.Mul(Identity(7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +156,7 @@ func TestMulIdentity(t *testing.T) {
 func TestMulDimensionMismatch(t *testing.T) {
 	a := New(2, 3)
 	b := New(2, 3)
-	if _, err := a.Mul(b); err != ErrDimension {
+	if _, err := a.Mul(b, 1); err != ErrDimension {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -182,15 +193,15 @@ func TestLUReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 5, 16, 33} {
 		a := randomDominant(rng, n)
-		f, err := Factor(a)
+		f, err := Factor(a, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		lu, err := f.L().Mul(f.U())
+		lu, err := f.L().Mul(f.U(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa := f.PermutedCopy(a)
+		pa := permuted(f, a)
 		if !lu.Equal(pa, 1e-9*float64(n)) {
 			t.Fatalf("n=%d: P*A != L*U", n)
 		}
@@ -199,13 +210,13 @@ func TestLUReconstruction(t *testing.T) {
 
 func TestFactorSingular(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Factor(a); err != ErrSingular {
+	if _, err := Factor(a, 1); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestFactorNonSquare(t *testing.T) {
-	if _, err := Factor(New(2, 3)); err != ErrDimension {
+	if _, err := Factor(New(2, 3), 1); err != ErrDimension {
 		t.Fatalf("err = %v, want ErrDimension", err)
 	}
 }
@@ -246,7 +257,7 @@ func TestSolveResidual(t *testing.T) {
 
 func TestSolveWrongLength(t *testing.T) {
 	a := Identity(3)
-	f, err := Factor(a)
+	f, err := Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +273,7 @@ func TestInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := a.Mul(inv)
+	prod, err := a.Mul(inv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestInverse(t *testing.T) {
 
 func TestDeterminant(t *testing.T) {
 	a, _ := FromRows([][]float64{{3, 0}, {0, 2}})
-	f, err := Factor(a)
+	f, err := Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestDeterminant(t *testing.T) {
 	}
 	// Permutation changes sign bookkeeping but not the determinant value.
 	b, _ := FromRows([][]float64{{0, 2}, {3, 0}})
-	fb, err := Factor(b)
+	fb, err := Factor(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +312,7 @@ func TestNormInf(t *testing.T) {
 func TestSolveMatrixAgainstInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomDominant(rng, 6)
-	f, err := Factor(a)
+	f, err := Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +329,8 @@ func TestSolveMatrixAgainstInverse(t *testing.T) {
 	}
 }
 
-// pinSizes and pinWorkers are the shapes and worker counts the row-split
-// kernels are pinned on: both sides of the LU's serial cutoff at n = 64, one
+// pinSizes and pinWorkers are the shapes and worker counts on which Mul and
+// Factor must give, bit for bit, what their serial runs (p = 1) give: both sides of the LU's serial cutoff at n = 64, one
 // worker, worker counts that do and do not divide the rows, and more
 // workers than some steps have rows.
 var (
@@ -345,12 +356,12 @@ func TestParallelMulMatchesSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(6 + n)))
 		a := randomMatrix(rng, n, n)
 		b := randomMatrix(rng, n, n)
-		seq, err := a.Mul(b)
+		seq, err := a.Mul(b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pinWorkers {
-			par, err := a.ParallelMul(b, p)
+			par, err := a.Mul(b, p)
 			if err != nil {
 				t.Fatalf("n=%d p=%d: %v", n, p, err)
 			}
@@ -366,12 +377,12 @@ func TestParallelFactorMatchesSequential(t *testing.T) {
 		// A general random matrix, not a dominant one, so rows swap and
 		// the pivots and the sign are exercised.
 		a := randomMatrix(rand.New(rand.NewSource(int64(7+n))), n, n)
-		seq, err := Factor(a)
+		seq, err := Factor(a, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pinWorkers {
-			par, err := ParallelFactor(a, p)
+			par, err := Factor(a, p)
 			if err != nil {
 				t.Fatalf("n=%d p=%d: %v", n, p, err)
 			}
@@ -388,7 +399,7 @@ func TestParallelFactorMatchesSequential(t *testing.T) {
 func TestParallelFactorSmallFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randomDominant(rng, 8)
-	f, err := ParallelFactor(a, 4)
+	f, err := Factor(a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +464,7 @@ func TestPropertyDet2x2(t *testing.T) {
 		}
 		m, _ := FromRows([][]float64{{a0, a1}, {a2, a3}})
 		want := a0*a3 - a1*a2
-		f2, err := Factor(m)
+		f2, err := Factor(m, 1)
 		if err != nil {
 			return math.Abs(want) < 1e-6 // singular is acceptable iff det ~ 0
 		}
@@ -473,20 +484,22 @@ func BenchmarkMul128(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := x.Mul(y); err != nil {
+		if _, err := x.Mul(y, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkParallelMul128(b *testing.B) {
+// BenchmarkMul128AllProcs runs the product's rows on GOMAXPROCS workers.
+func BenchmarkMul128AllProcs(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	x := randomMatrix(rng, 128, 128)
 	y := randomMatrix(rng, 128, 128)
+	p := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := x.ParallelMul(y, 0); err != nil {
+		if _, err := x.Mul(y, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -498,7 +511,7 @@ func BenchmarkFactor128(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Factor(x); err != nil {
+		if _, err := Factor(x, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

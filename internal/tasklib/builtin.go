@@ -142,12 +142,7 @@ func builtinSpecs() []Spec {
 				if err != nil {
 					return Value{}, err
 				}
-				var f *matrix.LU
-				if args.Processors > 1 {
-					f, err = matrix.ParallelFactor(a, args.Processors)
-				} else {
-					f, err = matrix.Factor(a)
-				}
+				f, err := matrix.Factor(a, args.Processors)
 				if err != nil {
 					return Value{}, err
 				}
@@ -194,12 +189,7 @@ func builtinSpecs() []Spec {
 				if err != nil {
 					return Value{}, err
 				}
-				var c *matrix.Matrix
-				if args.Processors > 1 {
-					c, err = a.ParallelMul(b, args.Processors)
-				} else {
-					c, err = a.Mul(b)
-				}
+				c, err := a.Mul(b, args.Processors)
 				if err != nil {
 					return Value{}, err
 				}
@@ -605,11 +595,4 @@ func builtinSpecs() []Spec {
 			},
 		},
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
