@@ -1,8 +1,7 @@
 // Fault tolerance: hosts fail after the scheduler has placed work on them,
 // and the Runtime System recovers on two levels — a whole-frontier re-plan
-// through the site's configured re-planner (full HEFT rescan or EFT
-// patching; a site refuses "dup", whose hedges live execution never runs)
-// backed by the per-task rescheduling request of §2.3.1, then, once a
+// through the site's EFT-patching re-planner, backed by the per-task
+// rescheduling request of §2.3.1, then, once a
 // monitoring round has reported the failures, schedules that avoid the dead
 // hosts outright ("the machine is marked as 'down' ... to prevent further
 // task mappings").
@@ -15,16 +14,12 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/site"
 	"repro/internal/vis"
 	"repro/internal/workload"
 )
 
 func main() {
-	env := core.NewEnvironment(core.Options{
-		Seed:       13,
-		SiteConfig: site.Config{Replanner: "eft"}, // the frontier re-planner executions run
-	})
+	env := core.NewEnvironment(core.Options{Seed: 13})
 	m, err := env.AddSite("syracuse", 6)
 	if err != nil {
 		log.Fatal(err)

@@ -45,15 +45,13 @@ type Config struct {
 	// (scheduler.Lookup name: "faithful", "eft", "heft", "cpop", ...).
 	// Empty selects "faithful".
 	Policy string
-
-	// Replanner names the frontier re-planner this site's executions run
-	// after a mid-execution host failure (scheduler.LookupReplanner name:
-	// "heft" or "eft"). Empty selects "eft"; "off" disables frontier
-	// re-planning so only the per-task Rescheduler path remains. "dup" is
-	// refused: its hedges are duplicate runs, and live execution runs
-	// none, so it would re-plan exactly as "eft" does.
-	Replanner string
 }
+
+// frontierReplanner names the frontier re-planner every site's executions
+// run after a mid-execution host failure (scheduler.LookupReplanner name).
+// "dup" would re-plan exactly as "eft" does: its hedges are duplicate runs,
+// and live execution runs none.
+const frontierReplanner = "eft"
 
 // BatchOptions tunes one ScheduleBatchOpts call; the zero value follows
 // the site Config.
@@ -81,7 +79,7 @@ type Manager struct {
 	Gate     *datamgr.Gate
 
 	cfg       Config
-	replanner scheduler.Replanner // Config.Replanner resolved once; nil when "off"
+	replanner scheduler.Replanner // frontierReplanner, resolved once
 
 	// Deviation fan-out: in-flight executions subscribe here and receive
 	// the names of hosts the monitoring plane reports down (§2.3.1).
@@ -101,28 +99,20 @@ func NewManager(siteName string, pool *resource.Pool, nw *netsim.Network, reg *t
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = 8
 	}
-	if cfg.Replanner == "" {
-		cfg.Replanner = "eft"
-	}
-	if cfg.Replanner == "dup" {
-		return nil, fmt.Errorf(`site %s: re-planner "dup" hedges with duplicate runs, and live execution runs no hedges; use "eft", the same re-plan without them`, siteName)
+	rp, err := scheduler.LookupReplanner(frontierReplanner)
+	if err != nil {
+		return nil, err
 	}
 	m := &Manager{
-		Site:     siteName,
-		Repo:     repository.New(),
-		Pool:     pool,
-		Cache:    predict.NewCache(),
-		Net:      nw,
-		Registry: reg,
-		Gate:     datamgr.NewGate(),
-		cfg:      cfg,
-	}
-	if cfg.Replanner != "off" {
-		rp, err := scheduler.LookupReplanner(cfg.Replanner)
-		if err != nil {
-			return nil, fmt.Errorf("site %s: %w", siteName, err)
-		}
-		m.replanner = rp
+		Site:      siteName,
+		Repo:      repository.New(),
+		Pool:      pool,
+		Cache:     predict.NewCache(),
+		Net:       nw,
+		Registry:  reg,
+		Gate:      datamgr.NewGate(),
+		cfg:       cfg,
+		replanner: rp,
 	}
 	for _, h := range pool.Hosts() {
 		err := m.Repo.Resources.Register(repository.ResourceStatic{
@@ -291,18 +281,13 @@ func (m *Manager) SubscribeDeviations() (<-chan string, func()) {
 }
 
 // FrontierReplanner builds the runtime's whole-frontier rescheduling
-// callback from the site's configured re-planner: candidate hosts come from
-// the resource-performance database minus every host the execution or the
-// repository knows down, costs from the site's own cost model (what the
-// original placement was priced with), settled tasks are modelled as
-// running to their predicted finish, and the repaired table is certified by
-// ValidateSchedule before any assignment is adopted. Returns nil when
-// Config.Replanner is "off".
+// callback from the site's re-planner (frontierReplanner): candidate hosts
+// come from the resource-performance database minus every host the
+// execution or the repository knows down, costs from the site's own cost
+// model (what the original placement was priced with), settled tasks are
+// modelled as running to their predicted finish, and the repaired table is
+// certified by ValidateSchedule before any assignment is adopted.
 func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
-	rp := m.replanner
-	if rp == nil {
-		return nil
-	}
 	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 		down := make(map[string]bool, len(dead))
 		for _, h := range dead {
@@ -334,7 +319,7 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 				running[id] = a.Predicted
 			}
 		}
-		rep, err := rp.Replan(&scheduler.ReplanRequest{
+		rep, err := m.replanner.Replan(&scheduler.ReplanRequest{
 			Graph:   g,
 			Table:   table,
 			Running: running,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/rpc"
-	"strings"
 	"testing"
 	"time"
 
@@ -50,31 +49,6 @@ func TestNewManagerRegistersEverything(t *testing.T) {
 	rec, err := m.Repo.Tasks.Get("matrix.lu")
 	if err != nil || rec.BaseTime <= 0 {
 		t.Fatalf("matrix.lu record = %+v err=%v", rec, err)
-	}
-}
-
-// TestNewManagerRefusesUnknownReplanner: a misspelt re-planner is refused
-// when the site is built, instead of failing every re-plan later and
-// leaving only per-task rescheduling without a word. "dup" is refused too:
-// live execution runs none of its hedges, so it would silently be "eft".
-// "" and "off" keep their meaning.
-func TestNewManagerRefusesUnknownReplanner(t *testing.T) {
-	pool := resource.GenerateSite("syracuse", 2, 4, 1)
-	if _, err := NewManager("syracuse", pool, nil, nil, Config{Replanner: "etf"}); !errors.Is(err, scheduler.ErrUnknownReplanner) {
-		t.Fatalf("Replanner etf: err = %v, want ErrUnknownReplanner", err)
-	}
-	if _, err := NewManager("syracuse", pool, nil, nil, Config{Replanner: "dup"}); err == nil ||
-		!strings.Contains(err.Error(), "no hedges") || !strings.Contains(err.Error(), `"eft"`) {
-		t.Fatalf("Replanner dup: err = %v, want a refusal naming eft", err)
-	}
-	for name, wantReplan := range map[string]bool{"": true, "eft": true, "off": false} {
-		m, err := NewManager("syracuse", pool, nil, nil, Config{Replanner: name})
-		if err != nil {
-			t.Fatalf("Replanner %q: %v", name, err)
-		}
-		if got := m.FrontierReplanner() != nil; got != wantReplan {
-			t.Fatalf("Replanner %q: frontier re-planning = %v, want %v", name, got, wantReplan)
-		}
 	}
 }
 
