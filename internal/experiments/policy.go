@@ -178,7 +178,6 @@ func PolicyComparisonFor(seed int64, names []string) (*Result, error) {
 	}
 	net := netsim.StarTopology(siteNames, policyWANLatency, policyWANBand, 1)
 	env := scheduler.Request{Local: selectors[0], Remotes: remotes, Net: net,
-		Sites: repos,
 		Config: scheduler.NewConfig(scheduler.WithSeed(seed),
 			scheduler.WithCostCache(scheduler.NewCostCache()))}
 	truth := truthFromRepos(repos)

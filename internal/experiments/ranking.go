@@ -153,7 +153,7 @@ func rankingEnv(cfg RankingConfig) gridEnv {
 	for _, name := range siteNames[1:] {
 		remotes = append(remotes, &scheduler.LocalSelector{Site: name, Repo: repos[name]})
 	}
-	req := scheduler.Request{Local: local, Remotes: remotes, Net: net, Sites: repos,
+	req := scheduler.Request{Local: local, Remotes: remotes, Net: net,
 		Config: scheduler.NewConfig(scheduler.WithSeed(cfg.Seed))}
 	return gridEnv{req: req, hosts: hosts, truth: truthFromRepos(repos)}
 }

@@ -52,9 +52,9 @@ func collectHosts(sites map[string]*repository.Repository) []hostEntry {
 //   - "fastest": every task on the host with the highest static speed
 //     factor — the "prediction-blind" rule that ignores load entirely.
 //
-// Host inventories come from the request's site repositories (the explicit
-// Sites map, or any in-process LocalSelector); remote-only deployments see
-// just the hosts their RPC peers expose locally.
+// Host inventories come from the request's in-process LocalSelectors'
+// repositories; remote-only deployments see just the hosts their RPC peers
+// expose locally.
 type baselinePolicy struct {
 	kind string
 }

@@ -58,7 +58,7 @@ func decodePlanInstance(t *testing.T, seed int64, tasksB, hostsB, sitesB, flags 
 	in.net = netsim.StarTopology(sites, 5*time.Millisecond, 1e7, 1)
 	in.truth = heftTruth(repos)
 	in.env = Request{Local: &LocalSelector{Site: sites[0], Repo: repos[sites[0]]}, Remotes: remotes,
-		Net: in.net, Sites: repos, Config: NewConfig(WithSeed(1))}
+		Net: in.net, Config: NewConfig(WithSeed(1))}
 
 	ccr := 0.5
 	if flags&8 != 0 {

@@ -43,9 +43,7 @@ func equivEnv(t testing.TB, seed int64) (*Request, map[string]*repository.Reposi
 	for _, n := range names[1:] {
 		remotes = append(remotes, &LocalSelector{Site: n, Repo: repos[n]})
 	}
-	req := NewRequest(nil, local, remotes, net)
-	req.Sites = repos
-	return req, repos, net
+	return NewRequest(nil, local, remotes, net), repos, net
 }
 
 // equivGraph mixes the scale workload's DAG shapes with a few injected
@@ -302,7 +300,6 @@ func TestDenseHEFTSharedHostNameAcrossSites(t *testing.T) {
 				}
 				net := netsim.StarTopology(sites, 5*time.Millisecond, 1e7, 1)
 				req := NewRequest(g, &LocalSelector{Site: "ames", Repo: repos["ames"]}, remotes, net)
-				req.Sites = repos
 				dense, err := p.Schedule(context.Background(), req)
 				if err != nil {
 					t.Fatalf("%s mixed=%v seed %d: dense: %v", policy, mixed, seed, err)

@@ -35,9 +35,7 @@ func heftEnv(t testing.TB) (*Request, map[string]*repository.Repository, *netsim
 		&LocalSelector{Site: "beta", Repo: repos["beta"]},
 		&LocalSelector{Site: "gamma", Repo: repos["gamma"]},
 	}
-	req := NewRequest(nil, local, remotes, net)
-	req.Sites = repos
-	return req, repos, net
+	return NewRequest(nil, local, remotes, net), repos, net
 }
 
 // layeredDAG builds a deterministic random layered DAG for precedence

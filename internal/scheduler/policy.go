@@ -61,12 +61,6 @@ type Request struct {
 	// Net supplies transfer_time(Si, Sj); nil means communication is free.
 	Net *netsim.Network
 
-	// Sites optionally exposes the raw site repositories for policies that
-	// need host inventories rather than predictions (the naive baselines).
-	// When nil, repositories are recovered from any in-process
-	// LocalSelector among Local/Remotes.
-	Sites map[string]*repository.Repository
-
 	// Diag, when non-nil, collects per-site gather diagnostics: which
 	// sites were dropped from the multicast and whether the drop was a
 	// capacity refusal (the site cannot host some task) or a transient
@@ -90,12 +84,10 @@ func NewRequest(g *afg.Graph, local HostSelector, remotes []HostSelector, net *n
 	}
 }
 
-// siteRepos returns the repositories visible to this request: the explicit
-// Sites map when set, else whatever the in-process selectors expose.
+// siteRepos returns the repositories visible to this request: whatever its
+// in-process selectors expose. Policies that need host inventories rather
+// than predictions (the naive baselines) read them here.
 func (r *Request) siteRepos() map[string]*repository.Repository {
-	if len(r.Sites) > 0 {
-		return r.Sites
-	}
 	out := map[string]*repository.Repository{}
 	add := func(sel HostSelector) {
 		if ls, ok := sel.(*LocalSelector); ok && ls.Repo != nil {

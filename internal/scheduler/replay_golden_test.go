@@ -74,7 +74,7 @@ func churnGoldenEnv(t testing.TB) (Request, TimeModel, []HostRef, []string) {
 		remotes = append(remotes, &LocalSelector{Site: site, Repo: repos[site]})
 	}
 	env := Request{Local: &LocalSelector{Site: sites[0], Repo: repos[sites[0]]}, Remotes: remotes,
-		Net: net, Sites: repos, Config: NewConfig(WithSeed(1))}
+		Net: net, Config: NewConfig(WithSeed(1))}
 	return env, heftTruth(repos), refs, names
 }
 

@@ -414,9 +414,9 @@ func TestAllocationTablePerSite(t *testing.T) {
 func TestBaselinesProduceCompleteTables(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0.5}, "s2": {2, 0.1}})
 	rome := makeRepo(t, "rome", map[string][2]float64{"r1": {4, 2}})
-	sites := map[string]*repository.Repository{"syr": syr, "rome": rome}
 	g := chainGraph(t, []float64{1, 2, 3, 4}, 10)
-	env := &Request{Sites: sites, Config: NewConfig(WithSeed(1))}
+	env := &Request{Local: &LocalSelector{Site: "syr", Repo: syr},
+		Remotes: []HostSelector{&LocalSelector{Site: "rome", Repo: rome}}, Config: NewConfig(WithSeed(1))}
 	for _, name := range []string{"random", "roundrobin", "minload", "fastest"} {
 		table, err := runPolicy(name, env, g)
 		if err != nil {
@@ -430,7 +430,7 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 
 func TestFastestHostSchedulerSerialises(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {9, 0}})
-	env := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
+	env := &Request{Local: &LocalSelector{Site: "syr", Repo: syr}}
 	table, err := runPolicy("fastest", env, chainGraph(t, []float64{1, 1}, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestFastestHostSchedulerSerialises(t *testing.T) {
 
 func TestMinLoadSpreadsTasks(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {1, 0}})
-	env := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
+	env := &Request{Local: &LocalSelector{Site: "syr", Repo: syr}}
 	g := afg.New("wide")
 	for i := 0; i < 4; i++ {
 		g.AddTask(&afg.Task{ID: afg.TaskID(rune('a' + i)), Function: "f", ComputeCost: 1})
@@ -465,7 +465,7 @@ func TestMinLoadSpreadsTasks(t *testing.T) {
 func TestBaselinesEmptySites(t *testing.T) {
 	g := chainGraph(t, []float64{1}, 0)
 	// A site with no up hosts offers nothing to place on.
-	empty := &Request{Sites: map[string]*repository.Repository{"syr": repository.New()}}
+	empty := &Request{Local: &LocalSelector{Site: "syr", Repo: repository.New()}}
 	for _, name := range []string{"random", "minload"} {
 		if _, err := runPolicy(name, empty, g); !errors.Is(err, ErrNoEligibleHost) {
 			t.Fatalf("%s: err = %v", name, err)

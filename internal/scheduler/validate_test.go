@@ -38,7 +38,7 @@ func dagenEnv(t testing.TB, beta float64, seed int64) (Request, map[string]*repo
 	net := netsim.StarTopology(siteNames, 5*time.Millisecond, 1e7, 1)
 	local := &LocalSelector{Site: "east", Repo: repos["east"]}
 	remotes := []HostSelector{&LocalSelector{Site: "west", Repo: repos["west"]}}
-	env := Request{Local: local, Remotes: remotes, Net: net, Sites: repos,
+	env := Request{Local: local, Remotes: remotes, Net: net,
 		Config: NewConfig(WithSeed(seed))}
 	return env, repos, net
 }
@@ -245,7 +245,7 @@ func TestValidateScheduleLargeGraphBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := heftTruth(req.Sites)
+	truth := heftTruth(req.siteRepos())
 	t0 := time.Now()
 	audit, err := ValidateSchedule(req.Graph, table, truth, req.Net)
 	if err != nil {

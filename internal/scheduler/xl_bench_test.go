@@ -58,9 +58,7 @@ func xlEnv(b testing.TB, sites, hostsPerSite int) *Request {
 	for _, n := range names[1:] {
 		remotes = append(remotes, &LocalSelector{Site: n, Repo: repos[n]})
 	}
-	req := NewRequest(nil, local, remotes, net)
-	req.Sites = repos
-	return req
+	return NewRequest(nil, local, remotes, net)
 }
 
 // BenchmarkXLSchedule — HEFT over the 100k × 1000 cell. The cost matrix,
