@@ -57,14 +57,8 @@ func run() int {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit one JSON document for all selected experiments (rows + metrics)")
 	policies := flag.String("policies", "", "restrict the POLICY experiment to these comma-separated scheduling policies (empty = all registered)")
-	rankSizes := flag.String("ranking-sizes", "", "RANKING grid task counts, comma-separated (empty = default grid)")
-	rankCCRs := flag.String("ranking-ccrs", "", "RANKING grid CCR values, comma-separated (empty = default grid)")
-	rankGraphs := flag.Int("ranking-graphs", 0, "RANKING graphs per grid cell (0 = default)")
-	rankWorkers := flag.Int("ranking-workers", 0, "RANKING worker-pool size; results are bit-identical for any value (0 = GOMAXPROCS, 1 = serial)")
-	churnSizes := flag.String("churn-sizes", "", "CHURN grid task counts, comma-separated (empty = default grid)")
-	churnCCRs := flag.String("churn-ccrs", "", "CHURN grid CCR values, comma-separated (empty = default grid)")
-	churnGraphs := flag.Int("churn-graphs", 0, "CHURN graphs per grid cell (0 = default)")
-	churnWorkers := flag.Int("churn-workers", 0, "CHURN worker-pool size; results are bit-identical for any value (0 = GOMAXPROCS, 1 = serial)")
+	rankGrid := newGridFlags("ranking", "RANKING")
+	churnGrid := newGridFlags("churn", "CHURN")
 	churnReplanners := flag.String("churn-replanners", "", "restrict the CHURN experiment to these comma-separated re-planners (empty = all registered)")
 	churnThreshold := flag.Float64("churn-threshold", 0, "CHURN overrun threshold as a multiple of the predicted duration (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -110,70 +104,40 @@ func run() int {
 			return experiments.PolicyComparisonFor(seed, names)
 		})
 	}
-	if *rankSizes != "" || *rankCCRs != "" || *rankGraphs > 0 || *rankWorkers != 0 {
-		sizes, err := parseInts(*rankSizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-ranking-sizes: %v\n", err)
-			return 2
-		}
-		ccrs, err := parseFloats(*rankCCRs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-ranking-ccrs: %v\n", err)
-			return 2
-		}
-		graphs, workers := *rankGraphs, *rankWorkers
+	rankOver, rankSet, err := rankGrid.parse()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if rankSet {
 		replace(exps, "RANKING", func(seed int64) (*experiments.Result, error) {
 			cfg := experiments.DefaultRankingConfig(seed)
-			if len(sizes) > 0 {
-				cfg.Sizes = sizes
-			}
-			if len(ccrs) > 0 {
-				cfg.CCRs = ccrs
-			}
-			if graphs > 0 {
-				cfg.GraphsPerCell = graphs
-			}
-			cfg.Workers = workers
+			rankOver(&cfg.Grid)
 			return experiments.RankingWith(cfg)
 		})
 	}
-	if *churnSizes != "" || *churnCCRs != "" || *churnGraphs > 0 || *churnWorkers != 0 ||
-		*churnReplanners != "" || *churnThreshold > 0 {
-		sizes, err := parseInts(*churnSizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-churn-sizes: %v\n", err)
-			return 2
-		}
-		ccrs, err := parseFloats(*churnCCRs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-churn-ccrs: %v\n", err)
-			return 2
-		}
+	churnOver, churnSet, err := churnGrid.parse()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if churnSet || *churnReplanners != "" || *churnThreshold > 0 {
 		var replanners []string
 		if *churnReplanners != "" {
 			for _, n := range strings.Split(*churnReplanners, ",") {
 				replanners = append(replanners, strings.TrimSpace(n))
 			}
 		}
-		graphs, workers, threshold := *churnGraphs, *churnWorkers, *churnThreshold
+		threshold := *churnThreshold
 		replace(exps, "CHURN", func(seed int64) (*experiments.Result, error) {
 			cfg := experiments.DefaultChurnConfig(seed)
-			if len(sizes) > 0 {
-				cfg.Sizes = sizes
-			}
-			if len(ccrs) > 0 {
-				cfg.CCRs = ccrs
-			}
-			if graphs > 0 {
-				cfg.GraphsPerCell = graphs
-			}
+			churnOver(&cfg.Grid)
 			if len(replanners) > 0 {
 				cfg.Replanners = replanners
 			}
 			if threshold > 0 {
 				cfg.Threshold = threshold
 			}
-			cfg.Workers = workers
 			return experiments.ChurnWith(cfg)
 		})
 	}
@@ -245,6 +209,54 @@ func replace(exps []experiments.Experiment, id string, run func(int64) (*experim
 			exps[i].Run = run
 		}
 	}
+}
+
+// gridFlags are one grid experiment's -<name>-sizes, -ccrs, -graphs and
+// -workers flags.
+type gridFlags struct {
+	name            string
+	sizes, ccrs     *string
+	graphs, workers *int
+}
+
+// newGridFlags defines the grid flags of experiment exp under the prefix
+// name.
+func newGridFlags(name, exp string) gridFlags {
+	return gridFlags{
+		name:    name,
+		sizes:   flag.String(name+"-sizes", "", exp+" grid task counts, comma-separated (empty = default grid)"),
+		ccrs:    flag.String(name+"-ccrs", "", exp+" grid CCR values, comma-separated (empty = default grid)"),
+		graphs:  flag.Int(name+"-graphs", 0, exp+" graphs per grid cell (0 = default)"),
+		workers: flag.Int(name+"-workers", 0, exp+" worker-pool size; results are bit-identical for any value (0 = GOMAXPROCS, 1 = serial)"),
+	}
+}
+
+// parse reads the parsed flags into over, which lays them on a default
+// grid: given sizes, CCRs and a graph count replace the grid's, and the
+// worker count always does. set reports whether any flag was given.
+func (f gridFlags) parse() (over func(*experiments.Grid), set bool, err error) {
+	sizes, err := parseInts(*f.sizes)
+	if err != nil {
+		return nil, false, fmt.Errorf("-%s-sizes: %v", f.name, err)
+	}
+	ccrs, err := parseFloats(*f.ccrs)
+	if err != nil {
+		return nil, false, fmt.Errorf("-%s-ccrs: %v", f.name, err)
+	}
+	graphs, workers := *f.graphs, *f.workers
+	over = func(g *experiments.Grid) {
+		if len(sizes) > 0 {
+			g.Sizes = sizes
+		}
+		if len(ccrs) > 0 {
+			g.CCRs = ccrs
+		}
+		if graphs > 0 {
+			g.GraphsPerCell = graphs
+		}
+		g.Workers = workers
+	}
+	return over, *f.sizes != "" || *f.ccrs != "" || graphs > 0 || workers != 0, nil
 }
 
 // resultJSON is one experiment's machine-readable form: the series columns

@@ -23,17 +23,9 @@ import (
 // exclusivity fails the experiment rather than producing a data point.
 
 // ChurnConfig parameterises the CHURN sweep. Zero fields take the
-// DefaultChurnConfig values (Beta: only negative selects the default, as
-// in RankingConfig).
+// DefaultChurnConfig values (grid fields as in Grid.withDefaults).
 type ChurnConfig struct {
-	Sizes         []int
-	CCRs          []float64
-	Alpha         float64
-	OutDegree     int
-	Beta          float64
-	GraphsPerCell int
-	Sites         int
-	HostsPerSite  int
+	Grid
 
 	// Policy schedules the baseline plan each re-planner repairs.
 	Policy string
@@ -48,59 +40,32 @@ type ChurnConfig struct {
 	Trace scheduler.ChurnTraceConfig
 
 	Seed int64
-
-	// Workers bounds the cell fan-out pool. Cells are independent and each
-	// worker builds its own seeded environment, so results are
-	// bit-identical to the serial order for any count (1 = serial,
-	// 0/negative = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultChurnConfig is the smoke grid the CHURN experiment runs by
 // default: 2 sizes × 2 CCRs × 2 graphs on 3 sites of 3 hosts.
 func DefaultChurnConfig(seed int64) ChurnConfig {
 	return ChurnConfig{
-		Sizes:         []int{20, 40},
-		CCRs:          []float64{0.5, 2},
-		Alpha:         1,
-		OutDegree:     4,
-		Beta:          1,
-		GraphsPerCell: 2,
-		Sites:         3,
-		HostsPerSite:  3,
-		Policy:        "heft",
-		Threshold:     1.5,
-		Trace:         scheduler.DefaultChurnTrace,
-		Seed:          seed,
+		Grid: Grid{
+			Sizes:         []int{20, 40},
+			CCRs:          []float64{0.5, 2},
+			Alpha:         1,
+			OutDegree:     4,
+			Beta:          1,
+			GraphsPerCell: 2,
+			Sites:         3,
+			HostsPerSite:  3,
+		},
+		Policy:    "heft",
+		Threshold: 1.5,
+		Trace:     scheduler.DefaultChurnTrace,
+		Seed:      seed,
 	}
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
 	d := DefaultChurnConfig(c.Seed)
-	if len(c.Sizes) == 0 {
-		c.Sizes = d.Sizes
-	}
-	if len(c.CCRs) == 0 {
-		c.CCRs = d.CCRs
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.OutDegree <= 0 {
-		c.OutDegree = d.OutDegree
-	}
-	if c.Beta < 0 {
-		c.Beta = d.Beta
-	}
-	if c.GraphsPerCell <= 0 {
-		c.GraphsPerCell = d.GraphsPerCell
-	}
-	if c.Sites <= 0 {
-		c.Sites = d.Sites
-	}
-	if c.HostsPerSite <= 0 {
-		c.HostsPerSite = d.HostsPerSite
-	}
+	c.Grid = c.Grid.withDefaults(d.Grid)
 	if c.Policy == "" {
 		c.Policy = d.Policy
 	}
@@ -221,12 +186,7 @@ func ChurnCells(cfg ChurnConfig) ([]ChurnCell, []string, error) {
 		return nil, nil, err
 	}
 
-	rcfg := RankingConfig{
-		Sizes: cfg.Sizes, CCRs: cfg.CCRs, Alpha: cfg.Alpha,
-		OutDegree: cfg.OutDegree, Beta: cfg.Beta,
-		GraphsPerCell: cfg.GraphsPerCell, Sites: cfg.Sites,
-		HostsPerSite: cfg.HostsPerSite, Seed: cfg.Seed,
-	}
+	rcfg := RankingConfig{Grid: cfg.Grid, Seed: cfg.Seed}
 	cells, err := runGrid(rankingGrid(rcfg), cfg.Workers,
 		func() churnEnv {
 			env := rankingEnv(rcfg)

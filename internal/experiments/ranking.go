@@ -34,10 +34,10 @@ import (
 // policies count as tied in the pairwise/best tallies.
 const rankingEqualTol = 1e-9
 
-// RankingConfig parameterises the RANKING sweep. Zero fields take the
-// DefaultRankingConfig values, except Beta, where zero is meaningful (a
-// homogeneous host pool) and only a negative value selects the default.
-type RankingConfig struct {
+// Grid is the parametric dagen sweep RANKING and CHURN share: task counts
+// × CCRs × seeded graphs per cell, on Sites sites of HostsPerSite hosts,
+// and the pool the cells fan out to.
+type Grid struct {
 	Sizes         []int     // task counts (grid axis 1)
 	CCRs          []float64 // communication-to-computation ratios (grid axis 2)
 	Alpha         float64   // dagen shape knob
@@ -46,60 +46,74 @@ type RankingConfig struct {
 	GraphsPerCell int       // seeded graphs per (size, CCR) cell
 	Sites         int
 	HostsPerSite  int
-	Policies      []string // nil = every registered policy
-	Seed          int64
 
-	// Workers bounds the pool RankingCells fans (size, CCR, graph) cells
-	// out to. Cells are completely independent — every worker builds its
-	// own seeded environment and ledger — so the results are bit-identical
-	// to the serial order regardless of the count. 1 runs serially in the
-	// calling goroutine; 0 or negative uses GOMAXPROCS.
+	// Workers bounds the pool the (size, CCR, graph) cells fan out to.
+	// Cells are completely independent — every worker builds its own
+	// seeded environment — so the results are bit-identical to the serial
+	// order regardless of the count. 1 runs serially in the calling
+	// goroutine; 0 or negative uses GOMAXPROCS.
 	Workers int
+}
+
+// withDefaults fills g's zero fields from d, except Beta, where zero is
+// meaningful (a homogeneous host pool) and only a negative value takes d's.
+func (g Grid) withDefaults(d Grid) Grid {
+	if len(g.Sizes) == 0 {
+		g.Sizes = d.Sizes
+	}
+	if len(g.CCRs) == 0 {
+		g.CCRs = d.CCRs
+	}
+	if g.Alpha <= 0 {
+		g.Alpha = d.Alpha
+	}
+	if g.OutDegree <= 0 {
+		g.OutDegree = d.OutDegree
+	}
+	if g.Beta < 0 {
+		g.Beta = d.Beta
+	}
+	if g.GraphsPerCell <= 0 {
+		g.GraphsPerCell = d.GraphsPerCell
+	}
+	if g.Sites <= 0 {
+		g.Sites = d.Sites
+	}
+	if g.HostsPerSite <= 0 {
+		g.HostsPerSite = d.HostsPerSite
+	}
+	return g
+}
+
+// RankingConfig parameterises the RANKING sweep. Zero grid fields take the
+// DefaultRankingConfig values (see Grid.withDefaults).
+type RankingConfig struct {
+	Grid
+	Policies []string // nil = every registered policy
+	Seed     int64
 }
 
 // DefaultRankingConfig is the grid the RANKING experiment and the committed
 // golden results use: 3 sizes × 3 CCRs × 3 graphs on 4 heterogeneous sites.
 func DefaultRankingConfig(seed int64) RankingConfig {
 	return RankingConfig{
-		Sizes:         []int{20, 40, 80},
-		CCRs:          []float64{0.1, 1, 5},
-		Alpha:         1,
-		OutDegree:     4,
-		Beta:          1,
-		GraphsPerCell: 3,
-		Sites:         4,
-		HostsPerSite:  4,
-		Seed:          seed,
+		Grid: Grid{
+			Sizes:         []int{20, 40, 80},
+			CCRs:          []float64{0.1, 1, 5},
+			Alpha:         1,
+			OutDegree:     4,
+			Beta:          1,
+			GraphsPerCell: 3,
+			Sites:         4,
+			HostsPerSite:  4,
+		},
+		Seed: seed,
 	}
 }
 
-// withDefaults fills zero fields from DefaultRankingConfig.
+// withDefaults fills zero grid fields from DefaultRankingConfig.
 func (c RankingConfig) withDefaults() RankingConfig {
-	d := DefaultRankingConfig(c.Seed)
-	if len(c.Sizes) == 0 {
-		c.Sizes = d.Sizes
-	}
-	if len(c.CCRs) == 0 {
-		c.CCRs = d.CCRs
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.OutDegree <= 0 {
-		c.OutDegree = d.OutDegree
-	}
-	if c.Beta < 0 {
-		c.Beta = d.Beta
-	}
-	if c.GraphsPerCell <= 0 {
-		c.GraphsPerCell = d.GraphsPerCell
-	}
-	if c.Sites <= 0 {
-		c.Sites = d.Sites
-	}
-	if c.HostsPerSite <= 0 {
-		c.HostsPerSite = d.HostsPerSite
-	}
+	c.Grid = c.Grid.withDefaults(DefaultRankingConfig(c.Seed).Grid)
 	return c
 }
 
