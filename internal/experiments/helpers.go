@@ -105,22 +105,6 @@ func blockMeans[C any](sizes []int, ccrs []float64, perCell int, cells []C, vals
 	return rows
 }
 
-// repoSite builds a repository for a homogeneous-speed site with uniform
-// random loads in [0, loadMax).
-func repoSite(name string, hosts int, speed, loadMax float64, seed int64) *repository.Repository {
-	repo := repository.New()
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < hosts; i++ {
-		host := fmt.Sprintf("%s-%02d", name, i)
-		repo.Resources.Register(repository.ResourceStatic{
-			HostName: host, Site: name, Arch: "solaris",
-			TotalMemory: 1 << 30, SpeedFactor: speed,
-		})
-		repo.Resources.UpdateDynamic(host, rng.Float64()*loadMax, 1<<30, time.Now())
-	}
-	return repo
-}
-
 // repoSiteSpeeds builds a site with explicit per-host speed factors and
 // idle loads (fully deterministic — used by the Fig 4 experiment).
 func repoSiteSpeeds(name string, speeds []float64) *repository.Repository {

@@ -215,8 +215,8 @@ func noSitesErr(transient []SiteError) error {
 // batched gather per (graph, environment) instead of one per policy per
 // graph. Keys are graph identities, so a cache must not outlive its
 // environment — a repository or network change invalidates every entry.
-// Batch installs one automatically; comparison harnesses share one across
-// policies explicitly (WithCostCache).
+// Nothing installs one by default: a caller that schedules one graph under
+// several policies shares one across them explicitly (WithCostCache).
 type CostCache struct {
 	mu sync.Mutex
 	m  map[*afg.Graph]*CostMatrix

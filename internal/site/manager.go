@@ -380,8 +380,9 @@ func (m *Manager) SchedulePolicy(ctx context.Context, policy string, g *afg.Grap
 }
 
 // ScheduleBatchOpts schedules many applications concurrently against this
-// site (plus the given remote selectors), sharing the repository and
-// prediction cache across all of them; results come back in input order.
+// site (plus the given remote selectors), sharing the repository and its
+// pricing counters (Manager.Cache) across all of them; results come back in
+// input order.
 // It fails fast on an unknown policy name; per-graph failures report
 // through the items. SchedulerConcurrency is one budget, not two: with several graphs in
 // flight it bounds the batch workers and each schedule fans out serially;
