@@ -244,11 +244,7 @@ func Factor(a *Matrix, p int) (*LU, error) {
 		piv[i] = i
 	}
 	sign := 1
-	// One step closure for the whole factorization, not one per step:
-	// workers read k only between split's start and its wait.
-	var k int
-	step := func(lo, hi int) { eliminate(lu.Data, n, k, lo, hi) }
-	for k = 0; k < n; k++ {
+	for k := 0; k < n; k++ {
 		// Partial pivot: largest |value| in column k at or below row k.
 		pr := k
 		max := math.Abs(lu.At(k, k))
@@ -269,7 +265,7 @@ func Factor(a *Matrix, p int) (*LU, error) {
 			piv[k], piv[pr] = piv[pr], piv[k]
 			sign = -sign
 		}
-		split(k+1, n, p, step)
+		split(k+1, n, p, func(lo, hi int) { eliminate(lu.Data, n, k, lo, hi) })
 	}
 	return &LU{N: n, LU: lu, Pivot: piv, Signs: sign}, nil
 }
