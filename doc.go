@@ -75,9 +75,9 @@
 // Invariants: dense indices follow ascending TaskID order (index
 // tie-breaks equal id tie-breaks), arc transfer volumes are resolved when
 // the index is built (task cost metadata is frozen during scheduling), and
-// structural graph mutations invalidate the cached index. The map-keyed
-// originals are retained as test oracles with equivalence tests pinning
-// identical allocation tables. What each stage costs, per workload and per
+// a graph is its index: an editor's AddTask or AddLink builds a new one.
+// The map-keyed originals are retained as test oracles with equivalence
+// tests pinning identical allocation tables. What each stage costs, per workload and per
 // commit, is benchmark/README.md's to say.
 //
 // On top of the dense core, per-schedule working state — rank vectors,

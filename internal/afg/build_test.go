@@ -6,38 +6,161 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// decodePerLink is the ingest path Decode had before Build: one AddTask per
-// task and one AddLinkExact — one reachability walk — per link, then
-// Validate. It stays as the test-only oracle the bulk path is held against.
-func decodePerLink(data []byte) (*Graph, error) {
+// perLink is the graph this package kept before a Graph was its Index:
+// id-keyed task and link maps, one set of insertion rules per task and per
+// link, and one reachability walk per link. It stays as the test-only
+// oracle Decode (FuzzDecode) and AddTask/AddLink (FuzzGraphIndex) are held
+// against.
+type perLink struct {
+	name  string
+	added []TaskID // task ids in insertion order
+	tasks map[TaskID]*Task
+	succ  map[TaskID][]Link // outgoing links by From, in insertion order
+	pred  map[TaskID][]Link // incoming links by To, in port order
+}
+
+func newPerLink(name string) *perLink {
+	return &perLink{name: name, tasks: map[TaskID]*Task{}, succ: map[TaskID][]Link{}, pred: map[TaskID][]Link{}}
+}
+
+func (m *perLink) addTask(t *Task) error {
+	if t.ID == "" {
+		return errEmptyID
+	}
+	if _, ok := m.tasks[t.ID]; ok {
+		return fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
+	}
+	if t.Processors < 1 {
+		t.Processors = 1
+	}
+	m.added = append(m.added, t.ID)
+	m.tasks[t.ID] = t
+	return nil
+}
+
+// addLink refuses a link that closes a cycle first, then a self link, an
+// unknown endpoint, a repeated pair and a taken port. With autoPort a zero
+// Port on a task that has parents becomes the next free port.
+func (m *perLink) addLink(l Link, autoPort bool) error {
+	if l.From != l.To && m.reachable(l.To, l.From) {
+		return fmt.Errorf("%w: adding %s -> %s", ErrCycle, l.From, l.To)
+	}
+	if l.From == l.To {
+		return fmt.Errorf("%w: %q", ErrSelfLink, l.From)
+	}
+	for _, id := range []TaskID{l.From, l.To} {
+		if _, ok := m.tasks[id]; !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownTask, id)
+		}
+	}
+	for _, e := range m.succ[l.From] {
+		if e.To == l.To {
+			return fmt.Errorf("%w: %s -> %s", ErrDuplicateLink, l.From, l.To)
+		}
+	}
+	in := m.pred[l.To]
+	if autoPort && l.Port == 0 && len(in) > 0 {
+		if next := in[len(in)-1].Port + 1; next > 0 {
+			l.Port = next
+		}
+	}
+	at := len(in)
+	for at > 0 && in[at-1].Port > l.Port {
+		at--
+	}
+	if at > 0 && in[at-1].Port == l.Port {
+		return fmt.Errorf("%w: port %d on %s already connected (from %s)",
+			ErrPortConflict, l.Port, l.To, in[at-1].From)
+	}
+	m.succ[l.From] = append(m.succ[l.From], l)
+	m.pred[l.To] = slices.Insert(in, at, l)
+	return nil
+}
+
+// reachable reports whether dst, another task than src, is reachable from
+// src by links.
+func (m *perLink) reachable(src, dst TaskID) bool {
+	seen := map[TaskID]bool{src: true}
+	stack := []TaskID{src}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range m.succ[cur] {
+			if e.To == dst {
+				return true
+			}
+			if !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return false
+}
+
+// sorted returns the tasks in id order and the links by source id, each
+// source's in insertion order: the order an Index holds them in.
+func (m *perLink) sorted() ([]*Task, []Link) {
+	var tasks []*Task
+	var links []Link
+	for _, id := range m.ids() {
+		tasks = append(tasks, m.tasks[id])
+		links = append(links, m.succ[id]...)
+	}
+	return tasks, links
+}
+
+// ids returns the task ids in sorted order. It sorts the insertion order,
+// not a map walk, so the fuzzers' coverage of the sort is deterministic.
+func (m *perLink) ids() []TaskID {
+	ids := slices.Clone(m.added)
+	slices.Sort(ids)
+	return ids
+}
+
+// encode is the model's document, json.MarshalIndent over its wireGraph.
+func (m *perLink) encode() ([]byte, error) {
+	tasks, links := m.sorted()
+	w := wireGraph{Name: m.name, Links: links}
+	for _, t := range tasks {
+		w.Tasks = append(w.Tasks, wireTaskOf(t))
+	}
+	return json.MarshalIndent(w, "", "  ")
+}
+
+// decodePerLink is the ingest path Decode had before Build: json.Unmarshal,
+// then one addTask per task and one exact-port addLink — one reachability
+// walk — per link, then the empty-graph check.
+func decodePerLink(data []byte) (*perLink, error) {
 	var w wireGraph
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("afg: decode: %w", err)
 	}
-	g := New(w.Name)
+	m := newPerLink(w.Name)
 	for _, wt := range w.Tasks {
 		t, err := wt.task()
 		if err != nil {
 			return nil, err
 		}
-		if err := g.AddTask(t); err != nil {
+		if err := m.addTask(t); err != nil {
 			return nil, err
 		}
 	}
 	for _, l := range w.Links {
-		if err := g.AddLinkExact(l); err != nil {
+		if err := m.addLink(l, false); err != nil {
 			return nil, err
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	if len(m.tasks) == 0 {
+		return nil, ErrEmpty
 	}
-	return g, nil
+	return m, nil
 }
 
 // refusalDocs is one document per reason an AFG can be refused, each with a
@@ -169,7 +292,7 @@ func TestBuildIsAllOrNothing(t *testing.T) {
 		t.Fatalf("Build = %v, %v; want no graph and ErrCycle", g, err)
 	}
 
-	// A refused document leaves the receiver as it was, cached Index included.
+	// A refused document leaves the receiver as it was, Index included.
 	keep := diamond(t)
 	ix, err := keep.Index()
 	if err != nil {
@@ -225,7 +348,7 @@ func TestBuildHonoursPortsAndNormalises(t *testing.T) {
 
 // TestDecodeKeepsValidatedIndex: the Kahn pass that refused or accepted the
 // document is the Index the first scheduler walk gets — not a second build —
-// and later mutations still invalidate it.
+// and later mutations replace it.
 func TestDecodeKeepsValidatedIndex(t *testing.T) {
 	data, err := diamond(t).Encode()
 	if err != nil {
@@ -235,9 +358,7 @@ func TestDecodeKeepsValidatedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.mu.Lock()
-	built := g.idx
-	g.mu.Unlock()
+	built := g.ix
 	if built == nil {
 		t.Fatal("Decode dropped the Index it validated with")
 	}
@@ -257,7 +378,7 @@ func TestDecodeKeepsValidatedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ix3 == built || ix3.Of("late") == -1 {
-		t.Fatal("AddTask after Decode did not invalidate the handed-over Index")
+		t.Fatal("AddTask after Decode did not replace the handed-over Index")
 	}
 	if err := g.AddLink(Link{From: "D", To: "late"}); err != nil {
 		t.Fatal(err)
@@ -267,10 +388,10 @@ func TestDecodeKeepsValidatedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ix4 == ix3 || ix4.NumParents(ix4.Of("late")) != 1 {
-		t.Fatal("AddLink after Decode did not invalidate the Index")
+		t.Fatal("AddLink after Decode did not replace the Index")
 	}
 
-	// Decoding into a graph that already has a cached Index replaces it.
+	// Decoding into a graph that already has an Index replaces it.
 	if err := g.UnmarshalJSON(data); err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +475,43 @@ func TestDecodeRefusesLargeCycleInBoundedTime(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("decode of a 50k-task ring still running after 10s")
+	}
+}
+
+// TestDecodeRefusesHostileFanInInBoundedTime: 100,000 links into one task
+// on descending ports, then a last link that repeats port 1. A replay that
+// inserts each parent into a port-ordered list copies the whole list at
+// every link — a minute for this document; refusal's one map probe a rule
+// names the conflict in well under a second. The 10 s limit bounds the
+// algorithm, as in TestDecodeRefusesLargeCycleInBoundedTime.
+func TestDecodeRefusesHostileFanInInBoundedTime(t *testing.T) {
+	if testing.Short() || underRace {
+		t.Skip("100k-link document")
+	}
+	const n = 100_000
+	w := wireGraph{Name: "fan-in", Tasks: []wireTask{{ID: "sink", Function: "f"}}}
+	for k := 0; k <= n; k++ {
+		id := TaskID(fmt.Sprintf("s%06d", k))
+		w.Tasks = append(w.Tasks, wireTask{ID: id, Function: "f"})
+		w.Links = append(w.Links, Link{From: id, To: "sink", Port: max(n-k, 1)})
+	}
+	data, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Decode(data)
+		done <- err
+	}()
+	const want = "afg: input port already connected: port 1 on sink already connected (from s099999)"
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPortConflict) || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("decode of a 100k-link fan-in still running after 10s")
 	}
 }
 

@@ -12,12 +12,14 @@ import (
 	"testing"
 )
 
-// FuzzGraphIndex drives a Graph through an arbitrary AddTask/AddLink
-// sequence decoded from the fuzz input — with Index() snapshots taken
-// mid-stream, so generation invalidation is exercised too — and then checks
-// that the dense view agrees with the map-keyed graph on every axis:
-// id assignment, CSR adjacency (including the resolved transfer bytes),
-// topological validity, and level values. Run the smoke in CI with:
+// FuzzGraphIndex drives a Graph and the per-link model (perLink) through
+// one arbitrary AddTask/AddLink sequence decoded from the fuzz input — auto
+// and explicit ports, with Index() snapshots taken mid-stream — and holds
+// the two to the same refusal, text included, at every step. It then
+// checks that the dense view agrees with the model on every axis: id
+// assignment, CSR adjacency (including the resolved transfer bytes), the
+// Graph's link views, topological validity and level values, and that
+// every snapshot is still the graph it was. Run the smoke in CI with:
 //
 //	go test -run=NONE -fuzz=FuzzGraphIndex -fuzztime=10s ./internal/afg
 func FuzzGraphIndex(f *testing.F) {
@@ -25,35 +27,55 @@ func FuzzGraphIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 1, 2, 3, 2, 3, 2, 1, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		g := New("fuzz")
+		// 24 task ids bound the graph, so a longer input reaches nothing a
+		// 1 KiB one cannot; each step rebuilds the Index, so it only costs.
+		ops = ops[:min(len(ops), 1024)]
+		g, m := New("fuzz"), newPerLink("fuzz")
 		id := func(b byte) TaskID { return TaskID(fmt.Sprintf("t%02d", b%24)) }
+		same := func(op string, err, want error) {
+			if fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("%s: Graph %v, per-link %v", op, err, want)
+			}
+		}
+		type snapshot struct {
+			ix           *Index
+			tasks, links int
+		}
+		var snaps []snapshot
 		for i := 0; i+1 < len(ops); i += 2 {
 			switch ops[i] % 4 {
-			case 0: // add a task; duplicates are rejected and ignored
+			case 0: // add a task; duplicates are refused by both
 				b := ops[i+1]
-				_ = g.AddTask(&Task{
+				task := &Task{
 					ID:          id(b),
 					Function:    "f",
 					ComputeCost: float64(b%7) + 0.5,
 					OutputBytes: int64(b % 5 * 100),
-				})
-			case 1, 2: // add a link; errors (cycle, dup, unknown) are ignored
+				}
+				twin := *task
+				same("AddTask", g.AddTask(task), m.addTask(&twin))
+			case 1, 2: // add a link, auto-port (1) or on an explicit port (2)
 				if i+2 >= len(ops) {
 					break
 				}
 				l := Link{From: id(ops[i+1]), To: id(ops[i+2]), Bytes: int64(ops[i+1]%3) * 50}
-				_ = g.AddLink(l)
-				i++
-			case 3: // snapshot the index mid-stream: later mutations must invalidate it
-				if g.Len() > 0 {
-					if _, err := g.Index(); err != nil {
-						t.Fatalf("mid-stream Index: %v", err)
-					}
+				if ops[i]%4 == 2 {
+					l.Port = int(ops[i+2] % 3)
 				}
+				same(fmt.Sprintf("AddLink(%+v)", l), g.AddLink(l), m.addLink(l, true))
+				i++
+			case 3: // snapshot the index mid-stream: later mutations leave it be
+				ix, err := g.Index()
+				if err != nil {
+					t.Fatalf("mid-stream Index: %v", err)
+				}
+				snaps = append(snaps, snapshot{ix, ix.Len(), len(ix.childLink)})
 			}
 		}
-		if g.Len() == 0 {
-			return
+		for _, s := range snaps {
+			if s.ix.Len() != s.tasks || len(s.ix.childLink) != s.links || len(s.ix.parentLink) != s.links {
+				t.Fatalf("a snapshot of %d tasks and %d links changed", s.tasks, s.links)
+			}
 		}
 		ix, err := g.Index()
 		if err != nil {
@@ -61,9 +83,9 @@ func FuzzGraphIndex(f *testing.F) {
 		}
 
 		// Identity: dense ids are exactly the sorted TaskIDs, and Of inverts.
-		ids := g.TaskIDs()
-		if ix.Len() != len(ids) {
-			t.Fatalf("Len %d != %d tasks", ix.Len(), len(ids))
+		ids := m.ids()
+		if ix.Len() != len(ids) || g.Len() != len(ids) || !slices.Equal(g.TaskIDs(), ids) {
+			t.Fatalf("Len %d, TaskIDs %v; per-link %v", ix.Len(), g.TaskIDs(), ids)
 		}
 		for i, want := range ids {
 			if got := ix.ID(i); got != want {
@@ -72,37 +94,37 @@ func FuzzGraphIndex(f *testing.F) {
 			if ix.Of(want) != i {
 				t.Fatalf("Of(%q) = %d, want %d", want, ix.Of(want), i)
 			}
-			if ix.Task(i) != g.Task(want) {
+			if ix.Task(i) != g.Task(want) || !reflect.DeepEqual(ix.Task(i), m.tasks[want]) {
 				t.Fatalf("Task(%d) is not the graph's task %q", i, want)
 			}
 		}
-		if ix.Of("nope") != -1 {
-			t.Fatal("Of(unknown) != -1")
+		if ix.Of("nope") != -1 || g.Task("nope") != nil || g.Parents("nope") != nil || g.Children("nope") != nil {
+			t.Fatal("an unknown id resolves")
 		}
 
-		// Adjacency: CSR arcs mirror the map-keyed links, with the transfer
+		// Adjacency: CSR arcs mirror the model's links, with the transfer
 		// volume resolved by the link-bytes-else-parent-OutputBytes rule.
 		resolve := func(l Link) int64 {
 			if l.Bytes > 0 {
 				return l.Bytes
 			}
-			return g.Task(l.From).OutputBytes
+			return m.tasks[l.From].OutputBytes
 		}
 		for i, tid := range ids {
-			children := g.Children(tid)
+			children := m.succ[tid]
 			arcs := ix.Children(i)
-			if len(arcs) != len(children) {
-				t.Fatalf("task %q: %d dense children, %d map children", tid, len(arcs), len(children))
+			if len(arcs) != len(children) || !slices.Equal(g.Children(tid), children) {
+				t.Fatalf("task %q: %d dense children %v, per-link %v", tid, len(arcs), g.Children(tid), children)
 			}
 			for k, l := range children {
 				if ix.ID(int(arcs[k].Peer)) != l.To || arcs[k].Bytes != resolve(l) {
 					t.Fatalf("task %q child %d: arc %+v vs link %+v", tid, k, arcs[k], l)
 				}
 			}
-			parents := g.Parents(tid)
+			parents := m.pred[tid]
 			arcs = ix.Parents(i)
-			if len(arcs) != len(parents) || ix.NumParents(i) != len(parents) {
-				t.Fatalf("task %q: %d dense parents, %d map parents", tid, len(arcs), len(parents))
+			if len(arcs) != len(parents) || ix.NumParents(i) != len(parents) || !slices.Equal(g.Parents(tid), parents) {
+				t.Fatalf("task %q: %d dense parents %v, per-link %v", tid, len(arcs), g.Parents(tid), parents)
 			}
 			for k, l := range parents {
 				if ix.ID(int(arcs[k].Peer)) != l.From || arcs[k].Bytes != resolve(l) {
@@ -133,7 +155,7 @@ func FuzzGraphIndex(f *testing.F) {
 			}
 		}
 
-		// Levels: recompute independently from the map view.
+		// Levels: recompute independently from the model.
 		want := make(map[TaskID]float64, len(ids))
 		var level func(TaskID) float64
 		level = func(tid TaskID) float64 {
@@ -141,12 +163,12 @@ func FuzzGraphIndex(f *testing.F) {
 				return v
 			}
 			var best float64
-			for _, l := range g.Children(tid) {
+			for _, l := range m.succ[tid] {
 				if v := level(l.To); v > best {
 					best = v
 				}
 			}
-			v := best + g.Task(tid).ComputeCost
+			v := best + m.tasks[tid].ComputeCost
 			want[tid] = v
 			return v
 		}
@@ -210,7 +232,7 @@ func checkAgainstPerLink(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if want, err := oracle.Encode(); err != nil || !bytes.Equal(enc, want) {
+	if want, err := oracle.encode(); err != nil || !bytes.Equal(enc, want) {
 		t.Fatalf("bulk and per-link ingest disagree (%v):\n%s\nvs\n%s", err, enc, want)
 	}
 	back, err := Decode(enc)
@@ -220,25 +242,21 @@ func checkAgainstPerLink(t *testing.T, data []byte) {
 	if again, err := back.Encode(); err != nil || !bytes.Equal(again, enc) {
 		t.Fatalf("round trip drifted (%v):\n%s\nvs\n%s", err, again, enc)
 	}
-	for _, id := range oracle.TaskIDs() {
-		if !slices.Equal(g.Parents(id), oracle.Parents(id)) || !slices.Equal(g.Children(id), oracle.Children(id)) {
+	for _, id := range oracle.ids() {
+		if !slices.Equal(g.Parents(id), oracle.pred[id]) || !slices.Equal(g.Children(id), oracle.succ[id]) {
 			t.Fatalf("task %q: parents %v, children %v; per-link %v, %v",
-				id, g.Parents(id), g.Children(id), oracle.Parents(id), oracle.Children(id))
+				id, g.Parents(id), g.Children(id), oracle.pred[id], oracle.succ[id])
 		}
 	}
-	g.mu.Lock()
-	handed := g.idx
-	g.mu.Unlock()
-	g.mutated()
-	rebuilt, err := g.Index()
+	rebuilt, err := buildDense(oracle.sorted())
 	if err != nil {
-		t.Fatalf("Index of an accepted graph: %v", err)
+		t.Fatalf("Index of the per-link graph: %v", err)
 	}
-	checkSameIndex(t, handed, rebuilt)
+	checkSameIndex(t, g.ix, rebuilt)
 }
 
-// checkSameIndex holds the Index Decode hands over to the one Index()
-// rebuilds from the graph's maps, field by field.
+// checkSameIndex holds the Index Decode hands over to one built from the
+// per-link graph's tasks and links in Index order, field by field.
 func checkSameIndex(t *testing.T, handed, rebuilt *Index) {
 	t.Helper()
 	if handed == nil || handed == rebuilt {
@@ -288,21 +306,14 @@ func checkFastPath(t *testing.T, data []byte) {
 // small Encode and MarshalJSON output and a copy with a non-ASCII string;
 // off are copies with a repeated member, an escaped key and 1.0 for an int.
 func fastPathSeeds() (on, off []string) {
-	g := New("seed")
-	for _, t := range []*Task{
+	g, err := Build("seed", []*Task{
 		{ID: "a", Function: "f", Mode: Parallel, Processors: 3, MachineType: "m", ComputeCost: 1.5,
 			MemReq: 7, OutputBytes: 9, Params: map[string]string{"n": "4", "k": ""}},
 		{ID: "b", Function: "g", ComputeCost: 2e-7},
 		{ID: "c"},
-	} {
-		if err := g.AddTask(t); err != nil {
-			panic(err)
-		}
-	}
-	for _, l := range []Link{{From: "a", To: "c", Bytes: 5, Port: 0}, {From: "b", To: "c", Bytes: 6, Port: 1}} {
-		if err := g.AddLinkExact(l); err != nil {
-			panic(err)
-		}
+	}, []Link{{From: "a", To: "c", Bytes: 5, Port: 0}, {From: "b", To: "c", Bytes: 6, Port: 1}})
+	if err != nil {
+		panic(err)
 	}
 	indented, err := g.Encode()
 	if err != nil {
@@ -372,20 +383,24 @@ func FuzzDecode(f *testing.F) {
 func wireOf(g *Graph) wireGraph {
 	w := wireGraph{Name: g.Name, Links: g.Links()}
 	for _, id := range g.TaskIDs() {
-		t := g.Task(id)
-		w.Tasks = append(w.Tasks, wireTask{
-			ID:          t.ID,
-			Function:    t.Function,
-			Mode:        t.Mode.String(),
-			Processors:  t.Processors,
-			MachineType: t.MachineType,
-			ComputeCost: t.ComputeCost,
-			MemReq:      t.MemReq,
-			OutputBytes: t.OutputBytes,
-			Params:      t.Params,
-		})
+		w.Tasks = append(w.Tasks, wireTaskOf(g.Task(id)))
 	}
 	return w
+}
+
+// wireTaskOf is the wire form of one task.
+func wireTaskOf(t *Task) wireTask {
+	return wireTask{
+		ID:          t.ID,
+		Function:    t.Function,
+		Mode:        t.Mode.String(),
+		Processors:  t.Processors,
+		MachineType: t.MachineType,
+		ComputeCost: t.ComputeCost,
+		MemReq:      t.MemReq,
+		OutputBytes: t.OutputBytes,
+		Params:      t.Params,
+	}
 }
 
 // oracleEncode is the Encode this codec replaced, json.MarshalIndent(g)
@@ -421,7 +436,7 @@ func checkAgainstEncodingJSON(t *testing.T, g *Graph) {
 
 // FuzzEncode builds a two-task graph from arbitrary field values — strings
 // with control bytes, invalid UTF-8, U+2028/U+2029 and HTML characters,
-// every float class, any Processors (set after AddTask's floor, so 0 and
+// every float class, any Processors (set after Build's floor, so 0 and
 // negatives reach the encoder), params — and holds Encode and MarshalJSON
 // to encoding/json's bytes (checkAgainstEncodingJSON). The encoded
 // document then goes through checkAgainstPerLink, so the decoder sees
@@ -461,11 +476,17 @@ func FuzzEncode(f *testing.F) {
 		if key != "" || val != "" {
 			task.Params = map[string]string{key: val, val + "/" + key: key}
 		}
-		if g.AddTask(task) == nil {
-			task.Processors = procs
-			if g.AddTask(&Task{ID: TaskID(child), Function: val, ComputeCost: -cost}) == nil {
-				_ = g.AddLinkExact(Link{From: TaskID(id), To: TaskID(child), Bytes: volume, Port: port})
+		if id != "" {
+			tasks, links := []*Task{task}, []Link(nil)
+			if child != "" && child != id {
+				tasks = append(tasks, &Task{ID: TaskID(child), Function: val, ComputeCost: -cost})
+				links = []Link{{From: TaskID(id), To: TaskID(child), Bytes: volume, Port: port}}
 			}
+			var err error
+			if g, err = Build(name, tasks, links); err != nil {
+				t.Fatal(err)
+			}
+			task.Processors = procs
 		}
 		checkAgainstEncodingJSON(t, g)
 		if data, err := g.Encode(); err == nil {

@@ -8,27 +8,27 @@ import (
 	"repro/internal/minheap"
 )
 
-// Index is the dense, slice-addressed view of a Graph the scheduling hot
-// path runs on: every task gets a stable integer index, adjacency is
-// CSR-style — one contiguous arc array per direction, the links behind
-// them, and offset tables — and the deterministic topological order is
-// computed once and cached with the structure.
+// Index is the dense, slice-addressed form of a Graph, and the only one it
+// has: every task gets a stable integer index, adjacency is CSR-style — one
+// contiguous arc array per direction, the links behind them, and offset
+// tables — and the deterministic topological order is computed once with
+// the structure.
 //
 // Invariants:
 //
 //   - Indices are assigned by sorted TaskID, so sorting indices ascending
 //     is exactly the deterministic id tie-break. The Graph's sorted views
 //     (TaskIDs, Entries, Exits, Links, TotalWork, Encode) read this order.
-//   - Arc.Bytes is resolved at build time (the link's explicit size, or the
-//     parent task's OutputBytes: "the input size of the application can be
-//     used for the transfer size parameter"); task cost metadata must not
-//     change between Index() and the end of scheduling.
+//   - Arc.Bytes is resolved when the Index is built (the link's explicit
+//     size, or the parent task's OutputBytes: "the input size of the
+//     application can be used for the transfer size parameter"); task cost
+//     metadata must not change between building the graph and the end of
+//     scheduling.
 //   - Child links keep each source's insertion order, parent links are in
-//     port order; a graph Build made holds its succ and pred lists as
-//     cap-limited windows on the two link arrays.
-//   - The Index is immutable once built. Graph mutations (AddTask/AddLink)
-//     invalidate the cached Index; holding one across a mutation yields a
-//     stale structural snapshot.
+//     port order; Graph.Children and Graph.Parents are cap-limited windows
+//     on the two link arrays.
+//   - The Index is immutable once built. AddTask and AddLink give the graph
+//     a new one; an Index held across them is the graph as it was before.
 type Index struct {
 	ids   []TaskID
 	of    map[TaskID]int32
@@ -50,41 +50,18 @@ type Arc struct {
 	Bytes int64 // resolved transfer volume (link bytes or parent OutputBytes)
 }
 
-// Index returns the graph's cached dense view, rebuilding it after any
-// structural mutation from the graph's current tasks and links through
-// buildDense, Build's core. It never fails on a graph: Build refuses a
-// cycle before there is one, and AddLink refuses one link at a time.
-func (g *Graph) Index() (*Index, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.idx != nil && g.idxGen == g.gen {
-		return g.idx, nil
-	}
-	tasks := make([]*Task, 0, len(g.tasks))
-	for _, t := range g.tasks {
-		tasks = append(tasks, t)
-	}
-	slices.SortFunc(tasks, byID)
-	var links []Link
-	for _, t := range tasks {
-		links = append(links, g.succ[t.ID]...)
-	}
-	ix, err := buildDense(tasks, links)
-	if err != nil {
-		return nil, err
-	}
-	g.idx, g.idxGen = ix, g.gen
-	return ix, nil
-}
+// Index returns the graph's dense view. The error is nil on every graph:
+// each way of building one refuses a cycle.
+func (g *Graph) Index() (*Index, error) { return g.ix, nil }
 
-// buildDense is the one core under Build and Index: it sorts the tasks by
+// buildDense is the one constructor of an Index: it sorts the tasks by
 // id once, resolves each link's endpoints to dense indices once, and fills
 // both CSR directions and the links behind them from one pass over the
 // links, the parent links in port order. A graph with an empty or repeated
 // task id, a self link, an unknown endpoint, a repeated (From, To) pair or
 // two links on one input port it refuses as refusal names it; one with none
 // of those but a cycle with ErrCycle, from the Kahn pass. Tasks below one
-// processor are raised to one, as AddTask does.
+// processor are raised to one.
 func buildDense(tasks []*Task, links []Link) (*Index, error) {
 	n := len(tasks)
 	ix := &Index{
@@ -230,6 +207,33 @@ func (ix *Index) Children(i int) []Arc {
 // (the order Graph.Parents reports).
 func (ix *Index) Parents(i int) []Arc {
 	return ix.parentArc[ix.parentStart[i]:ix.parentStart[i+1]]
+}
+
+// parentLinks returns the links into dense index i, in port order, as a
+// cap-limited window.
+func (ix *Index) parentLinks(i int) []Link {
+	s, e := ix.parentStart[i], ix.parentStart[i+1]
+	return ix.parentLink[s:e:e]
+}
+
+// reaches reports whether dense index dst is reachable from src by links.
+func (ix *Index) reaches(src, dst int) bool {
+	seen := make([]bool, ix.Len())
+	stack := []int32{int32(src)}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range ix.Children(int(i)) {
+			if int(a.Peer) == dst {
+				return true
+			}
+			if !seen[a.Peer] {
+				seen[a.Peer] = true
+				stack = append(stack, a.Peer)
+			}
+		}
+	}
+	return false
 }
 
 // NumParents returns the in-degree of dense index i.

@@ -101,9 +101,9 @@ func (wt wireTask) task() (*Task, error) {
 }
 
 // UnmarshalJSON decodes a graph and validates it: the whole document goes
-// through Build, so a submission is refused for the defect the editor would
-// have met first link by link, tasks before links, with acyclicity decided
-// once for the graph. On error g is unchanged.
+// through Build, so a submission is refused for its first defect in wire
+// order, tasks before links, with acyclicity decided once for the graph.
+// On error g is unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	w, err := decodeWire(data)
 	if err != nil {
@@ -122,19 +122,13 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if fresh.Len() == 0 {
 		return ErrEmpty
 	}
-	// Move the decoded state field by field, not the struct and its mutex;
-	// the Index Build validated with replaces any g had cached.
-	g.mu.Lock()
-	g.Name, g.tasks, g.succ, g.pred = fresh.Name, fresh.tasks, fresh.succ, fresh.pred
-	g.gen++
-	g.idx, g.idxGen = fresh.idx, g.gen
-	g.mu.Unlock()
+	*g = *fresh
 	return nil
 }
 
 // Decode parses a JSON application flow graph.
 func Decode(data []byte) (*Graph, error) {
-	g := New("")
+	g := new(Graph)
 	if err := g.UnmarshalJSON(data); err != nil {
 		return nil, err
 	}
@@ -154,7 +148,7 @@ type encoder struct {
 // in the same order, each source's in insertion order, which is the order
 // Links returns.
 func (g *Graph) appendJSON(indent bool) ([]byte, error) {
-	ix := g.index()
+	ix := g.ix
 	e := encoder{b: make([]byte, 0, 256+448*len(ix.tasks)), indent: indent}
 	e.open('{')
 	e.member("name")

@@ -88,24 +88,6 @@ func TestExplicitPortConflict(t *testing.T) {
 	}
 }
 
-func TestAddLinkExactKeepsZeroPort(t *testing.T) {
-	g := New("exact")
-	g.AddTask(&Task{ID: "a", Function: "f"})
-	g.AddTask(&Task{ID: "b", Function: "f"})
-	g.AddTask(&Task{ID: "c", Function: "f"})
-	// Insert the port-1 parent first, then the port-0 parent exactly.
-	if err := g.AddLinkExact(Link{From: "b", To: "c", Port: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddLinkExact(Link{From: "a", To: "c", Port: 0}); err != nil {
-		t.Fatal(err)
-	}
-	parents := g.Parents("c")
-	if parents[0].From != "a" || parents[1].From != "b" {
-		t.Fatalf("parents = %+v", parents)
-	}
-}
-
 func TestAutoPortSkipsExplicitHoles(t *testing.T) {
 	g := New("holes")
 	for _, id := range []TaskID{"a", "b", "c", "sink"} {

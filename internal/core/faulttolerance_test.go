@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sort"
 	"testing"
 
+	"repro/internal/site"
+	"repro/internal/tasklib"
 	"repro/internal/workload"
 )
 
@@ -115,5 +118,64 @@ func TestMidFlightFailureRecoversViaFrontierReplan(t *testing.T) {
 	}
 	if out := res.Outputs["check"]; out.Scalar > 1e-8 {
 		t.Errorf("residual after recovery = %v", out.Scalar)
+	}
+}
+
+// TestFrontierReplanKeepsPeerWork: a two-site plan that keeps work on the
+// peer, then a local host down. The local cost model cannot price the
+// peer's hosts, so the site's frontier re-planner must price the work the
+// table keeps there by the table's own prediction; priced NaN, every
+// repair failed certification and only per-task rescheduling moved work.
+// The re-plan must run, and the outputs stay the serial evaluation's.
+func TestFrontierReplanKeepsPeerWork(t *testing.T) {
+	g, err := workload.LinearSolver(nil, 64, 3, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	newEnv := func() *Environment {
+		env := NewEnvironment(Options{Seed: 5, SiteConfig: site.Config{Policy: "roundrobin"}})
+		for _, s := range []struct {
+			name  string
+			hosts int
+		}{{"syracuse", 5}, {"rome", 3}} {
+			if _, err := env.AddSite(s.name, s.hosts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return env
+	}
+	table, err := newEnv().Schedule(ctx, "syracuse", "roundrobin", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	peerWork := 0
+	for _, id := range table.Order() {
+		a, _ := table.Get(id)
+		switch {
+		case a.Site == "rome":
+			peerWork++
+		case victim == "":
+			victim = a.Host
+		}
+	}
+	if peerWork == 0 || victim == "" {
+		t.Fatalf("the plan keeps %d tasks on rome and puts none on syracuse (%q): not the case under test", peerWork, victim)
+	}
+	env := newEnv()
+	env.ResolveHost(victim).SetDown(true)
+	res, _, err := env.Submit(ctx, "syracuse", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FrontierReplans < 1 {
+		t.Errorf("with %s down and %d tasks on rome: %d frontier re-plans, want at least 1", victim, peerWork, res.FrontierReplans)
+	}
+	want := serialExits(t, tasklib.Default(), g)
+	for id, got := range encodeExits(t, g, res.Outputs) {
+		if !bytes.Equal(got, want[id]) {
+			t.Errorf("exit %s differs from the serial evaluation", id)
+		}
 	}
 }

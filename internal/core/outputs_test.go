@@ -16,10 +16,10 @@ import (
 )
 
 // serialExits evaluates g without any scheduler, site or runtime: every task
-// in topological order through Registry.Execute, with its inputs in
-// input-port order and its own Processors. It returns each exit task's
-// output as Value.Encode bytes.
-func serialExits(t *testing.T, g *afg.Graph) map[afg.TaskID][]byte {
+// in topological order through reg's Execute, with its inputs in input-port
+// order and its own Processors. It returns each exit task's output as
+// Value.Encode bytes.
+func serialExits(t *testing.T, reg *tasklib.Registry, g *afg.Graph) map[afg.TaskID][]byte {
 	t.Helper()
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -34,7 +34,7 @@ func serialExits(t *testing.T, g *afg.Graph) map[afg.TaskID][]byte {
 		for _, l := range parents {
 			inputs = append(inputs, vals[l.From])
 		}
-		v, err := tasklib.Default().Execute(context.Background(), task.Function,
+		v, err := reg.Execute(context.Background(), task.Function,
 			tasklib.Args{Params: task.Params, Inputs: inputs, Processors: task.Processors})
 		if err != nil {
 			t.Fatalf("%s: serial %s: %v", g.Name, id, err)
@@ -118,7 +118,7 @@ func TestExitOutputsMatchSerialEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := serialExits(t, g)
+		want := serialExits(t, tasklib.Default(), g)
 		wants[app.name] = want
 		// The parallel LU computes the serial one's bits, so the solver's
 		// answer does not depend on its mode either.

@@ -361,16 +361,17 @@ func meanSite(t *testing.T, site string, n int, load float64) *LocalSelector {
 // ranges of 64Ki cells or more) and runs serially, on GOMAXPROCS workers and
 // on three, so some range is summed off the calling goroutine on any machine.
 func TestGatheredMeanExecMatchesOracle(t *testing.T) {
-	g := afg.New("means")
 	kinds := []string{"k.plain", "k.pinned", "k.heavy"}
-	for i := 0; i < 2203; i++ {
-		task := &afg.Task{ID: afg.TaskID(fmt.Sprintf("t%04d", i)), Function: kinds[i%3], ComputeCost: 0.5 + float64(i%17)*0.3}
+	tasks := make([]*afg.Task, 2203)
+	for i := range tasks {
+		tasks[i] = &afg.Task{ID: afg.TaskID(fmt.Sprintf("t%04d", i)), Function: kinds[i%3], ComputeCost: 0.5 + float64(i%17)*0.3}
 		if i%50 == 0 {
-			task.Mode, task.Processors = afg.Parallel, 2
+			tasks[i].Mode, tasks[i].Processors = afg.Parallel, 2
 		}
-		if err := g.AddTask(task); err != nil {
-			t.Fatal(err)
-		}
+	}
+	g, err := afg.Build("means", tasks, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ix, err := g.Index()
 	if err != nil {

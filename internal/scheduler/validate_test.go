@@ -425,19 +425,19 @@ func TestReusedValidatorMatchesFresh(t *testing.T) {
 		for k, id := range ids {
 			rename[id] = ids[len(ids)-1-k]
 		}
-		m := afg.New(g.Name + "-mirrored")
+		var tasks []*afg.Task
 		for _, id := range ids {
 			task := *g.Task(id)
 			task.ID = rename[id]
-			if err := m.AddTask(&task); err != nil {
-				t.Fatal(err)
-			}
+			tasks = append(tasks, &task)
 		}
-		for _, l := range g.Links() {
-			l.From, l.To = rename[l.From], rename[l.To]
-			if err := m.AddLinkExact(l); err != nil {
-				t.Fatal(err)
-			}
+		links := g.Links()
+		for k, l := range links {
+			links[k].From, links[k].To = rename[l.From], rename[l.To]
+		}
+		m, err := afg.Build(g.Name+"-mirrored", tasks, links)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return m
 	}

@@ -283,10 +283,11 @@ func (m *Manager) SubscribeDeviations() (<-chan string, func()) {
 // FrontierReplanner builds the runtime's whole-frontier rescheduling
 // callback from the site's re-planner (frontierReplanner): candidate hosts
 // come from the resource-performance database minus every host the
-// execution or the repository knows down, costs from the site's own cost
-// model (what the original placement was priced with), settled tasks are
-// modelled as running to their predicted finish, and the repaired table is
-// certified by ValidateSchedule before any assignment is adopted.
+// execution or the repository knows down; costs come from the site's own
+// cost model (what the original placement was priced with), or from the
+// table for a task it keeps on a host that model cannot price; settled
+// tasks are modelled as running to their predicted finish, and the repaired
+// table is certified by ValidateSchedule before any assignment is adopted.
 func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 		down := make(map[string]bool, len(dead))
@@ -296,8 +297,17 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 		// The model prices down hosts too — settled work already sitting on
 		// them must still simulate — but they contribute no candidate
 		// columns. List is sorted by host name and a site is one site, so
-		// the columns are in the gather's order.
-		costs := m.Selector.CostModel()
+		// the columns are in the gather's order. A pair the site cannot
+		// price, such as a task the table keeps on a peer's host, is priced
+		// by the table's own prediction when that host is the task's.
+		local := m.Selector.CostModel()
+		costs := func(task *afg.Task, host string) float64 {
+			p := local(task, host)
+			if a, ok := table.Get(task.ID); ok && math.IsNaN(p) && a.Host == host {
+				return a.Predicted
+			}
+			return p
+		}
 		var hosts []scheduler.HostRef
 		for _, rec := range m.Repo.Resources.List() {
 			if rec.Dynamic.Down {
