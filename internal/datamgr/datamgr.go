@@ -8,14 +8,15 @@
 // goroutine consumes from a merged inbound queue — the paper's send,
 // receive, and compute threads.
 //
-// Frames are length-prefixed with a big-endian header, giving the
-// byte-order-safe "data conversion" the paper requires for heterogeneous
-// machines; payloads are gob-encoded tasklib Values.
+// A frame is a 4-byte big-endian length, then the sender, receiver and
+// sequence number in a fixed big-endian layout, then the payload as raw
+// bytes: an encoded tasklib Value, itself big-endian throughout. Fixing the
+// byte order on the wire is the "data conversion" the paper requires for
+// heterogeneous machines.
 package datamgr
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -44,26 +45,37 @@ var (
 // MaxFrameBytes bounds a single frame (defensive against corrupt headers).
 const MaxFrameBytes = 1 << 30
 
-// writeFrame emits a length-prefixed gob-encoded message. The 4-byte
-// big-endian length prefix is the heterogeneity-safe wire header.
+// writeFrame emits one message, a single writev on a TCP connection, with
+// the payload not copied: a 4-byte big-endian body length, then the body,
+// laid out as
+//
+//	from     u32 length, then its bytes
+//	to       u32 length, then its bytes
+//	seq      i64
+//	payload  every byte to the end of the body
+//
+// with every number big-endian.
 func writeFrame(w io.Writer, m Message) error {
-	var buf frameBuffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("datamgr: encode frame: %w", err)
-	}
-	var hdr [4]byte
-	if len(buf.b) > MaxFrameBytes {
+	n := 4 + len(m.From) + 4 + len(m.To) + 8 + len(m.Payload)
+	if n > MaxFrameBytes {
 		return ErrFrameTooBig
 	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf.b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.b)
+	head := make([]byte, 0, 4+n-len(m.Payload))
+	head = binary.BigEndian.AppendUint32(head, uint32(n))
+	head = appendString(head, m.From)
+	head = appendString(head, m.To)
+	head = binary.BigEndian.AppendUint64(head, uint64(m.Seq))
+	bufs := net.Buffers{head, m.Payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame reads one length-prefixed message.
+func appendString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// readFrame reads one message written by writeFrame.
 func readFrame(r io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -78,31 +90,32 @@ func readFrame(r io.Reader) (Message, error) {
 		return Message{}, err
 	}
 	var m Message
-	if err := gob.NewDecoder(&byteReader{b: body}).Decode(&m); err != nil {
-		return Message{}, fmt.Errorf("datamgr: decode frame: %w", err)
+	var ok bool
+	if m.From, body, ok = cutString(body); !ok {
+		return Message{}, errShortFrame
+	}
+	if m.To, body, ok = cutString(body); !ok || len(body) < 8 {
+		return Message{}, errShortFrame
+	}
+	m.Seq = int(int64(binary.BigEndian.Uint64(body)))
+	if body = body[8:]; len(body) > 0 {
+		m.Payload = body
 	}
 	return m, nil
 }
 
-type frameBuffer struct{ b []byte }
+var errShortFrame = errors.New("datamgr: decode frame: body shorter than its fields")
 
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
+// cutString splits a length-prefixed string off the front of b.
+func cutString(b []byte) (string, []byte, bool) {
+	if len(b) < 4 {
+		return "", nil, false
 	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	n := binary.BigEndian.Uint32(b)
+	if b = b[4:]; uint64(n) > uint64(len(b)) {
+		return "", nil, false
+	}
+	return string(b[:n]), b[n:], true
 }
 
 // PeerInfo is the channel-setup information the Data Manager distributes:

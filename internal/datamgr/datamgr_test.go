@@ -3,7 +3,9 @@ package datamgr
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -46,6 +48,47 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if out.From != "a" || out.To != "b" || out.Seq != 3 || string(out.Payload) != "hello" {
 		t.Fatalf("out = %+v", out)
+	}
+}
+
+// TestReadFrameRejectsShortBody: a body too short for the sender, receiver
+// and sequence number its own prefixes announce is an error, not a panic.
+func TestReadFrameRejectsShortBody(t *testing.T) {
+	var full bytes.Buffer
+	if err := writeFrame(&full, Message{From: "a", To: "bc", Seq: 7}); err != nil {
+		t.Fatal(err)
+	}
+	body := full.Bytes()[4:]
+	for n := range len(body) {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(n))
+		if _, err := readFrame(bytes.NewReader(append(frame, body[:n]...))); !errors.Is(err, errShortFrame) {
+			t.Errorf("body cut to %d of %d bytes: err = %v, want errShortFrame", n, len(body), err)
+		}
+	}
+	lying := append(binary.BigEndian.AppendUint32(nil, 8), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
+	if _, err := readFrame(bytes.NewReader(lying)); !errors.Is(err, errShortFrame) {
+		t.Errorf("sender length past the body: err = %v, want errShortFrame", err)
+	}
+}
+
+// BenchmarkFrameRoundTrip times one writeFrame and readFrame of a payload
+// the size of an encoded scalar and of an encoded 64x64 matrix.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	for _, size := range []int{32, 32_800} {
+		m := Message{From: "lu", To: "solve", Seq: 1, Payload: make([]byte, size)}
+		b.Run(fmt.Sprintf("payload%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for range b.N {
+				buf.Reset()
+				if err := writeFrame(&buf, m); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := readFrame(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -60,6 +60,9 @@ type Result struct {
 	Makespan        time.Duration
 	Rescheduled     int // number of per-task reschedule events
 	FrontierReplans int // number of whole-frontier re-plan events
+	// FrontierRefusals counts FrontierReplan calls that returned an error;
+	// each left the frontier as it was, to the per-task Reschedule.
+	FrontierRefusals int
 }
 
 // Rescheduler supplies a fresh assignment when a task's host is failed or
@@ -204,7 +207,7 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 		}
 	}
 	res.Makespan = time.Since(start)
-	res.FrontierReplans = env.replanCount()
+	res.FrontierReplans, res.FrontierRefusals = env.replanCounts()
 	// A task no parent launched, because an upstream task failed, is
 	// accounted too.
 	for _, id := range env.ix.IDs() {
@@ -255,6 +258,7 @@ type execEnv struct {
 	dead       map[string]bool
 	planned    map[string]bool
 	replans    int
+	refusals   int
 	replanning chan struct{}
 }
 
@@ -375,11 +379,15 @@ func (e *execEnv) hostFailed(ctx context.Context, host string) {
 	}
 	e.mu.Unlock()
 	moved, err := e.opts.FrontierReplan(ctx, e.g, e.table, settled, down)
-	if err != nil || len(moved) == 0 {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err != nil {
+		e.refusals++
+		return
+	}
+	if len(moved) == 0 {
+		return
+	}
 	e.replans++
 	for i, id := range e.ix.IDs() {
 		if a, ok := moved[id]; ok && !e.settledLocked(i) {
@@ -435,10 +443,10 @@ func (e *execEnv) finish(i int) {
 	e.finished[i] = true
 }
 
-func (e *execEnv) replanCount() int {
+func (e *execEnv) replanCounts() (replans, refusals int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.replans
+	return e.replans, e.refusals
 }
 
 // close shuts every proxy, once; a second caller waits for the first.

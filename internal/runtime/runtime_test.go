@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,6 +419,37 @@ func TestFrontierReplanMovesWholeFrontier(t *testing.T) {
 		if tr.Host != "B" {
 			t.Fatalf("task %s ran on %s, want B", id, tr.Host)
 		}
+	}
+}
+
+// TestFrontierRefusalsCounted: a re-planner that refuses every call is told
+// about the down host once, its refusal is counted apart from re-plans that
+// moved nothing, and the per-task Reschedule still finishes the run.
+func TestFrontierRefusalsCounted(t *testing.T) {
+	g := linSolverGraph(t, 16)
+	hosts, resolve := testCluster(2)
+	hosts["A"].SetDown(true)
+	table := spreadTable(g, []string{"A"})
+	var calls atomic.Int32
+	res, err := Execute(context.Background(), g, table, Options{
+		Hosts: resolve,
+		Reschedule: func(ctx context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
+		},
+		FrontierReplan: func(context.Context, *afg.Graph, *scheduler.AllocationTable, map[afg.TaskID]bool, []string) (map[afg.TaskID]scheduler.Assignment, error) {
+			calls.Add(1)
+			return nil, errors.New("cannot certify")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 || res.FrontierRefusals != 1 || res.FrontierReplans != 0 {
+		t.Fatalf("re-planner called %d times; FrontierRefusals = %d, FrontierReplans = %d, want 1, 1 and 0",
+			calls.Load(), res.FrontierRefusals, res.FrontierReplans)
+	}
+	if res.Rescheduled == 0 {
+		t.Fatal("no task was rescheduled off the down host")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/matrix"
 	"repro/internal/netsim"
 	"repro/internal/resource"
 	"repro/internal/tasklib"
@@ -133,6 +134,49 @@ func TestRunTaskRPCDirect(t *testing.T) {
 		Params: map[string]string{"n": "oops"}}
 	if _, err := peer.RunTask(host, bad, nil); err == nil {
 		t.Fatal("bad params accepted")
+	}
+}
+
+// TestRunTaskRefusesMisshapenMatrix: a 4x4 matrix input carrying one cell
+// is refused when it is decoded, with ErrBadInput, instead of reaching
+// matrix.multiply, whose panic inside the RPC handler would kill the peer.
+// The peer then still serves a well-formed call.
+func TestRunTaskRefusesMisshapenMatrix(t *testing.T) {
+	m := newTestSite(t, "rome", 2, 24)
+	bad, err := tasklib.MatrixValue(&matrix.Matrix{Rows: 4, Cols: 4, Data: []float64{1}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := tasklib.MatrixValue(matrix.Identity(4)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := RunTaskArgs{Function: "matrix.multiply", Processors: 1, Host: m.Pool.Names()[0], Inputs: [][]byte{bad, good}}
+	if err := (&Service{m: m}).RunTask(args, &RunTaskReply{}); !errors.Is(err, tasklib.ErrBadInput) {
+		t.Fatalf("in process: err = %v, want ErrBadInput", err)
+	}
+
+	addr, stop, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	client, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Call("Site.RunTask", args, &RunTaskReply{}); err == nil || !strings.Contains(err.Error(), tasklib.ErrBadInput.Error()) {
+		t.Fatalf("over RPC: err = %v, want the ErrBadInput text", err)
+	}
+	args.Inputs[0] = good
+	var reply RunTaskReply
+	if err := client.Call("Site.RunTask", args, &reply); err != nil {
+		t.Fatalf("well-formed call after the refusal: %v", err)
+	}
+	out, err := tasklib.DecodeValue(reply.Output)
+	if err != nil || !out.Matrix.Equal(matrix.Identity(4), 0) {
+		t.Fatalf("I*I = %+v, %v", out.Matrix, err)
 	}
 }
 

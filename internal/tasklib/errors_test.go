@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/matrix"
 )
 
 // Exhaustive input-validation matrix: every built-in task must reject
@@ -31,6 +33,32 @@ func TestAllTasksRejectBadInputs(t *testing.T) {
 			}
 		}
 		_ = spec
+	}
+}
+
+// TestAllTasksRejectEmptyMatrices: a matrix with a zero dimension decodes
+// (the wire keeps a non-nil empty matrix), but no kernel can take one:
+// matrix.New panics on it. Every task must refuse it with ErrBadInput,
+// whether it is every input or beside a well-formed one.
+func TestAllTasksRejectEmptyMatrices(t *testing.T) {
+	reg := Default()
+	good := MatrixValue(matrix.Identity(4))
+	for _, empty := range []*matrix.Matrix{{}, {Rows: 2}, {Cols: 3}} {
+		bad := MatrixValue(empty)
+		for _, name := range reg.Names() {
+			switch name {
+			case "matrix.generate", "matrix.vector", "fourier.signal",
+				"c3i.sensordata", "synthetic.noop", "synthetic.spin":
+				continue
+			}
+			for _, inputs := range [][]Value{{bad}, {bad, bad}, {bad, good}, {good, bad}, {bad, bad, bad}} {
+				_, err := reg.Execute(context.Background(), name, Args{Inputs: inputs, Processors: 1})
+				if !errors.Is(err, ErrBadInput) {
+					t.Errorf("%s on %d inputs with a %dx%d matrix: err = %v, want ErrBadInput",
+						name, len(inputs), empty.Rows, empty.Cols, err)
+				}
+			}
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-//vdce:ignore-file floateq round-trip file: gob/wire encoding must return scalars and matrix cells bit-identical
+//vdce:ignore-file floateq round-trip file: wire encoding must return scalars and matrix cells bit-identical
 package tasklib
 
 import (

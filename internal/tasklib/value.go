@@ -1,9 +1,10 @@
 package tasklib
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/matrix"
 )
@@ -22,9 +23,10 @@ const (
 )
 
 // Value is the single data type that flows over AFG links. It is a tagged
-// union of the payloads the built-in libraries exchange, and it is
-// gob-serialisable so the Data Manager can ship it through sockets between
-// machines (the paper's "socket-based, message-passing mechanism", §2.3.2).
+// union of the payloads the built-in libraries exchange. Encode writes it in
+// a fixed binary layout that the Site Manager's RunTask RPC and the Data
+// Manager's sockets carry between machines (the paper's "socket-based,
+// message-passing mechanism", §2.3.2).
 type Value struct {
 	Kind   Kind
 	Matrix *matrix.Matrix
@@ -53,6 +55,10 @@ func (v Value) AsMatrix() (*matrix.Matrix, error) {
 	}
 	if v.Matrix == nil {
 		return nil, fmt.Errorf("%w: nil matrix payload", ErrBadInput)
+	}
+	if v.Matrix.Rows <= 0 || v.Matrix.Cols <= 0 {
+		// A value off the wire may carry an empty matrix; no kernel takes one.
+		return nil, fmt.Errorf("%w: empty %dx%d matrix", ErrBadInput, v.Matrix.Rows, v.Matrix.Cols)
 	}
 	return v.Matrix, nil
 }
@@ -86,20 +92,193 @@ func (v Value) SizeBytes() int64 {
 	return n
 }
 
-// Encode serialises the value with gob.
+// The wire layout of a Value. Every number is big-endian, the byte order of
+// the Data Manager's frame header, so a value reads the same on any machine
+// (the "data conversion" of §2.3.2):
+//
+//	version  1 byte, valueVersion
+//	kind     u32 length, then its bytes
+//	matrix   1 byte: 0 absent, 1 present; if present, rows i64, cols i64,
+//	         then the data as u32 count and count IEEE-754 f64 bits
+//	vector   u32 count, then count f64 bits
+//	scalar   f64 bits
+//	text     u32 length, then its bytes
+//	pivot    u32 count, then count i64
+//
+// Decoding checks every count against the bytes that remain before it
+// allocates, refuses trailing bytes, and reads an empty slice back as nil, so
+// a decoded value re-encodes to exactly the bytes it came from.
+const valueVersion = 1
+
+// Encode serialises the value in the layout above. Equal values encode to
+// equal bytes.
 func (v Value) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("tasklib: encode value: %w", err)
+	m := v.Matrix
+	n := 1 + 4 + len(v.Kind) + 1 + 4 + 8*len(v.Vector) + 8 + 4 + len(v.Text) + 4 + 8*len(v.Pivot)
+	var data []float64
+	if m != nil {
+		data = m.Data
+		n += 8 + 8 + 4 + 8*len(data)
 	}
-	return buf.Bytes(), nil
+	for _, c := range [...]int{len(v.Kind), len(data), len(v.Vector), len(v.Text), len(v.Pivot)} {
+		if uint64(c) > math.MaxUint32 {
+			return nil, fmt.Errorf("tasklib: encode value: a field of %d elements exceeds the wire limit", c)
+		}
+	}
+	b := make([]byte, 0, n)
+	b = append(b, valueVersion)
+	b = appendString(b, string(v.Kind))
+	if m == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = binary.BigEndian.AppendUint64(b, uint64(m.Rows))
+		b = binary.BigEndian.AppendUint64(b, uint64(m.Cols))
+		b = appendFloats(b, data)
+	}
+	b = appendFloats(b, v.Vector)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Scalar))
+	b = appendString(b, v.Text)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v.Pivot)))
+	for _, p := range v.Pivot {
+		b = binary.BigEndian.AppendUint64(b, uint64(p))
+	}
+	return b, nil
 }
 
-// DecodeValue deserialises a value produced by Encode.
+func appendString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+func appendFloats(b []byte, fs []float64) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(fs)))
+	for _, f := range fs {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// DecodeValue deserialises a value produced by Encode. Malformed bytes, and a
+// matrix whose shape does not match its data, are refused with an error
+// wrapping ErrBadInput.
 func DecodeValue(data []byte) (Value, error) {
-	var v Value
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return Value{}, fmt.Errorf("tasklib: decode value: %w", err)
+	r := valueReader{b: data}
+	if ver := r.u8(); ver != valueVersion {
+		r.fail("format version %d, want %d", ver, valueVersion)
+	}
+	v := Value{Kind: kindOf(r.bytes())}
+	switch r.u8() {
+	case 0:
+	case 1:
+		rows, cols := r.int(), r.int()
+		v.Matrix = &matrix.Matrix{Rows: rows, Cols: cols, Data: r.floats()}
+		if hi, lo := bits.Mul64(uint64(rows), uint64(cols)); rows < 0 || cols < 0 || hi != 0 || lo != uint64(len(v.Matrix.Data)) {
+			r.fail("%dx%d matrix carries %d cells", rows, cols, len(v.Matrix.Data))
+		}
+	default:
+		r.fail("matrix flag is neither 0 nor 1")
+	}
+	v.Vector = r.floats()
+	v.Scalar = math.Float64frombits(r.u64())
+	v.Text = string(r.bytes())
+	if n := r.count(8); n > 0 {
+		v.Pivot = make([]int, n)
+		for i := range v.Pivot {
+			v.Pivot[i] = r.int()
+		}
+	}
+	if len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return Value{}, r.err
 	}
 	return v, nil
+}
+
+// kindOf returns the Kind a wire kind names without allocating for the
+// built-in kinds.
+func kindOf(b []byte) Kind {
+	for _, k := range [...]Kind{KindNone, KindMatrix, KindVector, KindScalar, KindText, KindLU} {
+		if string(b) == string(k) {
+			return k
+		}
+	}
+	return Kind(b)
+}
+
+// valueReader consumes the wire layout front to back. Its first failure
+// sticks: it drops the bytes left, so later reads return zero values, and
+// later failures leave the error as it is.
+type valueReader struct {
+	b   []byte
+	err error
+}
+
+func (r *valueReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("tasklib: decode value: %w: "+format, append([]any{ErrBadInput}, args...)...)
+	}
+	r.b = nil
+}
+
+func (r *valueReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.fail("truncated: %d bytes wanted, %d left", n, len(r.b))
+		return nil
+	}
+	p := r.b[:n:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *valueReader) u8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *valueReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *valueReader) int() int { return int(int64(r.u64())) }
+
+// count reads a u32 element count and checks that count elements of size
+// bytes each fit in what remains.
+func (r *valueReader) count(size int) int {
+	p := r.take(4)
+	if p == nil {
+		return 0
+	}
+	n := int(binary.BigEndian.Uint32(p))
+	if n > len(r.b)/size {
+		r.fail("truncated: %d elements of %d bytes, %d bytes left", n, size, len(r.b))
+		return 0
+	}
+	return n
+}
+
+func (r *valueReader) bytes() []byte { return r.take(r.count(1)) }
+
+// floats reads a counted run of f64 bits; an empty run reads as nil.
+func (r *valueReader) floats() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	fs := make([]float64, n)
+	for i := range fs {
+		fs[i] = math.Float64frombits(binary.BigEndian.Uint64(r.b[8*i:]))
+	}
+	r.b = r.b[8*n:]
+	return fs
 }
