@@ -121,6 +121,9 @@ func builtinSpecs() []Spec {
 				if err != nil {
 					return Value{}, err
 				}
+				if n < 1 {
+					return Value{}, fmt.Errorf("%w: n=%d", ErrBadParam, n)
+				}
 				rng := rand.New(rand.NewSource(int64(seed)))
 				v := make([]float64, n)
 				for i := range v {

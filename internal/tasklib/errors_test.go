@@ -66,11 +66,37 @@ func TestGeneratorsRejectBadParams(t *testing.T) {
 	reg := Default()
 	cases := map[string]map[string]string{
 		"matrix.generate": {"n": "-3"},
+		"matrix.vector":   {"n": "0"},
 		"c3i.sensordata":  {"sensors": "0"},
 	}
 	for name, params := range cases {
 		if _, err := reg.Execute(context.Background(), name, Args{Params: params}); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%s(%v): err = %v, want ErrBadParam", name, params, err)
+		}
+	}
+}
+
+// TestSizeParamsBelowOneNeverPanic: a document or a RunTask call may carry
+// any parameter, so every task takes each size parameter at -1 and 0 —
+// through its cost scale too — and either runs or refuses it, never panics.
+func TestSizeParamsBelowOneNeverPanic(t *testing.T) {
+	reg := Default()
+	for _, name := range reg.Names() {
+		spec, err := reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"n", "samples", "sensors", "work"} {
+			for _, v := range []string{"-1", "0"} {
+				params := map[string]string{key: v}
+				if spec.CostScale != nil {
+					spec.CostScale(params)
+				}
+				_, err := reg.Execute(context.Background(), name, Args{Params: params, Processors: 1})
+				if err != nil && !errors.Is(err, ErrBadParam) && !errors.Is(err, ErrBadInput) {
+					t.Errorf("%s(%s=%s): err = %v, want a run or ErrBadParam", name, key, v, err)
+				}
+			}
 		}
 	}
 }
