@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/datamgr"
 	"repro/internal/scheduler"
 	"repro/internal/tasklib"
 )
@@ -137,6 +139,64 @@ func TestConcurrentApplications(t *testing.T) {
 	for name, h := range hosts {
 		if h.Load() != 0 {
 			t.Fatalf("host %s load leaked: %v", name, h.Load())
+		}
+	}
+}
+
+// TestKnownDeadRemoteHostIsNotDispatched: a task still assigned to a host
+// the execution knows dead goes to the per-task path without a dispatch.
+// Every task is planned onto rome's host R, R is reported dead while they
+// wait at the gate, and the re-planner refuses; each task must be moved once,
+// to local host A by Reschedule, and R must never be asked to run one.
+func TestKnownDeadRemoteHostIsNotDispatched(t *testing.T) {
+	g := linSolverGraph(t, 16)
+	_, resolve := testCluster(1)
+	table := scheduler.NewAllocationTable(g.Name)
+	for _, id := range g.TaskIDs() {
+		table.Set(scheduler.Assignment{Task: id, Site: "rome", Host: "R"})
+	}
+	gate := datamgr.NewGate()
+	gate.Pause()
+	dev := make(chan string, 1)
+	refused := make(chan struct{}, 1)
+	var remote atomic.Int32
+	done := make(chan error, 1)
+	var res *Result
+	go func() {
+		var err error
+		res, err = Execute(context.Background(), g, table, Options{
+			Hosts:      resolve,
+			Gate:       gate,
+			Deviations: dev,
+			RemoteExec: func(context.Context, scheduler.Assignment, *afg.Task, []tasklib.Value) (tasklib.Value, error) {
+				remote.Add(1)
+				return tasklib.Value{}, errors.New("rome/R is down")
+			},
+			FrontierReplan: func(context.Context, *afg.Graph, *scheduler.AllocationTable, map[afg.TaskID]bool, []string) (map[afg.TaskID]scheduler.Assignment, error) {
+				select {
+				case refused <- struct{}{}:
+				default:
+				}
+				return nil, errors.New("cannot certify")
+			},
+			Reschedule: func(_ context.Context, task *afg.Task, exclude []string) (scheduler.Assignment, error) {
+				return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "A"}, nil
+			},
+		})
+		done <- err
+	}()
+	dev <- "R"
+	<-refused // R is in the dead set before any task passes the gate
+	gate.Resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := remote.Load(); n != 0 {
+		t.Fatalf("%d tasks dispatched to R, known dead", n)
+	}
+	for id, tr := range res.TaskResults {
+		if tr.Host != "A" || tr.Attempts != 2 {
+			t.Fatalf("task %s ran on %s, placed %d times; want A, placed twice", id, tr.Host, tr.Attempts)
 		}
 	}
 }

@@ -119,7 +119,8 @@ type Options struct {
 	// (over RPC in multi-process deployments). nil means unresolvable
 	// hosts are an error.
 	RemoteExec func(ctx context.Context, assign scheduler.Assignment, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error)
-	// MaxAttempts bounds placements per task (0 = 3).
+	// MaxAttempts bounds the dispatches of one task (0 = 3); moving a task
+	// off a host known dead dispatches nothing.
 	MaxAttempts int
 	// OnTaskDone, if set, observes each task completion (visualization
 	// service feed).
@@ -329,12 +330,13 @@ func (e *execEnv) launch(ctx context.Context, i int) {
 }
 
 // claim marks the task started and returns its current assignment — which a
-// frontier re-plan may have moved since the table was multicast.
-func (e *execEnv) claim(i int) scheduler.Assignment {
+// frontier re-plan may have moved since the table was multicast — and
+// whether its host is not known dead.
+func (e *execEnv) claim(i int) (a scheduler.Assignment, live bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.started[i] = true
-	return e.cur[i]
+	return e.cur[i], !e.dead[e.cur[i].Host]
 }
 
 // settledLocked reports whether a re-plan must leave the task where it is:
@@ -555,46 +557,48 @@ func (e *execEnv) place(ctx context.Context, i int, res *TaskResult) (tasklib.Va
 	}
 
 	task := e.ix.Task(i)
-	assign := e.claim(i)
+	assign, live := e.claim(i)
 	var tried []string
 	begin := time.Now()
-	res.Started = begin
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		if attempt > e.opts.MaxAttempts {
-			return tasklib.Value{}, fmt.Errorf("%w (%d attempts, hosts %v)", ErrTooManyRetries, attempt-1, tried)
-		}
-		var val tasklib.Value
-		var err error
-		switch host := e.opts.Hosts(assign.Host); {
-		case host != nil:
-			val, err = e.runOn(ctx, host, task, inputs)
-		case e.opts.RemoteExec == nil:
-			return tasklib.Value{}, fmt.Errorf("%w: %q", ErrUnknownHost, assign.Host)
-		default:
-			// A remote failure is final: the task is not rescheduled.
-			if val, err = e.opts.RemoteExec(ctx, assign, task, inputs); err != nil {
-				return tasklib.Value{}, fmt.Errorf("runtime: remote execution on %s/%s: %w", assign.Site, assign.Host, err)
+	res.Started, res.Attempts = begin, 1
+	// Each pass places the task once more; only a dispatch spends the retry
+	// budget, so a host known dead is left at once, without one.
+	for dispatched := 0; ; res.Attempts++ {
+		err := ErrHostFailed
+		if live {
+			if dispatched++; dispatched > e.opts.MaxAttempts {
+				return tasklib.Value{}, fmt.Errorf("%w (%d attempts, hosts %v)", ErrTooManyRetries, dispatched-1, tried)
 			}
-		}
-		if err == nil {
-			e.finish(i)
-			res.Host, res.Site, res.Elapsed = assign.Host, assign.Site, time.Since(begin)
-			return val, nil
-		}
-		if !errors.Is(err, ErrHostFailed) && !errors.Is(err, ErrOverloaded) {
-			return tasklib.Value{}, err // genuine task error: no point rescheduling
+			var val tasklib.Value
+			switch host := e.opts.Hosts(assign.Host); {
+			case host != nil:
+				val, err = e.runOn(ctx, host, task, inputs)
+			case e.opts.RemoteExec == nil:
+				return tasklib.Value{}, fmt.Errorf("%w: %q", ErrUnknownHost, assign.Host)
+			default:
+				// A remote failure is final: the task is not rescheduled.
+				if val, err = e.opts.RemoteExec(ctx, assign, task, inputs); err != nil {
+					return tasklib.Value{}, fmt.Errorf("runtime: remote execution on %s/%s: %w", assign.Site, assign.Host, err)
+				}
+			}
+			if err == nil {
+				e.finish(i)
+				res.Host, res.Site, res.Elapsed = assign.Host, assign.Site, time.Since(begin)
+				return val, nil
+			}
+			if !errors.Is(err, ErrHostFailed) && !errors.Is(err, ErrOverloaded) {
+				return tasklib.Value{}, err // genuine task error: no point rescheduling
+			}
+			tried = append(tried, assign.Host)
 		}
 		// Host unusable: request rescheduling. A dead host joins the
 		// execution's dead set and the frontier — this task included — is
 		// re-planned around the whole set; retry where that put the task
 		// unless that host is known dead too, in which case (as for an
 		// overloaded host) fall through to the per-task path.
-		tried = append(tried, assign.Host)
 		if errors.Is(err, ErrHostFailed) {
 			e.hostFailed(ctx, assign.Host)
-			if na, ok := e.reassigned(i); ok {
-				assign = na
+			if assign, live = e.reassigned(i); live {
 				continue
 			}
 		}
@@ -604,6 +608,7 @@ func (e *execEnv) place(ctx context.Context, i int, res *TaskResult) (tasklib.Va
 		if assign, err = e.reschedule(ctx, i, tried); err != nil {
 			return tasklib.Value{}, fmt.Errorf("runtime: reschedule %q: %w", task.ID, err)
 		}
+		live = true
 	}
 }
 
