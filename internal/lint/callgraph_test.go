@@ -136,11 +136,13 @@ func TestCallGraphGolden(t *testing.T) {
 		}},
 		// The one multicast behind the Site Scheduler and the HEFT/CPOP cost
 		// gather: the call reaches RPC stubs only at run time (in-process
-		// selectors are taken by concrete type first), but both
-		// implementations resolve.
+		// selectors are taken by concrete type first), but every
+		// implementation resolves, the peer a submission has already sent
+		// its client's bytes to among them.
 		{"scheduler.multicast", "SelectHosts", []string{
 			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
 			"(*repro/internal/site.RemoteSelector).SelectHosts",
+			"(*repro/internal/site.forwarded).SelectHosts",
 		}},
 	}
 	for _, c := range cases {

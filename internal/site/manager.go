@@ -431,7 +431,7 @@ func (m *Manager) ExecuteLocal(ctx context.Context, g *afg.Graph, remotes []sche
 }
 
 // execute runs a scheduled application on this site — the one execution
-// body behind ExecuteLocal and ExecuteDistributedPolicy: it subscribes the
+// body behind ExecuteLocal and executeDistributed: it subscribes the
 // run to monitor-reported failures, wires the site's recovery services into
 // the runtime, and records measured times once the run succeeds. Hosts
 // resolve does not know go to remoteExec (nil: they are an error).
@@ -478,16 +478,19 @@ func (m *Manager) recordExecutions(g *afg.Graph, res *runtime.Result) {
 // site's hosts, tasks assigned to a peer are forwarded to that peer's
 // RunTask endpoint — the full multi-process execution path of Fig 6/7.
 func (m *Manager) ExecuteDistributed(ctx context.Context, g *afg.Graph, peers []*RemoteSelector) (*runtime.Result, *scheduler.AllocationTable, error) {
-	return m.ExecuteDistributedPolicy(ctx, g, peers, "")
+	remotes := make([]scheduler.HostSelector, len(peers))
+	for i, p := range peers {
+		remotes[i] = p
+	}
+	return m.executeDistributed(ctx, g, peers, remotes, "")
 }
 
-// ExecuteDistributedPolicy is ExecuteDistributed scheduling under the named
-// policy (empty = the site default).
-func (m *Manager) ExecuteDistributedPolicy(ctx context.Context, g *afg.Graph, peers []*RemoteSelector, policy string) (*runtime.Result, *scheduler.AllocationTable, error) {
-	var remotes []scheduler.HostSelector
+// executeDistributed is ExecuteDistributed scheduling under the named policy
+// (empty = the site default), asking the peers through remotes, which
+// Service.Submit fills with the calls it started on its client's bytes.
+func (m *Manager) executeDistributed(ctx context.Context, g *afg.Graph, peers []*RemoteSelector, remotes []scheduler.HostSelector, policy string) (*runtime.Result, *scheduler.AllocationTable, error) {
 	byName := make(map[string]*RemoteSelector, len(peers))
 	for _, p := range peers {
-		remotes = append(remotes, p)
 		byName[p.Name] = p
 	}
 	table, err := m.SchedulePolicy(ctx, policy, g, remotes)

@@ -8,6 +8,7 @@ import (
 	"net/rpc"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/afg"
 	"repro/internal/repository"
@@ -28,17 +29,29 @@ type Service struct {
 	peers []*RemoteSelector // other sites, for distributed Submit
 }
 
-// SelectArgs carries a JSON-encoded application flow graph (JSON because the
-// AFG wire format is the editor/site contract).
+// SelectArgs carries an application flow graph as AFG JSON (the
+// editor/site contract). Service.Submit forwards its client's own bytes to
+// every peer before it decodes them itself; RemoteSelector.SelectHosts sends
+// the encoding of the graph it is asked about.
 type SelectArgs struct {
 	AFG []byte
 }
 
-// SelectReply returns the host selection for every task.
+// SelectReply carries a site's host selection in the graph's dense task
+// order, which afg.Decode makes the same at both ends: task t is predicted
+// Pred[t] seconds on the hosts Cols[Span[t]:Span[t+1]] index in Hosts, the
+// first of them its primary host. A task with an empty span has no offer.
 type SelectReply struct {
-	Site    string
-	Choices map[afg.TaskID]scheduler.Choice
+	Site  string
+	Hosts []string
+	Pred  []float64
+	Span  []int32
+	Cols  []int32
 }
+
+// ErrMisshapenReply marks a SelectReply whose lengths, offsets or columns do
+// not fit the graph asked about; the scheduler drops that site for the call.
+var ErrMisshapenReply = errors.New("site: misshapen select reply")
 
 // SelectHosts runs the site's Host Selection Algorithm on the multicast AFG.
 func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
@@ -50,9 +63,50 @@ func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Site = s.m.Site
-	reply.Choices = choices
+	ids := g.TaskIDs()
+	reply.Site, reply.Pred, reply.Span = s.m.Site, make([]float64, len(ids)), make([]int32, len(ids)+1)
+	col := map[string]int32{}
+	for t, id := range ids {
+		if c, ok := choices[id]; ok {
+			reply.Pred[t] = c.Predicted
+			for _, h := range c.Hosts {
+				if _, seen := col[h]; !seen {
+					col[h] = int32(len(reply.Hosts))
+					reply.Hosts = append(reply.Hosts, h)
+				}
+				reply.Cols = append(reply.Cols, col[h])
+			}
+		}
+		reply.Span[t+1] = int32(len(reply.Cols))
+	}
 	return nil
+}
+
+// choices checks the reply against ids, the dense task order of the graph
+// asked about, and names its offers by task id.
+func (r *SelectReply) choices(ids []afg.TaskID) (map[afg.TaskID]scheduler.Choice, error) {
+	n := len(ids)
+	ok := len(r.Pred) == n && len(r.Span) == n+1 && r.Span[0] == 0 && int(r.Span[n]) == len(r.Cols) && !slices.Contains(r.Hosts, "")
+	for t := 0; ok && t < n; t++ {
+		ok = r.Span[t] <= r.Span[t+1]
+	}
+	names := make([]string, len(r.Cols))
+	for k, c := range r.Cols {
+		if ok = ok && c >= 0 && int(c) < len(r.Hosts); ok {
+			names[k] = r.Hosts[c]
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w from site %s: %d hosts, %d predictions, %d offsets and %d columns for %d tasks",
+			ErrMisshapenReply, r.Site, len(r.Hosts), len(r.Pred), len(r.Span), len(r.Cols), n)
+	}
+	out := make(map[afg.TaskID]scheduler.Choice, n)
+	for t, id := range ids {
+		if lo, hi := r.Span[t], r.Span[t+1]; lo < hi {
+			out[id] = scheduler.Choice{Site: r.Site, Host: names[lo], Hosts: names[lo:hi:hi], Predicted: r.Pred[t]}
+		}
+	}
+	return out, nil
 }
 
 // PoliciesArgs is empty; PoliciesReply lists the registered policy names.
@@ -168,11 +222,26 @@ type SubmitReply struct {
 //
 //vdce:ignore detflow the reply reports a real execution: measured elapsed runtime and observed reschedules, not schedule decisions
 func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
+	// Every peer decodes and walks the client's bytes while this site
+	// decodes them; a call no policy took is waited for on return.
+	remotes, asked := make([]scheduler.HostSelector, len(s.peers)), make([]*forwarded, len(s.peers))
+	for i, p := range s.peers {
+		asked[i] = p.forward(args.AFG)
+		remotes[i] = asked[i]
+	}
+	defer func() {
+		for _, f := range asked {
+			f.settle()
+		}
+	}()
 	g, err := afg.Decode(args.AFG)
 	if err != nil {
 		return err
 	}
-	res, table, err := s.m.ExecuteDistributedPolicy(context.Background(), g, s.peers, args.Policy)
+	for _, f := range asked {
+		f.g = g
+	}
+	res, table, err := s.m.executeDistributed(context.Background(), g, s.peers, remotes, args.Policy)
 	if err != nil {
 		return err
 	}
@@ -269,22 +338,68 @@ func NewRemoteSelector(name, addr string) *RemoteSelector {
 // SiteName implements scheduler.HostSelector.
 func (r *RemoteSelector) SiteName() string { return r.Name }
 
-// SelectHosts implements scheduler.HostSelector over RPC.
+// SelectHosts implements scheduler.HostSelector over RPC: the peer is sent
+// g's encoding.
 func (r *RemoteSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Choice, error) {
 	data, err := g.Encode()
 	if err != nil {
 		return nil, err
 	}
-	client, err := r.conn()
-	if err != nil {
+	f := r.forward(data)
+	f.g = g
+	return f.SelectHosts(g)
+}
+
+// forward starts the peer's Site.SelectHosts call on AFG bytes.
+func (r *RemoteSelector) forward(data []byte) *forwarded {
+	f := &forwarded{RemoteSelector: r}
+	if f.client, f.err = r.conn(); f.err == nil {
+		f.call = f.client.Go("Site.SelectHosts", SelectArgs{AFG: data}, &f.reply, make(chan *rpc.Call, 1))
+	}
+	return f
+}
+
+// forwarded is a peer with a Site.SelectHosts call in flight on AFG bytes.
+// The first ask about g, the graph those bytes decode to, takes that call's
+// reply; any other ask is a plain RemoteSelector.SelectHosts.
+type forwarded struct {
+	*RemoteSelector
+	g      *afg.Graph
+	taken  atomic.Bool
+	client *rpc.Client
+	call   *rpc.Call // nil when dialling failed with err
+	err    error
+	reply  SelectReply
+}
+
+// SelectHosts implements scheduler.HostSelector.
+func (f *forwarded) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Choice, error) {
+	if g != f.g || f.taken.Swap(true) {
+		return f.RemoteSelector.SelectHosts(g)
+	}
+	if err := f.wait(); err != nil {
 		return nil, err
 	}
-	var reply SelectReply
-	if err := client.Call("Site.SelectHosts", SelectArgs{AFG: data}, &reply); err != nil {
-		r.dropConn(client, err)
-		return nil, fmt.Errorf("site: remote %s: %w", r.Name, err)
+	return f.reply.choices(g.TaskIDs())
+}
+
+// settle waits for a call no ask took, so that a connection it found broken
+// is dropped before the next submission uses it.
+func (f *forwarded) settle() {
+	if !f.taken.Swap(true) {
+		_ = f.wait() // no one asked for the reply, so its error is nobody's
 	}
-	return reply.Choices, nil
+}
+
+func (f *forwarded) wait() error {
+	if f.call == nil {
+		return f.err
+	}
+	if err := (<-f.call.Done).Error; err != nil {
+		f.dropConn(f.client, err)
+		return fmt.Errorf("site: remote %s: %w", f.Name, err)
+	}
+	return nil
 }
 
 // RunTask executes one task on a remote site's host over RPC (the client

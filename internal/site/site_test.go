@@ -14,7 +14,7 @@ import (
 	"repro/internal/scheduler"
 )
 
-func newTestSite(t *testing.T, name string, hosts int, seed int64) *Manager {
+func newTestSite(t testing.TB, name string, hosts int, seed int64) *Manager {
 	t.Helper()
 	pool := resource.GenerateSite(name, hosts, 4, seed)
 	m, err := NewManager(name, pool, netsim.NYNET(0.0001), nil, Config{GroupSize: 3})
