@@ -223,23 +223,18 @@ type SubmitReply struct {
 //vdce:ignore detflow the reply reports a real execution: measured elapsed runtime and observed reschedules, not schedule decisions
 func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 	// Every peer decodes and walks the client's bytes while this site
-	// decodes them; a call no policy took is waited for on return.
-	remotes, asked := make([]scheduler.HostSelector, len(s.peers)), make([]*forwarded, len(s.peers))
+	// decodes them. A call no policy takes is left to finish unread.
+	asked := make([]*forwarded, len(s.peers))
 	for i, p := range s.peers {
 		asked[i] = p.forward(args.AFG)
-		remotes[i] = asked[i]
 	}
-	defer func() {
-		for _, f := range asked {
-			f.settle()
-		}
-	}()
 	g, err := afg.Decode(args.AFG)
 	if err != nil {
 		return err
 	}
-	for _, f := range asked {
-		f.g = g
+	remotes := make([]scheduler.HostSelector, len(asked))
+	for i, f := range asked {
+		f.g, remotes[i] = g, f
 	}
 	res, table, err := s.m.executeDistributed(context.Background(), g, s.peers, remotes, args.Policy)
 	if err != nil {
@@ -377,29 +372,14 @@ func (f *forwarded) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Choice, 
 	if g != f.g || f.taken.Swap(true) {
 		return f.RemoteSelector.SelectHosts(g)
 	}
-	if err := f.wait(); err != nil {
-		return nil, err
-	}
-	return f.reply.choices(g.TaskIDs())
-}
-
-// settle waits for a call no ask took, so that a connection it found broken
-// is dropped before the next submission uses it.
-func (f *forwarded) settle() {
-	if !f.taken.Swap(true) {
-		_ = f.wait() // no one asked for the reply, so its error is nobody's
-	}
-}
-
-func (f *forwarded) wait() error {
 	if f.call == nil {
-		return f.err
+		return nil, f.err
 	}
 	if err := (<-f.call.Done).Error; err != nil {
 		f.dropConn(f.client, err)
-		return fmt.Errorf("site: remote %s: %w", f.Name, err)
+		return nil, fmt.Errorf("site: remote %s: %w", f.Name, err)
 	}
-	return nil
+	return f.reply.choices(g.TaskIDs())
 }
 
 // RunTask executes one task on a remote site's host over RPC (the client
