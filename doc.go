@@ -66,8 +66,9 @@
 // keys (Config.Priority, one key per task; nil is the paper's level rule,
 // FIFOPriority the constant key) and sorts them once, the Fig 4 multicast
 // hands that order to every in-process site's Fig 5 walk — the same walk
-// LocalSelector.SelectHosts serves to RPC peers as an id-keyed map — and
-// the ready heap reads the same keys. Every earliest-finish policy places
+// a peer's Site.SelectHosts runs on the submitted bytes and replies with
+// in the graph's dense task order — and the ready heap reads the same
+// keys. Every earliest-finish policy places
 // through one kernel (the scheduler's placement): heft and cpop over the
 // per-host cost matrix, eft and ledger over the sites' Fig 5 offers, all on
 // one ready walk, and under one ledger rule — no task starts on a host

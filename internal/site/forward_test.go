@@ -37,25 +37,23 @@ func parallelSolverGraph(t testing.TB) *afg.Graph {
 }
 
 // twoSites serves rome at its own endpoint and syracuse with rome as its
-// peer, and returns syracuse's manager, a client of syracuse's endpoint, and
-// a RemoteSelector of rome's of its own.
-func twoSites(t *testing.T) (*Manager, *rpc.Client, *RemoteSelector) {
+// peer, and returns syracuse's manager, a client of syracuse's endpoint,
+// syracuse's peer and rome's address.
+func twoSites(t *testing.T) (*Manager, *rpc.Client, *RemoteSelector, string) {
 	t.Helper()
-	local, remote := newTestSite(t, "syracuse", 3, 40), fastRome(t)
-	raddr, rstop, err := remote.Serve("127.0.0.1:0")
+	local := newTestSite(t, "syracuse", 3, 40)
+	raddr, rstop, err := fastRome(t).Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rstop)
-	client, _ := submitVia(t, local, raddr)
-	plain := NewRemoteSelector("rome", raddr)
-	t.Cleanup(plain.Close)
-	return local, client, plain
+	client, peer := submitVia(t, local, raddr)
+	return local, client, peer, raddr
 }
 
 // fastRome is a three-host site rome whose hosts are fast enough to win
 // some tasks from syracuse's.
-func fastRome(t testing.TB) *Manager {
+func fastRome(t *testing.T) *Manager {
 	remote := newTestSite(t, "rome", 3, 41)
 	remote.TickMonitors()
 	for _, rec := range remote.Repo.Resources.List() {
@@ -176,12 +174,7 @@ func TestSubmitForwardsClientBytes(t *testing.T) {
 // error it always had, and the next submission is served over the same peer
 // connection.
 func TestAbandonedForwardKeepsPeer(t *testing.T) {
-	raddr, rstop, err := fastRome(t).Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rstop)
-	client, peer := submitVia(t, newTestSite(t, "syracuse", 3, 40), raddr)
+	_, client, peer, _ := twoSites(t)
 	shared, err := peer.conn()
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +358,9 @@ func (c cannedSelector) SelectHosts(*afg.Graph) (map[afg.TaskID]scheduler.Choice
 // Site.Submit runs is the one SchedulePolicy gives when the peer is asked
 // through a plain RemoteSelector, which encodes the graph it is handed.
 func TestSubmitTablesMatchEncodePath(t *testing.T) {
-	local, client, plain := twoSites(t)
+	local, client, _, raddr := twoSites(t)
+	plain := NewRemoteSelector("rome", raddr)
+	t.Cleanup(plain.Close)
 	g := parallelSolverGraph(t)
 	data, err := g.Encode()
 	if err != nil {
