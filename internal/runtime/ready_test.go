@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,6 +61,35 @@ func TestChainRunsOneTaskAtATime(t *testing.T) {
 	}
 	if p := peak.Load(); p > 32 {
 		t.Fatalf("peak goroutines = %d over a %d-task chain, want at most 32", p, g.Len())
+	}
+}
+
+// TestChainRunsOnOneGoroutine: a task that readies one child runs that child
+// itself, on its own goroutine, so a chain starts one goroutine however long
+// it is instead of one per task.
+func TestChainRunsOnOneGoroutine(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]int{}
+	reg := tasklib.NewRegistry()
+	if err := reg.Register(tasklib.Spec{Name: "test.goid", Fn: func(context.Context, tasklib.Args) (tasklib.Value, error) {
+		// The header of a goroutine's own stack trace is "goroutine N [...]".
+		buf := make([]byte, 64)
+		id := string(bytes.Fields(buf[:goruntime.Stack(buf, false)])[1])
+		mu.Lock()
+		seen[id]++
+		mu.Unlock()
+		return tasklib.Value{}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	g := chainGraph(t, 2000, "test.goid")
+	_, resolve := testCluster(4)
+	table := spreadTable(g, []string{"A", "B", "C", "D"})
+	if _, err := Execute(context.Background(), g, table, Options{Registry: reg, Hosts: resolve}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("a %d-task chain ran on %d goroutines, want 1", g.Len(), len(seen))
 	}
 }
 
