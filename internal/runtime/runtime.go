@@ -9,9 +9,11 @@
 //
 // A task starts when its last parent delivers. Each task counts the parents
 // that have not delivered yet, and the parent that takes a child's count to
-// zero launches it — the ready rule the scheduler's executor and validator
-// run on the same afg.Index. So an execution's goroutines are its running
-// tasks: none is parked waiting for inputs, and no channel is made per link.
+// zero readies it — the ready rule the scheduler's executor and validator
+// run on the same afg.Index. A task runs on the goroutine of the parent that
+// readied it last, not on a new one, unless that parent readied another child
+// after it. So an execution's goroutines are its running tasks, a chain runs
+// on one, and none is parked waiting for inputs or a channel per link.
 package runtime
 
 import (
@@ -123,13 +125,9 @@ type Options struct {
 	// off a host known dead dispatches nothing.
 	MaxAttempts int
 	// OnTaskDone, if set, observes each task completion (visualization
-	// service feed).
+	// service feed). It is called on the goroutine that ran the task, so
+	// calls for tasks that run side by side may overlap.
 	OnTaskDone func(TaskResult)
-}
-
-type taskOutcome struct {
-	val tasklib.Value
-	res TaskResult
 }
 
 // Execute runs a scheduled application to completion.
@@ -150,7 +148,7 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	env, err := newExecEnv(g, table, opts)
+	env, err := newExecEnv(g, table, opts, cancel)
 	if err != nil {
 		return nil, err
 	}
@@ -180,43 +178,28 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 			env.launch(ctx, i)
 		}
 	}
-	go func() {
-		env.wg.Wait()
-		close(env.out)
-	}()
+	env.wg.Wait()
 
 	res := &Result{
 		App:         g.Name,
 		Outputs:     make(map[afg.TaskID]tasklib.Value, g.Len()),
 		TaskResults: make(map[afg.TaskID]TaskResult, g.Len()),
+		Makespan:    time.Since(start),
 	}
-	var firstErr error
-	for o := range env.out {
-		id := o.res.Task
-		res.TaskResults[id] = o.res
-		res.Rescheduled += max(o.res.Attempts-1, 0) // a task that never reached a host moved nowhere
-		if o.res.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("task %q: %w", id, o.res.Err)
-				cancel() // abort the rest of the application
-			}
-			continue
-		}
-		res.Outputs[id] = o.val
-		if opts.OnTaskDone != nil {
-			opts.OnTaskDone(o.res)
-		}
-	}
-	res.Makespan = time.Since(start)
 	res.FrontierReplans, res.FrontierRefusals = env.replanCounts()
-	// A task no parent launched, because an upstream task failed, is
-	// accounted too.
-	for _, id := range env.ix.IDs() {
-		if _, ok := res.TaskResults[id]; !ok {
-			res.TaskResults[id] = TaskResult{Task: id, Err: ctx.Err()}
+	for i, id := range env.ix.IDs() {
+		tr := env.results[i]
+		if tr.Task == "" {
+			// No parent launched the task, because an upstream task failed.
+			tr = TaskResult{Task: id, Err: ctx.Err()}
+		}
+		res.TaskResults[id] = tr
+		res.Rescheduled += max(tr.Attempts-1, 0) // a task that never reached a host moved nowhere
+		if tr.Err == nil {
+			res.Outputs[id] = env.vals[i]
 		}
 	}
-	return res, firstErr
+	return res, env.firstErr
 }
 
 // execEnv is the per-application execution environment (Fig 7): the wiring
@@ -230,16 +213,16 @@ type execEnv struct {
 	opts  Options
 
 	// The ready rule: pending[i] counts task i's parents that have not
-	// delivered yet, and the parent that takes it to zero launches i. wg
-	// counts launched tasks that have not reported on out, which holds one
-	// outcome per task so a finished task never waits for the collector.
+	// delivered yet, and the parent that takes it to zero readies i. wg
+	// counts the task goroutines still running.
 	pending []atomic.Int32
-	out     chan taskOutcome
 	wg      sync.WaitGroup
 
-	// in-memory mode: task i's output, written before any child's count
-	// drops, so a launched child reads it after its parents wrote it.
-	vals []tasklib.Value
+	// Task i's outcome and output, each written once by the goroutine that
+	// ran it. vals[i] is written before any child's count drops, so in
+	// memory mode a launched child reads its inputs there.
+	results []TaskResult
+	vals    []tasklib.Value
 
 	// socket mode: one communication proxy per task.
 	proxies   []*datamgr.Proxy
@@ -251,8 +234,10 @@ type execEnv struct {
 	// the monitor reported — with the subset some re-plan was already told
 	// about. replanning is a one-slot semaphore serialising re-plans, so a
 	// second discoverer waits for the first one's assignments instead of
-	// racing past them.
+	// racing past them. firstErr is the first task error; it cancels the run.
 	mu         sync.Mutex
+	firstErr   error
+	cancel     context.CancelFunc
 	cur        []scheduler.Assignment
 	started    []bool
 	finished   []bool
@@ -263,16 +248,17 @@ type execEnv struct {
 	replanning chan struct{}
 }
 
-func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*execEnv, error) {
+func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options, cancel context.CancelFunc) (*execEnv, error) {
 	ix, err := g.Index()
 	if err != nil {
 		return nil, err
 	}
 	n := ix.Len()
 	env := &execEnv{
-		g: g, ix: ix, table: table, opts: opts,
+		g: g, ix: ix, table: table, opts: opts, cancel: cancel,
 		pending:    make([]atomic.Int32, n),
-		out:        make(chan taskOutcome, n),
+		results:    make([]TaskResult, n),
+		vals:       make([]tasklib.Value, n),
 		cur:        make([]scheduler.Assignment, n),
 		started:    make([]bool, n),
 		finished:   make([]bool, n),
@@ -289,7 +275,6 @@ func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*
 		env.pending[i].Store(int32(ix.NumParents(i)))
 	}
 	if !opts.UseSockets {
-		env.vals = make([]tasklib.Value, n)
 		return env, nil
 	}
 	// Phase 1 (Fig 7 steps 1–2): activate a Data Manager proxy per task.
@@ -323,15 +308,20 @@ func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*
 }
 
 // launch starts task i, whose last parent has just delivered (or which has
-// none).
+// none), on a goroutine that goes on with the child each task hands it.
 func (e *execEnv) launch(ctx context.Context, i int) {
 	e.wg.Add(1)
-	go e.runTask(ctx, i)
+	go func() {
+		defer e.wg.Done()
+		for i >= 0 {
+			i = e.runTask(ctx, i)
+		}
+	}()
 }
 
 // claim marks the task started and returns its current assignment — which a
-// frontier re-plan may have moved since the table was multicast — and
-// whether its host is not known dead.
+// frontier re-plan may have moved since the table was multicast, or since the
+// task found its host failed — and whether its host is not known dead.
 func (e *execEnv) claim(i int) (a scheduler.Assignment, live bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -396,16 +386,6 @@ func (e *execEnv) hostFailed(ctx context.Context, host string) {
 			e.cur[i] = a
 		}
 	}
-}
-
-// reassigned re-reads a failed task's assignment after hostFailed; ok is
-// false when it still names a host known dead (no re-plan moved the task,
-// or one moved it onto a host that has since died too).
-func (e *execEnv) reassigned(i int) (a scheduler.Assignment, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a = e.cur[i]
-	return a, !e.dead[a.Host]
 }
 
 // deadLocked returns the dead set, sorted. Caller holds mu.
@@ -501,43 +481,60 @@ func (e *execEnv) gatherInputs(ctx context.Context, i int) ([]tasklib.Value, err
 }
 
 // deliver hands the task's output to its children — into its output slot,
-// or through its proxy to each child's — and launches every child whose
-// count of parents still to deliver this takes to zero.
-func (e *execEnv) deliver(ctx context.Context, i int, v tasklib.Value) error {
+// or through its proxy to each child's — and readies every child whose count
+// of parents still to deliver this takes to zero. It launches each readied
+// child but the last, which it returns for the caller to run (-1 if none).
+func (e *execEnv) deliver(ctx context.Context, i int, v tasklib.Value) (next int, err error) {
+	e.vals[i] = v
 	var payload []byte
-	if e.proxies == nil {
-		e.vals[i] = v
-	} else {
-		var err error
+	if e.proxies != nil {
 		if payload, err = v.Encode(); err != nil {
-			return err
+			return -1, err
 		}
 	}
+	next = -1
 	for _, a := range e.ix.Children(i) {
 		c := int(a.Peer)
 		if e.proxies != nil {
 			if err := e.proxies[i].Send(string(e.ix.ID(c)), payload); err != nil {
-				return err
+				return -1, err
 			}
 		}
 		if e.pending[c].Add(-1) == 0 {
-			e.launch(ctx, c)
+			if next >= 0 {
+				e.launch(ctx, next)
+			}
+			next = c
 		}
 	}
-	return nil
+	return next, nil
 }
 
-// runTask runs one launched task and reports its outcome; a task that
-// succeeds delivers its output first.
-func (e *execEnv) runTask(ctx context.Context, i int) {
-	defer e.wg.Done()
+// runTask runs one readied task and records its outcome; a task that
+// succeeds delivers its output first, and one that fails cancels the run.
+// It returns the readied child to run next, or -1.
+func (e *execEnv) runTask(ctx context.Context, i int) int {
 	res := TaskResult{Task: e.ix.ID(i)}
 	val, err := e.place(ctx, i, &res)
+	next := -1
 	if err == nil {
-		err = e.deliver(ctx, i, val)
+		next, err = e.deliver(ctx, i, val)
 	}
 	res.Err = err
-	e.out <- taskOutcome{val: val, res: res}
+	e.results[i] = res
+	if err != nil {
+		e.mu.Lock()
+		if e.firstErr == nil {
+			e.firstErr = fmt.Errorf("task %q: %w", res.Task, err)
+		}
+		e.mu.Unlock()
+		e.cancel() // abort the rest of the application
+		return -1
+	}
+	if e.opts.OnTaskDone != nil {
+		e.opts.OnTaskDone(res)
+	}
+	return next
 }
 
 // place gathers the task's inputs, waits at the console gate, picks (and if
@@ -598,7 +595,7 @@ func (e *execEnv) place(ctx context.Context, i int, res *TaskResult) (tasklib.Va
 		// overloaded host) fall through to the per-task path.
 		if errors.Is(err, ErrHostFailed) {
 			e.hostFailed(ctx, assign.Host)
-			if assign, live = e.reassigned(i); live {
+			if assign, live = e.claim(i); live {
 				continue
 			}
 		}
