@@ -18,7 +18,8 @@ func BenchmarkExecute(b *testing.B) {
 	_, resolve := testCluster(len(hosts))
 	table := spreadTable(g, hosts)
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		if _, err := Execute(context.Background(), g, table, Options{Hosts: resolve}); err != nil {
 			b.Fatal(err)
 		}
