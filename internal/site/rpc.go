@@ -50,8 +50,9 @@ type SelectReply struct {
 }
 
 // ErrMisshapenReply marks a SelectReply whose lengths, offsets or columns do
-// not fit the graph asked about; the scheduler drops that site for the call.
-var ErrMisshapenReply = errors.New("site: misshapen select reply")
+// not fit the graph asked about, which the scheduler drops for the call, and
+// bytes that do not decode to a SubmitReply.
+var ErrMisshapenReply = errors.New("site: misshapen reply")
 
 // SelectHosts runs the site's Host Selection Algorithm on the multicast AFG.
 func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
@@ -208,7 +209,8 @@ type SubmitArgs struct {
 	Policy string
 }
 
-// SubmitReply summarises the execution.
+// SubmitReply summarises the execution. It goes over the wire in its own
+// binary layout (reply.go), not field by field.
 type SubmitReply struct {
 	Table       map[afg.TaskID]scheduler.Assignment
 	MakespanSec float64
