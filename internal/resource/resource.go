@@ -116,23 +116,29 @@ func (h *Host) AvailableMemory() int64 {
 	return h.Spec.TotalMemory - h.usedMem
 }
 
-// The two ways BeginTask refuses a task. A host that is down stays unusable;
-// one out of memory is healthy and frees up as its running tasks end.
+// The ways BeginTask refuses a task. A host that is down stays unusable;
+// one out of memory is healthy and frees up as its running tasks end; a
+// negative request is the task's own fault, and no host grants it.
 var (
-	ErrHostDown    = errors.New("resource: host is down")
-	ErrOutOfMemory = errors.New("resource: host out of memory")
+	ErrHostDown       = errors.New("resource: host is down")
+	ErrOutOfMemory    = errors.New("resource: host out of memory")
+	ErrNegativeMemory = errors.New("resource: negative memory request")
 )
 
 // BeginTask registers a running task: one load unit and mem bytes claimed.
-// It returns an error wrapping ErrHostDown if the host is down and one
-// wrapping ErrOutOfMemory if memory is insufficient.
+// It returns an error wrapping ErrHostDown if the host is down, one wrapping
+// ErrNegativeMemory if mem is negative and one wrapping ErrOutOfMemory if
+// memory is insufficient.
 func (h *Host) BeginTask(mem int64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.down {
 		return fmt.Errorf("%w: %s", ErrHostDown, h.Spec.Name)
 	}
-	if h.usedMem+mem > h.Spec.TotalMemory {
+	if mem < 0 {
+		return fmt.Errorf("%w: %d bytes on %s", ErrNegativeMemory, mem, h.Spec.Name)
+	}
+	if mem > h.Spec.TotalMemory-h.usedMem { // used+mem could wrap
 		return fmt.Errorf("%w: %s (%d used, %d requested, %d total)",
 			ErrOutOfMemory, h.Spec.Name, h.usedMem, mem, h.Spec.TotalMemory)
 	}

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -67,6 +68,29 @@ func TestBeginTaskOutOfMemory(t *testing.T) {
 	h := testHost(2)
 	if err := h.BeginTask(2 << 20); err == nil {
 		t.Fatal("expected out-of-memory error")
+	}
+}
+
+// TestBeginTaskRefusesNegativeAndWrappingMemory: a negative request is
+// refused with ErrNegativeMemory and claims nothing, so a 1 TB request after
+// it is still out of memory on a 1 GB host; on a host with one byte in use, a
+// request of MaxInt64 is out of memory, not a sum that wraps below the total.
+func TestBeginTaskRefusesNegativeAndWrappingMemory(t *testing.T) {
+	h := NewHost(HostSpec{Name: "h", TotalMemory: 1 << 30}, DefaultLoadModel, 1)
+	if err := h.BeginTask(-1 << 40); !errors.Is(err, ErrNegativeMemory) {
+		t.Fatalf("BeginTask(-1<<40) = %v, want ErrNegativeMemory", err)
+	}
+	if err := h.BeginTask(1 << 40); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("BeginTask(1<<40) after a refused negative request = %v, want ErrOutOfMemory", err)
+	}
+	if err := h.BeginTask(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.BeginTask(math.MaxInt64); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("BeginTask(MaxInt64) with 1 byte used = %v, want ErrOutOfMemory", err)
+	}
+	if got := h.AvailableMemory(); got != 1<<30-1 {
+		t.Fatalf("available = %d, want %d: a refused request claimed memory", got, 1<<30-1)
 	}
 }
 

@@ -619,13 +619,15 @@ func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, i
 	if e.opts.LoadThreshold > 0 && h.Load() > e.opts.LoadThreshold {
 		return tasklib.Value{}, ErrOverloaded
 	}
-	if err := h.BeginTask(task.MemReq); err != nil {
-		// A full host is not a dead host: only a host that is down joins
-		// the dead set; this task alone goes elsewhere when memory is short.
-		if errors.Is(err, resource.ErrHostDown) {
-			return tasklib.Value{}, fmt.Errorf("%w: %v", ErrHostFailed, err)
-		}
+	// Only a host that is down joins the dead set: a full one sends this task
+	// elsewhere, and a request no host grants fails the task.
+	switch err := h.BeginTask(task.MemReq); {
+	case errors.Is(err, resource.ErrHostDown):
+		return tasklib.Value{}, fmt.Errorf("%w: %v", ErrHostFailed, err)
+	case errors.Is(err, resource.ErrOutOfMemory):
 		return tasklib.Value{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
+	case err != nil:
+		return tasklib.Value{}, err
 	}
 	defer h.EndTask(task.MemReq)
 	procs := 1

@@ -637,3 +637,29 @@ func TestFullHostIsNotADeadHost(t *testing.T) {
 		t.Fatalf("tasks ran on %q, want one on A and the refused one on B", on)
 	}
 }
+
+// TestNegativeMemoryRequestFailsOnce: a task asking for negative memory is
+// refused by its host with a task error, not an overload, so it fails on
+// its first dispatch instead of spending its retries.
+func TestNegativeMemoryRequestFailsOnce(t *testing.T) {
+	g := afg.New("hostile")
+	g.AddTask(&afg.Task{ID: "t", Function: "synthetic.noop", ComputeCost: 1, MemReq: -1 << 40})
+	hosts, resolve := testCluster(2)
+	rescheduled := 0
+	res, err := Execute(context.Background(), g, spreadTable(g, []string{"A"}), Options{
+		Hosts: resolve,
+		Reschedule: func(_ context.Context, task *afg.Task, _ []string) (scheduler.Assignment, error) {
+			rescheduled++
+			return scheduler.Assignment{Task: task.ID, Site: "syr", Host: "B"}, nil
+		},
+	})
+	if !errors.Is(err, resource.ErrNegativeMemory) {
+		t.Fatalf("err = %v, want ErrNegativeMemory", err)
+	}
+	if tr := res.TaskResults["t"]; tr.Attempts != 1 || rescheduled != 0 || res.Rescheduled != 0 {
+		t.Fatalf("attempts = %d, reschedules = %d/%d, want one dispatch and none", tr.Attempts, rescheduled, res.Rescheduled)
+	}
+	if got := hosts["A"].AvailableMemory(); got != 1<<30 {
+		t.Fatalf("host A available = %d, want all of it", got)
+	}
+}

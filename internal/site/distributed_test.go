@@ -256,3 +256,39 @@ func TestServeWithPeersRefusesAmbiguousNames(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTaskRefusesHostileMemory: over RPC, a negative memory request is
+// refused and claims nothing, so the 1 TB request after it is refused too,
+// and the host's memory is all there for a well-formed call.
+func TestRunTaskRefusesHostileMemory(t *testing.T) {
+	m := newTestSite(t, "rome", 2, 24)
+	addr, stop, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	client, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	h := m.Pool.Hosts()[0]
+	free := h.AvailableMemory()
+	args := RunTaskArgs{Function: "synthetic.noop", Processors: 1, Host: h.Spec.Name}
+	for _, mem := range []int64{-1 << 40, 1 << 40} {
+		args.MemReq = mem
+		if err := client.Call("Site.RunTask", args, &RunTaskReply{}); err == nil {
+			t.Fatalf("memory request %d admitted", mem)
+		}
+	}
+	if err := (&Service{m: m}).RunTask(RunTaskArgs{Host: h.Spec.Name, MemReq: -1}, &RunTaskReply{}); !errors.Is(err, resource.ErrNegativeMemory) {
+		t.Fatalf("in process: err = %v, want ErrNegativeMemory", err)
+	}
+	if got := h.AvailableMemory(); got != free {
+		t.Fatalf("available = %d after the refusals, want %d", got, free)
+	}
+	args.MemReq = free
+	if err := client.Call("Site.RunTask", args, &RunTaskReply{}); err != nil {
+		t.Fatalf("a request for all free memory: %v", err)
+	}
+}
