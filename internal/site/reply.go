@@ -43,12 +43,8 @@ func (r SubmitReply) GobEncode() ([]byte, error) {
 		}
 		body = binary.BigEndian.AppendUint32(body, k)
 	}
-	ids := r.order
-	if len(ids) != len(r.Table) {
-		ids = sortedKeys(r.Table)
-	}
 	body = appendMap(body, r.Table)
-	for _, id := range ids {
+	for _, id := range sortedKeys(r.Table) {
 		a := r.Table[id]
 		if body = appendString(body, string(id)); a.Task == id {
 			body = append(body, 1)

@@ -216,8 +216,6 @@ type SubmitReply struct {
 	MakespanSec float64
 	Rescheduled int
 	Outputs     map[afg.TaskID]string // rendered exit outputs
-
-	order []afg.TaskID // Table's keys in task-id order, when Submit has them
 }
 
 // Submit schedules an application across this site and its configured
@@ -244,10 +242,7 @@ func (s *Service) Submit(args SubmitArgs, reply *SubmitReply) error {
 	if err != nil {
 		return err
 	}
-	// The run found every task of g in the table, so g's dense order, which
-	// is task-id order, lists the table's keys.
-	ix, _ := g.Index() // a built graph always has one
-	reply.Table, reply.order = table.Entries(), ix.IDs()
+	reply.Table = table.Entries()
 	reply.MakespanSec = res.Makespan.Seconds()
 	reply.Rescheduled = res.Rescheduled
 	reply.Outputs = map[afg.TaskID]string{}
