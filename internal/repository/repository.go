@@ -356,38 +356,19 @@ func (db *TaskPerfDB) Weight(function, host string) (float64, bool) {
 	return w, ok
 }
 
-// FunctionSample is one measured run of the named task function.
-type FunctionSample struct {
-	Function string
-	ExecutionSample
-}
-
 // RecordExecution appends a measured sample, trimming history to the cap.
 func (db *TaskPerfDB) RecordExecution(function string, s ExecutionSample) error {
-	return db.RecordExecutions([]FunctionSample{{function, s}})
-}
-
-// RecordExecutions appends each sample to its function's history, in order
-// and under one lock, trimming each history to the cap. A sample of an
-// unknown function is dropped, and the first one is reported.
-func (db *TaskPerfDB) RecordExecutions(samples []FunctionSample) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var err error
-	for _, s := range samples {
-		r, ok := db.records[s.Function]
-		if !ok {
-			if err == nil {
-				err = fmt.Errorf("%w: task %q", ErrNotFound, s.Function)
-			}
-			continue
-		}
-		r.History = append(r.History, s.ExecutionSample)
-		if len(r.History) > db.maxHist {
-			r.History = r.History[len(r.History)-db.maxHist:]
-		}
+	r, ok := db.records[function]
+	if !ok {
+		return fmt.Errorf("%w: task %q", ErrNotFound, function)
 	}
-	return err
+	r.History = append(r.History, s)
+	if len(r.History) > db.maxHist {
+		r.History = r.History[len(r.History)-db.maxHist:]
+	}
+	return nil
 }
 
 // Functions returns all known function names, sorted.

@@ -187,28 +187,6 @@ func TestTaskPerfHistoryTrim(t *testing.T) {
 	}
 }
 
-// TestRecordExecutionsBatch: a batch appends each sample to its function's
-// history in order, trims as one sample at a time would, and drops and
-// reports a sample of an unknown function without losing the others.
-func TestRecordExecutionsBatch(t *testing.T) {
-	db := NewTaskPerfDB(3)
-	db.Put(TaskRecord{Function: "f"})
-	db.Put(TaskRecord{Function: "g"})
-	var batch []FunctionSample
-	for i := 0; i < 5; i++ {
-		batch = append(batch, FunctionSample{"f", ExecutionSample{Elapsed: time.Duration(i)}})
-	}
-	batch = append(batch, FunctionSample{"ghost", ExecutionSample{}}, FunctionSample{"g", ExecutionSample{Host: "h"}})
-	if err := db.RecordExecutions(batch); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound for ghost", err)
-	}
-	f, _ := db.Get("f")
-	g, _ := db.Get("g")
-	if len(f.History) != 3 || f.History[0].Elapsed != 2 || f.History[2].Elapsed != 4 || len(g.History) != 1 {
-		t.Fatalf("f history = %v, g history = %v", f.History, g.History)
-	}
-}
-
 func TestTaskPerfValidation(t *testing.T) {
 	db := NewTaskPerfDB(0)
 	if err := db.Put(TaskRecord{}); !errors.Is(err, ErrInvalidRecord) {

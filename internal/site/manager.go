@@ -459,19 +459,18 @@ func (m *Manager) execute(ctx context.Context, g *afg.Graph, table *scheduler.Al
 }
 
 // recordExecutions feeds completed task timings into the task-performance
-// database in one batch under one clock reading, in sorted task order so
-// the recorded sample history is reproducible run to run.
+// database, in sorted task order so the recorded sample history is
+// reproducible run to run.
 func (m *Manager) recordExecutions(g *afg.Graph, res *runtime.Result) {
-	ix, _ := g.Index() // a built graph always has one
-	at := time.Now()
-	runs := make([]repository.FunctionSample, 0, len(res.TaskResults))
-	for i, id := range ix.IDs() {
-		if tr, ok := res.TaskResults[id]; ok && tr.Err == nil {
-			runs = append(runs, repository.FunctionSample{Function: ix.Task(i).Function,
-				ExecutionSample: repository.ExecutionSample{Host: tr.Host, Elapsed: tr.Elapsed, At: at}})
+	for _, id := range g.TaskIDs() {
+		tr, ok := res.TaskResults[id]
+		if !ok || tr.Err != nil {
+			continue
 		}
+		m.Repo.Tasks.RecordExecution(g.Task(id).Function, repository.ExecutionSample{
+			Host: tr.Host, Elapsed: tr.Elapsed, At: time.Now(),
+		})
 	}
-	m.Repo.Tasks.RecordExecutions(runs)
 }
 
 // ExecuteDistributed schedules an application across this site and the
