@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // Message is one inter-task data frame.
@@ -62,17 +63,12 @@ func writeFrame(w io.Writer, m Message) error {
 	}
 	head := make([]byte, 0, 4+n-len(m.Payload))
 	head = binary.BigEndian.AppendUint32(head, uint32(n))
-	head = appendString(head, m.From)
-	head = appendString(head, m.To)
+	head = wire.AppendString(head, m.From)
+	head = wire.AppendString(head, m.To)
 	head = binary.BigEndian.AppendUint64(head, uint64(m.Seq))
 	bufs := net.Buffers{head, m.Payload}
 	_, err := bufs.WriteTo(w)
 	return err
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
 }
 
 // readFrame reads one message written by writeFrame.
@@ -89,34 +85,18 @@ func readFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Message{}, err
 	}
-	var m Message
-	var ok bool
-	if m.From, body, ok = cutString(body); !ok {
-		return Message{}, errShortFrame
-	}
-	if m.To, body, ok = cutString(body); !ok || len(body) < 8 {
-		return Message{}, errShortFrame
-	}
-	m.Seq = int(int64(binary.BigEndian.Uint64(body)))
-	if body = body[8:]; len(body) > 0 {
+	d := wire.NewReader(body, "datamgr: decode frame", errShortFrame)
+	m := Message{From: d.Str(), To: d.Str(), Seq: int(int64(d.U64()))}
+	if body = d.Rest(); len(body) > 0 {
 		m.Payload = body
+	}
+	if err := d.Err(); err != nil {
+		return Message{}, err
 	}
 	return m, nil
 }
 
-var errShortFrame = errors.New("datamgr: decode frame: body shorter than its fields")
-
-// cutString splits a length-prefixed string off the front of b.
-func cutString(b []byte) (string, []byte, bool) {
-	if len(b) < 4 {
-		return "", nil, false
-	}
-	n := binary.BigEndian.Uint32(b)
-	if b = b[4:]; uint64(n) > uint64(len(b)) {
-		return "", nil, false
-	}
-	return string(b[:n]), b[n:], true
-}
+var errShortFrame = errors.New("datamgr: body shorter than its fields")
 
 // PeerInfo is the channel-setup information the Data Manager distributes:
 // "the socket number, IP address for target machine, etc." (§2.3.2).

@@ -2,12 +2,12 @@ package site
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/afg"
 	"repro/internal/scheduler"
+	"repro/internal/wire"
 )
 
 // The wire layout of a SubmitReply, big-endian like a task value's. A list
@@ -39,17 +39,17 @@ func (r SubmitReply) GobEncode() ([]byte, error) {
 		if !ok {
 			k = uint32(len(col))
 			col[s] = k
-			names = appendString(names, s)
+			names = wire.AppendString(names, s)
 		}
 		body = binary.BigEndian.AppendUint32(body, k)
 	}
 	body = appendMap(body, r.Table)
 	for _, id := range sortedKeys(r.Table) {
 		a := r.Table[id]
-		if body = appendString(body, string(id)); a.Task == id {
+		if body = wire.AppendString(body, string(id)); a.Task == id {
 			body = append(body, 1)
 		} else {
-			body = appendString(append(body, 0), string(a.Task))
+			body = wire.AppendString(append(body, 0), string(a.Task))
 		}
 		name(a.Site)
 		name(a.Host)
@@ -61,7 +61,7 @@ func (r SubmitReply) GobEncode() ([]byte, error) {
 	}
 	body = appendMap(body, r.Outputs)
 	for _, id := range sortedKeys(r.Outputs) {
-		body = appendString(appendString(body, string(id)), r.Outputs[id])
+		body = wire.AppendString(wire.AppendString(body, string(id)), r.Outputs[id])
 	}
 	b := binary.BigEndian.AppendUint64(append(make([]byte, 0, 21+len(names)+len(body)), submitReplyVersion), math.Float64bits(r.MakespanSec))
 	b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(b, uint64(r.Rescheduled)), uint32(len(col)))
@@ -72,64 +72,61 @@ func (r SubmitReply) GobEncode() ([]byte, error) {
 // with an error wrapping ErrMisshapenReply, and the reply is left as it was.
 // Every string it reads back shares one copy of data.
 func (r *SubmitReply) GobDecode(data []byte) error {
-	d := replyReader{b: data, s: string(data)}
-	if v := d.take(1)[0]; v != submitReplyVersion {
-		d.fail("format version %d, want %d", v, submitReplyVersion)
+	d := wire.NewStringReader(data, "site: decode submit reply", ErrMisshapenReply)
+	if v := d.U8(); v != submitReplyVersion {
+		d.Fail("format version %d, want %d", v, submitReplyVersion)
 	}
-	out := SubmitReply{MakespanSec: math.Float64frombits(d.u64()), Rescheduled: int(int64(d.u64()))}
-	names := make([]string, d.count(4))
+	out := SubmitReply{MakespanSec: math.Float64frombits(d.U64()), Rescheduled: int(int64(d.U64()))}
+	names := make([]string, d.Count(4))
 	for k := range names {
-		names[k] = d.str()
+		names[k] = d.Str()
 	}
 	name := func() string {
-		if k := d.u32(); k < len(names) {
+		if k := d.U32(); k < len(names) {
 			return names[k]
 		}
-		d.fail("a name index past %d names", len(names))
+		d.Fail("a name index past %d names", len(names))
 		return ""
 	}
 	var prev afg.TaskID
 	key := func(k int) afg.TaskID { // ids go strictly up, so none repeats
-		id := afg.TaskID(d.str())
+		id := afg.TaskID(d.Str())
 		if k > 0 && id <= prev {
-			d.fail("task %q out of task-id order", id)
+			d.Fail("task %q out of task-id order", id)
 		}
 		prev = id
 		return id
 	}
-	if d.flag() {
-		n := d.count(25) // a row takes 25 bytes or more
+	if d.Flag() {
+		n := d.Count(25) // a row takes 25 bytes or more
 		out.Table = make(map[afg.TaskID]scheduler.Assignment, n)
-		for k := 0; k < n && d.err == nil; k++ {
+		for k := 0; k < n && d.Err() == nil; k++ {
 			id := key(k)
 			a := scheduler.Assignment{Task: id}
-			if !d.flag() {
-				a.Task = afg.TaskID(d.str())
+			if !d.Flag() {
+				a.Task = afg.TaskID(d.Str())
 			}
 			a.Site, a.Host = name(), name()
-			if h := d.count(4); h > 0 {
+			if h := d.Count(4); h > 0 {
 				a.Hosts = make([]string, h)
 				for j := range a.Hosts {
 					a.Hosts[j] = name()
 				}
 			}
-			a.Predicted = math.Float64frombits(d.u64())
+			a.Predicted = math.Float64frombits(d.U64())
 			out.Table[id] = a
 		}
 	}
-	if d.flag() {
-		n := d.count(8)
+	if d.Flag() {
+		n := d.Count(8)
 		out.Outputs = make(map[afg.TaskID]string, n)
-		for k := 0; k < n && d.err == nil; k++ {
+		for k := 0; k < n && d.Err() == nil; k++ {
 			id := key(k)
-			out.Outputs[id] = d.str()
+			out.Outputs[id] = d.Str()
 		}
 	}
-	if len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	if d.err != nil {
-		return d.err
+	if err := d.End(); err != nil {
+		return err
 	}
 	*r = out
 	return nil
@@ -149,64 +146,4 @@ func appendMap[V any](b []byte, m map[afg.TaskID]V) []byte {
 		return append(b, 0)
 	}
 	return binary.BigEndian.AppendUint32(append(b, 1), uint32(len(m)))
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
-}
-
-// replyReader consumes a SubmitReply front to back, s holding the same bytes
-// as b. Its first failure sticks: it drops the bytes left, so later reads
-// return zeros.
-type replyReader struct {
-	b   []byte
-	s   string
-	err error
-}
-
-func (d *replyReader) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: submit reply: "+format, append([]any{ErrMisshapenReply}, args...)...)
-	}
-	d.b, d.s = nil, ""
-}
-
-func (d *replyReader) take(n int) []byte {
-	if n > len(d.b) {
-		d.fail("truncated: %d bytes wanted, %d left", n, len(d.b))
-		return make([]byte, min(n, 8))
-	}
-	p := d.b[:n]
-	d.b, d.s = d.b[n:], d.s[n:]
-	return p
-}
-
-func (d *replyReader) u32() int    { return int(binary.BigEndian.Uint32(d.take(4))) }
-func (d *replyReader) u64() uint64 { return binary.BigEndian.Uint64(d.take(8)) }
-
-// str reads a string as a slice of s, so it allocates nothing.
-func (d *replyReader) str() string {
-	n := d.u32()
-	s := d.s[:min(n, len(d.s))]
-	d.take(n)
-	return s
-}
-
-// flag reads a byte that must be 0 or 1.
-func (d *replyReader) flag() bool {
-	f := d.take(1)[0]
-	if f > 1 {
-		d.fail("a flag byte of %d", f)
-	}
-	return f == 1
-}
-
-// count reads a list's length and checks that that many elements of size
-// bytes or more fit in what is left.
-func (d *replyReader) count(size int) int {
-	if n := d.u32(); n <= len(d.b)/size {
-		return n
-	}
-	d.fail("a list longer than its %d bytes allow", len(d.b))
-	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"repro/internal/matrix"
+	"repro/internal/wire"
 )
 
 // Kind discriminates the payload carried by a Value.
@@ -127,7 +128,7 @@ func (v Value) Encode() ([]byte, error) {
 	}
 	b := make([]byte, 0, n)
 	b = append(b, valueVersion)
-	b = appendString(b, string(v.Kind))
+	b = wire.AppendString(b, string(v.Kind))
 	if m == nil {
 		b = append(b, 0)
 	} else {
@@ -138,17 +139,12 @@ func (v Value) Encode() ([]byte, error) {
 	}
 	b = appendFloats(b, v.Vector)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Scalar))
-	b = appendString(b, v.Text)
+	b = wire.AppendString(b, v.Text)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(v.Pivot)))
 	for _, p := range v.Pivot {
 		b = binary.BigEndian.AppendUint64(b, uint64(p))
 	}
 	return b, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
 }
 
 func appendFloats(b []byte, fs []float64) []byte {
@@ -163,36 +159,29 @@ func appendFloats(b []byte, fs []float64) []byte {
 // matrix whose shape does not match its data, are refused with an error
 // wrapping ErrBadInput.
 func DecodeValue(data []byte) (Value, error) {
-	r := valueReader{b: data}
-	if ver := r.u8(); ver != valueVersion {
-		r.fail("format version %d, want %d", ver, valueVersion)
+	r := wire.NewReader(data, "tasklib: decode value", ErrBadInput)
+	if ver := r.U8(); ver != valueVersion {
+		r.Fail("format version %d, want %d", ver, valueVersion)
 	}
-	v := Value{Kind: kindOf(r.bytes())}
-	switch r.u8() {
-	case 0:
-	case 1:
-		rows, cols := r.int(), r.int()
-		v.Matrix = &matrix.Matrix{Rows: rows, Cols: cols, Data: r.floats()}
+	v := Value{Kind: kindOf(r.Bytes())}
+	if r.Flag() {
+		rows, cols := int(int64(r.U64())), int(int64(r.U64()))
+		v.Matrix = &matrix.Matrix{Rows: rows, Cols: cols, Data: floats(&r)}
 		if hi, lo := bits.Mul64(uint64(rows), uint64(cols)); rows < 0 || cols < 0 || hi != 0 || lo != uint64(len(v.Matrix.Data)) {
-			r.fail("%dx%d matrix carries %d cells", rows, cols, len(v.Matrix.Data))
+			r.Fail("%dx%d matrix carries %d cells", rows, cols, len(v.Matrix.Data))
 		}
-	default:
-		r.fail("matrix flag is neither 0 nor 1")
 	}
-	v.Vector = r.floats()
-	v.Scalar = math.Float64frombits(r.u64())
-	v.Text = string(r.bytes())
-	if n := r.count(8); n > 0 {
+	v.Vector = floats(&r)
+	v.Scalar = math.Float64frombits(r.U64())
+	v.Text = r.Str()
+	if n := r.Count(8); n > 0 {
 		v.Pivot = make([]int, n)
 		for i := range v.Pivot {
-			v.Pivot[i] = r.int()
+			v.Pivot[i] = int(int64(r.U64()))
 		}
 	}
-	if len(r.b) != 0 {
-		r.fail("%d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return Value{}, r.err
+	if err := r.End(); err != nil {
+		return Value{}, err
 	}
 	return v, nil
 }
@@ -208,77 +197,16 @@ func kindOf(b []byte) Kind {
 	return Kind(b)
 }
 
-// valueReader consumes the wire layout front to back. Its first failure
-// sticks: it drops the bytes left, so later reads return zero values, and
-// later failures leave the error as it is.
-type valueReader struct {
-	b   []byte
-	err error
-}
-
-func (r *valueReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("tasklib: decode value: %w: "+format, append([]any{ErrBadInput}, args...)...)
-	}
-	r.b = nil
-}
-
-func (r *valueReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.fail("truncated: %d bytes wanted, %d left", n, len(r.b))
-		return nil
-	}
-	p := r.b[:n:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *valueReader) u8() byte {
-	if p := r.take(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (r *valueReader) u64() uint64 {
-	if p := r.take(8); p != nil {
-		return binary.BigEndian.Uint64(p)
-	}
-	return 0
-}
-
-func (r *valueReader) int() int { return int(int64(r.u64())) }
-
-// count reads a u32 element count and checks that count elements of size
-// bytes each fit in what remains.
-func (r *valueReader) count(size int) int {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	n := int(binary.BigEndian.Uint32(p))
-	if n > len(r.b)/size {
-		r.fail("truncated: %d elements of %d bytes, %d bytes left", n, size, len(r.b))
-		return 0
-	}
-	return n
-}
-
-func (r *valueReader) bytes() []byte { return r.take(r.count(1)) }
-
 // floats reads a counted run of f64 bits; an empty run reads as nil.
-func (r *valueReader) floats() []float64 {
-	n := r.count(8)
+func floats(r *wire.Reader) []float64 {
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
+	p := r.Take(8 * n)
 	fs := make([]float64, n)
 	for i := range fs {
-		fs[i] = math.Float64frombits(binary.BigEndian.Uint64(r.b[8*i:]))
+		fs[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
 	}
-	r.b = r.b[8*n:]
 	return fs
 }
