@@ -81,6 +81,8 @@ func (r *Reader) fixed(n int) []byte {
 	return zeros[:n]
 }
 
+// U8, U32 and U64 read a byte and big-endian numbers; Bytes reads a counted
+// run of bytes.
 func (r *Reader) U8() byte      { return r.fixed(1)[0] }
 func (r *Reader) U32() int      { return int(binary.BigEndian.Uint32(r.fixed(4))) }
 func (r *Reader) U64() uint64   { return binary.BigEndian.Uint64(r.fixed(8)) }
