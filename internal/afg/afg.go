@@ -13,10 +13,12 @@
 //
 // A Graph is its name and its Index, the dense view every reader — the
 // scheduler, the runtime, the encoder, the Graph's own accessors — runs on.
-// buildDense is the only way an Index is made: it checks the whole graph in
-// O(V+E) and decides acyclicity by one Kahn pass. Build hands its Index
-// over, and so do Decode/UnmarshalJSON, the dagen and workload generators
-// and the experiment harness's graph union, which all go through Build.
+// An Index is made in two steps, newIndex (the tasks by id) and link (the
+// links, resolved to dense indices, and one Kahn pass for acyclicity), which
+// check the whole graph in O(V+E). buildDense takes both for Build, whose
+// Index the dagen and workload generators and the experiment harness's
+// graph union keep; Decode takes them around reading the links, so each
+// endpoint is resolved as it is read, into storage the Index keeps.
 // Build honours ports as written and is all-or-nothing: on a defect refusal
 // names the first one in wire order, tasks before links, with one map probe
 // per rule, and a cycle only when nothing else is wrong.
@@ -144,7 +146,8 @@ func Build(name string, tasks []*Task, links []Link) (*Graph, error) {
 // refusal names the defect buildDense found: the first in wire order, tasks
 // then links, each link tested for a self link, an unknown source, an
 // unknown destination, a repeated (From, To) pair and a taken input port,
-// in that order. Each rule is one map probe, so naming costs O(V+E).
+// in that order, and a cycle when none of those is there. Each rule is one
+// map probe, so naming costs O(V+E).
 func refusal(tasks []*Task, links []Link) error {
 	ids := make(map[TaskID]bool, len(tasks))
 	for _, t := range tasks {
@@ -180,7 +183,7 @@ func refusal(tasks []*Task, links []Link) error {
 		pairs[[2]TaskID{l.From, l.To}] = true
 		ports[port{l.To, l.Port}] = l.From
 	}
-	panic("afg: buildDense refused a graph the per-link rules accept")
+	return ErrCycle
 }
 
 // AddTask inserts a task node. The task's ID must be unique.
@@ -304,13 +307,7 @@ func (g *Graph) Levels() (map[TaskID]float64, error) {
 // CriticalPathLength returns the largest level value — the lower bound on
 // schedule length ignoring communication.
 func (g *Graph) CriticalPathLength() (float64, error) {
-	var max float64
-	for _, l := range g.ix.Levels() {
-		if l > max {
-			max = l
-		}
-	}
-	return max, nil
+	return slices.Max(append(g.ix.Levels(), 0)), nil
 }
 
 // TotalWork returns the sum of all task computation costs. Summation runs

@@ -544,37 +544,10 @@ func TestDecodeAllocatesNothingPerLink(t *testing.T) {
 
 var underRace bool // set by race_test.go when the race detector is on
 
-var (
-	benchGraph *Graph
-	benchBytes []byte
-)
-
-// BenchmarkDecode reports ingest cost per task at three sizes, so the slope
-// — linear in the document, not quadratic in its links — is readable.
-func BenchmarkDecode(b *testing.B) {
-	for _, n := range []int{1000, 4000, 16000} {
-		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
-			data, err := json.MarshalIndent(layeredWire(n, 50, 3, 1), "", "  ")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, ok := fastWire(data); !ok {
-				b.Fatal("the benchmark document misses the fast path: this would time json.Unmarshal")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if benchGraph, err = Decode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/task")
-		})
-	}
-}
+var benchBytes []byte
 
 // BenchmarkEncode reports Encode's cost per task on BenchmarkDecode's
-// documents.
+// layered documents.
 func BenchmarkEncode(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {

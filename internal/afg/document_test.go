@@ -2,6 +2,7 @@ package afg_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,12 +16,19 @@ import (
 // dagen.Random graph, out-degree 4, as Encode writes it.
 func submitDocument(t testing.TB) (*afg.Graph, []byte) {
 	t.Helper()
-	g := dagen.Random(dagen.Params{Tasks: 1000, CCR: 1, Alpha: 1, OutDegree: 4, Seed: 3})
-	data, err := g.Encode()
+	g, data, err := dagenDocument(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, data
+}
+
+// dagenDocument is an n-task graph of the submit document's shape and its
+// Encode bytes.
+func dagenDocument(n int) (*afg.Graph, []byte, error) {
+	g := dagen.Random(dagen.Params{Tasks: n, CCR: 1, Alpha: 1, OutDegree: 4, Seed: 3})
+	data, err := g.Encode()
+	return g, data, err
 }
 
 // TestDecodeSubmitDocument pins Decode on the submit-local document: the
@@ -99,5 +107,67 @@ func TestDecodeSubmitDocumentRefusals(t *testing.T) {
 				t.Fatalf("Decode refused with %q, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestDecodeAllocatesPerDocument holds Decode to a fixed number of
+// allocations a document: the tasks go into one slab, their ids into one
+// string, and the links into the Index's own storage, so a 4,000-task
+// document of the submit document's shape allocates as often as a
+// 1,000-task one, give or take the id map's tables (one per 1,024 slots)
+// and the topological frontier's growth. Decoding each task into a Task of
+// its own made 4,060 allocations at 1,000 tasks.
+func TestDecodeAllocatesPerDocument(t *testing.T) {
+	allocs := func(n int) float64 {
+		_, data, err := dagenDocument(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := afg.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	if small > 40 || large-small > 16 {
+		t.Errorf("Decode allocs: %v at 1,000 tasks, %v at 4,000; want at most 40, and 16 more", small, large)
+	}
+}
+
+var benchGraph *afg.Graph
+
+// BenchmarkDecode reports ingest cost per task at three sizes of two
+// shapes, so the slope — linear in the document, not quadratic in its
+// links — is readable: layered documents, which list links by destination,
+// and the submit document's dagen shape, which lists them by source as
+// Encode does.
+func BenchmarkDecode(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		doc  func(n int) ([]byte, error)
+	}{
+		{"layered", afg.LayeredDocument},
+		{"dagen", func(n int) ([]byte, error) { _, data, err := dagenDocument(n); return data, err }},
+	} {
+		for _, n := range []int{1000, 4000, 16000} {
+			b.Run(fmt.Sprintf("%s/tasks=%d", shape.name, n), func(b *testing.B) {
+				data, err := shape.doc(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !afg.TakesFastPath(data) {
+					b.Fatal("the benchmark document misses the fast path: this would time json.Unmarshal")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if benchGraph, err = afg.Decode(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/task")
+			})
+		}
 	}
 }

@@ -54,43 +54,64 @@ type Arc struct {
 // each way of building one refuses a cycle.
 func (g *Graph) Index() (*Index, error) { return g.ix, nil }
 
-// buildDense is the one constructor of an Index: it sorts the tasks by
-// id once, resolves each link's endpoints to dense indices once, and fills
-// both CSR directions and the links behind them from one pass over the
-// links, the parent links in port order. A graph with an empty or repeated
-// task id, a self link, an unknown endpoint, a repeated (From, To) pair or
-// two links on one input port it refuses as refusal names it; one with none
-// of those but a cycle with ErrCycle, from the Kahn pass. Tasks below one
-// processor are raised to one.
+// buildDense builds the Index of a task and link list (Build's, AddTask's,
+// AddLink's) in the two steps every Index is made in, newIndex and link, or
+// refuses the graph as refusal names its defect.
 func buildDense(tasks []*Task, links []Link) (*Index, error) {
-	n := len(tasks)
-	ix := &Index{
-		ids:         make([]TaskID, n),
-		of:          make(map[TaskID]int32, n),
-		tasks:       slices.Clone(tasks),
-		childStart:  make([]int32, n+1),
-		parentStart: make([]int32, n+1),
+	if ix := newIndex(slices.Clone(tasks)); ix != nil {
+		if ends := ix.resolve(links); ends != nil && ix.link(links, ends, false) {
+			return ix, nil
+		}
 	}
-	slices.SortFunc(ix.tasks, byID)
-	for i, t := range ix.tasks {
+	return nil, refusal(tasks, links)
+}
+
+// resolve returns each link's dense (from, to), or nil for an unknown end.
+func (ix *Index) resolve(links []Link) []int32 {
+	ends := make([]int32, 2*len(links))
+	for k, l := range links {
+		from, okFrom := ix.of[l.From]
+		to, okTo := ix.of[l.To]
+		if !okFrom || !okTo {
+			return nil
+		}
+		ends[2*k], ends[2*k+1] = from, to
+	}
+	return ends
+}
+
+// newIndex indexes tasks by id, sorting the slice it is handed and raising
+// Processors to at least one; nil for an empty or repeated id.
+func newIndex(tasks []*Task) *Index {
+	n := len(tasks)
+	ix := &Index{ids: make([]TaskID, n), of: make(map[TaskID]int32, n), tasks: tasks}
+	slices.SortFunc(tasks, byID)
+	for i, t := range tasks {
 		if t.ID == "" || i > 0 && t.ID == ix.ids[i-1] {
-			return nil, refusal(tasks, links)
+			return nil
 		}
 		if t.Processors < 1 {
 			t.Processors = 1
 		}
 		ix.ids[i], ix.of[t.ID] = t.ID, int32(i)
 	}
+	return ix
+}
 
-	// ends holds each link's dense (from, to), resolved once.
-	ends := make([]int32, 2*len(links))
-	for k, l := range links {
-		from, okFrom := ix.of[l.From]
-		to, okTo := ix.of[l.To]
-		if l.From == l.To || !okFrom || !okTo {
-			return nil, refusal(tasks, links)
+// link fills both CSR directions from one pass over the links, whose dense
+// (from, to) pairs ends holds, the parent links in port order, and the
+// topological order. own lets it keep links, if in child order as Encode
+// writes them, as the child links. It reports false for a self link, a
+// repeated (From, To) pair, two links on one input port or a cycle.
+func (ix *Index) link(links []Link, ends []int32, own bool) bool {
+	n := len(ix.ids)
+	ix.childStart, ix.parentStart = make([]int32, n+1), make([]int32, n+1)
+	for k := range links {
+		from, to := ends[2*k], ends[2*k+1]
+		if from == to {
+			return false
 		}
-		ends[2*k], ends[2*k+1] = from, to
+		own = own && (k == 0 || from >= ends[2*k-2])
 		ix.childStart[from+1]++
 		ix.parentStart[to+1]++
 	}
@@ -104,7 +125,10 @@ func buildDense(tasks []*Task, links []Link) (*Index, error) {
 		}
 		return ix.tasks[ends[2*k]].OutputBytes
 	}
-	ix.childArc, ix.childLink = make([]Arc, len(links)), make([]Link, len(links))
+	ix.childArc, ix.childLink = make([]Arc, len(links)), slices.Clip(links)
+	if !own {
+		ix.childLink = make([]Link, len(links))
+	}
 	ix.parentArc, ix.parentLink = make([]Arc, len(links)), make([]Link, len(links))
 	// One pass in wire order fills each child segment and lists each
 	// parent segment's link numbers, which are put in port order below.
@@ -125,7 +149,7 @@ func buildDense(tasks []*Task, links []Link) (*Index, error) {
 	for i := 0; i < n; i++ {
 		for _, a := range ix.Children(i) {
 			if mark[a.Peer] == int32(i)+1 {
-				return nil, refusal(tasks, links)
+				return false
 			}
 			mark[a.Peer] = int32(i) + 1
 		}
@@ -139,7 +163,7 @@ func buildDense(tasks []*Task, links []Link) (*Index, error) {
 		slices.SortFunc(in, byPort)
 		for q, k := range in {
 			if q > 0 && links[in[q-1]].Port == links[k].Port {
-				return nil, refusal(tasks, links)
+				return false
 			}
 			ix.parentArc[s+int32(q)], ix.parentLink[s+int32(q)] = Arc{Peer: ends[2*k], Bytes: bytes(k)}, links[k]
 		}
@@ -166,10 +190,7 @@ func buildDense(tasks []*Task, links []Link) (*Index, error) {
 			}
 		}
 	}
-	if len(ix.topo) != n {
-		return nil, ErrCycle
-	}
-	return ix, nil
+	return len(ix.topo) == n
 }
 
 // Len returns the task count.

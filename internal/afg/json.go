@@ -19,13 +19,14 @@ package afg
 //     keys are free, and a repeated one keeps its last value); strings with
 //     no backslash, no control byte and valid UTF-8; numbers in JSON's
 //     grammar that strconv parses in range; JSON white space, and nothing
-//     after the document. Anything else goes to the fallback: null, true
-//     and false, unknown members, and any nesting past graph → tasks/links
-//     → task → params. On each of those json.Unmarshal has a rule of its
-//     own (case-folded names, null, merged repeats, escapes and UTF-8
-//     repair, type errors deferred behind syntax errors, a depth limit),
-//     and the fallback applies it rather than a copy of it. Nothing chooses
-//     the path but the document.
+//     after the document; tasks before links; a graph. Anything else goes to
+//     the fallback: null, true and false, unknown members, any nesting past
+//     graph → tasks/links → task → params, and every defect, which Build's
+//     refusal names. On each of those json.Unmarshal has a rule of its own
+//     (case-folded names, null, merged repeats, escapes and UTF-8 repair,
+//     type errors deferred behind syntax errors, a depth limit), and the
+//     fallback applies it rather than a copy of it. Nothing chooses the path
+//     but the document.
 //     TestProducersTakeTheFastPath holds every producer to the fast path,
 //     and FuzzDecode holds both paths against the encoding/json per-link
 //     oracle, the fast path field by field.
@@ -35,12 +36,14 @@ package afg
 // graph defect the sentinel Build names.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -76,15 +79,14 @@ func (g *Graph) MarshalJSON() ([]byte, error) { return g.appendJSON(false) }
 // Encode renders the graph as indented JSON.
 func (g *Graph) Encode() ([]byte, error) { return g.appendJSON(true) }
 
+// modes are the mode names a document may give, "" for the default.
+var modes = map[string]Mode{"": Sequential, "sequential": Sequential, "parallel": Parallel}
+
 // task converts one wire task, refusing a mode the editor cannot have
 // written.
 func (wt wireTask) task() (*Task, error) {
-	mode := Sequential
-	switch wt.Mode {
-	case "", "sequential":
-	case "parallel":
-		mode = Parallel
-	default:
+	mode, ok := modes[wt.Mode]
+	if !ok {
 		return nil, fmt.Errorf("afg: task %q: %w %q", wt.ID, errUnknownMode, wt.Mode)
 	}
 	return &Task{
@@ -100,39 +102,29 @@ func (wt wireTask) task() (*Task, error) {
 	}, nil
 }
 
-// UnmarshalJSON decodes a graph and validates it: the whole document goes
-// through Build, so a submission is refused for its first defect in wire
-// order, tasks before links, with acyclicity decided once for the graph.
-// On error g is unchanged.
+// UnmarshalJSON decodes a graph as Decode does; on error g is unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	w, err := decodeWire(data)
-	if err != nil {
-		return err
+	fresh, err := Decode(data)
+	if err == nil {
+		*g = *fresh
 	}
-	tasks := make([]*Task, len(w.Tasks))
-	for i, wt := range w.Tasks {
-		if tasks[i], err = wt.task(); err != nil {
-			return err
-		}
-	}
-	fresh, err := Build(w.Name, tasks, w.Links)
-	if err != nil {
-		return err
-	}
-	if fresh.Len() == 0 {
-		return ErrEmpty
-	}
-	*g = *fresh
-	return nil
+	return err
 }
 
-// Decode parses a JSON application flow graph.
+// Decode parses a JSON application flow graph and validates it: the whole
+// document goes through the same two steps as Build, so a submission is
+// refused for its first defect in wire order, tasks before links, with
+// acyclicity decided once for the graph.
 func Decode(data []byte) (*Graph, error) {
-	g := new(Graph)
-	if err := g.UnmarshalJSON(data); err != nil {
-		return nil, err
+	d := decoder{data: data}
+	g, err := d.document(), error(nil)
+	if g == nil {
+		g, err = decodeWire(data)
 	}
-	return g, nil
+	if err == nil && g.Len() == 0 {
+		return nil, ErrEmpty
+	}
+	return g, err
 }
 
 // encoder writes the document, indented two spaces a level or compact.
@@ -327,44 +319,73 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// decodeWire reads a document on the fast path if it can and through
-// json.Unmarshal if not, wrapping encoding/json's refusals in the codec's
+// decodeWire builds the graph of a document the fast path does not take,
+// through json.Unmarshal, wrapping encoding/json's refusals in the codec's
 // sentinels.
-func decodeWire(data []byte) (wireGraph, error) {
-	if w, ok := fastWire(data); ok {
-		return w, nil
-	}
+func decodeWire(data []byte) (*Graph, error) {
 	var w wireGraph
 	err := json.Unmarshal(data, &w)
-	var wrong *json.UnmarshalTypeError
-	switch {
-	case err == nil:
-		return w, nil
-	case errors.As(err, &wrong):
-		return w, fmt.Errorf("afg: decode: %w: %w", errWrongType, err)
+	if err != nil {
+		kind := errSyntax // into a wireGraph, json.Unmarshal's other refusal
+		if errors.As(err, new(*json.UnmarshalTypeError)) {
+			kind = errWrongType
+		}
+		return nil, fmt.Errorf("afg: decode: %w: %w", kind, err)
 	}
-	// Into a wireGraph, json.Unmarshal's only other refusal is a
-	// *json.SyntaxError.
-	return w, fmt.Errorf("afg: decode: %w: %w", errSyntax, err)
-}
-
-// fastWire reads data on the fast path. ok is false for any document the
-// path does not take, and w is then to be dropped.
-func fastWire(data []byte) (w wireGraph, ok bool) {
-	d := decoder{data: data}
-	if !d.graph(&w) {
-		return w, false
+	tasks := make([]*Task, len(w.Tasks))
+	for i, wt := range w.Tasks {
+		if tasks[i], err = wt.task(); err != nil {
+			return nil, err
+		}
 	}
-	d.next()
-	return w, d.off == len(data)
+	return Build(w.Name, tasks, w.Links)
 }
 
 // decoder is the fast path: a reader for the shape Encode and MarshalJSON
-// write, each method reporting false for anything else.
+// write, each method reporting false for anything else. It decodes into
+// storage the Index keeps, so a document costs a fixed number of
+// allocations, not one a task (TestDecodeAllocatesPerDocument).
 type decoder struct {
 	data []byte
 	off  int
-	ids  map[string]TaskID // the task ids read so far, for link endpoints to share
+
+	name  string
+	tasks []Task          // in wire order
+	ids   strings.Builder // the task ids, one after another
+	idEnd []int           // where each task's id ends in ids
+	ix    *Index          // the tasks, indexed once their array is read
+	links []Link          // in wire order
+	ends  []int32         // each link's dense (from, to)
+
+	function, machine string // the last of each read, for the next task to share
+}
+
+// document decodes data on the fast path, or returns nil for a document the
+// path leaves to json.Unmarshal, among them every one that is not a graph.
+func (d *decoder) document() *Graph {
+	tasks, links := census(d.data)
+	d.tasks, d.idEnd, d.ix = make([]Task, 0, tasks), make([]int, 0, tasks), newIndex(nil)
+	d.ids.Grow(8 * tasks) // a guess, which an id longer than 8 bytes grows past
+	d.links, d.ends = make([]Link, 0, links), make([]int32, 0, 2*links)
+	ok := d.graph()
+	if d.next(); !ok || d.off < len(d.data) || !d.ix.link(d.links, d.ends, true) {
+		return nil
+	}
+	return &Graph{Name: d.name, ix: d.ix}
+}
+
+// census counts the objects whose first member is "id" (the encoder's
+// tasks) and "From" (its links), to size the decoder's slices by.
+func census(data []byte) (tasks, links int) {
+	for k := bytes.IndexByte(data, '{'); k >= 0; k = bytes.IndexByte(data, '{') {
+		data = bytes.TrimLeft(data[k+1:], " \t\n\r")
+		if bytes.HasPrefix(data, []byte(`"id"`)) {
+			tasks++
+		} else if bytes.HasPrefix(data, []byte(`"From"`)) {
+			links++
+		}
+	}
+	return tasks, links
 }
 
 // next skips white space and returns the byte at d.off, 0 at the end. The
@@ -422,18 +443,6 @@ func (d *decoder) object(each func(key []byte) bool) bool {
 	})
 }
 
-// decodeSlice reads an array into *p, [] as an empty slice.
-func decodeSlice[T any](d *decoder, p *[]T, elem func(*decoder, *T) bool) bool {
-	s := []T{}
-	ok := d.list('[', ']', func() bool {
-		var zero T
-		s = append(s, zero)
-		return elem(d, &s[len(s)-1])
-	})
-	*p = s
-	return ok
-}
-
 // once marks member bit as read and reports whether it was the first time:
 // a repeated member leaves the fast path.
 func once(seen *uint16, bit uint) bool {
@@ -442,48 +451,67 @@ func once(seen *uint16, bit uint) bool {
 	return first
 }
 
-func (d *decoder) graph(w *wireGraph) bool {
+func (d *decoder) graph() bool {
 	var seen uint16
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "name":
-			return once(&seen, 0) && d.str(&w.Name)
+			return once(&seen, 0) && d.shared(&d.name, &d.name)
 		case "tasks":
-			if !once(&seen, 1) || !decodeSlice(d, &w.Tasks, (*decoder).task) {
-				return false
-			}
-			d.ids = make(map[string]TaskID, len(w.Tasks))
-			for _, t := range w.Tasks {
-				d.ids[string(t.ID)] = t.ID
-			}
-			return true
+			return once(&seen, 1) && d.list('[', ']', func() bool {
+				d.tasks, d.idEnd = append(d.tasks, Task{}), append(d.idEnd, d.ids.Len())
+				return d.task(len(d.tasks) - 1)
+			}) && d.index()
 		case "links":
-			return once(&seen, 2) && decodeSlice(d, &w.Links, (*decoder).link)
+			return once(&seen, 2) && d.list('[', ']', func() bool {
+				d.links = append(d.links, Link{})
+				return d.link(&d.links[len(d.links)-1])
+			})
 		}
 		return false
 	})
 }
 
-func (d *decoder) task(t *wireTask) bool {
+// index gives the tasks their ids, cut from one string, and indexes them.
+func (d *decoder) index() bool {
+	ids, at := d.ids.String(), 0
+	tasks := make([]*Task, len(d.tasks))
+	for i := range d.tasks {
+		d.tasks[i].ID, at = TaskID(ids[at:d.idEnd[i]]), d.idEnd[i]
+		tasks[i] = &d.tasks[i]
+	}
+	d.ix = newIndex(tasks)
+	return d.ix != nil
+}
+
+// task reads task i, its id into ids, for index.
+func (d *decoder) task(i int) bool {
+	t := &d.tasks[i]
 	var seen uint16
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "id":
-			return once(&seen, 0) && d.str((*string)(&t.ID))
+			s, ok := d.quoted()
+			d.ids.Write(s)
+			d.idEnd[i] = d.ids.Len()
+			return once(&seen, 0) && ok
 		case "function":
-			return once(&seen, 1) && d.str(&t.Function)
+			return once(&seen, 1) && d.shared(&t.Function, &d.function)
 		case "mode":
-			return once(&seen, 2) && d.str(&t.Mode)
+			s, ok := d.quoted()
+			mode, known := modes[string(s)]
+			t.Mode = mode
+			return once(&seen, 2) && ok && known
 		case "processors":
-			return once(&seen, 3) && d.int(&t.Processors)
+			return once(&seen, 3) && integer(d, &t.Processors, strconv.IntSize)
 		case "machineType":
-			return once(&seen, 4) && d.str(&t.MachineType)
+			return once(&seen, 4) && d.shared(&t.MachineType, &d.machine)
 		case "computeCost":
 			return once(&seen, 5) && d.float(&t.ComputeCost)
 		case "memReq":
-			return once(&seen, 6) && d.int64(&t.MemReq, 64)
+			return once(&seen, 6) && integer(d, &t.MemReq, 64)
 		case "outputBytes":
-			return once(&seen, 7) && d.int64(&t.OutputBytes, 64)
+			return once(&seen, 7) && integer(d, &t.OutputBytes, 64)
 		case "params":
 			return once(&seen, 8) && d.params(&t.Params)
 		}
@@ -491,21 +519,24 @@ func (d *decoder) task(t *wireTask) bool {
 	})
 }
 
+// link reads one link and its dense (from, to), each endpoint by end.
 func (d *decoder) link(l *Link) bool {
 	var seen uint16
+	k := len(d.ends)
+	d.ends = append(d.ends, -1, -1)
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "From":
-			return once(&seen, 0) && d.id(&l.From)
+			return once(&seen, 0) && d.end(&l.From, &d.ends[k])
 		case "To":
-			return once(&seen, 1) && d.id(&l.To)
+			return once(&seen, 1) && d.end(&l.To, &d.ends[k+1])
 		case "Bytes":
-			return once(&seen, 2) && d.int64(&l.Bytes, 64)
+			return once(&seen, 2) && integer(d, &l.Bytes, 64)
 		case "Port":
-			return once(&seen, 3) && d.int(&l.Port)
+			return once(&seen, 3) && integer(d, &l.Port, strconv.IntSize)
 		}
 		return false
-	})
+	}) && d.ends[k] >= 0 && d.ends[k+1] >= 0
 }
 
 // params reads a map of strings; a repeated key keeps its last value, as
@@ -520,22 +551,26 @@ func (d *decoder) params(p *map[string]string) bool {
 	})
 }
 
-func (d *decoder) str(p *string) bool {
+// shared reads a string into *p, which is *last when the two are equal: a
+// run of tasks naming one function or machine type shares one string.
+func (d *decoder) shared(p, last *string) bool {
 	s, ok := d.quoted()
-	*p = string(s)
+	if string(s) != *last {
+		*last = string(s)
+	}
+	*p = *last
 	return ok
 }
 
-// id reads a link endpoint, sharing the string of the task it names when
-// that task has been read: a document's links then allocate no strings.
-func (d *decoder) id(p *TaskID) bool {
+// end reads a link endpoint as the dense index of the task it names and that
+// task's own id: one probe of the Index, and no allocation.
+func (d *decoder) end(id *TaskID, at *int32) bool {
 	s, ok := d.quoted()
-	if id, known := d.ids[string(s)]; known {
-		*p = id
-	} else {
-		*p = TaskID(s)
+	i, known := d.ix.of[TaskID(s)]
+	if known {
+		*id, *at = d.ix.ids[i], i
 	}
-	return ok
+	return ok && known
 }
 
 // quoted reads a string with no escape, no control byte and valid UTF-8,
@@ -601,33 +636,20 @@ func (d *decoder) digits() bool {
 	return d.off > start
 }
 
-// int64 reads an integer of the given size; a fraction, an exponent or an
+// integer reads an integer of the given size; a fraction, an exponent or an
 // overflow leaves the fast path, as strconv.ParseInt decides.
-func (d *decoder) int64(p *int64, bits int) bool {
+func integer[T int | int64](d *decoder, p *T, bits int) bool {
 	lit, ok := d.number()
-	if !ok {
-		return false
-	}
 	n, err := strconv.ParseInt(string(lit), 10, bits)
-	*p = n
-	return err == nil
-}
-
-func (d *decoder) int(p *int) bool {
-	var n int64
-	ok := d.int64(&n, strconv.IntSize)
-	*p = int(n)
-	return ok
+	*p = T(n)
+	return ok && err == nil
 }
 
 // float reads a float64; a number out of its range leaves the fast path,
 // as strconv.ParseFloat decides.
 func (d *decoder) float(p *float64) bool {
 	lit, ok := d.number()
-	if !ok {
-		return false
-	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	*p = f
-	return err == nil
+	return ok && err == nil
 }
