@@ -55,8 +55,8 @@ func main() {
 	fmt.Println()
 	fmt.Print(vis.ApplicationPerformance(res))
 
-	corr := res.Outputs["correlate"].Scalar
-	threat := res.Outputs["threat"].Scalar
+	corr := res.Output("correlate").Scalar
+	threat := res.Output("threat").Scalar
 	fmt.Printf("\nTrack correlation: %.3f  (≈1 ⇒ both clusters see the same target)\n", corr)
 	fmt.Printf("Threat score:      %.2f ", threat)
 	switch {

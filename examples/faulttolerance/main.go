@@ -66,7 +66,7 @@ func main() {
 	fmt.Println("\nRun with failures (note the reschedule annotations):")
 	fmt.Print(vis.ApplicationPerformance(res2))
 	fmt.Printf("\nFrontier re-plans: %d, per-task reschedules: %d — residual still %.3g\n",
-		res2.FrontierReplans, res2.Rescheduled, res2.Outputs["check"].Scalar)
+		res2.FrontierReplans, res2.Rescheduled, res2.Output("check").Scalar)
 
 	// The monitoring plane catches up: after a Group Manager round the
 	// repository knows, and since no prediction outlives a walk, future

@@ -84,7 +84,7 @@ func main() {
 			log.Fatal(err)
 		}
 		runs = append(runs, vis.ComparativeRun{Label: cfg.label, Makespan: time.Since(start)})
-		fmt.Printf("%-24s residual %.3g\n", cfg.label, res.Outputs["check"].Scalar)
+		fmt.Printf("%-24s residual %.3g\n", cfg.label, res.Output("check").Scalar)
 		fmt.Print(vis.ApplicationPerformance(res))
 		fmt.Println()
 	}

@@ -69,5 +69,5 @@ func main() {
 	fmt.Println()
 	fmt.Print(vis.ApplicationPerformance(res))
 	fmt.Printf("\n%d of %d tasks ran at the remote site; residual %.3g\n",
-		remoteTasks, g.Len(), res.Outputs["check"].Scalar)
+		remoteTasks, g.Len(), res.Output("check").Scalar)
 }

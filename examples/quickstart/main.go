@@ -47,5 +47,5 @@ func main() {
 	fmt.Println()
 	fmt.Print(vis.ApplicationPerformance(res))
 	fmt.Printf("\nResidual ‖A·x − b‖∞ = %.3g (zero means the answer is right)\n",
-		res.Outputs["check"].Scalar)
+		res.Output("check").Scalar)
 }

@@ -67,7 +67,7 @@ func TestSubmitLinearSolverAcrossSites(t *testing.T) {
 	if table.Len() != 5 {
 		t.Fatalf("table = %d entries", table.Len())
 	}
-	check := res.Outputs["check"]
+	check := res.Output("check")
 	if check.Kind != tasklib.KindScalar || check.Scalar > 1e-8 {
 		t.Fatalf("residual = %+v", check)
 	}
@@ -88,8 +88,8 @@ func TestSubmitC3IScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs["threat"].Kind != tasklib.KindScalar {
-		t.Fatalf("threat output = %+v", res.Outputs["threat"])
+	if res.Output("threat").Kind != tasklib.KindScalar {
+		t.Fatalf("threat output = %+v", res.Output("threat"))
 	}
 }
 
@@ -176,7 +176,8 @@ func TestFaultToleranceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("execution should survive failures: %v", err)
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		if tr.Host == names[0] || tr.Host == names[1] {
 			t.Fatalf("task %s ran on failed host %s", id, tr.Host)
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/runtime"
 	"repro/internal/site"
 	"repro/internal/tasklib"
 	"repro/internal/workload"
@@ -111,12 +112,13 @@ func TestMidFlightFailureRecoversViaFrontierReplan(t *testing.T) {
 	if res.Rescheduled+res.FrontierReplans == 0 {
 		t.Fatal("no rescheduling recorded despite dead hosts in the plan")
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		if m.Pool.Get(tr.Host) != nil && m.Pool.Get(tr.Host).IsDown() {
 			t.Errorf("task %s reported success on down host %s", id, tr.Host)
 		}
 	}
-	if out := res.Outputs["check"]; out.Scalar > 1e-8 {
+	if out := res.Output("check"); out.Scalar > 1e-8 {
 		t.Errorf("residual after recovery = %v", out.Scalar)
 	}
 }
@@ -173,7 +175,7 @@ func TestFrontierReplanKeepsPeerWork(t *testing.T) {
 		t.Errorf("with %s down and %d tasks on rome: %d frontier re-plans, want at least 1", victim, peerWork, res.FrontierReplans)
 	}
 	want := serialExits(t, tasklib.Default(), g)
-	for id, got := range encodeExits(t, g, res.Outputs) {
+	for id, got := range encodeExits(t, g, runtime.ExitOutputs(g, res)) {
 		if !bytes.Equal(got, want[id]) {
 			t.Errorf("exit %s differs from the serial evaluation", id)
 		}

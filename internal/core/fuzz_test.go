@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/afg"
 	"repro/internal/dagen"
+	"repro/internal/runtime"
 	"repro/internal/scheduler"
 	"repro/internal/site"
 	"repro/internal/tasklib"
@@ -108,7 +109,7 @@ func FuzzRuntime(f *testing.F) {
 			t.Fatalf("%s under %s: %v", g.Name, cfg.Policy, err)
 		}
 		want := serialExits(t, reg, g)
-		for id, got := range encodeExits(t, g, res.Outputs) {
+		for id, got := range encodeExits(t, g, runtime.ExitOutputs(g, res)) {
 			if !bytes.Equal(got, want[id]) {
 				t.Errorf("%s under %s: exit %s differs from the serial evaluation", g.Name, cfg.Policy, id)
 			}

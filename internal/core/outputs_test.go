@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/runtime"
 	"repro/internal/scheduler"
 	"repro/internal/site"
 	"repro/internal/tasklib"
@@ -111,7 +112,7 @@ func TestExitOutputsMatchSerialEvaluation(t *testing.T) {
 			t.Errorf("down=%q: the run moved no task off the down host", down)
 		}
 		frontierReplans += res.FrontierReplans
-		return encodeExits(t, g, res.Outputs), table
+		return encodeExits(t, g, runtime.ExitOutputs(g, res)), table
 	}
 	for _, app := range apps {
 		g, err := app.build()

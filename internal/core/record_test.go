@@ -78,9 +78,9 @@ func TestSubmitRecordPinned(t *testing.T) {
 func writeOutcomes(t *testing.T, b *strings.Builder, g *afg.Graph, res *runtime.Result) {
 	t.Helper()
 	for _, id := range g.TaskIDs() {
-		tr, ok := res.TaskResults[id]
-		if !ok || tr.Err != nil || tr.Task != id {
-			t.Fatalf("task %s: result %+v, present %v", id, tr, ok)
+		tr := res.TaskResult(id)
+		if tr.Err != nil || tr.Task != id {
+			t.Fatalf("task %s: result %+v", id, tr)
 		}
 		fmt.Fprintf(b, "task %s %s/%s %d\n", id, tr.Site, tr.Host, tr.Attempts)
 	}

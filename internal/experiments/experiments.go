@@ -164,7 +164,7 @@ func Fig3LinearSolver(seed int64) (*Result, error) {
 				return nil, err
 			}
 			row = append(row, float64(time.Since(start).Microseconds())/1000)
-			residual = out.Outputs["check"].Scalar
+			residual = out.Output("check").Scalar
 		}
 		row = append(row, residual)
 		res.Series.Rows = append(res.Series.Rows, row)

@@ -56,8 +56,8 @@ func TestChainRunsOneTaskAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Outputs) != g.Len() {
-		t.Fatalf("outputs = %d, want %d", len(res.Outputs), g.Len())
+	if n := delivered(res); n != g.Len() {
+		t.Fatalf("outputs = %d, want %d", n, g.Len())
 	}
 	if p := peak.Load(); p > 32 {
 		t.Fatalf("peak goroutines = %d over a %d-task chain, want at most 32", p, g.Len())
@@ -95,7 +95,8 @@ func TestChainRunsOnOneGoroutine(t *testing.T) {
 
 // TestUpstreamFailureLaunchesNoDescendant: a failed head launches none of
 // the chain behind it; every task is still accounted, the unlaunched ones
-// with the cancellation, and nothing counts as rescheduled.
+// with the cancellation, none with an output, and nothing counts as
+// rescheduled.
 func TestUpstreamFailureLaunchesNoDescendant(t *testing.T) {
 	for _, sockets := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sockets=%v", sockets), func(t *testing.T) {
@@ -111,9 +112,17 @@ func TestUpstreamFailureLaunchesNoDescendant(t *testing.T) {
 				t.Fatalf("task results = %d, Rescheduled = %d, want 3 and 0", len(res.TaskResults), res.Rescheduled)
 			}
 			for _, id := range []afg.TaskID{"c00001", "c00002"} {
-				if tr := res.TaskResults[id]; !errors.Is(tr.Err, context.Canceled) || tr.Attempts != 0 {
+				if tr := res.TaskResult(id); !errors.Is(tr.Err, context.Canceled) || tr.Attempts != 0 {
 					t.Fatalf("%s = %+v, want never launched", id, tr)
 				}
+			}
+			for i, id := range g.TaskIDs() {
+				if v := res.Output(id); v.Kind != "" || res.Outputs[i].Kind != "" {
+					t.Fatalf("%s reports output %+v", id, v)
+				}
+			}
+			if out := ExitOutputs(g, res); len(out) != 0 {
+				t.Fatalf("exit outputs = %v, want none", out)
 			}
 		})
 	}
@@ -140,10 +149,20 @@ func TestHundredThousandNoopTasks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("after %v: %v", time.Since(begin), err)
 	}
-	if len(res.Outputs) != g.Len() {
-		t.Fatalf("outputs = %d, want %d", len(res.Outputs), g.Len())
+	if n := delivered(res); n != g.Len() {
+		t.Fatalf("outputs = %d, want %d", n, g.Len())
 	}
 	t.Logf("%d tasks in %v", g.Len(), time.Since(begin))
 }
 
 var underRace bool // set by race_test.go when the race detector is on
+
+// delivered counts the tasks of res that ran on a host and delivered.
+func delivered(res *Result) (n int) {
+	for _, tr := range res.TaskResults {
+		if tr.Err == nil && tr.Attempts > 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -53,10 +53,11 @@ func TestRemoteExecPath(t *testing.T) {
 	if remoteRuns == 0 {
 		t.Fatal("remote exec never invoked")
 	}
-	if res.Outputs["check"].Scalar > 1e-8 {
-		t.Fatalf("residual = %v", res.Outputs["check"].Scalar)
+	if res.Output("check").Scalar > 1e-8 {
+		t.Fatalf("residual = %v", res.Output("check").Scalar)
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		want, _ := table.Get(id)
 		if tr.Host != want.Host || tr.Site != want.Site {
 			t.Fatalf("task %s result %+v does not match assignment %+v", id, tr, want)
@@ -102,8 +103,8 @@ func TestSocketModeWithFailureRescheduling(t *testing.T) {
 	if res.Rescheduled != 5 {
 		t.Fatalf("rescheduled = %d", res.Rescheduled)
 	}
-	if res.Outputs["check"].Scalar > 1e-8 {
-		t.Fatalf("residual = %v", res.Outputs["check"].Scalar)
+	if res.Output("check").Scalar > 1e-8 {
+		t.Fatalf("residual = %v", res.Output("check").Scalar)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestConcurrentApplications(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if res.Outputs["check"].Scalar > 1e-8 {
+			if res.Output("check").Scalar > 1e-8 {
 				errs[i] = errors.New("bad residual")
 			}
 		}(i)
@@ -194,7 +195,8 @@ func TestKnownDeadRemoteHostIsNotDispatched(t *testing.T) {
 	if n := remote.Load(); n != 0 {
 		t.Fatalf("%d tasks dispatched to R, known dead", n)
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		if tr.Host != "A" || tr.Attempts != 2 {
 			t.Fatalf("task %s ran on %s, placed %d times; want A, placed twice", id, tr.Host, tr.Attempts)
 		}

@@ -54,17 +54,39 @@ type TaskResult struct {
 	Err      error
 }
 
-// Result is a completed application execution.
+// Result is a completed application execution. Outputs and TaskResults are
+// the execution's own per-task slots, indexed by afg.Index position, which
+// is sorted task-id order; Output and TaskResult read them by id.
 type Result struct {
 	App             string
-	Outputs         map[afg.TaskID]tasklib.Value
-	TaskResults     map[afg.TaskID]TaskResult
+	Outputs         []tasklib.Value // the zero Value for a task with no output
+	TaskResults     []TaskResult
 	Makespan        time.Duration
 	Rescheduled     int // number of per-task reschedule events
 	FrontierReplans int // number of whole-frontier re-plan events
 	// FrontierRefusals counts FrontierReplan calls that returned an error;
 	// each left the frontier as it was, to the per-task Reschedule.
 	FrontierRefusals int
+
+	ix *afg.Index
+}
+
+// Output returns task id's output: the zero Value for a task that failed or
+// never ran, which has none, or that the graph does not have.
+func (r *Result) Output(id afg.TaskID) tasklib.Value {
+	if i := r.ix.Of(id); i >= 0 {
+		return r.Outputs[i]
+	}
+	return tasklib.Value{}
+}
+
+// TaskResult returns task id's outcome, the zero TaskResult for a task the
+// graph does not have.
+func (r *Result) TaskResult(id afg.TaskID) TaskResult {
+	if i := r.ix.Of(id); i >= 0 {
+		return r.TaskResults[i]
+	}
+	return TaskResult{}
 }
 
 // Rescheduler supplies a fresh assignment when a task's host is failed or
@@ -180,24 +202,18 @@ func Execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable
 	}
 	env.wg.Wait()
 
-	res := &Result{
-		App:         g.Name,
-		Outputs:     make(map[afg.TaskID]tasklib.Value, g.Len()),
-		TaskResults: make(map[afg.TaskID]TaskResult, g.Len()),
-		Makespan:    time.Since(start),
-	}
+	res := &Result{App: g.Name, Outputs: env.vals, TaskResults: env.results, Makespan: time.Since(start), ix: env.ix}
 	res.FrontierReplans, res.FrontierRefusals = env.replanCounts()
-	for i, id := range env.ix.IDs() {
-		tr := env.results[i]
+	for i := range env.results {
+		tr := &env.results[i]
 		if tr.Task == "" {
 			// No parent launched the task, because an upstream task failed.
-			tr = TaskResult{Task: id, Err: ctx.Err()}
+			*tr = TaskResult{Task: env.ix.ID(i), Err: ctx.Err()}
 		}
-		res.TaskResults[id] = tr
+		if tr.Err != nil {
+			env.vals[i] = tasklib.Value{}
+		}
 		res.Rescheduled += max(tr.Attempts-1, 0) // a task that never reached a host moved nowhere
-		if tr.Err == nil {
-			res.Outputs[id] = env.vals[i]
-		}
 	}
 	return res, env.firstErr
 }
@@ -652,8 +668,8 @@ func (e *execEnv) runOn(ctx context.Context, h *resource.Host, task *afg.Task, i
 func ExitOutputs(g *afg.Graph, r *Result) map[afg.TaskID]tasklib.Value {
 	out := make(map[afg.TaskID]tasklib.Value)
 	for _, id := range g.Exits() {
-		if v, ok := r.Outputs[id]; ok {
-			out[id] = v
+		if i := r.ix.Of(id); i >= 0 && r.TaskResults[i].Err == nil {
+			out[id] = r.Outputs[i]
 		}
 	}
 	return out

@@ -88,7 +88,7 @@ func TestExecuteLinearSolverInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := res.Outputs["check"]
+	check := res.Output("check")
 	if check.Kind != tasklib.KindScalar || check.Scalar > 1e-8 {
 		t.Fatalf("residual = %+v", check)
 	}
@@ -108,8 +108,8 @@ func TestExecuteLinearSolverOverSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs["check"].Scalar > 1e-8 {
-		t.Fatalf("residual = %v", res.Outputs["check"].Scalar)
+	if res.Output("check").Scalar > 1e-8 {
+		t.Fatalf("residual = %v", res.Output("check").Scalar)
 	}
 }
 
@@ -223,7 +223,7 @@ func TestOverloadedHostTriggersReschedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := res.TaskResults["t"]; tr.Host != "B" {
+	if tr := res.TaskResult("t"); tr.Host != "B" {
 		t.Fatalf("overloaded host not avoided: %+v", tr)
 	}
 }
@@ -279,7 +279,7 @@ func TestConsoleGatePausesExecution(t *testing.T) {
 	gate.Resume()
 	select {
 	case res := <-done:
-		if res == nil || res.TaskResults["t"].Err != nil {
+		if res == nil || res.TaskResult("t").Err != nil {
 			t.Fatalf("res = %+v", res)
 		}
 	case <-time.After(2 * time.Second):
@@ -313,8 +313,8 @@ func TestParallelTaskMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs["mult"].Matrix == nil || res.Outputs["mult"].Matrix.Rows != 64 {
-		t.Fatalf("mult output = %+v", res.Outputs["mult"])
+	if res.Output("mult").Matrix == nil || res.Output("mult").Matrix.Rows != 64 {
+		t.Fatalf("mult output = %+v", res.Output("mult"))
 	}
 }
 
@@ -415,7 +415,8 @@ func TestFrontierReplanMovesWholeFrontier(t *testing.T) {
 	if res.FrontierReplans != 1 {
 		t.Fatalf("FrontierReplans = %d", res.FrontierReplans)
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		if tr.Host != "B" {
 			t.Fatalf("task %s ran on %s, want B", id, tr.Host)
 		}
@@ -497,7 +498,8 @@ func TestDeviationsChannelTriggersReplan(t *testing.T) {
 	if out.res.FrontierReplans != 1 {
 		t.Fatalf("FrontierReplans = %d", out.res.FrontierReplans)
 	}
-	for id, tr := range out.res.TaskResults {
+	for _, tr := range out.res.TaskResults {
+		id := tr.Task
 		if tr.Host != "A" {
 			t.Fatalf("task %s ran on %s, want A after the deviation", id, tr.Host)
 		}
@@ -574,7 +576,8 @@ func TestConcurrentHostFailuresShareOneDeadSet(t *testing.T) {
 	if len(calls) == 0 || len(calls) > 2 {
 		t.Fatalf("re-plan calls = %v, want one per newly learnt host at most", calls)
 	}
-	for id, tr := range res.TaskResults {
+	for _, tr := range res.TaskResults {
+		id := tr.Task
 		if tr.Host != "C" {
 			t.Fatalf("task %s ran on %s, want the one live host C", id, tr.Host)
 		}
@@ -631,7 +634,7 @@ func TestFullHostIsNotADeadHost(t *testing.T) {
 	if res.FrontierReplans != 0 || res.Rescheduled != 1 {
 		t.Fatalf("FrontierReplans = %d, Rescheduled = %d, want 0 and 1", res.FrontierReplans, res.Rescheduled)
 	}
-	on := []string{res.TaskResults["t1"].Host, res.TaskResults["t2"].Host}
+	on := []string{res.TaskResult("t1").Host, res.TaskResult("t2").Host}
 	slices.Sort(on)
 	if !slices.Equal(on, []string{"A", "B"}) {
 		t.Fatalf("tasks ran on %q, want one on A and the refused one on B", on)
@@ -656,7 +659,7 @@ func TestNegativeMemoryRequestFailsOnce(t *testing.T) {
 	if !errors.Is(err, resource.ErrNegativeMemory) {
 		t.Fatalf("err = %v, want ErrNegativeMemory", err)
 	}
-	if tr := res.TaskResults["t"]; tr.Attempts != 1 || rescheduled != 0 || res.Rescheduled != 0 {
+	if tr := res.TaskResult("t"); tr.Attempts != 1 || rescheduled != 0 || res.Rescheduled != 0 {
 		t.Fatalf("attempts = %d, reschedules = %d/%d, want one dispatch and none", tr.Attempts, rescheduled, res.Rescheduled)
 	}
 	if got := hosts["A"].AvailableMemory(); got != 1<<30 {

@@ -51,8 +51,8 @@ func TestExecuteDistributedAcrossRPC(t *testing.T) {
 	if !usedRemote {
 		t.Fatalf("remote site never used: %+v", table.Entries())
 	}
-	if res.Outputs["solve"].Kind != tasklib.KindVector {
-		t.Fatalf("solve output = %+v", res.Outputs["solve"])
+	if res.Output("solve").Kind != tasklib.KindVector {
+		t.Fatalf("solve output = %+v", res.Output("solve"))
 	}
 	// Remote hosts must have actually executed tasks.
 	remoteRan := 0

@@ -459,15 +459,15 @@ func (m *Manager) execute(ctx context.Context, g *afg.Graph, table *scheduler.Al
 }
 
 // recordExecutions feeds completed task timings into the task-performance
-// database, in sorted task order so the recorded sample history is
-// reproducible run to run.
+// database in the Result's Index order, which is sorted task order, so the
+// recorded sample history is reproducible run to run.
 func (m *Manager) recordExecutions(g *afg.Graph, res *runtime.Result) {
-	for _, id := range g.TaskIDs() {
-		tr, ok := res.TaskResults[id]
-		if !ok || tr.Err != nil {
+	ix, _ := g.Index()
+	for i, tr := range res.TaskResults {
+		if tr.Err != nil {
 			continue
 		}
-		m.Repo.Tasks.RecordExecution(g.Task(id).Function, repository.ExecutionSample{
+		m.Repo.Tasks.RecordExecution(ix.Task(i).Function, repository.ExecutionSample{
 			Host: tr.Host, Elapsed: tr.Elapsed, At: time.Now(),
 		})
 	}

@@ -101,8 +101,8 @@ func TestExecuteLocalSolver(t *testing.T) {
 	if table.Len() != 3 {
 		t.Fatalf("table = %+v", table.Entries())
 	}
-	if res.Outputs["solve"].Kind != "vector" {
-		t.Fatalf("solve output = %+v", res.Outputs["solve"])
+	if res.Output("solve").Kind != "vector" {
+		t.Fatalf("solve output = %+v", res.Output("solve"))
 	}
 	// Measured execution times must land in the task-performance DB.
 	rec, err := m.Repo.Tasks.Get("matrix.solve")

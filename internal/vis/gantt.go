@@ -24,7 +24,6 @@ func Gantt(res *runtime.Result, width int) string {
 	// Collect spans relative to the earliest start.
 	var t0 time.Time
 	first := true
-	//vdce:ignore maporder earliest-start fold: the minimum of a set does not depend on visit order
 	for _, tr := range res.TaskResults {
 		if tr.Err != nil || tr.Started.IsZero() {
 			continue
@@ -39,7 +38,6 @@ func Gantt(res *runtime.Result, width int) string {
 	}
 	byHost := map[string][]span{}
 	var total time.Duration
-	//vdce:ignore maporder per-host span lists are sorted by start before rendering; total is a max fold
 	for _, tr := range res.TaskResults {
 		if tr.Err != nil || tr.Started.IsZero() {
 			continue

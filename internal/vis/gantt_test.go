@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/afg"
 	"repro/internal/resource"
 	"repro/internal/runtime"
 	"repro/internal/scheduler"
@@ -17,10 +16,10 @@ func TestGanttKnownTimeline(t *testing.T) {
 	base := time.Unix(1000, 0)
 	res := &runtime.Result{
 		App: "demo",
-		TaskResults: map[afg.TaskID]runtime.TaskResult{
-			"a": {Task: "a", Host: "h1", Started: base, Elapsed: 10 * time.Millisecond},
-			"b": {Task: "b", Host: "h1", Started: base.Add(10 * time.Millisecond), Elapsed: 10 * time.Millisecond},
-			"c": {Task: "c", Host: "h2", Started: base, Elapsed: 20 * time.Millisecond},
+		TaskResults: []runtime.TaskResult{
+			{Task: "a", Host: "h1", Started: base, Elapsed: 10 * time.Millisecond},
+			{Task: "b", Host: "h1", Started: base.Add(10 * time.Millisecond), Elapsed: 10 * time.Millisecond},
+			{Task: "c", Host: "h2", Started: base, Elapsed: 20 * time.Millisecond},
 		},
 	}
 	out := Gantt(res, 40)
@@ -47,8 +46,8 @@ func TestGanttEmptyAndErrored(t *testing.T) {
 	}
 	res := &runtime.Result{
 		App: "y",
-		TaskResults: map[afg.TaskID]runtime.TaskResult{
-			"bad": {Task: "bad", Host: "h", Err: context.Canceled},
+		TaskResults: []runtime.TaskResult{
+			{Task: "bad", Host: "h", Err: context.Canceled},
 		},
 	}
 	if Gantt(res, 40) != "no completed tasks\n" {

@@ -8,11 +8,9 @@ package vis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/afg"
 	"repro/internal/repository"
 	"repro/internal/runtime"
 )
@@ -35,25 +33,17 @@ func bar(frac float64) string {
 // completed run ("the execution time of tasks in application ... is
 // visualized").
 func ApplicationPerformance(res *runtime.Result) string {
-	var ids []afg.TaskID
-	for id := range res.TaskResults {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var max time.Duration
-	for _, id := range ids {
-		if e := res.TaskResults[id].Elapsed; e > max {
-			max = e
-		}
+	var longest time.Duration
+	for _, tr := range res.TaskResults {
+		longest = max(longest, tr.Elapsed)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Application %q — makespan %v, %d reschedules\n", res.App, res.Makespan.Round(time.Microsecond), res.Rescheduled)
 	fmt.Fprintf(&b, "%-12s %-14s %12s  %s\n", "TASK", "HOST", "ELAPSED", "")
-	for _, id := range ids {
-		tr := res.TaskResults[id]
+	for _, tr := range res.TaskResults {
 		frac := 0.0
-		if max > 0 {
-			frac = float64(tr.Elapsed) / float64(max)
+		if longest > 0 {
+			frac = float64(tr.Elapsed) / float64(longest)
 		}
 		status := ""
 		if tr.Err != nil {
@@ -62,28 +52,22 @@ func ApplicationPerformance(res *runtime.Result) string {
 			status = fmt.Sprintf(" (rescheduled ×%d)", tr.Attempts-1)
 		}
 		fmt.Fprintf(&b, "%-12s %-14s %12v  |%s|%s\n",
-			id, tr.Host, tr.Elapsed.Round(time.Microsecond), bar(frac), status)
+			tr.Task, tr.Host, tr.Elapsed.Round(time.Microsecond), bar(frac), status)
 	}
 	return b.String()
 }
 
 // ApplicationPerformanceCSV renders the same data as CSV.
 func ApplicationPerformanceCSV(res *runtime.Result) string {
-	var ids []afg.TaskID
-	for id := range res.TaskResults {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var b strings.Builder
 	b.WriteString("task,host,site,elapsed_us,attempts,error\n")
-	for _, id := range ids {
-		tr := res.TaskResults[id]
+	for _, tr := range res.TaskResults {
 		errStr := ""
 		if tr.Err != nil {
 			errStr = strings.ReplaceAll(tr.Err.Error(), ",", ";")
 		}
 		fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%s\n",
-			id, tr.Host, tr.Site, tr.Elapsed.Microseconds(), tr.Attempts, errStr)
+			tr.Task, tr.Host, tr.Site, tr.Elapsed.Microseconds(), tr.Attempts, errStr)
 	}
 	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/afg"
 	"repro/internal/repository"
 	"repro/internal/runtime"
 )
@@ -15,10 +14,10 @@ func sampleResult() *runtime.Result {
 	return &runtime.Result{
 		App:      "demo",
 		Makespan: 3 * time.Millisecond,
-		TaskResults: map[afg.TaskID]runtime.TaskResult{
-			"a": {Task: "a", Host: "h1", Site: "syr", Elapsed: 2 * time.Millisecond, Attempts: 1},
-			"b": {Task: "b", Host: "h2", Site: "syr", Elapsed: time.Millisecond, Attempts: 2},
-			"c": {Task: "c", Host: "h1", Site: "syr", Attempts: 1, Err: errors.New("boom")},
+		TaskResults: []runtime.TaskResult{
+			{Task: "a", Host: "h1", Site: "syr", Elapsed: 2 * time.Millisecond, Attempts: 1},
+			{Task: "b", Host: "h2", Site: "syr", Elapsed: time.Millisecond, Attempts: 2},
+			{Task: "c", Host: "h1", Site: "syr", Attempts: 1, Err: errors.New("boom")},
 		},
 		Rescheduled: 1,
 	}
