@@ -361,6 +361,60 @@ func TestGateWaitContextCancel(t *testing.T) {
 	}
 }
 
+// TestGateFastPathAndCycles: a running gate lets Wait through at once, even
+// under a cancelled context, which a paused one returns; a gate paused again
+// after a Resume blocks again; and waiters racing Pause and Resume all
+// return once the gate is left running.
+func TestGateFastPathAndCycles(t *testing.T) {
+	g := NewGate()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := g.Wait(cancelled); err != nil {
+		t.Fatalf("running gate: %v", err)
+	}
+	g.Pause()
+	if err := g.Wait(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("paused gate under a cancelled context: %v", err)
+	}
+	g.Resume()
+	g.Pause()
+	released := make(chan error, 1)
+	go func() { released <- g.Wait(context.Background()) }()
+	select {
+	case <-released:
+		t.Fatal("Wait returned while paused a second time")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.Resume()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the second Resume did not release the waiter")
+	}
+
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				if err := g.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for range 200 {
+		g.Pause()
+		g.Resume()
+	}
+	wg.Wait()
+}
+
 func TestIOServiceFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "input.dat")

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Gate implements the VDCE console service: "the user can suspend and
@@ -15,8 +16,8 @@ import (
 // Task executors call Wait before starting each task; Pause blocks them,
 // Resume releases them.
 type Gate struct {
+	paused atomic.Bool // written under mu, read by Wait without it
 	mu     sync.Mutex
-	paused bool
 	ch     chan struct{} // closed when running; replaced when paused
 }
 
@@ -31,9 +32,9 @@ func NewGate() *Gate {
 func (g *Gate) Pause() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.paused {
-		g.paused = true
+	if !g.paused.Load() {
 		g.ch = make(chan struct{})
+		g.paused.Store(true)
 	}
 }
 
@@ -41,31 +42,29 @@ func (g *Gate) Pause() {
 func (g *Gate) Resume() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.paused {
-		g.paused = false
+	if g.paused.Load() {
+		g.paused.Store(false)
 		close(g.ch)
 	}
 }
 
 // Paused reports the current state.
-func (g *Gate) Paused() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.paused
-}
+func (g *Gate) Paused() bool { return g.paused.Load() }
 
-// Wait blocks while the gate is paused, or until ctx is done.
+// Wait blocks while the gate is paused, or until ctx is done. A gate that
+// is not paused returns at once, without the lock or a select.
 func (g *Gate) Wait(ctx context.Context) error {
-	for {
-		g.mu.Lock()
-		ch := g.ch
-		g.mu.Unlock()
-		select {
-		case <-ch:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if !g.paused.Load() {
+		return nil
+	}
+	g.mu.Lock()
+	ch := g.ch
+	g.mu.Unlock()
+	select {
+	case <-ch:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

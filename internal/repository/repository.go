@@ -276,6 +276,8 @@ type TaskRecord struct {
 	CommBytes int64              `json:"commBytes"`
 	Weights   map[string]float64 `json:"weights,omitempty"` // host -> weight vs base
 	History   []ExecutionSample  `json:"history,omitempty"`
+
+	window []ExecutionSample // History's backing array once full: 2× the cap
 }
 
 // TaskPerfDB is the task-performance database.
@@ -304,7 +306,7 @@ func (db *TaskPerfDB) Put(r TaskRecord) error {
 	for k, v := range r.Weights {
 		cp.Weights[k] = v
 	}
-	cp.History = append([]ExecutionSample(nil), r.History...)
+	cp.History, cp.window = append([]ExecutionSample(nil), r.History...), nil
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.records[r.Function] = &cp
@@ -324,7 +326,7 @@ func (db *TaskPerfDB) Get(function string) (TaskRecord, error) {
 	for k, v := range r.Weights {
 		cp.Weights[k] = v
 	}
-	cp.History = append([]ExecutionSample(nil), r.History...)
+	cp.History, cp.window = append([]ExecutionSample(nil), r.History...), nil
 	return cp, nil
 }
 
@@ -356,7 +358,10 @@ func (db *TaskPerfDB) Weight(function, host string) (float64, bool) {
 	return w, ok
 }
 
-// RecordExecution appends a measured sample, trimming history to the cap.
+// RecordExecution appends a measured sample, keeping the last maxHistory.
+// A full history is a window sliding over an array of twice the cap: when
+// it reaches the array's end, its samples move to the front, so after the
+// first fill recording allocates nothing.
 func (db *TaskPerfDB) RecordExecution(function string, s ExecutionSample) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -364,10 +369,17 @@ func (db *TaskPerfDB) RecordExecution(function string, s ExecutionSample) error 
 	if !ok {
 		return fmt.Errorf("%w: task %q", ErrNotFound, function)
 	}
-	r.History = append(r.History, s)
-	if len(r.History) > db.maxHist {
-		r.History = r.History[len(r.History)-db.maxHist:]
+	h := r.History
+	if len(h) >= db.maxHist {
+		h = h[len(h)-db.maxHist+1:]
 	}
+	if len(h) == cap(h) && len(h) == db.maxHist-1 {
+		if cap(r.window) < 2*db.maxHist {
+			r.window = make([]ExecutionSample, 2*db.maxHist)
+		}
+		h = r.window[:copy(r.window, h)]
+	}
+	r.History = append(h, s)
 	return nil
 }
 

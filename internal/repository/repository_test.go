@@ -3,6 +3,7 @@ package repository
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -184,6 +185,59 @@ func TestTaskPerfHistoryTrim(t *testing.T) {
 	}
 	if err := db.RecordExecution("ghost", ExecutionSample{}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestTaskPerfHistoryWindow records 10×max samples, checking after every
+// one that the history is the last max in order, then that recording into
+// a full history allocates nothing and that the history round-trips through
+// the repository's JSON. It starts from a Put history longer than the cap.
+func TestTaskPerfHistoryWindow(t *testing.T) {
+	const max = 8
+	hosts := []string{"h0", "h1", "h2"}
+	sample := func(i int) ExecutionSample {
+		return ExecutionSample{Host: hosts[(i%3+3)%3], Elapsed: time.Duration(i)}
+	}
+	repo := New()
+	repo.Tasks = NewTaskPerfDB(max)
+	var put []ExecutionSample
+	for i := range max + 3 {
+		put = append(put, sample(i-max-3))
+	}
+	if err := repo.Tasks.Put(TaskRecord{Function: "f", BaseTime: 1, History: put}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 * max {
+		if err := repo.Tasks.RecordExecution("f", sample(i)); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := repo.Tasks.Get("f")
+		for k, s := range got.History {
+			if want := sample(i - len(got.History) + 1 + k); len(got.History) != max || s != want {
+				t.Fatalf("after sample %d: history %v, want the last %d", i, got.History, max)
+			}
+		}
+	}
+	i := 10 * max
+	if n := testing.AllocsPerRun(5, func() {
+		for range 4 * max {
+			repo.Tasks.RecordExecution("f", sample(i))
+			i++
+		}
+	}); n != 0 {
+		t.Errorf("%d samples into a full history allocate %v times", 4*max, n)
+	}
+	data, err := json.Marshal(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := New()
+	if err := json.Unmarshal(data, back); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := repo.Tasks.Get("f")
+	if got, _ := back.Tasks.Get("f"); !slices.Equal(got.History, want.History) {
+		t.Fatalf("history after a round trip %v, want %v", got.History, want.History)
 	}
 }
 
