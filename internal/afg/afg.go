@@ -255,12 +255,11 @@ func (g *Graph) Parents(id TaskID) []Link {
 // Children returns the outgoing links of id in insertion order, as a
 // cap-limited window on the Index.
 func (g *Graph) Children(id TaskID) []Link {
-	i := g.ix.Of(id)
-	if i < 0 {
-		return nil
+	if i := g.ix.Of(id); i >= 0 {
+		s, e := g.ix.childStart[i], g.ix.childStart[i+1]
+		return g.ix.childLink[s:e:e]
 	}
-	s, e := g.ix.childStart[i], g.ix.childStart[i+1]
-	return g.ix.childLink[s:e:e]
+	return nil
 }
 
 // Entries returns the tasks with no parents, in sorted order. The paper

@@ -12,9 +12,7 @@ import (
 // has: every task gets a stable integer index, adjacency is CSR-style — one
 // contiguous arc array per direction, the links behind them, and offset
 // tables — and the deterministic topological order is computed once with
-// the structure.
-//
-// Invariants:
+// the structure. Its invariants:
 //
 //   - Indices are assigned by sorted TaskID, so sorting indices ascending
 //     is exactly the deterministic id tie-break. The Graph's sorted views

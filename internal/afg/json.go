@@ -89,17 +89,9 @@ func (wt wireTask) task() (*Task, error) {
 	if !ok {
 		return nil, fmt.Errorf("afg: task %q: %w %q", wt.ID, errUnknownMode, wt.Mode)
 	}
-	return &Task{
-		ID:          wt.ID,
-		Function:    wt.Function,
-		Mode:        mode,
-		Processors:  wt.Processors,
-		MachineType: wt.MachineType,
-		ComputeCost: wt.ComputeCost,
-		MemReq:      wt.MemReq,
-		OutputBytes: wt.OutputBytes,
-		Params:      wt.Params,
-	}, nil
+	return &Task{ID: wt.ID, Function: wt.Function, Mode: mode, Processors: wt.Processors,
+		MachineType: wt.MachineType, ComputeCost: wt.ComputeCost, MemReq: wt.MemReq,
+		OutputBytes: wt.OutputBytes, Params: wt.Params}, nil
 }
 
 // UnmarshalJSON decodes a graph as Decode does; on error g is unchanged.
@@ -319,9 +311,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// decodeWire builds the graph of a document the fast path does not take,
-// through json.Unmarshal, wrapping encoding/json's refusals in the codec's
-// sentinels.
+// decodeWire builds the graph of a document the fast path does not take
+// through json.Unmarshal, its refusals wrapped in the codec's sentinels.
 func decodeWire(data []byte) (*Graph, error) {
 	var w wireGraph
 	err := json.Unmarshal(data, &w)
@@ -346,9 +337,8 @@ func decodeWire(data []byte) (*Graph, error) {
 // storage the Index keeps, so a document costs a fixed number of
 // allocations, not one a task (TestDecodeAllocatesPerDocument).
 type decoder struct {
-	data []byte
-	off  int
-
+	data  []byte
+	off   int
 	name  string
 	tasks []Task          // in wire order
 	ids   strings.Builder // the task ids, one after another
@@ -458,15 +448,9 @@ func (d *decoder) graph() bool {
 		case "name":
 			return once(&seen, 0) && d.shared(&d.name, &d.name)
 		case "tasks":
-			return once(&seen, 1) && d.list('[', ']', func() bool {
-				d.tasks, d.idEnd = append(d.tasks, Task{}), append(d.idEnd, d.ids.Len())
-				return d.task(len(d.tasks) - 1)
-			}) && d.index()
+			return once(&seen, 1) && d.list('[', ']', d.task) && d.index()
 		case "links":
-			return once(&seen, 2) && d.list('[', ']', func() bool {
-				d.links = append(d.links, Link{})
-				return d.link(&d.links[len(d.links)-1])
-			})
+			return once(&seen, 2) && d.list('[', ']', d.link)
 		}
 		return false
 	})
@@ -484,10 +468,11 @@ func (d *decoder) index() bool {
 	return d.ix != nil
 }
 
-// task reads task i, its id into ids, for index.
-func (d *decoder) task(i int) bool {
-	t := &d.tasks[i]
-	var seen uint16
+// task reads the next task, its id into ids, for index.
+func (d *decoder) task() bool {
+	i := len(d.tasks)
+	d.tasks, d.idEnd = append(d.tasks, Task{}), append(d.idEnd, d.ids.Len())
+	t, seen := &d.tasks[i], uint16(0)
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "id":
@@ -519,11 +504,11 @@ func (d *decoder) task(i int) bool {
 	})
 }
 
-// link reads one link and its dense (from, to), each endpoint by end.
-func (d *decoder) link(l *Link) bool {
-	var seen uint16
+// link reads the next link and its dense (from, to), each endpoint by end.
+func (d *decoder) link() bool {
 	k := len(d.ends)
-	d.ends = append(d.ends, -1, -1)
+	d.links, d.ends = append(d.links, Link{}), append(d.ends, -1, -1)
+	l, seen := &d.links[len(d.links)-1], uint16(0)
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "From":
