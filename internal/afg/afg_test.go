@@ -315,3 +315,16 @@ func BenchmarkLevels200(b *testing.B) {
 		}
 	}
 }
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	tasks := make([]*Task, len(g.ix.tasks))
+	for i, t := range g.ix.tasks {
+		tasks[i] = t.Clone()
+	}
+	c, err := Build(g.Name, tasks, g.ix.childLink)
+	if err != nil {
+		panic(err) // the links of a built graph are valid
+	}
+	return c
+}

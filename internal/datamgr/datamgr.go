@@ -278,16 +278,6 @@ func (p *Proxy) Recv() (Message, bool) {
 	return m, ok
 }
 
-// TryRecv returns a message if one is queued, without blocking.
-func (p *Proxy) TryRecv() (Message, bool) {
-	select {
-	case m, ok := <-p.inbound:
-		return m, ok
-	default:
-		return Message{}, false
-	}
-}
-
 // Stats returns a copy of the traffic counters.
 func (p *Proxy) Stats() Stats {
 	p.mu.Lock()

@@ -7,10 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -253,32 +249,6 @@ func TestProxyWANDelayInjection(t *testing.T) {
 	}
 }
 
-func TestProxyTryRecv(t *testing.T) {
-	a := newTestProxy(t, "a", "syr", nil)
-	if _, ok := a.TryRecv(); ok {
-		t.Fatal("empty TryRecv should be not-ok")
-	}
-	b := newTestProxy(t, "b", "syr", nil)
-	connect(t, b, a)
-	if err := b.Send("a", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Second)
-	for {
-		if m, ok := a.TryRecv(); ok {
-			if string(m.Payload) != "y" {
-				t.Fatalf("m = %+v", m)
-			}
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("message never arrived")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestConcurrentSends(t *testing.T) {
 	recv := newTestProxy(t, "sink", "syr", nil)
 	const senders, msgs = 8, 50
@@ -413,70 +383,4 @@ func TestGateFastPathAndCycles(t *testing.T) {
 		g.Resume()
 	}
 	wg.Wait()
-}
-
-func TestIOServiceFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "input.dat")
-	if err := os.WriteFile(path, []byte("file-bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var s IOService
-	for _, uri := range []string{path, "file://" + path} {
-		data, err := s.ReadInput(uri)
-		if err != nil {
-			t.Fatalf("%s: %v", uri, err)
-		}
-		if string(data) != "file-bytes" {
-			t.Fatalf("%s: data = %q", uri, data)
-		}
-	}
-	if _, err := s.ReadInput(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestIOServiceData(t *testing.T) {
-	var s IOService
-	data, err := s.ReadInput("data:inline-literal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "inline-literal" {
-		t.Fatalf("data = %q", data)
-	}
-}
-
-func TestIOServiceURL(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/missing" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write([]byte("url-bytes"))
-	}))
-	defer srv.Close()
-	s := IOService{Client: srv.Client()}
-	data, err := s.ReadInput(srv.URL + "/input")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "url-bytes" {
-		t.Fatalf("data = %q", data)
-	}
-	if _, err := s.ReadInput(srv.URL + "/missing"); err == nil {
-		t.Fatal("404 accepted")
-	}
-}
-
-func TestIOServiceLimit(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "big")
-	if err := os.WriteFile(path, bytes.Repeat([]byte("x"), 100), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := IOService{MaxBytes: 10}
-	if _, err := s.ReadInput(path); err == nil {
-		t.Fatal("oversized input accepted")
-	}
 }

@@ -73,9 +73,6 @@ func (b *Builder) SetMode(m Mode) { b.mode = m }
 // Libraries lists the task-library menu groups.
 func (b *Builder) Libraries() []string { return b.reg.Libraries() }
 
-// Menu lists the task functions in a library group.
-func (b *Builder) Menu(library string) []string { return b.reg.ByLibrary(library) }
-
 // AddTask places a library task on the canvas (task mode only). The task's
 // cost metadata is derived from the registry spec scaled by params — the
 // numbers the scheduler will later read from the task-performance database.
@@ -110,24 +107,6 @@ func (b *Builder) SetProperties(id afg.TaskID, mode afg.Mode, processors int, ma
 		t.Processors = processors
 	}
 	t.MachineType = machineType
-	return nil
-}
-
-// SetParams replaces a task's parameters and recomputes its cost metadata.
-func (b *Builder) SetParams(id afg.TaskID, params map[string]string) error {
-	t := b.g.Task(id)
-	if t == nil {
-		return fmt.Errorf("%w: %q", ErrNoTask, id)
-	}
-	spec, err := b.reg.Get(t.Function)
-	if err != nil {
-		return err
-	}
-	scale := spec.Scale(params)
-	t.Params = params
-	t.ComputeCost = spec.BaseTime * scale
-	t.MemReq = int64(float64(spec.MemReq) * scale)
-	t.OutputBytes = int64(float64(spec.OutputBytes) * scale)
 	return nil
 }
 

@@ -448,16 +448,3 @@ func Experiments() []Experiment {
 		{"POLICY", PolicyComparison}, {"RANKING", Ranking}, {"CHURN", Churn},
 	}
 }
-
-// All runs every experiment in figure order.
-func All(seed int64) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Experiments() {
-		r, err := e.Run(seed)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -271,16 +271,16 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	results, err := All(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 12 {
-		t.Fatalf("results = %d", len(results))
+	exps := Experiments()
+	if len(exps) != 12 {
+		t.Fatalf("experiments = %d", len(exps))
 	}
 	seen := map[string]bool{}
-	for i, e := range Experiments() {
-		r := results[i]
+	for i, e := range exps {
+		r, err := e.Run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seen[e.ID] || r.ID != e.ID {
 			t.Fatalf("experiment %d listed as %s (listed before: %v) returned %s", i, e.ID, seen[e.ID], r.ID)
 		}

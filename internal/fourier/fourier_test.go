@@ -317,3 +317,18 @@ func BenchmarkConvolve4096(b *testing.B) {
 		}
 	}
 }
+
+// DFTNaive is the O(n²) reference transform used by tests to validate FFT.
+func DFTNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var s complex128
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			s += x[t] * cmplx.Exp(complex(0, angle))
+		}
+		out[k] = s
+	}
+	return out
+}

@@ -1,8 +1,8 @@
 // Package metrics implements the schedule-quality metrics of the paper's
 // evaluation methodology: Schedule Length Ratio (makespan over the
-// critical-path lower bound), speedup against the best serial host,
-// efficiency, and the pairwise better/equal/worse counts used to rank
-// scheduling heuristics across a parameter grid. The metrics are pure
+// critical-path lower bound), speedup against the best serial host, and
+// the pairwise better/equal/worse counts used to rank scheduling
+// heuristics across a parameter grid. The metrics are pure
 // arithmetic over a cost model — they take a ground-truth execution-time
 // function, never a scheduler — so the same numbers score any policy's
 // allocation table.
@@ -96,15 +96,6 @@ func Speedup(bestSerial, makespan float64) float64 {
 		return math.Inf(1)
 	}
 	return bestSerial / makespan
-}
-
-// Efficiency is speedup per host: Speedup / |hosts|, in [0, 1] for
-// consistent models.
-func Efficiency(speedup float64, hosts int) float64 {
-	if hosts <= 0 {
-		return 0
-	}
-	return speedup / float64(hosts)
 }
 
 // Tally is one directed cell of the pairwise comparison: how often the row

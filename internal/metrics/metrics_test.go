@@ -83,9 +83,6 @@ func TestSLRSpeedupEfficiency(t *testing.T) {
 	if v := Speedup(serial, 1); v != 2 {
 		t.Fatalf("speedup = %v", v)
 	}
-	if v := Efficiency(2, 4); v != 0.5 {
-		t.Fatalf("efficiency = %v", v)
-	}
 }
 
 func TestPairwiseAndBestCounts(t *testing.T) {

@@ -80,24 +80,6 @@ func (db *UserAccountsDB) Authenticate(user, password string) (UserAccount, erro
 	return a, nil
 }
 
-// Get returns the account for user.
-func (db *UserAccountsDB) Get(user string) (UserAccount, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	a, ok := db.accounts[user]
-	if !ok {
-		return UserAccount{}, fmt.Errorf("%w: user %q", ErrNotFound, user)
-	}
-	return a, nil
-}
-
-// Len returns the number of accounts.
-func (db *UserAccountsDB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.accounts)
-}
-
 func (db *UserAccountsDB) snapshot() []UserAccount {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -145,7 +127,6 @@ type ResourceRecord struct {
 type ResourcePerfDB struct {
 	mu      sync.RWMutex
 	records map[string]*ResourceRecord
-	updates int // count of dynamic updates, for monitoring-traffic accounting
 }
 
 // NewResourcePerfDB returns an empty resource database.
@@ -193,7 +174,6 @@ func (db *ResourcePerfDB) UpdateDynamic(host string, load float64, availMem int6
 	r.Dynamic.Load = load
 	r.Dynamic.AvailableMemory = availMem
 	r.Dynamic.UpdatedAt = at
-	db.updates++
 	return nil
 }
 
@@ -241,15 +221,6 @@ func (db *ResourcePerfDB) UpHosts() []string {
 		}
 	}
 	return out
-}
-
-// UpdateCount returns the number of dynamic updates applied; the Fig 6
-// monitoring benchmark uses it to quantify update traffic saved by
-// change filtering.
-func (db *ResourcePerfDB) UpdateCount() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.updates
 }
 
 // ---------------------------------------------------------------------------
@@ -421,32 +392,6 @@ func (db *TaskConstraintsDB) SetLocation(function, host, path string) {
 		db.paths[function] = make(map[string]string)
 	}
 	db.paths[function][host] = path
-}
-
-// Location returns the executable path of function on host.
-func (db *TaskConstraintsDB) Location(function, host string) (string, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.paths[function][host]
-	return p, ok
-}
-
-// EligibleHosts returns the hosts that can run function, sorted. An empty
-// constraints entry means the function is available everywhere; in that
-// case nil is returned and the caller treats every host as eligible.
-func (db *TaskConstraintsDB) EligibleHosts(function string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	m, ok := db.paths[function]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CanRun reports whether host may execute function (true when the function

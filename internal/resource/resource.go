@@ -63,14 +63,13 @@ var DefaultLoadModel = LoadModel{Baseline: 0.3, Volatility: 0.1, Rho: 0.8}
 type Host struct {
 	Spec HostSpec
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	model     LoadModel
-	bgLoad    float64 // background load from other users (AR(1))
-	taskLoad  float64 // load contributed by VDCE tasks running here
-	usedMem   int64
-	down      bool
-	completed int // tasks completed, for bookkeeping/visualisation
+	mu       sync.Mutex
+	rng      *rand.Rand
+	model    LoadModel
+	bgLoad   float64 // background load from other users (AR(1))
+	taskLoad float64 // load contributed by VDCE tasks running here
+	usedMem  int64
+	down     bool
 }
 
 // NewHost creates a host with the given spec, load model, and deterministic
@@ -159,14 +158,6 @@ func (h *Host) EndTask(mem int64) {
 	if h.taskLoad < 0 {
 		h.taskLoad = 0
 	}
-	h.completed++
-}
-
-// Completed returns how many tasks have finished on this host.
-func (h *Host) Completed() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.completed
 }
 
 // SetDown marks the host failed (true) or repaired (false).
@@ -243,17 +234,6 @@ func (p *Pool) Hosts() []*Host {
 	out := make([]*Host, 0, len(p.order))
 	for _, n := range p.order {
 		out = append(out, p.hosts[n])
-	}
-	return out
-}
-
-// Up returns the hosts currently not marked down.
-func (p *Pool) Up() []*Host {
-	var out []*Host
-	for _, h := range p.Hosts() {
-		if !h.IsDown() {
-			out = append(out, h)
-		}
 	}
 	return out
 }

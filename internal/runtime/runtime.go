@@ -48,7 +48,6 @@ type TaskResult struct {
 	Task     afg.TaskID
 	Host     string
 	Site     string
-	Started  time.Time     // when the task left the input-gather barrier
 	Elapsed  time.Duration // placement attempts + execution
 	Attempts int           // 1 = no rescheduling was needed
 	Err      error
@@ -146,10 +145,6 @@ type Options struct {
 	// MaxAttempts bounds the dispatches of one task (0 = 3); moving a task
 	// off a host known dead dispatches nothing.
 	MaxAttempts int
-	// OnTaskDone, if set, observes each task completion (visualization
-	// service feed). It is called on the goroutine that ran the task, so
-	// calls for tasks that run side by side may overlap.
-	OnTaskDone func(TaskResult)
 }
 
 // Execute runs a scheduled application to completion.
@@ -547,9 +542,6 @@ func (e *execEnv) runTask(ctx context.Context, i int) int {
 		e.cancel() // abort the rest of the application
 		return -1
 	}
-	if e.opts.OnTaskDone != nil {
-		e.opts.OnTaskDone(res)
-	}
 	return next
 }
 
@@ -573,7 +565,7 @@ func (e *execEnv) place(ctx context.Context, i int, res *TaskResult) (tasklib.Va
 	assign, live := e.claim(i)
 	var tried []string
 	begin := time.Now()
-	res.Started, res.Attempts = begin, 1
+	res.Attempts = 1
 	// Each pass places the task once more; only a dispatch spends the retry
 	// budget, so a host known dead is left at once, without one.
 	for dispatched := 0; ; res.Attempts++ {

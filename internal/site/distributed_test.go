@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/rpc"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/afg"
@@ -29,6 +30,21 @@ func TestExecuteDistributedAcrossRPC(t *testing.T) {
 		remote.Repo.Resources.Register(rec.Static)
 		remote.Repo.Resources.UpdateDynamic(rec.Static.HostName, 0, rec.Static.TotalMemory, rec.Dynamic.UpdatedAt)
 	}
+	// Count the tasks the remote site's own registry runs.
+	var remoteRan atomic.Int64
+	counting := tasklib.NewRegistry()
+	for _, name := range remote.Registry.Names() {
+		spec, _ := remote.Registry.Get(name)
+		fn := spec.Fn
+		spec.Fn = func(ctx context.Context, a tasklib.Args) (tasklib.Value, error) {
+			remoteRan.Add(1)
+			return fn(ctx, a)
+		}
+		if err := counting.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remote.Registry = counting
 
 	addr, stop, err := remote.Serve("127.0.0.1:0")
 	if err != nil {
@@ -55,11 +71,7 @@ func TestExecuteDistributedAcrossRPC(t *testing.T) {
 		t.Fatalf("solve output = %+v", res.Output("solve"))
 	}
 	// Remote hosts must have actually executed tasks.
-	remoteRan := 0
-	for _, h := range remote.Pool.Hosts() {
-		remoteRan += h.Completed()
-	}
-	if remoteRan == 0 {
+	if remoteRan.Load() == 0 {
 		t.Fatal("no task ran on the remote pool")
 	}
 }

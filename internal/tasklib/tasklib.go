@@ -66,19 +66,6 @@ func (a Args) IntParam(key string, def int) (int, error) {
 	return n, nil
 }
 
-// FloatParam parses a float parameter with a default.
-func (a Args) FloatParam(key string, def float64) (float64, error) {
-	v, ok := a.Params[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s=%q: %v", ErrBadParam, key, v, err)
-	}
-	return f, nil
-}
-
 // Func is an executable task implementation.
 type Func func(ctx context.Context, args Args) (Value, error)
 

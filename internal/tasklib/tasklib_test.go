@@ -60,7 +60,7 @@ func TestRegistryErrors(t *testing.T) {
 }
 
 func TestArgsParamParsing(t *testing.T) {
-	a := Args{Params: map[string]string{"n": "42", "bad": "xx", "f": "2.5"}}
+	a := Args{Params: map[string]string{"n": "42", "bad": "xx"}}
 	if v, err := a.IntParam("n", 0); err != nil || v != 42 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
@@ -68,12 +68,6 @@ func TestArgsParamParsing(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 	if _, err := a.IntParam("bad", 0); !errors.Is(err, ErrBadParam) {
-		t.Fatalf("err = %v", err)
-	}
-	if v, err := a.FloatParam("f", 0); err != nil || v != 2.5 {
-		t.Fatalf("v=%v err=%v", v, err)
-	}
-	if _, err := a.FloatParam("bad", 0); !errors.Is(err, ErrBadParam) {
 		t.Fatalf("err = %v", err)
 	}
 	if a.Param("missing", "d") != "d" {
@@ -140,9 +134,10 @@ func TestMatrixMultiplyParallelMatchesSequential(t *testing.T) {
 func TestMatrixAddTransposeTasks(t *testing.T) {
 	a := exec(t, "matrix.generate", Args{Params: map[string]string{"n": "6", "seed": "1"}})
 	sum := exec(t, "matrix.add", Args{Inputs: []Value{a, a}})
-	twice := a.Matrix.Scale(2)
-	if !sum.Matrix.Equal(twice, 1e-12) {
-		t.Fatal("A+A != 2A")
+	for i, v := range a.Matrix.Data {
+		if sum.Matrix.Data[i] != 2*v {
+			t.Fatal("A+A != 2A")
+		}
 	}
 	tr := exec(t, "matrix.transpose", Args{Inputs: []Value{a}})
 	if tr.Matrix.At(0, 1) != a.Matrix.At(1, 0) {
@@ -359,9 +354,6 @@ func TestValueAccessorsErrors(t *testing.T) {
 		t.Fatalf("nil matrix err = %v", err)
 	}
 	if _, err := ScalarValue(1).AsVector(); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := TextValue("x").AsScalar(); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -72,14 +72,6 @@ func (v Value) AsVector() ([]float64, error) {
 	return v.Vector, nil
 }
 
-// AsScalar extracts a scalar payload.
-func (v Value) AsScalar() (float64, error) {
-	if v.Kind != KindScalar {
-		return 0, fmt.Errorf("%w: want scalar, got %q", ErrBadInput, v.Kind)
-	}
-	return v.Scalar, nil
-}
-
 // SizeBytes estimates the wire size of the payload; the Data Manager uses
 // it for transfer accounting and the netsim delay injection.
 func (v Value) SizeBytes() int64 {

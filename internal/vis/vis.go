@@ -2,8 +2,7 @@
 // application performance visualization (per-task execution times),
 // workload visualization (up-to-date resource loads), and comparative
 // visualization (the same application across hardware/software
-// configurations). Rendering targets are plain text and CSV — the
-// post-mortem path; the real-time path feeds from runtime.Options.OnTaskDone.
+// configurations). Rendering targets are plain text and CSV.
 package vis
 
 import (
@@ -53,21 +52,6 @@ func ApplicationPerformance(res *runtime.Result) string {
 		}
 		fmt.Fprintf(&b, "%-12s %-14s %12v  |%s|%s\n",
 			tr.Task, tr.Host, tr.Elapsed.Round(time.Microsecond), bar(frac), status)
-	}
-	return b.String()
-}
-
-// ApplicationPerformanceCSV renders the same data as CSV.
-func ApplicationPerformanceCSV(res *runtime.Result) string {
-	var b strings.Builder
-	b.WriteString("task,host,site,elapsed_us,attempts,error\n")
-	for _, tr := range res.TaskResults {
-		errStr := ""
-		if tr.Err != nil {
-			errStr = strings.ReplaceAll(tr.Err.Error(), ",", ";")
-		}
-		fmt.Fprintf(&b, "%s,%s,%s,%d,%d,%s\n",
-			tr.Task, tr.Host, tr.Site, tr.Elapsed.Microseconds(), tr.Attempts, errStr)
 	}
 	return b.String()
 }

@@ -36,23 +36,6 @@ func TestApplicationPerformance(t *testing.T) {
 	}
 }
 
-func TestApplicationPerformanceCSV(t *testing.T) {
-	out := ApplicationPerformanceCSV(sampleResult())
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if lines[0] != "task,host,site,elapsed_us,attempts,error" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "a,h1,syr,2000,1,") {
-		t.Fatalf("row = %q", lines[1])
-	}
-	if !strings.Contains(out, "boom") {
-		t.Fatal("error column lost")
-	}
-}
-
 func TestWorkload(t *testing.T) {
 	recs := []repository.ResourceRecord{
 		{Static: repository.ResourceStatic{HostName: "n1", Arch: "sgi"},
