@@ -37,8 +37,8 @@
 // shape α, out-degree, and host-heterogeneity range β — plus structured
 // Gaussian-elimination and FFT task graphs; internal/metrics scores
 // schedules by Schedule Length Ratio (makespan over the critical-path
-// lower bound), speedup against the best serial host, efficiency, and
-// pairwise better/equal/worse counts; and scheduler.ValidateSchedule is an
+// lower bound), speedup against the best serial host, and pairwise
+// better/equal/worse counts; and scheduler.ValidateSchedule is an
 // independent, deliberately naive replay of the execution semantics that
 // audits every allocation table for precedence feasibility, per-host
 // mutual exclusion, and transfer-time accounting — it shares the graph's
